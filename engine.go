@@ -127,10 +127,8 @@ func (cfg *engineConfig) validate() error {
 
 func (cfg *engineConfig) backend(prog *compile.Program) (backend, error) {
 	switch {
-	case cfg.remote:
-		return newRemoteBackend(prog, cfg.remoteAddrs, cfg.keyRanks)
-	case cfg.distributed:
-		return newDistBackend(prog, cfg.workers, cfg.keyRanks), nil
+	case cfg.remote, cfg.distributed:
+		return newDistBackend(prog, cfg)
 	default:
 		return newLocalBackend(prog, cfg.singleTuple), nil
 	}
@@ -945,7 +943,9 @@ func (lb *localBackend) Warm(bases map[string]*mring.Relation, capture []string)
 	return out, nil
 }
 
-func (lb *localBackend) ViewContents(name string) *mring.Relation { return lb.ex.View(name) }
+// ViewContents returns a copy: a Result read outside the backend lock
+// must not share the view a concurrent Apply folds into.
+func (lb *localBackend) ViewContents(name string) *mring.Relation { return lb.ex.View(name).Clone() }
 
 func (lb *localBackend) StopCapture(string) {}
 
@@ -1009,50 +1009,16 @@ func (lb *localBackend) RestoreState(cp *cluster.Checkpoint) error {
 
 func (lb *localBackend) Close() error { return nil }
 
-// clusterRuntime is the cluster seam distBackend drives. The simulated
-// in-process cluster and the process cluster over a real transport
-// implement the same surface, so one backend serves both deployments.
-type clusterRuntime interface {
-	Workers() int
-	RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relation) (cluster.Metrics, error)
-	WarmViews(contents map[string]*mring.Relation) error
-	ViewContents(name string) *mring.Relation
-	WatchView(name string)
-	UnwatchView(name string)
-	TakeWatchDelta(name string) *mring.Relation
-	EvalStats() eval.Stats
-	WorkerTimings() []cluster.WorkerTiming
-	ForEachRelation(f func(name string, r *mring.Relation))
-	CheckpointState() (*cluster.Checkpoint, error)
-	RestoreState(cp *cluster.Checkpoint) error
-	Close() error
-}
-
-// repartitioner is the optional in-place rebalance surface: only the
-// simulated cluster can move state between its workers directly; the
-// process cluster does not implement it, so Rebalance is a no-op there.
-type repartitioner interface {
-	Repartition(parts dist.PartInfo, contents map[string]*mring.Relation, keep map[string]bool) error
-}
-
-// deltaNoter lets a runtime fold committed per-batch deltas into its
-// last-committed read cache (the process cluster's poisoned-read
-// fallback).
-type deltaNoter interface {
-	NoteDelta(name string, delta *mring.Relation)
-}
-
-// distBackend runs the compiled program on a cluster runtime: the
-// simulated synchronous cluster (Distributed) or the process cluster
-// over sockets (Remote). Views are partitioned by the paper's heuristic
-// and batches are processed through compiled distributed trigger
-// programs either way.
+// distBackend runs the compiled program on the cluster driver: over
+// in-process shards (Distributed) or worker processes (Remote). Views are
+// partitioned by the paper's heuristic and batches are processed through
+// compiled distributed trigger programs either way.
 type distBackend struct {
 	prog     *compile.Program
 	parts    dist.PartInfo
 	keyRanks map[string]int
 	dprogs   map[string]*dist.DistProgram
-	cl       clusterRuntime
+	cl       *cluster.Cluster
 	total    Metrics
 	last     Metrics
 	// watching mirrors the cluster's watch set (a view is in it only
@@ -1060,25 +1026,23 @@ type distBackend struct {
 	watching map[string]bool
 }
 
-func newDistBackend(prog *compile.Program, workers int, keyRanks map[string]int) *distBackend {
-	parts := dist.ChoosePartitioning(prog, keyRanks)
-	dprogs := dist.CompileProgram(prog, parts, dist.O3)
-	cl := cluster.New(cluster.DefaultConfig(workers), dist.ViewSchemas(prog), parts)
-	return &distBackend{prog: prog, parts: parts, keyRanks: keyRanks, dprogs: dprogs, cl: cl, watching: make(map[string]bool)}
-}
-
-// newRemoteBackend connects the same distributed backend to worker
-// processes: identical partitioning choice and compiled programs, with
-// the process cluster as the runtime, so results are bitwise-equal to
-// the simulated deployment at the same worker count.
-func newRemoteBackend(prog *compile.Program, addrs []string, keyRanks map[string]int) (*distBackend, error) {
-	parts := dist.ChoosePartitioning(prog, keyRanks)
-	dprogs := dist.CompileProgram(prog, parts, dist.O3)
-	pc, err := cluster.Connect(inet.TCP{}, addrs, dist.ViewSchemas(prog), parts)
-	if err != nil {
-		return nil, err
+// newDistBackend deploys the program on the cluster the configuration
+// names. Partitioning and compiled programs do not depend on the kind of
+// worker, so results are bitwise-equal across both at the same worker
+// count.
+func newDistBackend(prog *compile.Program, cfg *engineConfig) (*distBackend, error) {
+	parts := dist.ChoosePartitioning(prog, cfg.keyRanks)
+	var cl *cluster.Cluster
+	if cfg.remote {
+		var err error
+		if cl, err = cluster.Connect(inet.TCP{}, cfg.remoteAddrs, dist.ViewSchemas(prog), parts); err != nil {
+			return nil, err
+		}
+	} else {
+		cl = cluster.New(cluster.DefaultConfig(cfg.workers), dist.ViewSchemas(prog), parts)
 	}
-	return &distBackend{prog: prog, parts: parts, keyRanks: keyRanks, dprogs: dprogs, cl: pc, watching: make(map[string]bool)}, nil
+	return &distBackend{prog: prog, parts: parts, keyRanks: cfg.keyRanks, dprogs: dist.CompileProgram(prog, parts, dist.O3),
+		cl: cl, watching: make(map[string]bool)}, nil
 }
 
 // setCapture reconciles the cluster's watch set with the views that
@@ -1129,16 +1093,11 @@ func (db *distBackend) ApplyTx(tx []compile.TableBatch, capture []string) (map[s
 	if len(capture) == 0 {
 		return nil, nil
 	}
+	// Taking the deltas at the commit also advances the cluster's
+	// last-committed read cache, so a later failure freezes reads here.
 	out := make(map[string]*mring.Relation, len(capture))
-	nd, noting := db.cl.(deltaNoter)
 	for _, v := range capture {
-		d := db.cl.TakeWatchDelta(v)
-		out[v] = d
-		if noting && d != nil {
-			// Keep the runtime's last-committed read cache current so a
-			// later failure can freeze reads at this commit.
-			nd.NoteDelta(v, d)
-		}
+		out[v] = db.cl.TakeWatchDelta(v)
 	}
 	return out, nil
 }
@@ -1178,7 +1137,7 @@ func (db *distBackend) StopCapture(view string) {
 	}
 }
 
-func (db *distBackend) Stats() eval.Stats { return db.cl.EvalStats() }
+func (db *distBackend) Stats() eval.Stats { return db.cl.Stats }
 
 func (db *distBackend) Close() error { return db.cl.Close() }
 
@@ -1201,14 +1160,7 @@ func (db *distBackend) ForEachRelation(f func(name string, r *mring.Relation)) {
 // SnapshotState captures every node's fragments (driver and workers)
 // with the deployed partitioning, so a restore re-warms the same
 // deployment shape even after a skew-feedback repartition.
-func (db *distBackend) SnapshotState() (*cluster.Checkpoint, error) {
-	cp, err := db.cl.CheckpointState()
-	if err != nil {
-		return nil, err
-	}
-	cp.Parts = db.parts.Clone()
-	return cp, nil
-}
+func (db *distBackend) SnapshotState() (*cluster.Checkpoint, error) { return db.cl.Checkpoint() }
 
 // RestoreState installs the checkpoint across the cluster, then adopts
 // its recorded partitioning: if the state was captured under a
@@ -1216,7 +1168,7 @@ func (db *distBackend) SnapshotState() (*cluster.Checkpoint, error) {
 // recompile against it so maintenance keeps matching the restored
 // fragment placement.
 func (db *distBackend) RestoreState(cp *cluster.Checkpoint) error {
-	if err := db.cl.RestoreState(cp); err != nil {
+	if err := db.cl.Restore(cp); err != nil {
 		return err
 	}
 	if cp.Parts != nil && !cp.Parts.Equal(db.parts) {
@@ -1243,18 +1195,22 @@ func (db *distBackend) persistentViews(f func(v *compile.ViewDef)) {
 // column would produce, aggregated tuple-count-weighted over the
 // persistent distributed views whose schema holds the column. This is
 // the measured replacement for the heuristic's uniform-skew assumption.
-func (db *distBackend) measureSkew() map[string]float64 {
+func (db *distBackend) measureSkew() (map[string]float64, error) {
 	n := db.cl.Workers()
 	if n < 2 {
-		return nil
+		return nil, nil
 	}
 	num := make(map[string]float64)
 	den := make(map[string]float64)
+	var err error
 	db.persistentViews(func(v *compile.ViewDef) {
-		if !db.parts[v.Name].Keyed() {
+		if err != nil || !db.parts[v.Name].Keyed() {
 			return
 		}
-		rel := db.cl.ViewContents(v.Name)
+		var rel *mring.Relation
+		if rel, err = db.cl.ReadView(v.Name); err != nil {
+			return
+		}
 		// Tiny views cannot produce a meaningful imbalance estimate.
 		if rel.Len() < 64 {
 			return
@@ -1272,7 +1228,7 @@ func (db *distBackend) measureSkew() map[string]float64 {
 	for col, s := range num {
 		w[col] = s / den[col]
 	}
-	return w
+	return w, err
 }
 
 // Rebalance re-runs the partitioning heuristic with measured skew
@@ -1283,15 +1239,9 @@ func (db *distBackend) measureSkew() map[string]float64 {
 // and the distributed trigger programs recompile against the new
 // placement.
 func (db *distBackend) Rebalance() (bool, error) {
-	rp, ok := db.cl.(repartitioner)
-	if !ok {
-		// The process cluster cannot move state between live workers;
-		// skew feedback stays a no-op there (DESIGN.md §11).
-		return false, nil
-	}
-	weights := db.measureSkew()
-	if len(weights) == 0 {
-		return false, nil
+	weights, err := db.measureSkew()
+	if err != nil || len(weights) == 0 {
+		return false, err
 	}
 	parts := dist.ChoosePartitioningWeighted(db.prog, db.keyRanks, weights)
 	if parts.Equal(db.parts) {
@@ -1300,13 +1250,19 @@ func (db *distBackend) Rebalance() (bool, error) {
 	moved := make(map[string]*mring.Relation)
 	keep := make(map[string]bool)
 	db.persistentViews(func(v *compile.ViewDef) {
+		if err != nil {
+			return
+		}
 		if db.parts[v.Name].Equal(parts[v.Name]) {
 			keep[v.Name] = true
 		} else {
-			moved[v.Name] = db.cl.ViewContents(v.Name)
+			moved[v.Name], err = db.cl.ReadView(v.Name)
 		}
 	})
-	if err := rp.Repartition(parts, moved, keep); err != nil {
+	if err != nil {
+		return false, err
+	}
+	if err := db.cl.Repartition(parts, moved, keep); err != nil {
 		return false, err
 	}
 	db.parts = parts

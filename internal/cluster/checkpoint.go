@@ -35,8 +35,7 @@ type Checkpoint struct {
 	// Parts records the placement the fragments were captured under, so
 	// a restore re-deploys against the same partitioning even when a
 	// skew-feedback repartition had moved it off the compile-time
-	// default. Nil on legacy checkpoints (which predate repartitioning
-	// surviving recovery) and on single-node snapshots.
+	// default. Nil on single-node snapshots.
 	Parts dist.PartInfo
 	// Bytes is the total snapshot size.
 	Bytes int64
@@ -63,24 +62,29 @@ func worthSnapshot(r *mring.Relation) bool {
 	return r != nil && (r.Len() > 0 || r.TableSize() > 0)
 }
 
-// restoreFrag rebuilds a relation exactly. Legacy fragments (Buckets 0
-// with rows, from pre-versioned checkpoints) rebuild contents in wire
-// order without the layout guarantee.
+// restoreFrag rebuilds a relation exactly.
 func restoreFrag(name string, f Frag) (*mring.Relation, error) {
-	if f.Buckets == 0 && len(f.Payload) > 0 {
-		p, err := inet.DecodePayload(f.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: corrupt checkpoint for %q: %w", name, err)
-		}
-		r := mring.NewRelation(p.Schema)
-		p.Foreach(r.Add)
-		return r, nil
-	}
 	r, err := inet.RestoreRelationExact(f.Payload, f.Buckets, f.Schema)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: corrupt checkpoint for %q: %w", name, err)
 	}
 	return r, nil
+}
+
+// restoreFrags rebuilds one node's fragments. Checkpoints may come from
+// unreliable storage, so decoding goes through the bounds-guarded payload
+// decoder: a corrupt or hostile snapshot returns an error here, it never
+// panics mid-restore.
+func restoreFrags(frags map[string]Frag) (map[string]*mring.Relation, error) {
+	out := make(map[string]*mring.Relation, len(frags))
+	for name, f := range frags {
+		r, err := restoreFrag(name, f)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = r
+	}
+	return out, nil
 }
 
 // CheckpointCost models the virtual time to write the snapshot, charged
@@ -89,97 +93,72 @@ func restoreFrag(name string, f Frag) (*mring.Relation, error) {
 func (c *Cluster) CheckpointCost(cp *Checkpoint) time.Duration {
 	perWorker := int64(0)
 	for _, w := range cp.Workers {
-		var n int64
-		for _, b := range w {
-			n += int64(len(b.Payload))
-		}
-		if n > perWorker {
-			perWorker = n
-		}
+		perWorker = max(perWorker, fragBytes(w))
 	}
-	return c.cfg.NetLatency +
-		time.Duration(float64(perWorker)/c.cfg.BandwidthBytesPerSec*float64(time.Second))
+	return c.shuffleTime(perWorker)
 }
 
-// Checkpoint snapshots all materialized state — every node's fragments,
-// including empty-but-sized ones, so Restore reproduces each node's
-// physical layout exactly.
-func (c *Cluster) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{Driver: map[string]Frag{}}
-	encode := func(n *node) map[string]Frag {
-		out := map[string]Frag{}
-		for name, r := range n.rels {
-			if !worthSnapshot(r) {
-				continue
-			}
-			f := snapFrag(r)
-			out[name] = f
-			cp.Bytes += int64(len(f.Payload))
-		}
-		return out
+// fragBytes is the encoded size of one node's fragments.
+func fragBytes(frags map[string]Frag) int64 {
+	var n int64
+	for _, f := range frags {
+		n += int64(len(f.Payload))
 	}
-	cp.Driver = encode(c.driver)
-	cp.Workers = make([]map[string]Frag, len(c.workers))
-	for i, w := range c.workers {
-		cp.Workers[i] = encode(w)
-	}
-	cp.Parts = c.parts.Clone()
-	return cp
+	return n
 }
 
-// Restore replaces all cluster state with the checkpoint's. The worker
-// count must match the snapshot (the paper's recovery model restarts the
-// same deployment).
+// Checkpoint snapshots all materialized state — the driver's fragments
+// and every worker's, including empty-but-sized ones, so Restore
+// reproduces each node's physical layout exactly — with the placement it
+// was captured under.
+func (c *Cluster) Checkpoint() (*Checkpoint, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	cp := &Checkpoint{Driver: c.driver.snapshot(), Workers: make([]map[string]Frag, len(c.workers)), Parts: c.parts.Clone()}
+	if err := c.each(false, func(i int, w worker) (err error) {
+		cp.Workers[i], err = w.snapshot()
+		return err
+	}); err != nil {
+		return nil, c.fail(err)
+	}
+	cp.Bytes = fragBytes(cp.Driver)
+	for _, w := range cp.Workers {
+		cp.Bytes += fragBytes(w)
+	}
+	return cp, nil
+}
+
+// Restore replaces all cluster state with the checkpoint's: the driver's
+// fragments rebuild locally, and each worker rebuilds its own (the worker
+// re-warm step of crash recovery). The worker count must match the
+// snapshot (the paper's recovery model restarts the same deployment). A
+// corrupt driver snapshot leaves the cluster untouched; a worker failure
+// poisons it.
 func (c *Cluster) Restore(cp *Checkpoint) error {
+	if c.err != nil {
+		return c.err
+	}
 	if len(cp.Workers) != len(c.workers) {
-		return fmt.Errorf("cluster: checkpoint has %d workers, cluster has %d",
-			len(cp.Workers), len(c.workers))
+		return fmt.Errorf("cluster: checkpoint has %d workers, cluster has %d", len(cp.Workers), len(c.workers))
 	}
-	// Checkpoints may come from unreliable storage, so decoding goes
-	// through the bounds-guarded payload decoder: a corrupt or hostile
-	// snapshot returns an error here, it never panics mid-restore.
-	decode := func(enc map[string]Frag) (map[string]*mring.Relation, error) {
-		out := map[string]*mring.Relation{}
-		for name, f := range enc {
-			r, err := restoreFrag(name, f)
-			if err != nil {
-				return nil, err
-			}
-			out[name] = r
-		}
-		return out, nil
-	}
-	driver, err := decode(cp.Driver)
+	driver, err := restoreFrags(cp.Driver)
 	if err != nil {
 		return err
 	}
-	workers := make([]map[string]*mring.Relation, len(cp.Workers))
-	for i, enc := range cp.Workers {
-		w, err := decode(enc)
-		if err != nil {
-			return err
-		}
-		workers[i] = w
+	if err := c.each(false, func(i int, w worker) error { return w.restore(cp.Workers[i]) }); err != nil {
+		return c.fail(err)
 	}
-	// Apply only after full validation so a corrupt snapshot cannot leave
-	// the cluster half-restored.
 	c.driver.rels = driver
-	for i := range c.workers {
-		c.workers[i].rels = workers[i]
+	for name, r := range driver {
+		c.schemas[name] = r.Schema()
 	}
 	if cp.Parts != nil {
 		c.parts = cp.Parts
 	}
+	c.committed = make(map[string]*mring.Relation)
 	return nil
 }
-
-// CheckpointState and RestoreState adapt the simulated cluster to the
-// runtime snapshot seam the durable engine uses (the process cluster
-// implements the same pair over the wire).
-func (c *Cluster) CheckpointState() (*Checkpoint, error) { return c.Checkpoint(), nil }
-
-// RestoreState installs a checkpoint into the cluster.
-func (c *Cluster) RestoreState(cp *Checkpoint) error { return c.Restore(cp) }
 
 // KillWorker simulates a worker failure by discarding its state. A
 // subsequent Restore recovers the deployment from the last checkpoint.
@@ -187,26 +166,16 @@ func (c *Cluster) KillWorker(i int) {
 	if i < 0 || i >= len(c.workers) {
 		panic("cluster: no such worker")
 	}
-	c.workers[i] = newNode()
+	c.workers[i].retain(nil)
 }
 
 // Checkpoint serialization. The encoding carries a magic + format
-// version so drift is detected as a descriptive error, never a garbage
-// decode. Version 1 is the Frag-based body above; a body WITHOUT the
-// magic is decoded as the pre-versioned PR 9 format (bare fragment
-// payloads, no bucket sizes), whose restores are contents-exact but not
-// layout-exact.
+// version so drift — or a body that is not a checkpoint at all — is
+// detected as a descriptive error, never a garbage decode.
 const (
 	ckptMagic   = "IVCP"
 	ckptVersion = 1
 )
-
-// legacyCheckpoint is the unversioned PR 9 in-memory shape.
-type legacyCheckpoint struct {
-	Workers []map[string][]byte
-	Driver  map[string][]byte
-	Bytes   int64
-}
 
 // EncodeCheckpoint serializes a checkpoint with the versioned header.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
@@ -219,34 +188,18 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeCheckpoint parses a serialized checkpoint. Bodies carrying the
-// magic must name a known version; bodies without it fall back to the
-// legacy unversioned decode.
+// DecodeCheckpoint parses a serialized checkpoint, which must carry the
+// magic and a known format version.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
-	if len(b) > len(ckptMagic) && string(b[:len(ckptMagic)]) == ckptMagic {
-		if v := b[len(ckptMagic)]; v != ckptVersion {
-			return nil, fmt.Errorf("cluster: unsupported checkpoint format version %d (have %d)", v, ckptVersion)
-		}
-		var cp Checkpoint
-		if err := gob.NewDecoder(bytes.NewReader(b[len(ckptMagic)+1:])).Decode(&cp); err != nil {
-			return nil, fmt.Errorf("cluster: corrupt checkpoint body: %w", err)
-		}
-		return &cp, nil
+	if len(b) <= len(ckptMagic) || string(b[:len(ckptMagic)]) != ckptMagic {
+		return nil, fmt.Errorf("cluster: not a checkpoint: missing %q header", ckptMagic)
 	}
-	var legacy legacyCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&legacy); err != nil {
-		return nil, fmt.Errorf("cluster: not a checkpoint (no magic, and legacy decode failed): %w", err)
+	if v := b[len(ckptMagic)]; v != ckptVersion {
+		return nil, fmt.Errorf("cluster: unsupported checkpoint format version %d (have %d)", v, ckptVersion)
 	}
-	cp := &Checkpoint{Driver: map[string]Frag{}, Bytes: legacy.Bytes}
-	for name, p := range legacy.Driver {
-		cp.Driver[name] = Frag{Payload: p}
+	var cp Checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(b[len(ckptMagic)+1:])).Decode(&cp); err != nil {
+		return nil, fmt.Errorf("cluster: corrupt checkpoint body: %w", err)
 	}
-	cp.Workers = make([]map[string]Frag, len(legacy.Workers))
-	for i, w := range legacy.Workers {
-		cp.Workers[i] = map[string]Frag{}
-		for name, p := range w {
-			cp.Workers[i][name] = Frag{Payload: p}
-		}
-	}
-	return cp, nil
+	return &cp, nil
 }

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -44,6 +42,15 @@ func ckptFixture(t *testing.T) (*Cluster, func() *Cluster) {
 	return cl, fresh
 }
 
+func mustCheckpoint(t *testing.T, cl *Cluster) *Checkpoint {
+	t.Helper()
+	cp, err := cl.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
 // requireSameNodes asserts two clusters hold identical fragments with
 // identical physical layout (bucket sizes and Foreach order).
 func requireSameNodes(t *testing.T, got, want *Cluster) {
@@ -75,9 +82,9 @@ func requireSameNodes(t *testing.T, got, want *Cluster) {
 			}
 		}
 	}
-	cmp("driver", got.driver, want.driver)
+	cmp("driver", &got.driver, &want.driver)
 	for i := range want.workers {
-		cmp("worker", got.workers[i], want.workers[i])
+		cmp("worker", &got.workers[i].(*Shard).node, &want.workers[i].(*Shard).node)
 	}
 }
 
@@ -86,7 +93,7 @@ func requireSameNodes(t *testing.T, got, want *Cluster) {
 // layout of the original, not just equal contents.
 func TestCheckpointEncodeDecodeVersioned(t *testing.T) {
 	cl, fresh := ckptFixture(t)
-	enc, err := EncodeCheckpoint(cl.Checkpoint())
+	enc, err := EncodeCheckpoint(mustCheckpoint(t, cl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,52 +105,15 @@ func TestCheckpointEncodeDecodeVersioned(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl2 := fresh()
-	if err := cl2.RestoreState(dec); err != nil {
+	if err := cl2.Restore(dec); err != nil {
 		t.Fatal(err)
 	}
 	requireSameNodes(t, cl2, cl)
 }
 
-// TestDecodeCheckpointLegacy: a body without the magic decodes as the
-// unversioned PR 9 format (bare payload bytes, no bucket sizes) and
-// restores contents correctly, just without the layout guarantee.
-func TestDecodeCheckpointLegacy(t *testing.T) {
-	cl, fresh := ckptFixture(t)
-	cp := cl.Checkpoint()
-	legacy := legacyCheckpoint{Driver: map[string][]byte{}, Workers: make([]map[string][]byte, len(cp.Workers))}
-	for name, f := range cp.Driver {
-		if len(f.Payload) > 0 {
-			legacy.Driver[name] = f.Payload
-		}
-	}
-	for i, w := range cp.Workers {
-		legacy.Workers[i] = map[string][]byte{}
-		for name, f := range w {
-			if len(f.Payload) > 0 {
-				legacy.Workers[i][name] = f.Payload
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeCheckpoint(buf.Bytes())
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	cl2 := fresh()
-	if err := cl2.RestoreState(dec); err != nil {
-		t.Fatal(err)
-	}
-	if !cl2.ViewContents("QV").Equal(cl.ViewContents("QV")) {
-		t.Fatal("legacy restore lost contents")
-	}
-}
-
 func TestDecodeCheckpointBadVersion(t *testing.T) {
 	cl, _ := ckptFixture(t)
-	enc, err := EncodeCheckpoint(cl.Checkpoint())
+	enc, err := EncodeCheckpoint(mustCheckpoint(t, cl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,5 +123,10 @@ func TestDecodeCheckpointBadVersion(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint([]byte("garbage that is neither format")); err == nil {
 		t.Fatal("garbage should not decode")
+	}
+	// A checkpoint body without the header (the unversioned format no
+	// store ever wrote to disk) is rejected, not guessed at.
+	if _, err := DecodeCheckpoint(enc[len(ckptMagic)+1:]); err == nil || !strings.Contains(err.Error(), "header") {
+		t.Fatalf("want descriptive missing-header error, got %v", err)
 	}
 }

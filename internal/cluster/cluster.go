@@ -1,17 +1,25 @@
-// Package cluster simulates the synchronous large-scale processing
-// platform of Sec. 4 and 6.2 (the paper ran Spark 1.6.1 on 100 servers):
-// one driver orchestrates N stateful workers; processing a batch runs a
-// sequence of statement blocks, each distributed block being one stage
-// executed by all workers in parallel.
+// Package cluster runs the synchronous large-scale processing platform of
+// Sec. 4 and 6.2 (the paper ran Spark 1.6.1 on 100 servers): one driver
+// orchestrates N stateful workers; processing a batch runs a sequence of
+// statement blocks, each distributed block being one stage executed by all
+// workers in parallel.
 //
-// The simulator really executes the compiled distributed programs over
-// really-partitioned state and really-serialized shuffles (bytes are
-// counted through the columnar wire format), and combines the measured
-// per-worker work with a virtual-time cost model for the platform terms
-// the paper measures: per-stage scheduling/synchronization overhead that
-// grows with the worker count, shuffle time proportional to the maximum
-// per-worker payload, and optional straggler inflation. DESIGN.md §3
-// documents this substitution.
+// There is one driver, Cluster, over two kinds of worker. New deploys
+// in-process shards that receive fragments by reference (the simulator);
+// Connect reaches worker processes over a framed transport, each call one
+// round trip of the protocol in proto.go served by the same Shard code on
+// the far side. Everything else — schema preparation, delta capture,
+// worker-index-ordered merges, the cost model, checkpoints, failure
+// poisoning — is the driver's, written once, so both deployments produce
+// bitwise-identical results by construction.
+//
+// The driver really executes the compiled distributed programs over
+// really-partitioned state and really-serialized shuffles, and combines the
+// measured per-worker work with a virtual-time cost model for the platform
+// terms the paper measures: per-stage scheduling/synchronization overhead
+// that grows with the worker count, shuffle time proportional to the
+// maximum per-worker payload, and optional straggler inflation. DESIGN.md
+// §3 documents this substitution.
 package cluster
 
 import (
@@ -71,22 +79,6 @@ func DefaultConfig(workers int) Config {
 	}
 }
 
-// node holds the relation fragments of one worker (or the driver).
-type node struct {
-	rels map[string]*mring.Relation
-}
-
-func newNode() *node { return &node{rels: make(map[string]*mring.Relation)} }
-
-func (n *node) rel(name string, schema mring.Schema) *mring.Relation {
-	r := n.rels[name]
-	if r == nil {
-		r = mring.NewRelation(schema)
-		n.rels[name] = r
-	}
-	return r
-}
-
 // Metrics reports the virtual cost of processing one batch.
 type Metrics struct {
 	// Latency is the virtual end-to-end batch processing time.
@@ -120,12 +112,24 @@ func (m *Metrics) Add(o Metrics) {
 	m.Jobs += o.Jobs
 }
 
-// Cluster is one simulated deployment: schemas and partitioning are fixed
-// at construction; state persists across batches (workers are stateful).
+// Cluster is one deployment: schemas and partitioning are fixed at
+// construction (Repartition moves the latter between transactions); state
+// persists across batches (workers are stateful).
+//
+// Failure semantics: the first worker error poisons the cluster (worker
+// state may have partially advanced and cannot be trusted); every later
+// operation returns the poisoning error, and ViewContents serves the last
+// contents observed before the failure, so a mid-transaction failure
+// leaves results at the pre-transaction state. In-process shards fail only
+// on malformed programs; process workers also on transport errors.
 type Cluster struct {
 	cfg     Config
-	driver  *node
-	workers []*node
+	driver  node
+	workers []worker
+	// rpc marks process workers: every call is a round trip, so every
+	// fan-out runs concurrently. In-process shards run stages
+	// concurrently and everything else inline on the driver goroutine.
+	rpc     bool
 	schemas map[string]mring.Schema
 	parts   dist.PartInfo
 	rng     *rand.Rand
@@ -141,19 +145,26 @@ type Cluster struct {
 	// Several views can be watched at once (multi-view serving); an
 	// empty map disables all capture.
 	watch map[string]*mring.Relation
-	// workerCompute and workerStages accumulate, per worker, the virtual
-	// stage compute and the number of distributed stages executed — the
-	// skew signal WorkerTimings exports (merged-away maxima alone cannot
-	// show which worker is hot).
+	// workerCompute and workerStages accumulate, per worker, the stage
+	// compute and the number of distributed stages executed — the skew
+	// signal WorkerTimings exports (merged-away maxima alone cannot show
+	// which worker is hot).
 	workerCompute []time.Duration
 	workerStages  []int
+
+	// err is the poison: set by the first failed operation, returned by
+	// every operation after it.
+	err error
+	// committed caches each view's last healthily-observed contents, the
+	// read path once the cluster is poisoned.
+	committed map[string]*mring.Relation
 }
 
 // WorkerTiming is one worker's accumulated share of distributed-stage
 // work, as reported by WorkerTimings. Compute is the sum over stages of
-// this worker's virtual compute (the same per-worker term whose maximum
-// feeds Metrics.ComputeMax); Stages counts the distributed stages the
-// worker participated in. A max/mean ratio over Compute far above 1 is
+// this worker's compute (the same per-worker term whose maximum feeds
+// Metrics.ComputeMax); Stages counts the distributed stages the worker
+// participated in. A max/mean ratio over Compute far above 1 is
 // partition skew.
 type WorkerTiming struct {
 	Worker  int
@@ -161,55 +172,92 @@ type WorkerTiming struct {
 	Stages  int
 }
 
-// New creates a cluster with empty state.
+// New creates a simulated cluster of in-process shards with empty state.
 func New(cfg Config, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
 	if cfg.Workers <= 0 {
 		panic("cluster: need at least one worker")
 	}
-	c := &Cluster{
+	// In measured-time mode (ComputeNsPerOp == 0) bound the stages in
+	// flight to the CPU count, with each shard's clock started only once
+	// it holds a slot: its wall time then approximates its own compute
+	// rather than scheduler queueing behind the other simulated workers.
+	var sem chan struct{}
+	if cfg.ComputeNsPerOp <= 0 {
+		sem = make(chan struct{}, runtime.GOMAXPROCS(0))
+	}
+	ws := make([]worker, cfg.Workers)
+	for i := range ws {
+		ws[i] = &Shard{node: newNode(), workers: cfg.Workers, sem: sem}
+	}
+	return newCluster(cfg, ws, schemas, parts)
+}
+
+func newCluster(cfg Config, ws []worker, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
+	return &Cluster{
 		cfg:           cfg,
 		driver:        newNode(),
-		workers:       make([]*node, cfg.Workers),
+		workers:       ws,
 		schemas:       schemas,
 		parts:         parts,
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
-		workerCompute: make([]time.Duration, cfg.Workers),
-		workerStages:  make([]int, cfg.Workers),
+		workerCompute: make([]time.Duration, len(ws)),
+		workerStages:  make([]int, len(ws)),
+		committed:     make(map[string]*mring.Relation),
 	}
-	for i := range c.workers {
-		c.workers[i] = newNode()
-	}
-	return c
 }
 
-// Workers returns the configured worker count.
-func (c *Cluster) Workers() int { return c.cfg.Workers }
+// Workers returns the worker count.
+func (c *Cluster) Workers() int { return len(c.workers) }
 
-// EvalStats returns the evaluation statistics accumulated across all
-// nodes and batches (the Stats field behind a method, so the simulated
-// and process clusters expose the counters uniformly).
-func (c *Cluster) EvalStats() eval.Stats { return c.Stats }
-
-// Close releases the cluster's resources. The simulated cluster holds
-// none; the method exists so every cluster runtime closes uniformly.
-func (c *Cluster) Close() error { return nil }
-
-// RunPartitionedBatch deals a driver-resident batch round-robin over the
-// workers and processes it as RunPartitioned. The split happens here, in
-// the runtime, because the process cluster must serialize each fragment
-// in deal order — splitting before the runtime boundary would force the
-// caller to know the wire format.
-func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
-	frags := make([]*mring.Relation, len(c.workers))
-	for i := range frags {
-		frags[i] = mring.NewRelation(batch.Schema())
+// Close releases every worker (severing process-worker connections).
+// Reads of in-process state keep working afterwards.
+func (c *Cluster) Close() error {
+	var first error
+	for _, w := range c.workers {
+		if err := w.close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	i := 0
-	batch.Foreach(func(t mring.Tuple, m float64) {
-		frags[i%len(frags)].Add(t, m)
-		i++
-	})
-	return c.RunPartitioned(prog, frags)
+	return first
+}
+
+// fail poisons the cluster with the first error and returns the poison.
+func (c *Cluster) fail(err error) error {
+	if c.err == nil {
+		c.err = fmt.Errorf("cluster: failed, results frozen at last commit: %w", err)
+	}
+	return c.err
+}
+
+// each runs f for every worker and returns the lowest-index error. Calls
+// run concurrently when parallel is set or the workers are remote; results
+// land in per-index slots the caller then processes in worker-index order
+// — the merge-determinism invariant.
+func (c *Cluster) each(parallel bool, f func(i int, w worker) error) error {
+	if !parallel && !c.rpc {
+		for i, w := range c.workers {
+			if err := f(i, w); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, len(c.workers))
+	var wg sync.WaitGroup
+	wg.Add(len(c.workers))
+	for i, w := range c.workers {
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i, w)
+		}()
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
 }
 
 // WorkerTimings returns each worker's accumulated distributed-stage
@@ -217,30 +265,23 @@ func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relat
 // diff consecutive snapshots to get per-transaction skew.
 func (c *Cluster) WorkerTimings() []WorkerTiming {
 	out := make([]WorkerTiming, len(c.workers))
-	for i := range c.workers {
+	for i := range out {
 		out[i] = WorkerTiming{Worker: i, Compute: c.workerCompute[i], Stages: c.workerStages[i]}
 	}
 	return out
 }
 
-// ForEachRelation visits every named relation fragment on every node —
-// driver first, then workers in index order, names sorted within each
-// node — so per-fragment state (index admission records) can be swept
-// and aggregated deterministically.
+// ForEachRelation visits every named relation fragment the driver can
+// reach — its own first, then each in-process shard's in index order,
+// names sorted within each node — so per-fragment state (index admission
+// records) can be swept and aggregated deterministically. Process
+// workers' fragments live in other processes and are not visited.
 func (c *Cluster) ForEachRelation(f func(name string, r *mring.Relation)) {
-	visit := func(n *node) {
-		names := make([]string, 0, len(n.rels))
-		for name := range n.rels {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			f(name, n.rels[name])
-		}
-	}
-	visit(c.driver)
+	c.driver.visit(f)
 	for _, w := range c.workers {
-		visit(w)
+		if sh, ok := w.(*Shard); ok {
+			sh.visit(f)
+		}
 	}
 }
 
@@ -253,16 +294,12 @@ func (c *Cluster) ForEachRelation(f func(name string, r *mring.Relation)) {
 // WarmViews. The caller must not run a program compiled against the old
 // placement afterwards.
 func (c *Cluster) Repartition(parts dist.PartInfo, contents map[string]*mring.Relation, keep map[string]bool) error {
-	drop := func(n *node) {
-		for name := range n.rels {
-			if !keep[name] {
-				delete(n.rels, name)
-			}
-		}
+	if c.err != nil {
+		return c.err
 	}
-	drop(c.driver)
-	for _, w := range c.workers {
-		drop(w)
+	c.driver.retain(keep)
+	if err := c.each(false, func(_ int, w worker) error { return w.retain(keep) }); err != nil {
+		return c.fail(err)
 	}
 	c.parts = parts
 	return c.WarmViews(contents)
@@ -293,11 +330,18 @@ func (c *Cluster) UnwatchView(name string) {
 
 // TakeWatchDelta returns the delta accumulated for the named view since
 // the last call (its per-group change) and resets the accumulator. Nil
-// when the view is not watched.
+// when the view is not watched. On a healthy cluster the delta also
+// advances the view's last-committed read cache, so take deltas at
+// commit points only — or from a poisoned cluster, to discard a failed
+// transaction's capture.
 func (c *Cluster) TakeWatchDelta(name string) *mring.Relation {
 	d := c.watch[name]
-	if d != nil {
-		c.watch[name] = mring.NewRelation(c.schemas[name])
+	if d == nil {
+		return nil
+	}
+	c.watch[name] = mring.NewRelation(c.schemas[name])
+	if r := c.committed[name]; r != nil && c.err == nil {
+		r.Merge(d)
 	}
 	return d
 }
@@ -322,6 +366,38 @@ func (c *Cluster) driverSinkFor(lhs string) *mring.Relation {
 	return d
 }
 
+// workerWatches lists, sorted, the watched worker-maintained views a
+// block writes: the views whose change sinks its stage returns.
+func (c *Cluster) workerWatches(stmts []dist.Stmt) []string {
+	var names []string
+	for name := range c.watch {
+		if c.watchDriverSide(name) {
+			continue
+		}
+		for _, s := range stmts {
+			if s.LHS == name {
+				names = append(names, name)
+				break
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// captureReplace folds the replacement of a watched view copy (old
+// contents swapped for cur) into that view's batch delta: current
+// contents in, old contents out.
+func (c *Cluster) captureReplace(name string, cur, old rows) {
+	d := c.watch[name]
+	if cur != nil {
+		cur.Foreach(d.Add)
+	}
+	if old != nil {
+		old.Foreach(func(t mring.Tuple, m float64) { d.Add(t, m*-1) })
+	}
+}
+
 // WarmViews installs initial contents for materialized views before
 // streaming (the distributed warm start): each view's relation is placed
 // according to its canonical location — driver copy for local views,
@@ -330,19 +406,24 @@ func (c *Cluster) driverSinkFor(lhs string) *mring.Relation {
 // plus the driver mirror for replicated views. Call before the first
 // batch; the relations are owned by the cluster afterwards.
 func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
+	if c.err != nil {
+		return c.err
+	}
 	for name, rel := range contents {
 		if rel == nil {
 			continue
 		}
 		schema := c.schemaOf(name, rel.Schema())
 		loc := c.parts[name]
+		frags := make([]rows, len(c.workers))
 		switch {
 		case loc.Kind == dist.LLocal:
 			c.driver.rels[name] = rel
+			continue
 		case loc.Kind == dist.LIndiff:
 			c.driver.rels[name] = rel
-			for _, w := range c.workers {
-				w.rels[name] = rel.Clone()
+			for i := range frags {
+				frags[i] = copyOf{rel}
 			}
 		case loc.Keyed():
 			keyPos := make([]int, len(loc.Key))
@@ -353,15 +434,17 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 				}
 				keyPos[i] = p
 			}
-			frags := dist.SplitByKey(rel, keyPos, len(c.workers))
-			for i, w := range c.workers {
-				if frags[i] == nil {
-					frags[i] = mring.NewRelation(schema)
+			for i, f := range dist.SplitByKey(rel, keyPos, len(c.workers)) {
+				if f == nil {
+					f = mring.NewRelation(schema)
 				}
-				w.rels[name] = frags[i]
+				frags[i] = f
 			}
 		default:
 			return fmt.Errorf("cluster: cannot warm load view %q located %v", name, loc)
+		}
+		if err := c.each(false, func(i int, w worker) error { return w.installDelta(name, schema, frags[i]) }); err != nil {
+			return c.fail(err)
 		}
 	}
 	return nil
@@ -371,30 +454,27 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 // partitioning key when unknown (temp views register lazily on first
 // write).
 func (c *Cluster) schemaOf(name string, fallback mring.Schema) mring.Schema {
-	return schemaOfIn(c.schemas, name, fallback)
-}
-
-func schemaOfIn(schemas map[string]mring.Schema, name string, fallback mring.Schema) mring.Schema {
-	if s, ok := schemas[name]; ok {
+	if s, ok := c.schemas[name]; ok {
 		return s
 	}
-	schemas[name] = fallback.Clone()
-	return schemas[name]
+	c.schemas[name] = fallback.Clone()
+	return c.schemas[name]
 }
 
-// partIndex returns the worker index owning a tuple under the key columns
-// at the given positions (the shared platform placement function, so
-// shuffles and warm-start loads agree).
-func (c *Cluster) partIndex(t mring.Tuple, keyPos []int) int {
-	return dist.PlaceIndex(t, keyPos, len(c.workers))
+// ready checks a program can run: it exists and the cluster is healthy.
+func (c *Cluster) ready(prog *dist.DistProgram) error {
+	if prog == nil {
+		return fmt.Errorf("cluster: nil distributed program (unknown relation?)")
+	}
+	return c.err
 }
 
 // Run processes one update batch for the program's relation: the batch
 // starts at the driver (the paper's Fig. 5 shape: LOCAL DELTA := {...}
 // then SCATTER). Returns the virtual metrics of this batch.
 func (c *Cluster) Run(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
-	if prog == nil {
-		return Metrics{}, fmt.Errorf("cluster: nil distributed program (unknown relation?)")
+	if err := c.ready(prog); err != nil {
+		return Metrics{}, err
 	}
 	dn := eval.DeltaName(prog.Relation)
 	c.driver.rels[dn] = batch
@@ -408,18 +488,55 @@ func (c *Cluster) Run(prog *dist.DistProgram, batch *mring.Relation) (Metrics, e
 // worker. The program must have been compiled with the delta tagged
 // Random.
 func (c *Cluster) RunPartitioned(prog *dist.DistProgram, partsOfBatch []*mring.Relation) (Metrics, error) {
-	if prog == nil {
-		return Metrics{}, fmt.Errorf("cluster: nil distributed program (unknown relation?)")
+	if err := c.ready(prog); err != nil {
+		return Metrics{}, err
 	}
 	if len(partsOfBatch) != len(c.workers) {
 		return Metrics{}, fmt.Errorf("cluster: got %d batch partitions for %d workers", len(partsOfBatch), len(c.workers))
 	}
+	frags := make([]rows, len(c.workers))
 	dn := eval.DeltaName(prog.Relation)
-	for i, w := range c.workers {
-		w.rels[dn] = partsOfBatch[i]
-		if partsOfBatch[i] != nil {
-			c.schemas[dn] = partsOfBatch[i].Schema()
+	for i, p := range partsOfBatch {
+		if p != nil {
+			frags[i] = p
+			c.schemas[dn] = p.Schema()
 		}
+	}
+	return c.runDealt(prog, frags)
+}
+
+// RunPartitionedBatch deals a driver-resident batch round-robin over the
+// workers and processes it as RunPartitioned. Each worker rebuilds its
+// fragment from the rows in deal order, so the fragment's layout is the
+// same whichever kind of worker holds it.
+func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
+	if err := c.ready(prog); err != nil {
+		return Metrics{}, err
+	}
+	c.schemas[eval.DeltaName(prog.Relation)] = batch.Schema()
+	n := len(c.workers)
+	deals := make([]rowList, n)
+	for i := range deals {
+		deals[i] = make(rowList, 0, batch.Len()/n+1)
+	}
+	i := 0
+	batch.Foreach(func(t mring.Tuple, m float64) {
+		deals[i%n] = append(deals[i%n], row{t, m})
+		i++
+	})
+	frags := make([]rows, n)
+	for i := range deals {
+		frags[i] = deals[i]
+	}
+	return c.runDealt(prog, frags)
+}
+
+// runDealt installs one delta fragment per worker, then runs the program.
+func (c *Cluster) runDealt(prog *dist.DistProgram, frags []rows) (Metrics, error) {
+	dn := eval.DeltaName(prog.Relation)
+	schema := c.schemas[dn]
+	if err := c.each(false, func(i int, w worker) error { return w.installDelta(dn, schema, frags[i]) }); err != nil {
+		return Metrics{}, c.fail(err)
 	}
 	return c.runBlocks(prog)
 }
@@ -429,51 +546,46 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram) (Metrics, error) {
 	m.Stages = prog.Stages()
 	m.Jobs = prog.Jobs()
 	for _, b := range prog.Blocks {
+		var err error
 		if b.Mode == dist.LDist {
-			c.runDistBlock(b, &m)
-			continue
+			err = c.runDistBlock(b, &m)
+		} else {
+			err = c.runLocalBlock(b, &m)
 		}
-		if err := c.runLocalBlock(b, prog, &m); err != nil {
-			return m, err
+		if err != nil {
+			// Installs may have landed on a subset of workers, so worker
+			// state can no longer be trusted.
+			return m, c.fail(err)
 		}
 	}
 	return m, nil
 }
 
 // prepareStmts resolves every schema a block's statements may register, in
-// statement order, before any worker runs. Workers executing concurrently
-// then only read c.schemas; all lazy registration happens here, on the
-// driver thread.
+// statement order, before any worker runs. Workers then only read
+// c.schemas; all lazy registration happens here, on the driver thread.
 func (c *Cluster) prepareStmts(stmts []dist.Stmt) {
-	prepareStmtsIn(c.schemas, stmts)
-}
-
-// prepareStmtsIn is prepareStmts over an explicit schema map — shared by
-// the simulated cluster and the process-cluster driver, which must run
-// the identical lazy registration sequence for its shards to agree on
-// schemas.
-func prepareStmtsIn(schemas map[string]mring.Schema, stmts []dist.Stmt) {
 	for _, s := range stmts {
 		walkRefs(s.RHS, func(r *expr.Rel) {
 			name := eval.RelEnvName(r)
-			if _, ok := schemas[name]; !ok {
-				schemas[name] = r.Cols.Clone()
+			if _, ok := c.schemas[name]; !ok {
+				c.schemas[name] = r.Cols.Clone()
 			}
 		})
 		if x, ok := s.RHS.(*dist.Xform); ok {
 			if src, ok := x.Body.(*expr.Rel); ok {
-				schemaOfIn(schemas, s.LHS, schemaOfIn(schemas, eval.RelEnvName(src), src.Cols))
+				c.schemaOf(s.LHS, c.schemaOf(eval.RelEnvName(src), src.Cols))
 			}
 			continue
 		}
-		schemaOfIn(schemas, s.LHS, s.RHS.Schema())
+		c.schemaOf(s.LHS, s.RHS.Schema())
 	}
 }
 
 // runLocalBlock executes driver-side statements; transformer statements
 // trigger data movement. All transformers of a block share one
 // communication round (the code-generation batching of Sec. 4.4).
-func (c *Cluster) runLocalBlock(b dist.Block, prog *dist.DistProgram, m *Metrics) error {
+func (c *Cluster) runLocalBlock(b dist.Block, m *Metrics) error {
 	c.prepareStmts(b.Stmts)
 	rounds := 0
 	var roundBytes int64
@@ -493,7 +605,7 @@ func (c *Cluster) runLocalBlock(b dist.Block, prog *dist.DistProgram, m *Metrics
 			}
 			continue
 		}
-		st.Add(c.runStmtOn(c.driver, s, c.driverSinkFor(s.LHS)))
+		st.Add(runStmtOn(&c.driver, c.schemas, s, c.driverSinkFor(s.LHS)))
 	}
 	c.Stats.Add(st)
 	compute := c.computeTime(st.Lookups+st.Scans+st.Emits, time.Since(computeStart))
@@ -501,9 +613,7 @@ func (c *Cluster) runLocalBlock(b dist.Block, prog *dist.DistProgram, m *Metrics
 	m.ComputeMax += compute
 	m.ComputeSum += compute
 	if rounds > 0 {
-		shuffle := c.cfg.NetLatency +
-			time.Duration(float64(maxWorkerBytes)/c.cfg.BandwidthBytesPerSec*float64(time.Second))
-		m.Latency += shuffle
+		m.Latency += c.shuffleTime(maxWorkerBytes)
 		m.ShuffledBytes += roundBytes
 		if maxWorkerBytes > m.MaxWorkerShuffleBytes {
 			m.MaxWorkerShuffleBytes = maxWorkerBytes
@@ -513,90 +623,42 @@ func (c *Cluster) runLocalBlock(b dist.Block, prog *dist.DistProgram, m *Metrics
 }
 
 // runDistBlock executes one stage: every worker runs the block's
-// statements over its fragments on its own goroutine, with a WaitGroup
-// barrier closing the stage (the platform's synchronous-round model).
-// Worker state is shared-nothing, and all schema registration happens in
+// statements over its fragments concurrently, and the stage closes when
+// all have answered (the platform's synchronous-round model). Worker
+// state is shared-nothing, and all schema registration happens in
 // prepareStmts before the fan-out, so the workers race on nothing; results
 // are bit-identical to sequential execution because each worker's own
-// statement order is unchanged and per-worker outcomes are merged in
-// worker-index order after the barrier. Stage latency is the scheduling
-// overhead plus the slowest worker's compute (with optional straggler
-// inflation); the per-worker measured wall time feeds the virtual cost
-// model when modeled compute is disabled.
-func (c *Cluster) runDistBlock(b dist.Block, m *Metrics) {
+// statement order is unchanged and per-worker outcomes — stats, compute,
+// and the change sinks of watched views — are merged in worker-index
+// order after the barrier. Stage latency is the scheduling overhead plus
+// the slowest worker's compute (with optional straggler inflation).
+func (c *Cluster) runDistBlock(b dist.Block, m *Metrics) error {
 	c.prepareStmts(b.Stmts)
-	computes := make([]time.Duration, len(c.workers))
-	stats := make([]eval.Stats, len(c.workers))
-	// Worker-side delta capture: for every watched view maintained on
-	// the workers that this stage writes, every worker folds its own
-	// changes into a private per-view sink; the sinks merge into the
-	// batch delta strictly in worker-index order after the barrier, so
-	// each view's gathered delta is deterministic despite concurrent
-	// workers. The map is read-only once the fan-out starts.
-	var sinks map[string][]*mring.Relation
-	for name := range c.watch {
-		if c.watchDriverSide(name) {
-			continue
-		}
-		for _, s := range b.Stmts {
-			if s.LHS == name {
-				if sinks == nil {
-					sinks = make(map[string][]*mring.Relation, 1)
-				}
-				ws := make([]*mring.Relation, len(c.workers))
-				for i := range ws {
-					ws[i] = mring.NewRelation(c.schemas[name])
-				}
-				sinks[name] = ws
-				break
-			}
-		}
+	watch := c.workerWatches(b.Stmts)
+	stages := make([]stage, len(c.workers))
+	if err := c.each(true, func(i int, w worker) (err error) {
+		stages[i], err = w.runBlock(b.Stmts, c.schemas, watch)
+		return err
+	}); err != nil {
+		return err
 	}
-	// In measured-time mode (ComputeNsPerOp == 0) bound the in-flight
-	// workers to the CPU count, with the clock started only once a slot is
-	// held: each worker's wall time then approximates its own compute
-	// rather than scheduler queueing behind the other simulated workers.
-	var sem chan struct{}
-	if c.cfg.ComputeNsPerOp <= 0 {
-		sem = make(chan struct{}, runtime.GOMAXPROCS(0))
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(c.workers))
-	for i, w := range c.workers {
-		go func(i int, w *node) {
-			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
-			start := time.Now()
-			var st eval.Stats
-			for _, s := range b.Stmts {
-				var sink *mring.Relation
-				if ws := sinks[s.LHS]; ws != nil {
-					sink = ws[i]
-				}
-				st.Add(c.runStmtOn(w, s, sink))
-			}
-			stats[i] = st
-			computes[i] = c.computeTime(st.Lookups+st.Scans+st.Emits, time.Since(start))
-		}(i, w)
-	}
-	wg.Wait()
-	for name, ws := range sinks {
+	for _, name := range watch {
 		dst := c.watch[name]
-		for i := range c.workers {
-			dst.Merge(ws[i])
+		for i := range stages {
+			if s := stages[i].sinks[name]; s != nil {
+				s.Foreach(dst.Add)
+			}
 		}
 	}
 	var maxCompute, sumCompute time.Duration
-	for i := range c.workers {
-		c.Stats.Add(stats[i])
-		c.workerCompute[i] += computes[i]
+	for i, s := range stages {
+		c.Stats.Add(s.stats)
+		compute := c.computeTime(s.stats.Lookups+s.stats.Scans+s.stats.Emits, s.compute)
+		c.workerCompute[i] += compute
 		c.workerStages[i]++
-		sumCompute += computes[i]
-		if computes[i] > maxCompute {
-			maxCompute = computes[i]
+		sumCompute += compute
+		if compute > maxCompute {
+			maxCompute = compute
 		}
 	}
 	if c.cfg.StragglerProb > 0 && c.rng.Float64() < c.cfg.StragglerProb {
@@ -606,6 +668,7 @@ func (c *Cluster) runDistBlock(b dist.Block, m *Metrics) {
 	m.Latency += sched + maxCompute
 	m.ComputeMax += maxCompute
 	m.ComputeSum += sumCompute
+	return nil
 }
 
 func (c *Cluster) computeTime(ops int64, measured time.Duration) time.Duration {
@@ -615,54 +678,24 @@ func (c *Cluster) computeTime(ops int64, measured time.Duration) time.Duration {
 	return measured
 }
 
-// runStmtOn evaluates a compute statement against one node's state and
-// returns the evaluation statistics. It only reads shared cluster state
-// (prepareStmts resolved all schemas beforehand) and mutates nothing but
-// the node's own fragments (and the caller-private sink), so concurrent
-// calls on distinct nodes are race-free.
-func (c *Cluster) runStmtOn(n *node, s dist.Stmt, sink *mring.Relation) eval.Stats {
-	return runStmtOnNode(n, c.schemas, s, sink)
-}
-
-// runStmtOnNode is runStmtOn over explicit node and schema state — the
-// same evaluation a process-cluster shard runs remotely, so both cluster
-// forms mutate fragments through one code path.
-func runStmtOnNode(n *node, schemas map[string]mring.Schema, s dist.Stmt, sink *mring.Relation) eval.Stats {
-	env := eval.NewEnv()
-	// Bind every relation the statement reads; lazily create fragments.
-	walkRefs(s.RHS, func(r *expr.Rel) {
-		name := eval.RelEnvName(r)
-		env.Bind(name, n.rel(name, schemas[name]))
-	})
-	target := n.rel(s.LHS, schemas[s.LHS])
-	ctx := eval.NewCtx(env)
-	if sink != nil {
-		ctx.CaptureFolds(target, sink)
+// shuffleTime is the cost of one communication round whose largest
+// per-worker payload is maxBytes.
+func (c *Cluster) shuffleTime(maxBytes int64) time.Duration {
+	d := c.cfg.NetLatency
+	if c.cfg.BandwidthBytesPerSec > 0 {
+		d += time.Duration(float64(maxBytes) / c.cfg.BandwidthBytesPerSec * float64(time.Second))
 	}
-	// FoldStmt runs aggregate statements (pre-aggregations and view
-	// maintenance) through a per-worker hash-native group table over the
-	// node's own fragments; the tables stay worker-local here and meet
-	// only in applyXform's gather, in worker-index order.
-	ctx.FoldStmt(target, s.Op, s.RHS)
-	return ctx.Stats
-}
-
-// captureReplace folds an OpSet-style replacement of a watched view copy
-// (old contents swapped for cur) into that view's batch delta.
-func (c *Cluster) captureReplace(name string, old, cur *mring.Relation) {
-	d := c.watch[name]
-	d.Merge(cur)
-	d.MergeScaled(old, -1)
+	return d
 }
 
 // applyXform performs the data movement of one transformer statement and
 // returns (total bytes moved, max per-worker bytes). A transformer whose
 // target is the watched view (the re-evaluation policy's `Q := ...`
 // installs) contributes its replacement diff to the batch delta: at the
-// driver for a gathered local view, per worker — iterated in index
+// driver for a gathered local view, per worker — replayed in index
 // order — for scattered/repartitioned distributed views. Broadcast
-// installs of replicated views are not captured here: the driver mirror
-// fold already recorded the identical delta.
+// installs of replicated views are not captured: the driver mirror fold
+// already recorded the identical delta.
 func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 	src, ok := x.Body.(*expr.Rel)
 	if !ok {
@@ -680,90 +713,76 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 		keyPos[i] = p
 	}
 
-	captureWorkers := c.watch[lhs] != nil && !c.watchDriverSide(lhs)
+	n := len(c.workers)
+	capture := c.watch[lhs] != nil && !c.watchDriverSide(lhs)
+	replaced := make([][2]rows, n) // per worker: contents after and before a captured install
 	var total, maxPer int64
 	switch x.Kind {
 	case dist.XScatter:
 		srcRel := c.driver.rel(srcName, srcSchema)
-		if len(x.Key) == 0 {
-			// Broadcast: encode once, install the columnar payload on every
-			// worker. The decoded batch IS the replica's mirror, so the
-			// workers hold the fragment columnar from the start — kernel
-			// scans and later re-encodes reuse it with no conversion.
-			payload := encodeSize(srcRel)
-			fb := fragmentBatch(srcRel)
-			for _, w := range c.workers {
-				dst := w.rel(lhs, lhsSchema)
-				dst.Clear()
-				installFragment(dst, srcRel, fb)
-				total += payload
+		broadcast := len(x.Key) == 0
+		packs := make([]rows, n)
+		if broadcast {
+			// Encode once, install the same fragment on every worker.
+			p := c.workers[0].pack(srcRel)
+			for i := range packs {
+				packs[i] = p
 			}
-			maxPer = payload
-			return total, maxPer, nil
-		}
-		frags := c.partition(srcRel, keyPos)
-		for i, w := range c.workers {
-			dst := w.rel(lhs, lhsSchema)
-			var old *mring.Relation
-			if captureWorkers {
-				old = dst.Clone()
-			}
-			dst.Clear()
-			if frags[i] != nil {
-				sz := encodeSize(frags[i])
-				installFragment(dst, frags[i], fragmentBatch(frags[i]))
-				total += sz
-				if sz > maxPer {
-					maxPer = sz
-				}
-			}
-			if captureWorkers {
-				c.captureReplace(lhs, old, dst)
-			}
-		}
-		return total, maxPer, nil
-	case dist.XRepart:
-		// Exchange: each worker partitions its fragment; receivers merge.
-		incoming := make([]*mring.Relation, len(c.workers))
-		var sent = make([]int64, len(c.workers))
-		for wi, w := range c.workers {
-			frag := w.rel(srcName, srcSchema)
-			frags := c.partition(frag, keyPos)
-			for ti, f := range frags {
-				if f == nil || f.Len() == 0 {
+			maxPer = wireSize(p)
+			total = maxPer * int64(n)
+			capture = false
+		} else {
+			for i, f := range dist.SplitByKey(srcRel, keyPos, n) {
+				if f == nil {
 					continue
 				}
-				if ti != wi { // local data does not cross the network
-					sz := encodeSize(f)
-					total += sz
-					sent[wi] += sz
+				packs[i] = c.workers[i].pack(f)
+				sz := wireSize(packs[i])
+				total += sz
+				maxPer = max(maxPer, sz)
+			}
+		}
+		if err := c.each(false, func(i int, w worker) (err error) {
+			replaced[i][0], replaced[i][1], err = w.installScatter(lhs, lhsSchema, packs[i], broadcast, capture)
+			return err
+		}); err != nil {
+			return 0, 0, err
+		}
+	case dist.XRepart:
+		// Exchange, two phases: every worker splits its fragment by key;
+		// the driver routes the pieces, and every receiver rebuilds its
+		// fragment from the senders in worker-index order.
+		outs := make([][]rows, n)
+		if err := c.each(false, func(i int, w worker) (err error) {
+			outs[i], err = w.partitionOut(srcName, srcSchema, keyPos)
+			return err
+		}); err != nil {
+			return 0, 0, err
+		}
+		from := make([][]rows, n) // from[target][sender]
+		for ti := range from {
+			from[ti] = make([]rows, n)
+		}
+		for wi, pieces := range outs {
+			if len(pieces) != n {
+				return 0, 0, fmt.Errorf("cluster: worker %d returned %d exchange fragments for %d workers", wi, len(pieces), n)
+			}
+			var sent int64
+			for ti, p := range pieces {
+				from[ti][wi] = p
+				if p != nil && ti != wi { // local data does not cross the network
+					sent += wireSize(p)
 				}
-				if incoming[ti] == nil {
-					incoming[ti] = mring.NewRelation(srcSchema)
-				}
-				incoming[ti].Merge(f)
 			}
+			total += sent
+			maxPer = max(maxPer, sent)
 		}
-		for _, s := range sent {
-			if s > maxPer {
-				maxPer = s
-			}
+		if err := c.each(false, func(i int, w worker) (err error) {
+			replaced[i][0], replaced[i][1], err = w.installRepart(lhs, srcSchema, lhsSchema, from[i], capture)
+			return err
+		}); err != nil {
+			return 0, 0, err
 		}
-		for i, w := range c.workers {
-			dst := w.rel(lhs, lhsSchema)
-			var old *mring.Relation
-			if captureWorkers {
-				old = dst.Clone()
-			}
-			dst.Clear()
-			if incoming[i] != nil {
-				dst.Merge(incoming[i])
-			}
-			if captureWorkers {
-				c.captureReplace(lhs, old, dst)
-			}
-		}
-		return total, maxPer, nil
 	default: // Gather
 		// The workers' pre-aggregated fragments merge into one group
 		// table strictly in worker-index order, so the driver replays the
@@ -771,18 +790,28 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 		// gathered result is deterministic despite the workers having
 		// computed their fragments concurrently. The table then
 		// blind-fills the driver view with its stored hashes.
+		frags := make([]rows, n)
+		if err := c.each(false, func(i int, w worker) (err error) {
+			frags[i], err = w.fetch(srcName, srcSchema)
+			return err
+		}); err != nil {
+			return 0, 0, err
+		}
 		gt := mring.NewGroupTable(srcSchema)
-		for _, w := range c.workers {
-			frag := w.rel(srcName, srcSchema)
-			if frag.Len() == 0 {
+		for _, f := range frags {
+			if f == nil || f.Len() == 0 {
 				continue
 			}
-			sz := encodeSize(frag)
+			sz := wireSize(f)
 			total += sz
-			if sz > maxPer {
-				maxPer = sz
+			maxPer = max(maxPer, sz)
+			if r, ok := f.(*mring.Relation); ok {
+				gt.MergeRelation(r)
+			} else {
+				// Stored hashes equal recomputed ones, so this replays
+				// MergeRelation's float additions exactly.
+				f.Foreach(func(t mring.Tuple, m float64) { gt.AddPrehashed(t.Hash(), t, m) })
 			}
-			gt.MergeRelation(frag)
 		}
 		dst := c.driver.rel(lhs, lhsSchema)
 		var old *mring.Relation
@@ -792,21 +821,22 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 		dst.Clear()
 		gt.FillRelation(dst)
 		if old != nil {
-			c.captureReplace(lhs, old, dst)
+			c.captureReplace(lhs, dst, old)
 		}
 		return total, maxPer, nil
 	}
-}
-
-// partition splits a relation into per-worker fragments by key hash.
-func (c *Cluster) partition(r *mring.Relation, keyPos []int) []*mring.Relation {
-	return dist.SplitByKey(r, keyPos, len(c.workers))
+	if capture {
+		for _, r := range replaced {
+			c.captureReplace(lhs, r[0], r[1])
+		}
+	}
+	return total, maxPer, nil
 }
 
 // encodeSize serializes through the columnar wire format and returns the
-// payload size — the measured network traffic. The encode attaches (and
-// reuses) the relation's columnar mirror, so fragmentBatch right after it
-// is free.
+// payload size — the simulator's measured network traffic. The encode
+// attaches (and reuses) the relation's columnar mirror, so fragmentBatch
+// on the same relation is free.
 func encodeSize(r *mring.Relation) int64 {
 	if r.Len() == 0 {
 		return 0
@@ -816,7 +846,7 @@ func encodeSize(r *mring.Relation) int64 {
 
 // fragmentBatch returns the columnar form a shuffle ships for r, or nil
 // when r cannot be represented losslessly (mixed-kind columns) and the
-// fragment must move by row-format reference instead.
+// fragment must move in row form instead.
 func fragmentBatch(r *mring.Relation) *pool.ColBatch {
 	if r.Len() == 0 {
 		return nil
@@ -825,23 +855,6 @@ func fragmentBatch(r *mring.Relation) *pool.ColBatch {
 		return ov.Base()
 	}
 	return nil
-}
-
-// installFragment fills the just-cleared dst with the shipped fragment.
-// With a columnar payload the rows merge straight from the batch and the
-// batch becomes dst's mirror (the receiver keeps the fragment columnar);
-// otherwise the rows merge from the source relation as before. Either way
-// rows land in the source's Foreach order, so dst's storage is bitwise
-// independent of which path ran.
-func installFragment(dst, src *mring.Relation, batch *pool.ColBatch) {
-	if batch == nil {
-		dst.Merge(src)
-		return
-	}
-	batch.MergeInto(dst)
-	if dst.Len() == batch.Len() {
-		pool.AttachMirror(dst, batch)
-	}
 }
 
 // walkRefs visits every relational reference in an expression (descending
@@ -872,31 +885,56 @@ func walkRefs(e expr.Expr, f func(*expr.Rel)) {
 }
 
 // ViewContents reconstructs the full logical contents of a view by
-// merging the driver copy and all worker fragments (for verification and
-// result reads).
+// merging the driver copy and the worker fragments (result reads). A
+// healthy read refreshes the view's last-committed read cache; a poisoned
+// cluster serves that cache instead, so readers never observe a partially
+// applied transaction.
 func (c *Cluster) ViewContents(name string) *mring.Relation {
-	schema := c.schemas[name]
-	out := mring.NewRelation(schema)
+	if c.err == nil {
+		out, err := c.ReadView(name)
+		if err == nil {
+			c.committed[name] = out.Clone()
+			return out
+		}
+		c.fail(err)
+	}
+	if r := c.committed[name]; r != nil {
+		return r.Clone()
+	}
+	return mring.NewRelation(c.schemas[name])
+}
+
+// ReadView reconstructs a view's full contents like ViewContents, but
+// reports failures and leaves the read cache alone — for reads the
+// driver's own machinery makes (skew measurement, repartitioning).
+func (c *Cluster) ReadView(name string) (*mring.Relation, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	out := mring.NewRelation(c.schemas[name])
 	loc, ok := c.parts[name]
 	if ok && loc.Kind == dist.LLocal {
 		if r := c.driver.rels[name]; r != nil {
 			out.Merge(r)
 		}
-		return out
+		return out, nil
 	}
-	if loc.Kind == dist.LIndiff {
-		// Replicated: any single copy is the contents.
-		for _, w := range c.workers {
-			if r := w.rels[name]; r != nil {
-				out.Merge(r)
-				return out
-			}
+	frags := make([]rows, len(c.workers))
+	if err := c.each(false, func(i int, w worker) (err error) {
+		frags[i], err = w.fetch(name, c.schemas[name])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	for _, f := range frags {
+		if f == nil {
+			continue
 		}
-		return out
-	}
-	for _, w := range c.workers {
-		if r := w.rels[name]; r != nil {
-			out.Merge(r)
+		f.Foreach(out.Add)
+		if loc.Kind == dist.LIndiff {
+			// Replicated: the first present replica, in worker-index
+			// order, is the contents.
+			return out, nil
 		}
 	}
 	if !ok {
@@ -904,5 +942,5 @@ func (c *Cluster) ViewContents(name string) *mring.Relation {
 			out.Merge(r)
 		}
 	}
-	return out
+	return out, nil
 }

@@ -274,7 +274,7 @@ func TestStateNotSharedAcrossWorkers(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for wi, w := range cl.workers {
-		if r := w.rels["QV"]; r != nil {
+		if r := w.(*Shard).rels["QV"]; r != nil {
 			r.Foreach(func(tp mring.Tuple, _ float64) {
 				if prev, ok := seen[tp.Key()]; ok {
 					t.Fatalf("tuple %v on workers %d and %d", tp, prev, wi)
@@ -316,7 +316,7 @@ func TestCheckpointRestoreAfterFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cp := cl.Checkpoint()
+	cp := mustCheckpoint(t, cl)
 	if cp.Bytes == 0 {
 		t.Fatal("checkpoint should capture state")
 	}
@@ -328,7 +328,7 @@ func TestCheckpointRestoreAfterFailure(t *testing.T) {
 	// the tuple hash, so pick one that actually holds state.)
 	victim := -1
 	for i, w := range cl.workers {
-		if r := w.rels["QC"]; r != nil && r.Len() > 0 {
+		if r := w.(*Shard).rels["QC"]; r != nil && r.Len() > 0 {
 			victim = i
 			break
 		}
@@ -363,7 +363,7 @@ func TestRestoreRejectsMismatchedWorkers(t *testing.T) {
 	parts := partitionAll(prog, true)
 	a := New(DefaultConfig(2), dist.ViewSchemas(prog), parts)
 	b := New(DefaultConfig(3), dist.ViewSchemas(prog), parts)
-	if err := b.Restore(a.Checkpoint()); err == nil {
+	if err := b.Restore(mustCheckpoint(t, a)); err == nil {
 		t.Fatal("expected worker-count mismatch error")
 	}
 }
@@ -379,7 +379,7 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	if _, err := cl.Run(dprogs["R"], batch); err != nil {
 		t.Fatal(err)
 	}
-	cp := cl.Checkpoint()
+	cp := mustCheckpoint(t, cl)
 	for name, b := range cp.Driver {
 		b.Payload = b.Payload[:len(b.Payload)/2] // truncate
 		cp.Driver[name] = b

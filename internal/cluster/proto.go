@@ -14,9 +14,11 @@ import (
 
 // The driver/worker protocol: one frame type byte per operation, gob
 // request/response bodies, relation data as internal/net payloads (never
-// gob — row order is load-bearing, see proccluster.go). Each worker
-// connection carries strictly sequential request/response pairs; the
-// driver fans out across workers concurrently.
+// gob — row order is load-bearing: receivers replay rows as a mutation
+// sequence). Each op is one method of the worker interface, encoded by
+// remoteWorker and decoded onto a Shard by serve. Each worker connection
+// carries strictly sequential request/response pairs; the driver fans
+// out across workers concurrently.
 //
 // DESIGN.md §11 documents the protocol; change both together.
 const (
@@ -46,6 +48,9 @@ const (
 	// opRestore replaces the shard's entire state with checkpoint
 	// fragments, rebuilt layout-exact (worker re-warm during recovery).
 	opRestore byte = 9
+	// opRetain drops every shard fragment not named in the keep set (the
+	// worker half of a repartition).
+	opRetain byte = 10
 
 	// opOK carries a gob response body; opErr carries an error string.
 	opOK  byte = 64
@@ -162,6 +167,12 @@ type restoreReq struct {
 }
 
 type restoreResp struct{}
+
+type retainReq struct {
+	Keep map[string]bool
+}
+
+type retainResp struct{}
 
 func init() {
 	// The statement AST crosses the wire inside runBlockReq; register

@@ -1,0 +1,199 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"time"
+
+	"repro/internal/dist"
+	"repro/internal/mring"
+	inet "repro/internal/net"
+)
+
+// Connect dials the worker processes at addrs over tr, assigns each its
+// index, and returns the driver over them. The schemas map is shared with
+// the caller and mutated by lazy registration, exactly as with New. The
+// cost model runs with no platform terms and measured compute: Metrics
+// report each worker's own measured stage time and the driver's wall
+// time, and real payload sizes.
+func Connect(tr inet.Transport, addrs []string, schemas map[string]mring.Schema, parts dist.PartInfo) (*Cluster, error) {
+	if len(addrs) == 0 {
+		return nil, errors.New("cluster: no worker addresses")
+	}
+	ws := make([]worker, 0, len(addrs))
+	for _, a := range addrs {
+		conn, err := tr.Dial(a)
+		if err != nil {
+			for _, w := range ws {
+				w.close()
+			}
+			return nil, fmt.Errorf("cluster: dial worker %s: %w", a, err)
+		}
+		ws = append(ws, &remoteWorker{conn: conn})
+	}
+	c := newCluster(Config{Workers: len(ws)}, ws, schemas, parts)
+	c.rpc = true
+	if err := c.each(false, func(i int, w worker) error {
+		return call(w.(*remoteWorker).conn, opSetup, &setupReq{Index: i, Workers: len(ws)}, &setupResp{})
+	}); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("cluster: worker setup: %w", err)
+	}
+	return c, nil
+}
+
+// remoteWorker is a worker process behind a framed connection: every call
+// is one request/response round trip of the protocol in proto.go.
+type remoteWorker struct {
+	conn inet.Conn
+}
+
+// wire is a relation payload as it crossed (or will cross) the wire: the
+// bytes, and their decoding when the driver received them. A payload the
+// driver packed itself is never decoded on this side.
+type wire struct {
+	*inet.Payload
+	raw []byte
+}
+
+// decodeRows decodes one received payload; nil for an empty one.
+func decodeRows(b []byte) (rows, error) {
+	if len(b) == 0 {
+		return nil, nil
+	}
+	p, err := inet.DecodePayload(b)
+	if err != nil {
+		return nil, err
+	}
+	return &wire{Payload: p, raw: b}, nil
+}
+
+// encodeRows is the payload a row sequence ships as: a relation (or a
+// copyOf) in its Foreach order, columnar when every column is kind-pure;
+// any other sequence in its own order, in row form under schema.
+func encodeRows(r rows, schema mring.Schema) []byte {
+	switch r := r.(type) {
+	case nil:
+		return nil
+	case *mring.Relation:
+		return inet.EncodeRelationPlain(r)
+	case copyOf:
+		return inet.EncodeRelationPlain(r.Relation)
+	}
+	b := inet.NewPayloadBuilder(schema)
+	r.Foreach(b.Add)
+	return b.Bytes()
+}
+
+// raw returns a driver-side fragment's bytes (nil for none).
+func raw(r rows) []byte {
+	if r == nil {
+		return nil
+	}
+	return r.(*wire).raw
+}
+
+func (rw *remoteWorker) runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, watch []string) (stage, error) {
+	var resp runBlockResp
+	if err := call(rw.conn, opRunBlock, &runBlockReq{Stmts: stmts, Schemas: schemas, Watch: watch}, &resp); err != nil {
+		return stage{}, err
+	}
+	st := stage{stats: resp.Stats, compute: time.Duration(resp.ComputeNs)}
+	for name, b := range resp.Sinks {
+		s, err := decodeRows(b)
+		if err != nil {
+			return stage{}, err
+		}
+		if st.sinks == nil {
+			st.sinks = make(map[string]rows, len(resp.Sinks))
+		}
+		st.sinks[name] = s
+	}
+	return st, nil
+}
+
+// pack encodes a fragment once — columnar when its mirror allows, so it
+// lands columnar on the worker exactly as in process.
+func (rw *remoteWorker) pack(r *mring.Relation) rows {
+	return &wire{raw: inet.EncodePayload(r, fragmentBatch(r))}
+}
+
+func (rw *remoteWorker) installScatter(name string, schema mring.Schema, src rows, broadcast, capture bool) (rows, rows, error) {
+	var resp installResp
+	req := &installScatterReq{Name: name, Schema: schema, Payload: raw(src), Broadcast: broadcast, Capture: capture}
+	if err := call(rw.conn, opInstallScatter, req, &resp); err != nil {
+		return nil, nil, err
+	}
+	return resp.replacement()
+}
+
+func (rw *remoteWorker) installRepart(name string, srcSchema, schema mring.Schema, from []rows, capture bool) (rows, rows, error) {
+	payloads := make([][]byte, len(from))
+	for i, f := range from {
+		payloads[i] = raw(f)
+	}
+	var resp installResp
+	req := &installRepartReq{Name: name, SrcSchema: srcSchema, LHSSchema: schema, Payloads: payloads, Capture: capture}
+	if err := call(rw.conn, opInstallRepart, req, &resp); err != nil {
+		return nil, nil, err
+	}
+	return resp.replacement()
+}
+
+// replacement decodes an install's capture payloads.
+func (resp *installResp) replacement() (cur, old rows, err error) {
+	if cur, err = decodeRows(resp.Cur); err != nil {
+		return nil, nil, err
+	}
+	if old, err = decodeRows(resp.Old); err != nil {
+		return nil, nil, err
+	}
+	return cur, old, nil
+}
+
+func (rw *remoteWorker) installDelta(name string, schema mring.Schema, src rows) error {
+	return call(rw.conn, opInstallDelta, &installDeltaReq{Name: name, Schema: schema, Payload: encodeRows(src, schema)}, &installDeltaResp{})
+}
+
+func (rw *remoteWorker) partitionOut(src string, schema mring.Schema, keyPos []int) ([]rows, error) {
+	var resp partitionOutResp
+	if err := call(rw.conn, opPartitionOut, &partitionOutReq{Src: src, Schema: schema, KeyPos: keyPos}, &resp); err != nil {
+		return nil, err
+	}
+	out := make([]rows, len(resp.Frags))
+	for i, b := range resp.Frags {
+		r, err := decodeRows(b)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
+func (rw *remoteWorker) fetch(name string, schema mring.Schema) (rows, error) {
+	var resp fetchResp
+	if err := call(rw.conn, opFetch, &fetchReq{Name: name, Schema: schema}, &resp); err != nil || !resp.Present {
+		return nil, err
+	}
+	if len(resp.Payload) == 0 {
+		return mring.NewRelation(schema), nil // present but empty
+	}
+	return decodeRows(resp.Payload)
+}
+
+func (rw *remoteWorker) retain(keep map[string]bool) error {
+	return call(rw.conn, opRetain, &retainReq{Keep: keep}, &retainResp{})
+}
+
+func (rw *remoteWorker) snapshot() (map[string]Frag, error) {
+	var resp snapshotResp
+	err := call(rw.conn, opSnapshot, &snapshotReq{}, &resp)
+	return resp.Frags, err
+}
+
+func (rw *remoteWorker) restore(frags map[string]Frag) error {
+	return call(rw.conn, opRestore, &restoreReq{Frags: frags}, &restoreResp{})
+}
+
+func (rw *remoteWorker) close() error { return rw.conn.Close() }

@@ -15,7 +15,7 @@ import (
 // take the worker process down.
 func ServeConn(conn inet.Conn) error {
 	defer conn.Close()
-	sh := NewShard()
+	sh := &Shard{node: newNode()}
 	for {
 		op, body, err := conn.Recv()
 		if err != nil {
@@ -25,21 +25,17 @@ func ServeConn(conn inet.Conn) error {
 			return err
 		}
 		resp, herr := handleSafely(sh, op, body)
-		if herr != nil {
-			if err := conn.Send(opErr, []byte(herr.Error())); err != nil {
-				return err
+		if herr == nil {
+			var rbody []byte
+			if rbody, herr = encodeMsg(resp); herr == nil {
+				if err := conn.Send(opOK, rbody); err != nil {
+					return err
+				}
+				continue
 			}
-			continue
+			herr = fmt.Errorf("cluster: encode response to op %d: %w", op, herr)
 		}
-		rbody, err := encodeMsg(resp)
-		if err != nil {
-			herr = fmt.Errorf("cluster: encode response to op %d: %w", op, err)
-			if err := conn.Send(opErr, []byte(herr.Error())); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := conn.Send(opOK, rbody); err != nil {
+		if err := conn.Send(opErr, []byte(herr.Error())); err != nil {
 			return err
 		}
 	}
@@ -51,7 +47,136 @@ func handleSafely(sh *Shard, op byte, body []byte) (resp any, err error) {
 			resp, err = nil, fmt.Errorf("cluster: op %d panicked: %v", op, r)
 		}
 	}()
-	return sh.Handle(op, body)
+	return serve(sh, op, body)
+}
+
+// serve decodes one request, runs it on the shard, and returns the
+// response body — the worker-process side of every remoteWorker call.
+// Malformed or hostile requests return errors: payloads go through the
+// hardened internal/net decoders.
+func serve(sh *Shard, op byte, body []byte) (any, error) {
+	if op != opSetup && sh.workers < 1 {
+		return nil, fmt.Errorf("cluster: shard not set up")
+	}
+	switch op {
+	case opSetup:
+		var req setupReq
+		if err := decodeMsg(body, &req); err != nil {
+			return nil, err
+		}
+		if req.Workers < 1 || req.Index < 0 || req.Index >= req.Workers {
+			return nil, fmt.Errorf("cluster: bad setup index %d of %d workers", req.Index, req.Workers)
+		}
+		sh.workers = req.Workers
+		return setupResp{}, nil
+	case opRunBlock:
+		var req runBlockReq
+		if err := decodeMsg(body, &req); err != nil {
+			return nil, err
+		}
+		st, err := sh.runBlock(req.Stmts, req.Schemas, req.Watch)
+		if err != nil {
+			return nil, err
+		}
+		resp := &runBlockResp{Stats: st.stats, ComputeNs: st.compute.Nanoseconds()}
+		for name, sink := range st.sinks {
+			if sink.Len() == 0 {
+				continue // merging an empty sink is a no-op on the driver
+			}
+			if resp.Sinks == nil {
+				resp.Sinks = make(map[string][]byte, len(st.sinks))
+			}
+			resp.Sinks[name] = encodeRows(sink, nil)
+		}
+		return resp, nil
+	case opInstallScatter:
+		var req installScatterReq
+		if err := decodeMsg(body, &req); err != nil {
+			return nil, err
+		}
+		src, err := decodeRows(req.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: scatter payload for %q: %w", req.Name, err)
+		}
+		return installed(sh.installScatter(req.Name, req.Schema, src, req.Broadcast, req.Capture))
+	case opInstallRepart:
+		var req installRepartReq
+		if err := decodeMsg(body, &req); err != nil {
+			return nil, err
+		}
+		from := make([]rows, len(req.Payloads))
+		for i, b := range req.Payloads {
+			r, err := decodeRows(b)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: repart payload for %q: %w", req.Name, err)
+			}
+			from[i] = r
+		}
+		return installed(sh.installRepart(req.Name, req.SrcSchema, req.LHSSchema, from, req.Capture))
+	case opInstallDelta:
+		var req installDeltaReq
+		if err := decodeMsg(body, &req); err != nil {
+			return nil, err
+		}
+		src, err := decodeRows(req.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: delta payload for %q: %w", req.Name, err)
+		}
+		return installDeltaResp{}, sh.installDelta(req.Name, req.Schema, src)
+	case opPartitionOut:
+		var req partitionOutReq
+		if err := decodeMsg(body, &req); err != nil {
+			return nil, err
+		}
+		pieces, err := sh.partitionOut(req.Src, req.Schema, req.KeyPos)
+		if err != nil {
+			return nil, err
+		}
+		resp := &partitionOutResp{Frags: make([][]byte, len(pieces))}
+		for i, p := range pieces {
+			resp.Frags[i] = encodeRows(p, nil)
+		}
+		return resp, nil
+	case opFetch:
+		var req fetchReq
+		if err := decodeMsg(body, &req); err != nil {
+			return nil, err
+		}
+		r, _ := sh.fetch(req.Name, req.Schema)
+		if r == nil {
+			return &fetchResp{}, nil
+		}
+		return &fetchResp{Present: true, Payload: encodeRows(r, nil)}, nil
+	case opRetain:
+		var req retainReq
+		if err := decodeMsg(body, &req); err != nil {
+			return nil, err
+		}
+		return retainResp{}, sh.retain(req.Keep)
+	case opSnapshot:
+		var req snapshotReq
+		if err := decodeMsg(body, &req); err != nil {
+			return nil, err
+		}
+		frags, err := sh.snapshot()
+		return &snapshotResp{Frags: frags}, err
+	case opRestore:
+		var req restoreReq
+		if err := decodeMsg(body, &req); err != nil {
+			return nil, err
+		}
+		return restoreResp{}, sh.restore(req.Frags)
+	default:
+		return nil, fmt.Errorf("cluster: unknown op %d", op)
+	}
+}
+
+// installed encodes an install's capture result.
+func installed(cur, old rows, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &installResp{Cur: encodeRows(cur, nil), Old: encodeRows(old, nil)}, nil
 }
 
 // WorkerServer accepts driver connections on a listener and serves each

@@ -2,335 +2,349 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/eval"
+	"repro/internal/expr"
 	"repro/internal/mring"
-	inet "repro/internal/net"
 	"repro/internal/pool"
 )
 
-// Shard is the worker side of the process cluster: one worker node's
-// fragments plus the request handlers that mutate them. Each handler
-// replays exactly the mutation sequence the simulated cluster's driver
-// would have applied to the same worker in-process, so the shard's
-// relation layouts — and therefore every downstream iteration order and
-// float fold — stay bitwise-identical to the in-process oracle.
-//
-// A shard serves one driver connection at a time; requests on that
-// connection are strictly sequential, so no handler needs locking.
-type Shard struct {
-	index   int
-	workers int
-	node    *node
-	schemas map[string]mring.Schema
+// worker is one worker node as the driver sees it. Its methods work on
+// relations and row sequences, never on bytes. Shard is the in-process
+// implementation: fragments are handed over by reference. remoteWorker
+// encodes each call into the framed protocol of proto.go, to be served
+// by a Shard in a worker process (server.go). The driver never calls one
+// worker concurrently with itself.
+type worker interface {
+	// runBlock executes one distributed block's statements over the
+	// worker's fragments. schemas resolves every name the statements
+	// bind; watch names the watched views the block writes, whose change
+	// sinks come back in the stage.
+	runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, watch []string) (stage, error)
+	// pack readies a driver-held fragment for installScatter on this kind
+	// of worker; one pack may be installed on every worker (broadcast).
+	pack(r *mring.Relation) rows
+	// installScatter clears the target fragment and fills it from a packed
+	// fragment (nil: leave it empty). With capture it returns the target's
+	// contents after and before the install.
+	installScatter(name string, schema mring.Schema, src rows, broadcast, capture bool) (cur, old rows, err error)
+	// installRepart rebuilds the target fragment from the exchange pieces
+	// addressed to this worker, one per sender in worker-index order (nil:
+	// nothing from that sender). Capture as for installScatter.
+	installRepart(name string, srcSchema, schema mring.Schema, from []rows, capture bool) (cur, old rows, err error)
+	// installDelta replaces a fragment: a relation is handed over as is, a
+	// copyOf becomes the worker's own copy, any other row sequence (an
+	// update-batch deal) is rebuilt in order.
+	installDelta(name string, schema mring.Schema, src rows) error
+	// partitionOut splits the worker's fragment of src by key into one
+	// piece per destination worker (nil: empty) — the sender half of an
+	// exchange.
+	partitionOut(src string, schema mring.Schema, keyPos []int) ([]rows, error)
+	// fetch returns the worker's fragment of a relation, nil when it holds
+	// none (an absent replica differs from an empty one).
+	fetch(name string, schema mring.Schema) (rows, error)
+	// retain drops every fragment not named in keep.
+	retain(keep map[string]bool) error
+	// snapshot and restore move the worker's whole state in and out of a
+	// durability checkpoint, bucket-table sizes included.
+	snapshot() (map[string]Frag, error)
+	restore(frags map[string]Frag) error
+	close() error
 }
 
-// NewShard returns an empty shard awaiting opSetup.
-func NewShard() *Shard {
-	return &Shard{index: -1, node: newNode(), schemas: make(map[string]mring.Schema)}
+// stage is one worker's outcome of a distributed block.
+type stage struct {
+	stats eval.Stats
+	// compute is the worker's measured time over the statements.
+	compute time.Duration
+	// sinks holds each watched view's change sink, in the worker's fold
+	// order (a missing or nil entry is an empty sink).
+	sinks map[string]rows
 }
 
-// Handle dispatches one protocol request and returns the response body.
-// Malformed or hostile requests return errors — handlers never panic on
-// bad input (payloads go through the hardened internal/net decoders).
-func (sh *Shard) Handle(op byte, body []byte) (any, error) {
-	switch op {
-	case opSetup:
-		var req setupReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		if req.Workers < 1 || req.Index < 0 || req.Index >= req.Workers {
-			return nil, fmt.Errorf("cluster: bad setup index %d of %d workers", req.Index, req.Workers)
-		}
-		sh.index, sh.workers = req.Index, req.Workers
-		return setupResp{}, nil
-	case opRunBlock:
-		var req runBlockReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.runBlock(&req)
-	case opInstallScatter:
-		var req installScatterReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.installScatter(&req)
-	case opInstallRepart:
-		var req installRepartReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.installRepart(&req)
-	case opInstallDelta:
-		var req installDeltaReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.installDelta(&req)
-	case opPartitionOut:
-		var req partitionOutReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.partitionOut(&req)
-	case opFetch:
-		var req fetchReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.fetch(&req)
-	case opSnapshot:
-		var req snapshotReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.snapshot()
-	case opRestore:
-		var req restoreReq
-		if err := decodeMsg(body, &req); err != nil {
-			return nil, err
-		}
-		return sh.restore(&req)
-	default:
-		return nil, fmt.Errorf("cluster: unknown op %d", op)
+// rows is a row sequence in a fixed order: a relation (its Foreach
+// order), a decoded wire payload (wire order), or a deal.
+type rows interface {
+	Foreach(f func(t mring.Tuple, m float64))
+	Len() int
+}
+
+// copyOf is a shared relation every receiving worker must hold its own
+// copy of (a replicated view's warm load).
+type copyOf struct{ *mring.Relation }
+
+// row and rowList are the rows one worker is dealt from an update batch,
+// in deal order.
+type row struct {
+	t mring.Tuple
+	m float64
+}
+
+type rowList []row
+
+func (l rowList) Len() int { return len(l) }
+
+func (l rowList) Foreach(f func(t mring.Tuple, m float64)) {
+	for _, r := range l {
+		f(r.t, r.m)
 	}
 }
 
-func (sh *Shard) setup() error {
-	if sh.workers < 1 {
-		return fmt.Errorf("cluster: shard not set up")
+// wireSize is what moving a fragment costs on the wire: a process
+// worker's payload length, or the columnar encoding of an in-process
+// relation (the simulator's measured traffic).
+func wireSize(r rows) int64 {
+	switch r := r.(type) {
+	case *wire:
+		return int64(len(r.raw))
+	case *mring.Relation:
+		return encodeSize(r)
+	}
+	return 0
+}
+
+// node holds the relation fragments of one worker (or the driver).
+type node struct {
+	rels map[string]*mring.Relation
+}
+
+func newNode() node { return node{rels: make(map[string]*mring.Relation)} }
+
+func (n *node) rel(name string, schema mring.Schema) *mring.Relation {
+	r := n.rels[name]
+	if r == nil {
+		r = mring.NewRelation(schema)
+		n.rels[name] = r
+	}
+	return r
+}
+
+// visit calls f on every fragment, names sorted.
+func (n *node) visit(f func(name string, r *mring.Relation)) {
+	names := make([]string, 0, len(n.rels))
+	for name := range n.rels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f(name, n.rels[name])
+	}
+}
+
+func (n *node) retain(keep map[string]bool) {
+	for name := range n.rels {
+		if !keep[name] {
+			delete(n.rels, name)
+		}
+	}
+}
+
+// snapshot encodes every fragment carrying restorable state, including
+// empty-but-sized ones, so a restore reproduces the physical layout.
+func (n *node) snapshot() map[string]Frag {
+	out := map[string]Frag{}
+	for name, r := range n.rels {
+		if worthSnapshot(r) {
+			out[name] = snapFrag(r)
+		}
+	}
+	return out
+}
+
+// runStmtOn evaluates a compute statement against one node's state and
+// returns the evaluation statistics. It only reads the schema map and
+// mutates nothing but the node's own fragments (and the caller-private
+// sink), so concurrent calls on distinct nodes are race-free.
+func runStmtOn(n *node, schemas map[string]mring.Schema, s dist.Stmt, sink *mring.Relation) eval.Stats {
+	env := eval.NewEnv()
+	// Bind every relation the statement reads; lazily create fragments.
+	walkRefs(s.RHS, func(r *expr.Rel) {
+		name := eval.RelEnvName(r)
+		env.Bind(name, n.rel(name, schemas[name]))
+	})
+	target := n.rel(s.LHS, schemas[s.LHS])
+	ctx := eval.NewCtx(env)
+	if sink != nil {
+		ctx.CaptureFolds(target, sink)
+	}
+	// FoldStmt runs aggregate statements (pre-aggregations and view
+	// maintenance) through a per-worker hash-native group table over the
+	// node's own fragments; the tables stay worker-local here and meet
+	// only in the driver's gather, in worker-index order.
+	ctx.FoldStmt(target, s.Op, s.RHS)
+	return ctx.Stats
+}
+
+// Shard is one worker node: its fragments and the operations the driver
+// runs on them. A simulated cluster calls its shards in process; a worker
+// process serves one fresh shard per driver connection, decoding each
+// request into the same calls (server.go), so the two deployments mutate
+// fragments through one code path and stay bitwise-identical. A shard's
+// operations never run concurrently, and no shard touches another's state.
+type Shard struct {
+	node
+	workers int
+	// sem bounds the stages running at once across a simulated cluster's
+	// shards in measured-time mode (nil: unbounded).
+	sem chan struct{}
+}
+
+func (sh *Shard) runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, watch []string) (stage, error) {
+	for _, s := range stmts {
+		if _, ok := schemas[s.LHS]; !ok {
+			return stage{}, fmt.Errorf("cluster: statement target %q without schema", s.LHS)
+		}
+	}
+	var st stage
+	for _, name := range watch {
+		s, ok := schemas[name]
+		if !ok {
+			return stage{}, fmt.Errorf("cluster: watch of %q without schema", name)
+		}
+		if st.sinks == nil {
+			st.sinks = make(map[string]rows, len(watch))
+		}
+		st.sinks[name] = mring.NewRelation(s)
+	}
+	if sh.sem != nil {
+		sh.sem <- struct{}{}
+		defer func() { <-sh.sem }()
+	}
+	start := time.Now()
+	for _, s := range stmts {
+		sink, _ := st.sinks[s.LHS].(*mring.Relation)
+		st.stats.Add(runStmtOn(&sh.node, schemas, s, sink))
+	}
+	st.compute = time.Since(start)
+	return st, nil
+}
+
+func (sh *Shard) pack(r *mring.Relation) rows { return r }
+
+func (sh *Shard) installScatter(name string, schema mring.Schema, src rows, _, capture bool) (rows, rows, error) {
+	return sh.replace(name, schema, capture, func(dst *mring.Relation) {
+		if src != nil {
+			installFragment(dst, src)
+		}
+	})
+}
+
+func (sh *Shard) installRepart(name string, srcSchema, schema mring.Schema, from []rows, capture bool) (rows, rows, error) {
+	var incoming *mring.Relation
+	for _, f := range from {
+		if f == nil || f.Len() == 0 {
+			continue
+		}
+		if incoming == nil {
+			incoming = mring.NewRelation(srcSchema)
+		}
+		f.Foreach(incoming.Add)
+	}
+	return sh.replace(name, schema, capture, func(dst *mring.Relation) {
+		if incoming != nil {
+			dst.Merge(incoming)
+		}
+	})
+}
+
+// replace clears the target fragment and refills it; with capture it
+// returns the contents after and before.
+func (sh *Shard) replace(name string, schema mring.Schema, capture bool, fill func(dst *mring.Relation)) (rows, rows, error) {
+	dst := sh.rel(name, schema)
+	var old *mring.Relation
+	if capture {
+		old = dst.Clone()
+	}
+	dst.Clear()
+	fill(dst)
+	if !capture {
+		return nil, nil, nil
+	}
+	return dst, old, nil
+}
+
+func (sh *Shard) installDelta(name string, schema mring.Schema, src rows) error {
+	switch r := src.(type) {
+	case *mring.Relation:
+		sh.rels[name] = r
+	case copyOf:
+		sh.rels[name] = r.Clone()
+	default:
+		fresh := mring.NewRelation(schema)
+		if src != nil {
+			src.Foreach(fresh.Add)
+		}
+		sh.rels[name] = fresh
 	}
 	return nil
 }
 
-// runBlock executes one distributed block's statements over the shard's
-// fragments — the remote form of the per-worker goroutine body in
-// runDistBlock, including the private change sinks for watched views.
-func (sh *Shard) runBlock(req *runBlockReq) (*runBlockResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	// The driver ships its schema map after prepareStmts; adopting it
-	// reproduces the oracle's invariant that workers only read schemas.
-	for name, s := range req.Schemas {
-		sh.schemas[name] = s
-	}
-	var sinks map[string]*mring.Relation
-	for _, name := range req.Watch {
-		s, ok := sh.schemas[name]
-		if !ok {
-			return nil, fmt.Errorf("cluster: watch of %q without schema", name)
-		}
-		if sinks == nil {
-			sinks = make(map[string]*mring.Relation, len(req.Watch))
-		}
-		sinks[name] = mring.NewRelation(s)
-	}
-	for _, s := range req.Stmts {
-		if _, ok := sh.schemas[s.LHS]; !ok {
-			return nil, fmt.Errorf("cluster: statement target %q without schema", s.LHS)
+func (sh *Shard) partitionOut(src string, schema mring.Schema, keyPos []int) ([]rows, error) {
+	for _, p := range keyPos {
+		if p < 0 || p >= len(schema) {
+			return nil, fmt.Errorf("cluster: key position %d outside schema %v", p, schema)
 		}
 	}
-	start := time.Now()
-	var st eval.Stats
-	for _, s := range req.Stmts {
-		st.Add(runStmtOnNode(sh.node, sh.schemas, s, sinks[s.LHS]))
-	}
-	resp := &runBlockResp{Stats: st, ComputeNs: time.Since(start).Nanoseconds()}
-	for name, sink := range sinks {
-		if sink.Len() == 0 {
-			continue // merging an empty sink is a no-op on the driver
+	out := make([]rows, sh.workers)
+	for i, f := range dist.SplitByKey(sh.rel(src, schema), keyPos, sh.workers) {
+		if f != nil && f.Len() > 0 {
+			out[i] = f
 		}
-		if resp.Sinks == nil {
-			resp.Sinks = make(map[string][]byte, len(sinks))
-		}
-		resp.Sinks[name] = inet.EncodeRelationPlain(sink)
 	}
-	return resp, nil
+	return out, nil
 }
 
-// installScatter is the worker half of a scatter: clear the target
-// fragment, install the shipped payload, and (for watched keyed views)
-// return the replacement diff the driver folds into the batch delta.
-func (sh *Shard) installScatter(req *installScatterReq) (*installResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
+func (sh *Shard) fetch(name string, _ mring.Schema) (rows, error) {
+	if r := sh.rels[name]; r != nil {
+		return r, nil
 	}
-	sh.schemas[req.Name] = req.Schema
-	dst := sh.node.rel(req.Name, req.Schema)
-	var old *mring.Relation
-	if req.Capture {
-		old = dst.Clone()
-	}
-	dst.Clear()
-	if len(req.Payload) > 0 {
-		p, err := inet.DecodePayload(req.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: scatter payload for %q: %w", req.Name, err)
-		}
-		installPayload(dst, p)
-	}
-	resp := &installResp{}
-	if req.Capture {
-		resp.Cur = inet.EncodeRelationPlain(dst)
-		resp.Old = inet.EncodeRelationPlain(old)
-	}
-	return resp, nil
+	return nil, nil
 }
 
-// installRepart rebuilds the target fragment from the per-sender payloads
-// of an exchange, replaying the oracle's build: incoming accumulates the
-// senders' fragments in worker-index order, then replaces the target.
-func (sh *Shard) installRepart(req *installRepartReq) (*installResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	sh.schemas[req.Name] = req.LHSSchema
-	var incoming *mring.Relation
-	for _, pb := range req.Payloads {
-		if len(pb) == 0 {
-			continue // empty sender fragments are skipped, as in-process
-		}
-		p, err := inet.DecodePayload(pb)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: repart payload for %q: %w", req.Name, err)
-		}
-		if incoming == nil {
-			incoming = mring.NewRelation(req.SrcSchema)
-		}
-		p.Foreach(incoming.Add)
-	}
-	dst := sh.node.rel(req.Name, req.LHSSchema)
-	var old *mring.Relation
-	if req.Capture {
-		old = dst.Clone()
-	}
-	dst.Clear()
-	if incoming != nil {
-		dst.Merge(incoming)
-	}
-	resp := &installResp{}
-	if req.Capture {
-		resp.Cur = inet.EncodeRelationPlain(dst)
-		resp.Old = inet.EncodeRelationPlain(old)
-	}
-	return resp, nil
+func (sh *Shard) retain(keep map[string]bool) error {
+	sh.node.retain(keep)
+	return nil
 }
 
-// installDelta replaces a relation with a fresh one rebuilt from the
-// payload rows in wire order — the remote form of handing a worker a
-// driver-built fragment by reference (update-batch deals, warm loads).
-func (sh *Shard) installDelta(req *installDeltaReq) (*installDeltaResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
+func (sh *Shard) snapshot() (map[string]Frag, error) { return sh.node.snapshot(), nil }
+
+// restore validates every fragment before touching any state, so a
+// corrupt checkpoint never leaves the shard half-restored.
+func (sh *Shard) restore(frags map[string]Frag) error {
+	rels, err := restoreFrags(frags)
+	if err != nil {
+		return err
 	}
-	sh.schemas[req.Name] = req.Schema
-	fresh := mring.NewRelation(req.Schema)
-	if len(req.Payload) > 0 {
-		p, err := inet.DecodePayload(req.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: delta payload for %q: %w", req.Name, err)
-		}
-		p.Foreach(fresh.Add)
-	}
-	sh.node.rels[req.Name] = fresh
-	return &installDeltaResp{}, nil
+	sh.rels = rels
+	return nil
 }
 
-// partitionOut splits the shard's fragment of Src by key and returns the
-// per-destination payloads — the sender half of an exchange.
-func (sh *Shard) partitionOut(req *partitionOutReq) (*partitionOutResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	for _, p := range req.KeyPos {
-		if p < 0 || p >= len(req.Schema) {
-			return nil, fmt.Errorf("cluster: key position %d outside schema %v", p, req.Schema)
-		}
-	}
-	if _, ok := sh.schemas[req.Src]; !ok {
-		sh.schemas[req.Src] = req.Schema
-	}
-	src := sh.node.rel(req.Src, req.Schema)
-	frags := dist.SplitByKey(src, req.KeyPos, sh.workers)
-	resp := &partitionOutResp{Frags: make([][]byte, len(frags))}
-	for i, f := range frags {
-		if f == nil || f.Len() == 0 {
-			continue
-		}
-		resp.Frags[i] = inet.EncodeRelationPlain(f)
-	}
-	return resp, nil
-}
+func (sh *Shard) close() error { return nil }
 
-// fetch returns the shard's fragment of a relation without creating it —
-// Present distinguishes an absent replica from an empty one.
-func (sh *Shard) fetch(req *fetchReq) (*fetchResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
+// installFragment fills the just-cleared dst with a shipped fragment.
+// When the fragment has a columnar form — an in-process relation's
+// mirror, or a columnar wire payload — the rows merge straight from the
+// batch and the batch becomes dst's mirror (the receiver keeps the
+// fragment columnar); otherwise the rows merge one by one. Either way
+// rows land in the fragment's order, so dst's storage is bitwise
+// independent of which path ran.
+func installFragment(dst *mring.Relation, src rows) {
+	var batch *pool.ColBatch
+	switch s := src.(type) {
+	case *mring.Relation:
+		batch = fragmentBatch(s)
+	case *wire:
+		batch = s.Batch
 	}
-	r := sh.node.rels[req.Name]
-	if r == nil {
-		return &fetchResp{}, nil
-	}
-	return &fetchResp{Present: true, Payload: inet.EncodeRelationPlain(r)}, nil
-}
-
-// snapshot returns every restorable fragment on the shard with its
-// bucket-table size — the worker half of a durability checkpoint.
-func (sh *Shard) snapshot() (*snapshotResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	resp := &snapshotResp{Frags: map[string]Frag{}}
-	for name, r := range sh.node.rels {
-		if !worthSnapshot(r) {
-			continue
-		}
-		resp.Frags[name] = snapFrag(r)
-	}
-	return resp, nil
-}
-
-// restore replaces the shard's entire state with checkpoint fragments,
-// rebuilt layout-exact (the worker re-warm step of crash recovery). Like
-// the in-process Restore, every fragment validates before any state is
-// touched, so a corrupt checkpoint never leaves the shard half-restored.
-func (sh *Shard) restore(req *restoreReq) (*restoreResp, error) {
-	if err := sh.setup(); err != nil {
-		return nil, err
-	}
-	rels := make(map[string]*mring.Relation, len(req.Frags))
-	for name, f := range req.Frags {
-		r, err := restoreFrag(name, f)
-		if err != nil {
-			return nil, err
-		}
-		rels[name] = r
-	}
-	sh.node.rels = rels
-	for name, r := range rels {
-		sh.schemas[name] = r.Schema()
-	}
-	return &restoreResp{}, nil
-}
-
-// installPayload fills a just-cleared relation from a wire payload the
-// way installFragment fills it from an in-process fragment: a columnar
-// payload merges from the batch and becomes dst's mirror; a row payload
-// replays in wire order. Row order is identical either way, so dst's
-// storage is bitwise independent of which form shipped.
-func installPayload(dst *mring.Relation, p *inet.Payload) {
-	if p.Batch != nil {
-		p.Batch.MergeInto(dst)
-		if dst.Len() == p.Batch.Len() {
-			pool.AttachMirror(dst, p.Batch)
-		}
+	if batch == nil {
+		src.Foreach(dst.Add)
 		return
 	}
-	p.Foreach(dst.Add)
+	batch.MergeInto(dst)
+	if dst.Len() == batch.Len() {
+		pool.AttachMirror(dst, batch)
+	}
 }

@@ -307,74 +307,6 @@ func TestRowE(t *testing.T) {
 	Row(struct{}{})
 }
 
-// TestDeprecatedWrappers pins the pre-unification constructors: they
-// must keep compiling and behaving like the unified engine.
-func TestDeprecatedWrappers(t *testing.T) {
-	q := Sum([]string{"b"}, Join(Table("R", "a", "b"), Table("S", "b", "c")))
-	bases := map[string]Schema{"R": {"a", "b"}, "S": {"b", "c"}}
-	local, err := NewEngine("Q", q, bases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local.SetSingleTuple(true)
-	local.SetSingleTuple(false)
-	distEng, err := NewDistributedEngine("Q", q, bases, 4, map[string]int{"b": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		br := NewBatch(Schema{"a", "b"})
-		bs := NewBatch(Schema{"b", "c"})
-		for j := 0; j < 10; j++ {
-			br.Insert(Row(i*10+j, j%3))
-			bs.Insert(Row(j%3, j))
-		}
-		local.ApplyBatch("R", cloneBatch(br))
-		local.ApplyBatch("S", cloneBatch(bs))
-		if _, err := distEng.ApplyBatch("R", br); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := distEng.ApplyBatch("S", bs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := local.Result()
-	got := distEng.Result()
-	if got.Len() != want.Len() {
-		t.Fatalf("distributed diverged: %s vs %s", got, want)
-	}
-	want.Foreach(func(tp Tuple, m float64) {
-		if got.Get(tp) != m {
-			t.Fatalf("group %v: %g vs %g", tp, got.Get(tp), m)
-		}
-	})
-	if distEng.Metrics.Latency <= 0 {
-		t.Fatal("metrics not accumulated")
-	}
-	if distEng.TriggerProgram("R") == "" {
-		t.Fatal("trigger program rendering empty")
-	}
-	// LoadTable forwards to Warm.
-	warmed, err := NewEngine("QL", Sum(nil, Join(Table("R", "a"), Val(Col("a")))),
-		map[string]Schema{"R": {"a"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	init := NewBatch(Schema{"a"})
-	init.Insert(Row(4))
-	// Unknown entries are ignored, as the pre-unification LoadTable did.
-	warmed.LoadTable(map[string]*Batch{"R": init, "unrelated": NewBatch(Schema{"x"})})
-	if got := warmed.Result().Get(Row()); got != 4 {
-		t.Fatalf("LoadTable warm start = %g, want 4", got)
-	}
-}
-
-func cloneBatch(b *Batch) *Batch {
-	c := NewBatch(b.rel.Schema())
-	b.rel.Foreach(func(t Tuple, m float64) { c.Change(t, m) })
-	return c
-}
-
 func TestDistributedTPCHKeyRanks(t *testing.T) {
 	// The exported workload key ranks drive partitioning without panics.
 	q, err := tpch.QueryByName("Q3")

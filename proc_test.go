@@ -11,11 +11,14 @@ package ivm
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/dist"
 	"repro/internal/mring"
 	inet "repro/internal/net"
 	"repro/internal/tpch"
@@ -236,6 +239,193 @@ func TestProcessClusterWorkerKill(t *testing.T) {
 		t.Fatalf("poisoned Apply error not descriptive: %v", err)
 	}
 	requireBitwiseEqual(t, "poisoned result", remote.Result().rel, preKill)
+}
+
+// countingTCP is the TCP transport with every frame a listener's
+// connections receive and send counted.
+type countingTCP struct {
+	inet.TCP
+	recv, sent *atomic.Int64
+}
+
+func (t countingTCP) Listen(addr string) (inet.Listener, error) {
+	l, err := t.TCP.Listen(addr)
+	return countingListener{l, t}, err
+}
+
+type countingListener struct {
+	inet.Listener
+	t countingTCP
+}
+
+func (l countingListener) Accept() (inet.Conn, error) {
+	c, err := l.Listener.Accept()
+	return countingConn{c, l.t}, err
+}
+
+type countingConn struct {
+	inet.Conn
+	t countingTCP
+}
+
+func (c countingConn) Send(typ byte, payload []byte) error {
+	c.t.sent.Add(1) // before the write, so the driver cannot see the frame uncounted
+	return c.Conn.Send(typ, payload)
+}
+
+func (c countingConn) Recv() (byte, []byte, error) {
+	typ, payload, err := c.Conn.Recv()
+	if err == nil {
+		c.t.recv.Add(1)
+	}
+	return typ, payload, err
+}
+
+// roundTrips is the number of requests one worker serves for one batch of
+// a distributed program: the deal, one per distributed block, one per
+// scatter or gather, and two per repartition (pieces out, pieces in).
+func roundTrips(dp *dist.DistProgram) int64 {
+	n := int64(1)
+	for _, b := range dp.Blocks {
+		if b.Mode == dist.LDist {
+			n++
+			continue
+		}
+		for _, s := range b.Stmts {
+			if x, ok := s.RHS.(*dist.Xform); ok {
+				n++
+				if x.Kind == dist.XRepart {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestRemoteRoundTripsPerTransaction pins the process cluster's wire
+// traffic to the compiled programs: counted on the workers' transport,
+// every Q3 transaction on Remote(2) — changefeed capture included — costs
+// each worker exactly the round trips its programs imply, so the driver
+// adds none of its own.
+func TestRemoteRoundTripsPerTransaction(t *testing.T) {
+	q, err := tpch.QueryByName("Q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	addrs := make([]string, workers)
+	counts := make([]countingTCP, workers)
+	for i := range addrs {
+		counts[i] = countingTCP{recv: new(atomic.Int64), sent: new(atomic.Int64)}
+		srv, err := cluster.ListenAndServeWorker(counts[i], "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = srv.Addr()
+	}
+	e, err := New(q.Name, q.Def, q.BaseSchemas(), Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.Subscribe(func(Delta) {}); err != nil {
+		t.Fatal(err)
+	}
+	dprogs := e.be.(*distBackend).dprogs
+	stream := tpch.NewStream(tpch.NewGenerator(0.03, 5), q.Tables)
+	for tx := 0; tx < 12; tx++ {
+		bs := stream.NextBatches(40)
+		if len(bs) == 0 {
+			break
+		}
+		apply := NewTx()
+		var want int64
+		for _, b := range bs {
+			if err := apply.Put(b.Table, &Batch{rel: b.Rel}); err != nil {
+				t.Fatal(err)
+			}
+			want += roundTrips(dprogs[b.Table])
+		}
+		before := make([]int64, workers)
+		for i := range counts {
+			before[i] = counts[i].recv.Load()
+		}
+		if err := e.Apply(apply); err != nil {
+			t.Fatal(err)
+		}
+		for i := range counts {
+			got := counts[i].recv.Load() - before[i]
+			if got != want {
+				t.Fatalf("tx %d: worker %d served %d requests, programs imply %d", tx, i, got, want)
+			}
+			if sent := counts[i].sent.Load(); sent != counts[i].recv.Load() {
+				t.Fatalf("tx %d: worker %d answered %d of %d requests", tx, i, sent, counts[i].recv.Load())
+			}
+		}
+	}
+}
+
+// TestRemoteSkewRebalance drives measured-skew repartitioning on the
+// process cluster: after the skewed stream of
+// TestSkewRebalanceRepartitions, Rebalance must move Remote(8) to the
+// placement it moves Distributed(8) to, and both must stay bitwise equal
+// afterwards.
+func TestRemoteSkewRebalance(t *testing.T) {
+	bases := map[string]Schema{"R": {"id", "u", "h", "v"}}
+	q := Sum([]string{"u", "h"}, Join(Table("R", "id", "u", "h", "v"), Val(Col("v"))))
+	ranks := map[string]int{"h": 5, "u": 4}
+	sim, err := New("Q", q, bases, Distributed(8), KeyRanks(ranks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, _ := startWorkers(t, 8)
+	remote, err := New("Q", q, bases, Remote(addrs...), KeyRanks(ranks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	rng := rand.New(rand.NewSource(1))
+	id := 0
+	feed := func(rounds int) {
+		for r := 0; r < rounds; r++ {
+			bs, br := NewBatch(bases["R"]), NewBatch(bases["R"])
+			for i := 0; i < 400; i++ {
+				row := skewedRow(rng, id)
+				id++
+				if err := bs.Insert(row); err != nil {
+					t.Fatal(err)
+				}
+				if err := br.Insert(row.Clone()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sim.ApplyBatch("R", bs); err != nil {
+				t.Fatal(err)
+			}
+			if err := remote.ApplyBatch("R", br); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed(40)
+	before := sim.be.(*distBackend).parts.Clone()
+	for _, e := range []*Engine{sim, remote} {
+		changed, err := e.be.Rebalance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !changed {
+			t.Fatalf("skewed stream left the placement unchanged: %v", before)
+		}
+	}
+	simParts, remoteParts := sim.be.(*distBackend).parts, remote.be.(*distBackend).parts
+	if !simParts.Equal(remoteParts) {
+		t.Fatalf("placements diverged\n sim    %v\n remote %v", simParts, remoteParts)
+	}
+	feed(10)
+	requireBitwiseEqual(t, "rebalanced process cluster", remote.Result().rel, sim.Result().rel)
 }
 
 // TestRemoteOptionValidation pins the constructor contract.
