@@ -89,20 +89,17 @@ check-api:
 # BENCH_$(PR).json (query, batch size, tuples/sec, shuffled bytes), and
 # diffs the tracked microbenchmark speedup ratios against
 # $(BENCH_BASELINE): the target (and the CI job) fails when the
-# RelationAddGet, AggGroupUpdate, ColFilter, ColFold, MultiView,
-# AdaptiveBatch, or SkewRebalance ratio drops more than 15%, when
-# AggGroupUpdate falls below its 1.5x acceptance floor, when neither
-# columnar kernel ratio clears its 1.5x floor, when MultiView falls
-# below its 2x shared/independent floor, when the adaptive batch
-# controller lands below 0.9x of the best fixed transaction size, or
-# when skew-feedback repartitioning gains less than 1.2x virtual
-# critical-path compute on the hot-key stream.
+# RelationAddGet, AggGroupUpdate, ColFilter, ColFold, MultiView, or
+# SkewRebalance ratio drops more than 15%, when AggGroupUpdate falls
+# below its 1.5x acceptance floor, when neither columnar kernel ratio
+# clears its 1.5x floor, when MultiView falls below its 2x
+# shared/independent floor, or when skew-feedback repartitioning gains
+# less than 1.2x virtual critical-path compute on the hot-key stream.
 bench-json:
 	$(GO) run ./cmd/benchjson -pr $(PR) -out BENCH_$(PR).json $(BENCH_BASELINE_FLAG)
 
-# soak runs the self-tuning controller against a skewed stream for
-# SOAK_TIME of wall time under the race detector and asserts that the
-# batch target does not oscillate past the hysteresis bounds and that
+# soak runs the self-tuning controllers against a skewed stream for
+# SOAK_TIME of wall time under the race detector and asserts that
 # repartitioning settles (same step as CI). SOAK_TIME=2s by default for
 # a quick local check; CI uses 30s.
 SOAK_TIME ?= 2s

@@ -80,13 +80,6 @@ type Report struct {
 	// independent engines fed the same stream. The PR 7 acceptance
 	// criterion tracks it at ≥2x.
 	MultiViewSpeedup float64 `json:"multiview_speedup,omitempty"`
-	// AdaptiveBatchSpeedup is the AutoTune engine's Q3 maintenance
-	// throughput over the best fixed transaction size (of 64/512/4096),
-	// both fed the identical 64-tuple update stream after an untimed
-	// convergence pass. The PR 8 acceptance floor tracks it at ≥0.9x:
-	// the controller must find (nearly) the best fixed operating point
-	// without being told it.
-	AdaptiveBatchSpeedup float64 `json:"adaptivebatch_speedup,omitempty"`
 	// SkewRebalanceSpeedup is the virtual-compute speedup of the skew
 	// feedback loop on a 90%-hot stream at 8 workers: tuples per virtual
 	// ComputeMax second with AutoTune repartitioning over the static
@@ -484,159 +477,10 @@ func benchMultiView() (independent, shared float64) {
 	return independent, shared
 }
 
-// adaptiveBatchFloor and skewRebalanceFloor are the ISSUE 8 acceptance
-// criteria: the hill-climbing batch controller must reach at least 0.9x
-// of the best fixed transaction size it could have been handed, and the
-// skew feedback loop must cut virtual critical-path compute by at least
-// 1.2x on a hot-key stream.
-const (
-	adaptiveBatchFloor = 0.9
-	skewRebalanceFloor = 1.2
-)
-
-// adaptiveUnit is one pre-generated 64-tuple unit of the adaptive-batch
-// stream: a run of orders rows, replayed as an insert wave and later
-// (shifted by the sliding-window lag) as the matching delete wave, so
-// state size — and with it per-fold maintenance cost — stays stationary
-// while the controller climbs.
-type adaptiveUnit struct {
-	rows []mring.Tuple
-	del  bool
-}
-
-// collectRows drains one table's full generator quota into a flat row
-// slice.
-func collectRows(gen *tpch.Generator, table string) []mring.Tuple {
-	stream := tpch.NewStream(gen, []string{table})
-	var rows []mring.Tuple
-	for {
-		bs := stream.NextBatches(1024)
-		if len(bs) == 0 {
-			break
-		}
-		for _, b := range bs {
-			b.Rel.Foreach(func(t mring.Tuple, _ float64) { rows = append(rows, t) })
-		}
-	}
-	return rows
-}
-
-// adaptiveStream builds the sliding-window orders stream: unit i inserts
-// 64 orders, unit i-lag deletes them again. A single-table stream keeps
-// fold cost a smooth function of fold size (mixed-table folds cost
-// wildly different amounts per tuple, which drowns the controller's
-// throughput signal in composition noise rather than testing it).
-func adaptiveStream(rows []mring.Tuple, lag int) []adaptiveUnit {
-	var units [][]mring.Tuple
-	for i := 0; i+64 <= len(rows); i += 64 {
-		units = append(units, rows[i:i+64])
-	}
-	var work []adaptiveUnit
-	for i, u := range units {
-		work = append(work, adaptiveUnit{rows: u})
-		if i >= lag {
-			work = append(work, adaptiveUnit{rows: units[i-lag], del: true})
-		}
-	}
-	return work
-}
-
-// replayAdaptive feeds the pre-generated stream in transactions of
-// chunk tuples (the last one partial).
-func replayAdaptive(e *ivm.Engine, work []adaptiveUnit, chunk int) error {
-	tx := e.NewTx()
-	n := 0
-	for _, u := range work {
-		for _, t := range u.rows {
-			var err error
-			if u.del {
-				err = tx.Delete(tpch.Orders, t)
-			} else {
-				err = tx.Insert(tpch.Orders, t)
-			}
-			if err != nil {
-				return err
-			}
-			if n++; n >= chunk {
-				if err := e.Apply(tx); err != nil {
-					return err
-				}
-				tx, n = e.NewTx(), 0
-			}
-		}
-	}
-	if n > 0 {
-		return e.Apply(tx)
-	}
-	return nil
-}
-
-// benchAdaptiveBatch measures AdaptiveBatch: a Q3 engine with warmed
-// customer and lineitem state maintaining a stationary sliding-window
-// orders stream, fed through the public API in 64-tuple transactions.
-// Every variant receives the identical transaction stream; only the
-// engine-boundary fold target differs — fixed targets 64/512/4096
-// (pinned via MinBatch=MaxBatch) vs. the default hill-climbing
-// controller — so the ratio isolates exactly the decision the
-// controller owns. The first 60% of the stream is an untimed warm-up
-// (state fills and the climb converges there); the remaining 40% is
-// timed.
-func benchAdaptiveBatch() (bestFixed, adaptive float64) {
-	q, err := tpch.QueryByName("Q3")
-	if err != nil {
-		panic(err)
-	}
-	bases := q.BaseSchemas()
-	gen := tpch.NewGenerator(10, 17)
-	custRows := collectRows(gen, tpch.Customer)
-	liRows := collectRows(tpch.NewGenerator(1, 18), tpch.Lineitem)
-	work := adaptiveStream(collectRows(gen, tpch.Orders), 64)
-	split := len(work) * 6 / 10
-	warm, meas := work[:split], work[split:]
-	tuples := 0
-	for _, u := range meas {
-		tuples += len(u.rows)
-	}
-	run := func(opts ...ivm.Option) float64 {
-		e, err := ivm.New(q.Name, q.Def, bases, opts...)
-		if err != nil {
-			panic(err)
-		}
-		cb := ivm.NewBatch(tpch.Schemas[tpch.Customer])
-		for _, t := range custRows {
-			if err := cb.Insert(t); err != nil {
-				panic(err)
-			}
-		}
-		lb := ivm.NewBatch(tpch.Schemas[tpch.Lineitem])
-		for _, t := range liRows {
-			if err := lb.Insert(t); err != nil {
-				panic(err)
-			}
-		}
-		if err := e.Warm(map[string]*ivm.Batch{tpch.Customer: cb, tpch.Lineitem: lb}); err != nil {
-			panic(err)
-		}
-		if err := replayAdaptive(e, warm, 64); err != nil {
-			panic(err)
-		}
-		e.Stats() // settle pending folds before the timed pass
-		start := time.Now()
-		if err := replayAdaptive(e, meas, 64); err != nil {
-			panic(err)
-		}
-		e.Stats() // coalesced folds flush inside the timed window
-		return float64(tuples) / time.Since(start).Seconds()
-	}
-	for _, k := range []int{64, 512, 4096} {
-		thr := run(ivm.AutoTune(ivm.TuneConfig{MinBatch: k, MaxBatch: k, InitialBatch: k}))
-		if thr > bestFixed {
-			bestFixed = thr
-		}
-	}
-	adaptive = run(ivm.AutoTune())
-	return bestFixed, adaptive
-}
+// skewRebalanceFloor is the ISSUE 8 acceptance criterion: the skew
+// feedback loop must cut virtual critical-path compute by at least 1.2x
+// on a hot-key stream.
+const skewRebalanceFloor = 1.2
 
 // skewedRow draws the 90%-hot workload the skew benchmark streams: most
 // rows hit one hot partitioning key h=0 spread over many u, the rest
@@ -685,19 +529,10 @@ func benchSkewRebalance() (static, tuned float64) {
 				panic(err)
 			}
 		}
-		e.Stats() // flush coalesced folds into the metrics
 		return float64(rounds*perRound) / e.Metrics().ComputeMax.Seconds()
 	}
-	// A deterministic virtual clock drives the controller so the tuned
-	// run's fold boundaries (and with them the cost accounting) are
-	// reproducible across hosts.
-	var tick int64
-	now := func() time.Time { tick++; return time.Unix(0, tick*int64(time.Millisecond)) }
 	static = run()
-	tuned = run(ivm.AutoTune(ivm.TuneConfig{
-		MaxBatch: 1024, InitialBatch: 512, Window: 2,
-		SkewPatience: 2, SkewCooldown: 8, Now: now,
-	}))
+	tuned = run(ivm.AutoTune(ivm.TuneConfig{SkewPatience: 2, SkewCooldown: 8}))
 	return static, tuned
 }
 
@@ -776,7 +611,6 @@ func diffBaseline(rep Report, base Report, baselinePath string, maxDrop float64)
 	check("ColFilter", base.ColFilterSpeedup, rep.ColFilterSpeedup)
 	check("ColFold", base.ColFoldSpeedup, rep.ColFoldSpeedup)
 	check("MultiView", base.MultiViewSpeedup, rep.MultiViewSpeedup)
-	check("AdaptiveBatch", base.AdaptiveBatchSpeedup, rep.AdaptiveBatchSpeedup)
 	check("SkewRebalance", base.SkewRebalanceSpeedup, rep.SkewRebalanceSpeedup)
 	if len(failures) > 0 {
 		return fmt.Errorf("%s", strings.Join(failures, "; "))
@@ -1002,14 +836,6 @@ func main() {
 	rep.MultiViewSpeedup = mvs / mvi
 	fmt.Printf("MultiView: independent %.0f tuples/sec, shared %.0f tuples/sec (%.2fx)\n", mvi, mvs, rep.MultiViewSpeedup)
 
-	abf, abt := medianRatioRep(benchAdaptiveBatch)
-	rep.Results = append(rep.Results,
-		Result{Name: "AdaptiveBatch/best-fixed", Query: "Q3", TuplesPerSec: abf},
-		Result{Name: "AdaptiveBatch/autotune", Query: "Q3", TuplesPerSec: abt},
-	)
-	rep.AdaptiveBatchSpeedup = abt / abf
-	fmt.Printf("AdaptiveBatch: best fixed %.0f tuples/sec, autotune %.0f tuples/sec (%.2fx)\n", abf, abt, rep.AdaptiveBatchSpeedup)
-
 	srs, srt := medianRatioRep(benchSkewRebalance)
 	rep.Results = append(rep.Results,
 		Result{Name: "SkewRebalance/static", Workers: 8, TuplesPerSec: srs},
@@ -1076,11 +902,6 @@ func main() {
 	if rep.MultiViewSpeedup < multiViewFloor {
 		fmt.Fprintf(os.Stderr, "benchjson: MultiView shared/independent speedup %.2fx below the %.1fx acceptance floor\n",
 			rep.MultiViewSpeedup, multiViewFloor)
-		os.Exit(1)
-	}
-	if rep.AdaptiveBatchSpeedup < adaptiveBatchFloor {
-		fmt.Fprintf(os.Stderr, "benchjson: AdaptiveBatch speedup %.2fx below the %.1fx acceptance floor\n",
-			rep.AdaptiveBatchSpeedup, adaptiveBatchFloor)
 		os.Exit(1)
 	}
 	if rep.SkewRebalanceSpeedup < skewRebalanceFloor {

@@ -162,7 +162,7 @@ func (d *durable) poison(err error) error {
 // attachDurability opens (and, on an existing directory, recovers) the
 // durable store and hooks it onto the serving half. Called during
 // construction with exclusive access: s.prog and s.be are set, no tuner
-// loop or subscriber exists yet, so the backend can be mutated freely.
+// or subscriber exists yet, so the backend can be mutated freely.
 func (s *serving) attachDurability(cfg *engineConfig) error {
 	if !cfg.durSet {
 		return nil
@@ -324,17 +324,10 @@ func (s *serving) maybeCheckpointLocked() error {
 }
 
 // checkpointLocked snapshots the backend's entire state into a new
-// checkpoint generation and rolls the WAL. Coalesced transactions drain
-// first: a checkpoint must describe state every logged transaction has
-// reached.
+// checkpoint generation and rolls the WAL.
 func (s *serving) checkpointLocked() error {
 	if s.dur.err != nil {
 		return s.dur.err
-	}
-	if s.tn != nil {
-		if err := s.tn.drainLocked(s, true); err != nil {
-			return s.dur.poison(err)
-		}
 	}
 	cp, err := s.be.SnapshotState()
 	if err != nil {

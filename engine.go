@@ -201,8 +201,8 @@ type serving struct {
 	// held.
 	beMu sync.Mutex
 	be   backend
-	// tn is the self-tuning controller loop (nil without AutoTune).
-	// Guarded by beMu.
+	// tn is the self-tuning state (nil without AutoTune), actuated after
+	// every fold. Guarded by beMu.
 	tn *tuner
 	// dur is the durability runtime (nil without the Durable option):
 	// the write-ahead log appended to before every ack and the
@@ -282,8 +282,8 @@ func New(name string, query Expr, bases map[string]Schema, opts ...Option) (*Eng
 		return nil, err
 	}
 	e := &Engine{name: name}
-	// Recovery runs before init starts the tuner loop, so nothing else
-	// can touch the backend while the checkpoint and WAL tail replay.
+	// Recovery runs before the engine is returned, so nothing else can
+	// touch the backend while the checkpoint and WAL tail replay.
 	e.prog, e.be = prog, be
 	if err := e.attachDurability(&cfg); err != nil {
 		be.Close()
@@ -298,37 +298,25 @@ func (s *serving) init(prog *compile.Program, be backend, tn *tuner) {
 	s.be = be
 	s.tn = tn
 	s.feeds = make(map[string]*feed)
-	if tn != nil {
-		tn.startLoop(s)
-	}
 }
 
-// close shuts the serving half down: the tuner's idle-flush loop stops,
-// the pending coalesce buffer drains (no accepted transaction is
-// dropped), and the backend releases its resources. Idempotent; write
+// close shuts the serving half down: a durable engine writes its final
+// checkpoint, and the backend releases its resources. Idempotent; write
 // paths return ErrClosed afterwards, reads keep serving the final state.
 func (s *serving) close() error {
 	s.beMu.Lock()
+	defer s.beMu.Unlock()
 	if s.closed {
-		s.beMu.Unlock()
 		return nil
 	}
 	var err error
-	if s.tn != nil {
-		err = s.tn.takeErr()
-		if derr := s.tn.drainLocked(s, true); err == nil {
-			err = derr
-		}
-	}
 	if s.dur != nil {
 		// Clean shutdown ends with a final checkpoint, so reopening the
 		// directory recovers with zero WAL replay. Skipped if durability
-		// already failed or the pre-close flush did — a checkpoint must
-		// only describe state every logged transaction reached.
-		if err == nil && s.dur.err == nil {
-			if cerr := s.checkpointLocked(); err == nil {
-				err = cerr
-			}
+		// already failed — a checkpoint must only describe state every
+		// logged transaction reached.
+		if s.dur.err == nil {
+			err = s.checkpointLocked()
 		}
 		if cerr := s.dur.st.Close(); err == nil {
 			err = cerr
@@ -340,32 +328,23 @@ func (s *serving) close() error {
 			err = cerr
 		}
 	}
-	tn := s.tn
-	s.beMu.Unlock()
-	// Stop the loop without beMu held: the loop goroutine takes beMu on
-	// every tick, so joining it under the lock would deadlock.
-	if tn != nil {
-		tn.stopLoop()
-	}
 	return err
 }
 
-// Close shuts the engine down: the AutoTune controller loop (if any)
-// stops, coalesced transactions flush, and the backend releases its
-// resources — on a Remote engine the worker connections close. On a
-// Durable engine the WAL flushes and a final checkpoint is written, so
-// reopening the directory recovers with zero replay. After Close,
-// Apply/Warm/Subscribe return ErrClosed while Result, Stats, and
-// Metrics keep serving the final state. Close is idempotent; it returns
-// the first error from the final flush or the backend teardown.
+// Close shuts the engine down: the backend releases its resources — on
+// a Remote engine the worker connections close. On a Durable engine the
+// WAL flushes and a final checkpoint is written, so reopening the
+// directory recovers with zero replay. After Close, Apply/Warm/Subscribe
+// return ErrClosed while Result, Stats, and Metrics keep serving the
+// final state. Close is idempotent; it returns the first error from the
+// final checkpoint or the backend teardown.
 func (e *Engine) Close() error { return e.close() }
 
-// Checkpoint forces a durability checkpoint now: pending coalesced
-// transactions flush, the backend's entire state snapshots to a new
-// versioned checkpoint file, and the WAL rolls to a fresh segment (old
-// generations are garbage-collected past the retention window). A later
-// recovery replays only transactions applied after this call. Returns
-// an error on a non-durable engine.
+// Checkpoint forces a durability checkpoint now: the backend's entire
+// state snapshots to a new versioned checkpoint file, and the WAL rolls
+// to a fresh segment (old generations are garbage-collected past the
+// retention window). A later recovery replays only transactions applied
+// after this call. Returns an error on a non-durable engine.
 func (e *Engine) Checkpoint() error { return e.forceCheckpoint() }
 
 // Program returns the compiled maintenance program (its String method
@@ -380,7 +359,7 @@ func (e *Engine) TriggerProgram(table string) string { return e.triggerProgram(t
 // Stats returns the engine's runtime statistics — evaluation counters
 // (on the distributed backend merged deterministically across nodes),
 // per-worker stage timings, per-index admission state, and the tuning
-// controller's state. The snapshot is taken under the backend lock, so
+// controllers' state. The snapshot is taken under the backend lock, so
 // it is consistent even while another goroutine is applying
 // transactions.
 func (e *Engine) Stats() Stats { return e.statsSnapshot() }
@@ -404,13 +383,10 @@ func (s *serving) triggerProgram(table string) string {
 	return s.be.TriggerProgram(table)
 }
 
-// statsSnapshot flushes any coalesced transactions (statistics must
-// reflect every accepted transaction) and assembles the full Stats
-// under the backend lock.
+// statsSnapshot assembles the full Stats under the backend lock.
 func (s *serving) statsSnapshot() Stats {
 	s.beMu.Lock()
 	defer s.beMu.Unlock()
-	s.flushObservationLocked()
 	st := Stats{Stats: s.be.Stats()}
 	st.Workers = s.be.WorkerTimings()
 	st.Indexes = s.indexStatsLocked()
@@ -463,27 +439,13 @@ func (s *serving) indexStatsLocked() []IndexStat {
 func (s *serving) metricsSnapshot() (Metrics, Metrics) {
 	s.beMu.Lock()
 	defer s.beMu.Unlock()
-	s.flushObservationLocked()
 	return s.be.Metrics()
 }
 
 func (s *serving) result(view string) *Result {
 	s.beMu.Lock()
 	defer s.beMu.Unlock()
-	s.flushObservationLocked()
 	return &Result{rel: s.be.ViewContents(view)}
-}
-
-// flushObservationLocked drains coalesced transactions before engine
-// state is observed, so tuning stays invisible to results. A flush
-// error on a path that cannot return it is surfaced by the next Apply.
-func (s *serving) flushObservationLocked() {
-	if s.tn == nil {
-		return
-	}
-	if err := s.tn.drainLocked(s, true); err != nil && s.tn.err == nil {
-		s.tn.err = err
-	}
 }
 
 // knownTables renders the engine's base tables for error messages.
@@ -531,12 +493,6 @@ func (s *serving) applyTx(tx *Tx) error {
 		s.beMu.Unlock()
 		return fmt.Errorf("ivm: Apply: %w", ErrClosed)
 	}
-	if s.tn != nil {
-		if err := s.tn.takeErr(); err != nil {
-			s.beMu.Unlock()
-			return err
-		}
-	}
 	if s.dur != nil {
 		// Write-ahead: the transaction is in the log (and, per the sync
 		// policy, on disk) before it folds or acks. A crash after this
@@ -546,13 +502,9 @@ func (s *serving) applyTx(tx *Tx) error {
 			return err
 		}
 	}
-	capture := s.captureList()
-	var deltas map[string]*mring.Relation
-	var err error
-	if s.tn != nil {
-		deltas, err = s.tn.applyLocked(s, batches, capture)
-	} else {
-		deltas, err = s.be.ApplyTx(batches, capture)
+	deltas, err := s.be.ApplyTx(batches, s.captureList())
+	if err == nil && s.tn != nil {
+		err = s.tn.afterFoldLocked(s)
 	}
 	if err == nil && s.dur != nil {
 		err = s.maybeCheckpointLocked()
@@ -629,12 +581,6 @@ func (s *serving) warm(tables map[string]*Batch) error {
 	if s.closed {
 		s.beMu.Unlock()
 		return fmt.Errorf("ivm: Warm: %w", ErrClosed)
-	}
-	if s.tn != nil {
-		if err := s.tn.drainLocked(s, true); err != nil {
-			s.beMu.Unlock()
-			return err
-		}
 	}
 	if s.dur != nil {
 		if err := s.logWarmLocked(init); err != nil {
@@ -736,16 +682,14 @@ func (s *serving) subscribe(view string, fn func(Delta), opts ...SubOption) (fun
 		return nil, fmt.Errorf("ivm: subscription key has %d columns, result schema %v has %d",
 			len(cfg.key), []string(schema), len(schema))
 	}
-	// Flush coalesced transactions and register under the backend lock:
-	// from the subscriber's perspective everything before this call is
-	// already folded, and every transaction after it is delivered
-	// individually (coalescing turns off while subscribers exist).
+	// Register under the backend lock: from the subscriber's perspective
+	// everything before this call is already folded, and every
+	// transaction after it is delivered.
 	s.beMu.Lock()
 	defer s.beMu.Unlock()
 	if s.closed {
 		return nil, fmt.Errorf("ivm: Subscribe: %w", ErrClosed)
 	}
-	s.flushObservationLocked()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.feeds[view]

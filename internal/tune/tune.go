@@ -1,16 +1,14 @@
-// Package tune holds the self-tuning primitives of the adaptive runtime
-// (ROADMAP: "Self-tuning runtime"): a hill-climbing batch-size
-// controller with hysteresis, a per-worker skew monitor that decides
-// when repartitioning pays, and a probe/maintenance index-admission
-// policy. The package is pure decision logic — it measures nothing and
-// actuates nothing itself. The engine layer feeds it observations
-// (measured fold throughput, per-worker stage compute, per-index health
-// counters) and applies its decisions strictly between transactions, so
-// tuning can never change result semantics, only cost.
+// Package tune holds the self-tuning primitives of the runtime: a
+// per-worker skew monitor that decides when repartitioning pays, and a
+// probe/maintenance index-admission policy. The package is pure
+// decision logic — it measures nothing and actuates nothing itself. The
+// engine layer feeds it observations (per-worker stage compute,
+// per-index health counters) and applies its decisions strictly between
+// transactions, so tuning can never change result semantics, only cost.
 //
-// All three controllers are deterministic functions of their
-// observation sequence: tests drive them with synthetic throughput
-// curves and fixed durations instead of a wall clock.
+// Both controllers are deterministic functions of their observation
+// sequence: tests drive them with fixed durations and synthetic index
+// traffic instead of a wall clock.
 package tune
 
 import (
@@ -19,30 +17,10 @@ import (
 	"repro/internal/mring"
 )
 
-// Config holds every knob of the three controllers. The zero value is
+// Config holds every knob of the two controllers. The zero value is
 // usable: WithDefaults fills in the calibrated defaults for any field
 // left zero, so callers set only what they mean to override.
 type Config struct {
-	// MinBatch and MaxBatch bound the effective maintenance batch size
-	// (tuples per fold) the batch controller may choose.
-	MinBatch, MaxBatch int
-	// InitialBatch is the starting batch-size target.
-	InitialBatch int
-	// Window is the number of folds measured per controller step: the
-	// controller compares mean throughput across consecutive windows.
-	Window int
-	// Step is the initial multiplicative step of the hill climb (0.25
-	// moves the target ±25% per adjustment); MinStep is the floor the
-	// step decays to — reaching it settles the controller.
-	Step, MinStep float64
-	// Hysteresis is the relative-throughput dead band: changes within
-	// ±Hysteresis neither confirm nor reverse a move, they decay the
-	// step. It is what prevents oscillation around the optimum.
-	Hysteresis float64
-	// Reexplore scales Hysteresis into the band a settled controller
-	// tolerates before it starts exploring again (a workload change).
-	Reexplore float64
-
 	// SkewThreshold is the max/mean per-worker stage-compute imbalance
 	// above which repartitioning is considered (1 = perfectly balanced).
 	SkewThreshold float64
@@ -67,10 +45,6 @@ type Config struct {
 	ReadmitProbes int64
 	// SweepEvery is the number of transactions between index sweeps.
 	SweepEvery int
-
-	// Now is the clock used by the engine layer to time folds; tests
-	// inject a deterministic one. Nil means time.Now.
-	Now func() time.Time
 }
 
 // WithDefaults returns c with every zero field set to its default.
@@ -90,14 +64,6 @@ func (c Config) WithDefaults() Config {
 			*v = d
 		}
 	}
-	def(&c.MinBatch, 64)
-	def(&c.MaxBatch, 1<<16)
-	def(&c.InitialBatch, 1024)
-	def(&c.Window, 4)
-	defF(&c.Step, 0.25)
-	defF(&c.MinStep, 0.02)
-	defF(&c.Hysteresis, 0.05)
-	defF(&c.Reexplore, 4)
 	defF(&c.SkewThreshold, 1.5)
 	def(&c.SkewPatience, 3)
 	def(&c.SkewCooldown, 16)
@@ -106,141 +72,7 @@ func (c Config) WithDefaults() Config {
 	def64(&c.ColdRatio, 16)
 	def64(&c.ReadmitProbes, 64)
 	def(&c.SweepEvery, 32)
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	if c.MinBatch < 1 {
-		c.MinBatch = 1
-	}
-	if c.MaxBatch < c.MinBatch {
-		c.MaxBatch = c.MinBatch
-	}
-	if c.InitialBatch < c.MinBatch {
-		c.InitialBatch = c.MinBatch
-	}
-	if c.InitialBatch > c.MaxBatch {
-		c.InitialBatch = c.MaxBatch
-	}
 	return c
-}
-
-// BatchController hill-climbs the effective maintenance batch size from
-// measured tuples/sec (the paper's Fig. 7: the throughput-optimal batch
-// size is workload-dependent, so it cannot be a constant). It compares
-// mean throughput across consecutive observation windows: an
-// improvement beyond the hysteresis band confirms the current
-// direction, a regression reverses it and halves the step, and staying
-// inside the band decays the step until the controller settles. A
-// settled controller freezes the target — no oscillation — until the
-// throughput leaves the widened re-explore band (a workload change).
-type BatchController struct {
-	cfg    Config
-	target float64
-	dir    float64
-	step   float64
-	frozen bool
-
-	prev float64 // previous window's throughput (0 before the first)
-	thr  float64 // most recent window's throughput
-
-	winTuples int64
-	winDur    time.Duration
-	winFolds  int
-
-	adjustments int
-	reversals   int
-}
-
-// NewBatchController returns a controller starting at
-// cfg.InitialBatch, exploring upward first (larger batches amortize
-// per-fold overhead, so up is the likelier initial win).
-func NewBatchController(cfg Config) *BatchController {
-	cfg = cfg.WithDefaults()
-	return &BatchController{cfg: cfg, target: float64(cfg.InitialBatch), dir: 1, step: cfg.Step}
-}
-
-// Target returns the current batch-size target in tuples.
-func (b *BatchController) Target() int { return int(b.target) }
-
-// Settled reports whether the climb has converged (step decayed to its
-// floor); a settled controller holds its target.
-func (b *BatchController) Settled() bool { return b.frozen }
-
-// Throughput returns the most recently completed window's mean
-// throughput in tuples/sec (0 before the first window completes).
-func (b *BatchController) Throughput() float64 { return b.thr }
-
-// Adjustments and Reversals expose the climb trajectory for tests and
-// stats: total target moves, and how many reversed direction.
-func (b *BatchController) Adjustments() int { return b.adjustments }
-func (b *BatchController) Reversals() int   { return b.reversals }
-
-// Observe records one fold of the given size and measured duration.
-// Once cfg.Window folds accumulate, the window closes and the target
-// may move. Non-positive observations are ignored.
-func (b *BatchController) Observe(tuples int, d time.Duration) {
-	if tuples <= 0 || d <= 0 {
-		return
-	}
-	b.winTuples += int64(tuples)
-	b.winDur += d
-	b.winFolds++
-	if b.winFolds < b.cfg.Window {
-		return
-	}
-	thr := float64(b.winTuples) / b.winDur.Seconds()
-	b.winTuples, b.winDur, b.winFolds = 0, 0, 0
-	b.closeWindow(thr)
-}
-
-func (b *BatchController) closeWindow(thr float64) {
-	b.thr = thr
-	prev := b.prev
-	b.prev = thr
-	if prev <= 0 {
-		// First window: no comparison yet, take the first exploratory step.
-		b.move()
-		return
-	}
-	rel := thr/prev - 1
-	if b.frozen {
-		// Settled: hold the target inside the widened band; a shift past
-		// it means the workload changed and the climb restarts.
-		if rel > b.cfg.Hysteresis*b.cfg.Reexplore || rel < -b.cfg.Hysteresis*b.cfg.Reexplore {
-			b.frozen = false
-			b.step = b.cfg.Step
-		}
-		return
-	}
-	switch {
-	case rel < -b.cfg.Hysteresis:
-		// Measurably worse: the last move overshot. Reverse, halve.
-		b.dir = -b.dir
-		b.step /= 2
-		b.reversals++
-	case rel > b.cfg.Hysteresis:
-		// Measurably better: keep climbing in this direction.
-	default:
-		// Plateau (inside the dead band): decay toward settling.
-		b.step /= 2
-	}
-	if b.step < b.cfg.MinStep {
-		b.step = b.cfg.MinStep
-		b.frozen = true
-		return
-	}
-	b.move()
-}
-
-func (b *BatchController) move() {
-	b.target *= 1 + b.dir*b.step
-	if b.target < float64(b.cfg.MinBatch) {
-		b.target = float64(b.cfg.MinBatch)
-	}
-	if b.target > float64(b.cfg.MaxBatch) {
-		b.target = float64(b.cfg.MaxBatch)
-	}
-	b.adjustments++
 }
 
 // SkewMonitor watches per-worker stage compute and decides when the
@@ -250,12 +82,11 @@ func (b *BatchController) move() {
 // threshold for SkewPatience consecutive observations to trigger, and a
 // cooldown after every attempt prevents recompile thrash.
 type SkewMonitor struct {
-	cfg        Config
-	ewma       float64
-	seeded     bool
-	hot        int
-	cooldown   int
-	rebalances int64
+	cfg      Config
+	ewma     float64
+	seeded   bool
+	hot      int
+	cooldown int
 }
 
 // NewSkewMonitor returns a monitor with the given thresholds.
@@ -266,10 +97,6 @@ func NewSkewMonitor(cfg Config) *SkewMonitor {
 // Imbalance returns the smoothed max/mean imbalance (0 before any
 // observation).
 func (m *SkewMonitor) Imbalance() float64 { return m.ewma }
-
-// Rebalances returns how many observations triggered a repartition
-// attempt.
-func (m *SkewMonitor) Rebalances() int64 { return m.rebalances }
 
 // Observe records one transaction's per-worker compute and reports
 // whether a repartition attempt should start now. A true return must be
@@ -309,15 +136,12 @@ func (m *SkewMonitor) Observe(perWorker []time.Duration) bool {
 	return m.hot >= m.cfg.SkewPatience
 }
 
-// NoteRebalance acknowledges a repartition attempt (changed reports
-// whether the deployment actually moved): patience resets and the
-// cooldown starts either way, so an attempt that found nothing better
-// does not immediately rescan.
-func (m *SkewMonitor) NoteRebalance(changed bool) {
+// NoteRebalance acknowledges a repartition attempt: patience resets and
+// the cooldown starts whether or not the deployment moved, so an
+// attempt that found nothing better does not immediately rescan.
+func (m *SkewMonitor) NoteRebalance() {
 	m.hot = 0
 	m.cooldown = m.cfg.SkewCooldown
-	m.rebalances++
-	_ = changed
 }
 
 // IndexPolicy is the stats-driven index-admission policy: it sweeps a

@@ -1,145 +1,12 @@
 package tune_test
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	"repro/internal/mring"
 	"repro/internal/tune"
 )
-
-// driveWindows feeds the controller `windows` complete observation
-// windows from a synthetic throughput curve: each fold's duration is
-// exactly target/thr(target) seconds, so the whole run is a
-// deterministic function of the curve — no wall clock anywhere.
-func driveWindows(b *tune.BatchController, cfg tune.Config, thr func(batch int) float64, windows int) {
-	for w := 0; w < windows; w++ {
-		for f := 0; f < cfg.Window; f++ {
-			n := b.Target()
-			d := time.Duration(float64(n) / thr(n) * float64(time.Second))
-			b.Observe(n, d)
-		}
-	}
-}
-
-// logPeak is a unimodal throughput curve peaking at opt: gaussian in
-// log-batch-size, the qualitative shape of the paper's Fig. 7.
-func logPeak(opt float64, sigma float64) func(int) float64 {
-	return func(batch int) float64 {
-		x := math.Log(float64(batch) / opt)
-		return 1e6 * math.Exp(-x*x/(2*sigma*sigma))
-	}
-}
-
-func TestBatchControllerConvergesToOptimum(t *testing.T) {
-	cfg := tune.Config{InitialBatch: 256, MinBatch: 16, MaxBatch: 1 << 16, Window: 2}
-	b := tune.NewBatchController(cfg)
-	cfg = cfg.WithDefaults()
-	const opt = 4096
-	curve := logPeak(opt, 1.0)
-	driveWindows(b, cfg, curve, 400)
-
-	if !b.Settled() {
-		t.Fatalf("controller did not settle after 400 windows (target=%d, step active)", b.Target())
-	}
-	got := b.Target()
-	if got < opt/2 || got > opt*2 {
-		t.Fatalf("settled target %d not near optimum %d", got, opt)
-	}
-	// Converged throughput must be close to the peak: the climb is only
-	// allowed to stop inside the hysteresis band around a local optimum.
-	if thr := curve(got); thr < 0.85e6 {
-		t.Fatalf("settled throughput %.0f is %.0f%% of peak — stopped on the slope", thr, thr/1e4)
-	}
-	if rev := b.Reversals(); rev > 12 {
-		t.Fatalf("hill climb reversed %d times; hysteresis should bound oscillation", rev)
-	}
-}
-
-// TestBatchControllerMonotoneSteps pins the climb shape: on a clean
-// unimodal curve every accepted (non-reversing) step improves measured
-// throughput, so the per-window throughput sequence up to the first
-// reversal is non-decreasing up to the hysteresis dead band (near the
-// peak the plateau wiggles inside the band by construction).
-func TestBatchControllerMonotoneSteps(t *testing.T) {
-	cfg := tune.Config{InitialBatch: 256, Window: 1, MaxBatch: 1 << 16}
-	b := tune.NewBatchController(cfg)
-	cfg = cfg.WithDefaults()
-	curve := logPeak(8192, 1.2)
-
-	var thrs []float64
-	lastRev := 0
-	for w := 0; w < 100 && b.Reversals() == 0; w++ {
-		driveWindows(b, cfg, curve, 1)
-		thrs = append(thrs, b.Throughput())
-		lastRev = w
-	}
-	if lastRev < 3 {
-		t.Fatalf("expected several monotone windows before the first reversal, got %d", lastRev)
-	}
-	for i := 1; i < len(thrs)-1; i++ { // last window is the one that triggered the reversal
-		if thrs[i] < thrs[i-1]*(1-cfg.Hysteresis) {
-			t.Fatalf("window %d throughput %.0f regressed >hysteresis from %.0f before any reversal", i, thrs[i], thrs[i-1])
-		}
-	}
-}
-
-// TestBatchControllerHysteresisPreventsOscillation settles the
-// controller on a flat curve, then feeds alternating ±3% throughput
-// noise (inside the hysteresis dead band scaled by Reexplore) and
-// checks the target never moves again.
-func TestBatchControllerHysteresisPreventsOscillation(t *testing.T) {
-	cfg := tune.Config{InitialBatch: 1024, Window: 1}
-	b := tune.NewBatchController(cfg)
-	cfg = cfg.WithDefaults()
-	flat := func(int) float64 { return 1e6 }
-	driveWindows(b, cfg, flat, 50)
-	if !b.Settled() {
-		t.Fatalf("controller did not settle on a flat curve")
-	}
-	target := b.Target()
-	adjustments := b.Adjustments()
-
-	for w := 0; w < 1000; w++ {
-		noise := 1.03
-		if w%2 == 1 {
-			noise = 0.97
-		}
-		driveWindows(b, cfg, func(int) float64 { return 1e6 * noise }, 1)
-		if got := b.Target(); got != target {
-			t.Fatalf("window %d: settled target moved %d -> %d under in-band noise", w, target, got)
-		}
-	}
-	if b.Adjustments() != adjustments {
-		t.Fatalf("controller adjusted the target %d times after settling", b.Adjustments()-adjustments)
-	}
-}
-
-// TestBatchControllerReexploresOnWorkloadShift: after settling, a
-// throughput shift beyond the widened re-explore band must restart the
-// climb and re-converge near the new optimum.
-func TestBatchControllerReexploresOnWorkloadShift(t *testing.T) {
-	cfg := tune.Config{InitialBatch: 512, Window: 1, MaxBatch: 1 << 17}
-	b := tune.NewBatchController(cfg)
-	cfg = cfg.WithDefaults()
-	driveWindows(b, cfg, logPeak(1024, 1.0), 200)
-	if !b.Settled() {
-		t.Fatalf("did not settle on the first workload")
-	}
-
-	// New workload: optimum far away, and throughput at the old target
-	// collapses (>> re-explore band), so the controller must wake up.
-	curve2 := func(batch int) float64 { return 0.3 * logPeak(32768, 1.0)(batch) }
-	driveWindows(b, cfg, curve2, 400)
-	if !b.Settled() {
-		t.Fatalf("did not re-settle on the second workload (target=%d)", b.Target())
-	}
-	got := b.Target()
-	if got < 32768/2 || got > 32768*2 {
-		t.Fatalf("after workload shift, settled at %d; want near 32768", got)
-	}
-}
 
 func TestSkewMonitorPatienceAndCooldown(t *testing.T) {
 	cfg := tune.Config{SkewThreshold: 1.5, SkewPatience: 3, SkewCooldown: 4, SkewAlpha: 1}
@@ -163,7 +30,7 @@ func TestSkewMonitorPatienceAndCooldown(t *testing.T) {
 
 	// Cooldown: after acknowledging, even sustained skew must stay quiet
 	// for SkewCooldown observations, then patience starts over.
-	m.NoteRebalance(true)
+	m.NoteRebalance()
 	for i := 0; i < 4+2; i++ { // 4 cooldown + 2 patience
 		if m.Observe(skewed) {
 			t.Fatalf("observation %d during cooldown/patience triggered", i)
@@ -174,7 +41,7 @@ func TestSkewMonitorPatienceAndCooldown(t *testing.T) {
 	}
 
 	// Balanced input resets patience.
-	m.NoteRebalance(false)
+	m.NoteRebalance()
 	m2 := tune.NewSkewMonitor(cfg)
 	for i := 0; i < 10; i++ {
 		if m2.Observe(balanced) {
@@ -259,15 +126,15 @@ func TestIndexPolicyDemoteAndReadmit(t *testing.T) {
 
 func TestConfigWithDefaults(t *testing.T) {
 	c := tune.Config{}.WithDefaults()
-	if c.MinBatch <= 0 || c.MaxBatch < c.MinBatch || c.InitialBatch < c.MinBatch || c.InitialBatch > c.MaxBatch {
-		t.Fatalf("default batch bounds inconsistent: %+v", c)
+	if c.SkewThreshold <= 1 || c.SkewPatience <= 0 || c.SkewCooldown <= 0 || c.SkewAlpha <= 0 || c.SkewAlpha > 1 {
+		t.Fatalf("default skew knobs inconsistent: %+v", c)
 	}
-	if c.Hysteresis <= 0 || c.Step <= c.MinStep || c.Now == nil {
-		t.Fatalf("default controller knobs inconsistent: %+v", c)
+	if c.DemoteAfter <= 0 || c.ColdRatio <= 0 || c.ReadmitProbes <= 0 || c.SweepEvery <= 0 {
+		t.Fatalf("default admission knobs inconsistent: %+v", c)
 	}
 	// Overrides survive.
-	c2 := tune.Config{MinBatch: 5, MaxBatch: 7, InitialBatch: 9}.WithDefaults()
-	if c2.MinBatch != 5 || c2.MaxBatch != 7 || c2.InitialBatch != 7 {
-		t.Fatalf("bound clamping wrong: %+v", c2)
+	c2 := tune.Config{SkewPatience: 5, SweepEvery: 7}.WithDefaults()
+	if c2.SkewPatience != 5 || c2.SweepEvery != 7 {
+		t.Fatalf("overrides lost: %+v", c2)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dist"
@@ -173,8 +172,15 @@ func TestProcessClusterWarmParity(t *testing.T) {
 // semantics: severing a worker mid-stream fails the whole transaction
 // atomically on the driver — the failed Apply's partial captures are
 // discarded, Result stays at the last committed state, and every later
-// operation reports the poisoned cluster.
+// operation reports the poisoned cluster. The AutoTune case runs with no
+// subscriber: a tuned engine folds each transaction as submitted, so the
+// kill must surface on the very Apply it breaks, not on a later call.
 func TestProcessClusterWorkerKill(t *testing.T) {
+	t.Run("subscribed", func(t *testing.T) { workerKill(t, true) })
+	t.Run("autotune", func(t *testing.T) { workerKill(t, false, AutoTune()) })
+}
+
+func workerKill(t *testing.T, subscribe bool, opts ...Option) {
 	q, err := tpch.QueryByName("Q1")
 	if err != nil {
 		t.Fatal(err)
@@ -185,15 +191,18 @@ func TestProcessClusterWorkerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs, srvs := startWorkers(t, 2)
-	remote, err := New(q.Name, q.Def, bases, Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks))
+	remote, err := New(q.Name, q.Def, bases,
+		append([]Option{Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
 
 	var feed []string
-	if _, err := remote.Subscribe(func(d Delta) { feed = append(feed, d.String()) }); err != nil {
-		t.Fatal(err)
+	if subscribe {
+		if _, err := remote.Subscribe(func(d Delta) { feed = append(feed, d.String()) }); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	gen := tpch.NewGenerator(0.03, 5)
@@ -585,73 +594,5 @@ func TestEngineClose(t *testing.T) {
 	}
 	if _, err := reg.Subscribe("q6", func(Delta) {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Registry.Subscribe after Close: %v, want ErrClosed", err)
-	}
-}
-
-// TestCloseFlushesPendingCoalesce pins that Close drains the tuner's
-// pending buffer: transactions coalesced but not yet folded must be
-// applied (and observable through Result) rather than dropped.
-func TestCloseFlushesPendingCoalesce(t *testing.T) {
-	q, err := tpch.QueryByName("Q6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(q.Name, q.Def, q.BaseSchemas(), AutoTune(TuneConfig{InitialBatch: 1 << 20}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := tpch.NewGenerator(0.03, 5)
-	stream := tpch.NewStream(gen, q.Tables)
-	want := mring.NewRelation(tpch.Schemas[tpch.Lineitem])
-	for _, b := range stream.NextBatches(300) {
-		want.Merge(b.Rel)
-		if err := eng.ApplyBatch(b.Table, &Batch{rel: b.Rel}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The batch target is far above what we applied, so everything is
-	// still pending in the coalesce buffer.
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Result().Len() == 0 {
-		t.Fatal("coalesced transactions dropped by Close")
-	}
-}
-
-// TestIdleFlushLoop pins the controller-loop fix: a coalesced partial
-// fold left idle must be flushed by the background loop without any
-// later engine call, and Close must stop the loop (the -race run fails
-// if it keeps touching a closed engine).
-func TestIdleFlushLoop(t *testing.T) {
-	q, err := tpch.QueryByName("Q6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(q.Name, q.Def, q.BaseSchemas(),
-		AutoTune(TuneConfig{InitialBatch: 1 << 20, IdleFlush: 10 * time.Millisecond}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	gen := tpch.NewGenerator(0.03, 5)
-	stream := tpch.NewStream(gen, q.Tables)
-	for _, b := range stream.NextBatches(100) {
-		if err := eng.ApplyBatch(b.Table, &Batch{rel: b.Rel}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		eng.beMu.Lock()
-		pending := eng.tn.pendingTuples
-		eng.beMu.Unlock()
-		if pending == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("idle-flush loop never drained the pending buffer (%d tuples left)", pending)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

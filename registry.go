@@ -85,9 +85,9 @@ func (r *Registry) ensure() error {
 	if err != nil {
 		return err
 	}
-	// Recovery runs before init starts the tuner loop (and under beMu,
-	// which the loop's ticks also take), so the backend is exclusively
-	// ours while the checkpoint restores and the WAL tail replays.
+	// Recovery runs under beMu before the registry is marked built, so
+	// the backend is exclusively ours while the checkpoint restores and
+	// the WAL tail replays.
 	r.prog, r.be = prog, be
 	if err := r.attachDurability(&r.cfg); err != nil {
 		be.Close()
@@ -98,12 +98,12 @@ func (r *Registry) ensure() error {
 	return nil
 }
 
-// Close shuts the registry down: pending coalesced batches are flushed,
-// on a durable registry the WAL flushes and a final checkpoint is
-// written (so reopening recovers with zero replay), the backend
-// (including remote worker connections) is released, and every later
-// Apply/Warm/Subscribe returns an error wrapping ErrClosed. Close is
-// idempotent; it returns the first flush or shutdown error.
+// Close shuts the registry down: on a durable registry the WAL flushes
+// and a final checkpoint is written (so reopening recovers with zero
+// replay), the backend (including remote worker connections) is
+// released, and every later Apply/Warm/Subscribe returns an error
+// wrapping ErrClosed. Close is idempotent; it returns the first
+// checkpoint or shutdown error.
 func (r *Registry) Close() error { return r.close() }
 
 // Checkpoint forces a durability checkpoint now (see

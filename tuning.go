@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compile"
 	"repro/internal/eval"
 	"repro/internal/mring"
 	"repro/internal/tune"
@@ -14,7 +13,7 @@ import (
 // statistics: the embedded evaluation counters (lookups, scans, emits,
 // index builds — merged deterministically across nodes on the
 // distributed backend), per-worker stage timings, per-index admission
-// state, and the self-tuning controller's state. Snapshots are taken
+// state, and the self-tuning controllers' state. Snapshots are taken
 // under the backend lock, so they are safe to read concurrently with
 // Apply.
 type Stats struct {
@@ -32,8 +31,8 @@ type Stats struct {
 	// and sorted by view name then column mask. Populated on both
 	// backends whether or not AutoTune is enabled.
 	Indexes []IndexStat
-	// Tuning is the adaptive controller's state; Enabled is false (and
-	// the rest zero) without the AutoTune option.
+	// Tuning is the self-tuning controllers' state; Enabled is false
+	// (and the rest zero) without the AutoTune option.
 	Tuning TuningStats
 	// Durability is the WAL/checkpoint subsystem's state; Enabled is
 	// false (and the rest zero) without the Durable option.
@@ -59,25 +58,13 @@ type IndexStat struct {
 	Demoted bool
 }
 
-// TuningStats is the self-tuning controller's state (see AutoTune).
+// TuningStats is the self-tuning controllers' state (see AutoTune).
 type TuningStats struct {
 	// Enabled reports whether the engine was built with AutoTune.
 	Enabled bool
-	// BatchTarget is the controller's current effective maintenance
-	// batch size (tuples per fold); Settled reports whether the hill
-	// climb has converged and frozen it.
-	BatchTarget int
-	Settled     bool
-	// Throughput is the last measured controller window's mean
-	// maintenance throughput in tuples/sec.
-	Throughput float64
 	// Imbalance is the EWMA-smoothed max/mean per-worker compute ratio
 	// (0 on the local backend or before the first distributed fold).
 	Imbalance float64
-	// Coalesced counts transactions deferred into the pending buffer,
-	// Flushes the target-sized folds that drained it, and Splits the
-	// oversized batches split across folds.
-	Coalesced, Flushes, Splits int64
 	// Repartitions counts skew-triggered placement changes that were
 	// actually deployed.
 	Repartitions int64
@@ -88,15 +75,6 @@ type TuningStats struct {
 // TuneConfig overrides the self-tuning defaults; the zero value (and
 // any zero field) means the calibrated default. See AutoTune.
 type TuneConfig struct {
-	// MinBatch/MaxBatch bound the effective maintenance batch size the
-	// controller may choose; InitialBatch is its starting point
-	// (defaults 64 / 65536 / 1024).
-	MinBatch, MaxBatch, InitialBatch int
-	// Window is the number of folds measured per controller step
-	// (default 4); Hysteresis the relative-throughput dead band that
-	// prevents oscillation (default 0.05).
-	Window     int
-	Hysteresis float64
 	// SkewThreshold is the max/mean per-worker compute imbalance above
 	// which repartitioning is considered (default 1.5); SkewPatience
 	// consecutive observations must exceed it (default 3), and
@@ -110,45 +88,29 @@ type TuneConfig struct {
 	// is the number of folds between admission sweeps (default 32).
 	DemoteAfter, ColdRatio, ReadmitProbes int64
 	SweepEvery                            int
-	// IdleFlush is how long a coalesced partial fold may sit in the
-	// pending buffer before the controller loop flushes it anyway
-	// (default 200ms). The loop only runs on the real clock; injecting
-	// Now disables it (tests drive flushes explicitly).
-	IdleFlush time.Duration
-	// Now is the clock used to time folds; tests inject a deterministic
-	// one. Nil means time.Now.
-	Now func() time.Time
 }
 
 func (tc TuneConfig) internal() tune.Config {
 	return tune.Config{
-		MinBatch: tc.MinBatch, MaxBatch: tc.MaxBatch, InitialBatch: tc.InitialBatch,
-		Window: tc.Window, Hysteresis: tc.Hysteresis,
 		SkewThreshold: tc.SkewThreshold, SkewPatience: tc.SkewPatience, SkewCooldown: tc.SkewCooldown,
 		DemoteAfter: tc.DemoteAfter, ColdRatio: tc.ColdRatio, ReadmitProbes: tc.ReadmitProbes,
-		SweepEvery: tc.SweepEvery, Now: tc.Now,
+		SweepEvery: tc.SweepEvery,
 	}.WithDefaults()
 }
 
-// AutoTune enables the self-tuning runtime: one adaptive controller
-// loop per engine/registry that (a) grows or shrinks the effective
-// maintenance batch size from measured tuples/sec with a hill-climbing
-// controller, coalescing and splitting incoming transactions at the
-// engine boundary; (b) on the distributed backend, feeds measured
-// per-worker skew back into the partitioning heuristic and recompiles
-// to a better placement between transactions; and (c) demotes cold
-// secondary indexes (probed ≪ maintained) to on-demand scans,
-// readmitting them when probe traffic returns.
+// AutoTune enables the self-tuning runtime, two controllers that act
+// after every transaction's fold: (a) on the distributed backend,
+// measured per-worker skew feeds back into the partitioning heuristic,
+// which recompiles to a better placement between transactions; and (b)
+// cold secondary indexes (probed ≪ maintained) demote to on-demand
+// scans and readmit when probe traffic returns.
 //
-// Tuning never changes result semantics, only cost: coalesced
-// transactions are flushed before anything observes engine state
-// (Result, Stats, Metrics, Warm, Subscribe, and any transaction
-// delivered to subscribers), and every actuation — batch re-chunking,
-// repartitioning, index demotion — happens strictly between backend
-// transactions. While changefeed subscribers are attached, transactions
-// are never coalesced at all, so each subscriber still observes exact
-// per-transaction deltas. A deferred transaction's backend error
-// surfaces on the call that triggers the flush (or the next Apply).
+// Tuning never changes result semantics, only cost. Every transaction
+// folds exactly as submitted — the caller's Tx is the maintenance batch
+// — so nothing is buffered and a backend error surfaces on the Apply
+// that caused it. Repartitioning and index demotion happen strictly
+// between backend transactions. A tuned engine runs no goroutine of
+// its own.
 func AutoTune(cfg ...TuneConfig) Option {
 	return func(c *engineConfig) {
 		c.autoTune = true
@@ -158,38 +120,18 @@ func AutoTune(cfg ...TuneConfig) Option {
 	}
 }
 
-// tuner is the per-serving adaptive controller loop: it owns the
-// pending (coalesced) transaction buffer and the three controllers.
-// All fields are guarded by serving.beMu.
+// tuner is the per-serving self-tuning state: the skew monitor and the
+// index-admission policy, both actuated after every fold. All fields are
+// guarded by serving.beMu.
 type tuner struct {
 	cfg  tune.Config
-	ctrl *tune.BatchController
 	skew *tune.SkewMonitor
 	pol  *tune.IndexPolicy
-
-	pendingOrder  []string // first-appended order of tables in pending
-	pending       map[string]*mring.Relation
-	pendingTuples int
 
 	lastWorker []time.Duration // previous WorkerTimings snapshot
 	sinceSweep int
 
-	coalesced, flushes, splits, repartitions int64
-
-	// err is a flush error raised on a path that cannot return it
-	// (Engine.Stats, Result, the idle-flush loop); surfaced on the next
-	// Apply (or Close).
-	err error
-
-	// Controller-loop state: the loop periodically flushes a pending
-	// partial fold that no later transaction topped up. It only exists
-	// on the real clock (realClock), and Close must stop it — leaking it
-	// on an abandoned engine pins the serving (and its backend) forever.
-	realClock bool
-	idleFlush time.Duration
-	lastApply time.Time
-	loopStop  chan struct{}
-	loopDone  chan struct{}
+	repartitions int64
 }
 
 func newTuner(cfg *engineConfig) *tuner {
@@ -197,188 +139,11 @@ func newTuner(cfg *engineConfig) *tuner {
 		return nil
 	}
 	tc := cfg.tuneCfg.internal()
-	idle := cfg.tuneCfg.IdleFlush
-	if idle <= 0 {
-		idle = 200 * time.Millisecond
-	}
 	return &tuner{
-		cfg:       tc,
-		ctrl:      tune.NewBatchController(tc),
-		skew:      tune.NewSkewMonitor(tc),
-		pol:       tune.NewIndexPolicy(tc),
-		pending:   make(map[string]*mring.Relation),
-		realClock: cfg.tuneCfg.Now == nil,
-		idleFlush: idle,
+		cfg:  tc,
+		skew: tune.NewSkewMonitor(tc),
+		pol:  tune.NewIndexPolicy(tc),
 	}
-}
-
-// startLoop spawns the idle-flush controller loop. Only the real clock
-// gets a goroutine: under an injected clock (tests) time is virtual and
-// the loop could never observe idleness deterministically.
-func (tn *tuner) startLoop(s *serving) {
-	if !tn.realClock {
-		return
-	}
-	tn.loopStop = make(chan struct{})
-	tn.loopDone = make(chan struct{})
-	go func() {
-		defer close(tn.loopDone)
-		tick := time.NewTicker(tn.idleFlush / 2)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tn.loopStop:
-				return
-			case <-tick.C:
-			}
-			s.beMu.Lock()
-			if !s.closed && tn.pendingTuples > 0 && time.Since(tn.lastApply) >= tn.idleFlush {
-				if err := tn.drainLocked(s, true); err != nil && tn.err == nil {
-					tn.err = err
-				}
-			}
-			s.beMu.Unlock()
-		}
-	}()
-}
-
-// stopLoop stops the idle-flush loop and waits for it to exit. Must be
-// called without serving.beMu held — the loop takes it per tick.
-func (tn *tuner) stopLoop() {
-	if tn.loopStop == nil {
-		return
-	}
-	close(tn.loopStop)
-	<-tn.loopDone
-	tn.loopStop = nil
-}
-
-// applyLocked processes one validated transaction under serving.beMu.
-// With subscribers attached (capture non-empty) it drains the pending
-// buffer and applies the transaction directly — subscribers get exact
-// per-transaction deltas, so coalescing is off. Without subscribers the
-// transaction is absorbed into the pending buffer, which drains in
-// target-sized folds whenever at least one full fold has accumulated.
-func (tn *tuner) applyLocked(s *serving, batches []compile.TableBatch, capture []string) (map[string]*mring.Relation, error) {
-	if tn.realClock {
-		tn.lastApply = time.Now()
-	}
-	if len(capture) > 0 {
-		if err := tn.drainLocked(s, true); err != nil {
-			return nil, err
-		}
-		n := 0
-		for _, tb := range batches {
-			n += tb.Batch.Len()
-		}
-		start := tn.cfg.Now()
-		deltas, err := s.be.ApplyTx(batches, capture)
-		if err != nil {
-			return nil, err
-		}
-		tn.ctrl.Observe(n, tn.cfg.Now().Sub(start))
-		return deltas, tn.afterFoldLocked(s)
-	}
-	for _, tb := range batches {
-		if rel := tn.pending[tb.Table]; rel != nil {
-			rel.Merge(tb.Batch)
-		} else {
-			// The transaction owns its batches (see Tx.Put), so absorbing
-			// the relation itself is safe.
-			tn.pending[tb.Table] = tb.Batch
-			tn.pendingOrder = append(tn.pendingOrder, tb.Table)
-		}
-	}
-	tn.recountPending()
-	tn.coalesced++
-	return nil, tn.drainLocked(s, false)
-}
-
-// recountPending recomputes the pending tuple count (merging can cancel
-// tuples, so incremental counting would drift).
-func (tn *tuner) recountPending() {
-	n := 0
-	for _, rel := range tn.pending {
-		n += rel.Len()
-	}
-	tn.pendingTuples = n
-}
-
-// drainLocked applies the pending buffer in target-sized folds: every
-// complete fold is applied and timed, and the controller observes its
-// throughput. With all=false a final partial fold stays pending (to be
-// topped up by the next transaction); with all=true everything flushes.
-func (tn *tuner) drainLocked(s *serving, all bool) error {
-	for tn.pendingTuples > 0 {
-		target := tn.ctrl.Target()
-		if !all && tn.pendingTuples < target {
-			return nil
-		}
-		chunk, n := tn.takeChunk(target)
-		if n == 0 {
-			return nil
-		}
-		start := tn.cfg.Now()
-		if _, err := s.be.ApplyTx(chunk, nil); err != nil {
-			return err
-		}
-		tn.ctrl.Observe(n, tn.cfg.Now().Sub(start))
-		tn.flushes++
-		if err := tn.afterFoldLocked(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// takeChunk removes up to target tuples from the pending buffer, in
-// table order, splitting the last table's batch when it would overshoot.
-func (tn *tuner) takeChunk(target int) ([]compile.TableBatch, int) {
-	var out []compile.TableBatch
-	n := 0
-	for len(tn.pendingOrder) > 0 && n < target {
-		table := tn.pendingOrder[0]
-		rel := tn.pending[table]
-		if rel.Len() == 0 {
-			delete(tn.pending, table)
-			tn.pendingOrder = tn.pendingOrder[1:]
-			continue
-		}
-		if n+rel.Len() <= target {
-			out = append(out, compile.TableBatch{Table: table, Batch: rel})
-			n += rel.Len()
-			delete(tn.pending, table)
-			tn.pendingOrder = tn.pendingOrder[1:]
-			continue
-		}
-		take := target - n
-		part, rest := splitRelation(rel, take)
-		tn.pending[table] = rest
-		tn.splits++
-		out = append(out, compile.TableBatch{Table: table, Batch: part})
-		n += take
-		break
-	}
-	tn.pendingTuples -= n
-	return out, n
-}
-
-// splitRelation moves the first take tuples (in iteration order) of rel
-// into part, the rest into rest. Which tuples land in which fold does
-// not affect maintained results — folding is additive — only cost.
-func splitRelation(rel *mring.Relation, take int) (part, rest *mring.Relation) {
-	part = mring.NewRelation(rel.Schema())
-	rest = mring.NewRelation(rel.Schema())
-	i := 0
-	rel.Foreach(func(t mring.Tuple, m float64) {
-		if i < take {
-			part.Add(t, m)
-		} else {
-			rest.Add(t, m)
-		}
-		i++
-	})
-	return part, rest
 }
 
 // afterFoldLocked runs the between-transaction actuation: skew feedback
@@ -399,7 +164,7 @@ func (tn *tuner) afterFoldLocked(s *serving) error {
 		tn.lastWorker = cur
 		if tn.skew.Observe(delta) {
 			changed, err := s.be.Rebalance()
-			tn.skew.NoteRebalance(changed)
+			tn.skew.NoteRebalance()
 			if err != nil {
 				return err
 			}
@@ -418,23 +183,10 @@ func (tn *tuner) afterFoldLocked(s *serving) error {
 	return nil
 }
 
-// takeErr returns and clears a deferred flush error.
-func (tn *tuner) takeErr() error {
-	err := tn.err
-	tn.err = nil
-	return err
-}
-
 func (tn *tuner) snapshot() TuningStats {
 	return TuningStats{
 		Enabled:      true,
-		BatchTarget:  tn.ctrl.Target(),
-		Settled:      tn.ctrl.Settled(),
-		Throughput:   tn.ctrl.Throughput(),
 		Imbalance:    tn.skew.Imbalance(),
-		Coalesced:    tn.coalesced,
-		Flushes:      tn.flushes,
-		Splits:       tn.splits,
 		Repartitions: tn.repartitions,
 		Demotions:    tn.pol.Demotions,
 		Readmissions: tn.pol.Readmissions,

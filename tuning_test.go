@@ -3,11 +3,11 @@ package ivm
 // Self-tuning runtime gates: AutoTune must never change maintained
 // results, only cost. The goldens here stream dyadic-quantized TPC-H
 // updates (values chosen so every aggregate is exact in float64, making
-// sums independent of how the tuner re-chunks transactions) and require
+// sums independent of fold order across repartitions) and require
 // bitwise-identical results with tuning on and off, on both backends.
-// The remaining tests pin the three feedback loops end to end — skew
+// The remaining tests pin the feedback loops end to end — skew
 // repartitioning, index admission, concurrent Stats snapshots — and a
-// soak run (TUNE_SOAK) checks the controller does not oscillate.
+// soak run (TUNE_SOAK) checks repartitioning settles.
 
 import (
 	"math"
@@ -20,17 +20,6 @@ import (
 	"repro/internal/mring"
 	"repro/internal/tpch"
 )
-
-// virtualClock is a deterministic TuneConfig.Now: every call advances
-// virtual time by one millisecond, so controller measurements (and
-// therefore every tuning decision) are identical across runs.
-func virtualClock() func() time.Time {
-	var tick int64
-	return func() time.Time {
-		tick++
-		return time.Unix(0, tick*int64(time.Millisecond))
-	}
-}
 
 // Lineitem column positions resolved by name, so the quantizer does not
 // silently corrupt a different column if the schema evolves.
@@ -51,7 +40,7 @@ var liPriceCol, liDiscCol = func() (int, int) {
 // grids: extendedprice to whole units, discount (k/100 from the
 // generator) to k/128. Every product the Q1/Q3/Q6 aggregates form is
 // then exactly representable in float64 and sums are associative, so
-// results must be bitwise identical no matter how folds are chunked.
+// results must be bitwise identical no matter where they are folded.
 // (k=7,8 still land inside Q6's [0.05, 0.07] discount band.)
 func quantizeDyadic(table string, r *mring.Relation) *mring.Relation {
 	if table != tpch.Lineitem {
@@ -67,21 +56,15 @@ func quantizeDyadic(table string, r *mring.Relation) *mring.Relation {
 	return out
 }
 
-// aggressiveTune makes the controller act often on short test streams:
-// small initial target, short windows, frequent sweeps, virtual clock.
+// aggressiveTune makes the controllers act often on short test streams.
 func aggressiveTune() TuneConfig {
-	return TuneConfig{
-		MinBatch: 32, MaxBatch: 4096, InitialBatch: 96,
-		Window: 2, SweepEvery: 4,
-		Now: virtualClock(),
-	}
+	return TuneConfig{SweepEvery: 4}
 }
 
 // TestGoldenTuningEquivalence is the tuning-equivalence golden: for Q1,
 // Q3, and Q6, an AutoTune engine and an untuned engine fed the identical
 // quantized stream must end bitwise identical — on the local backend and
-// at 1, 8, and 16 workers. The batch size (137) is deliberately coprime
-// to the tuner's targets so coalescing and splitting both trigger.
+// at 1, 8, and 16 workers.
 func TestGoldenTuningEquivalence(t *testing.T) {
 	for _, name := range []string{"Q1", "Q3", "Q6"} {
 		t.Run(name, func(t *testing.T) {
@@ -145,12 +128,8 @@ func TestGoldenTuningEquivalence(t *testing.T) {
 							p.name, tp, g, m)
 					}
 				})
-				ts := p.tuned.Stats().Tuning
-				if !ts.Enabled {
+				if !p.tuned.Stats().Tuning.Enabled {
 					t.Fatalf("%s: AutoTune engine reports Enabled=false", p.name)
-				}
-				if ts.Coalesced == 0 || ts.Flushes == 0 || ts.Splits == 0 {
-					t.Fatalf("%s: tuner never exercised re-chunking: %+v", p.name, ts)
 				}
 			}
 		})
@@ -158,7 +137,7 @@ func TestGoldenTuningEquivalence(t *testing.T) {
 }
 
 // TestTuningEquivalenceApprox repeats the on/off comparison on the raw
-// (unquantized) generator stream: there re-chunking may legitimately
+// (unquantized) generator stream: there a repartition may legitimately
 // reassociate float sums, so the gate is 1e-6 relative, plus the
 // rebuild oracle.
 func TestTuningEquivalenceApprox(t *testing.T) {
@@ -243,8 +222,7 @@ func TestStatsApplyRace(t *testing.T) {
 							return
 						default:
 						}
-						s := e.Stats()
-						_ = s.Tuning.BatchTarget
+						_ = e.Stats().Tuning.Imbalance
 						_ = e.Result().Len()
 						_ = e.Metrics()
 					}
@@ -333,7 +311,7 @@ func TestRegistryStatsApplyRace(t *testing.T) {
 // skewedRow draws from the skewed workload both the repartition test and
 // the soak use: 90% of rows hit one hot partitioning key h=0 (spread
 // over many u), the rest spread over cold h values with few u. id keeps
-// every row distinct so coalescing cannot collapse the stream.
+// every row distinct.
 func skewedRow(rng *rand.Rand, id int) Tuple {
 	var u, h int
 	if rng.Intn(10) < 9 {
@@ -357,11 +335,7 @@ func TestSkewRebalanceRepartitions(t *testing.T) {
 	// h outranks u, so the unweighted heuristic partitions on the hot
 	// column; the measured-skew weights must overturn that.
 	ranks := map[string]int{"h": 5, "u": 4}
-	cfg := TuneConfig{
-		MinBatch: 64, MaxBatch: 512, InitialBatch: 256,
-		Window: 2, SkewPatience: 2, SkewCooldown: 4,
-		Now: virtualClock(),
-	}
+	cfg := TuneConfig{SkewPatience: 2, SkewCooldown: 4}
 	tuned, err := New("Q", q, bases, Distributed(8), KeyRanks(ranks), AutoTune(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -420,11 +394,7 @@ func TestSkewRebalanceRepartitions(t *testing.T) {
 func TestIndexAdmissionLifecycle(t *testing.T) {
 	bases := map[string]Schema{"R": {"a", "b"}, "S": {"b", "c"}}
 	q := Sum([]string{"a"}, Join(Table("S", "b", "c"), Table("R", "a", "b")))
-	cfg := TuneConfig{
-		MinBatch: 64, MaxBatch: 64, InitialBatch: 64, // pin fold size
-		Window: 2, DemoteAfter: 64, ColdRatio: 2, ReadmitProbes: 4, SweepEvery: 2,
-		Now: virtualClock(),
-	}
+	cfg := TuneConfig{DemoteAfter: 64, ColdRatio: 2, ReadmitProbes: 4, SweepEvery: 2}
 	e, err := New("Q", q, bases, AutoTune(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -499,11 +469,9 @@ func TestIndexAdmissionLifecycle(t *testing.T) {
 	}
 }
 
-// TestTuningSoak runs the full loop — skewed stream, real clock, all
-// three controllers live — for TUNE_SOAK (default 2s; CI runs 30s under
-// -race) and asserts the tuner reaches a stable operating point: in the
-// second half of the run the batch target must not oscillate beyond the
-// hysteresis regime and repartitioning must stay bounded.
+// TestTuningSoak runs the full loop — skewed stream, both controllers
+// live — for TUNE_SOAK (default 2s; CI runs 30s under -race) and
+// asserts repartitioning settles instead of thrashing.
 func TestTuningSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped with -short")
@@ -518,22 +486,16 @@ func TestTuningSoak(t *testing.T) {
 	}
 	bases := map[string]Schema{"R": {"id", "u", "h", "v"}}
 	q := Sum([]string{"u", "h"}, Join(Table("R", "id", "u", "h", "v"), Val(Col("v"))))
-	// Long windows and a wide dead band: wall-clock throughput on a
-	// shared CI host jitters well past the 5% default, and the soak is
-	// asserting the hysteresis mechanism absorbs exactly that noise.
 	e, err := New("Q", q, bases, Distributed(8),
 		KeyRanks(map[string]int{"h": 5, "u": 4}),
-		AutoTune(TuneConfig{Window: 8, Hysteresis: 0.12, SkewPatience: 2, SkewCooldown: 8}))
+		AutoTune(TuneConfig{SkewPatience: 2, SkewCooldown: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(9))
-	start := time.Now()
-	deadline := start.Add(d)
-	half := start.Add(d / 2)
+	deadline := time.Now().Add(d)
 	id := 0
-	minTarget, maxTarget := 0, 0
 	for time.Now().Before(deadline) {
 		b := NewBatch(bases["R"])
 		for i := 0; i < 512; i++ {
@@ -545,31 +507,9 @@ func TestTuningSoak(t *testing.T) {
 		if err := e.ApplyBatch("R", b); err != nil {
 			t.Fatal(err)
 		}
-		if time.Now().After(half) {
-			ts := e.Stats().Tuning
-			if minTarget == 0 || ts.BatchTarget < minTarget {
-				minTarget = ts.BatchTarget
-			}
-			if ts.BatchTarget > maxTarget {
-				maxTarget = ts.BatchTarget
-			}
-		}
 	}
-	st := e.Stats()
-	if minTarget == 0 {
-		t.Fatalf("soak too short to sample a settled target (applied %d rows in %v)", id, d)
-	}
-	// A settled controller only moves the target again on a sustained
-	// >Hysteresis×Reexplore throughput shift; on a steady workload the
-	// second-half span must stay well inside one re-exploration leg.
-	if float64(maxTarget) > 4*float64(minTarget) {
-		t.Fatalf("batch target oscillated in steady state: [%d, %d] over the second half (stats %+v)",
-			minTarget, maxTarget, st.Tuning)
-	}
-	if st.Tuning.Repartitions > 5 {
-		t.Fatalf("repartitioning did not settle: %d placements in %v", st.Tuning.Repartitions, d)
-	}
-	if st.Tuning.Flushes == 0 {
-		t.Fatal("soak never folded a coalesced batch")
+	if st := e.Stats(); st.Tuning.Repartitions > 5 {
+		t.Fatalf("repartitioning did not settle: %d placements in %v (%d rows applied)",
+			st.Tuning.Repartitions, d, id)
 	}
 }
