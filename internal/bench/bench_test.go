@@ -66,6 +66,18 @@ func TestFig8Smoke(t *testing.T) {
 	}
 }
 
+// TestTable1Smoke runs the full engine grid on the two scan queries
+// only: re-evaluating Q3 and Q17 over the warmed database takes a minute.
+func TestTable1Smoke(t *testing.T) {
+	tab, err := Table1(LocalConfig{SF: 0.05, Seed: 1, Queries: []string{"Q1", "Q6"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 2*3 { // Q1, Q6 x three engines
+		t.Fatalf("rows = %d, want 6", len(tab.Rows))
+	}
+}
+
 func TestFig12Smoke(t *testing.T) {
 	tab, err := Fig12(tinyLocal())
 	if err != nil {
@@ -128,6 +140,20 @@ func TestFig9Smoke(t *testing.T) {
 	}
 }
 
+func TestFig10Smoke(t *testing.T) {
+	cfg := tinyDist()
+	tab, err := Fig10(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != len(WeakQueries)*len(cfg.StrongWorkers) {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	if len(tab.Columns) != 3+len(cfg.StrongBatches) { // query, workers, batches, reeval
+		t.Fatalf("columns = %d", len(tab.Columns))
+	}
+}
+
 func TestFig13Smoke(t *testing.T) {
 	tab, err := Fig13(tinyDist())
 	if err != nil {
@@ -151,8 +177,7 @@ func TestAblationsSmoke(t *testing.T) {
 // path end to end: TPC-H Q1 (pricing summary, the Q1-style group-by) fed
 // pre-generated lineitem batches through the compiled executor, so every
 // iteration exercises the batch pre-aggregation and view-update group
-// tables. Recorded as AggGroupUpdate in BENCH_<pr>.json alongside the
-// microbenchmark in cmd/benchjson.
+// tables.
 func BenchmarkAggGroupUpdate(b *testing.B) {
 	q, err := tpch.QueryByName("Q1")
 	if err != nil {

@@ -851,10 +851,7 @@ func fragmentBatch(r *mring.Relation) *pool.ColBatch {
 	if r.Len() == 0 {
 		return nil
 	}
-	if ov := pool.MirrorOf(r); ov != nil {
-		return ov.Base()
-	}
-	return nil
+	return pool.MirrorOf(r)
 }
 
 // walkRefs visits every relational reference in an expression (descending

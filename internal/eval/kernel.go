@@ -21,8 +21,7 @@ import (
 // relation has mixed-kind columns (no columnar mirror) or is too small to
 // be worth vectorizing.
 //
-// On a mirror whose delta is empty (the steady state), the kernel result
-// is bit-for-bit the row path's: rows fold in the same scan order, value
+// The kernel result is bit-for-bit the row path's: rows fold in the same scan order, value
 // factors multiply in the same factor order (comparisons contribute the
 // exact factor 1), zero-valued factors drop rows exactly where the row
 // path refuses to emit them, and group hashes come from the same
@@ -299,28 +298,21 @@ func (c *Ctx) tryKernelAgg(a *expr.Agg, b *Binding, gt *mring.GroupTable) bool {
 	if rel == nil || rel.Len() < kernelMinRows || len(rel.Schema()) != len(plan.cols) {
 		return false
 	}
-	ov := pool.MirrorOf(rel)
-	if ov == nil {
+	batch := pool.MirrorOf(rel)
+	if batch == nil {
 		return false
 	}
-	base, delta, ok := ov.Segments()
-	if !ok {
-		return false
-	}
-	c.foldSegment(plan, base, gt)
-	if delta != nil {
-		c.foldSegment(plan, delta, gt)
-	}
+	c.foldBatch(plan, batch, gt)
 	c.KernelFolds++
 	return true
 }
 
-// foldSegment runs the kernel pipeline over one columnar segment:
+// foldBatch runs the kernel pipeline over a relation's columnar mirror:
 // predicates refine the selection vector in factor order, value factors
 // multiply into the row weights (dropping rows whose factor value is
 // exactly zero, as the row path does), then the surviving rows hash and
 // fold into the group table in row order.
-func (c *Ctx) foldSegment(plan *kernelPlan, batch *pool.ColBatch, gt *mring.GroupTable) {
+func (c *Ctx) foldBatch(plan *kernelPlan, batch *pool.ColBatch, gt *mring.GroupTable) {
 	n := batch.Len()
 	c.Stats.Scans += int64(n)
 	c.Stats.Emits += int64(n)

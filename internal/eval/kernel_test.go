@@ -283,3 +283,46 @@ func TestKernelEligible(t *testing.T) {
 		t.Fatalf("foreign group-by reported eligible")
 	}
 }
+
+// BenchmarkColFold folds a Q6-shaped pre-aggregation (date-grouped
+// revenue under the Q6 predicates) through the row-wise interpreter
+// (row) and the vectorized kernel dispatch (kernel). The kernel side
+// reuses the relation's version-cached columnar mirror across folds, the
+// steady state of a maintenance stream.
+func BenchmarkColFold(b *testing.B) {
+	schema := mring.Schema{"sdate", "qty", "disc", "price"}
+	rel := mring.NewRelation(schema)
+	for i := 0; i < 32768; i++ {
+		rel.Add(mring.Tuple{
+			mring.Int(19930101 + int64(i%2500)),
+			mring.Float(float64(i%50) + 0.5),
+			mring.Float(float64(i%11) * 0.01),
+			mring.Float(float64(i%977) * 1.25),
+		}, 1)
+	}
+	env := NewEnv()
+	env.Bind("R", rel)
+	stmt := expr.Sum([]string{"sdate"}, expr.Join(
+		expr.Base("R", schema...),
+		expr.CmpE(expr.CGe, expr.V("sdate"), expr.LitI(19940101)),
+		expr.CmpE(expr.CLt, expr.V("sdate"), expr.LitI(19950101)),
+		expr.CmpE(expr.CLt, expr.V("qty"), expr.LitI(24)),
+		expr.ValE(expr.MulV(expr.V("price"), expr.V("disc"))),
+	))
+	for _, kernel := range []bool{false, true} {
+		name := "row"
+		if kernel {
+			name = "kernel"
+		}
+		b.Run(name, func(b *testing.B) {
+			ctx := NewCtx(env)
+			ctx.DisableKernels = !kernel
+			for b.Loop() {
+				ctx.FoldStmt(mring.NewRelation(mring.Schema{"sdate"}), OpAdd, stmt)
+			}
+			if kernel && ctx.KernelFolds == 0 {
+				b.Fatal("ColFold never dispatched to the kernel path")
+			}
+		})
+	}
+}

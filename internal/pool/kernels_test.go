@@ -306,3 +306,65 @@ func TestNewSelIdentity(t *testing.T) {
 		t.Fatalf("NewSel(0) not empty")
 	}
 }
+
+// q6Relation builds the Q6-shaped scan input of the columnar ablation
+// benchmarks: ship date (int, small domain), quantity, discount, price.
+func q6Relation(n int) *mring.Relation {
+	r := mring.NewRelation(mring.Schema{"sdate", "qty", "disc", "price"})
+	for i := 0; i < n; i++ {
+		r.Add(mring.Tuple{
+			mring.Int(19930101 + int64(i%2500)),
+			mring.Float(float64(i%50) + 0.5),
+			mring.Float(float64(i%11) * 0.01),
+			mring.Float(float64(i%977) * 1.25),
+		}, 1)
+	}
+	return r
+}
+
+// sinkLen keeps the benchmarked filters from being optimized away.
+var sinkLen int
+
+// BenchmarkColFilter runs the Q6 predicate chain over the same rows
+// tuple-at-a-time with Value compares (row) and as selection-vector
+// kernels over the relation's columnar mirror (kernel).
+func BenchmarkColFilter(b *testing.B) {
+	rel := q6Relation(32768)
+	batch := MirrorOf(rel)
+	preds := []Pred{
+		{Col: 0, Op: PGe, Lit: mring.Int(19940101)},
+		{Col: 0, Op: PLt, Lit: mring.Int(19950101)},
+		{Col: 1, Op: PLt, Lit: mring.Float(24)},
+	}
+	b.Run("row", func(b *testing.B) {
+		tuples := make([]mring.Tuple, 0, rel.Len())
+		rel.Foreach(func(t mring.Tuple, _ float64) { tuples = append(tuples, t.Clone()) })
+		for b.Loop() {
+			survivors := 0
+			for _, t := range tuples {
+				keep := true
+				for _, p := range preds {
+					if !expr.EvalCmp(predCmpOps[p.Op], t[p.Col], p.Lit) {
+						keep = false
+						break
+					}
+				}
+				if keep {
+					survivors++
+				}
+			}
+			sinkLen = survivors
+		}
+	})
+	b.Run("kernel", func(b *testing.B) {
+		identity := NewSel(batch.Len())
+		scratch := make(Sel, batch.Len())
+		for b.Loop() {
+			sel := scratch[:copy(scratch, identity)]
+			for _, p := range preds {
+				sel = batch.FilterPred(p, sel)
+			}
+			sinkLen = len(sel)
+		}
+	})
+}

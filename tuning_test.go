@@ -327,8 +327,12 @@ func skewedRow(rng *rand.Rand, id int) Tuple {
 // TestSkewRebalanceRepartitions pins the skew feedback loop end to end:
 // a stream 90%-hot on the initially chosen partitioning column must
 // trigger at least one measured-skew repartition (and, with cooldown,
-// not thrash), and the repartitioned engine must still match an untuned
-// local engine bitwise (all values integral, so sums are exact).
+// not thrash), the repartitioned engine must still match an untuned
+// local engine bitwise (all values integral, so sums are exact), and the
+// repartition must pay off: a static engine on the same placement
+// heuristic must spend at least 1.2x the tuned engine's virtual
+// critical-path compute (Metrics.ComputeMax, a deterministic op count on
+// the simulator's cost clock, so the ratio repeats exactly on any host).
 func TestSkewRebalanceRepartitions(t *testing.T) {
 	bases := map[string]Schema{"R": {"id", "u", "h", "v"}}
 	q := Sum([]string{"u", "h"}, Join(Table("R", "id", "u", "h", "v"), Val(Col("v"))))
@@ -340,6 +344,10 @@ func TestSkewRebalanceRepartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	static, err := New("Q", q, bases, Distributed(8), KeyRanks(ranks))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ref, err := New("Q", q, bases)
 	if err != nil {
 		t.Fatal(err)
@@ -348,18 +356,20 @@ func TestSkewRebalanceRepartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	id := 0
 	for round := 0; round < 40; round++ {
-		bt, br := NewBatch(bases["R"]), NewBatch(bases["R"])
+		bt, bs, br := NewBatch(bases["R"]), NewBatch(bases["R"]), NewBatch(bases["R"])
 		for i := 0; i < 400; i++ {
 			row := skewedRow(rng, id)
 			id++
-			if err := bt.Insert(row); err != nil {
-				t.Fatal(err)
-			}
-			if err := br.Insert(row.Clone()); err != nil {
-				t.Fatal(err)
+			for _, b := range []*Batch{bt, bs, br} {
+				if err := b.Insert(row.Clone()); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if err := tuned.ApplyBatch("R", bt); err != nil {
+			t.Fatal(err)
+		}
+		if err := static.ApplyBatch("R", bs); err != nil {
 			t.Fatal(err)
 		}
 		if err := ref.ApplyBatch("R", br); err != nil {
@@ -381,6 +391,13 @@ func TestSkewRebalanceRepartitions(t *testing.T) {
 	got, want := tuned.Result().rel, ref.Result().rel
 	if !got.Equal(want) {
 		t.Fatalf("repartitioned engine diverged from untuned local engine\n got %v\nwant %v", got, want)
+	}
+	staticMax, tunedMax := static.Metrics().ComputeMax, tuned.Metrics().ComputeMax
+	ratio := float64(staticMax) / float64(tunedMax)
+	t.Logf("ComputeMax static %v, tuned %v: %.2fx", staticMax, tunedMax, ratio)
+	if ratio < 1.2 {
+		t.Fatalf("repartitioning cut critical-path compute only %.2fx (static %v, tuned %v), want >= 1.2x",
+			ratio, staticMax, tunedMax)
 	}
 }
 
