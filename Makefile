@@ -79,5 +79,5 @@ SOAK_TIME ?= 2s
 soak:
 	TUNE_SOAK=$(SOAK_TIME) $(GO) test -race -run '^TestTuningSoak$$' -v .
 
-ci: lint build test check-api
+ci: lint build test soak proc-smoke crash-smoke check-api
 	@$(MAKE) bench || echo "warning: benchmark smoke pass failed"

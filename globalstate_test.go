@@ -1,0 +1,148 @@
+package ivm
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// readOnlyGlobals lists the package-level variables the state guard
+// allows, by package name and variable name. Each is written only by its
+// initializer and read afterwards; nothing may be added that a running
+// engine mutates.
+var readOnlyGlobals = map[string]bool{
+	// TPC-H and TPC-DS schema, kind and cardinality tables.
+	"tpch.Schemas":         true,
+	"tpch.Kinds":           true,
+	"tpch.PrimaryKeyRanks": true,
+	"tpch.cardPerScale":    true,
+	"tpcds.Schemas":        true,
+	"tpcds.cardPerScale":   true,
+	// Error sentinels: errors.New returns a pointer, compared by identity.
+	"ivm.ErrClosed":         true,
+	"net.ErrFrameTooLarge":  true,
+	"net.ErrFrameTruncated": true,
+}
+
+// TestNoMutablePackageState is the guard against process-global state
+// with no owner: it parses every non-test Go file outside benchmark/ and
+// fails on any package-level var holding a map, a sync value, a pointer
+// or a channel (a call result counts, since its type may be any of them)
+// unless readOnlyGlobals lists it. State belongs to an engine, a program
+// or a request, so it dies with its owner.
+func TestNoMutablePackageState(t *testing.T) {
+	fset := token.NewFileSet()
+	var bad []string
+	seen := map[string]bool{}
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmark" || path == "testdata" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					var val ast.Expr
+					if i < len(vs.Values) {
+						val = vs.Values[i]
+					}
+					what := mutableType(vs.Type)
+					if what == "" {
+						what = mutableValue(val)
+					}
+					if what == "" {
+						continue
+					}
+					id := f.Name.Name + "." + name.Name
+					if readOnlyGlobals[id] {
+						seen[id] = true
+						continue
+					}
+					bad = append(bad, fmt.Sprintf("%s: %s holds %s", fset.Position(name.Pos()), id, what))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("parsed only %d files; the walk is not covering the module", files)
+	}
+	for id := range readOnlyGlobals {
+		if !seen[id] {
+			bad = append(bad, fmt.Sprintf("allowlisted %s no longer exists; drop it from readOnlyGlobals", id))
+		}
+	}
+	sort.Strings(bad)
+	if len(bad) > 0 {
+		t.Fatalf("package-level mutable state:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
+// mutableType names what a declared or composite-literal type holds, or
+// "" for anything else.
+func mutableType(typ ast.Expr) string {
+	switch x := typ.(type) {
+	case *ast.MapType:
+		return "a map"
+	case *ast.ChanType:
+		return "a channel"
+	case *ast.StarExpr:
+		return "a pointer"
+	case *ast.SelectorExpr:
+		if pkg, ok := x.X.(*ast.Ident); ok && pkg.Name == "sync" {
+			return "a sync." + x.Sel.Name
+		}
+	}
+	return ""
+}
+
+// mutableValue names what an initializer holds, or "" for anything else.
+func mutableValue(val ast.Expr) string {
+	switch x := val.(type) {
+	case *ast.CompositeLit:
+		return mutableType(x.Type)
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			return "a pointer"
+		}
+	case *ast.CallExpr:
+		if fn, ok := x.Fun.(*ast.Ident); ok {
+			switch fn.Name {
+			case "make":
+				return mutableType(x.Args[0])
+			case "new":
+				return "a pointer"
+			}
+		}
+		return "a call result"
+	}
+	return ""
+}

@@ -33,17 +33,18 @@ type Engine interface {
 
 // ReEval recomputes the query from scratch on every batch.
 type ReEval struct {
-	query expr.Expr
-	env   *eval.Env
-	bases map[string]*mring.Relation
-	res   *mring.Relation
+	query   expr.Expr
+	kernels eval.Kernels
+	env     *eval.Env
+	bases   map[string]*mring.Relation
+	res     *mring.Relation
 	// Stats accumulates evaluation statistics.
 	Stats eval.Stats
 }
 
 // NewReEval creates a re-evaluation engine over empty base tables.
 func NewReEval(query expr.Expr, bases map[string]mring.Schema) *ReEval {
-	e := &ReEval{query: query, env: eval.NewEnv(), bases: map[string]*mring.Relation{}}
+	e := &ReEval{query: query, kernels: eval.LowerKernels(query), env: eval.NewEnv(), bases: map[string]*mring.Relation{}}
 	for n, s := range bases {
 		e.bases[n] = e.env.Define(n, s)
 	}
@@ -72,6 +73,7 @@ func (e *ReEval) ApplyBatch(rel string, batch *mring.Relation) {
 
 func (e *ReEval) refresh() {
 	ctx := eval.NewCtx(e.env)
+	ctx.Kernels = e.kernels
 	e.res = ctx.Materialize(e.query)
 	e.Stats.Add(ctx.Stats)
 }
@@ -83,11 +85,12 @@ func (e *ReEval) Result() *mring.Relation { return e.res }
 // tables: ΔQ references (n−1) base tables for an n-way join (Sec. 2.1),
 // with no recursive materialization of the update-independent parts.
 type ClassicalIVM struct {
-	query  expr.Expr
-	env    *eval.Env
-	bases  map[string]*mring.Relation
-	deltas map[string]expr.Expr
-	res    *mring.Relation
+	query   expr.Expr
+	env     *eval.Env
+	bases   map[string]*mring.Relation
+	deltas  map[string]expr.Expr
+	kernels eval.Kernels
+	res     *mring.Relation
 	// Stats accumulates evaluation statistics.
 	Stats eval.Stats
 }
@@ -105,9 +108,12 @@ func NewClassicalIVM(query expr.Expr, bases map[string]mring.Schema) *ClassicalI
 	for n, s := range bases {
 		e.bases[n] = e.env.Define(n, s)
 	}
+	es := []expr.Expr{query}
 	for n := range bases {
 		e.deltas[n] = delta.Derive(query, n, delta.Options{DomainExtraction: true})
+		es = append(es, e.deltas[n])
 	}
+	e.kernels = eval.LowerKernels(es...)
 	e.res = mring.NewRelation(query.Schema())
 	return e
 }
@@ -120,6 +126,7 @@ func (e *ClassicalIVM) Name() string { return "classical-ivm" }
 func (e *ClassicalIVM) LoadBase(rel string, r *mring.Relation) {
 	e.bases[rel].Merge(r)
 	ctx := eval.NewCtx(e.env)
+	ctx.Kernels = e.kernels
 	e.res = ctx.Materialize(e.query)
 	e.Stats.Add(ctx.Stats)
 }
@@ -134,6 +141,7 @@ func (e *ClassicalIVM) ApplyBatch(rel string, batch *mring.Relation) {
 	}
 	e.env.Bind(eval.DeltaName(rel), batch)
 	ctx := eval.NewCtx(e.env)
+	ctx.Kernels = e.kernels
 	if !expr.IsZero(dq) {
 		d := ctx.Materialize(dq)
 		e.res.Merge(d)

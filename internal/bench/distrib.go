@@ -244,6 +244,7 @@ func distributedReEval(dep *deployment, workers, batchSize int, seed int64) (tim
 		env.Bind(n, r)
 	}
 	ctx := eval.NewCtx(env)
+	ctx.Kernels = eval.LowerKernels(dep.query.Def)
 	start := time.Now()
 	ctx.Materialize(dep.query.Def)
 	sequential := time.Since(start)

@@ -592,6 +592,7 @@ func (c *Cluster) runLocalBlock(b dist.Block, m *Metrics) error {
 	var maxWorkerBytes int64
 	computeStart := time.Now()
 	var st eval.Stats
+	kernels := lowerBlock(b.Stmts)
 	for _, s := range b.Stmts {
 		if x, ok := s.RHS.(*dist.Xform); ok {
 			bytes, maxPer, err := c.applyXform(s.LHS, x)
@@ -605,7 +606,7 @@ func (c *Cluster) runLocalBlock(b dist.Block, m *Metrics) error {
 			}
 			continue
 		}
-		st.Add(runStmtOn(&c.driver, c.schemas, s, c.driverSinkFor(s.LHS)))
+		st.Add(runStmtOn(&c.driver, c.schemas, s, kernels, c.driverSinkFor(s.LHS)))
 	}
 	c.Stats.Add(st)
 	compute := c.computeTime(st.Lookups+st.Scans+st.Emits, time.Since(computeStart))

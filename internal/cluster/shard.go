@@ -154,11 +154,23 @@ func (n *node) snapshot() map[string]Frag {
 	return out
 }
 
-// runStmtOn evaluates a compute statement against one node's state and
-// returns the evaluation statistics. It only reads the schema map and
-// mutates nothing but the node's own fragments (and the caller-private
-// sink), so concurrent calls on distinct nodes are race-free.
-func runStmtOn(n *node, schemas map[string]mring.Schema, s dist.Stmt, sink *mring.Relation) eval.Stats {
+// lowerBlock lowers the covered aggregates of one block's statements. The
+// table lives for one stage, so the trees a worker process decodes per
+// request die with the request, plans included.
+func lowerBlock(stmts []dist.Stmt) eval.Kernels {
+	es := make([]expr.Expr, len(stmts))
+	for i, s := range stmts {
+		es[i] = s.RHS
+	}
+	return eval.LowerKernels(es...)
+}
+
+// runStmtOn evaluates a compute statement against one node's state,
+// dispatching covered aggregates by the block's plan table, and returns
+// the evaluation statistics. It only reads the schema map and mutates
+// nothing but the node's own fragments (and the caller-private sink), so
+// concurrent calls on distinct nodes are race-free.
+func runStmtOn(n *node, schemas map[string]mring.Schema, s dist.Stmt, kernels eval.Kernels, sink *mring.Relation) eval.Stats {
 	env := eval.NewEnv()
 	// Bind every relation the statement reads; lazily create fragments.
 	walkRefs(s.RHS, func(r *expr.Rel) {
@@ -167,6 +179,7 @@ func runStmtOn(n *node, schemas map[string]mring.Schema, s dist.Stmt, sink *mrin
 	})
 	target := n.rel(s.LHS, schemas[s.LHS])
 	ctx := eval.NewCtx(env)
+	ctx.Kernels = kernels
 	if sink != nil {
 		ctx.CaptureFolds(target, sink)
 	}
@@ -214,9 +227,10 @@ func (sh *Shard) runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, wa
 		defer func() { <-sh.sem }()
 	}
 	start := time.Now()
+	kernels := lowerBlock(stmts)
 	for _, s := range stmts {
 		sink, _ := st.sinks[s.LHS].(*mring.Relation)
-		st.stats.Add(runStmtOn(&sh.node, schemas, s, sink))
+		st.stats.Add(runStmtOn(&sh.node, schemas, s, kernels, sink))
 	}
 	st.compute = time.Since(start)
 	return st, nil

@@ -19,6 +19,9 @@ type Executor struct {
 	// deltaIdx holds, per Δ-delta env name, the index masks the triggers
 	// slice update batches with; ApplyBatch registers them on each batch.
 	deltaIdx map[string][][]int
+	// kernels is the program's plan table, lowered once: every context
+	// the executor evaluates through dispatches covered aggregates by it.
+	kernels eval.Kernels
 	// Stats accumulates evaluation statistics across batches.
 	Stats eval.Stats
 	// SingleTuple processes batches one tuple at a time through the same
@@ -32,13 +35,14 @@ type Executor struct {
 // NewExecutor creates an executor with empty view contents. The secondary
 // indexes declared by the compiler's access-path analysis are registered
 // on the views up front; the relations maintain them incrementally from
-// then on.
+// then on. The program's kernel plans are lowered here, once.
 func NewExecutor(prog *Program) *Executor {
 	ex := &Executor{
 		prog:     prog,
 		env:      eval.NewEnv(),
 		views:    make(map[string]*mring.Relation),
 		deltaIdx: make(map[string][][]int),
+		kernels:  kernelTable(prog),
 	}
 	for _, v := range prog.Views {
 		ex.views[v.Name] = ex.env.Define(v.Name, v.Schema)
@@ -82,6 +86,7 @@ func (ex *Executor) InitFromBases(bases map[string]*mring.Relation) {
 		}
 	}
 	ctx := eval.NewCtx(env)
+	ctx.Kernels = ex.kernels
 	for _, v := range ex.prog.Views {
 		if v.Transient {
 			continue
@@ -171,6 +176,7 @@ func (ex *Executor) applyBatch(trg *Trigger, rel string, batch *mring.Relation, 
 func (ex *Executor) runTrigger(trg *Trigger, rel string, batch *mring.Relation, sinks map[string]*mring.Relation) {
 	ex.env.Bind(eval.DeltaName(rel), batch)
 	ctx := eval.NewCtx(ex.env)
+	ctx.Kernels = ex.kernels
 	ctx.Tracer = ex.Tracer
 	for name, sink := range sinks {
 		ctx.CaptureFolds(ex.views[name], sink)

@@ -2,91 +2,24 @@ package compile
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
 
 	"repro/internal/eval"
 	"repro/internal/expr"
 	"repro/internal/mring"
 )
 
-// PlanCache caches compiled programs keyed by query shape (canonical
-// query form + base schemas + options), so registering the N-th
-// structurally identical view costs one canonicalization and a map
-// lookup instead of a full compile. Cached programs are shared and must
-// be treated as read-only; the shared compiler only ever reads them,
-// renaming into fresh trees while merging.
-type PlanCache struct {
-	mu           sync.Mutex
-	m            map[string]*Program
-	hits, misses int
-}
-
-// NewPlanCache returns an empty plan cache.
-func NewPlanCache() *PlanCache {
-	return &PlanCache{m: make(map[string]*Program)}
-}
-
-// SharedPlans is the process-wide default plan cache used by
-// NewSharedCompiler; registries in one process share compiled shapes.
-var SharedPlans = NewPlanCache()
-
-// Stats returns the cache hit/miss counters.
-func (pc *PlanCache) Stats() (hits, misses int) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.hits, pc.misses
-}
-
-func (pc *PlanCache) lookup(key string) *Program {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	p := pc.m[key]
-	if p != nil {
-		pc.hits++
-	} else {
-		pc.misses++
-	}
-	return p
-}
-
-func (pc *PlanCache) store(key string, p *Program) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	pc.m[key] = p
-}
-
-// planKey renders the full shape key of one compilation: the canonical
-// query plus everything else Compile's output depends on.
-func planKey(canon string, bases map[string]mring.Schema, opts Options) string {
-	names := make([]string, 0, len(bases))
-	for n := range bases {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString(canon)
-	for _, n := range names {
-		fmt.Fprintf(&b, "\x00%s(%s)", n, strings.Join(bases[n], ","))
-	}
-	fmt.Fprintf(&b, "\x00%v", opts)
-	return b.String()
-}
-
 // SharedCompiler compiles a set of queries into one shared maintenance
 // program — the compile side of multi-view serving. Each registered
-// query compiles once per structural shape through the plan cache; a
-// structurally identical query (same canonical form) becomes a pure
-// alias of the existing top view. Auxiliary views rename to
-// content-fingerprint names shared across programs, and trigger
-// statements dedupe by canonical form, so every shared sub-plan — in
-// particular every shared pre-aggregation — is computed once per
-// transaction and fanned out to all dependent top views.
+// query compiles once per structural shape: a structurally identical
+// query (same canonical form) becomes a pure alias of the existing top
+// view. Auxiliary views rename to content-fingerprint names shared
+// across programs, and trigger statements dedupe by canonical form, so
+// every shared sub-plan — in particular every shared pre-aggregation —
+// is computed once per transaction and fanned out to all dependent top
+// views.
 type SharedCompiler struct {
 	bases map[string]mring.Schema
 	opts  Options
-	cache *PlanCache
 
 	tops      map[string]string // registered name -> canonical top view
 	order     []string          // registration order
@@ -106,12 +39,11 @@ type mergedTrigger struct {
 }
 
 // NewSharedCompiler creates a shared compiler over the given base
-// schemas, using the process-wide plan cache.
+// schemas.
 func NewSharedCompiler(bases map[string]mring.Schema, opts Options) *SharedCompiler {
 	return &SharedCompiler{
 		bases:     bases,
 		opts:      opts,
-		cache:     SharedPlans,
 		tops:      make(map[string]string),
 		shapeTops: make(map[string]string),
 		queries:   make(map[string]expr.Expr),
@@ -144,15 +76,9 @@ func (sc *SharedCompiler) Register(name string, q expr.Expr) error {
 	if _, taken := sc.views[top]; taken {
 		return fmt.Errorf("compile: top-view fingerprint collision on %q (distinct shapes)", top)
 	}
-	key := planKey(canon, sc.bases, sc.opts)
-	prog := sc.cache.lookup(key)
-	if prog == nil {
-		var err error
-		prog, err = Compile(top, q, sc.bases, sc.opts)
-		if err != nil {
-			return err
-		}
-		sc.cache.store(key, prog)
+	prog, err := Compile(top, q, sc.bases, sc.opts)
+	if err != nil {
+		return err
 	}
 	if err := sc.merge(prog); err != nil {
 		return err

@@ -254,10 +254,10 @@ func (tc *trigCompiler) weight(r *ref) int {
 	return weightDelta
 }
 
-// planFor computes the hosting actions and cost of evaluating the
+// hostingPlan computes the hosting actions and cost of evaluating the
 // statement on the given anchor spec. ok=false when some input cannot be
 // hosted.
-func (tc *trigCompiler) planFor(sp spec, refs []*ref) (plan []action, cost int, ok bool) {
+func (tc *trigCompiler) hostingPlan(sp spec, refs []*ref) (plan []action, cost int, ok bool) {
 	randomAnchored := false
 	for _, r := range refs {
 		a := action{r: r}
@@ -396,7 +396,7 @@ func (tc *trigCompiler) chooseAnchor(s Stmt, refs []*ref) (spec, []action, bool)
 	var bestSpec spec
 	var bestPlan []action
 	for _, sp := range candidates {
-		pl, cost, ok := tc.planFor(sp, refs)
+		pl, cost, ok := tc.hostingPlan(sp, refs)
 		if !ok || !tc.safeOn(s.RHS, sp, pl) {
 			continue
 		}

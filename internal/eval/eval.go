@@ -116,6 +116,8 @@ type Stats struct {
 	Scans    int64 // tuples visited by foreach/slice
 	Emits    int64 // tuples produced
 	IndexOps int64 // secondary-index builds (first registration only)
+	// KernelFolds counts aggregate folds served by the columnar kernels.
+	KernelFolds int64
 }
 
 // Add accumulates other into s.
@@ -124,6 +126,7 @@ func (s *Stats) Add(o Stats) {
 	s.Scans += o.Scans
 	s.Emits += o.Emits
 	s.IndexOps += o.IndexOps
+	s.KernelFolds += o.KernelFolds
 }
 
 // Ctx is one evaluation context. Slice access paths probe persistent
@@ -136,12 +139,10 @@ type Ctx struct {
 	// Tracer, when non-nil, observes every relation memory touch for the
 	// cache-locality experiment.
 	Tracer func(rel string, tupleHash uint64)
-	// DisableKernels forces the row-wise path even for statements the
-	// vectorized columnar kernels cover; the kernel-vs-row property tests
-	// and benchmarks flip it.
-	DisableKernels bool
-	// KernelFolds counts aggregate folds served by the columnar kernels.
-	KernelFolds int64
+	// Kernels is the plan table of the trees this context evaluates:
+	// aggregates it covers fold through the vectorized columnar kernels,
+	// everything else takes the row-wise path — every aggregate when nil.
+	Kernels Kernels
 	// groupHash overrides group-table key hashing in tests (forcing
 	// collision chains on the aggregation path); nil means Tuple.Hash.
 	groupHash func(mring.Tuple) uint64

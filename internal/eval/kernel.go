@@ -2,7 +2,6 @@ package eval
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/mring"
@@ -45,32 +44,38 @@ type kernelPlan struct {
 	groupPos []int    // group-by positions into cols
 }
 
-// kernelPlans memoizes plan analysis per aggregate node. Expression trees
-// are immutable after construction, so the node pointer is a sound key; a
-// stored nil records "not covered".
-var kernelPlans sync.Map // *expr.Agg -> *kernelPlan
+// Kernels is a lowered plan table: the covered aggregates of one set of
+// expression trees, keyed by node. Its owner is whatever owns the trees —
+// a compiled program's executor, or one cluster stage — so the table and
+// the trees it points into are released together.
+type Kernels map[*expr.Agg]*kernelPlan
 
-func planFor(a *expr.Agg) *kernelPlan {
-	if v, ok := kernelPlans.Load(a); ok {
-		p, _ := v.(*kernelPlan)
-		return p
+// LowerKernels lowers every covered aggregate node found anywhere in es,
+// nested aggregates included, into a plan table.
+func LowerKernels(es ...expr.Expr) Kernels {
+	k := Kernels{}
+	for _, e := range es {
+		expr.Walk(e, func(n expr.Expr) bool {
+			if a, ok := n.(*expr.Agg); ok {
+				if p := analyzeAgg(a); p != nil {
+					k[a] = p
+				}
+			}
+			return true
+		})
 	}
-	p := analyzeAgg(a)
-	if v, loaded := kernelPlans.LoadOrStore(a, p); loaded {
-		p, _ = v.(*kernelPlan)
-	}
-	return p
+	return k
 }
 
-// KernelEligible reports whether rhs is a shape the vectorized columnar
-// path covers, and the environment name of the relation it scans. The
-// compiler records covered statements next to its access-path analysis.
-func KernelEligible(rhs expr.Expr) (string, bool) {
+// Scans reports whether rhs is an aggregate the table covers, and the
+// environment name of the relation its kernel scans. The compiler
+// records covered statements next to its access-path analysis.
+func (k Kernels) Scans(rhs expr.Expr) (string, bool) {
 	a, ok := rhs.(*expr.Agg)
 	if !ok {
 		return "", false
 	}
-	p := planFor(a)
+	p := k[a]
 	if p == nil {
 		return "", false
 	}
@@ -282,16 +287,14 @@ func lowerVal(e expr.VExpr, colPos map[string]int) vnode {
 }
 
 // tryKernelAgg attempts the vectorized fold of a into gt, returning false
-// when the statement shape, the runtime relation, or the context state is
-// not covered — the caller then runs the row-wise path. It requires an
-// empty outer binding (correlated aggregates rebind per outer row) and no
-// tracer (the kernels never materialize per-row tuples to hash for it).
+// when the context's plan table does not cover a, or the runtime relation
+// or the context state is not covered — the caller then runs the row-wise
+// path. It requires an empty outer binding (correlated aggregates rebind
+// per outer row) and no tracer (the kernels never materialize per-row
+// tuples to hash for it).
 func (c *Ctx) tryKernelAgg(a *expr.Agg, b *Binding, gt *mring.GroupTable) bool {
-	if c.DisableKernels || c.Tracer != nil || len(b.vals) != 0 {
-		return false
-	}
-	plan := planFor(a)
-	if plan == nil {
+	plan := c.Kernels[a]
+	if plan == nil || c.Tracer != nil || len(b.vals) != 0 {
 		return false
 	}
 	rel := c.Env.Rel(plan.env)
@@ -303,7 +306,7 @@ func (c *Ctx) tryKernelAgg(a *expr.Agg, b *Binding, gt *mring.GroupTable) bool {
 		return false
 	}
 	c.foldBatch(plan, batch, gt)
-	c.KernelFolds++
+	c.Stats.KernelFolds++
 	return true
 }
 

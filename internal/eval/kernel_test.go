@@ -132,12 +132,12 @@ func foldBoth(t *testing.T, env *Env, stmt expr.Expr, op AssignOp, hashFn func(m
 	rT := mring.NewRelation(schema)
 	kCtx, rCtx := NewCtx(env), NewCtx(env)
 	kCtx.groupHash, rCtx.groupHash = hashFn, hashFn
-	rCtx.DisableKernels = true
+	kCtx.Kernels = LowerKernels(stmt)
 	kCtx.FoldStmt(kT, op, stmt)
 	rCtx.FoldStmt(rT, op, stmt)
 
-	if kCtx.KernelFolds == 0 && rCtx.KernelFolds != 0 {
-		t.Fatalf("%s: DisableKernels did not disable the kernel path", label)
+	if kCtx.Stats.KernelFolds == 0 && rCtx.Stats.KernelFolds != 0 {
+		t.Fatalf("%s: a context without a plan table took the kernel path", label)
 	}
 	if kT.Len() != rT.Len() {
 		t.Fatalf("%s: kernel path %d groups, row path %d\n kernel: %v\n row:    %v",
@@ -177,7 +177,7 @@ func runKernelParity(t *testing.T, seed int64, hashFn func(mring.Tuple) uint64) 
 			op = OpSet
 		}
 		kCtx := foldBoth(t, env, stmt, op, hashFn, fmt.Sprintf("seed %d round %d %v", seed, round, stmt))
-		fired += kCtx.KernelFolds
+		fired += kCtx.Stats.KernelFolds
 	}
 	// Covered statements over mirrorable relations of >= kernelMinRows
 	// rows must actually dispatch to the kernel (not silently fall back).
@@ -204,7 +204,7 @@ func TestKernelMatchesRowPathUnderForcedCollisions(t *testing.T) {
 }
 
 // TestKernelFallbacks pins every documented reason not to dispatch: the
-// result must still be correct and KernelFolds must stay zero.
+// result must still be correct and Stats.KernelFolds must stay zero.
 func TestKernelFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	stmt := expr.Sum([]string{"d"}, expr.Join(
@@ -216,7 +216,7 @@ func TestKernelFallbacks(t *testing.T) {
 	t.Run("small-relation", func(t *testing.T) {
 		env := NewEnv()
 		fillKernelRel(rng, env.Define("R", kernelSchema), kernelMinRows-1)
-		if c := foldBoth(t, env, stmt, OpAdd, nil, "small"); c.KernelFolds != 0 {
+		if c := foldBoth(t, env, stmt, OpAdd, nil, "small"); c.Stats.KernelFolds != 0 {
 			t.Fatalf("kernel fired on a %d-row relation", kernelMinRows-1)
 		}
 	})
@@ -226,7 +226,7 @@ func TestKernelFallbacks(t *testing.T) {
 		rel := env.Define("R", kernelSchema)
 		fillKernelRel(rng, rel, 20)
 		rel.Add(mring.Tuple{mring.Str("not-an-int"), mring.Float(1), mring.Str("x")}, 1)
-		if c := foldBoth(t, env, stmt, OpAdd, nil, "mixed"); c.KernelFolds != 0 {
+		if c := foldBoth(t, env, stmt, OpAdd, nil, "mixed"); c.Stats.KernelFolds != 0 {
 			t.Fatalf("kernel fired on a mixed-kind relation")
 		}
 	})
@@ -236,9 +236,10 @@ func TestKernelFallbacks(t *testing.T) {
 		fillKernelRel(rng, env.Define("R", kernelSchema), 20)
 		target := mring.NewRelation(mring.Schema{"d"})
 		ctx := NewCtx(env)
+		ctx.Kernels = LowerKernels(stmt)
 		ctx.Tracer = func(string, uint64) {}
 		ctx.FoldStmt(target, OpAdd, stmt)
-		if ctx.KernelFolds != 0 {
+		if ctx.Stats.KernelFolds != 0 {
 			t.Fatalf("kernel fired under a tracer")
 		}
 	})
@@ -252,17 +253,20 @@ func TestKernelFallbacks(t *testing.T) {
 			expr.Base("R", kernelSchema...),
 			expr.Base("S", "d"),
 		))
-		if c := foldBoth(t, env, join, OpAdd, nil, "join"); c.KernelFolds != 0 {
+		if c := foldBoth(t, env, join, OpAdd, nil, "join"); c.Stats.KernelFolds != 0 {
 			t.Fatalf("kernel fired on a two-relation join")
 		}
 	})
 
 	t.Run("repeated-column", func(t *testing.T) {
-		if _, ok := KernelEligible(expr.Sum(nil, expr.Base("R", "d", "d"))); ok {
+		if _, ok := kernelEligible(expr.Sum(nil, expr.Base("R", "d", "d"))); ok {
 			t.Fatalf("repeated column variable reported eligible")
 		}
 	})
 }
+
+// kernelEligible lowers e alone and reports whether the table covers it.
+func kernelEligible(e expr.Expr) (string, bool) { return LowerKernels(e).Scans(e) }
 
 // TestKernelEligible pins the compiler-facing coverage check on the
 // canonical shapes.
@@ -272,14 +276,14 @@ func TestKernelEligible(t *testing.T) {
 		expr.CmpE(expr.CGe, expr.V("q"), expr.LitF(0.5)),
 		expr.ValE(expr.MulV(expr.V("q"), expr.V("d"))),
 	))
-	if env, ok := KernelEligible(covered); !ok || env != "R" {
+	if env, ok := kernelEligible(covered); !ok || env != "R" {
 		t.Fatalf("covered statement reported (%q, %v)", env, ok)
 	}
-	if _, ok := KernelEligible(expr.Base("R", kernelSchema...)); ok {
+	if _, ok := kernelEligible(expr.Base("R", kernelSchema...)); ok {
 		t.Fatalf("bare relation reported eligible")
 	}
 	// Group-by over a column the relation does not bind.
-	if _, ok := KernelEligible(expr.Sum([]string{"z"}, expr.Base("R", kernelSchema...))); ok {
+	if _, ok := kernelEligible(expr.Sum([]string{"z"}, expr.Base("R", kernelSchema...))); ok {
 		t.Fatalf("foreign group-by reported eligible")
 	}
 }
@@ -316,11 +320,13 @@ func BenchmarkColFold(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			ctx := NewCtx(env)
-			ctx.DisableKernels = !kernel
+			if kernel {
+				ctx.Kernels = LowerKernels(stmt)
+			}
 			for b.Loop() {
 				ctx.FoldStmt(mring.NewRelation(mring.Schema{"sdate"}), OpAdd, stmt)
 			}
-			if kernel && ctx.KernelFolds == 0 {
+			if kernel && ctx.Stats.KernelFolds == 0 {
 				b.Fatal("ColFold never dispatched to the kernel path")
 			}
 		})

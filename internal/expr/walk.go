@@ -76,20 +76,6 @@ func Relations(e Expr, kind RelKind) []string {
 	return out
 }
 
-// AllRelations returns all referenced relation names regardless of kind.
-func AllRelations(e Expr) []string {
-	var out []string
-	seen := map[string]bool{}
-	Walk(e, func(n Expr) bool {
-		if r, ok := n.(*Rel); ok && !seen[r.Name] {
-			seen[r.Name] = true
-			out = append(out, r.Name)
-		}
-		return true
-	})
-	return out
-}
-
 // HasRel reports whether the tree references relation name with the kind.
 func HasRel(e Expr, kind RelKind, name string) bool {
 	found := false

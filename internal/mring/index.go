@@ -44,17 +44,6 @@ func ColMask(pos []int) uint64 {
 	return mask
 }
 
-// MaskCols expands a bitmask back into ascending column positions.
-func MaskCols(mask uint64) []int {
-	var pos []int
-	for p := 0; mask != 0; p, mask = p+1, mask>>1 {
-		if mask&1 != 0 {
-			pos = append(pos, p)
-		}
-	}
-	return pos
-}
-
 // keyHash hashes the projection of t onto the index columns, honoring the
 // relation's test-only hash override so forced collisions also exercise
 // index buckets.

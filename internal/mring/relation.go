@@ -438,14 +438,6 @@ func (r *Relation) EqualApprox(o *Relation, tol float64) bool {
 	return true
 }
 
-// TotalMult returns the sum of all multiplicities (the COUNT(*)/SUM value
-// of an aggregate relation with an empty schema).
-func (r *Relation) TotalMult() float64 {
-	var s float64
-	r.Foreach(func(_ Tuple, m float64) { s += m })
-	return s
-}
-
 // String renders the relation deterministically, for debugging and tests.
 func (r *Relation) String() string {
 	var b strings.Builder

@@ -1,3 +1,9 @@
+// Package pool implements the columnar data layouts of Sec. 5.2.2:
+// typed column-per-attribute batches, their compact wire encoding and the
+// row/column transformers used for serialization, the vectorized filter,
+// hash and fold kernels the evaluator's columnar path runs, and the
+// version-cached columnar mirrors relations carry for those kernels.
+// Materialized views themselves live in mring.Relation.
 package pool
 
 import (
@@ -106,32 +112,6 @@ func (b *ColBatch) Foreach(f func(t mring.Tuple, m float64)) {
 		}
 		f(t, b.Mults[i])
 	}
-}
-
-// FilterInt keeps rows whose int column col satisfies keep. It returns a
-// new batch; the receiver is unchanged. Columnar filtering touches one
-// column contiguously, the cache-locality argument of Sec. 5.2.2.
-func (b *ColBatch) FilterInt(col string, keep func(int64) bool) *ColBatch {
-	ci := b.Schema.Index(col)
-	if ci < 0 || b.Cols[ci].Kind != mring.KInt {
-		panic(fmt.Sprintf("pool: no int column %q", col))
-	}
-	kinds := make([]mring.Kind, len(b.Cols))
-	for i := range b.Cols {
-		kinds[i] = b.Cols[i].Kind
-	}
-	out := NewColBatch(b.Schema, kinds)
-	var idx []int
-	for i, v := range b.Cols[ci].Ints {
-		if keep(v) {
-			idx = append(idx, i)
-		}
-	}
-	for _, i := range idx {
-		t, m := b.Row(i)
-		out.Append(t, m)
-	}
-	return out
 }
 
 // GroupHashes computes the canonical key hash of every row's projection

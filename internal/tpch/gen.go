@@ -239,12 +239,3 @@ func (s *Stream) NextBatches(batchSize int) []Batch {
 	}
 	return out
 }
-
-// Remaining returns the number of events left in the stream.
-func (s *Stream) Remaining() int {
-	total := 0
-	for _, q := range s.quota {
-		total += q
-	}
-	return total
-}

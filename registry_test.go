@@ -342,51 +342,6 @@ func TestRegistrySharedWork(t *testing.T) {
 	}
 }
 
-// TestRegistryPlanCache pins the O(1)-compile property: after the first
-// registration of a shape, every further structurally identical
-// registration — in the same registry or a fresh one — hits the plan
-// cache instead of recompiling.
-func TestRegistryPlanCache(t *testing.T) {
-	bases := map[string]Schema{"R": {"a", "k"}, "S": {"k", "c"}}
-	shape := func(i int) Expr {
-		// Same shape every time, written with per-view variable names, so
-		// a hit proves canonicalization (not string identity) keys the
-		// cache.
-		a, k, c := fmt.Sprintf("a%d", i), fmt.Sprintf("k%d", i), fmt.Sprintf("c%d", i)
-		return Sum([]string{k}, Join(Table("R", a, k), Table("S", k, c)))
-	}
-	h0, m0 := compile.SharedPlans.Stats()
-	reg, err := NewRegistry(bases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 50
-	for i := 0; i < n; i++ {
-		if err := reg.Register(fmt.Sprintf("view-%d", i), shape(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.Shapes(); got != 1 {
-		t.Fatalf("one shape registered %d times compiled to %d shapes", n, got)
-	}
-	// A second registry over the same schemas: its first registration of
-	// the shape must hit the shared cache.
-	reg2, err := NewRegistry(bases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg2.Register("other", shape(99)); err != nil {
-		t.Fatal(err)
-	}
-	h1, m1 := compile.SharedPlans.Stats()
-	if hits := h1 - h0; hits < 1 {
-		t.Fatalf("cross-registry registration missed the plan cache (hits %d)", hits)
-	}
-	if misses := m1 - m0; misses > 1 {
-		t.Fatalf("one query shape compiled %d times, want 1", misses)
-	}
-}
-
 // TestRegistryRegisterAfterBuild pins the build boundary: once the
 // shared program is serving, further registrations are rejected with an
 // error (not a silent no-op).
