@@ -458,6 +458,30 @@ func TestDurableMisuse(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "view") && !strings.Contains(err.Error(), "table") {
 		t.Fatalf("want a program-mismatch error, got: %v", err)
 	}
+
+	// Nor into a program whose views keep their names and arities but
+	// bind other columns, as a recompiled join plan's do. The check goes
+	// by column names, so it rejects a mere renaming too.
+	rs := map[string]Schema{"R": {"a", "b"}, "S": {"b", "c"}}
+	dir = t.TempDir()
+	d, err = New("Q", Sum([]string{"a"}, Join(Table("R", "a", "b"), Table("S", "b", "c"))), rs, Durable(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := d.NewTx()
+	if err := tx.Insert("S", Row(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Apply(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	renamed := Sum([]string{"a"}, Join(Table("R", "a", "c"), Table("S", "c", "b")))
+	if _, err := New("Q", renamed, rs, Durable(dir)); err == nil || !strings.Contains(err.Error(), "program changed") {
+		t.Fatalf("recovering into a program whose views bind other columns: %v, want a program-mismatch error", err)
+	}
 }
 
 // TestDurableGroupCommitStats pins the relaxed sync policies at the

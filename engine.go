@@ -943,9 +943,29 @@ func (lb *localBackend) RestoreState(cp *cluster.Checkpoint) error {
 			return fmt.Errorf("ivm: checkpoint names unknown view %q; the program changed since it was written", name)
 		}
 	}
+	if err := checkViewSchemas(lb.ex.Program(), cp); err != nil {
+		return err
+	}
 	for name, f := range cp.Driver {
 		if err := inet.RestoreIntoExact(lb.ex.LookupView(name), f.Payload, f.Buckets); err != nil {
 			return fmt.Errorf("ivm: restore view %q: %w", name, err)
+		}
+	}
+	return nil
+}
+
+// checkViewSchemas rejects a checkpoint that holds a program view's name
+// under other columns. The program changed since the checkpoint was
+// written: a recompiled plan numbers its auxiliary views anew, so the
+// same name can denote another view, and restoring would fill it with
+// the old plan's state.
+func checkViewSchemas(prog *compile.Program, cp *cluster.Checkpoint) error {
+	for _, frags := range append([]map[string]cluster.Frag{cp.Driver}, cp.Workers...) {
+		for name, f := range frags {
+			if v := prog.View(name); v != nil && !f.Schema.Equal(v.Schema) {
+				return fmt.Errorf("ivm: checkpoint view %q has columns %v, the program's has %v; the program changed since it was written",
+					name, f.Schema, v.Schema)
+			}
 		}
 	}
 	return nil
@@ -1112,6 +1132,9 @@ func (db *distBackend) SnapshotState() (*cluster.Checkpoint, error) { return db.
 // recompile against it so maintenance keeps matching the restored
 // fragment placement.
 func (db *distBackend) RestoreState(cp *cluster.Checkpoint) error {
+	if err := checkViewSchemas(db.prog, cp); err != nil {
+		return err
+	}
 	if err := db.cl.Restore(cp); err != nil {
 		return err
 	}

@@ -116,7 +116,7 @@ func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 		return nil, c.err
 	}
 	cp := &Checkpoint{Driver: c.driver.snapshot(), Workers: make([]map[string]Frag, len(c.workers)), Parts: c.parts.Clone()}
-	if err := c.each(false, func(i int, w worker) (err error) {
+	if err := c.each(func(i int, w worker) (err error) {
 		cp.Workers[i], err = w.snapshot()
 		return err
 	}); err != nil {
@@ -146,7 +146,7 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	if err := c.each(false, func(i int, w worker) error { return w.restore(cp.Workers[i]) }); err != nil {
+	if err := c.each(func(i int, w worker) error { return w.restore(cp.Workers[i]) }); err != nil {
 		return c.fail(err)
 	}
 	c.driver.rels = driver

@@ -25,7 +25,6 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -127,8 +126,8 @@ type Cluster struct {
 	driver  node
 	workers []worker
 	// rpc marks process workers: every call is a round trip, so every
-	// fan-out runs concurrently. In-process shards run stages
-	// concurrently and everything else inline on the driver goroutine.
+	// fan-out runs concurrently. In-process shards run every call, stages
+	// included, inline on the driver goroutine (DESIGN.md §4).
 	rpc     bool
 	schemas map[string]mring.Schema
 	parts   dist.PartInfo
@@ -136,7 +135,7 @@ type Cluster struct {
 	// Stats accumulates evaluation statistics across all nodes and
 	// batches. Per-worker contributions are merged in worker-index order
 	// after each stage barrier, so the totals are deterministic even
-	// though the workers run concurrently.
+	// though process workers run concurrently.
 	Stats eval.Stats
 	// watch maps each watched view (WatchView) to the delta accumulated
 	// since its last TakeWatchDelta, gathered deterministically:
@@ -177,17 +176,9 @@ func New(cfg Config, schemas map[string]mring.Schema, parts dist.PartInfo) *Clus
 	if cfg.Workers <= 0 {
 		panic("cluster: need at least one worker")
 	}
-	// In measured-time mode (ComputeNsPerOp == 0) bound the stages in
-	// flight to the CPU count, with each shard's clock started only once
-	// it holds a slot: its wall time then approximates its own compute
-	// rather than scheduler queueing behind the other simulated workers.
-	var sem chan struct{}
-	if cfg.ComputeNsPerOp <= 0 {
-		sem = make(chan struct{}, runtime.GOMAXPROCS(0))
-	}
 	ws := make([]worker, cfg.Workers)
 	for i := range ws {
-		ws[i] = &Shard{node: newNode(), workers: cfg.Workers, sem: sem}
+		ws[i] = &Shard{node: newNode(), workers: cfg.Workers}
 	}
 	return newCluster(cfg, ws, schemas, parts)
 }
@@ -230,11 +221,11 @@ func (c *Cluster) fail(err error) error {
 }
 
 // each runs f for every worker and returns the lowest-index error. Calls
-// run concurrently when parallel is set or the workers are remote; results
-// land in per-index slots the caller then processes in worker-index order
-// — the merge-determinism invariant.
-func (c *Cluster) each(parallel bool, f func(i int, w worker) error) error {
-	if !parallel && !c.rpc {
+// to process workers run concurrently; results land in per-index slots the
+// caller then processes in worker-index order — the merge-determinism
+// invariant.
+func (c *Cluster) each(f func(i int, w worker) error) error {
+	if !c.rpc {
 		for i, w := range c.workers {
 			if err := f(i, w); err != nil {
 				return err
@@ -298,7 +289,7 @@ func (c *Cluster) Repartition(parts dist.PartInfo, contents map[string]*mring.Re
 		return c.err
 	}
 	c.driver.retain(keep)
-	if err := c.each(false, func(_ int, w worker) error { return w.retain(keep) }); err != nil {
+	if err := c.each(func(_ int, w worker) error { return w.retain(keep) }); err != nil {
 		return c.fail(err)
 	}
 	c.parts = parts
@@ -443,7 +434,7 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 		default:
 			return fmt.Errorf("cluster: cannot warm load view %q located %v", name, loc)
 		}
-		if err := c.each(false, func(i int, w worker) error { return w.installDelta(name, schema, frags[i]) }); err != nil {
+		if err := c.each(func(i int, w worker) error { return w.installDelta(name, schema, frags[i]) }); err != nil {
 			return c.fail(err)
 		}
 	}
@@ -535,7 +526,7 @@ func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relat
 func (c *Cluster) runDealt(prog *dist.DistProgram, frags []rows) (Metrics, error) {
 	dn := eval.DeltaName(prog.Relation)
 	schema := c.schemas[dn]
-	if err := c.each(false, func(i int, w worker) error { return w.installDelta(dn, schema, frags[i]) }); err != nil {
+	if err := c.each(func(i int, w worker) error { return w.installDelta(dn, schema, frags[i]) }); err != nil {
 		return Metrics{}, c.fail(err)
 	}
 	return c.runBlocks(prog)
@@ -624,20 +615,21 @@ func (c *Cluster) runLocalBlock(b dist.Block, m *Metrics) error {
 }
 
 // runDistBlock executes one stage: every worker runs the block's
-// statements over its fragments concurrently, and the stage closes when
-// all have answered (the platform's synchronous-round model). Worker
-// state is shared-nothing, and all schema registration happens in
-// prepareStmts before the fan-out, so the workers race on nothing; results
-// are bit-identical to sequential execution because each worker's own
-// statement order is unchanged and per-worker outcomes — stats, compute,
-// and the change sinks of watched views — are merged in worker-index
-// order after the barrier. Stage latency is the scheduling overhead plus
-// the slowest worker's compute (with optional straggler inflation).
+// statements over its fragments (process workers concurrently), and the
+// stage closes when all have answered (the platform's synchronous-round
+// model). Worker state is shared-nothing, and all schema registration
+// happens in prepareStmts before the fan-out, so the workers race on
+// nothing; results are bit-identical to sequential execution because
+// each worker's own statement order is unchanged and per-worker outcomes
+// — stats, compute, and the change sinks of watched views — are merged in
+// worker-index order after the barrier. Stage latency is the scheduling
+// overhead plus the slowest worker's compute (with optional straggler
+// inflation).
 func (c *Cluster) runDistBlock(b dist.Block, m *Metrics) error {
 	c.prepareStmts(b.Stmts)
 	watch := c.workerWatches(b.Stmts)
 	stages := make([]stage, len(c.workers))
-	if err := c.each(true, func(i int, w worker) (err error) {
+	if err := c.each(func(i int, w worker) (err error) {
 		stages[i], err = w.runBlock(b.Stmts, c.schemas, watch)
 		return err
 	}); err != nil {
@@ -743,7 +735,7 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 				maxPer = max(maxPer, sz)
 			}
 		}
-		if err := c.each(false, func(i int, w worker) (err error) {
+		if err := c.each(func(i int, w worker) (err error) {
 			replaced[i][0], replaced[i][1], err = w.installScatter(lhs, lhsSchema, packs[i], broadcast, capture)
 			return err
 		}); err != nil {
@@ -754,7 +746,7 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 		// the driver routes the pieces, and every receiver rebuilds its
 		// fragment from the senders in worker-index order.
 		outs := make([][]rows, n)
-		if err := c.each(false, func(i int, w worker) (err error) {
+		if err := c.each(func(i int, w worker) (err error) {
 			outs[i], err = w.partitionOut(srcName, srcSchema, keyPos)
 			return err
 		}); err != nil {
@@ -778,7 +770,7 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 			total += sent
 			maxPer = max(maxPer, sent)
 		}
-		if err := c.each(false, func(i int, w worker) (err error) {
+		if err := c.each(func(i int, w worker) (err error) {
 			replaced[i][0], replaced[i][1], err = w.installRepart(lhs, srcSchema, lhsSchema, from[i], capture)
 			return err
 		}); err != nil {
@@ -788,11 +780,11 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 		// The workers' pre-aggregated fragments merge into one group
 		// table strictly in worker-index order, so the driver replays the
 		// same float additions in the same sequence on every run — the
-		// gathered result is deterministic despite the workers having
-		// computed their fragments concurrently. The table then
+		// gathered result is deterministic however the workers' fragments
+		// were computed, process workers concurrently. The table then
 		// blind-fills the driver view with its stored hashes.
 		frags := make([]rows, n)
-		if err := c.each(false, func(i int, w worker) (err error) {
+		if err := c.each(func(i int, w worker) (err error) {
 			frags[i], err = w.fetch(srcName, srcSchema)
 			return err
 		}); err != nil {
@@ -918,7 +910,7 @@ func (c *Cluster) ReadView(name string) (*mring.Relation, error) {
 		return out, nil
 	}
 	frags := make([]rows, len(c.workers))
-	if err := c.each(false, func(i int, w worker) (err error) {
+	if err := c.each(func(i int, w worker) (err error) {
 		frags[i], err = w.fetch(name, c.schemas[name])
 		return err
 	}); err != nil {

@@ -33,7 +33,7 @@ func Connect(tr inet.Transport, addrs []string, schemas map[string]mring.Schema,
 	}
 	c := newCluster(Config{Workers: len(ws)}, ws, schemas, parts)
 	c.rpc = true
-	if err := c.each(false, func(i int, w worker) error {
+	if err := c.each(func(i int, w worker) error {
 		return call(w.(*remoteWorker).conn, opSetup, &setupReq{Index: i, Workers: len(ws)}, &setupResp{})
 	}); err != nil {
 		c.Close()

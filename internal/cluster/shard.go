@@ -200,9 +200,6 @@ func runStmtOn(n *node, schemas map[string]mring.Schema, s dist.Stmt, kernels ev
 type Shard struct {
 	node
 	workers int
-	// sem bounds the stages running at once across a simulated cluster's
-	// shards in measured-time mode (nil: unbounded).
-	sem chan struct{}
 }
 
 func (sh *Shard) runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, watch []string) (stage, error) {
@@ -221,10 +218,6 @@ func (sh *Shard) runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, wa
 			st.sinks = make(map[string]rows, len(watch))
 		}
 		st.sinks[name] = mring.NewRelation(s)
-	}
-	if sh.sem != nil {
-		sh.sem <- struct{}{}
-		defer func() { <-sh.sem }()
 	}
 	start := time.Now()
 	kernels := lowerBlock(stmts)

@@ -30,7 +30,11 @@ type IndexSpec struct {
 // access patterns in a deterministic order.
 func collectIndexSpecs(p *Program) []IndexSpec {
 	seen := make(map[string]map[uint64][]int)
-	record := func(rel string, pos []int) {
+	record := func(r *expr.Rel, pos []int) {
+		if len(pos) == 0 || len(pos) == len(r.Cols) {
+			return // foreach or get: no secondary index
+		}
+		rel := eval.RelEnvName(r)
 		if !mring.Indexable(pos) {
 			return // >64-column relation: eval degrades to a scan
 		}
@@ -77,10 +81,12 @@ func collectIndexSpecs(p *Program) []IndexSpec {
 	return specs
 }
 
-// walkAccess simulates eval's bound-variable flow over e. bound is read
-// but never mutated (products extend a private copy), mirroring how eval
-// restores bindings across union terms and nested expressions.
-func walkAccess(e expr.Expr, bound map[string]bool, record func(rel string, pos []int)) {
+// walkAccess simulates eval's bound-variable flow over e and calls visit
+// on every relation term with the positions of its columns bound when the
+// term is reached: none is a foreach scan, all a get, some a slice. bound
+// is read but never mutated (products extend a private copy), mirroring
+// how eval restores bindings across union terms and nested expressions.
+func walkAccess(e expr.Expr, bound map[string]bool, visit func(r *expr.Rel, pos []int)) {
 	switch x := e.(type) {
 	case *expr.Rel:
 		var pos []int
@@ -89,31 +95,29 @@ func walkAccess(e expr.Expr, bound map[string]bool, record func(rel string, pos 
 				pos = append(pos, i)
 			}
 		}
-		if len(pos) > 0 && len(pos) < len(x.Cols) {
-			record(eval.RelEnvName(x), pos)
-		}
+		visit(x, pos)
 	case *expr.Mul:
 		cur := make(map[string]bool, len(bound))
 		for c := range bound {
 			cur[c] = true
 		}
 		for _, f := range x.Factors {
-			walkAccess(f, cur, record)
+			walkAccess(f, cur, visit)
 			for _, c := range f.Schema() {
 				cur[c] = true
 			}
 		}
 	case *expr.Plus:
 		for _, t := range x.Terms {
-			walkAccess(t, bound, record)
+			walkAccess(t, bound, visit)
 		}
 	case *expr.Agg:
-		walkAccess(x.Body, bound, record)
+		walkAccess(x.Body, bound, visit)
 	case *expr.Assign:
 		if x.Q != nil {
-			walkAccess(x.Q, bound, record)
+			walkAccess(x.Q, bound, visit)
 		}
 	case *expr.Exists:
-		walkAccess(x.Body, bound, record)
+		walkAccess(x.Body, bound, visit)
 	}
 }

@@ -34,7 +34,7 @@ func Compile(queryName string, q expr.Expr, bases map[string]mring.Schema, opts 
 		views: make(map[string]*ViewDef),
 		byDef: make(map[string]string),
 	}
-	c.registerView(queryName, q.Schema(), q)
+	c.registerView(queryName, q.Schema(), unifyEqualities(q))
 	// Worklist: every registered view needs maintenance triggers for every
 	// base relation its definition references. Processing may register new
 	// views, which extend c.order.
@@ -87,6 +87,7 @@ func Compile(queryName string, q expr.Expr, bases map[string]mring.Schema, opts 
 		if opts.PreAggregate {
 			c.preAggregate(prog, trg)
 		}
+		orderJoins(trg, c.isBatch)
 	}
 	prog.Indexes = collectIndexSpecs(prog)
 	prog.Kernels = collectKernelStmts(prog)
@@ -101,6 +102,16 @@ func (c *compiler) registerView(name string, schema mring.Schema, def expr.Expr)
 	c.order = append(c.order, v)
 	c.byDef[def.String()] = name
 	return v
+}
+
+// isBatch reports whether a relation term reads the update batch:
+// the raw delta or its transient pre-aggregation.
+func (c *compiler) isBatch(r *expr.Rel) bool {
+	if r.Kind == expr.RDelta {
+		return true
+	}
+	v := c.views[r.Name]
+	return r.Kind == expr.RView && v != nil && v.Transient
 }
 
 // materializeComponent registers (or reuses) the view for an

@@ -65,7 +65,9 @@ func (sc *SharedCompiler) Register(name string, q expr.Expr) error {
 			return fmt.Errorf("compile: query references undeclared base relation %q", rel)
 		}
 	}
-	canon := Canon(q)
+	// Canonicalized after unification, a join written with equality
+	// predicates is the same shape as one written with shared columns.
+	canon := Canon(unifyEqualities(q))
 	if top, ok := sc.shapeTops[canon]; ok {
 		// Same shape as an already-registered view: alias, O(1).
 		sc.tops[name] = top
