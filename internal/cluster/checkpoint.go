@@ -134,7 +134,9 @@ func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 // re-warm step of crash recovery). The worker count must match the
 // snapshot (the paper's recovery model restarts the same deployment). A
 // corrupt driver snapshot leaves the cluster untouched; a worker failure
-// poisons it.
+// poisons it. A restore may adopt a placement the running programs were
+// not compiled against, so it retires them: the driver and every worker
+// drop their prepared blocks.
 func (c *Cluster) Restore(cp *Checkpoint) error {
 	if c.err != nil {
 		return c.err
@@ -150,6 +152,7 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 		return c.fail(err)
 	}
 	c.driver.rels = driver
+	c.retirePrograms()
 	for name, r := range driver {
 		c.schemas[name] = r.Schema()
 	}

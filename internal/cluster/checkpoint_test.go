@@ -35,7 +35,7 @@ func ckptFixture(t *testing.T) (*Cluster, func() *Cluster) {
 				b.Add(tup(i, i%7), -1) // deletions shrink rows, not tables
 			}
 		}
-		if _, err := cl.Run(dprogs["R"], b); err != nil {
+		if _, err := cl.RunPartitionedBatch(dprogs["R"], b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -150,6 +150,18 @@ type Cluster struct {
 	// which worker is hot).
 	workerCompute []time.Duration
 	workerStages  []int
+	// blocks holds every block the driver has run, prepared once, keyed
+	// by the program block it came from. Repartition and Restore retire
+	// the programs the blocks belong to, so they empty it (and the
+	// workers drop their deployed copies); nextID is never reset, so a
+	// block id names one block for the cluster's whole lifetime.
+	blocks map[*dist.Block]*block
+	nextID uint64
+	// declared names the schemas the cluster was constructed with. Every
+	// other schema was registered by a running program, and is forgotten
+	// with the program: a recompiled program may reuse a temporary's name
+	// at another arity.
+	declared map[string]bool
 
 	// err is the poison: set by the first failed operation, returned by
 	// every operation after it.
@@ -184,6 +196,10 @@ func New(cfg Config, schemas map[string]mring.Schema, parts dist.PartInfo) *Clus
 }
 
 func newCluster(cfg Config, ws []worker, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
+	declared := make(map[string]bool, len(schemas))
+	for name := range schemas {
+		declared[name] = true
+	}
 	return &Cluster{
 		cfg:           cfg,
 		driver:        newNode(),
@@ -193,6 +209,8 @@ func newCluster(cfg Config, ws []worker, schemas map[string]mring.Schema, parts 
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		workerCompute: make([]time.Duration, len(ws)),
 		workerStages:  make([]int, len(ws)),
+		blocks:        make(map[*dist.Block]*block),
+		declared:      declared,
 		committed:     make(map[string]*mring.Relation),
 	}
 }
@@ -283,17 +301,32 @@ func (c *Cluster) ForEachRelation(f func(name string, r *mring.Relation)) {
 // all workers, the new placement takes effect, and the moved views'
 // gathered contents are re-installed under their new locations via
 // WarmViews. The caller must not run a program compiled against the old
-// placement afterwards.
+// placement afterwards: the driver and every worker drop their prepared
+// blocks.
 func (c *Cluster) Repartition(parts dist.PartInfo, contents map[string]*mring.Relation, keep map[string]bool) error {
 	if c.err != nil {
 		return c.err
 	}
 	c.driver.retain(keep)
+	c.retirePrograms()
 	if err := c.each(func(_ int, w worker) error { return w.retain(keep) }); err != nil {
 		return c.fail(err)
 	}
 	c.parts = parts
 	return c.WarmViews(contents)
+}
+
+// retirePrograms forgets what the driver prepared for the running
+// programs — their blocks and the schemas they registered — when a
+// repartition or restore retires them. The workers drop their deployed
+// blocks in the same call that retires the programs on their side.
+func (c *Cluster) retirePrograms() {
+	clear(c.blocks)
+	for name := range c.schemas {
+		if !c.declared[name] {
+			delete(c.schemas, name)
+		}
+	}
 }
 
 // WatchView starts capturing every maintenance write to the named view
@@ -460,19 +493,6 @@ func (c *Cluster) ready(prog *dist.DistProgram) error {
 	return c.err
 }
 
-// Run processes one update batch for the program's relation: the batch
-// starts at the driver (the paper's Fig. 5 shape: LOCAL DELTA := {...}
-// then SCATTER). Returns the virtual metrics of this batch.
-func (c *Cluster) Run(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
-	if err := c.ready(prog); err != nil {
-		return Metrics{}, err
-	}
-	dn := eval.DeltaName(prog.Relation)
-	c.driver.rels[dn] = batch
-	c.schemas[dn] = batch.Schema()
-	return c.runBlocks(prog)
-}
-
 // RunPartitioned processes a batch already spread over workers (the
 // weak/strong scaling experiments simulate workers ingesting stream
 // fragments directly, Sec. 6.2). partsOfBatch must have one relation per
@@ -536,12 +556,14 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram) (Metrics, error) {
 	var m Metrics
 	m.Stages = prog.Stages()
 	m.Jobs = prog.Jobs()
-	for _, b := range prog.Blocks {
-		var err error
-		if b.Mode == dist.LDist {
-			err = c.runDistBlock(b, &m)
-		} else {
-			err = c.runLocalBlock(b, &m)
+	for i := range prog.Blocks {
+		b, err := c.prepare(&prog.Blocks[i])
+		if err == nil {
+			if prog.Blocks[i].Mode == dist.LDist {
+				err = c.runDistBlock(b, &m)
+			} else {
+				err = c.runLocalBlock(b, &m)
+			}
 		}
 		if err != nil {
 			// Installs may have landed on a subset of workers, so worker
@@ -552,9 +574,43 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram) (Metrics, error) {
 	return m, nil
 }
 
+// prepare returns a program block prepared for execution, preparing it
+// the first time the driver meets it: its schemas registered, the subset
+// its statements bind, its kernel plans, a fresh id, and — for a
+// distributed block on process workers — its deploy blob. A block stays
+// prepared until a Repartition or Restore retires its program, so every
+// program a caller runs in between is held once, however often it runs.
+func (c *Cluster) prepare(b *dist.Block) (*block, error) {
+	if p := c.blocks[b]; p != nil {
+		return p, nil
+	}
+	c.prepareStmts(b.Stmts)
+	schemas := make(map[string]mring.Schema)
+	bind := func(name string) {
+		if s, ok := c.schemas[name]; ok {
+			schemas[name] = s
+		}
+	}
+	for _, s := range b.Stmts {
+		walkRefs(s.RHS, func(r *expr.Rel) { bind(eval.RelEnvName(r)) })
+		bind(s.LHS)
+	}
+	c.nextID++
+	p := newBlock(c.nextID, b.Stmts, schemas)
+	if c.rpc && b.Mode == dist.LDist {
+		var err error
+		if p.deploy, err = encodeDeploy(p.stmts, p.schemas); err != nil {
+			return nil, err
+		}
+	}
+	c.blocks[b] = p
+	return p, nil
+}
+
 // prepareStmts resolves every schema a block's statements may register, in
-// statement order, before any worker runs. Workers then only read
-// c.schemas; all lazy registration happens here, on the driver thread.
+// statement order, before any worker runs. Workers then only read the
+// schemas their block binds; all lazy registration happens here, on the
+// driver thread.
 func (c *Cluster) prepareStmts(stmts []dist.Stmt) {
 	for _, s := range stmts {
 		walkRefs(s.RHS, func(r *expr.Rel) {
@@ -576,15 +632,13 @@ func (c *Cluster) prepareStmts(stmts []dist.Stmt) {
 // runLocalBlock executes driver-side statements; transformer statements
 // trigger data movement. All transformers of a block share one
 // communication round (the code-generation batching of Sec. 4.4).
-func (c *Cluster) runLocalBlock(b dist.Block, m *Metrics) error {
-	c.prepareStmts(b.Stmts)
+func (c *Cluster) runLocalBlock(b *block, m *Metrics) error {
 	rounds := 0
 	var roundBytes int64
 	var maxWorkerBytes int64
 	computeStart := time.Now()
 	var st eval.Stats
-	kernels := lowerBlock(b.Stmts)
-	for _, s := range b.Stmts {
+	for _, s := range b.stmts {
 		if x, ok := s.RHS.(*dist.Xform); ok {
 			bytes, maxPer, err := c.applyXform(s.LHS, x)
 			if err != nil {
@@ -597,7 +651,7 @@ func (c *Cluster) runLocalBlock(b dist.Block, m *Metrics) error {
 			}
 			continue
 		}
-		st.Add(runStmtOn(&c.driver, c.schemas, s, kernels, c.driverSinkFor(s.LHS)))
+		st.Add(runStmtOn(&c.driver, b.schemas, s, b.kernels, c.driverSinkFor(s.LHS)))
 	}
 	c.Stats.Add(st)
 	compute := c.computeTime(st.Lookups+st.Scans+st.Emits, time.Since(computeStart))
@@ -618,19 +672,18 @@ func (c *Cluster) runLocalBlock(b dist.Block, m *Metrics) error {
 // statements over its fragments (process workers concurrently), and the
 // stage closes when all have answered (the platform's synchronous-round
 // model). Worker state is shared-nothing, and all schema registration
-// happens in prepareStmts before the fan-out, so the workers race on
+// happens in prepare before the first fan-out, so the workers race on
 // nothing; results are bit-identical to sequential execution because
 // each worker's own statement order is unchanged and per-worker outcomes
 // — stats, compute, and the change sinks of watched views — are merged in
 // worker-index order after the barrier. Stage latency is the scheduling
 // overhead plus the slowest worker's compute (with optional straggler
 // inflation).
-func (c *Cluster) runDistBlock(b dist.Block, m *Metrics) error {
-	c.prepareStmts(b.Stmts)
-	watch := c.workerWatches(b.Stmts)
+func (c *Cluster) runDistBlock(b *block, m *Metrics) error {
+	watch := c.workerWatches(b.stmts)
 	stages := make([]stage, len(c.workers))
 	if err := c.each(func(i int, w worker) (err error) {
-		stages[i], err = w.runBlock(b.Stmts, c.schemas, watch)
+		stages[i], err = w.runBlock(b, watch)
 		return err
 	}); err != nil {
 		return err

@@ -64,7 +64,7 @@ func checkDistributedMatchesLocal(t *testing.T, name string, q expr.Expr,
 			batch.Add(tp, float64(1+rng.Intn(2)))
 		}
 		local.ApplyBatch(rel, batch.Clone())
-		if _, err := cl.Run(dprogs[rel], batch.Clone()); err != nil {
+		if _, err := cl.RunPartitionedBatch(dprogs[rel], batch.Clone()); err != nil {
 			t.Fatalf("%s O%d batch %d: %v\nprogram:\n%s", name, level, b, err, dprogs[rel])
 		}
 		got := cl.ViewContents(name)
@@ -84,7 +84,8 @@ func triJoinSetup() (expr.Expr, map[string]mring.Schema, dist.PartInfo) {
 }
 
 // partitionAll assigns every view a distributed location on its first
-// schema column, keeps scalars local, and puts deltas on the driver.
+// schema column, keeps scalars local, and leaves update batches where
+// the workers ingest them.
 func partitionAll(prog *compile.Program, topLocal bool) dist.PartInfo {
 	parts := dist.PartInfo{}
 	for _, v := range prog.Views {
@@ -98,7 +99,7 @@ func partitionAll(prog *compile.Program, topLocal bool) dist.PartInfo {
 		parts[prog.QueryName] = dist.Local
 	}
 	for rel := range prog.Bases {
-		parts[eval.DeltaName(rel)] = dist.Local
+		parts[eval.DeltaName(rel)] = dist.Random
 	}
 	return parts
 }
@@ -162,7 +163,7 @@ func TestDistributedNestedCorrelated(t *testing.T) {
 		}
 	}
 	for rel := range bases {
-		parts[eval.DeltaName(rel)] = dist.Local
+		parts[eval.DeltaName(rel)] = dist.Random
 	}
 	for _, level := range []dist.OptLevel{dist.O0, dist.O3} {
 		checkDistributedMatchesLocal(t, "Q17", q, bases, parts, level, 4, 8, 5, 7)
@@ -218,7 +219,7 @@ func TestMetricsShape(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		batch.Add(tup(i, i%5), 1)
 	}
-	m, err := cl.Run(dprogs["R"], batch)
+	m, err := cl.RunPartitionedBatch(dprogs["R"], batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestMetricsShape(t *testing.T) {
 	// Scheduling overhead grows with workers: same batch on a bigger
 	// cluster must cost more sync time for this tiny workload.
 	clBig := New(DefaultConfig(512), dist.ViewSchemas(prog), parts)
-	mBig, err := clBig.Run(dprogs["R"], batch.Clone())
+	mBig, err := clBig.RunPartitionedBatch(dprogs["R"], batch.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestStateNotSharedAcrossWorkers(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		batch.Add(tup(i, i%7), 1)
 	}
-	if _, err := cl.Run(dprogs["R"], batch); err != nil {
+	if _, err := cl.RunPartitionedBatch(dprogs["R"], batch); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]int{}
@@ -312,7 +313,7 @@ func TestCheckpointRestoreAfterFailure(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b := mkBatch(i * 30)
 		local.ApplyBatch("R", b.Clone())
-		if _, err := cl.Run(dprogs["R"], b); err != nil {
+		if _, err := cl.RunPartitionedBatch(dprogs["R"], b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -349,7 +350,7 @@ func TestCheckpointRestoreAfterFailure(t *testing.T) {
 	// Processing continues correctly after recovery.
 	b := mkBatch(90)
 	local.ApplyBatch("R", b.Clone())
-	if _, err := cl.Run(dprogs["R"], b); err != nil {
+	if _, err := cl.RunPartitionedBatch(dprogs["R"], b); err != nil {
 		t.Fatal(err)
 	}
 	if !cl.ViewContents("QC").EqualApprox(local.Result(), 1e-9) {
@@ -376,7 +377,7 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	batch := mring.NewRelation(mring.Schema{"A"})
 	batch.Add(tup(1), 1)
 	dprogs := dist.CompileProgram(prog, parts, dist.O3)
-	if _, err := cl.Run(dprogs["R"], batch); err != nil {
+	if _, err := cl.RunPartitionedBatch(dprogs["R"], batch); err != nil {
 		t.Fatal(err)
 	}
 	cp := mustCheckpoint(t, cl)
@@ -414,7 +415,7 @@ func TestStragglerInflation(t *testing.T) {
 		cfg.StragglerProb = prob
 		cfg.StragglerFactor = 3
 		cl := New(cfg, dist.ViewSchemas(prog), parts)
-		m, err := cl.Run(dprogs["R"], batch.Clone())
+		m, err := cl.RunPartitionedBatch(dprogs["R"], batch.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}

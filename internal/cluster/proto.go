@@ -1,24 +1,23 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
-	"repro/internal/dist"
 	"repro/internal/eval"
-	"repro/internal/expr"
 	"repro/internal/mring"
 	inet "repro/internal/net"
 )
 
-// The driver/worker protocol: one frame type byte per operation, gob
-// request/response bodies, relation data as internal/net payloads (never
-// gob — row order is load-bearing: receivers replay rows as a mutation
-// sequence). Each op is one method of the worker interface, encoded by
-// remoteWorker and decoded onto a Shard by serve. Each worker connection
-// carries strictly sequential request/response pairs; the driver fans
-// out across workers concurrently.
+// The driver/worker protocol: one frame type byte per operation, request
+// and response bodies in the control codec of codec.go, relation data as
+// internal/net payloads inside them (row order is load-bearing: receivers
+// replay rows as a mutation sequence). A distributed block crosses the
+// wire once per worker: the first stage that names it carries its deploy
+// blob (block.go), every later one only its id. Each op is one method of
+// the worker interface, encoded by remoteWorker and decoded onto a Shard
+// by serve. Each worker connection carries strictly sequential
+// request/response pairs; the driver fans out across workers
+// concurrently.
 //
 // DESIGN.md §11 documents the protocol; change both together.
 const (
@@ -46,37 +45,43 @@ const (
 	// sizes, for a durability checkpoint.
 	opSnapshot byte = 8
 	// opRestore replaces the shard's entire state with checkpoint
-	// fragments, rebuilt layout-exact (worker re-warm during recovery).
+	// fragments, rebuilt layout-exact (worker re-warm during recovery),
+	// and drops its deployed blocks.
 	opRestore byte = 9
-	// opRetain drops every shard fragment not named in the keep set (the
-	// worker half of a repartition).
+	// opRetain drops every shard fragment not named in the keep set, and
+	// every deployed block (the worker half of a repartition).
 	opRetain byte = 10
 
-	// opOK carries a gob response body; opErr carries an error string.
+	// opOK carries a response body; opErr carries an error string.
 	opOK  byte = 64
 	opErr byte = 65
 )
+
+// maxWorkers bounds the worker count a setup may declare.
+const maxWorkers = 1 << 16
 
 type setupReq struct {
 	Index   int
 	Workers int
 }
 
-type setupResp struct{}
+func (m *setupReq) put(e *enc) { e.int(m.Index); e.int(m.Workers) }
+func (m *setupReq) get(d *dec) { m.Index = d.int(); m.Workers = d.int() }
 
 type runBlockReq struct {
-	// Stmts is the block's statement sequence; the shard executes it in
-	// order against its own fragments.
-	Stmts []dist.Stmt
-	// Schemas is the driver's schema map after prepareStmts — every
-	// schema the statements may bind, resolved on the driver so shards
-	// never register schemas themselves.
-	Schemas map[string]mring.Schema
+	// ID names the block; the driver never reuses an id.
+	ID uint64
+	// Deploy is the block's deploy blob, sent with the first stage the
+	// worker runs of it; nil on every later stage.
+	Deploy []byte
 	// Watch names the watched worker-maintained views this block writes;
 	// the shard folds its changes to them into per-view sinks and returns
 	// the sinks as payloads.
 	Watch []string
 }
+
+func (m *runBlockReq) put(e *enc) { e.uvarint(m.ID); e.bytes(m.Deploy); e.strs(m.Watch) }
+func (m *runBlockReq) get(d *dec) { m.ID = d.uvarint(); m.Deploy = d.bytes(); m.Watch = d.strs() }
 
 type runBlockResp struct {
 	Stats     eval.Stats
@@ -84,6 +89,35 @@ type runBlockResp struct {
 	// Sinks holds each watched view's change sink in the shard's fold
 	// order (empty sinks are omitted — merging them is a no-op).
 	Sinks map[string][]byte
+}
+
+func (m *runBlockResp) put(e *enc) {
+	s := &m.Stats
+	for _, v := range []int64{s.Lookups, s.Scans, s.Emits, s.IndexOps, s.KernelFolds, m.ComputeNs} {
+		e.varint(v)
+	}
+	e.int(len(m.Sinks))
+	for _, name := range sortedKeys(m.Sinks) {
+		e.str(name)
+		e.bytes(m.Sinks[name])
+	}
+}
+
+func (m *runBlockResp) get(d *dec) {
+	s := &m.Stats
+	for _, v := range []*int64{&s.Lookups, &s.Scans, &s.Emits, &s.IndexOps, &s.KernelFolds, &m.ComputeNs} {
+		*v = d.varint()
+	}
+	n := d.count(2)
+	if n == 0 {
+		return
+	}
+	m.Sinks = make(map[string][]byte, n)
+	var prev string
+	for i := 0; i < n; i++ {
+		prev = d.name(prev, i == 0)
+		m.Sinks[prev] = d.bytes()
+	}
 }
 
 type installScatterReq struct {
@@ -101,6 +135,22 @@ type installScatterReq struct {
 	Capture bool
 }
 
+func (m *installScatterReq) put(e *enc) {
+	e.str(m.Name)
+	e.schema(m.Schema)
+	e.bytes(m.Payload)
+	e.bool(m.Broadcast)
+	e.bool(m.Capture)
+}
+
+func (m *installScatterReq) get(d *dec) {
+	m.Name = d.str()
+	m.Schema = d.schema()
+	m.Payload = d.bytes()
+	m.Broadcast = d.bool()
+	m.Capture = d.bool()
+}
+
 // installResp carries the capture payloads of a replacement install:
 // the fragment contents after (Cur) and before (Old) the install, each
 // in its relation's Foreach order. Nil without capture.
@@ -108,6 +158,9 @@ type installResp struct {
 	Cur []byte
 	Old []byte
 }
+
+func (m *installResp) put(e *enc) { e.bytes(m.Cur); e.bytes(m.Old) }
+func (m *installResp) get(d *dec) { m.Cur = d.bytes(); m.Old = d.bytes() }
 
 type installRepartReq struct {
 	Name      string
@@ -119,6 +172,30 @@ type installRepartReq struct {
 	Capture  bool
 }
 
+func (m *installRepartReq) put(e *enc) {
+	e.str(m.Name)
+	e.schema(m.SrcSchema)
+	e.schema(m.LHSSchema)
+	e.int(len(m.Payloads))
+	for _, p := range m.Payloads {
+		e.bytes(p)
+	}
+	e.bool(m.Capture)
+}
+
+func (m *installRepartReq) get(d *dec) {
+	m.Name = d.str()
+	m.SrcSchema = d.schema()
+	m.LHSSchema = d.schema()
+	if n := d.count(1); n > 0 {
+		m.Payloads = make([][]byte, n)
+		for i := range m.Payloads {
+			m.Payloads[i] = d.bytes()
+		}
+	}
+	m.Capture = d.bool()
+}
+
 type installDeltaReq struct {
 	Name   string
 	Schema mring.Schema
@@ -127,7 +204,8 @@ type installDeltaReq struct {
 	Payload []byte
 }
 
-type installDeltaResp struct{}
+func (m *installDeltaReq) put(e *enc) { e.str(m.Name); e.schema(m.Schema); e.bytes(m.Payload) }
+func (m *installDeltaReq) get(d *dec) { m.Name = d.str(); m.Schema = d.schema(); m.Payload = d.bytes() }
 
 type partitionOutReq struct {
 	Src    string
@@ -135,16 +213,53 @@ type partitionOutReq struct {
 	KeyPos []int
 }
 
-type partitionOutResp struct {
-	// Frags holds one payload per destination worker; nil entries mark
-	// empty fragments.
-	Frags [][]byte
+func (m *partitionOutReq) put(e *enc) {
+	e.str(m.Src)
+	e.schema(m.Schema)
+	e.int(len(m.KeyPos))
+	for _, p := range m.KeyPos {
+		e.int(p)
+	}
+}
+
+func (m *partitionOutReq) get(d *dec) {
+	m.Src = d.str()
+	m.Schema = d.schema()
+	if n := d.count(1); n > 0 {
+		m.KeyPos = make([]int, n)
+		for i := range m.KeyPos {
+			m.KeyPos[i] = d.int()
+		}
+	}
+}
+
+// fragsMsg is a list of exchange fragments, one per destination worker
+// (partition-out responses); nil entries mark empty fragments.
+type fragsMsg struct{ Frags [][]byte }
+
+func (m *fragsMsg) put(e *enc) {
+	e.int(len(m.Frags))
+	for _, f := range m.Frags {
+		e.bytes(f)
+	}
+}
+
+func (m *fragsMsg) get(d *dec) {
+	if n := d.count(1); n > 0 {
+		m.Frags = make([][]byte, n)
+		for i := range m.Frags {
+			m.Frags[i] = d.bytes()
+		}
+	}
 }
 
 type fetchReq struct {
 	Name   string
 	Schema mring.Schema
 }
+
+func (m *fetchReq) put(e *enc) { e.str(m.Name); e.schema(m.Schema) }
+func (m *fetchReq) get(d *dec) { m.Name = d.str(); m.Schema = d.schema() }
 
 type fetchResp struct {
 	// Present reports whether the shard holds the relation at all (view
@@ -153,66 +268,70 @@ type fetchResp struct {
 	Payload []byte
 }
 
-type snapshotReq struct{}
+func (m *fetchResp) put(e *enc) { e.bool(m.Present); e.bytes(m.Payload) }
+func (m *fetchResp) get(d *dec) { m.Present = d.bool(); m.Payload = d.bytes() }
 
-type snapshotResp struct {
-	// Frags holds every restorable fragment on the shard (contents plus
-	// bucket-table size; empty-but-sized relations included, since
-	// retained capacity shapes future layout).
+// snapshotMsg carries a shard's whole state: the snapshot response, and
+// the restore request. Frags holds every restorable fragment (contents
+// plus bucket-table size; empty-but-sized relations included, since
+// retained capacity shapes future layout).
+type snapshotMsg struct {
 	Frags map[string]Frag
 }
 
-type restoreReq struct {
-	Frags map[string]Frag
+func (m *snapshotMsg) put(e *enc) {
+	e.int(len(m.Frags))
+	for _, name := range sortedKeys(m.Frags) {
+		f := m.Frags[name]
+		e.str(name)
+		e.schema(f.Schema)
+		e.int(f.Buckets)
+		e.bytes(f.Payload)
+	}
 }
 
-type restoreResp struct{}
+func (m *snapshotMsg) get(d *dec) {
+	n := d.count(4)
+	m.Frags = make(map[string]Frag, n)
+	var prev string
+	for i := 0; i < n; i++ {
+		prev = d.name(prev, i == 0)
+		m.Frags[prev] = Frag{Schema: d.schema(), Buckets: d.int(), Payload: d.bytes()}
+	}
+}
 
+// retainReq names the fragments a shard keeps; every other fragment is
+// dropped.
 type retainReq struct {
 	Keep map[string]bool
 }
 
-type retainResp struct{}
-
-func init() {
-	// The statement AST crosses the wire inside runBlockReq; register
-	// every concrete node behind the expr.Expr / expr.VExpr interfaces.
-	gob.Register(&expr.Rel{})
-	gob.Register(&expr.Plus{})
-	gob.Register(&expr.Mul{})
-	gob.Register(&expr.Agg{})
-	gob.Register(&expr.Const{})
-	gob.Register(&expr.Val{})
-	gob.Register(&expr.Cmp{})
-	gob.Register(&expr.Assign{})
-	gob.Register(&expr.Exists{})
-	gob.Register(&dist.Xform{})
-	gob.Register(expr.VarRef{})
-	gob.Register(expr.Lit{})
-	gob.Register(expr.Arith{})
-}
-
-// encodeMsg gob-encodes one protocol message body. Each message is a
-// self-contained gob stream, so decoding needs no per-connection state.
-func encodeMsg(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
+func (m *retainReq) put(e *enc) {
+	var names []string
+	for _, name := range sortedKeys(m.Keep) {
+		if m.Keep[name] {
+			names = append(names, name)
+		}
 	}
-	return buf.Bytes(), nil
+	e.strs(names)
 }
 
-func decodeMsg(body []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
-}
-
-// call runs one request/response round trip on a worker connection.
-func call(c inet.Conn, op byte, req, resp any) error {
-	body, err := encodeMsg(req)
-	if err != nil {
-		return fmt.Errorf("cluster: encode op %d: %w", op, err)
+func (m *retainReq) get(d *dec) {
+	names := d.strs()
+	m.Keep = make(map[string]bool, len(names))
+	for i, name := range names {
+		if i > 0 && name <= names[i-1] {
+			d.fail("keep name %q out of order", name)
+			return
+		}
+		m.Keep[name] = true
 	}
-	if err := c.Send(op, body); err != nil {
+}
+
+// call runs one request/response round trip on a worker connection; a
+// nil resp expects an empty response body.
+func call(c inet.Conn, op byte, req, resp message) error {
+	if err := c.Send(op, marshal(req)); err != nil {
 		return err
 	}
 	typ, rbody, err := c.Recv()
@@ -221,10 +340,7 @@ func call(c inet.Conn, op byte, req, resp any) error {
 	}
 	switch typ {
 	case opOK:
-		if resp == nil {
-			return nil
-		}
-		if err := decodeMsg(rbody, resp); err != nil {
+		if err := unmarshal(rbody, resp); err != nil {
 			return fmt.Errorf("cluster: decode response to op %d: %w", op, err)
 		}
 		return nil

@@ -29,12 +29,12 @@ func Connect(tr inet.Transport, addrs []string, schemas map[string]mring.Schema,
 			}
 			return nil, fmt.Errorf("cluster: dial worker %s: %w", a, err)
 		}
-		ws = append(ws, &remoteWorker{conn: conn})
+		ws = append(ws, &remoteWorker{conn: conn, deployed: make(map[uint64]bool)})
 	}
 	c := newCluster(Config{Workers: len(ws)}, ws, schemas, parts)
 	c.rpc = true
 	if err := c.each(func(i int, w worker) error {
-		return call(w.(*remoteWorker).conn, opSetup, &setupReq{Index: i, Workers: len(ws)}, &setupResp{})
+		return call(w.(*remoteWorker).conn, opSetup, &setupReq{Index: i, Workers: len(ws)}, nil)
 	}); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("cluster: worker setup: %w", err)
@@ -46,6 +46,10 @@ func Connect(tr inet.Transport, addrs []string, schemas map[string]mring.Schema,
 // is one request/response round trip of the protocol in proto.go.
 type remoteWorker struct {
 	conn inet.Conn
+	// deployed holds the ids of the blocks the worker holds: the first
+	// stage of a block ships its deploy blob, every later one its id.
+	// Retain and restore retire the worker's blocks, and clear it.
+	deployed map[uint64]bool
 }
 
 // wire is a relation payload as it crossed (or will cross) the wire: the
@@ -93,14 +97,19 @@ func raw(r rows) []byte {
 	return r.(*wire).raw
 }
 
-func (rw *remoteWorker) runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, watch []string) (stage, error) {
+func (rw *remoteWorker) runBlock(b *block, watch []string) (stage, error) {
+	req := &runBlockReq{ID: b.id, Watch: watch}
+	if !rw.deployed[b.id] {
+		req.Deploy = b.deploy
+	}
 	var resp runBlockResp
-	if err := call(rw.conn, opRunBlock, &runBlockReq{Stmts: stmts, Schemas: schemas, Watch: watch}, &resp); err != nil {
+	if err := call(rw.conn, opRunBlock, req, &resp); err != nil {
 		return stage{}, err
 	}
+	rw.deployed[b.id] = true
 	st := stage{stats: resp.Stats, compute: time.Duration(resp.ComputeNs)}
-	for name, b := range resp.Sinks {
-		s, err := decodeRows(b)
+	for name, p := range resp.Sinks {
+		s, err := decodeRows(p)
 		if err != nil {
 			return stage{}, err
 		}
@@ -152,11 +161,11 @@ func (resp *installResp) replacement() (cur, old rows, err error) {
 }
 
 func (rw *remoteWorker) installDelta(name string, schema mring.Schema, src rows) error {
-	return call(rw.conn, opInstallDelta, &installDeltaReq{Name: name, Schema: schema, Payload: encodeRows(src, schema)}, &installDeltaResp{})
+	return call(rw.conn, opInstallDelta, &installDeltaReq{Name: name, Schema: schema, Payload: encodeRows(src, schema)}, nil)
 }
 
 func (rw *remoteWorker) partitionOut(src string, schema mring.Schema, keyPos []int) ([]rows, error) {
-	var resp partitionOutResp
+	var resp fragsMsg
 	if err := call(rw.conn, opPartitionOut, &partitionOutReq{Src: src, Schema: schema, KeyPos: keyPos}, &resp); err != nil {
 		return nil, err
 	}
@@ -183,17 +192,19 @@ func (rw *remoteWorker) fetch(name string, schema mring.Schema) (rows, error) {
 }
 
 func (rw *remoteWorker) retain(keep map[string]bool) error {
-	return call(rw.conn, opRetain, &retainReq{Keep: keep}, &retainResp{})
+	clear(rw.deployed)
+	return call(rw.conn, opRetain, &retainReq{Keep: keep}, nil)
 }
 
 func (rw *remoteWorker) snapshot() (map[string]Frag, error) {
-	var resp snapshotResp
-	err := call(rw.conn, opSnapshot, &snapshotReq{}, &resp)
+	var resp snapshotMsg
+	err := call(rw.conn, opSnapshot, nil, &resp)
 	return resp.Frags, err
 }
 
 func (rw *remoteWorker) restore(frags map[string]Frag) error {
-	return call(rw.conn, opRestore, &restoreReq{Frags: frags}, &restoreResp{})
+	clear(rw.deployed)
+	return call(rw.conn, opRestore, &snapshotMsg{Frags: frags}, nil)
 }
 
 func (rw *remoteWorker) close() error { return rw.conn.Close() }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/mring"
 	inet "repro/internal/net"
 )
 
@@ -25,23 +26,18 @@ func ServeConn(conn inet.Conn) error {
 			return err
 		}
 		resp, herr := handleSafely(sh, op, body)
-		if herr == nil {
-			var rbody []byte
-			if rbody, herr = encodeMsg(resp); herr == nil {
-				if err := conn.Send(opOK, rbody); err != nil {
-					return err
-				}
-				continue
-			}
-			herr = fmt.Errorf("cluster: encode response to op %d: %w", op, herr)
+		if herr != nil {
+			err = conn.Send(opErr, []byte(herr.Error()))
+		} else {
+			err = conn.Send(opOK, marshal(resp))
 		}
-		if err := conn.Send(opErr, []byte(herr.Error())); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 }
 
-func handleSafely(sh *Shard, op byte, body []byte) (resp any, err error) {
+func handleSafely(sh *Shard, op byte, body []byte) (resp message, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp, err = nil, fmt.Errorf("cluster: op %d panicked: %v", op, r)
@@ -51,30 +47,35 @@ func handleSafely(sh *Shard, op byte, body []byte) (resp any, err error) {
 }
 
 // serve decodes one request, runs it on the shard, and returns the
-// response body — the worker-process side of every remoteWorker call.
-// Malformed or hostile requests return errors: payloads go through the
-// hardened internal/net decoders.
-func serve(sh *Shard, op byte, body []byte) (any, error) {
+// response body (nil: empty) — the worker-process side of every
+// remoteWorker call. Malformed or hostile requests return errors: bodies
+// go through the bounds-checked control codec, payloads through the
+// hardened internal/net decoders, deploy blobs through checkStmts.
+func serve(sh *Shard, op byte, body []byte) (message, error) {
 	if op != opSetup && sh.workers < 1 {
 		return nil, fmt.Errorf("cluster: shard not set up")
 	}
 	switch op {
 	case opSetup:
 		var req setupReq
-		if err := decodeMsg(body, &req); err != nil {
+		if err := unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		if req.Workers < 1 || req.Index < 0 || req.Index >= req.Workers {
+		if req.Workers < 1 || req.Workers > maxWorkers || req.Index >= req.Workers {
 			return nil, fmt.Errorf("cluster: bad setup index %d of %d workers", req.Index, req.Workers)
 		}
 		sh.workers = req.Workers
-		return setupResp{}, nil
+		return nil, nil
 	case opRunBlock:
 		var req runBlockReq
-		if err := decodeMsg(body, &req); err != nil {
+		if err := unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		st, err := sh.runBlock(req.Stmts, req.Schemas, req.Watch)
+		b, err := sh.stageBlock(req.ID, req.Deploy)
+		if err != nil {
+			return nil, err
+		}
+		st, err := sh.runBlock(b, req.Watch)
 		if err != nil {
 			return nil, err
 		}
@@ -91,22 +92,25 @@ func serve(sh *Shard, op byte, body []byte) (any, error) {
 		return resp, nil
 	case opInstallScatter:
 		var req installScatterReq
-		if err := decodeMsg(body, &req); err != nil {
+		if err := unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		src, err := decodeRows(req.Payload)
+		src, err := decodeFragment(req.Payload, req.Schema)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: scatter payload for %q: %w", req.Name, err)
 		}
 		return installed(sh.installScatter(req.Name, req.Schema, src, req.Broadcast, req.Capture))
 	case opInstallRepart:
 		var req installRepartReq
-		if err := decodeMsg(body, &req); err != nil {
+		if err := unmarshal(body, &req); err != nil {
 			return nil, err
+		}
+		if len(req.SrcSchema) != len(req.LHSSchema) {
+			return nil, fmt.Errorf("cluster: repart of %q: source arity %d, target arity %d", req.Name, len(req.SrcSchema), len(req.LHSSchema))
 		}
 		from := make([]rows, len(req.Payloads))
 		for i, b := range req.Payloads {
-			r, err := decodeRows(b)
+			r, err := decodeFragment(b, req.SrcSchema)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: repart payload for %q: %w", req.Name, err)
 			}
@@ -115,31 +119,31 @@ func serve(sh *Shard, op byte, body []byte) (any, error) {
 		return installed(sh.installRepart(req.Name, req.SrcSchema, req.LHSSchema, from, req.Capture))
 	case opInstallDelta:
 		var req installDeltaReq
-		if err := decodeMsg(body, &req); err != nil {
+		if err := unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		src, err := decodeRows(req.Payload)
+		src, err := decodeFragment(req.Payload, req.Schema)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: delta payload for %q: %w", req.Name, err)
 		}
-		return installDeltaResp{}, sh.installDelta(req.Name, req.Schema, src)
+		return nil, sh.installDelta(req.Name, req.Schema, src)
 	case opPartitionOut:
 		var req partitionOutReq
-		if err := decodeMsg(body, &req); err != nil {
+		if err := unmarshal(body, &req); err != nil {
 			return nil, err
 		}
 		pieces, err := sh.partitionOut(req.Src, req.Schema, req.KeyPos)
 		if err != nil {
 			return nil, err
 		}
-		resp := &partitionOutResp{Frags: make([][]byte, len(pieces))}
+		resp := &fragsMsg{Frags: make([][]byte, len(pieces))}
 		for i, p := range pieces {
 			resp.Frags[i] = encodeRows(p, nil)
 		}
 		return resp, nil
 	case opFetch:
 		var req fetchReq
-		if err := decodeMsg(body, &req); err != nil {
+		if err := unmarshal(body, &req); err != nil {
 			return nil, err
 		}
 		r, _ := sh.fetch(req.Name, req.Schema)
@@ -149,30 +153,42 @@ func serve(sh *Shard, op byte, body []byte) (any, error) {
 		return &fetchResp{Present: true, Payload: encodeRows(r, nil)}, nil
 	case opRetain:
 		var req retainReq
-		if err := decodeMsg(body, &req); err != nil {
+		if err := unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		return retainResp{}, sh.retain(req.Keep)
+		return nil, sh.retain(req.Keep)
 	case opSnapshot:
-		var req snapshotReq
-		if err := decodeMsg(body, &req); err != nil {
+		if err := unmarshal(body, nil); err != nil {
 			return nil, err
 		}
 		frags, err := sh.snapshot()
-		return &snapshotResp{Frags: frags}, err
+		return &snapshotMsg{Frags: frags}, err
 	case opRestore:
-		var req restoreReq
-		if err := decodeMsg(body, &req); err != nil {
+		var req snapshotMsg
+		if err := unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		return restoreResp{}, sh.restore(req.Frags)
+		return nil, sh.restore(req.Frags)
 	default:
 		return nil, fmt.Errorf("cluster: unknown op %d", op)
 	}
 }
 
+// decodeFragment decodes a shipped fragment, which must have the arity
+// of the relation it installs into.
+func decodeFragment(b []byte, schema mring.Schema) (rows, error) {
+	r, err := decodeRows(b)
+	if err != nil || r == nil {
+		return nil, err
+	}
+	if n := len(r.(*wire).Schema); n != len(schema) {
+		return nil, fmt.Errorf("payload arity %d, relation arity %d", n, len(schema))
+	}
+	return r, nil
+}
+
 // installed encodes an install's capture result.
-func installed(cur, old rows, err error) (any, error) {
+func installed(cur, old rows, err error) (message, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -6,18 +6,15 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/dist"
+	"repro/internal/mring"
 	inet "repro/internal/net"
 	"repro/internal/tpch"
 )
 
-// TestServedStagesRetainNothing pins that a worker keeps nothing of a
-// served stage but its fragments: one driver session serves many Q3
-// opRunBlock requests, each gob-decoding fresh statement trees, and the
-// worker's live heap must not grow with the number of requests. Kernel
-// plans are lowered per stage, so the decoded trees and their plans die
-// with the request; a process-wide plan memo keyed by tree node would
-// keep every request's trees alive.
-func TestServedStagesRetainNothing(t *testing.T) {
+// q3WorkerBlocks compiles TPC-H Q3 for the default placement and returns
+// its distributed blocks prepared by a driver, each with its deploy blob.
+func q3WorkerBlocks(t testing.TB) []*block {
+	t.Helper()
 	q, err := tpch.QueryByName("Q3")
 	if err != nil {
 		t.Fatal(err)
@@ -27,22 +24,39 @@ func TestServedStagesRetainNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	parts := dist.ChoosePartitioning(prog, tpch.PrimaryKeyRanks)
-	schemas := dist.ViewSchemas(prog)
-	driver := New(DefaultConfig(2), schemas, parts)
+	driver := New(DefaultConfig(2), dist.ViewSchemas(prog), parts)
 	defer driver.Close()
-	var blocks [][]dist.Stmt
+	var blocks []*block
 	for _, dp := range dist.CompileProgram(prog, parts, dist.O3) {
-		for _, b := range dp.Blocks {
-			if b.Mode == dist.LDist {
-				driver.prepareStmts(b.Stmts)
-				blocks = append(blocks, b.Stmts)
+		for i := range dp.Blocks {
+			if dp.Blocks[i].Mode != dist.LDist {
+				continue
 			}
+			b, err := driver.prepare(&dp.Blocks[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.deploy, err = encodeDeploy(b.stmts, b.schemas); err != nil {
+				t.Fatal(err)
+			}
+			blocks = append(blocks, b)
 		}
 	}
 	if len(blocks) == 0 {
 		t.Fatal("Q3 compiled to no worker blocks")
 	}
+	return blocks
+}
 
+// TestServedStagesRetainNothing pins that a worker keeps nothing of a
+// served stage but its fragments: one driver session deploys each Q3
+// worker block once, then serves many opRunBlock requests that name the
+// blocks by id, and the worker's live heap must not grow with the number
+// of requests. Decoded trees and their kernel plans live in the shard's
+// block table, built once per deploy; anything a stage kept beyond that
+// would grow with the requests.
+func TestServedStagesRetainNothing(t *testing.T) {
+	blocks := q3WorkerBlocks(t)
 	srv, err := ListenAndServeWorker(inet.TCP{}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -53,13 +67,17 @@ func TestServedStagesRetainNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := call(conn, opSetup, &setupReq{Index: 0, Workers: 2}, &setupResp{}); err != nil {
+	if err := call(conn, opSetup, &setupReq{Index: 0, Workers: 2}, nil); err != nil {
 		t.Fatal(err)
 	}
-	serveAll := func() {
-		for _, stmts := range blocks {
+	serveAll := func(deploy bool) {
+		for _, b := range blocks {
+			req := &runBlockReq{ID: b.id}
+			if deploy {
+				req.Deploy = b.deploy
+			}
 			var resp runBlockResp
-			if err := call(conn, opRunBlock, &runBlockReq{Stmts: stmts, Schemas: schemas}, &resp); err != nil {
+			if err := call(conn, opRunBlock, req, &resp); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -71,12 +89,14 @@ func TestServedStagesRetainNothing(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 
-	// The first round creates the shard's fragments and warms the codec.
-	serveAll()
+	// The first round deploys the blocks and creates the shard's
+	// fragments; the second warms every path a served stage takes.
+	serveAll(true)
+	serveAll(false)
 	before := liveHeap()
 	const rounds = 500
 	for i := 0; i < rounds; i++ {
-		serveAll()
+		serveAll(false)
 	}
 	grown := liveHeap() - before
 	t.Logf("%d requests: live heap grew %d B", rounds*len(blocks), grown)
@@ -85,4 +105,53 @@ func TestServedStagesRetainNothing(t *testing.T) {
 		t.Fatalf("serving %d requests grew the live heap by %d B, want <= %d B: served stages are retained",
 			rounds*len(blocks), grown, bound)
 	}
+}
+
+// fuzzShard is a set-up worker shard holding one small fragment.
+func fuzzShard() (*Shard, *mring.Relation) {
+	sh := &Shard{node: newNode(), workers: 2}
+	r := sh.rel("R", mring.Schema{"a", "b"})
+	for i := 0; i < 12; i++ {
+		r.Add(tup(i, i%3), float64(1+i%2))
+	}
+	return sh, r
+}
+
+// FuzzServeRequest feeds arbitrary requests to a set-up worker shard: an
+// op byte and a body must produce a response or an error, never a panic.
+// serve is called directly, without handleSafely's recover, so a panic
+// fails the fuzzer. The seeds are one real request per op, including a
+// run-block that deploys a Q3 block and one that names an id the shard
+// never saw.
+func FuzzServeRequest(f *testing.F) {
+	blocks := q3WorkerBlocks(f)
+	sh, r := fuzzShard()
+	schema := r.Schema()
+	payload := inet.EncodeRelationPlain(r)
+	snap, _ := sh.snapshot()
+	watch := []string{blocks[0].stmts[0].LHS}
+	for _, seed := range []struct {
+		op  byte
+		msg message
+	}{
+		{opSetup, &setupReq{Index: 1, Workers: 2}},
+		{opRunBlock, &runBlockReq{ID: blocks[0].id, Deploy: blocks[0].deploy, Watch: watch}},
+		{opRunBlock, &runBlockReq{ID: 1 << 40, Watch: watch}},
+		{opInstallScatter, &installScatterReq{Name: "S", Schema: schema, Payload: payload, Capture: true}},
+		{opInstallRepart, &installRepartReq{Name: "S", SrcSchema: schema, LHSSchema: schema, Payloads: [][]byte{payload, nil}, Capture: true}},
+		{opInstallDelta, &installDeltaReq{Name: "S", Schema: schema, Payload: payload}},
+		{opPartitionOut, &partitionOutReq{Src: "R", Schema: schema, KeyPos: []int{1}}},
+		{opFetch, &fetchReq{Name: "R", Schema: schema}},
+		{opSnapshot, nil},
+		{opRestore, &snapshotMsg{Frags: snap}},
+		{opRetain, &retainReq{Keep: map[string]bool{"R": true}}},
+	} {
+		f.Add(seed.op, marshal(seed.msg))
+	}
+	f.Fuzz(func(t *testing.T, op byte, body []byte) {
+		sh, _ := fuzzShard()
+		if resp, err := serve(sh, op, body); err == nil {
+			marshal(resp)
+		}
+	})
 }

@@ -19,11 +19,10 @@ import (
 // by a Shard in a worker process (server.go). The driver never calls one
 // worker concurrently with itself.
 type worker interface {
-	// runBlock executes one distributed block's statements over the
-	// worker's fragments. schemas resolves every name the statements
-	// bind; watch names the watched views the block writes, whose change
-	// sinks come back in the stage.
-	runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, watch []string) (stage, error)
+	// runBlock executes one prepared distributed block over the worker's
+	// fragments; watch names the watched views the block writes, whose
+	// change sinks come back in the stage.
+	runBlock(b *block, watch []string) (stage, error)
 	// pack readies a driver-held fragment for installScatter on this kind
 	// of worker; one pack may be installed on every worker (broadcast).
 	pack(r *mring.Relation) rows
@@ -154,17 +153,6 @@ func (n *node) snapshot() map[string]Frag {
 	return out
 }
 
-// lowerBlock lowers the covered aggregates of one block's statements. The
-// table lives for one stage, so the trees a worker process decodes per
-// request die with the request, plans included.
-func lowerBlock(stmts []dist.Stmt) eval.Kernels {
-	es := make([]expr.Expr, len(stmts))
-	for i, s := range stmts {
-		es[i] = s.RHS
-	}
-	return eval.LowerKernels(es...)
-}
-
 // runStmtOn evaluates a compute statement against one node's state,
 // dispatching covered aggregates by the block's plan table, and returns
 // the evaluation statistics. It only reads the schema map and mutates
@@ -200,17 +188,36 @@ func runStmtOn(n *node, schemas map[string]mring.Schema, s dist.Stmt, kernels ev
 type Shard struct {
 	node
 	workers int
+	// blocks holds the blocks deployed to a worker process, by id, until
+	// a retain or restore retires them. In-process shards run the
+	// driver's prepared blocks directly and leave it empty.
+	blocks map[uint64]*block
 }
 
-func (sh *Shard) runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, watch []string) (stage, error) {
-	for _, s := range stmts {
-		if _, ok := schemas[s.LHS]; !ok {
-			return stage{}, fmt.Errorf("cluster: statement target %q without schema", s.LHS)
+// stageBlock returns the deployed block a stage names, deploying it first
+// when the request carries its blob.
+func (sh *Shard) stageBlock(id uint64, deploy []byte) (*block, error) {
+	if len(deploy) > 0 {
+		b, err := decodeDeploy(id, deploy)
+		if err != nil {
+			return nil, err
 		}
+		if sh.blocks == nil {
+			sh.blocks = make(map[uint64]*block)
+		}
+		sh.blocks[id] = b
+		return b, nil
 	}
+	if b := sh.blocks[id]; b != nil {
+		return b, nil
+	}
+	return nil, fmt.Errorf("cluster: stage names block %d, which is not deployed", id)
+}
+
+func (sh *Shard) runBlock(b *block, watch []string) (stage, error) {
 	var st stage
 	for _, name := range watch {
-		s, ok := schemas[name]
+		s, ok := b.schemas[name]
 		if !ok {
 			return stage{}, fmt.Errorf("cluster: watch of %q without schema", name)
 		}
@@ -220,10 +227,9 @@ func (sh *Shard) runBlock(stmts []dist.Stmt, schemas map[string]mring.Schema, wa
 		st.sinks[name] = mring.NewRelation(s)
 	}
 	start := time.Now()
-	kernels := lowerBlock(stmts)
-	for _, s := range stmts {
+	for _, s := range b.stmts {
 		sink, _ := st.sinks[s.LHS].(*mring.Relation)
-		st.stats.Add(runStmtOn(&sh.node, schemas, s, kernels, sink))
+		st.stats.Add(runStmtOn(&sh.node, b.schemas, s, b.kernels, sink))
 	}
 	st.compute = time.Since(start)
 	return st, nil
@@ -313,6 +319,7 @@ func (sh *Shard) fetch(name string, _ mring.Schema) (rows, error) {
 
 func (sh *Shard) retain(keep map[string]bool) error {
 	sh.node.retain(keep)
+	sh.blocks = nil
 	return nil
 }
 
@@ -326,6 +333,7 @@ func (sh *Shard) restore(frags map[string]Frag) error {
 		return err
 	}
 	sh.rels = rels
+	sh.blocks = nil
 	return nil
 }
 

@@ -133,7 +133,7 @@ func TestRandomLocatedViewMaintainedAtO0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := dist.PartInfo{eval.DeltaName("R"): dist.Local}
+	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random}
 	for _, v := range prog.Views {
 		parts[v.Name] = dist.Random
 	}
@@ -146,7 +146,7 @@ func TestRandomLocatedViewMaintainedAtO0(t *testing.T) {
 			batch.Add(mring.Tuple{mring.Int(int64(b*20 + i)), mring.Int(int64(i % 4))}, 1)
 		}
 		local.ApplyBatch("R", batch.Clone())
-		if _, err := cl.Run(dprogs["R"], batch); err != nil {
+		if _, err := cl.RunPartitionedBatch(dprogs["R"], batch); err != nil {
 			t.Fatalf("batch %d: %v\n%s", b, err, dprogs["R"])
 		}
 		if got, want := cl.ViewContents("QR"), local.Result(); !got.EqualApprox(want, 1e-9) {

@@ -46,8 +46,8 @@ type kernelPlan struct {
 
 // Kernels is a lowered plan table: the covered aggregates of one set of
 // expression trees, keyed by node. Its owner is whatever owns the trees —
-// a compiled program's executor, or one cluster stage — so the table and
-// the trees it points into are released together.
+// a compiled program's executor, or one prepared cluster block — so the
+// table and the trees it points into are released together.
 type Kernels map[*expr.Agg]*kernelPlan
 
 // LowerKernels lowers every covered aggregate node found anywhere in es,

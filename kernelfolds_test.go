@@ -10,8 +10,9 @@ import (
 // backend: a Q1 stream's pre-aggregation is a covered single-scan
 // aggregate, so each backend must report columnar kernel folds in its
 // merged stats — the local executor from its program's plan table, the
-// simulated and the process cluster from the plan tables their workers
-// lower per stage (the process cluster's arrive in the stage responses).
+// simulated and the process cluster from the plan tables lowered once per
+// block (the process cluster's workers lower theirs at deploy, and their
+// folds arrive in the stage responses).
 // The goldens compare results only, which the row path would also pass.
 func TestKernelFoldsOnEveryBackend(t *testing.T) {
 	q, err := tpch.QueryByName("Q1")
