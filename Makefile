@@ -74,7 +74,7 @@ check-api:
 	@$(GO) doc -all . | diff -u API.txt - || { \
 		echo "exported API surface changed: run 'make api' and commit API.txt" >&2; exit 1; }
 
-# soak runs the self-tuning controllers against a skewed stream for
+# soak runs the self-tuning skew controller against a skewed stream for
 # SOAK_TIME of wall time under the race detector and asserts that
 # repartitioning settles (same step as CI). SOAK_TIME=2s by default for
 # a quick local check; CI uses 30s.

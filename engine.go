@@ -3,6 +3,7 @@ package ivm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -122,6 +123,12 @@ func (cfg *engineConfig) validate() error {
 			return fmt.Errorf("ivm: RetainCheckpoints wants a positive count, got %d", cfg.dur.retain)
 		}
 	}
+	if tc := cfg.tuneCfg; tc.SkewPatience < 0 || tc.SkewCooldown < 0 {
+		return fmt.Errorf("ivm: TuneConfig wants non-negative SkewPatience and SkewCooldown, got %d and %d", tc.SkewPatience, tc.SkewCooldown)
+	}
+	if th := cfg.tuneCfg.SkewThreshold; th < 0 || math.IsNaN(th) || math.IsInf(th, 0) {
+		return fmt.Errorf("ivm: TuneConfig wants a finite non-negative SkewThreshold, got %g", th)
+	}
 	return nil
 }
 
@@ -164,10 +171,6 @@ type backend interface {
 	// WorkerTimings returns each worker's accumulated stage compute in
 	// worker-index order (nil on the local backend) — the skew signal.
 	WorkerTimings() []cluster.WorkerTiming
-	// ForEachRelation visits every maintained relation (every node's
-	// fragments on the cluster backend) for index-admission sweeps and
-	// per-index stats, in a deterministic order.
-	ForEachRelation(f func(name string, r *mring.Relation))
 	// Rebalance re-derives the partitioning from measured placement
 	// skew and, when the choice changed, redeploys state and programs
 	// under the new placement. Reports whether anything changed; always
@@ -358,10 +361,9 @@ func (e *Engine) TriggerProgram(table string) string { return e.triggerProgram(t
 
 // Stats returns the engine's runtime statistics — evaluation counters
 // (on the distributed backend merged deterministically across nodes),
-// per-worker stage timings, per-index admission state, and the tuning
-// controllers' state. The snapshot is taken under the backend lock, so
-// it is consistent even while another goroutine is applying
-// transactions.
+// per-worker stage timings, and the tuning controller's state. The
+// snapshot is taken under the backend lock, so it is consistent even
+// while another goroutine is applying transactions.
 func (e *Engine) Stats() Stats { return e.statsSnapshot() }
 
 // Metrics returns the cumulative virtual platform cost of all processed
@@ -389,51 +391,11 @@ func (s *serving) statsSnapshot() Stats {
 	defer s.beMu.Unlock()
 	st := Stats{Stats: s.be.Stats()}
 	st.Workers = s.be.WorkerTimings()
-	st.Indexes = s.indexStatsLocked()
 	if s.tn != nil {
 		st.Tuning = s.tn.snapshot()
 	}
 	st.Durability = s.durabilityStatsLocked()
 	return st
-}
-
-// indexStatsLocked aggregates per-index admission state by (view,
-// columns) across all fragments, sorted by view name then column mask.
-func (s *serving) indexStatsLocked() []IndexStat {
-	type ikey struct {
-		view string
-		mask uint64
-	}
-	agg := make(map[ikey]*IndexStat)
-	var order []ikey
-	s.be.ForEachRelation(func(name string, r *mring.Relation) {
-		for _, h := range r.IndexHealthSnapshot() {
-			k := ikey{name, mring.ColMask(h.Cols)}
-			a := agg[k]
-			if a == nil {
-				a = &IndexStat{View: name, Cols: h.Cols}
-				agg[k] = a
-				order = append(order, k)
-			}
-			a.Probes += h.Probes
-			a.Maintains += h.Maintains
-			a.ScanProbes += h.ScanProbes
-			if h.Demoted {
-				a.Demoted = true
-			}
-		}
-	})
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].view != order[j].view {
-			return order[i].view < order[j].view
-		}
-		return order[i].mask < order[j].mask
-	})
-	out := make([]IndexStat, 0, len(order))
-	for _, k := range order {
-		out = append(out, *agg[k])
-	}
-	return out
 }
 
 func (s *serving) metricsSnapshot() (Metrics, Metrics) {
@@ -907,10 +869,6 @@ func (lb *localBackend) Metrics() (Metrics, Metrics) { return Metrics{}, Metrics
 
 func (lb *localBackend) WorkerTimings() []cluster.WorkerTiming { return nil }
 
-func (lb *localBackend) ForEachRelation(f func(name string, r *mring.Relation)) {
-	lb.ex.ForEachView(f)
-}
-
 func (lb *localBackend) Rebalance() (bool, error) { return false, nil }
 
 // SnapshotState captures every executor view — including transient
@@ -1116,10 +1074,6 @@ func (db *distBackend) TriggerProgram(table string) string {
 func (db *distBackend) Metrics() (Metrics, Metrics) { return db.total, db.last }
 
 func (db *distBackend) WorkerTimings() []cluster.WorkerTiming { return db.cl.WorkerTimings() }
-
-func (db *distBackend) ForEachRelation(f func(name string, r *mring.Relation)) {
-	db.cl.ForEachRelation(f)
-}
 
 // SnapshotState captures every node's fragments (driver and workers)
 // with the deployed partitioning, so a restore re-warms the same

@@ -280,20 +280,6 @@ func (c *Cluster) WorkerTimings() []WorkerTiming {
 	return out
 }
 
-// ForEachRelation visits every named relation fragment the driver can
-// reach — its own first, then each in-process shard's in index order,
-// names sorted within each node — so per-fragment state (index admission
-// records) can be swept and aggregated deterministically. Process
-// workers' fragments live in other processes and are not visited.
-func (c *Cluster) ForEachRelation(f func(name string, r *mring.Relation)) {
-	c.driver.visit(f)
-	for _, w := range c.workers {
-		if sh, ok := w.(*Shard); ok {
-			sh.visit(f)
-		}
-	}
-}
-
 // Repartition swaps the cluster's placement map between transactions:
 // every relation not named in keep (moved views, temp/transient state,
 // and stale delta fragments — anything a program compiled against the

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/dist"
@@ -119,18 +118,6 @@ func (n *node) rel(name string, schema mring.Schema) *mring.Relation {
 		n.rels[name] = r
 	}
 	return r
-}
-
-// visit calls f on every fragment, names sorted.
-func (n *node) visit(f func(name string, r *mring.Relation)) {
-	names := make([]string, 0, len(n.rels))
-	for name := range n.rels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f(name, n.rels[name])
-	}
 }
 
 func (n *node) retain(keep map[string]bool) {

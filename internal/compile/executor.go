@@ -193,19 +193,6 @@ func (ex *Executor) runTrigger(trg *Trigger, rel string, batch *mring.Relation, 
 	ex.Stats.Add(ctx.Stats)
 }
 
-// ForEachView calls f for every non-transient materialized view, in
-// program order. The tuning layer uses it to sweep per-index admission
-// state; transient (per-transaction) views are skipped — their indexes
-// live only for one maintenance step and are never worth demoting.
-func (ex *Executor) ForEachView(f func(name string, r *mring.Relation)) {
-	for _, v := range ex.prog.Views {
-		if v.Transient {
-			continue
-		}
-		f(v.Name, ex.views[v.Name])
-	}
-}
-
 // ForEachViewAll visits every program view INCLUDING transient ones, in
 // program order. Durability snapshots use it: transient views are
 // re-derived per transaction, but their retained table capacity shapes

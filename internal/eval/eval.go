@@ -280,13 +280,7 @@ func (c *Ctx) evalSlice(r *expr.Rel, rel *mring.Relation, b *Binding, boundCols,
 		c.evalSliceScan(r, rel, b, boundCols, freeCols, emit)
 		return
 	}
-	idx, built, ok := rel.SliceIndex(boundCols)
-	if !ok {
-		// The admission policy has demoted this index (probed ≪
-		// maintained): answer from the scan fallback instead.
-		c.evalSliceScan(r, rel, b, boundCols, freeCols, emit)
-		return
-	}
+	idx, built := rel.EnsureIndex(boundCols)
 	if built {
 		c.Stats.IndexOps++
 	}
@@ -311,8 +305,8 @@ func (c *Ctx) evalSlice(r *expr.Rel, rel *mring.Relation, b *Binding, boundCols,
 	}
 }
 
-// evalSliceScan is the unindexed slice path: scan everything, filter on
-// the bound columns.
+// evalSliceScan is the slice path for bound columns no index can cover
+// (!mring.Indexable): scan everything, filter on the bound columns.
 func (c *Ctx) evalSliceScan(r *expr.Rel, rel *mring.Relation, b *Binding, boundCols, freeCols []int, emit func(m float64)) {
 	probe := make(mring.Tuple, len(boundCols))
 	for j, i := range boundCols {

@@ -342,7 +342,7 @@ func TestStatsAccumulation(t *testing.T) {
 	}
 }
 
-func TestEvalSliceIndexTracksMutations(t *testing.T) {
+func TestEvalSliceTracksMutations(t *testing.T) {
 	// Slice indexes are owned by the relations and maintained
 	// incrementally, so re-evaluating after a mutation sees fresh contents
 	// with no invalidation step.

@@ -15,9 +15,6 @@ type Index struct {
 	r   *Relation
 	pos []int
 	m   map[uint64][]*entry
-	// h is the relation-owned admission record; nil only during the
-	// initial bulk build (so the build is not counted as maintenance).
-	h *idxHealth
 }
 
 // MaxIndexCol is the first column position a secondary index cannot
@@ -55,17 +52,11 @@ func (ix *Index) keyHash(t Tuple, pos []int) uint64 {
 }
 
 func (ix *Index) insert(e *entry) {
-	if ix.h != nil {
-		ix.h.maintains++
-	}
 	h := ix.keyHash(e.t, ix.pos)
 	ix.m[h] = append(ix.m[h], e)
 }
 
 func (ix *Index) remove(e *entry) {
-	if ix.h != nil {
-		ix.h.maintains++
-	}
 	h := ix.keyHash(e.t, ix.pos)
 	b := ix.m[h]
 	for i, x := range b {
@@ -98,9 +89,6 @@ func (r *Relation) EnsureIndex(pos []int) (*Index, bool) {
 			ix.insert(e)
 		}
 	}
-	// Attach the admission record only after the bulk build, so the
-	// build itself is not counted as incremental maintenance.
-	ix.h = r.healthFor(mask, ix.pos)
 	if r.idxs == nil {
 		r.idxs = make(map[uint64]*Index)
 	}
@@ -112,9 +100,6 @@ func (r *Relation) EnsureIndex(pos []int) (*Index, bool) {
 // equals probe (one value per index column, in ascending position order).
 // f must not mutate the relation.
 func (ix *Index) Probe(probe Tuple, f func(t Tuple, m float64)) {
-	if ix.h != nil {
-		ix.h.probes++
-	}
 	var h uint64
 	if ix.r.hashFn != nil {
 		h = ix.r.hashFn(probe)

@@ -108,11 +108,6 @@ type Relation struct {
 	// idxs holds the registered secondary indexes, keyed by bound-column
 	// bitmask; they are maintained incrementally on every mutation.
 	idxs map[uint64]*Index
-	// health holds per-index admission records (probe/maintenance
-	// counters and the demotion flag), keyed like idxs. Records outlive
-	// the indexes themselves so demoted indexes keep accumulating the
-	// scan traffic that argues for readmission.
-	health map[uint64]*idxHealth
 	// hashFn overrides tuple hashing in tests (forcing collisions); nil
 	// means Tuple.Hash. Set it before the first insert.
 	hashFn func(Tuple) uint64

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mring"
 	"repro/internal/tune"
 )
 
@@ -63,78 +62,14 @@ func TestSkewMonitorDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestIndexPolicyDemoteAndReadmit(t *testing.T) {
-	cfg := tune.Config{DemoteAfter: 10, ColdRatio: 4, ReadmitProbes: 3}
-	p := tune.NewIndexPolicy(cfg)
-
-	rel := mring.NewRelation(mring.Schema{"k", "v"})
-	pos := []int{0}
-	if _, _, ok := rel.SliceIndex(pos); !ok {
-		t.Fatalf("fresh index must be admitted")
-	}
-	// Pure maintenance, no probes: insert enough distinct tuples to cross
-	// DemoteAfter.
-	for i := 0; i < 20; i++ {
-		rel.Add(mring.Tuple{mring.Int(int64(i)), mring.Float(1)}, 1)
-	}
-	demoted, readmitted := p.Sweep(rel)
-	if demoted != 1 || readmitted != 0 {
-		t.Fatalf("Sweep = (%d,%d), want (1,0): 20 maintains, 0 probes", demoted, readmitted)
-	}
-	if rel.Indexes() != 0 {
-		t.Fatalf("demoted index still registered")
-	}
-	// While demoted the slice path falls back to scans, and the counters
-	// were reset: heavy maintenance alone must not re-trigger anything.
-	if _, _, ok := rel.SliceIndex(pos); ok {
-		t.Fatalf("demoted index served a probe")
-	}
-	if d, r := p.Sweep(rel); d != 0 || r != 0 {
-		t.Fatalf("sweep after demotion acted (%d,%d); counters should have reset", d, r)
-	}
-
-	// Probe traffic returns: ReadmitProbes scan-probes re-admit it.
-	rel.SliceIndex(pos)
-	rel.SliceIndex(pos) // with the first probe above: 3 scan-probes total
-	if d, r := p.Sweep(rel); d != 0 || r != 1 {
-		t.Fatalf("Sweep = (%d,%d), want readmission after %d scan probes", d, r, 3)
-	}
-	idx, built, ok := rel.SliceIndex(pos)
-	if !ok || !built || idx == nil {
-		t.Fatalf("readmitted index should rebuild on next probe (ok=%v built=%v)", ok, built)
-	}
-	// Fresh trial after readmission: the rebuild does not count as
-	// maintenance, so an immediate sweep keeps the index.
-	if d, _ := p.Sweep(rel); d != 0 {
-		t.Fatalf("index demoted immediately after readmission; rebuild must not count as maintenance")
-	}
-
-	// The probe counter keeps a hot index admitted even under heavy
-	// maintenance.
-	for i := 100; i < 200; i++ {
-		rel.Add(mring.Tuple{mring.Int(int64(i)), mring.Float(1)}, 1)
-		idx2, _, _ := rel.SliceIndex(pos)
-		idx2.Probe(mring.Tuple{mring.Int(int64(i))}, func(mring.Tuple, float64) {})
-	}
-	if d, _ := p.Sweep(rel); d != 0 {
-		t.Fatalf("hot index (1 probe per maintain) was demoted")
-	}
-	if p.Demotions != 1 || p.Readmissions != 1 {
-		t.Fatalf("policy counters = (%d,%d), want (1,1)", p.Demotions, p.Readmissions)
-	}
-}
-
 func TestConfigWithDefaults(t *testing.T) {
 	c := tune.Config{}.WithDefaults()
 	if c.SkewThreshold <= 1 || c.SkewPatience <= 0 || c.SkewCooldown <= 0 || c.SkewAlpha <= 0 || c.SkewAlpha > 1 {
 		t.Fatalf("default skew knobs inconsistent: %+v", c)
 	}
-	if c.DemoteAfter <= 0 || c.ColdRatio <= 0 || c.ReadmitProbes <= 0 || c.SweepEvery <= 0 {
-		t.Fatalf("default admission knobs inconsistent: %+v", c)
-	}
 	// Overrides survive.
-	c2 := tune.Config{SkewPatience: 5, SweepEvery: 7}.WithDefaults()
-	if c2.SkewPatience != 5 || c2.SweepEvery != 7 {
+	c2 := tune.Config{SkewPatience: 5, SkewCooldown: 7}.WithDefaults()
+	if c2.SkewPatience != 5 || c2.SkewCooldown != 7 {
 		t.Fatalf("overrides lost: %+v", c2)
 	}
 }

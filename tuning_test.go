@@ -5,9 +5,10 @@ package ivm
 // updates (values chosen so every aggregate is exact in float64, making
 // sums independent of fold order across repartitions) and require
 // bitwise-identical results with tuning on and off, on both backends.
-// The remaining tests pin the feedback loops end to end — skew
-// repartitioning, index admission, concurrent Stats snapshots — and a
-// soak run (TUNE_SOAK) checks repartitioning settles.
+// The remaining tests pin the feedback loop end to end — skew
+// repartitioning, concurrent Stats snapshots, probe cost that a tuned
+// engine keeps independent of view size — and a soak run (TUNE_SOAK)
+// checks repartitioning settles.
 
 import (
 	"math"
@@ -56,9 +57,10 @@ func quantizeDyadic(table string, r *mring.Relation) *mring.Relation {
 	return out
 }
 
-// aggressiveTune makes the controllers act often on short test streams.
+// aggressiveTune makes the skew controller act as often as it can on
+// short test streams.
 func aggressiveTune() TuneConfig {
-	return TuneConfig{SweepEvery: 4}
+	return TuneConfig{SkewPatience: 1, SkewCooldown: 1}
 }
 
 // TestGoldenTuningEquivalence is the tuning-equivalence golden: for Q1,
@@ -401,92 +403,94 @@ func TestSkewRebalanceRepartitions(t *testing.T) {
 	}
 }
 
-// TestIndexAdmissionLifecycle drives the cold-index loop through a full
-// episode on a live engine. The compiled program for S ⋈ R keeps an
-// auxiliary view over R whose slice index (bound on b) is maintained by
-// R updates and probed by S updates: R-only traffic leaves it
-// maintained but unprobed (demote), a later S-only phase probes it via
-// the scan fallback until it readmits, and results stay bitwise equal
-// to an untuned engine throughout.
-func TestIndexAdmissionLifecycle(t *testing.T) {
+// TestTunedProbeCostIndependentOfView pins the constant-cost probe
+// (Sec. 5.1) under AutoTune. The program for S ⋈ R keeps an auxiliary
+// view over R whose slice index on b is maintained by every R insert
+// and probed only by S inserts. After a long R-only phase that grows
+// the view to 10k tuples, one S row must still cost an index probe, not
+// a scan of the view, on a tuned engine as on an untuned one.
+func TestTunedProbeCostIndependentOfView(t *testing.T) {
 	bases := map[string]Schema{"R": {"a", "b"}, "S": {"b", "c"}}
 	q := Sum([]string{"a"}, Join(Table("S", "b", "c"), Table("R", "a", "b")))
-	cfg := TuneConfig{DemoteAfter: 64, ColdRatio: 2, ReadmitProbes: 4, SweepEvery: 2}
-	e, err := New("Q", q, bases, AutoTune(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ref, err := New("Q", q, bases)
 	if err != nil {
 		t.Fatal(err)
 	}
-	both := func(table string, rows [][2]int) {
-		bt, br := NewBatch(bases[table]), NewBatch(bases[table])
-		for _, r := range rows {
-			if err := bt.Insert(Row(r[0], r[1])); err != nil {
-				t.Fatal(err)
-			}
-			if err := br.Insert(Row(r[0], r[1])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.ApplyBatch(table, bt); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.ApplyBatch(table, br); err != nil {
-			t.Fatal(err)
-		}
+	tuned, err := New("Q", q, bases, AutoTune())
+	if err != nil {
+		t.Fatal(err)
 	}
-	chunks := func(table string, n, base int) {
-		rows := make([][2]int, 0, 64)
-		for i := 0; i < n; i++ {
-			rows = append(rows, [2]int{base + i, (base + i) % 37})
-			if len(rows) == 64 {
-				both(table, rows)
-				rows = rows[:0]
+	engines := []*Engine{ref, tuned}
+	apply := func(table string, rows ...Tuple) {
+		for _, e := range engines {
+			tx := e.NewTx()
+			for _, r := range rows {
+				if err := tx.Insert(table, r); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		if len(rows) > 0 {
-			both(table, rows)
+			if err := e.Apply(tx); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
-	// Phase 1: light two-sided traffic builds the slice index (S probes
-	// lazily build it over the R-side view).
-	chunks("R", 64, 0)
-	chunks("S", 64, 0)
-	// Phase 2: heavy R-only traffic — the index is maintained hundreds
-	// of times without a probe and must demote.
-	chunks("R", 768, 1000)
-	demoted := e.Stats()
-	if demoted.Tuning.Demotions < 1 {
-		t.Fatalf("R-only phase produced no demotion: %+v\nindexes: %+v",
-			demoted.Tuning, demoted.Indexes)
+	apply("S", Row(0, 1))
+	for i := 0; i < 160; i++ {
+		rows := make([]Tuple, 64)
+		for j := range rows {
+			k := i*64 + j
+			rows[j] = Row(k, k)
+		}
+		apply("R", rows...)
 	}
-	anyDemoted := false
-	for _, ix := range demoted.Indexes {
-		if ix.Demoted {
-			anyDemoted = true
+	before := []int64{ref.Stats().Scans, tuned.Stats().Scans}
+	apply("S", Row(5, 2))
+	for i, e := range engines {
+		if d := e.Stats().Scans - before[i]; d > 8 {
+			t.Errorf("engine %d (tuned=%v): one S row scanned %d tuples over a %d-row R view, want an index probe (≤ 8)",
+				i, e.Stats().Tuning.Enabled, d, 160*64)
 		}
 	}
-	if !anyDemoted {
-		t.Fatalf("Demotions=%d but no IndexStat reports Demoted: %+v",
-			demoted.Tuning.Demotions, demoted.Indexes)
-	}
-	// Phase 3: S-only traffic probes the demoted index through the scan
-	// fallback until the policy readmits it.
-	chunks("S", 512, 1000)
-	readmitted := e.Stats()
-	if readmitted.Tuning.Readmissions < 1 {
-		t.Fatalf("probe traffic never readmitted a demoted index: %+v\nindexes: %+v",
-			readmitted.Tuning, readmitted.Indexes)
-	}
-	if got, want := e.Result().rel, ref.Result().rel; !got.Equal(want) {
-		t.Fatalf("index admission changed results\n got %v\nwant %v", got, want)
+	if got, want := tuned.Result().rel, ref.Result().rel; !got.Equal(want) {
+		t.Fatalf("AutoTune changed results\n got %v\nwant %v", got, want)
 	}
 }
 
-// TestTuningSoak runs the full loop — skewed stream, both controllers
+// TestTuneConfigValidation: a TuneConfig field out of range makes New
+// and NewRegistry fail instead of, for a negative patience, rebalancing
+// after every transaction. Zero still means the default.
+func TestTuneConfigValidation(t *testing.T) {
+	q := Sum([]string{"a"}, Table("R", "a"))
+	bases := map[string]Schema{"R": {"a"}}
+	for _, tc := range []struct {
+		name string
+		cfg  TuneConfig
+		ok   bool
+	}{
+		{"zero", TuneConfig{}, true},
+		{"set", TuneConfig{SkewThreshold: 2, SkewPatience: 4, SkewCooldown: 8}, true},
+		{"negative patience", TuneConfig{SkewPatience: -1}, false},
+		{"negative cooldown", TuneConfig{SkewCooldown: -1}, false},
+		{"negative threshold", TuneConfig{SkewThreshold: -0.5}, false},
+		{"NaN threshold", TuneConfig{SkewThreshold: math.NaN()}, false},
+		{"+Inf threshold", TuneConfig{SkewThreshold: math.Inf(1)}, false},
+		{"-Inf threshold", TuneConfig{SkewThreshold: math.Inf(-1)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New("Q", q, bases, AutoTune(tc.cfg))
+			if (err == nil) != tc.ok {
+				t.Errorf("New(AutoTune(%+v)) error = %v, want ok=%v", tc.cfg, err, tc.ok)
+			}
+			_, err = NewRegistry(bases, AutoTune(tc.cfg))
+			if (err == nil) != tc.ok {
+				t.Errorf("NewRegistry(AutoTune(%+v)) error = %v, want ok=%v", tc.cfg, err, tc.ok)
+			}
+		})
+	}
+}
+
+// TestTuningSoak runs the full loop — skewed stream, skew controller
 // live — for TUNE_SOAK (default 2s; CI runs 30s under -race) and
 // asserts repartitioning settles instead of thrashing.
 func TestTuningSoak(t *testing.T) {
