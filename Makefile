@@ -28,17 +28,21 @@ lint:
 	fi
 
 # fuzz exercises the decode/hash attack surfaces for 30s each, same as
-# the CI fuzz job: the wire decoders (columnar, row payload, the
-# transport frame layer, and the worker's request decoder behind every
-# driver/worker op, deploy blobs included) must never panic on arbitrary
-# bytes, and the columnar hash kernels must agree with the row-wise
-# hashes.
+# the CI fuzz job: every byte-format decoder (columnar and row payloads,
+# the transport frame layer, WAL records, the worker's request decoder
+# behind every driver/worker op with deploy blobs included, checkpoints,
+# and both changefeed messages) must never panic on arbitrary bytes —
+# the checkpoint and changefeed decoders must also re-encode what they
+# accept to the same bytes — and the columnar hash kernels must agree
+# with the row-wise hashes.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashColsKeyEqual$$' -fuzztime=30s ./internal/mring
 	$(GO) test -run='^$$' -fuzz='^FuzzColBatchDecode$$' -fuzztime=30s ./internal/pool
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameDecode$$' -fuzztime=30s ./internal/net
 	$(GO) test -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=30s ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzServeRequest$$' -fuzztime=30s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=30s ./internal/cluster
+	$(GO) test -run='^$$' -fuzz='^FuzzFeedMessages$$' -fuzztime=30s .
 
 # proc-smoke runs the process-cluster smoke gate: builds the real worker
 # binary, spawns 4 worker processes on localhost, and asserts the

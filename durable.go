@@ -333,11 +333,7 @@ func (s *serving) checkpointLocked() error {
 	if err != nil {
 		return s.dur.poison(fmt.Errorf("ivm: checkpoint snapshot: %w", err))
 	}
-	body, err := cluster.EncodeCheckpoint(cp)
-	if err != nil {
-		return s.dur.poison(fmt.Errorf("ivm: checkpoint encode: %w", err))
-	}
-	if err := s.dur.st.Checkpoint(s.dur.applied, body); err != nil {
+	if err := s.dur.st.Checkpoint(s.dur.applied, cluster.EncodeCheckpoint(cp)); err != nil {
 		return s.dur.poison(fmt.Errorf("ivm: checkpoint write: %w", err))
 	}
 	s.dur.sinceCkpt = 0

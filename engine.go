@@ -881,9 +881,7 @@ func (lb *localBackend) SnapshotState() (*cluster.Checkpoint, error) {
 		if r == nil || (r.Len() == 0 && r.TableSize() == 0) {
 			return
 		}
-		f := cluster.Frag{Schema: r.Schema().Clone(), Buckets: r.TableSize(), Payload: inet.EncodeRelationPlain(r)}
-		cp.Driver[name] = f
-		cp.Bytes += int64(len(f.Payload))
+		cp.Driver[name] = cluster.Frag{Schema: r.Schema().Clone(), Buckets: r.TableSize(), Payload: inet.EncodeRelationPlain(r)}
 	})
 	return cp, nil
 }

@@ -30,17 +30,11 @@ var readOnlyGlobals = map[string]bool{
 	"net.ErrFrameTruncated": true,
 }
 
-// TestNoMutablePackageState is the guard against process-global state
-// with no owner: it parses every non-test Go file outside benchmark/ and
-// fails on any package-level var holding a map, a sync value, a pointer
-// or a channel (a call result counts, since its type may be any of them)
-// unless readOnlyGlobals lists it. State belongs to an engine, a program
-// or a request, so it dies with its owner.
-func TestNoMutablePackageState(t *testing.T) {
+// moduleFiles parses every non-test Go file outside benchmark/.
+func moduleFiles(t *testing.T) (*token.FileSet, []*ast.File) {
+	t.Helper()
 	fset := token.NewFileSet()
-	var bad []string
-	seen := map[string]bool{}
-	files := 0
+	var files []*ast.File
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -58,7 +52,29 @@ func TestNoMutablePackageState(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		files++
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) < 50 {
+		t.Fatalf("parsed only %d files; the walk is not covering the module", len(files))
+	}
+	return fset, files
+}
+
+// TestNoMutablePackageState is the guard against process-global state
+// with no owner: it parses every non-test Go file outside benchmark/ and
+// fails on any package-level var holding a map, a sync value, a pointer
+// or a channel (a call result counts, since its type may be any of them)
+// unless readOnlyGlobals lists it. State belongs to an engine, a program
+// or a request, so it dies with its owner.
+func TestNoMutablePackageState(t *testing.T) {
+	fset, files := moduleFiles(t)
+	var bad []string
+	seen := map[string]bool{}
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.VAR {
@@ -87,13 +103,6 @@ func TestNoMutablePackageState(t *testing.T) {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if files < 50 {
-		t.Fatalf("parsed only %d files; the walk is not covering the module", files)
 	}
 	for id := range readOnlyGlobals {
 		if !seen[id] {
@@ -103,6 +112,31 @@ func TestNoMutablePackageState(t *testing.T) {
 	sort.Strings(bad)
 	if len(bad) > 0 {
 		t.Fatalf("package-level mutable state:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
+// TestOneWireCodec is the guard for the byte formats: every format is
+// written and read with internal/wire, so no non-test Go file outside
+// benchmark/ may import encoding/gob (whose decoder is not hardened and
+// whose map order is random) or declare a func init() (which gob's type
+// registration needed, and which runs code no owner asked for).
+func TestOneWireCodec(t *testing.T) {
+	fset, files := moduleFiles(t)
+	var bad []string
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				bad = append(bad, fmt.Sprintf("%s: imports encoding/gob", fset.Position(imp.Pos())))
+			}
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "init" {
+				bad = append(bad, fmt.Sprintf("%s: declares func init()", fset.Position(fd.Pos())))
+			}
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("byte-format guard:\n  %s", strings.Join(bad, "\n  "))
 	}
 }
 

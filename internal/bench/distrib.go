@@ -9,6 +9,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/mring"
+	inet "repro/internal/net"
 	"repro/internal/pool"
 	"repro/internal/tpch"
 )
@@ -359,13 +360,9 @@ func Fig13(cfg DistConfig) (*Table, error) {
 	return t, nil
 }
 
-// encodeColumnar / encodeRow serialize through the two wire formats.
-func encodeColumnar(r *mring.Relation) []byte { return pool.FromRelation(r).Encode() }
-
-func encodeRow(r *mring.Relation) []byte { return pool.EncodeRowFormat(r) }
-
-// AblationColumnarShuffle compares columnar vs row wire formats on the
-// shuffled payloads of a distributed Q3 run (Sec. 5.2.2).
+// AblationColumnarShuffle compares the two relation payload forms a
+// shuffle can ship, columnar and row, on the update batches of a
+// distributed Q3 run (Sec. 5.2.2).
 func AblationColumnarShuffle(cfg DistConfig) (*Table, error) {
 	dep, err := deploy("Q3", dist.O3)
 	if err != nil {
@@ -381,8 +378,8 @@ func AblationColumnarShuffle(cfg DistConfig) (*Table, error) {
 	for i := 0; i < 4; i++ {
 		var colBytes, rowBytes int
 		for _, b := range stream.NextBatches(20000) {
-			colBytes += len(encodeColumnar(b.Rel))
-			rowBytes += len(encodeRow(b.Rel))
+			colBytes += len(inet.EncodePayload(b.Rel, pool.FromRelation(b.Rel)))
+			rowBytes += len(inet.EncodePayload(b.Rel, nil))
 		}
 		if colBytes == 0 {
 			break

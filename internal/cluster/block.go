@@ -1,15 +1,13 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/expr"
 	"repro/internal/mring"
+	"repro/internal/wire"
 )
 
 // block is one compiled statement block prepared for execution, once: its
@@ -38,73 +36,44 @@ func newBlock(id uint64, stmts []dist.Stmt, schemas map[string]mring.Schema) *bl
 	return &block{id: id, stmts: stmts, schemas: schemas, kernels: eval.LowerKernels(es...)}
 }
 
-// deployment is the body of a deploy blob: a distributed block's
-// statements and the schemas they bind. It is the one gob body left on
-// the wire — statement trees are interfaces all the way down — and it
-// crosses once per block and worker, never per stage.
-type deployment struct {
-	Stmts   []dist.Stmt
-	Schemas map[string]mring.Schema
-}
-
-func init() {
-	// Register every concrete node a distributed block's statements can
-	// hold behind the expr.Expr / expr.VExpr interfaces. Transformers
-	// (dist.Xform) run only in driver-side blocks and never ship.
-	gob.Register(&expr.Rel{})
-	gob.Register(&expr.Plus{})
-	gob.Register(&expr.Mul{})
-	gob.Register(&expr.Agg{})
-	gob.Register(&expr.Const{})
-	gob.Register(&expr.Val{})
-	gob.Register(&expr.Cmp{})
-	gob.Register(&expr.Assign{})
-	gob.Register(&expr.Exists{})
-	gob.Register(expr.VarRef{})
-	gob.Register(expr.Lit{})
-	gob.Register(expr.Arith{})
-}
-
-func encodeDeploy(stmts []dist.Stmt, schemas map[string]mring.Schema) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&deployment{Stmts: stmts, Schemas: schemas}); err != nil {
-		return nil, fmt.Errorf("cluster: encode deployment: %w", err)
+// A deploy blob is a distributed block's statements — target, operator,
+// expression tree (expr.Write) — and then the schemas they bind, in name
+// order. It crosses once per block and worker, never per stage.
+func encodeDeploy(stmts []dist.Stmt, schemas map[string]mring.Schema) []byte {
+	var e wire.Enc
+	e.Int(len(stmts))
+	for _, s := range stmts {
+		e.Str(s.LHS)
+		e.Byte(byte(s.Op))
+		expr.Write(&e, s.RHS)
 	}
-	return buf.Bytes(), nil
+	wire.PutMap(&e, schemas, func(e *wire.Enc, s mring.Schema) { e.Strs(s) })
+	return e.B
 }
 
 // decodeDeploy builds a worker's copy of a block from its deploy blob.
 // The statements are checked before anything lowers or runs them.
 func decodeDeploy(id uint64, blob []byte) (*block, error) {
-	var dp deployment
-	r := bytes.NewReader(blob)
-	if err := decodeGob(r, &dp); err != nil {
+	d := wire.NewDec(blob)
+	// A statement is at least an empty target, an operator and a tag.
+	stmts := make([]dist.Stmt, d.Count(3))
+	for i := range stmts {
+		s := &stmts[i]
+		s.LHS = d.Str()
+		if s.Op = eval.AssignOp(d.Byte()); s.Op > eval.OpSet {
+			d.Fail("unknown statement operator %d", s.Op)
+		}
+		s.RHS = expr.Read(&d)
+	}
+	schemas := wire.GetMap(&d, 2, (*wire.Dec).Schema)
+	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("cluster: decode deployment of block %d: %w", id, err)
 	}
-	if r.Len() > 0 {
-		return nil, fmt.Errorf("cluster: deployment of block %d has %d trailing bytes", id, r.Len())
-	}
-	if err := checkStmts(dp.Stmts, dp.Schemas); err != nil {
+	if err := checkStmts(stmts, schemas); err != nil {
 		return nil, fmt.Errorf("cluster: deployment of block %d: %w", id, err)
 	}
-	return newBlock(id, dp.Stmts, dp.Schemas), nil
+	return newBlock(id, stmts, schemas), nil
 }
-
-// decodeGob decodes one gob value. encoding/gob is not hardened against
-// adversarial input, so a decoder panic on a corrupt blob becomes an
-// error here.
-func decodeGob(r io.Reader, v any) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("gob decoder panicked: %v", p)
-		}
-	}()
-	return gob.NewDecoder(r).Decode(v)
-}
-
-// maxDepth bounds the nesting of a deployed statement tree (compiled
-// trees are a few levels deep).
-const maxDepth = 256
 
 // checkStmts verifies that statements are well formed for the
 // interpreter, which treats a malformed program as a programming error
@@ -138,8 +107,8 @@ func checkStmts(stmts []dist.Stmt, schemas map[string]mring.Schema) error {
 // checkExpr checks one node evaluated with the variables in bound already
 // bound, and returns the variables bound whenever the node emits.
 func checkExpr(e expr.Expr, bound mring.Schema, schemas map[string]mring.Schema, depth int) (mring.Schema, error) {
-	if depth > maxDepth {
-		return nil, fmt.Errorf("tree nested deeper than %d", maxDepth)
+	if depth > expr.MaxDepth {
+		return nil, fmt.Errorf("tree nested deeper than %d", expr.MaxDepth)
 	}
 	depth++
 	switch x := e.(type) {
@@ -225,8 +194,8 @@ func checkExpr(e expr.Expr, bound mring.Schema, schemas map[string]mring.Schema,
 // checkValue checks that a value term is present and reads only bound
 // variables.
 func checkValue(v expr.VExpr, bound mring.Schema, depth int) error {
-	if depth > maxDepth {
-		return fmt.Errorf("tree nested deeper than %d", maxDepth)
+	if depth > expr.MaxDepth {
+		return fmt.Errorf("tree nested deeper than %d", expr.MaxDepth)
 	}
 	switch x := v.(type) {
 	case expr.VarRef:

@@ -254,7 +254,9 @@ func TestBlockTablesFollowPrograms(t *testing.T) {
 
 // TestCompiledBlocksPassDeployCheck pins that checkStmts accepts every
 // distributed block the compiler emits for the TPC-H queries at every
-// optimization level: the check refuses only malformed deployments.
+// optimization level — the check refuses only malformed deployments —
+// and that each block's deploy blob decodes to statements that encode to
+// the same blob.
 func TestCompiledBlocksPassDeployCheck(t *testing.T) {
 	for _, q := range tpch.Queries() {
 		prog, err := compile.Compile(q.Name, q.Def, q.BaseSchemas(), compile.DefaultOptions())
@@ -266,15 +268,20 @@ func TestCompiledBlocksPassDeployCheck(t *testing.T) {
 			cl := New(DefaultConfig(2), dist.ViewSchemas(prog), parts)
 			for _, dp := range dist.CompileProgram(prog, parts, level) {
 				for i := range dp.Blocks {
-					b, err := cl.prepare(&dp.Blocks[i])
-					if err != nil {
-						t.Fatal(err)
-					}
+					b := cl.prepare(&dp.Blocks[i])
 					if dp.Blocks[i].Mode != dist.LDist {
 						continue
 					}
 					if err := checkStmts(b.stmts, b.schemas); err != nil {
 						t.Fatalf("%s O%d: %v\n%s", q.Name, level, err, dp.Blocks[i])
+					}
+					blob := encodeDeploy(b.stmts, b.schemas)
+					got, err := decodeDeploy(b.id, blob)
+					if err != nil {
+						t.Fatalf("%s O%d: %v\n%s", q.Name, level, err, dp.Blocks[i])
+					}
+					if again := encodeDeploy(got.stmts, got.schemas); string(again) != string(blob) {
+						t.Fatalf("%s O%d: deploy blob does not round-trip\n%s", q.Name, level, dp.Blocks[i])
 					}
 				}
 			}

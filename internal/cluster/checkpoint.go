@@ -1,14 +1,13 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/mring"
 	inet "repro/internal/net"
+	"repro/internal/wire"
 )
 
 // Checkpoint is a serialized snapshot of the cluster's materialized state
@@ -37,8 +36,6 @@ type Checkpoint struct {
 	// skew-feedback repartition had moved it off the compile-time
 	// default. Nil on single-node snapshots.
 	Parts dist.PartInfo
-	// Bytes is the total snapshot size.
-	Bytes int64
 }
 
 // Frag is one relation's snapshot: its schema (payloads of empty
@@ -98,6 +95,15 @@ func (c *Cluster) CheckpointCost(cp *Checkpoint) time.Duration {
 	return c.shuffleTime(perWorker)
 }
 
+// Bytes is the total size of the checkpoint's fragment payloads.
+func (cp *Checkpoint) Bytes() int64 {
+	n := fragBytes(cp.Driver)
+	for _, w := range cp.Workers {
+		n += fragBytes(w)
+	}
+	return n
+}
+
 // fragBytes is the encoded size of one node's fragments.
 func fragBytes(frags map[string]Frag) int64 {
 	var n int64
@@ -121,10 +127,6 @@ func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 		return err
 	}); err != nil {
 		return nil, c.fail(err)
-	}
-	cp.Bytes = fragBytes(cp.Driver)
-	for _, w := range cp.Workers {
-		cp.Bytes += fragBytes(w)
 	}
 	return cp, nil
 }
@@ -172,27 +174,35 @@ func (c *Cluster) KillWorker(i int) {
 	c.workers[i].retain(nil)
 }
 
-// Checkpoint serialization. The encoding carries a magic + format
-// version so drift — or a body that is not a checkpoint at all — is
-// detected as a descriptive error, never a garbage decode.
+// Checkpoint serialization: a magic and a format version, so drift — or
+// a body that is not a checkpoint at all — is detected as a descriptive
+// error, never a garbage decode. Version 2 is the wire codec: the worker
+// count, each worker's fragments and the driver's in snapshotMsg's
+// encoding, then the placement in view order. Version 1 was gob and is
+// refused.
 const (
 	ckptMagic   = "IVCP"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
-// EncodeCheckpoint serializes a checkpoint with the versioned header.
-func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(ckptMagic)
-	buf.WriteByte(ckptVersion)
-	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
-		return nil, fmt.Errorf("cluster: encode checkpoint: %w", err)
+// EncodeCheckpoint serializes a checkpoint with the versioned header. The
+// bytes are a function of the checkpoint alone.
+func EncodeCheckpoint(cp *Checkpoint) []byte {
+	e := wire.Enc{B: append([]byte(ckptMagic), ckptVersion)}
+	e.Int(len(cp.Workers))
+	for _, w := range cp.Workers {
+		putFrags(&e, w)
 	}
-	return buf.Bytes(), nil
+	putFrags(&e, cp.Driver)
+	wire.PutMap(&e, cp.Parts, func(e *wire.Enc, loc dist.Loc) {
+		e.Byte(byte(loc.Kind))
+		e.Strs(loc.Key)
+	})
+	return e.B
 }
 
 // DecodeCheckpoint parses a serialized checkpoint, which must carry the
-// magic and a known format version.
+// magic and the current format version.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if len(b) <= len(ckptMagic) || string(b[:len(ckptMagic)]) != ckptMagic {
 		return nil, fmt.Errorf("cluster: not a checkpoint: missing %q header", ckptMagic)
@@ -200,9 +210,23 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if v := b[len(ckptMagic)]; v != ckptVersion {
 		return nil, fmt.Errorf("cluster: unsupported checkpoint format version %d (have %d)", v, ckptVersion)
 	}
-	var cp Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(b[len(ckptMagic)+1:])).Decode(&cp); err != nil {
+	d := wire.NewDec(b[len(ckptMagic)+1:])
+	// Every node's fragment map is at least its count byte.
+	cp := &Checkpoint{Workers: make([]map[string]Frag, d.Count(1))}
+	for i := range cp.Workers {
+		cp.Workers[i] = getFrags(&d)
+	}
+	cp.Driver = getFrags(&d)
+	// A placement entry is at least a name, a kind and a key count.
+	cp.Parts = wire.GetMap(&d, 3, func(d *wire.Dec) dist.Loc {
+		k := dist.LocKind(d.Byte())
+		if k > dist.LIndiff {
+			d.Fail("unknown location kind %d", k)
+		}
+		return dist.Loc{Kind: k, Key: d.Schema()}
+	})
+	if err := d.Done(); err != nil {
 		return nil, fmt.Errorf("cluster: corrupt checkpoint body: %w", err)
 	}
-	return &cp, nil
+	return cp, nil
 }

@@ -33,6 +33,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/expr"
 	"repro/internal/mring"
+	inet "repro/internal/net"
 	"repro/internal/pool"
 )
 
@@ -543,13 +544,12 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram) (Metrics, error) {
 	m.Stages = prog.Stages()
 	m.Jobs = prog.Jobs()
 	for i := range prog.Blocks {
-		b, err := c.prepare(&prog.Blocks[i])
-		if err == nil {
-			if prog.Blocks[i].Mode == dist.LDist {
-				err = c.runDistBlock(b, &m)
-			} else {
-				err = c.runLocalBlock(b, &m)
-			}
+		b := c.prepare(&prog.Blocks[i])
+		var err error
+		if prog.Blocks[i].Mode == dist.LDist {
+			err = c.runDistBlock(b, &m)
+		} else {
+			err = c.runLocalBlock(b, &m)
 		}
 		if err != nil {
 			// Installs may have landed on a subset of workers, so worker
@@ -566,9 +566,9 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram) (Metrics, error) {
 // distributed block on process workers — its deploy blob. A block stays
 // prepared until a Repartition or Restore retires its program, so every
 // program a caller runs in between is held once, however often it runs.
-func (c *Cluster) prepare(b *dist.Block) (*block, error) {
+func (c *Cluster) prepare(b *dist.Block) *block {
 	if p := c.blocks[b]; p != nil {
-		return p, nil
+		return p
 	}
 	c.prepareStmts(b.Stmts)
 	schemas := make(map[string]mring.Schema)
@@ -584,13 +584,10 @@ func (c *Cluster) prepare(b *dist.Block) (*block, error) {
 	c.nextID++
 	p := newBlock(c.nextID, b.Stmts, schemas)
 	if c.rpc && b.Mode == dist.LDist {
-		var err error
-		if p.deploy, err = encodeDeploy(p.stmts, p.schemas); err != nil {
-			return nil, err
-		}
+		p.deploy = encodeDeploy(p.stmts, p.schemas)
 	}
 	c.blocks[b] = p
-	return p, nil
+	return p
 }
 
 // prepareStmts resolves every schema a block's statements may register, in
@@ -865,15 +862,19 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 	return total, maxPer, nil
 }
 
-// encodeSize serializes through the columnar wire format and returns the
-// payload size — the simulator's measured network traffic. The encode
-// attaches (and reuses) the relation's columnar mirror, so fragmentBatch
-// on the same relation is free.
+// encodeSize is the size of what a shuffle of r ships — the simulator's
+// measured network traffic: its columnar encoding, or its row payload
+// when mixed-kind columns rule the columnar form out. Resolving the
+// columnar form attaches (and reuses) the relation's mirror, so
+// fragmentBatch on the same relation is free.
 func encodeSize(r *mring.Relation) int64 {
 	if r.Len() == 0 {
 		return 0
 	}
-	return int64(len(pool.EncodeRelation(r)))
+	if b := pool.MirrorOf(r); b != nil {
+		return int64(len(b.Encode()))
+	}
+	return int64(len(inet.EncodePayload(r, nil)))
 }
 
 // fragmentBatch returns the columnar form a shuffle ships for r, or nil

@@ -318,7 +318,7 @@ func TestCheckpointRestoreAfterFailure(t *testing.T) {
 		}
 	}
 	cp := mustCheckpoint(t, cl)
-	if cp.Bytes == 0 {
+	if cp.Bytes() == 0 {
 		t.Fatal("checkpoint should capture state")
 	}
 	if cl.CheckpointCost(cp) <= 0 {

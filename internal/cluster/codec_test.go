@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/mring"
+	"repro/internal/wire"
 )
 
 // TestCodecRoundTrip pins that every control message decodes to what was
@@ -51,16 +52,16 @@ func TestCodecRoundTrip(t *testing.T) {
 // truncation, counts larger than the body, and out-of-order map keys.
 func TestCodecRejectsMalformed(t *testing.T) {
 	good := marshal(&snapshotMsg{Frags: map[string]Frag{"a": {}, "b": {}}})
-	var e enc
-	e.int(1 << 20) // a million fragments in a few bytes
-	huge := e.b
-	var dup enc
-	dup.int(2)
+	var e wire.Enc
+	e.Int(1 << 20) // a million fragments in a few bytes
+	huge := e.B
+	var dup wire.Enc
+	dup.Int(2)
 	for _, name := range []string{"b", "a"} {
-		dup.str(name)
-		dup.schema(nil)
-		dup.int(0)
-		dup.bytes(nil)
+		dup.Str(name)
+		dup.Strs(nil)
+		dup.Int(0)
+		dup.Bytes(nil)
 	}
 	for name, c := range map[string]struct {
 		body []byte
@@ -69,7 +70,7 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		"trailing":     {append(append([]byte{}, good...), 0), "trailing"},
 		"truncated":    {good[:len(good)-1], "truncated"},
 		"count":        {huge, "exceeds"},
-		"out of order": {dup.b, "out of order"},
+		"out of order": {dup.B, "out of order"},
 	} {
 		var m snapshotMsg
 		if err := unmarshal(c.body, &m); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -6,10 +6,11 @@ import (
 	"repro/internal/eval"
 	"repro/internal/mring"
 	inet "repro/internal/net"
+	"repro/internal/wire"
 )
 
 // The driver/worker protocol: one frame type byte per operation, request
-// and response bodies in the control codec of codec.go, relation data as
+// and response bodies in the internal/wire codec, relation data as
 // internal/net payloads inside them (row order is load-bearing: receivers
 // replay rows as a mutation sequence). A distributed block crosses the
 // wire once per worker: the first stage that names it carries its deploy
@@ -57,6 +58,34 @@ const (
 	opErr byte = 65
 )
 
+// message is one protocol body.
+type message interface {
+	put(e *wire.Enc)
+	get(d *wire.Dec)
+}
+
+// marshal encodes a body; nil encodes the empty body.
+func marshal(m message) []byte {
+	if m == nil {
+		return nil
+	}
+	var e wire.Enc
+	m.put(&e)
+	return e.B
+}
+
+// unmarshal decodes a body into m (nil: the body must be empty).
+func unmarshal(body []byte, m message) error {
+	d := wire.NewDec(body)
+	if m != nil {
+		m.get(&d)
+	}
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("cluster: bad message: %w", err)
+	}
+	return nil
+}
+
 // maxWorkers bounds the worker count a setup may declare.
 const maxWorkers = 1 << 16
 
@@ -65,8 +94,8 @@ type setupReq struct {
 	Workers int
 }
 
-func (m *setupReq) put(e *enc) { e.int(m.Index); e.int(m.Workers) }
-func (m *setupReq) get(d *dec) { m.Index = d.int(); m.Workers = d.int() }
+func (m *setupReq) put(e *wire.Enc) { e.Int(m.Index); e.Int(m.Workers) }
+func (m *setupReq) get(d *wire.Dec) { m.Index = d.Int(); m.Workers = d.Int() }
 
 type runBlockReq struct {
 	// ID names the block; the driver never reuses an id.
@@ -80,8 +109,8 @@ type runBlockReq struct {
 	Watch []string
 }
 
-func (m *runBlockReq) put(e *enc) { e.uvarint(m.ID); e.bytes(m.Deploy); e.strs(m.Watch) }
-func (m *runBlockReq) get(d *dec) { m.ID = d.uvarint(); m.Deploy = d.bytes(); m.Watch = d.strs() }
+func (m *runBlockReq) put(e *wire.Enc) { e.Uvarint(m.ID); e.Bytes(m.Deploy); e.Strs(m.Watch) }
+func (m *runBlockReq) get(d *wire.Dec) { m.ID = d.Uvarint(); m.Deploy = d.Bytes(); m.Watch = d.Strs() }
 
 type runBlockResp struct {
 	Stats     eval.Stats
@@ -91,33 +120,20 @@ type runBlockResp struct {
 	Sinks map[string][]byte
 }
 
-func (m *runBlockResp) put(e *enc) {
+func (m *runBlockResp) put(e *wire.Enc) {
 	s := &m.Stats
 	for _, v := range []int64{s.Lookups, s.Scans, s.Emits, s.IndexOps, s.KernelFolds, m.ComputeNs} {
-		e.varint(v)
+		e.Varint(v)
 	}
-	e.int(len(m.Sinks))
-	for _, name := range sortedKeys(m.Sinks) {
-		e.str(name)
-		e.bytes(m.Sinks[name])
-	}
+	wire.PutMap(e, m.Sinks, (*wire.Enc).Bytes)
 }
 
-func (m *runBlockResp) get(d *dec) {
+func (m *runBlockResp) get(d *wire.Dec) {
 	s := &m.Stats
 	for _, v := range []*int64{&s.Lookups, &s.Scans, &s.Emits, &s.IndexOps, &s.KernelFolds, &m.ComputeNs} {
-		*v = d.varint()
+		*v = d.Varint()
 	}
-	n := d.count(2)
-	if n == 0 {
-		return
-	}
-	m.Sinks = make(map[string][]byte, n)
-	var prev string
-	for i := 0; i < n; i++ {
-		prev = d.name(prev, i == 0)
-		m.Sinks[prev] = d.bytes()
-	}
+	m.Sinks = wire.GetMap(d, 2, (*wire.Dec).Bytes)
 }
 
 type installScatterReq struct {
@@ -135,20 +151,20 @@ type installScatterReq struct {
 	Capture bool
 }
 
-func (m *installScatterReq) put(e *enc) {
-	e.str(m.Name)
-	e.schema(m.Schema)
-	e.bytes(m.Payload)
-	e.bool(m.Broadcast)
-	e.bool(m.Capture)
+func (m *installScatterReq) put(e *wire.Enc) {
+	e.Str(m.Name)
+	e.Strs(m.Schema)
+	e.Bytes(m.Payload)
+	e.Bool(m.Broadcast)
+	e.Bool(m.Capture)
 }
 
-func (m *installScatterReq) get(d *dec) {
-	m.Name = d.str()
-	m.Schema = d.schema()
-	m.Payload = d.bytes()
-	m.Broadcast = d.bool()
-	m.Capture = d.bool()
+func (m *installScatterReq) get(d *wire.Dec) {
+	m.Name = d.Str()
+	m.Schema = d.Schema()
+	m.Payload = d.Bytes()
+	m.Broadcast = d.Bool()
+	m.Capture = d.Bool()
 }
 
 // installResp carries the capture payloads of a replacement install:
@@ -159,8 +175,8 @@ type installResp struct {
 	Old []byte
 }
 
-func (m *installResp) put(e *enc) { e.bytes(m.Cur); e.bytes(m.Old) }
-func (m *installResp) get(d *dec) { m.Cur = d.bytes(); m.Old = d.bytes() }
+func (m *installResp) put(e *wire.Enc) { e.Bytes(m.Cur); e.Bytes(m.Old) }
+func (m *installResp) get(d *wire.Dec) { m.Cur = d.Bytes(); m.Old = d.Bytes() }
 
 type installRepartReq struct {
 	Name      string
@@ -172,28 +188,28 @@ type installRepartReq struct {
 	Capture  bool
 }
 
-func (m *installRepartReq) put(e *enc) {
-	e.str(m.Name)
-	e.schema(m.SrcSchema)
-	e.schema(m.LHSSchema)
-	e.int(len(m.Payloads))
+func (m *installRepartReq) put(e *wire.Enc) {
+	e.Str(m.Name)
+	e.Strs(m.SrcSchema)
+	e.Strs(m.LHSSchema)
+	e.Int(len(m.Payloads))
 	for _, p := range m.Payloads {
-		e.bytes(p)
+		e.Bytes(p)
 	}
-	e.bool(m.Capture)
+	e.Bool(m.Capture)
 }
 
-func (m *installRepartReq) get(d *dec) {
-	m.Name = d.str()
-	m.SrcSchema = d.schema()
-	m.LHSSchema = d.schema()
-	if n := d.count(1); n > 0 {
+func (m *installRepartReq) get(d *wire.Dec) {
+	m.Name = d.Str()
+	m.SrcSchema = d.Schema()
+	m.LHSSchema = d.Schema()
+	if n := d.Count(1); n > 0 {
 		m.Payloads = make([][]byte, n)
 		for i := range m.Payloads {
-			m.Payloads[i] = d.bytes()
+			m.Payloads[i] = d.Bytes()
 		}
 	}
-	m.Capture = d.bool()
+	m.Capture = d.Bool()
 }
 
 type installDeltaReq struct {
@@ -204,8 +220,12 @@ type installDeltaReq struct {
 	Payload []byte
 }
 
-func (m *installDeltaReq) put(e *enc) { e.str(m.Name); e.schema(m.Schema); e.bytes(m.Payload) }
-func (m *installDeltaReq) get(d *dec) { m.Name = d.str(); m.Schema = d.schema(); m.Payload = d.bytes() }
+func (m *installDeltaReq) put(e *wire.Enc) { e.Str(m.Name); e.Strs(m.Schema); e.Bytes(m.Payload) }
+func (m *installDeltaReq) get(d *wire.Dec) {
+	m.Name = d.Str()
+	m.Schema = d.Schema()
+	m.Payload = d.Bytes()
+}
 
 type partitionOutReq struct {
 	Src    string
@@ -213,22 +233,22 @@ type partitionOutReq struct {
 	KeyPos []int
 }
 
-func (m *partitionOutReq) put(e *enc) {
-	e.str(m.Src)
-	e.schema(m.Schema)
-	e.int(len(m.KeyPos))
+func (m *partitionOutReq) put(e *wire.Enc) {
+	e.Str(m.Src)
+	e.Strs(m.Schema)
+	e.Int(len(m.KeyPos))
 	for _, p := range m.KeyPos {
-		e.int(p)
+		e.Int(p)
 	}
 }
 
-func (m *partitionOutReq) get(d *dec) {
-	m.Src = d.str()
-	m.Schema = d.schema()
-	if n := d.count(1); n > 0 {
+func (m *partitionOutReq) get(d *wire.Dec) {
+	m.Src = d.Str()
+	m.Schema = d.Schema()
+	if n := d.Count(1); n > 0 {
 		m.KeyPos = make([]int, n)
 		for i := range m.KeyPos {
-			m.KeyPos[i] = d.int()
+			m.KeyPos[i] = d.Int()
 		}
 	}
 }
@@ -237,18 +257,18 @@ func (m *partitionOutReq) get(d *dec) {
 // (partition-out responses); nil entries mark empty fragments.
 type fragsMsg struct{ Frags [][]byte }
 
-func (m *fragsMsg) put(e *enc) {
-	e.int(len(m.Frags))
+func (m *fragsMsg) put(e *wire.Enc) {
+	e.Int(len(m.Frags))
 	for _, f := range m.Frags {
-		e.bytes(f)
+		e.Bytes(f)
 	}
 }
 
-func (m *fragsMsg) get(d *dec) {
-	if n := d.count(1); n > 0 {
+func (m *fragsMsg) get(d *wire.Dec) {
+	if n := d.Count(1); n > 0 {
 		m.Frags = make([][]byte, n)
 		for i := range m.Frags {
-			m.Frags[i] = d.bytes()
+			m.Frags[i] = d.Bytes()
 		}
 	}
 }
@@ -258,8 +278,8 @@ type fetchReq struct {
 	Schema mring.Schema
 }
 
-func (m *fetchReq) put(e *enc) { e.str(m.Name); e.schema(m.Schema) }
-func (m *fetchReq) get(d *dec) { m.Name = d.str(); m.Schema = d.schema() }
+func (m *fetchReq) put(e *wire.Enc) { e.Str(m.Name); e.Strs(m.Schema) }
+func (m *fetchReq) get(d *wire.Dec) { m.Name = d.Str(); m.Schema = d.Schema() }
 
 type fetchResp struct {
 	// Present reports whether the shard holds the relation at all (view
@@ -268,8 +288,8 @@ type fetchResp struct {
 	Payload []byte
 }
 
-func (m *fetchResp) put(e *enc) { e.bool(m.Present); e.bytes(m.Payload) }
-func (m *fetchResp) get(d *dec) { m.Present = d.bool(); m.Payload = d.bytes() }
+func (m *fetchResp) put(e *wire.Enc) { e.Bool(m.Present); e.Bytes(m.Payload) }
+func (m *fetchResp) get(d *wire.Dec) { m.Present = d.Bool(); m.Payload = d.Bytes() }
 
 // snapshotMsg carries a shard's whole state: the snapshot response, and
 // the restore request. Frags holds every restorable fragment (contents
@@ -279,25 +299,25 @@ type snapshotMsg struct {
 	Frags map[string]Frag
 }
 
-func (m *snapshotMsg) put(e *enc) {
-	e.int(len(m.Frags))
-	for _, name := range sortedKeys(m.Frags) {
-		f := m.Frags[name]
-		e.str(name)
-		e.schema(f.Schema)
-		e.int(f.Buckets)
-		e.bytes(f.Payload)
-	}
+func (m *snapshotMsg) put(e *wire.Enc) { putFrags(e, m.Frags) }
+func (m *snapshotMsg) get(d *wire.Dec) { m.Frags = getFrags(d) }
+
+// putFrags writes one node's fragments in name order (snapshots,
+// restores and checkpoints).
+func putFrags(e *wire.Enc, frags map[string]Frag) {
+	wire.PutMap(e, frags, func(e *wire.Enc, f Frag) {
+		e.Strs(f.Schema)
+		e.Int(f.Buckets)
+		e.Bytes(f.Payload)
+	})
 }
 
-func (m *snapshotMsg) get(d *dec) {
-	n := d.count(4)
-	m.Frags = make(map[string]Frag, n)
-	var prev string
-	for i := 0; i < n; i++ {
-		prev = d.name(prev, i == 0)
-		m.Frags[prev] = Frag{Schema: d.schema(), Buckets: d.int(), Payload: d.bytes()}
-	}
+// getFrags reads what putFrags writes: a fragment is at least a name, a
+// schema, a bucket count and a payload length.
+func getFrags(d *wire.Dec) map[string]Frag {
+	return wire.GetMap(d, 4, func(d *wire.Dec) Frag {
+		return Frag{Schema: d.Schema(), Buckets: d.Int(), Payload: d.Bytes()}
+	})
 }
 
 // retainReq names the fragments a shard keeps; every other fragment is
@@ -306,22 +326,22 @@ type retainReq struct {
 	Keep map[string]bool
 }
 
-func (m *retainReq) put(e *enc) {
+func (m *retainReq) put(e *wire.Enc) {
 	var names []string
-	for _, name := range sortedKeys(m.Keep) {
+	for _, name := range wire.SortedKeys(m.Keep) {
 		if m.Keep[name] {
 			names = append(names, name)
 		}
 	}
-	e.strs(names)
+	e.Strs(names)
 }
 
-func (m *retainReq) get(d *dec) {
-	names := d.strs()
+func (m *retainReq) get(d *wire.Dec) {
+	names := d.Strs()
 	m.Keep = make(map[string]bool, len(names))
 	for i, name := range names {
 		if i > 0 && name <= names[i-1] {
-			d.fail("keep name %q out of order", name)
+			d.Fail("keep name %q out of order", name)
 			return
 		}
 		m.Keep[name] = true

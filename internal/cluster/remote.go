@@ -52,10 +52,10 @@ type remoteWorker struct {
 	deployed map[uint64]bool
 }
 
-// wire is a relation payload as it crossed (or will cross) the wire: the
+// shipped is a relation payload as it crossed (or will cross) the wire: the
 // bytes, and their decoding when the driver received them. A payload the
 // driver packed itself is never decoded on this side.
-type wire struct {
+type shipped struct {
 	*inet.Payload
 	raw []byte
 }
@@ -69,7 +69,7 @@ func decodeRows(b []byte) (rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &wire{Payload: p, raw: b}, nil
+	return &shipped{Payload: p, raw: b}, nil
 }
 
 // encodeRows is the payload a row sequence ships as: a relation (or a
@@ -94,7 +94,7 @@ func raw(r rows) []byte {
 	if r == nil {
 		return nil
 	}
-	return r.(*wire).raw
+	return r.(*shipped).raw
 }
 
 func (rw *remoteWorker) runBlock(b *block, watch []string) (stage, error) {
@@ -124,7 +124,7 @@ func (rw *remoteWorker) runBlock(b *block, watch []string) (stage, error) {
 // pack encodes a fragment once — columnar when its mirror allows, so it
 // lands columnar on the worker exactly as in process.
 func (rw *remoteWorker) pack(r *mring.Relation) rows {
-	return &wire{raw: inet.EncodePayload(r, fragmentBatch(r))}
+	return &shipped{raw: inet.EncodePayload(r, fragmentBatch(r))}
 }
 
 func (rw *remoteWorker) installScatter(name string, schema mring.Schema, src rows, broadcast, capture bool) (rows, rows, error) {

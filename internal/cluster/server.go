@@ -49,7 +49,7 @@ func handleSafely(sh *Shard, op byte, body []byte) (resp message, err error) {
 // serve decodes one request, runs it on the shard, and returns the
 // response body (nil: empty) — the worker-process side of every
 // remoteWorker call. Malformed or hostile requests return errors: bodies
-// go through the bounds-checked control codec, payloads through the
+// go through the bounds-checked internal/wire codec, payloads through the
 // hardened internal/net decoders, deploy blobs through checkStmts.
 func serve(sh *Shard, op byte, body []byte) (message, error) {
 	if op != opSetup && sh.workers < 1 {
@@ -181,7 +181,7 @@ func decodeFragment(b []byte, schema mring.Schema) (rows, error) {
 	if err != nil || r == nil {
 		return nil, err
 	}
-	if n := len(r.(*wire).Schema); n != len(schema) {
+	if n := len(r.(*shipped).Schema); n != len(schema) {
 		return nil, fmt.Errorf("payload arity %d, relation arity %d", n, len(schema))
 	}
 	return r, nil

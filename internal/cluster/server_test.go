@@ -32,13 +32,8 @@ func q3WorkerBlocks(t testing.TB) []*block {
 			if dp.Blocks[i].Mode != dist.LDist {
 				continue
 			}
-			b, err := driver.prepare(&dp.Blocks[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b.deploy, err = encodeDeploy(b.stmts, b.schemas); err != nil {
-				t.Fatal(err)
-			}
+			b := driver.prepare(&dp.Blocks[i])
+			b.deploy = encodeDeploy(b.stmts, b.schemas)
 			blocks = append(blocks, b)
 		}
 	}

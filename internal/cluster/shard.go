@@ -96,7 +96,7 @@ func (l rowList) Foreach(f func(t mring.Tuple, m float64)) {
 // relation (the simulator's measured traffic).
 func wireSize(r rows) int64 {
 	switch r := r.(type) {
-	case *wire:
+	case *shipped:
 		return int64(len(r.raw))
 	case *mring.Relation:
 		return encodeSize(r)
@@ -338,7 +338,7 @@ func installFragment(dst *mring.Relation, src rows) {
 	switch s := src.(type) {
 	case *mring.Relation:
 		batch = fragmentBatch(s)
-	case *wire:
+	case *shipped:
 		batch = s.Batch
 	}
 	if batch == nil {

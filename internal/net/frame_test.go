@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/mring"
+	"repro/internal/pool"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -100,6 +101,25 @@ func TestPayloadRowRoundTrip(t *testing.T) {
 			t.Fatalf("tuple %v: got %v, want %v", tp, g, m)
 		}
 	})
+}
+
+// TestColumnarPayloadSmallerThanRows pins why shuffles ship columnar
+// when they can: for a kind-pure batch the columnar payload, whose
+// header and kinds are written once, is smaller than the row payload,
+// which tags every value with its kind.
+func TestColumnarPayloadSmallerThanRows(t *testing.T) {
+	r := mring.NewRelation(mring.Schema{"a", "b", "c", "d"})
+	for i := 0; i < 1000; i++ {
+		r.Add(mring.Tuple{mring.Int(int64(i)), mring.Int(int64(i % 10)), mring.Int(int64(i % 5)), mring.Int(int64(i % 2))}, 1)
+	}
+	col, ok := pool.TryFromRelation(r)
+	if !ok {
+		t.Fatal("kind-pure relation has no columnar form")
+	}
+	colSize, rowSize := len(EncodePayload(r, col)), len(EncodePayload(r, nil))
+	if colSize >= rowSize {
+		t.Fatalf("columnar %dB not smaller than row %dB", colSize, rowSize)
+	}
 }
 
 // TestPayloadPreservesForeachOrder pins the load-bearing property: a

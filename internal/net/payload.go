@@ -1,12 +1,11 @@
 package net
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/mring"
 	"repro/internal/pool"
+	"repro/internal/wire"
 )
 
 // Relation payloads cross the wire in one of two self-describing forms,
@@ -21,8 +20,9 @@ import (
 // the rows as a mutation sequence, and the open-chained hash layout of
 // the rebuilt relation (hence every downstream iteration and float fold
 // order) is a function of that exact sequence. The row format exists so
-// mixed-kind relations ship losslessly — pool.EncodeRelation's coercing
-// fallback must never be used across a process boundary.
+// mixed-kind relations ship losslessly. Both are written and read with
+// the internal/wire codec; a row value is wire.Enc.Value's kind byte and
+// value.
 const (
 	payloadColumnar byte = 0
 	payloadRows     byte = 1
@@ -89,12 +89,8 @@ func EncodeRelationPlain(r *mring.Relation) []byte {
 	if r == nil || r.Len() == 0 {
 		return nil
 	}
-	if b, ok := pool.TryFromRelation(r); ok {
-		return append([]byte{payloadColumnar}, b.Encode()...)
-	}
-	b := NewPayloadBuilder(r.Schema())
-	r.Foreach(b.Add)
-	return b.Bytes()
+	b, _ := pool.TryFromRelation(r)
+	return EncodePayload(r, b)
 }
 
 // PayloadBuilder accumulates rows into a row-format payload in the exact
@@ -104,7 +100,7 @@ func EncodeRelationPlain(r *mring.Relation) []byte {
 type PayloadBuilder struct {
 	schema mring.Schema
 	n      int
-	body   []byte
+	body   wire.Enc
 }
 
 // NewPayloadBuilder returns an empty builder for the given schema.
@@ -112,24 +108,10 @@ func NewPayloadBuilder(schema mring.Schema) *PayloadBuilder {
 	return &PayloadBuilder{schema: schema}
 }
 
-// Len returns the number of rows added.
-func (b *PayloadBuilder) Len() int { return b.n }
-
 // Add appends one row.
 func (b *PayloadBuilder) Add(t mring.Tuple, m float64) {
-	for _, v := range t {
-		b.body = append(b.body, byte(v.K))
-		switch v.K {
-		case mring.KInt:
-			b.body = binary.AppendVarint(b.body, v.I)
-		case mring.KFloat:
-			b.body = binary.LittleEndian.AppendUint64(b.body, math.Float64bits(v.F))
-		default:
-			b.body = binary.AppendUvarint(b.body, uint64(len(v.S)))
-			b.body = append(b.body, v.S...)
-		}
-	}
-	b.body = binary.LittleEndian.AppendUint64(b.body, math.Float64bits(m))
+	b.body.Tuple(t)
+	b.body.Float(m)
 	b.n++
 }
 
@@ -138,14 +120,10 @@ func (b *PayloadBuilder) Bytes() []byte {
 	if b.n == 0 {
 		return nil
 	}
-	out := []byte{payloadRows}
-	out = binary.AppendUvarint(out, uint64(len(b.schema)))
-	for _, col := range b.schema {
-		out = binary.AppendUvarint(out, uint64(len(col)))
-		out = append(out, col...)
-	}
-	out = binary.AppendUvarint(out, uint64(b.n))
-	return append(out, b.body...)
+	e := wire.Enc{B: []byte{payloadRows}}
+	e.Strs(b.schema)
+	e.Int(b.n)
+	return append(e.B, b.body.B...)
 }
 
 // DecodePayload parses one relation payload. Every count and length is
@@ -164,88 +142,37 @@ func DecodePayload(buf []byte) (*Payload, error) {
 		}
 		return &Payload{Schema: cb.Schema, Batch: cb}, nil
 	case payloadRows:
-		return decodeRowPayload(buf[1:])
+		p, err := decodeRowPayload(buf[1:])
+		if err != nil {
+			return nil, fmt.Errorf("net: row payload: %w", err)
+		}
+		return p, nil
 	default:
 		return nil, fmt.Errorf("net: unknown payload tag 0x%02x", buf[0])
 	}
 }
 
 func decodeRowPayload(buf []byte) (*Payload, error) {
-	nc, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("net: row payload: bad column count")
+	d := wire.NewDec(buf)
+	schema := mring.Schema(d.Strs())
+	if len(schema) > maxPayloadCols {
+		d.Fail("column count %d exceeds %d", len(schema), maxPayloadCols)
 	}
-	buf = buf[n:]
-	if nc > maxPayloadCols || nc > uint64(len(buf)) {
-		return nil, fmt.Errorf("net: row payload: column count %d exceeds input", nc)
-	}
-	schema := make(mring.Schema, nc)
-	for i := range schema {
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || l > uint64(len(buf)-n) {
-			return nil, fmt.Errorf("net: row payload: bad column name length")
-		}
-		schema[i] = string(buf[n : n+int(l)])
-		buf = buf[n+int(l):]
-	}
-	nr, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("net: row payload: bad row count")
-	}
-	buf = buf[n:]
 	// Every row ends in an 8-byte multiplicity, so a row count past
-	// len/8 is a lie about the input size — reject it before allocating.
-	if nr > uint64(len(buf))/8 {
-		return nil, fmt.Errorf("net: row payload: row count %d exceeds input", nr)
-	}
-	p := &Payload{
-		Schema: schema,
-		rows:   make([]mring.Tuple, 0, nr),
-		mults:  make([]float64, 0, nr),
-	}
-	for r := uint64(0); r < nr; r++ {
+	// len/8 is a lie about the input size — refuse it before allocating.
+	n := d.Count(8)
+	p := &Payload{Schema: schema, rows: make([]mring.Tuple, n), mults: make([]float64, n)}
+	for r := range p.rows {
 		t := make(mring.Tuple, len(schema))
-		for c := range t {
-			if len(buf) == 0 {
-				return nil, fmt.Errorf("net: row payload: truncated row %d", r)
-			}
-			kind := mring.Kind(buf[0])
-			buf = buf[1:]
-			switch kind {
-			case mring.KInt:
-				v, n := binary.Varint(buf)
-				if n <= 0 {
-					return nil, fmt.Errorf("net: row payload: bad int in row %d", r)
-				}
-				t[c] = mring.Int(v)
-				buf = buf[n:]
-			case mring.KFloat:
-				if len(buf) < 8 {
-					return nil, fmt.Errorf("net: row payload: truncated float in row %d", r)
-				}
-				t[c] = mring.Float(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-				buf = buf[8:]
-			case mring.KString:
-				l, n := binary.Uvarint(buf)
-				if n <= 0 || l > uint64(len(buf)-n) {
-					return nil, fmt.Errorf("net: row payload: bad string length in row %d", r)
-				}
-				t[c] = mring.Str(string(buf[n : n+int(l)]))
-				buf = buf[n+int(l):]
-			default:
-				return nil, fmt.Errorf("net: row payload: unknown value kind %d in row %d", kind, r)
-			}
+		d.Tuple(t)
+		p.rows[r] = t
+		p.mults[r] = d.Float()
+		if d.Err() != nil {
+			break
 		}
-		if len(buf) < 8 {
-			return nil, fmt.Errorf("net: row payload: truncated multiplicity in row %d", r)
-		}
-		m := math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		buf = buf[8:]
-		p.rows = append(p.rows, t)
-		p.mults = append(p.mults, m)
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("net: row payload: %d trailing bytes", len(buf))
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -7,11 +7,10 @@
 package pool
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/mring"
+	"repro/internal/wire"
 )
 
 // Column is one typed column of a columnar batch. Exactly one of the value
@@ -177,132 +176,70 @@ func (b *ColBatch) ToRelation() *mring.Relation {
 // arrays, then multiplicities. It is the wire format of the simulated
 // cluster's shuffles; its length measures network traffic.
 func (b *ColBatch) Encode() []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(b.Schema)))
+	var e wire.Enc
+	e.Int(len(b.Schema))
 	for i, name := range b.Schema {
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = append(buf, byte(b.Cols[i].Kind))
+		e.Str(name)
+		e.Byte(byte(b.Cols[i].Kind))
 	}
-	n := b.Len()
-	buf = binary.AppendUvarint(buf, uint64(n))
+	e.Int(b.Len())
 	for i := range b.Cols {
 		c := &b.Cols[i]
 		switch c.Kind {
 		case mring.KInt:
-			for _, v := range c.Ints {
-				buf = binary.AppendVarint(buf, v)
-			}
+			e.Varints(c.Ints)
 		case mring.KFloat:
-			for _, v := range c.Flts {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
+			e.Floats(c.Flts)
 		default:
 			for _, v := range c.Strs {
-				buf = binary.AppendUvarint(buf, uint64(len(v)))
-				buf = append(buf, v...)
+				e.Str(v)
 			}
 		}
 	}
-	for _, m := range b.Mults {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m))
-	}
-	return buf
+	e.Floats(b.Mults)
+	return e.B
 }
 
 // Decode deserializes a batch produced by Encode.
 func Decode(buf []byte) (*ColBatch, error) {
-	pos := 0
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("pool: truncated batch at byte %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	nc, err := readUvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Every column header costs at least two bytes (name-length uvarint +
-	// kind byte); bounding nc by the remaining input keeps hostile counts
-	// from demanding huge allocations before the truncation is noticed.
-	if nc > uint64(len(buf)-pos)/2 {
-		return nil, fmt.Errorf("pool: column count %d exceeds input", nc)
-	}
+	d := wire.NewDec(buf)
+	// Every column header costs at least two bytes (name length and kind).
+	nc := d.Count(2)
 	schema := make(mring.Schema, nc)
 	kinds := make([]mring.Kind, nc)
-	for i := 0; i < int(nc); i++ {
-		ln, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		if ln > uint64(len(buf)-pos) || pos+int(ln)+1 > len(buf) {
-			return nil, fmt.Errorf("pool: truncated column header")
-		}
-		schema[i] = string(buf[pos : pos+int(ln)])
-		pos += int(ln)
-		kinds[i] = mring.Kind(buf[pos])
-		if kinds[i] > mring.KString {
-			return nil, fmt.Errorf("pool: invalid column kind %d", kinds[i])
-		}
-		pos++
-	}
-	nr, err := readUvarint()
-	if err != nil {
-		return nil, err
+	for i := range schema {
+		schema[i] = d.Str()
+		kinds[i] = d.Kind()
 	}
 	// Each row costs at least 8 bytes for its multiplicity alone.
-	if nr > uint64(len(buf)-pos)/8 {
-		return nil, fmt.Errorf("pool: row count %d exceeds input", nr)
-	}
+	n := d.Count(8)
 	b := NewColBatch(schema, kinds)
-	n := int(nr)
 	for i := range b.Cols {
+		// Every value takes at least one byte: refuse a column the bytes
+		// left cannot hold before allocating it.
+		if d.Len() < n {
+			d.Fail("column %q truncated", schema[i])
+			break
+		}
 		c := &b.Cols[i]
 		switch c.Kind {
 		case mring.KInt:
 			c.Ints = make([]int64, n)
-			for j := 0; j < n; j++ {
-				v, w := binary.Varint(buf[pos:])
-				if w <= 0 {
-					return nil, fmt.Errorf("pool: truncated int column")
-				}
-				pos += w
-				c.Ints[j] = v
-			}
+			d.Varints(c.Ints)
 		case mring.KFloat:
 			c.Flts = make([]float64, n)
-			for j := 0; j < n; j++ {
-				if pos+8 > len(buf) {
-					return nil, fmt.Errorf("pool: truncated float column")
-				}
-				c.Flts[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-				pos += 8
-			}
+			d.Floats(c.Flts)
 		default:
 			c.Strs = make([]string, n)
-			for j := 0; j < n; j++ {
-				ln, err := readUvarint()
-				if err != nil {
-					return nil, err
-				}
-				if ln > uint64(len(buf)-pos) {
-					return nil, fmt.Errorf("pool: truncated string column")
-				}
-				c.Strs[j] = string(buf[pos : pos+int(ln)])
-				pos += int(ln)
+			for j := range c.Strs {
+				c.Strs[j] = d.Str()
 			}
 		}
 	}
 	b.Mults = make([]float64, n)
-	for j := 0; j < n; j++ {
-		if pos+8 > len(buf) {
-			return nil, fmt.Errorf("pool: truncated multiplicities")
-		}
-		b.Mults[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-		pos += 8
+	d.Floats(b.Mults)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("pool: bad batch: %w", err)
 	}
 	return b, nil
 }
@@ -319,18 +256,4 @@ func (b *ColBatch) MergeInto(r *mring.Relation) {
 		}
 		r.Add(t, m)
 	}
-}
-
-// EncodeRowFormat serializes tuple-at-a-time (row-oriented) for the
-// columnar-vs-row serialization ablation; it is typically larger and
-// slower than Encode for wide batches.
-func EncodeRowFormat(r *mring.Relation) []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(r.Len()))
-	r.Foreach(func(t mring.Tuple, m float64) {
-		buf = binary.AppendUvarint(buf, uint64(len(t)))
-		buf = t.EncodeKey(buf)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m))
-	})
-	return buf
 }

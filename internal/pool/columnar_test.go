@@ -81,17 +81,3 @@ func TestQuickColBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestEncodeRowFormatLargerForWideRows(t *testing.T) {
-	// Columnar encoding should not be larger than row encoding for a
-	// homogeneous integer batch (shared headers amortize).
-	r := mring.NewRelation(mring.Schema{"a", "b", "c", "d"})
-	for i := 0; i < 1000; i++ {
-		r.Add(tup(i, i%10, i%5, i%2), 1)
-	}
-	colSize := len(FromRelation(r).Encode())
-	rowSize := len(EncodeRowFormat(r))
-	if colSize >= rowSize {
-		t.Fatalf("columnar %dB not smaller than row %dB", colSize, rowSize)
-	}
-}

@@ -73,15 +73,3 @@ func MirrorOf(r *mring.Relation) *ColBatch {
 func AttachMirror(r *mring.Relation, batch *ColBatch) {
 	r.SetScratch(&mirrorState{batch: batch, ver: r.Version()})
 }
-
-// EncodeRelation serializes r in the columnar wire format, reusing (and
-// attaching) its columnar mirror when the contents allow one. Mixed-kind
-// relations fall back to FromRelation's first-tuple-kind coercion — fine
-// for size accounting, lossy for real shipping, so byte-shipping callers
-// must go through MirrorOf/TryFromRelation instead.
-func EncodeRelation(r *mring.Relation) []byte {
-	if b := MirrorOf(r); b != nil {
-		return b.Encode()
-	}
-	return FromRelation(r).Encode()
-}

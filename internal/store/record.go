@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	inet "repro/internal/net"
+	"repro/internal/wire"
 )
 
 // Record kinds. A tx record is one accepted transaction (the per-table
@@ -57,53 +58,23 @@ type Record struct {
 	Tables []TableFrag
 }
 
-// Tuples returns the total row count across the record's fragments (for
-// recovery stats). Undecodable fragments count zero; replay will reject
-// them properly.
-func (r Record) Tuples() int {
-	n := 0
-	for _, tf := range r.Tables {
-		if len(tf.Payload) == 0 {
-			continue
-		}
-		if p, err := inet.DecodePayload(tf.Payload); err == nil {
-			n += p.Len()
-		}
-	}
-	return n
-}
-
 // EncodeRecord serializes a record body (framing is added by the WAL
-// writer): kind byte, uvarint table count, then per table uvarint-length
-// name, uvarint bucket count, uvarint-length payload.
+// writer): kind byte, table count, then per table its name, bucket count
+// and payload, in the internal/wire codec.
 func EncodeRecord(r Record) []byte {
 	size := 1 + binary.MaxVarintLen64
 	for _, tf := range r.Tables {
 		size += 3*binary.MaxVarintLen64 + len(tf.Table) + len(tf.Payload)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, r.Kind)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Tables)))
+	e := wire.Enc{B: make([]byte, 0, size)}
+	e.Byte(r.Kind)
+	e.Int(len(r.Tables))
 	for _, tf := range r.Tables {
-		buf = binary.AppendUvarint(buf, uint64(len(tf.Table)))
-		buf = append(buf, tf.Table...)
-		buf = binary.AppendUvarint(buf, uint64(tf.Buckets))
-		buf = binary.AppendUvarint(buf, uint64(len(tf.Payload)))
-		buf = append(buf, tf.Payload...)
+		e.Str(tf.Table)
+		e.Int(tf.Buckets)
+		e.Bytes(tf.Payload)
 	}
-	return buf
-}
-
-// uvarint decodes a varint from b, rejecting values over the given cap.
-func uvarint(b []byte, max uint64, what string) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("store: truncated %s", what)
-	}
-	if v > max {
-		return 0, nil, fmt.Errorf("store: %s %d exceeds cap %d", what, v, max)
-	}
-	return v, b[n:], nil
+	return e.B
 }
 
 // DecodeRecord parses a record body. It is strict: unknown kinds, any
@@ -114,51 +85,26 @@ func DecodeRecord(body []byte) (Record, error) {
 	if len(body) == 0 {
 		return rec, fmt.Errorf("store: empty record body")
 	}
-	rec.Kind = body[0]
+	d := wire.NewDec(body)
+	rec.Kind = d.Byte()
 	if rec.Kind != RecTx && rec.Kind != RecWarm {
 		return rec, fmt.Errorf("store: unknown record kind %d", rec.Kind)
 	}
-	b := body[1:]
 	// Each table needs at least 3 bytes (empty name, zero buckets, empty
 	// payload), so the count is bounded by the remaining length.
-	ntab, b, err := uvarint(b, uint64(len(b)), "table count")
-	if err != nil {
-		return rec, err
+	rec.Tables = make([]TableFrag, d.Count(3))
+	for i := range rec.Tables {
+		tf := &rec.Tables[i]
+		tf.Table = d.Str()
+		buckets := d.Uvarint()
+		if buckets != 0 && (buckets < 8 || buckets > inet.MaxRestoreBuckets || buckets&(buckets-1) != 0) {
+			d.Fail("bucket count %d is not a power of two in [8, %d]", buckets, inet.MaxRestoreBuckets)
+		}
+		tf.Buckets = int(buckets)
+		tf.Payload = d.Bytes()
 	}
-	rec.Tables = make([]TableFrag, 0, ntab)
-	for i := uint64(0); i < ntab; i++ {
-		var tf TableFrag
-		nameLen, rest, err := uvarint(b, uint64(len(b)), "table name length")
-		if err != nil {
-			return rec, err
-		}
-		if uint64(len(rest)) < nameLen {
-			return rec, fmt.Errorf("store: table name overruns record")
-		}
-		tf.Table, b = string(rest[:nameLen]), rest[nameLen:]
-		buckets, rest2, err := uvarint(b, inet.MaxRestoreBuckets, "bucket count")
-		if err != nil {
-			return rec, err
-		}
-		if buckets != 0 && (buckets < 8 || buckets&(buckets-1) != 0) {
-			return rec, fmt.Errorf("store: bucket count %d is not a power of two >= 8", buckets)
-		}
-		tf.Buckets, b = int(buckets), rest2
-		plen, rest3, err := uvarint(b, uint64(len(rest2)), "payload length")
-		if err != nil {
-			return rec, err
-		}
-		if uint64(len(rest3)) < plen {
-			return rec, fmt.Errorf("store: payload overruns record")
-		}
-		if plen > 0 {
-			tf.Payload = rest3[:plen:plen]
-		}
-		b = rest3[plen:]
-		rec.Tables = append(rec.Tables, tf)
-	}
-	if len(b) != 0 {
-		return rec, fmt.Errorf("store: %d trailing bytes after record", len(b))
+	if err := d.Done(); err != nil {
+		return rec, fmt.Errorf("store: bad record: %w", err)
 	}
 	return rec, nil
 }

@@ -1,23 +1,23 @@
 package ivm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
 	"repro/internal/mring"
 	inet "repro/internal/net"
+	"repro/internal/wire"
 )
 
 // Feed wire protocol, carried over the same length-prefixed frames as
 // the cluster protocol (internal/net). One subscribe request per
 // connection, then a one-way delta stream until either side closes.
+// Message bodies are in the internal/wire codec.
 const (
-	feedOpSub   byte = 0x10 // client → server: gob feedSubReq
-	feedOpOK    byte = 0x11 // server → client: subscription accepted
+	feedOpSub   byte = 0x10 // client → server: feedSubReq
+	feedOpOK    byte = 0x11 // server → client: subscription accepted, empty body
 	feedOpErr   byte = 0x12 // server → client: error text, then close
-	feedOpDelta byte = 0x13 // server → client: gob feedDeltaMsg
+	feedOpDelta byte = 0x13 // server → client: feedDeltaMsg
 )
 
 // feedQueueCap bounds the per-connection delta queue. A subscriber that
@@ -35,6 +35,27 @@ type feedSubReq struct {
 	Key []mring.Value
 }
 
+func (m *feedSubReq) encode() []byte {
+	var e wire.Enc
+	e.Str(m.View)
+	e.Int(len(m.Key))
+	for _, v := range m.Key {
+		e.Value(v)
+	}
+	return e.B
+}
+
+func (m *feedSubReq) decode(body []byte) error {
+	d := wire.NewDec(body)
+	m.View = d.Str()
+	// A key value is at least its kind byte and one more.
+	if n := d.Count(2); n > 0 {
+		m.Key = make([]mring.Value, n)
+		d.Tuple(m.Key)
+	}
+	return d.Done()
+}
+
 type feedDeltaMsg struct {
 	Seq    int64
 	Schema mring.Schema
@@ -43,16 +64,38 @@ type feedDeltaMsg struct {
 	Payload []byte
 }
 
-func feedEncode(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+func (m *feedDeltaMsg) encode() []byte {
+	var e wire.Enc
+	e.Varint(m.Seq)
+	e.Strs(m.Schema)
+	e.Bytes(m.Payload)
+	return e.B
 }
 
-func feedDecode(body []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
+func (m *feedDeltaMsg) decode(body []byte) error {
+	d := wire.NewDec(body)
+	m.Seq = d.Varint()
+	m.Schema = d.Schema()
+	m.Payload = d.Bytes()
+	return d.Done()
+}
+
+// relation rebuilds the delta. The payload must have the arity of the
+// schema it arrived under, as on the cluster protocol.
+func (m *feedDeltaMsg) relation() (*mring.Relation, error) {
+	rel := mring.NewRelation(m.Schema)
+	if len(m.Payload) == 0 {
+		return rel, nil
+	}
+	p, err := inet.DecodePayload(m.Payload)
+	if err != nil {
+		return nil, err
+	}
+	if len(p.Schema) != len(m.Schema) {
+		return nil, fmt.Errorf("payload arity %d, schema arity %d", len(p.Schema), len(m.Schema))
+	}
+	p.Foreach(rel.Add)
+	return rel, nil
 }
 
 // FeedServer streams changefeed deltas to remote subscribers over the
@@ -159,7 +202,7 @@ func (s *FeedServer) serveConn(conn inet.Conn) {
 		return
 	}
 	var req feedSubReq
-	if err := feedDecode(body, &req); err != nil {
+	if err := req.decode(body); err != nil {
 		conn.Send(feedOpErr, []byte(fmt.Sprintf("ivm: bad subscribe request: %v", err)))
 		conn.Close()
 		return
@@ -266,11 +309,7 @@ func (fc *feedConn) writeLoop() {
 		fc.queue = fc.queue[1:]
 		fc.mu.Unlock()
 		msg := feedDeltaMsg{Seq: q.seq, Schema: q.rel.Schema(), Payload: inet.EncodeRelationPlain(q.rel)}
-		body, err := feedEncode(msg)
-		if err != nil {
-			return
-		}
-		if err := fc.conn.Send(feedOpDelta, body); err != nil {
+		if err := fc.conn.Send(feedOpDelta, msg.encode()); err != nil {
 			return
 		}
 	}
@@ -318,12 +357,8 @@ func DialFeed(addr, view string, opts ...SubOption) (*FeedSub, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := feedEncode(feedSubReq{View: view, Key: cfg.key})
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := conn.Send(feedOpSub, body); err != nil {
+	req := feedSubReq{View: view, Key: cfg.key}
+	if err := conn.Send(feedOpSub, req.encode()); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -355,16 +390,12 @@ func (s *FeedSub) Recv() (Delta, error) {
 	switch op {
 	case feedOpDelta:
 		var msg feedDeltaMsg
-		if err := feedDecode(body, &msg); err != nil {
+		if err := msg.decode(body); err != nil {
 			return Delta{}, fmt.Errorf("ivm: feed: corrupt delta frame: %w", err)
 		}
-		rel := mring.NewRelation(msg.Schema)
-		if len(msg.Payload) > 0 {
-			p, err := inet.DecodePayload(msg.Payload)
-			if err != nil {
-				return Delta{}, fmt.Errorf("ivm: feed: corrupt delta payload: %w", err)
-			}
-			p.Foreach(rel.Add)
+		rel, err := msg.relation()
+		if err != nil {
+			return Delta{}, fmt.Errorf("ivm: feed: corrupt delta payload: %w", err)
 		}
 		return Delta{Seq: msg.Seq, rel: rel}, nil
 	case feedOpErr:
