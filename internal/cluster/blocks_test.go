@@ -18,14 +18,16 @@ import (
 // request on shards[i] inside the driver's call, through the same codec
 // and serve a worker process runs. The test holds the shards, so it can
 // read each worker's block table between driver calls, and each
-// connection counts the deploy blobs it carried, by block id.
+// connection counts the requests it carried and the deploy blobs among
+// them, by block id.
 type loopback struct {
-	shards  []*Shard
-	deploys []map[uint64]int
+	shards   []*Shard
+	requests []int
+	deploys  []map[uint64]int
 }
 
 func newLoopback(workers int) *loopback {
-	lb := &loopback{}
+	lb := &loopback{requests: make([]int, workers)}
 	for i := 0; i < workers; i++ {
 		lb.shards = append(lb.shards, &Shard{node: newNode()})
 		lb.deploys = append(lb.deploys, make(map[uint64]int))
@@ -46,7 +48,7 @@ func (lb *loopback) Dial(addr string) (inet.Conn, error) {
 	if err != nil || i < 0 || i >= len(lb.shards) {
 		return nil, errors.New("loopback: no such worker")
 	}
-	return &loopConn{sh: lb.shards[i], deploys: lb.deploys[i]}, nil
+	return &loopConn{sh: lb.shards[i], requests: &lb.requests[i], deploys: lb.deploys[i]}, nil
 }
 
 func (lb *loopback) Listen(string) (inet.Listener, error) {
@@ -54,16 +56,18 @@ func (lb *loopback) Listen(string) (inet.Listener, error) {
 }
 
 type loopConn struct {
-	sh      *Shard
-	deploys map[uint64]int
-	typ     byte
-	body    []byte
+	sh       *Shard
+	requests *int
+	deploys  map[uint64]int
+	typ      byte
+	body     []byte
 }
 
 func (c *loopConn) Send(op byte, body []byte) error {
-	var req runBlockReq
-	if op == opRunBlock && unmarshal(body, &req) == nil && len(req.Deploy) > 0 {
-		c.deploys[req.ID]++
+	*c.requests++
+	var req stageReq
+	if op == opStage && unmarshal(body, &req) == nil && req.block != nil && len(req.deploy) > 0 {
+		c.deploys[req.block.id]++
 	}
 	resp, err := serve(c.sh, op, body)
 	if err != nil {
@@ -178,7 +182,7 @@ func TestBlockTablesFollowPrograms(t *testing.T) {
 		t.Helper()
 		for id := range ids {
 			for i, sh := range lb.shards {
-				if _, err := serve(sh, opRunBlock, marshal(&runBlockReq{ID: id})); err == nil || !strings.Contains(err.Error(), "not deployed") {
+				if _, err := serve(sh, opStage, marshal(&stageReq{block: &block{id: id}})); err == nil || !strings.Contains(err.Error(), "not deployed") {
 					t.Fatalf("%s: worker %d ran retired block %d (err %v)", stage, i, id, err)
 				}
 			}
@@ -188,7 +192,7 @@ func TestBlockTablesFollowPrograms(t *testing.T) {
 	run(12)
 	first := tables("12 transactions")
 	for i, sh := range lb.shards {
-		if _, err := serve(sh, opRunBlock, marshal(&runBlockReq{ID: 1 << 40})); err == nil {
+		if _, err := serve(sh, opStage, marshal(&stageReq{block: &block{id: 1 << 40}})); err == nil {
 			t.Fatalf("worker %d ran a stage naming an unknown block", i)
 		}
 	}

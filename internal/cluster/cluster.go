@@ -8,7 +8,10 @@
 // in-process shards that receive fragments by reference (the simulator);
 // Connect reaches worker processes over a framed transport, each call one
 // round trip of the protocol in proto.go served by the same Shard code on
-// the far side. Everything else — schema preparation, delta capture,
+// the far side. A transaction calls each worker once per step of a
+// program: one step per distributed block, with the transfers of the
+// driver statements around it riding its request and response.
+// Everything else — schema preparation, the step schedule, delta capture,
 // worker-index-ordered merges, the cost model, checkpoints, failure
 // poisoning — is the driver's, written once, so both deployments produce
 // bitwise-identical results by construction.
@@ -158,6 +161,9 @@ type Cluster struct {
 	// block id names one block for the cluster's whole lifetime.
 	blocks map[*dist.Block]*block
 	nextID uint64
+	// plans holds each program's plan, beside its blocks and retired with
+	// them.
+	plans map[*dist.DistProgram]*plan
 	// declared names the schemas the cluster was constructed with. Every
 	// other schema was registered by a running program, and is forgotten
 	// with the program: a recompiled program may reuse a temporary's name
@@ -211,6 +217,7 @@ func newCluster(cfg Config, ws []worker, schemas map[string]mring.Schema, parts 
 		workerCompute: make([]time.Duration, len(ws)),
 		workerStages:  make([]int, len(ws)),
 		blocks:        make(map[*dist.Block]*block),
+		plans:         make(map[*dist.DistProgram]*plan),
 		declared:      declared,
 		committed:     make(map[string]*mring.Relation),
 	}
@@ -309,6 +316,7 @@ func (c *Cluster) Repartition(parts dist.PartInfo, contents map[string]*mring.Re
 // blocks in the same call that retires the programs on their side.
 func (c *Cluster) retirePrograms() {
 	clear(c.blocks)
+	clear(c.plans)
 	for name := range c.schemas {
 		if !c.declared[name] {
 			delete(c.schemas, name)
@@ -420,6 +428,8 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 	if c.err != nil {
 		return c.err
 	}
+	// Every view's install rides one stage per worker.
+	reqs := make([]stageReq, len(c.workers))
 	for name, rel := range contents {
 		if rel == nil {
 			continue
@@ -454,9 +464,18 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 		default:
 			return fmt.Errorf("cluster: cannot warm load view %q located %v", name, loc)
 		}
-		if err := c.each(func(i int, w worker) error { return w.installDelta(name, schema, frags[i]) }); err != nil {
-			return c.fail(err)
+		for i := range reqs {
+			reqs[i].installs = append(reqs[i].installs, install{kind: installReplace, name: name, schema: schema, from: frags[i : i+1]})
 		}
+	}
+	if len(reqs[0].installs) == 0 {
+		return nil
+	}
+	if err := c.each(func(i int, w worker) error {
+		_, err := w.stage(&reqs[i])
+		return err
+	}); err != nil {
+		return c.fail(err)
 	}
 	return nil
 }
@@ -500,7 +519,7 @@ func (c *Cluster) RunPartitioned(prog *dist.DistProgram, partsOfBatch []*mring.R
 			c.schemas[dn] = p.Schema()
 		}
 	}
-	return c.runDealt(prog, frags)
+	return c.runBlocks(prog, frags)
 }
 
 // RunPartitionedBatch deals a driver-resident batch round-robin over the
@@ -526,34 +545,41 @@ func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relat
 	for i := range deals {
 		frags[i] = deals[i]
 	}
-	return c.runDealt(prog, frags)
+	return c.runBlocks(prog, frags)
 }
 
-// runDealt installs one delta fragment per worker, then runs the program.
-func (c *Cluster) runDealt(prog *dist.DistProgram, frags []rows) (Metrics, error) {
-	dn := eval.DeltaName(prog.Relation)
-	schema := c.schemas[dn]
-	if err := c.each(func(i int, w worker) error { return w.installDelta(dn, schema, frags[i]) }); err != nil {
-		return Metrics{}, c.fail(err)
-	}
-	return c.runBlocks(prog)
-}
-
-func (c *Cluster) runBlocks(prog *dist.DistProgram) (Metrics, error) {
+// runBlocks runs a program, with one delta fragment dealt to each worker,
+// as its plan's steps: the deal and the installs of each stretch of
+// driver statements ride the next step's request, and the worker reads
+// of driver statements ride the previous step's response, so each worker
+// serves one round trip per step.
+func (c *Cluster) runBlocks(prog *dist.DistProgram, deal []rows) (Metrics, error) {
 	var m Metrics
 	m.Stages = prog.Stages()
 	m.Jobs = prog.Jobs()
-	for i := range prog.Blocks {
-		b := c.prepare(&prog.Blocks[i])
-		var err error
+	p, err := c.planOf(prog)
+	if err != nil {
+		return m, c.fail(err)
+	}
+	r := &run{plan: p, reqs: make([]stageReq, len(c.workers))}
+	dn := eval.DeltaName(prog.Relation)
+	r.queue(install{kind: installReplace, name: dn, schema: c.schemas[dn]}, func(i int) []rows { return deal[i : i+1] })
+	for i, b := range p.blocks {
 		if prog.Blocks[i].Mode == dist.LDist {
-			err = c.runDistBlock(b, &m)
+			err = c.runDistBlock(r, b, &m)
 		} else {
-			err = c.runLocalBlock(b, &m)
+			err = c.runLocalBlock(r, b, p.xfers[i], &m)
 		}
 		if err != nil {
 			// Installs may have landed on a subset of workers, so worker
 			// state can no longer be trusted.
+			return m, c.fail(err)
+		}
+	}
+	if r.sent < len(p.outputs) {
+		// The closing step: installs of driver statements after the last
+		// distributed block.
+		if err := c.send(r, nil); err != nil {
 			return m, c.fail(err)
 		}
 	}
@@ -612,18 +638,258 @@ func (c *Cluster) prepareStmts(stmts []dist.Stmt) {
 	}
 }
 
+// plan is a program scheduled as steps, each one stage call per worker: a
+// step per distributed block, carrying the installs queued since the last
+// step, plus transfer-only steps where no block's step can carry a
+// transfer. A cluster plans each program once, beside its blocks.
+type plan struct {
+	// blocks holds the program's blocks, prepared.
+	blocks []*block
+	// xfers holds, per local block, its statements' transformers resolved
+	// (nil for compute statements).
+	xfers [][]*transfer
+	// outputs holds, per step in sending order, the worker reads its
+	// response carries.
+	outputs [][]output
+}
+
+// transfer is one transformer statement, resolved once per plan.
+type transfer struct {
+	kind                 dist.XformKind
+	src, lhs             string
+	srcSchema, lhsSchema mring.Schema
+	keyPos               []int
+	read                 readKind
+	// snapshot marks a broadcast whose source a driver statement writes
+	// before the next step lands it: it ships a copy taken now. Any other
+	// pack is the driver relation itself in process.
+	snapshot bool
+}
+
+// readKind says where a gather or repartition reads its source.
+type readKind uint8
+
+const (
+	// readOutput takes the next output of the last step's response.
+	readOutput readKind = iota
+	// readStep first sends a transfer-only step — no step sent yet can
+	// carry the read, or a scatter since the last step wrote its source —
+	// and takes that step's first output.
+	readStep
+	// readChained rebuilds the source from the pieces the driver routed
+	// to it since the last step, as the workers will.
+	readChained
+)
+
+// planOf returns a program's plan, planning it the first time. A
+// repartition's target is a chained source until the next step; a
+// scatter's target cannot be read before the next step, so a read of it
+// sends one.
+func (c *Cluster) planOf(prog *dist.DistProgram) (*plan, error) {
+	if p := c.plans[prog]; p != nil {
+		return p, nil
+	}
+	p := &plan{blocks: make([]*block, len(prog.Blocks)), xfers: make([][]*transfer, len(prog.Blocks))}
+	// open: a step has gone out whose response can carry reads; moved: the
+	// targets installed since it, true when the driver holds their pieces;
+	// shared: the broadcasts queued since it, by source; queued: installs
+	// wait for a step.
+	open, queued := false, false
+	moved := map[string]bool{}
+	shared := map[string][]*transfer{}
+	step := func() {
+		p.outputs = append(p.outputs, nil)
+		open, queued = true, false
+		clear(moved)
+		clear(shared)
+	}
+	written := func(name string) {
+		for _, t := range shared[name] {
+			t.snapshot = true
+		}
+	}
+	for i := range prog.Blocks {
+		b := &prog.Blocks[i]
+		p.blocks[i] = c.prepare(b)
+		if b.Mode == dist.LDist {
+			step()
+			continue
+		}
+		p.xfers[i] = make([]*transfer, len(b.Stmts))
+		for j, s := range b.Stmts {
+			x, ok := s.RHS.(*dist.Xform)
+			if !ok {
+				written(s.LHS)
+				continue
+			}
+			t, err := c.resolve(s.LHS, x)
+			if err != nil {
+				return nil, err
+			}
+			if t.kind != dist.XScatter {
+				routed, installed := moved[t.src]
+				switch {
+				case routed:
+					t.read = readChained
+				case !open || installed:
+					step()
+					t.read = readStep
+				}
+				if t.read != readChained {
+					last := &p.outputs[len(p.outputs)-1]
+					*last = append(*last, output{src: t.src, schema: t.srcSchema, split: t.kind == dist.XRepart, keyPos: t.keyPos})
+				}
+			}
+			switch {
+			case t.kind == dist.XGather:
+				written(t.lhs)
+			case t.kind == dist.XScatter && len(t.keyPos) == 0:
+				shared[t.src] = append(shared[t.src], t)
+				fallthrough
+			default:
+				moved[t.lhs] = t.kind == dist.XRepart
+				queued = true
+			}
+			p.xfers[i][j] = t
+		}
+	}
+	if queued {
+		step() // the closing step
+	}
+	c.plans[prog] = p
+	return p, nil
+}
+
+// resolve prepares one transformer statement: its source, its schemas
+// (registering them lazily) and its key positions in the source.
+func (c *Cluster) resolve(lhs string, x *dist.Xform) (*transfer, error) {
+	src, ok := x.Body.(*expr.Rel)
+	if !ok {
+		return nil, fmt.Errorf("cluster: transformer body is not a view reference: %s", x)
+	}
+	t := &transfer{kind: x.Kind, src: eval.RelEnvName(src), lhs: lhs}
+	t.srcSchema = c.schemaOf(t.src, src.Cols)
+	t.lhsSchema = c.schemaOf(lhs, t.srcSchema)
+	t.keyPos = make([]int, len(x.Key))
+	for i, k := range x.Key {
+		p := src.Cols.Index(k)
+		if p < 0 {
+			return nil, fmt.Errorf("cluster: key column %q not in %s(%v)", k, t.src, src.Cols)
+		}
+		t.keyPos[i] = p
+	}
+	return t, nil
+}
+
+// run is one program run in flight on the driver.
+type run struct {
+	plan *plan
+	// sent counts the steps sent.
+	sent int
+	// reqs holds, per worker, the next step's request as the driver
+	// statements fill it.
+	reqs []stageReq
+	// captures names, per queued install, the watched view its
+	// replacement folds into ("" for none).
+	captures []string
+	// routed holds each repartition queued for the next step as pieces
+	// by target, then sender: the chained transfers' source.
+	routed map[string][][]rows
+	// resps holds the last step's responses; read counts the outputs the
+	// driver statements have taken from them.
+	resps []stageResp
+	read  int
+}
+
+// queue adds one install per worker to the next step, filled from from(i)
+// on worker i.
+func (r *run) queue(in install, from func(i int) []rows) {
+	for i := range r.reqs {
+		in.from = from(i)
+		r.reqs[i].installs = append(r.reqs[i].installs, in)
+	}
+	name := ""
+	if in.capture {
+		name = in.name
+	}
+	r.captures = append(r.captures, name)
+}
+
+// send runs the next step on every worker: its queued installs, then b
+// (nil: none), then its outputs. The installs' replacements fold into
+// their watched views first, in install order and worker-index order
+// within each, then b's sinks in worker-index order.
+func (c *Cluster) send(r *run, b *block) error {
+	n := len(c.workers)
+	var watch []string
+	if b != nil {
+		watch = c.workerWatches(b.stmts)
+	}
+	outputs := r.plan.outputs[r.sent]
+	r.sent++
+	for i := range r.reqs {
+		r.reqs[i].block, r.reqs[i].watch, r.reqs[i].outputs = b, watch, outputs
+	}
+	resps := make([]stageResp, n)
+	if err := c.each(func(i int, w worker) (err error) {
+		resps[i], err = w.stage(&r.reqs[i])
+		return err
+	}); err != nil {
+		return err
+	}
+	for i, resp := range resps {
+		if len(resp.outs) != len(outputs) {
+			return fmt.Errorf("cluster: worker %d returned %d outputs for %d", i, len(resp.outs), len(outputs))
+		}
+		for k, o := range outputs {
+			want := 1
+			if o.split {
+				want = n
+			}
+			if len(resp.outs[k]) != want {
+				return fmt.Errorf("cluster: worker %d returned %d pieces of %s for %d", i, len(resp.outs[k]), o.src, want)
+			}
+		}
+	}
+	for k, name := range r.captures {
+		if name == "" {
+			continue
+		}
+		for i, resp := range resps {
+			if k >= len(resp.replaced) {
+				return fmt.Errorf("cluster: worker %d returned no replacement of %s", i, name)
+			}
+			c.captureReplace(name, resp.replaced[k][0], resp.replaced[k][1])
+		}
+	}
+	for _, name := range watch {
+		dst := c.watch[name]
+		for i := range resps {
+			if s := resps[i].sinks[name]; s != nil {
+				s.Foreach(dst.Add)
+			}
+		}
+	}
+	clear(r.reqs)
+	r.captures, r.routed = nil, nil
+	r.resps, r.read = resps, 0
+	return nil
+}
+
 // runLocalBlock executes driver-side statements; transformer statements
 // trigger data movement. All transformers of a block share one
-// communication round (the code-generation batching of Sec. 4.4).
-func (c *Cluster) runLocalBlock(b *block, m *Metrics) error {
+// communication round (the code-generation batching of Sec. 4.4), and so
+// do they on the wire: their worker reads rode the last step's response,
+// and their installs ride the next step's request.
+func (c *Cluster) runLocalBlock(r *run, b *block, xfers []*transfer, m *Metrics) error {
 	rounds := 0
 	var roundBytes int64
 	var maxWorkerBytes int64
 	computeStart := time.Now()
 	var st eval.Stats
-	for _, s := range b.stmts {
-		if x, ok := s.RHS.(*dist.Xform); ok {
-			bytes, maxPer, err := c.applyXform(s.LHS, x)
+	for j, s := range b.stmts {
+		if t := xfers[j]; t != nil {
+			bytes, maxPer, err := c.applyXform(r, t)
 			if err != nil {
 				return err
 			}
@@ -662,25 +928,12 @@ func (c *Cluster) runLocalBlock(b *block, m *Metrics) error {
 // worker-index order after the barrier. Stage latency is the scheduling
 // overhead plus the slowest worker's compute (with optional straggler
 // inflation).
-func (c *Cluster) runDistBlock(b *block, m *Metrics) error {
-	watch := c.workerWatches(b.stmts)
-	stages := make([]stage, len(c.workers))
-	if err := c.each(func(i int, w worker) (err error) {
-		stages[i], err = w.runBlock(b, watch)
+func (c *Cluster) runDistBlock(r *run, b *block, m *Metrics) error {
+	if err := c.send(r, b); err != nil {
 		return err
-	}); err != nil {
-		return err
-	}
-	for _, name := range watch {
-		dst := c.watch[name]
-		for i := range stages {
-			if s := stages[i].sinks[name]; s != nil {
-				s.Foreach(dst.Add)
-			}
-		}
 	}
 	var maxCompute, sumCompute time.Duration
-	for i, s := range stages {
+	for i, s := range r.resps {
 		c.Stats.Add(s.stats)
 		compute := c.computeTime(s.stats.Lookups+s.stats.Scans+s.stats.Emits, s.compute)
 		c.workerCompute[i] += compute
@@ -725,34 +978,20 @@ func (c *Cluster) shuffleTime(maxBytes int64) time.Duration {
 // order — for scattered/repartitioned distributed views. Broadcast
 // installs of replicated views are not captured: the driver mirror fold
 // already recorded the identical delta.
-func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
-	src, ok := x.Body.(*expr.Rel)
-	if !ok {
-		return 0, 0, fmt.Errorf("cluster: transformer body is not a view reference: %s", x)
-	}
-	srcName := eval.RelEnvName(src)
-	srcSchema := c.schemaOf(srcName, src.Cols)
-	lhsSchema := c.schemaOf(lhs, srcSchema)
-	keyPos := make([]int, len(x.Key))
-	for i, k := range x.Key {
-		p := src.Cols.Index(k)
-		if p < 0 {
-			return 0, 0, fmt.Errorf("cluster: key column %q not in %s(%v)", k, srcName, src.Cols)
-		}
-		keyPos[i] = p
-	}
-
+func (c *Cluster) applyXform(r *run, t *transfer) (int64, int64, error) {
 	n := len(c.workers)
-	capture := c.watch[lhs] != nil && !c.watchDriverSide(lhs)
-	replaced := make([][2]rows, n) // per worker: contents after and before a captured install
+	capture := c.watch[t.lhs] != nil && !c.watchDriverSide(t.lhs)
 	var total, maxPer int64
-	switch x.Kind {
+	switch t.kind {
 	case dist.XScatter:
-		srcRel := c.driver.rel(srcName, srcSchema)
-		broadcast := len(x.Key) == 0
+		srcRel := c.driver.rel(t.src, t.srcSchema)
+		if t.snapshot {
+			srcRel = srcRel.Clone()
+		}
 		packs := make([]rows, n)
-		if broadcast {
-			// Encode once, install the same fragment on every worker.
+		if len(t.keyPos) == 0 {
+			// Broadcast: encode once, install the same fragment on every
+			// worker.
 			p := c.workers[0].pack(srcRel)
 			for i := range packs {
 				packs[i] = p
@@ -761,7 +1000,7 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 			total = maxPer * int64(n)
 			capture = false
 		} else {
-			for i, f := range dist.SplitByKey(srcRel, keyPos, n) {
+			for i, f := range dist.SplitByKey(srcRel, t.keyPos, n) {
 				if f == nil {
 					continue
 				}
@@ -771,47 +1010,52 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 				maxPer = max(maxPer, sz)
 			}
 		}
-		if err := c.each(func(i int, w worker) (err error) {
-			replaced[i][0], replaced[i][1], err = w.installScatter(lhs, lhsSchema, packs[i], broadcast, capture)
-			return err
-		}); err != nil {
-			return 0, 0, err
-		}
+		r.queue(install{kind: installScatter, name: t.lhs, schema: t.lhsSchema, capture: capture},
+			func(i int) []rows { return packs[i : i+1] })
 	case dist.XRepart:
-		// Exchange, two phases: every worker splits its fragment by key;
-		// the driver routes the pieces, and every receiver rebuilds its
-		// fragment from the senders in worker-index order.
-		outs := make([][]rows, n)
-		if err := c.each(func(i int, w worker) (err error) {
-			outs[i], err = w.partitionOut(srcName, srcSchema, keyPos)
-			return err
-		}); err != nil {
+		// Exchange: every sender's fragment split by key, routed by the
+		// driver, and rebuilt on every receiver from the senders in
+		// worker-index order.
+		outs, err := c.read(r, t)
+		if err != nil {
 			return 0, 0, err
 		}
-		from := make([][]rows, n) // from[target][sender]
-		for ti := range from {
-			from[ti] = make([]rows, n)
+		routed := make([][]rows, n) // routed[target][sender]
+		for ti := range routed {
+			routed[ti] = make([]rows, n)
+		}
+		from := routed // the pieces as installed
+		if t.read == readChained {
+			from = make([][]rows, n)
+			for ti := range from {
+				from[ti] = make([]rows, n)
+			}
 		}
 		for wi, pieces := range outs {
-			if len(pieces) != n {
-				return 0, 0, fmt.Errorf("cluster: worker %d returned %d exchange fragments for %d workers", wi, len(pieces), n)
-			}
 			var sent int64
 			for ti, p := range pieces {
-				from[ti][wi] = p
-				if p != nil && ti != wi { // local data does not cross the network
+				if p == nil {
+					continue
+				}
+				routed[ti][wi] = p
+				if t.read == readChained {
+					// Pieces the driver split itself ship from here.
+					p = c.workers[ti].pack(p.(*mring.Relation))
+					from[ti][wi] = p
+				}
+				if ti != wi { // local data does not cross the network
 					sent += wireSize(p)
 				}
 			}
 			total += sent
 			maxPer = max(maxPer, sent)
 		}
-		if err := c.each(func(i int, w worker) (err error) {
-			replaced[i][0], replaced[i][1], err = w.installRepart(lhs, srcSchema, lhsSchema, from[i], capture)
-			return err
-		}); err != nil {
-			return 0, 0, err
+		if r.routed == nil {
+			r.routed = make(map[string][][]rows)
 		}
+		r.routed[t.lhs] = routed
+		r.queue(install{kind: installRepart, name: t.lhs, schema: t.lhsSchema, capture: capture},
+			func(i int) []rows { return from[i] })
 	default: // Gather
 		// The workers' pre-aggregated fragments merge into one group
 		// table strictly in worker-index order, so the driver replays the
@@ -819,21 +1063,24 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 		// gathered result is deterministic however the workers' fragments
 		// were computed, process workers concurrently. The table then
 		// blind-fills the driver view with its stored hashes.
-		frags := make([]rows, n)
-		if err := c.each(func(i int, w worker) (err error) {
-			frags[i], err = w.fetch(srcName, srcSchema)
-			return err
-		}); err != nil {
+		outs, err := c.read(r, t)
+		if err != nil {
 			return 0, 0, err
 		}
-		gt := mring.NewGroupTable(srcSchema)
-		for _, f := range frags {
+		gt := mring.NewGroupTable(t.srcSchema)
+		for _, o := range outs {
+			f := o[0]
 			if f == nil || f.Len() == 0 {
 				continue
 			}
-			sz := wireSize(f)
-			total += sz
-			maxPer = max(maxPer, sz)
+			// A chained gather's fragments never leave the driver of a
+			// process cluster; the simulator charges the gather all the
+			// same, as the program's transformer.
+			if t.read != readChained || !c.rpc {
+				sz := wireSize(f)
+				total += sz
+				maxPer = max(maxPer, sz)
+			}
 			if r, ok := f.(*mring.Relation); ok {
 				gt.MergeRelation(r)
 			} else {
@@ -842,24 +1089,57 @@ func (c *Cluster) applyXform(lhs string, x *dist.Xform) (int64, int64, error) {
 				f.Foreach(func(t mring.Tuple, m float64) { gt.AddPrehashed(t.Hash(), t, m) })
 			}
 		}
-		dst := c.driver.rel(lhs, lhsSchema)
+		dst := c.driver.rel(t.lhs, t.lhsSchema)
 		var old *mring.Relation
-		if c.watch[lhs] != nil && c.watchDriverSide(lhs) {
+		if c.watch[t.lhs] != nil && c.watchDriverSide(t.lhs) {
 			old = dst.Clone()
 		}
 		dst.Clear()
 		gt.FillRelation(dst)
 		if old != nil {
-			c.captureReplace(lhs, dst, old)
-		}
-		return total, maxPer, nil
-	}
-	if capture {
-		for _, r := range replaced {
-			c.captureReplace(lhs, r[0], r[1])
+			c.captureReplace(t.lhs, dst, old)
 		}
 	}
 	return total, maxPer, nil
+}
+
+// read returns, per worker in index order, what a gather or repartition
+// reads of its source: the fragment (one entry), or its pieces by
+// destination worker.
+func (c *Cluster) read(r *run, t *transfer) ([][]rows, error) {
+	n := len(c.workers)
+	outs := make([][]rows, n)
+	if t.read == readChained {
+		// Rebuild each worker's fragment of the source from the pieces
+		// routed to it, with the workers' own exchange, and split it as
+		// the worker would.
+		routed := r.routed[t.src]
+		for wi := range outs {
+			f := mring.NewRelation(t.srcSchema)
+			exchange(f, routed[wi])
+			if t.kind == dist.XGather {
+				outs[wi] = []rows{f}
+				continue
+			}
+			outs[wi] = make([]rows, n)
+			for ti, p := range dist.SplitByKey(f, t.keyPos, n) {
+				if p != nil && p.Len() > 0 {
+					outs[wi][ti] = p
+				}
+			}
+		}
+		return outs, nil
+	}
+	if t.read == readStep {
+		if err := c.send(r, nil); err != nil {
+			return nil, err
+		}
+	}
+	for wi := range outs {
+		outs[wi] = r.resps[wi].outs[r.read]
+	}
+	r.read++
+	return outs, nil
 }
 
 // encodeSize is the size of what a shuffle of r ships — the simulator's

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/mring"
+	inet "repro/internal/net"
 	"repro/internal/wire"
 )
 
@@ -19,17 +20,30 @@ func TestCodecRoundTrip(t *testing.T) {
 		"z": {Schema: schema, Buckets: 16, Payload: []byte{1, 2, 3}},
 		"a": {Schema: mring.Schema{"x"}, Buckets: 0},
 	}
+	r := mring.NewRelation(schema)
+	r.Add(tup(1, 2), 3)
+	p, err := decodeRows(inet.EncodeRelationPlain(r))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct{ in, out message }{
 		{&setupReq{Index: 3, Workers: 8}, &setupReq{}},
-		{&runBlockReq{ID: 1 << 40, Deploy: []byte("blob"), Watch: []string{"Q", "V"}}, &runBlockReq{}},
-		{&runBlockResp{Stats: eval.Stats{Lookups: 1, Scans: 2, Emits: 3, IndexOps: 4, KernelFolds: 5}, ComputeNs: -7,
-			Sinks: map[string][]byte{"V": {9}, "Q": {8, 7}}}, &runBlockResp{}},
-		{&installScatterReq{Name: "R", Schema: schema, Payload: []byte{5}, Broadcast: true, Capture: true}, &installScatterReq{}},
-		{&installResp{Cur: []byte{1}, Old: []byte{2, 3}}, &installResp{}},
-		{&installRepartReq{Name: "R", SrcSchema: schema, LHSSchema: schema, Payloads: [][]byte{{1}, nil, {2}}, Capture: true}, &installRepartReq{}},
-		{&installDeltaReq{Name: "ΔR", Schema: schema, Payload: []byte{4}}, &installDeltaReq{}},
-		{&partitionOutReq{Src: "R", Schema: schema, KeyPos: []int{1, 0}}, &partitionOutReq{}},
-		{&fragsMsg{Frags: [][]byte{nil, {1, 2}}}, &fragsMsg{}},
+		{&stageReq{
+			installs: []install{
+				{kind: installReplace, name: "ΔR", schema: schema, from: []rows{p}},
+				{kind: installScatter, name: "S", schema: schema, from: []rows{nil}, capture: true},
+				{kind: installRepart, name: "R", schema: schema, from: []rows{p, nil, p}, capture: true},
+			},
+			block: &block{id: 1 << 40}, deploy: []byte("blob"), watch: []string{"Q", "V"},
+			outputs: []output{{src: "R", schema: schema}, {src: "S", schema: schema, split: true, keyPos: []int{1, 0}}},
+		}, &stageReq{}},
+		{&stageReq{installs: []install{{kind: installReplace, name: "ΔR", schema: schema, from: []rows{p}}}}, &stageReq{}},
+		{&stageReq{outputs: []output{{src: "R", schema: schema}}}, &stageReq{}},
+		{&stageResp{stats: eval.Stats{Lookups: 1, Scans: 2, Emits: 3, IndexOps: 4, KernelFolds: 5}, compute: -7,
+			sinks:    map[string]rows{"V": p, "Q": nil},
+			replaced: [][2]rows{{nil, nil}, {p, nil}},
+			outs:     [][]rows{{p}, {nil, p}}}, &stageResp{}},
+		{&stageResp{}, &stageResp{}},
 		{&fetchReq{Name: "R", Schema: schema}, &fetchReq{}},
 		{&fetchResp{Present: true, Payload: []byte{6}}, &fetchResp{}},
 		{&snapshotMsg{Frags: frags}, &snapshotMsg{}},
@@ -49,7 +63,10 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestCodecRejectsMalformed pins the decoder's refusals: trailing bytes,
-// truncation, counts larger than the body, and out-of-order map keys.
+// truncation, counts larger than the body, and out-of-order map keys;
+// and, in stage requests and responses, an unknown install kind, a
+// payload whose arity differs from its install's schema, and a payload
+// that does not decode.
 func TestCodecRejectsMalformed(t *testing.T) {
 	good := marshal(&snapshotMsg{Frags: map[string]Frag{"a": {}, "b": {}}})
 	var e wire.Enc
@@ -63,17 +80,47 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		dup.Int(0)
 		dup.Bytes(nil)
 	}
+	schema := mring.Schema{"a", "b"}
+	r := mring.NewRelation(schema)
+	r.Add(tup(1, 2), 3)
+	p, err := decodeRows(inet.EncodeRelationPlain(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage := marshal(&stageReq{installs: []install{{kind: installRepart, name: "R", schema: schema, from: []rows{p, nil}}},
+		outputs: []output{{src: "R", schema: schema, split: true, keyPos: []int{1}}}})
+	kind := marshal(&stageReq{installs: []install{{kind: installRepart + 1, name: "R", schema: schema, from: []rows{p}}}})
+	arity := marshal(&stageReq{installs: []install{{kind: installScatter, name: "R", schema: schema[:1], from: []rows{p}}}})
+	resp := marshal(&stageResp{outs: [][]rows{{p}}})
+	var junk wire.Enc
+	junk.Varints(make([]int64, 6)) // stats and compute
+	junk.Int(0)                    // no sinks
+	junk.Int(0)                    // no replacements
+	junk.Int(1)                    // one output of one piece
+	junk.Int(1)
+	junk.Bytes([]byte{9, 9, 9})
+	snapshot := func() message { return &snapshotMsg{} }
+	request := func() message { return &stageReq{} }
+	response := func() message { return &stageResp{} }
 	for name, c := range map[string]struct {
 		body []byte
+		msg  func() message
 		want string
 	}{
-		"trailing":     {append(append([]byte{}, good...), 0), "trailing"},
-		"truncated":    {good[:len(good)-1], "truncated"},
-		"count":        {huge, "exceeds"},
-		"out of order": {dup.B, "out of order"},
+		"trailing":              {append(append([]byte{}, good...), 0), snapshot, "trailing"},
+		"truncated":             {good[:len(good)-1], snapshot, "truncated"},
+		"count":                 {huge, snapshot, "exceeds"},
+		"out of order":          {dup.B, snapshot, "out of order"},
+		"stage trailing":        {append(append([]byte{}, stage...), 0), request, "trailing"},
+		"stage truncated":       {stage[:len(stage)-1], request, "exceeds"},
+		"stage count":           {huge, request, "exceeds"},
+		"install kind":          {kind, request, "unknown install kind"},
+		"payload arity":         {arity, request, "arity"},
+		"response truncated":    {resp[:len(resp)-1], response, "exceeds"},
+		"response trailing":     {append(append([]byte{}, resp...), 0), response, "trailing"},
+		"response payload junk": {junk.B, response, "payload"},
 	} {
-		var m snapshotMsg
-		if err := unmarshal(c.body, &m); err == nil || !strings.Contains(err.Error(), c.want) {
+		if err := unmarshal(c.body, c.msg()); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error mentioning %q", name, err, c.want)
 		}
 	}

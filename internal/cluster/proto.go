@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
-	"repro/internal/eval"
 	"repro/internal/mring"
 	inet "repro/internal/net"
 	"repro/internal/wire"
@@ -12,46 +12,40 @@ import (
 // The driver/worker protocol: one frame type byte per operation, request
 // and response bodies in the internal/wire codec, relation data as
 // internal/net payloads inside them (row order is load-bearing: receivers
-// replay rows as a mutation sequence). A distributed block crosses the
-// wire once per worker: the first stage that names it carries its deploy
-// blob (block.go), every later one only its id. Each op is one method of
-// the worker interface, encoded by remoteWorker and decoded onto a Shard
-// by serve. Each worker connection carries strictly sequential
-// request/response pairs; the driver fans out across workers
-// concurrently.
+// replay rows as a mutation sequence). A transaction costs each worker
+// one opStage round trip per step of each program it runs
+// (Cluster.runBlocks): the request lands the installs queued since the
+// last step — the deal, scatter and broadcast fragments, repartition
+// pieces — and runs at most one distributed block; the response carries
+// the block's stats and sinks, the installs' capture replacements, and
+// the outputs the driver statements after the block read — fragments for
+// gathers, pieces for exchanges. A distributed block crosses the wire
+// once per worker: the first stage that names it carries its deploy blob
+// (block.go), every later one only its id. remoteWorker encodes each
+// worker-interface call, and serve decodes it onto a Shard. Each worker
+// connection carries strictly sequential request/response pairs; the
+// driver fans out across workers concurrently.
 //
 // DESIGN.md §11 documents the protocol; change both together.
 const (
 	// opSetup assigns the worker its index and the worker count. Sent
 	// once, first, per driver session.
 	opSetup byte = 1
-	// opRunBlock executes one distributed block's statements over the
-	// shard's fragments, optionally capturing per-view change sinks.
-	opRunBlock byte = 2
-	// opInstallScatter clears the target fragment and installs a shipped
-	// payload (keyed scatter fragment, or a broadcast replica).
-	opInstallScatter byte = 3
-	// opInstallRepart rebuilds the target fragment from per-sender
-	// payloads merged in worker-index order.
-	opInstallRepart byte = 4
-	// opInstallDelta replaces a relation with a fresh one built from the
-	// payload rows in wire order (update-batch fragments, warm loads).
-	opInstallDelta byte = 5
-	// opPartitionOut splits a shard fragment by key and returns the
-	// per-destination payloads.
-	opPartitionOut byte = 6
-	// opFetch returns a shard fragment's contents (gather, view reads).
-	opFetch byte = 7
+	// opStage runs one step of a program: installs, then at most one
+	// distributed block, then outputs (stageReq, stageResp).
+	opStage byte = 2
+	// opFetch returns a shard fragment's contents (view reads).
+	opFetch byte = 3
 	// opSnapshot returns every fragment the shard holds, with bucket-table
 	// sizes, for a durability checkpoint.
-	opSnapshot byte = 8
+	opSnapshot byte = 4
 	// opRestore replaces the shard's entire state with checkpoint
 	// fragments, rebuilt layout-exact (worker re-warm during recovery),
 	// and drops its deployed blocks.
-	opRestore byte = 9
+	opRestore byte = 5
 	// opRetain drops every shard fragment not named in the keep set, and
 	// every deployed block (the worker half of a repartition).
-	opRetain byte = 10
+	opRetain byte = 6
 
 	// opOK carries a response body; opErr carries an error string.
 	opOK  byte = 64
@@ -97,180 +91,149 @@ type setupReq struct {
 func (m *setupReq) put(e *wire.Enc) { e.Int(m.Index); e.Int(m.Workers) }
 func (m *setupReq) get(d *wire.Dec) { m.Index = d.Int(); m.Workers = d.Int() }
 
-type runBlockReq struct {
-	// ID names the block; the driver never reuses an id.
-	ID uint64
-	// Deploy is the block's deploy blob, sent with the first stage the
-	// worker runs of it; nil on every later stage.
-	Deploy []byte
-	// Watch names the watched worker-maintained views this block writes;
-	// the shard folds its changes to them into per-view sinks and returns
-	// the sinks as payloads.
-	Watch []string
+// A stage request is its installs — each a kind, a target, its schema,
+// its payloads and a capture flag — then an optional block (id, deploy
+// blob, watch list), then its outputs — each a source, its schema and an
+// optional split key.
+func (m *stageReq) put(e *wire.Enc) {
+	e.Int(len(m.installs))
+	for _, in := range m.installs {
+		e.Byte(byte(in.kind))
+		e.Str(in.name)
+		e.Strs(in.schema)
+		e.Int(len(in.from))
+		for _, f := range in.from {
+			e.Bytes(encodeRows(f, in.schema))
+		}
+		e.Bool(in.capture)
+	}
+	e.Bool(m.block != nil)
+	if m.block != nil {
+		e.Uvarint(m.block.id)
+		e.Bytes(m.deploy)
+		e.Strs(m.watch)
+	}
+	e.Int(len(m.outputs))
+	for _, o := range m.outputs {
+		e.Str(o.src)
+		e.Strs(o.schema)
+		e.Bool(o.split)
+		e.Int(len(o.keyPos))
+		for _, p := range o.keyPos {
+			e.Int(p)
+		}
+	}
 }
 
-func (m *runBlockReq) put(e *wire.Enc) { e.Uvarint(m.ID); e.Bytes(m.Deploy); e.Strs(m.Watch) }
-func (m *runBlockReq) get(d *wire.Dec) { m.ID = d.Uvarint(); m.Deploy = d.Bytes(); m.Watch = d.Strs() }
-
-type runBlockResp struct {
-	Stats     eval.Stats
-	ComputeNs int64
-	// Sinks holds each watched view's change sink in the shard's fold
-	// order (empty sinks are omitted — merging them is a no-op).
-	Sinks map[string][]byte
+// get decodes a stage request. Each payload must have the arity of the
+// fragment it installs into; the block comes back as its id alone, for
+// the serving shard to resolve.
+func (m *stageReq) get(d *wire.Dec) {
+	// An install is at least a kind, a name, a schema, a payload count
+	// and a capture flag.
+	if n := d.Count(5); n > 0 {
+		m.installs = make([]install, n)
+	}
+	for i := range m.installs {
+		in := &m.installs[i]
+		if in.kind = installKind(d.Byte()); in.kind > installRepart {
+			d.Fail("unknown install kind %d", in.kind)
+		}
+		in.name = d.Str()
+		in.schema = d.Schema()
+		if n := d.Count(1); n > 0 {
+			in.from = make([]rows, n)
+		}
+		for j := range in.from {
+			r, err := decodeFragment(d.Bytes(), in.schema)
+			if err != nil {
+				d.Fail("payload for %q: %v", in.name, err)
+			}
+			in.from[j] = r
+		}
+		in.capture = d.Bool()
+	}
+	if d.Bool() {
+		m.block = &block{id: d.Uvarint()}
+		m.deploy = d.Bytes()
+		m.watch = d.Strs()
+	}
+	// An output is at least a name, a schema, a split flag and a key
+	// count.
+	if n := d.Count(4); n > 0 {
+		m.outputs = make([]output, n)
+	}
+	for i := range m.outputs {
+		o := &m.outputs[i]
+		o.src = d.Str()
+		o.schema = d.Schema()
+		o.split = d.Bool()
+		if n := d.Count(1); n > 0 {
+			o.keyPos = make([]int, n)
+		}
+		for j := range o.keyPos {
+			o.keyPos[j] = d.Int()
+		}
+	}
 }
 
-func (m *runBlockResp) put(e *wire.Enc) {
-	s := &m.Stats
-	for _, v := range []int64{s.Lookups, s.Scans, s.Emits, s.IndexOps, s.KernelFolds, m.ComputeNs} {
+// A stage response is the block's stats and compute time, its sinks by
+// view name, then the installs' replacements (after, before), then each
+// output's pieces.
+func (m *stageResp) put(e *wire.Enc) {
+	s := &m.stats
+	for _, v := range []int64{s.Lookups, s.Scans, s.Emits, s.IndexOps, s.KernelFolds, m.compute.Nanoseconds()} {
 		e.Varint(v)
 	}
-	wire.PutMap(e, m.Sinks, (*wire.Enc).Bytes)
+	wire.PutMap(e, m.sinks, func(e *wire.Enc, r rows) { e.Bytes(encodeRows(r, nil)) })
+	e.Int(len(m.replaced))
+	for _, r := range m.replaced {
+		e.Bytes(encodeRows(r[0], nil))
+		e.Bytes(encodeRows(r[1], nil))
+	}
+	e.Int(len(m.outs))
+	for _, pieces := range m.outs {
+		e.Int(len(pieces))
+		for _, p := range pieces {
+			e.Bytes(encodeRows(p, nil))
+		}
+	}
 }
 
-func (m *runBlockResp) get(d *wire.Dec) {
-	s := &m.Stats
-	for _, v := range []*int64{&s.Lookups, &s.Scans, &s.Emits, &s.IndexOps, &s.KernelFolds, &m.ComputeNs} {
+func (m *stageResp) get(d *wire.Dec) {
+	s := &m.stats
+	var ns int64
+	for _, v := range []*int64{&s.Lookups, &s.Scans, &s.Emits, &s.IndexOps, &s.KernelFolds, &ns} {
 		*v = d.Varint()
 	}
-	m.Sinks = wire.GetMap(d, 2, (*wire.Dec).Bytes)
-}
-
-type installScatterReq struct {
-	Name   string
-	Schema mring.Schema
-	// Payload is the fragment to install (nil for an empty fragment: the
-	// target is still cleared and the replacement still captured).
-	Payload []byte
-	// Broadcast marks a replica install: no capture (the driver mirror
-	// fold already recorded the identical delta).
-	Broadcast bool
-	// Capture requests the replacement diff: the shard returns the old
-	// and new contents so the driver can fold old out of and new into the
-	// watched view's batch delta in worker-index order.
-	Capture bool
-}
-
-func (m *installScatterReq) put(e *wire.Enc) {
-	e.Str(m.Name)
-	e.Strs(m.Schema)
-	e.Bytes(m.Payload)
-	e.Bool(m.Broadcast)
-	e.Bool(m.Capture)
-}
-
-func (m *installScatterReq) get(d *wire.Dec) {
-	m.Name = d.Str()
-	m.Schema = d.Schema()
-	m.Payload = d.Bytes()
-	m.Broadcast = d.Bool()
-	m.Capture = d.Bool()
-}
-
-// installResp carries the capture payloads of a replacement install:
-// the fragment contents after (Cur) and before (Old) the install, each
-// in its relation's Foreach order. Nil without capture.
-type installResp struct {
-	Cur []byte
-	Old []byte
-}
-
-func (m *installResp) put(e *wire.Enc) { e.Bytes(m.Cur); e.Bytes(m.Old) }
-func (m *installResp) get(d *wire.Dec) { m.Cur = d.Bytes(); m.Old = d.Bytes() }
-
-type installRepartReq struct {
-	Name      string
-	SrcSchema mring.Schema
-	LHSSchema mring.Schema
-	// Payloads holds one payload per sending worker, in worker-index
-	// order; nil entries mark senders with no data for this shard.
-	Payloads [][]byte
-	Capture  bool
-}
-
-func (m *installRepartReq) put(e *wire.Enc) {
-	e.Str(m.Name)
-	e.Strs(m.SrcSchema)
-	e.Strs(m.LHSSchema)
-	e.Int(len(m.Payloads))
-	for _, p := range m.Payloads {
-		e.Bytes(p)
+	m.compute = time.Duration(ns)
+	m.sinks = wire.GetMap(d, 1, getRows)
+	if n := d.Count(2); n > 0 {
+		m.replaced = make([][2]rows, n)
 	}
-	e.Bool(m.Capture)
-}
-
-func (m *installRepartReq) get(d *wire.Dec) {
-	m.Name = d.Str()
-	m.SrcSchema = d.Schema()
-	m.LHSSchema = d.Schema()
+	for i := range m.replaced {
+		m.replaced[i] = [2]rows{getRows(d), getRows(d)}
+	}
 	if n := d.Count(1); n > 0 {
-		m.Payloads = make([][]byte, n)
-		for i := range m.Payloads {
-			m.Payloads[i] = d.Bytes()
+		m.outs = make([][]rows, n)
+	}
+	for i := range m.outs {
+		if n := d.Count(1); n > 0 {
+			m.outs[i] = make([]rows, n)
 		}
-	}
-	m.Capture = d.Bool()
-}
-
-type installDeltaReq struct {
-	Name   string
-	Schema mring.Schema
-	// Payload's rows rebuild the relation in wire order; nil installs a
-	// fresh empty relation.
-	Payload []byte
-}
-
-func (m *installDeltaReq) put(e *wire.Enc) { e.Str(m.Name); e.Strs(m.Schema); e.Bytes(m.Payload) }
-func (m *installDeltaReq) get(d *wire.Dec) {
-	m.Name = d.Str()
-	m.Schema = d.Schema()
-	m.Payload = d.Bytes()
-}
-
-type partitionOutReq struct {
-	Src    string
-	Schema mring.Schema
-	KeyPos []int
-}
-
-func (m *partitionOutReq) put(e *wire.Enc) {
-	e.Str(m.Src)
-	e.Strs(m.Schema)
-	e.Int(len(m.KeyPos))
-	for _, p := range m.KeyPos {
-		e.Int(p)
-	}
-}
-
-func (m *partitionOutReq) get(d *wire.Dec) {
-	m.Src = d.Str()
-	m.Schema = d.Schema()
-	if n := d.Count(1); n > 0 {
-		m.KeyPos = make([]int, n)
-		for i := range m.KeyPos {
-			m.KeyPos[i] = d.Int()
+		for j := range m.outs[i] {
+			m.outs[i][j] = getRows(d)
 		}
 	}
 }
 
-// fragsMsg is a list of exchange fragments, one per destination worker
-// (partition-out responses); nil entries mark empty fragments.
-type fragsMsg struct{ Frags [][]byte }
-
-func (m *fragsMsg) put(e *wire.Enc) {
-	e.Int(len(m.Frags))
-	for _, f := range m.Frags {
-		e.Bytes(f)
+// getRows decodes one relation payload (nil for an empty one).
+func getRows(d *wire.Dec) rows {
+	r, err := decodeRows(d.Bytes())
+	if err != nil {
+		d.Fail("%v", err)
 	}
-}
-
-func (m *fragsMsg) get(d *wire.Dec) {
-	if n := d.Count(1); n > 0 {
-		m.Frags = make([][]byte, n)
-		for i := range m.Frags {
-			m.Frags[i] = d.Bytes()
-		}
-	}
+	return r
 }
 
 type fetchReq struct {

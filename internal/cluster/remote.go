@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/mring"
@@ -72,13 +71,16 @@ func decodeRows(b []byte) (rows, error) {
 	return &shipped{Payload: p, raw: b}, nil
 }
 
-// encodeRows is the payload a row sequence ships as: a relation (or a
-// copyOf) in its Foreach order, columnar when every column is kind-pure;
-// any other sequence in its own order, in row form under schema.
+// encodeRows is the payload a row sequence ships as: a received or packed
+// payload as it came, a relation (or a copyOf) in its Foreach order,
+// columnar when every column is kind-pure; any other sequence in its own
+// order, in row form under schema.
 func encodeRows(r rows, schema mring.Schema) []byte {
 	switch r := r.(type) {
 	case nil:
 		return nil
+	case *shipped:
+		return r.raw
 	case *mring.Relation:
 		return inet.EncodeRelationPlain(r)
 	case copyOf:
@@ -89,95 +91,27 @@ func encodeRows(r rows, schema mring.Schema) []byte {
 	return b.Bytes()
 }
 
-// raw returns a driver-side fragment's bytes (nil for none).
-func raw(r rows) []byte {
-	if r == nil {
-		return nil
+// stage sends one step; the block's deploy blob rides along the first
+// time this worker runs the block.
+func (rw *remoteWorker) stage(req *stageReq) (stageResp, error) {
+	req.deploy = nil
+	if req.block != nil && !rw.deployed[req.block.id] {
+		req.deploy = req.block.deploy
 	}
-	return r.(*shipped).raw
-}
-
-func (rw *remoteWorker) runBlock(b *block, watch []string) (stage, error) {
-	req := &runBlockReq{ID: b.id, Watch: watch}
-	if !rw.deployed[b.id] {
-		req.Deploy = b.deploy
+	var resp stageResp
+	if err := call(rw.conn, opStage, req, &resp); err != nil {
+		return stageResp{}, err
 	}
-	var resp runBlockResp
-	if err := call(rw.conn, opRunBlock, req, &resp); err != nil {
-		return stage{}, err
+	if req.block != nil {
+		rw.deployed[req.block.id] = true
 	}
-	rw.deployed[b.id] = true
-	st := stage{stats: resp.Stats, compute: time.Duration(resp.ComputeNs)}
-	for name, p := range resp.Sinks {
-		s, err := decodeRows(p)
-		if err != nil {
-			return stage{}, err
-		}
-		if st.sinks == nil {
-			st.sinks = make(map[string]rows, len(resp.Sinks))
-		}
-		st.sinks[name] = s
-	}
-	return st, nil
+	return resp, nil
 }
 
 // pack encodes a fragment once — columnar when its mirror allows, so it
 // lands columnar on the worker exactly as in process.
 func (rw *remoteWorker) pack(r *mring.Relation) rows {
 	return &shipped{raw: inet.EncodePayload(r, fragmentBatch(r))}
-}
-
-func (rw *remoteWorker) installScatter(name string, schema mring.Schema, src rows, broadcast, capture bool) (rows, rows, error) {
-	var resp installResp
-	req := &installScatterReq{Name: name, Schema: schema, Payload: raw(src), Broadcast: broadcast, Capture: capture}
-	if err := call(rw.conn, opInstallScatter, req, &resp); err != nil {
-		return nil, nil, err
-	}
-	return resp.replacement()
-}
-
-func (rw *remoteWorker) installRepart(name string, srcSchema, schema mring.Schema, from []rows, capture bool) (rows, rows, error) {
-	payloads := make([][]byte, len(from))
-	for i, f := range from {
-		payloads[i] = raw(f)
-	}
-	var resp installResp
-	req := &installRepartReq{Name: name, SrcSchema: srcSchema, LHSSchema: schema, Payloads: payloads, Capture: capture}
-	if err := call(rw.conn, opInstallRepart, req, &resp); err != nil {
-		return nil, nil, err
-	}
-	return resp.replacement()
-}
-
-// replacement decodes an install's capture payloads.
-func (resp *installResp) replacement() (cur, old rows, err error) {
-	if cur, err = decodeRows(resp.Cur); err != nil {
-		return nil, nil, err
-	}
-	if old, err = decodeRows(resp.Old); err != nil {
-		return nil, nil, err
-	}
-	return cur, old, nil
-}
-
-func (rw *remoteWorker) installDelta(name string, schema mring.Schema, src rows) error {
-	return call(rw.conn, opInstallDelta, &installDeltaReq{Name: name, Schema: schema, Payload: encodeRows(src, schema)}, nil)
-}
-
-func (rw *remoteWorker) partitionOut(src string, schema mring.Schema, keyPos []int) ([]rows, error) {
-	var resp fragsMsg
-	if err := call(rw.conn, opPartitionOut, &partitionOutReq{Src: src, Schema: schema, KeyPos: keyPos}, &resp); err != nil {
-		return nil, err
-	}
-	out := make([]rows, len(resp.Frags))
-	for i, b := range resp.Frags {
-		r, err := decodeRows(b)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
-	}
-	return out, nil
 }
 
 func (rw *remoteWorker) fetch(name string, schema mring.Schema) (rows, error) {

@@ -50,7 +50,10 @@ func handleSafely(sh *Shard, op byte, body []byte) (resp message, err error) {
 // response body (nil: empty) — the worker-process side of every
 // remoteWorker call. Malformed or hostile requests return errors: bodies
 // go through the bounds-checked internal/wire codec, payloads through the
-// hardened internal/net decoders, deploy blobs through checkStmts.
+// hardened internal/net decoders, deploy blobs through checkStmts. A
+// stage is refused before its first install lands when its deploy blob
+// fails the check, its block id is not deployed, or a payload's arity
+// differs from its target's.
 func serve(sh *Shard, op byte, body []byte) (message, error) {
 	if op != opSetup && sh.workers < 1 {
 		return nil, fmt.Errorf("cluster: shard not set up")
@@ -66,81 +69,26 @@ func serve(sh *Shard, op byte, body []byte) (message, error) {
 		}
 		sh.workers = req.Workers
 		return nil, nil
-	case opRunBlock:
-		var req runBlockReq
+	case opStage:
+		var req stageReq
 		if err := unmarshal(body, &req); err != nil {
 			return nil, err
 		}
-		b, err := sh.stageBlock(req.ID, req.Deploy)
-		if err != nil {
-			return nil, err
-		}
-		st, err := sh.runBlock(b, req.Watch)
-		if err != nil {
-			return nil, err
-		}
-		resp := &runBlockResp{Stats: st.stats, ComputeNs: st.compute.Nanoseconds()}
-		for name, sink := range st.sinks {
-			if sink.Len() == 0 {
-				continue // merging an empty sink is a no-op on the driver
-			}
-			if resp.Sinks == nil {
-				resp.Sinks = make(map[string][]byte, len(st.sinks))
-			}
-			resp.Sinks[name] = encodeRows(sink, nil)
-		}
-		return resp, nil
-	case opInstallScatter:
-		var req installScatterReq
-		if err := unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		src, err := decodeFragment(req.Payload, req.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: scatter payload for %q: %w", req.Name, err)
-		}
-		return installed(sh.installScatter(req.Name, req.Schema, src, req.Broadcast, req.Capture))
-	case opInstallRepart:
-		var req installRepartReq
-		if err := unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		if len(req.SrcSchema) != len(req.LHSSchema) {
-			return nil, fmt.Errorf("cluster: repart of %q: source arity %d, target arity %d", req.Name, len(req.SrcSchema), len(req.LHSSchema))
-		}
-		from := make([]rows, len(req.Payloads))
-		for i, b := range req.Payloads {
-			r, err := decodeFragment(b, req.SrcSchema)
+		if req.block != nil {
+			b, err := sh.stageBlock(req.block.id, req.deploy)
 			if err != nil {
-				return nil, fmt.Errorf("cluster: repart payload for %q: %w", req.Name, err)
+				return nil, err
 			}
-			from[i] = r
+			req.block = b
 		}
-		return installed(sh.installRepart(req.Name, req.SrcSchema, req.LHSSchema, from, req.Capture))
-	case opInstallDelta:
-		var req installDeltaReq
-		if err := unmarshal(body, &req); err != nil {
+		if err := sh.check(&req); err != nil {
 			return nil, err
 		}
-		src, err := decodeFragment(req.Payload, req.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: delta payload for %q: %w", req.Name, err)
-		}
-		return nil, sh.installDelta(req.Name, req.Schema, src)
-	case opPartitionOut:
-		var req partitionOutReq
-		if err := unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		pieces, err := sh.partitionOut(req.Src, req.Schema, req.KeyPos)
+		resp, err := sh.stage(&req)
 		if err != nil {
 			return nil, err
 		}
-		resp := &fragsMsg{Frags: make([][]byte, len(pieces))}
-		for i, p := range pieces {
-			resp.Frags[i] = encodeRows(p, nil)
-		}
-		return resp, nil
+		return &resp, nil
 	case opFetch:
 		var req fetchReq
 		if err := unmarshal(body, &req); err != nil {
@@ -185,14 +133,6 @@ func decodeFragment(b []byte, schema mring.Schema) (rows, error) {
 		return nil, fmt.Errorf("payload arity %d, relation arity %d", n, len(schema))
 	}
 	return r, nil
-}
-
-// installed encodes an install's capture result.
-func installed(cur, old rows, err error) (message, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &installResp{Cur: encodeRows(cur, nil), Old: encodeRows(old, nil)}, nil
 }
 
 // WorkerServer accepts driver connections on a listener and serves each

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/dist"
+	"repro/internal/expr"
 	"repro/internal/mring"
 	inet "repro/internal/net"
 	"repro/internal/tpch"
@@ -45,7 +46,7 @@ func q3WorkerBlocks(t testing.TB) []*block {
 
 // TestServedStagesRetainNothing pins that a worker keeps nothing of a
 // served stage but its fragments: one driver session deploys each Q3
-// worker block once, then serves many opRunBlock requests that name the
+// worker block once, then serves many stage requests that name the
 // blocks by id, and the worker's live heap must not grow with the number
 // of requests. Decoded trees and their kernel plans live in the shard's
 // block table, built once per deploy; anything a stage kept beyond that
@@ -67,12 +68,12 @@ func TestServedStagesRetainNothing(t *testing.T) {
 	}
 	serveAll := func(deploy bool) {
 		for _, b := range blocks {
-			req := &runBlockReq{ID: b.id}
+			req := &stageReq{block: b}
 			if deploy {
-				req.Deploy = b.deploy
+				req.deploy = b.deploy
 			}
-			var resp runBlockResp
-			if err := call(conn, opRunBlock, req, &resp); err != nil {
+			var resp stageResp
+			if err := call(conn, opStage, req, &resp); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -115,27 +116,36 @@ func fuzzShard() (*Shard, *mring.Relation) {
 // FuzzServeRequest feeds arbitrary requests to a set-up worker shard: an
 // op byte and a body must produce a response or an error, never a panic.
 // serve is called directly, without handleSafely's recover, so a panic
-// fails the fuzzer. The seeds are one real request per op, including a
-// run-block that deploys a Q3 block and one that names an id the shard
-// never saw.
+// fails the fuzzer. The seeds are one real request per op, and one stage
+// of each shape: a deal only; installs, a run that deploys a Q3 block and
+// outputs; outputs only; scatter and repartition installs that capture;
+// a run naming an id the shard never saw; and a payload of the wrong
+// arity.
 func FuzzServeRequest(f *testing.F) {
 	blocks := q3WorkerBlocks(f)
 	sh, r := fuzzShard()
 	schema := r.Schema()
 	payload := inet.EncodeRelationPlain(r)
+	p, err := decodeRows(payload)
+	if err != nil {
+		f.Fatal(err)
+	}
 	snap, _ := sh.snapshot()
 	watch := []string{blocks[0].stmts[0].LHS}
+	outputs := []output{{src: "R", schema: schema}, {src: "R", schema: schema, split: true, keyPos: []int{1}}}
+	deal := install{kind: installReplace, name: "S", schema: schema, from: []rows{p}}
 	for _, seed := range []struct {
 		op  byte
 		msg message
 	}{
 		{opSetup, &setupReq{Index: 1, Workers: 2}},
-		{opRunBlock, &runBlockReq{ID: blocks[0].id, Deploy: blocks[0].deploy, Watch: watch}},
-		{opRunBlock, &runBlockReq{ID: 1 << 40, Watch: watch}},
-		{opInstallScatter, &installScatterReq{Name: "S", Schema: schema, Payload: payload, Capture: true}},
-		{opInstallRepart, &installRepartReq{Name: "S", SrcSchema: schema, LHSSchema: schema, Payloads: [][]byte{payload, nil}, Capture: true}},
-		{opInstallDelta, &installDeltaReq{Name: "S", Schema: schema, Payload: payload}},
-		{opPartitionOut, &partitionOutReq{Src: "R", Schema: schema, KeyPos: []int{1}}},
+		{opStage, &stageReq{installs: []install{deal}}},
+		{opStage, &stageReq{installs: []install{deal}, block: blocks[0], deploy: blocks[0].deploy, watch: watch, outputs: outputs}},
+		{opStage, &stageReq{outputs: outputs}},
+		{opStage, &stageReq{installs: []install{{kind: installScatter, name: "R", schema: schema, from: []rows{p}, capture: true}}}},
+		{opStage, &stageReq{installs: []install{{kind: installRepart, name: "S", schema: schema, from: []rows{p, nil}, capture: true}}}},
+		{opStage, &stageReq{installs: []install{deal}, block: &block{id: 1 << 40}, watch: watch}},
+		{opStage, &stageReq{installs: []install{{kind: installScatter, name: "R", schema: schema[:1], from: []rows{p}}}}},
 		{opFetch, &fetchReq{Name: "R", Schema: schema}},
 		{opSnapshot, nil},
 		{opRestore, &snapshotMsg{Frags: snap}},
@@ -149,4 +159,68 @@ func FuzzServeRequest(f *testing.F) {
 			marshal(resp)
 		}
 	})
+}
+
+// TestRefusedStageChangesNothing pins that a stage is refused whole,
+// before its first install lands: a deploy blob that fails checkStmts, a
+// block id the shard never deployed, a payload whose arity differs from
+// its install's schema, an install into a fragment of another arity, and
+// more exchange pieces than maxPieces each fail a request whose first
+// install alone would change a fragment, and leave every fragment
+// byte-identical.
+func TestRefusedStageChangesNothing(t *testing.T) {
+	b := q3WorkerBlocks(t)[0]
+	s := b.stmts[0]
+	badDeploy := encodeDeploy([]dist.Stmt{{LHS: s.LHS, RHS: expr.Sum([]string{"nope"}, s.RHS)}}, b.schemas)
+	sh, r := fuzzShard()
+	schema := r.Schema()
+	fresh := mring.NewRelation(schema)
+	fresh.Add(tup(100, 1), 1)
+	p, err := decodeRows(inet.EncodeRelationPlain(fresh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := mring.NewRelation(mring.Schema{"a", "b", "c"})
+	wide.Add(tup(1, 2, 3), 1)
+	w, err := decodeRows(inet.EncodeRelationPlain(wide))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := install{kind: installScatter, name: "R", schema: schema, from: []rows{p}}
+	state := func() string { return string(marshal(&snapshotMsg{Frags: sh.node.snapshot()})) }
+	before := state()
+	for name, req := range map[string]*stageReq{
+		"deploy fails its check": {installs: []install{first}, block: &block{id: 7}, deploy: badDeploy},
+		"block not deployed":     {installs: []install{first}, block: &block{id: 1 << 40}},
+		"payload arity":          {installs: []install{first, {kind: installReplace, name: "T", schema: schema[:1], from: []rows{p}}}},
+		"fragment arity":         {installs: []install{first, {kind: installScatter, name: "R", schema: wide.Schema(), from: []rows{w}}}},
+	} {
+		if _, err := serve(sh, opStage, marshal(req)); err == nil {
+			t.Errorf("%s: stage accepted", name)
+		}
+		if state() != before {
+			t.Fatalf("%s: a refused stage changed the shard's fragments", name)
+		}
+	}
+	// A split costs a slot per worker, so a stage may ask for at most
+	// maxPieces of them.
+	sh.workers = maxWorkers
+	splits := make([]output, maxPieces/maxWorkers+1)
+	for i := range splits {
+		splits[i] = output{src: "R", schema: schema, split: true, keyPos: []int{0}}
+	}
+	if _, err := serve(sh, opStage, marshal(&stageReq{installs: []install{first}, outputs: splits})); err == nil {
+		t.Error("too many pieces: stage accepted")
+	}
+	if state() != before {
+		t.Fatal("too many pieces: a refused stage changed the shard's fragments")
+	}
+	sh.workers = 2
+	// The first install alone does change them.
+	if _, err := serve(sh, opStage, marshal(&stageReq{installs: []install{first}})); err != nil {
+		t.Fatal(err)
+	}
+	if state() == before {
+		t.Fatal("the first install changed nothing")
+	}
 }

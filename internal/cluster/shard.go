@@ -18,29 +18,13 @@ import (
 // by a Shard in a worker process (server.go). The driver never calls one
 // worker concurrently with itself.
 type worker interface {
-	// runBlock executes one prepared distributed block over the worker's
-	// fragments; watch names the watched views the block writes, whose
-	// change sinks come back in the stage.
-	runBlock(b *block, watch []string) (stage, error)
-	// pack readies a driver-held fragment for installScatter on this kind
-	// of worker; one pack may be installed on every worker (broadcast).
+	// stage runs one step of a program on the worker: the request's
+	// installs in order, then its block, then its outputs. It is the only
+	// call a transaction makes.
+	stage(req *stageReq) (stageResp, error)
+	// pack readies a driver-held fragment for an install on this kind of
+	// worker; one pack may be installed on every worker (broadcast).
 	pack(r *mring.Relation) rows
-	// installScatter clears the target fragment and fills it from a packed
-	// fragment (nil: leave it empty). With capture it returns the target's
-	// contents after and before the install.
-	installScatter(name string, schema mring.Schema, src rows, broadcast, capture bool) (cur, old rows, err error)
-	// installRepart rebuilds the target fragment from the exchange pieces
-	// addressed to this worker, one per sender in worker-index order (nil:
-	// nothing from that sender). Capture as for installScatter.
-	installRepart(name string, srcSchema, schema mring.Schema, from []rows, capture bool) (cur, old rows, err error)
-	// installDelta replaces a fragment: a relation is handed over as is, a
-	// copyOf becomes the worker's own copy, any other row sequence (an
-	// update-batch deal) is rebuilt in order.
-	installDelta(name string, schema mring.Schema, src rows) error
-	// partitionOut splits the worker's fragment of src by key into one
-	// piece per destination worker (nil: empty) — the sender half of an
-	// exchange.
-	partitionOut(src string, schema mring.Schema, keyPos []int) ([]rows, error)
 	// fetch returns the worker's fragment of a relation, nil when it holds
 	// none (an absent replica differs from an empty one).
 	fetch(name string, schema mring.Schema) (rows, error)
@@ -53,14 +37,80 @@ type worker interface {
 	close() error
 }
 
-// stage is one worker's outcome of a distributed block.
-type stage struct {
+// installKind says how an install fills its target fragment.
+type installKind byte
+
+const (
+	// installReplace makes the rows the fragment: an in-process relation
+	// as is, a copyOf as the worker's own copy, any other row sequence (an
+	// update-batch deal, a payload off the wire) rebuilt in order.
+	installReplace installKind = iota
+	// installScatter clears the fragment and fills it from one packed
+	// fragment (nil: leaves it empty): a keyed scatter piece or a
+	// broadcast replica.
+	installScatter
+	// installRepart clears the fragment and rebuilds it from the exchange
+	// pieces addressed to this worker, one per sender in worker-index
+	// order (nil: nothing from that sender).
+	installRepart
+)
+
+// install is one fragment a stage moves onto the worker before its block
+// runs.
+type install struct {
+	kind   installKind
+	name   string
+	schema mring.Schema
+	// from holds the rows: one entry for a replace or scatter, one per
+	// sender for a repartition.
+	from []rows
+	// capture asks for the replacement: the fragment's contents after and
+	// before the install, which the driver folds into the watched view's
+	// batch delta.
+	capture bool
+}
+
+// output is a worker-side read that rides a stage's response, taken after
+// the block runs: a fragment fetched whole for a gather, or split by key
+// into one piece per destination worker for an exchange.
+type output struct {
+	src    string
+	schema mring.Schema
+	split  bool
+	keyPos []int
+}
+
+// stageReq is one step of a program as one worker receives it.
+type stageReq struct {
+	installs []install
+	// block runs after the installs; nil runs none. A request decoded off
+	// the wire names the block by id only, until the serving shard
+	// resolves it.
+	block *block
+	// deploy is the block's deploy blob, sent with the first stage a
+	// process worker runs of it.
+	deploy []byte
+	// watch names the watched worker-maintained views the block writes;
+	// their change sinks come back in the response.
+	watch   []string
+	outputs []output
+}
+
+// stageResp is one worker's outcome of a step.
+type stageResp struct {
 	stats eval.Stats
-	// compute is the worker's measured time over the statements.
+	// compute is the worker's measured time over the block's statements.
 	compute time.Duration
 	// sinks holds each watched view's change sink, in the worker's fold
 	// order (a missing or nil entry is an empty sink).
 	sinks map[string]rows
+	// replaced holds, per install in request order, the fragment's
+	// contents after and before it; empty when no install captures.
+	replaced [][2]rows
+	// outs holds, per output in request order, the fragment fetched (one
+	// entry, nil when empty or absent) or its pieces by destination (nil:
+	// nothing for that worker).
+	outs [][]rows
 }
 
 // rows is a row sequence in a fixed order: a relation (its Foreach
@@ -201,101 +251,169 @@ func (sh *Shard) stageBlock(id uint64, deploy []byte) (*block, error) {
 	return nil, fmt.Errorf("cluster: stage names block %d, which is not deployed", id)
 }
 
-func (sh *Shard) runBlock(b *block, watch []string) (stage, error) {
-	var st stage
-	for _, name := range watch {
-		s, ok := b.schemas[name]
-		if !ok {
-			return stage{}, fmt.Errorf("cluster: watch of %q without schema", name)
-		}
-		if st.sinks == nil {
-			st.sinks = make(map[string]rows, len(watch))
-		}
-		st.sinks[name] = mring.NewRelation(s)
-	}
-	start := time.Now()
-	for _, s := range b.stmts {
-		sink, _ := st.sinks[s.LHS].(*mring.Relation)
-		st.stats.Add(runStmtOn(&sh.node, b.schemas, s, b.kernels, sink))
-	}
-	st.compute = time.Since(start)
-	return st, nil
-}
-
-func (sh *Shard) pack(r *mring.Relation) rows { return r }
-
-func (sh *Shard) installScatter(name string, schema mring.Schema, src rows, _, capture bool) (rows, rows, error) {
-	return sh.replace(name, schema, capture, func(dst *mring.Relation) {
-		if src != nil {
-			installFragment(dst, src)
-		}
-	})
-}
-
-func (sh *Shard) installRepart(name string, srcSchema, schema mring.Schema, from []rows, capture bool) (rows, rows, error) {
-	var incoming *mring.Relation
-	for _, f := range from {
-		if f == nil || f.Len() == 0 {
+// stage runs one step: it lands the installs in order, runs the block,
+// and takes the outputs. A request off the wire passes check first.
+func (sh *Shard) stage(req *stageReq) (stageResp, error) {
+	var resp stageResp
+	for i, in := range req.installs {
+		cur, old := sh.install(in)
+		if !in.capture {
 			continue
 		}
-		if incoming == nil {
-			incoming = mring.NewRelation(srcSchema)
+		if resp.replaced == nil {
+			resp.replaced = make([][2]rows, len(req.installs))
 		}
-		f.Foreach(incoming.Add)
+		resp.replaced[i] = [2]rows{cur, old}
 	}
-	return sh.replace(name, schema, capture, func(dst *mring.Relation) {
-		if incoming != nil {
-			dst.Merge(incoming)
+	if req.block != nil {
+		sh.run(req.block, req.watch, &resp)
+	}
+	for _, o := range req.outputs {
+		if !o.split {
+			r, _ := sh.fetch(o.src, o.schema)
+			resp.outs = append(resp.outs, []rows{r})
+			continue
 		}
-	})
+		src := sh.rel(o.src, o.schema)
+		if len(src.Schema()) != len(o.schema) {
+			return stageResp{}, fmt.Errorf("cluster: split of %q at arity %d, fragment has %d", o.src, len(o.schema), len(src.Schema()))
+		}
+		pieces := make([]rows, sh.workers)
+		for i, f := range dist.SplitByKey(src, o.keyPos, sh.workers) {
+			if f != nil && f.Len() > 0 {
+				pieces[i] = f
+			}
+		}
+		resp.outs = append(resp.outs, pieces)
+	}
+	return resp, nil
 }
 
-// replace clears the target fragment and refills it; with capture it
-// returns the contents after and before.
-func (sh *Shard) replace(name string, schema mring.Schema, capture bool, fill func(dst *mring.Relation)) (rows, rows, error) {
-	dst := sh.rel(name, schema)
-	var old *mring.Relation
-	if capture {
-		old = dst.Clone()
-	}
-	dst.Clear()
-	fill(dst)
-	if !capture {
-		return nil, nil, nil
-	}
-	return dst, old, nil
-}
-
-func (sh *Shard) installDelta(name string, schema mring.Schema, src rows) error {
-	switch r := src.(type) {
-	case *mring.Relation:
-		sh.rels[name] = r
-	case copyOf:
-		sh.rels[name] = r.Clone()
-	default:
-		fresh := mring.NewRelation(schema)
-		if src != nil {
-			src.Foreach(fresh.Add)
+// check refuses a request the shard cannot run whole, before anything
+// lands, so a refused stage changes no fragment: an install of the wrong
+// shape or into a fragment of another arity, a block that would read a
+// fragment at another arity or watch a view it has no schema for, a
+// split key outside its source's schema, or more exchange pieces than
+// maxPieces. The driver builds in-process requests well formed; a worker
+// process checks what it decodes.
+func (sh *Shard) check(req *stageReq) error {
+	for _, in := range req.installs {
+		if in.kind != installRepart && len(in.from) != 1 {
+			return fmt.Errorf("cluster: install into %q carries %d fragments", in.name, len(in.from))
 		}
-		sh.rels[name] = fresh
+		if r := sh.rels[in.name]; r != nil && in.kind != installReplace && len(r.Schema()) != len(in.schema) {
+			return fmt.Errorf("cluster: install into %q at arity %d, fragment has %d", in.name, len(in.schema), len(r.Schema()))
+		}
+	}
+	if b := req.block; b != nil {
+		for name, s := range b.schemas {
+			// The arity the fragment has when the block runs.
+			n := len(s)
+			if r := sh.rels[name]; r != nil {
+				n = len(r.Schema())
+			}
+			for _, in := range req.installs {
+				if in.name == name {
+					n = len(in.schema)
+				}
+			}
+			if n != len(s) {
+				return fmt.Errorf("cluster: block %d reads %q at arity %d, fragment has %d", b.id, name, len(s), n)
+			}
+		}
+		for _, name := range req.watch {
+			if _, ok := b.schemas[name]; !ok {
+				return fmt.Errorf("cluster: watch of %q without schema", name)
+			}
+		}
+	}
+	pieces := 0
+	for _, o := range req.outputs {
+		for _, p := range o.keyPos {
+			if p < 0 || p >= len(o.schema) {
+				return fmt.Errorf("cluster: key position %d outside schema %v", p, o.schema)
+			}
+		}
+		if o.split {
+			pieces += sh.workers
+		}
+	}
+	if pieces > maxPieces {
+		return fmt.Errorf("cluster: stage splits into %d pieces, more than %d", pieces, maxPieces)
 	}
 	return nil
 }
 
-func (sh *Shard) partitionOut(src string, schema mring.Schema, keyPos []int) ([]rows, error) {
-	for _, p := range keyPos {
-		if p < 0 || p >= len(schema) {
-			return nil, fmt.Errorf("cluster: key position %d outside schema %v", p, schema)
+// maxPieces bounds the exchange pieces one stage may return: a split
+// costs a slot per worker however small its fragment.
+const maxPieces = 1 << 20
+
+// install lands one install; with capture it returns the fragment's
+// contents after and before, each its own copy (the block may change the
+// fragment before the driver reads them).
+func (sh *Shard) install(in install) (cur, old rows) {
+	if in.kind == installReplace {
+		switch r := in.from[0].(type) {
+		case *mring.Relation:
+			sh.rels[in.name] = r
+		case copyOf:
+			sh.rels[in.name] = r.Clone()
+		default:
+			fresh := mring.NewRelation(in.schema)
+			if r != nil {
+				r.Foreach(fresh.Add)
+			}
+			sh.rels[in.name] = fresh
 		}
+		return nil, nil
 	}
-	out := make([]rows, sh.workers)
-	for i, f := range dist.SplitByKey(sh.rel(src, schema), keyPos, sh.workers) {
-		if f != nil && f.Len() > 0 {
-			out[i] = f
-		}
+	dst := sh.rel(in.name, in.schema)
+	if in.capture {
+		old = dst.Clone()
 	}
-	return out, nil
+	dst.Clear()
+	switch {
+	case in.kind == installRepart:
+		exchange(dst, in.from)
+	case in.from[0] != nil:
+		installFragment(dst, in.from[0])
+	}
+	if in.capture {
+		cur = dst.Clone()
+	}
+	return cur, old
 }
+
+// exchange adds the pieces a repartition's receiver gets to dst, in
+// sender order: into the worker's cleared fragment, or into the driver's
+// rebuild of it for a chained transfer, which so holds what the worker's
+// fragment holds.
+func exchange(dst *mring.Relation, from []rows) {
+	for _, f := range from {
+		if f != nil {
+			f.Foreach(dst.Add)
+		}
+	}
+}
+
+// run executes a prepared block over the shard's fragments, folding the
+// changes to each watched view into its sink.
+func (sh *Shard) run(b *block, watch []string, resp *stageResp) {
+	for _, name := range watch {
+		if resp.sinks == nil {
+			resp.sinks = make(map[string]rows, len(watch))
+		}
+		resp.sinks[name] = mring.NewRelation(b.schemas[name])
+	}
+	start := time.Now()
+	for _, s := range b.stmts {
+		sink, _ := resp.sinks[s.LHS].(*mring.Relation)
+		resp.stats.Add(runStmtOn(&sh.node, b.schemas, s, b.kernels, sink))
+	}
+	resp.compute = time.Since(start)
+}
+
+func (sh *Shard) pack(r *mring.Relation) rows { return r }
 
 func (sh *Shard) fetch(name string, _ mring.Schema) (rows, error) {
 	if r := sh.rels[name]; r != nil {

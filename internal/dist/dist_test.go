@@ -71,17 +71,36 @@ func TestChoosePartitioningRespectsKeyRanks(t *testing.T) {
 
 func TestChoosePartitioningReplicatesDimensions(t *testing.T) {
 	// A view whose schema holds only low-ranked dimension keys is
-	// replicated rather than partitioned.
-	q := expr.Sum([]string{"n_nationkey", "n_name"}, expr.Base("nation", "n_nationkey", "n_name"))
+	// replicated rather than partitioned — here the nation view the
+	// supplier trigger reads.
+	q := expr.Sum([]string{"n_name"}, expr.Join(
+		expr.Base("nation", "n_nationkey", "n_name"),
+		expr.Base("supplier", "s_suppkey", "n_nationkey")))
 	prog, err := compile.Compile("QN", q, map[string]mring.Schema{
-		"nation": {"n_nationkey", "n_name"},
+		"nation":   {"n_nationkey", "n_name"},
+		"supplier": {"s_suppkey", "n_nationkey"},
 	}, compile.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	parts := ChoosePartitioning(prog, tpch.PrimaryKeyRanks)
-	if got := parts["QN"]; got.Kind != LIndiff {
-		t.Fatalf("dimension view located %v, want replicated", got)
+	var dim *compile.ViewDef
+	for _, s := range prog.Triggers["supplier"].Stmts {
+		for _, name := range expr.Relations(s.RHS, expr.RView) {
+			if v := prog.View(name); v != nil && v.Schema.Equal(mring.Schema{"n_nationkey", "n_name"}) {
+				dim = v
+			}
+		}
+	}
+	if dim == nil {
+		t.Fatalf("the supplier trigger reads no nation view:\n%s", prog)
+	}
+	if got := parts[dim.Name]; got.Kind != LIndiff {
+		t.Fatalf("dimension view %s located %v, want replicated", dim.Name, got)
+	}
+	// The result view, which no trigger reads, stays at the driver.
+	if got := parts["QN"]; got.Kind != LLocal {
+		t.Fatalf("unread dimension view QN located %v, want local", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"repro/internal/compile"
 	"repro/internal/eval"
+	"repro/internal/expr"
 	"repro/internal/mring"
 )
 
@@ -34,7 +35,8 @@ func ViewSchemas(prog *compile.Program) map[string]mring.Schema {
 //     on the best-ranked one;
 //   - views over small dimensions only (best rank <= 1, or no ranked
 //     column at all) are replicated, so fact-side triggers never move
-//     them;
+//     them — when a trigger statement reads them; a view no statement
+//     reads (a result view) stays at the driver instead;
 //   - transient per-batch delta views with no ranked column stay wherever
 //     the batch fragments live (Random);
 //   - update batches are tagged Random: workers ingest stream fragments
@@ -54,9 +56,23 @@ func ChoosePartitioning(prog *compile.Program, keyRanks map[string]int) PartInfo
 // loses to a slightly lower-ranked but well-balanced one. Nil or empty
 // weights reduce exactly to the unweighted heuristic.
 func ChoosePartitioningWeighted(prog *compile.Program, keyRanks map[string]int, weights map[string]float64) PartInfo {
+	read := make(map[string]bool, len(prog.Views))
+	for _, tr := range prog.Triggers {
+		for _, s := range tr.Stmts {
+			for _, name := range expr.Relations(s.RHS, expr.RView) {
+				read[name] = true
+			}
+		}
+	}
 	parts := make(PartInfo, len(prog.Views)+len(prog.Bases))
 	for _, v := range prog.Views {
-		parts[v.Name] = chooseViewLoc(v, keyRanks, weights)
+		loc := chooseViewLoc(v, keyRanks, weights)
+		if loc.Kind == LIndiff && !read[v.Name] {
+			// A replica serves the statements that read it; with none,
+			// the driver copy is the whole view.
+			loc = Local
+		}
+		parts[v.Name] = loc
 	}
 	for name := range prog.Bases {
 		parts[eval.DeltaName(name)] = Random

@@ -12,6 +12,7 @@ package ivm
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -251,10 +252,12 @@ func workerKill(t *testing.T, subscribe bool, opts ...Option) {
 }
 
 // countingTCP is the TCP transport with every frame a listener's
-// connections receive and send counted.
+// connections receive and send counted. With sever set, the connection
+// that receives frame number *sever (counted from 1 across the
+// listener's connections) is closed instead of served.
 type countingTCP struct {
 	inet.TCP
-	recv, sent *atomic.Int64
+	recv, sent, sever *atomic.Int64
 }
 
 func (t countingTCP) Listen(addr string) (inet.Listener, error) {
@@ -285,28 +288,141 @@ func (c countingConn) Send(typ byte, payload []byte) error {
 func (c countingConn) Recv() (byte, []byte, error) {
 	typ, payload, err := c.Conn.Recv()
 	if err == nil {
-		c.t.recv.Add(1)
+		if n := c.t.recv.Add(1); c.t.sever != nil && n == c.t.sever.Load() {
+			c.Conn.Close()
+			return 0, nil, errors.New("connection severed")
+		}
 	}
 	return typ, payload, err
 }
 
+// TestRemoteStageFault pins failure atomicity on both kinds of stage a
+// process worker serves: worker 1's connection is severed on the frame of
+// the stage that deploys Q3's lineitem block, and, on a second engine, on
+// the first stage after that deploy which names the block by id alone.
+// Either way Apply fails without a panic, Result stays at the
+// pre-transaction commit, the subscriber sees no delta for the failed
+// transaction, and the next Apply reports the poisoned cluster.
+func TestRemoteStageFault(t *testing.T) {
+	t.Run("deploy", func(t *testing.T) { stageFault(t, false) })
+	t.Run("by id", func(t *testing.T) { stageFault(t, true) })
+}
+
+func stageFault(t *testing.T, deployed bool) {
+	q, err := tpch.QueryByName("Q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := countingTCP{recv: new(atomic.Int64), sent: new(atomic.Int64), sever: new(atomic.Int64)}
+	addrs := make([]string, 2)
+	for i, lt := range []inet.Transport{inet.TCP{}, tr} {
+		srv, err := cluster.ListenAndServeWorker(lt, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs[i] = srv.Addr()
+	}
+	e, err := New(q.Name, q.Def, q.BaseSchemas(), Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var feed []string
+	if _, err := e.Subscribe(func(d Delta) { feed = append(feed, d.String()) }); err != nil {
+		t.Fatal(err)
+	}
+	stream := tpch.NewStream(tpch.NewGenerator(0.2, 5), q.Tables)
+	warm := map[string]*Batch{}
+	for _, b := range stream.NextBatches(800) {
+		warm[b.Table] = &Batch{rel: b.Rel}
+	}
+	if err := e.Warm(warm); err != nil {
+		t.Fatal(err)
+	}
+	byTable := map[string][]*mring.Relation{}
+	for _, b := range stream.NextBatches(400) {
+		byTable[b.Table] = append(byTable[b.Table], b.Rel)
+	}
+	for _, b := range stream.NextBatches(400) {
+		byTable[b.Table] = append(byTable[b.Table], b.Rel)
+	}
+	next := func(table string) *Batch {
+		t.Helper()
+		if len(byTable[table]) == 0 {
+			t.Fatalf("the stream has no %s batch left", table)
+		}
+		b := byTable[table][0]
+		byTable[table] = byTable[table][1:]
+		return &Batch{rel: b}
+	}
+	// Deploy the customer and orders blocks; in the by-id case the
+	// lineitem blocks too.
+	tables := []string{"customer", "orders"}
+	if deployed {
+		tables = append(tables, "lineitem")
+	}
+	for _, table := range tables {
+		if err := e.ApplyBatch(table, next(table)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre := e.Result().rel.Clone()
+	if pre.Len() == 0 {
+		t.Fatal("empty pre-transaction result: the test would prove nothing")
+	}
+	feedLen := len(feed)
+
+	// The next frame worker 1 receives is the lineitem transaction's
+	// first stage: its deal and the trigger's first block.
+	tr.sever.Store(tr.recv.Load() + 1)
+	if err := e.ApplyBatch("lineitem", next("lineitem")); err == nil {
+		t.Fatal("Apply succeeded with worker 1 severed")
+	}
+	if tr.recv.Load() < tr.sever.Load() {
+		t.Fatal("the failed Apply never reached worker 1")
+	}
+	if len(feed) != feedLen {
+		t.Fatalf("the failed transaction leaked %d delta(s) to the subscriber", len(feed)-feedLen)
+	}
+	requireBitwiseEqual(t, "result after the failed transaction", e.Result().rel, pre)
+	err = e.ApplyBatch("customer", next("customer"))
+	if err == nil || !strings.Contains(err.Error(), "results frozen at last commit") {
+		t.Fatalf("Apply after the failure returned %v, want the poison", err)
+	}
+	requireBitwiseEqual(t, "poisoned result", e.Result().rel, pre)
+}
+
 // roundTrips is the number of requests one worker serves for one batch of
-// a distributed program: the deal, one per distributed block, one per
-// scatter or gather, and two per repartition (pieces out, pieces in).
+// a distributed program: one stage per distributed block, plus one before
+// a leading local block that reads worker state (a gather or a
+// repartition), plus one after the last distributed block when a local
+// block there writes worker state (a scatter or a repartition). Every
+// other transfer rides a block's stage.
 func roundTrips(dp *dist.DistProgram) int64 {
-	n := int64(1)
-	for _, b := range dp.Blocks {
+	moves := func(b dist.Block, kinds ...dist.XformKind) bool {
+		for _, s := range b.Stmts {
+			if x, ok := s.RHS.(*dist.Xform); ok && slices.Contains(kinds, x.Kind) {
+				return true
+			}
+		}
+		return false
+	}
+	var n int64
+	last := -1
+	for i, b := range dp.Blocks {
 		if b.Mode == dist.LDist {
 			n++
-			continue
+			last = i
 		}
-		for _, s := range b.Stmts {
-			if x, ok := s.RHS.(*dist.Xform); ok {
-				n++
-				if x.Kind == dist.XRepart {
-					n++
-				}
-			}
+	}
+	if len(dp.Blocks) > 0 && dp.Blocks[0].Mode != dist.LDist && moves(dp.Blocks[0], dist.XGather, dist.XRepart) {
+		n++
+	}
+	for _, b := range dp.Blocks[last+1:] {
+		if moves(b, dist.XScatter, dist.XRepart) {
+			n++
+			break
 		}
 	}
 	return n
@@ -316,8 +432,28 @@ func roundTrips(dp *dist.DistProgram) int64 {
 // traffic to the compiled programs: counted on the workers' transport,
 // every Q3 transaction on Remote(2) — changefeed capture included — costs
 // each worker exactly the round trips its programs imply, so the driver
-// adds none of its own.
+// adds none of its own. It also pins what the programs imply: one round
+// trip per distributed block of the Q1, Q3 and Q6 triggers.
 func TestRemoteRoundTripsPerTransaction(t *testing.T) {
+	for name, want := range map[string]map[string]int64{
+		"Q1": {"lineitem": 1},
+		"Q3": {"customer": 2, "orders": 3, "lineitem": 2},
+		"Q6": {"lineitem": 1},
+	} {
+		q, err := tpch.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(q.Name, q.Def, q.BaseSchemas(), Distributed(2), KeyRanks(tpch.PrimaryKeyRanks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for table, n := range want {
+			if got := roundTrips(e.be.(*distBackend).dprogs[table]); got != n {
+				t.Errorf("%s %s trigger: %d round trips per transaction, want %d", name, table, got, n)
+			}
+		}
+	}
 	q, err := tpch.QueryByName("Q3")
 	if err != nil {
 		t.Fatal(err)
