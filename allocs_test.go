@@ -1,0 +1,78 @@
+package ivm
+
+import (
+	"testing"
+
+	"repro/internal/tpch"
+)
+
+// TestQ3AllocsPerChangedTuple is the tier-1 gate on evaluation
+// allocations. A local Q3 engine is warmed on a fixed TPC-H stream kept
+// to a sliding window (each transaction inserts the next chunk of events
+// and deletes the chunk inserted window transactions before), then
+// testing.AllocsPerRun counts the heap allocations of Apply over the
+// following transactions, per changed tuple. Allocation counts do not
+// depend on the host, so the bound is exact.
+func TestQ3AllocsPerChangedTuple(t *testing.T) {
+	const (
+		chunk  = 100 // stream events per transaction
+		window = 20  // transactions a chunk stays live
+		warm   = 40  // transactions before measuring
+		runs   = 40  // measured transactions
+		bound  = 7.0 // allocations per changed tuple
+	)
+	q, err := tpch.QueryByName("Q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(q.Name, q.Def, q.BaseSchemas())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	stream := tpch.NewStream(tpch.NewGenerator(1, 1), q.Tables)
+	var chunks [][]tpch.Batch
+	var txs []*Tx
+	var changed []int
+	for i := 0; i < warm+runs+1; i++ {
+		chunks = append(chunks, stream.NextBatches(chunk))
+		tx, n := eng.NewTx(), 0
+		change := func(b tpch.Batch, sign float64) {
+			r := NewBatch(b.Rel.Schema())
+			r.rel.MergeScaled(b.Rel, sign)
+			if err := tx.Put(b.Table, r); err != nil {
+				t.Fatal(err)
+			}
+			n += b.Rel.Len()
+		}
+		for _, b := range chunks[i] {
+			change(b, 1)
+		}
+		if i >= window {
+			for _, b := range chunks[i-window] {
+				change(b, -1)
+			}
+		}
+		txs, changed = append(txs, tx), append(changed, n)
+	}
+	for _, tx := range txs[:warm] {
+		if err := eng.Apply(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, tuples := warm, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := eng.Apply(txs[next]); err != nil {
+			t.Fatal(err)
+		}
+		if next > warm { // AllocsPerRun's first call is an unmeasured warm-up
+			tuples += changed[next]
+		}
+		next++
+	})
+	perTuple := allocs * runs / float64(tuples)
+	t.Logf("Q3 local: %.2f allocations per changed tuple (%d tuples over %d transactions)", perTuple, tuples, runs)
+	if perTuple > bound {
+		t.Fatalf("Q3 local allocates %.2f times per changed tuple, want <= %.0f", perTuple, bound)
+	}
+}

@@ -33,20 +33,20 @@ type Engine interface {
 
 // ReEval recomputes the query from scratch on every batch.
 type ReEval struct {
-	query   expr.Expr
-	kernels eval.Kernels
-	env     *eval.Env
-	bases   map[string]*mring.Relation
-	res     *mring.Relation
+	query expr.Expr
+	ctx   *eval.Ctx
+	bases map[string]*mring.Relation
+	res   *mring.Relation
 	// Stats accumulates evaluation statistics.
 	Stats eval.Stats
 }
 
 // NewReEval creates a re-evaluation engine over empty base tables.
 func NewReEval(query expr.Expr, bases map[string]mring.Schema) *ReEval {
-	e := &ReEval{query: query, kernels: eval.LowerKernels(query), env: eval.NewEnv(), bases: map[string]*mring.Relation{}}
+	env := eval.NewEnv()
+	e := &ReEval{query: query, ctx: planCtx(env, query), bases: map[string]*mring.Relation{}}
 	for n, s := range bases {
-		e.bases[n] = e.env.Define(n, s)
+		e.bases[n] = env.Define(n, s)
 	}
 	e.res = mring.NewRelation(query.Schema())
 	return e
@@ -72,10 +72,27 @@ func (e *ReEval) ApplyBatch(rel string, batch *mring.Relation) {
 }
 
 func (e *ReEval) refresh() {
-	ctx := eval.NewCtx(e.env)
-	ctx.Kernels = e.kernels
-	e.res = ctx.Materialize(e.query)
-	e.Stats.Add(ctx.Stats)
+	e.res = materialize(e.ctx, e.query, &e.Stats)
+}
+
+// planCtx returns an evaluation context over env that runs the prepared
+// plans of es, lowered once for the engine's lifetime.
+func planCtx(env *eval.Env, es ...expr.Expr) *eval.Ctx {
+	plans, err := eval.Prepare(es...)
+	if err != nil {
+		panic(fmt.Sprintf("baseline: %v", err))
+	}
+	ctx := eval.NewCtx(env)
+	ctx.Plans = plans
+	return ctx
+}
+
+// materialize evaluates q through ctx, adding the work to stats.
+func materialize(ctx *eval.Ctx, q expr.Expr, stats *eval.Stats) *mring.Relation {
+	ctx.Stats = eval.Stats{}
+	r := ctx.Materialize(q)
+	stats.Add(ctx.Stats)
+	return r
 }
 
 // Result implements Engine.
@@ -85,12 +102,12 @@ func (e *ReEval) Result() *mring.Relation { return e.res }
 // tables: ΔQ references (n−1) base tables for an n-way join (Sec. 2.1),
 // with no recursive materialization of the update-independent parts.
 type ClassicalIVM struct {
-	query   expr.Expr
-	env     *eval.Env
-	bases   map[string]*mring.Relation
-	deltas  map[string]expr.Expr
-	kernels eval.Kernels
-	res     *mring.Relation
+	query  expr.Expr
+	env    *eval.Env
+	ctx    *eval.Ctx
+	bases  map[string]*mring.Relation
+	deltas map[string]expr.Expr
+	res    *mring.Relation
 	// Stats accumulates evaluation statistics.
 	Stats eval.Stats
 }
@@ -113,7 +130,7 @@ func NewClassicalIVM(query expr.Expr, bases map[string]mring.Schema) *ClassicalI
 		e.deltas[n] = delta.Derive(query, n, delta.Options{DomainExtraction: true})
 		es = append(es, e.deltas[n])
 	}
-	e.kernels = eval.LowerKernels(es...)
+	e.ctx = planCtx(e.env, es...)
 	e.res = mring.NewRelation(query.Schema())
 	return e
 }
@@ -125,10 +142,7 @@ func (e *ClassicalIVM) Name() string { return "classical-ivm" }
 // (initial load only).
 func (e *ClassicalIVM) LoadBase(rel string, r *mring.Relation) {
 	e.bases[rel].Merge(r)
-	ctx := eval.NewCtx(e.env)
-	ctx.Kernels = e.kernels
-	e.res = ctx.Materialize(e.query)
-	e.Stats.Add(ctx.Stats)
+	e.res = materialize(e.ctx, e.query, &e.Stats)
 }
 
 // ApplyBatch implements Engine: evaluate the delta query against the
@@ -140,14 +154,10 @@ func (e *ClassicalIVM) ApplyBatch(rel string, batch *mring.Relation) {
 		panic(fmt.Sprintf("baseline: unknown relation %q", rel))
 	}
 	e.env.Bind(eval.DeltaName(rel), batch)
-	ctx := eval.NewCtx(e.env)
-	ctx.Kernels = e.kernels
 	if !expr.IsZero(dq) {
-		d := ctx.Materialize(dq)
-		e.res.Merge(d)
+		e.res.Merge(materialize(e.ctx, dq, &e.Stats))
 	}
 	e.bases[rel].Merge(batch)
-	e.Stats.Add(ctx.Stats)
 }
 
 // Result implements Engine.

@@ -245,7 +245,10 @@ func distributedReEval(dep *deployment, workers, batchSize int, seed int64) (tim
 		env.Bind(n, r)
 	}
 	ctx := eval.NewCtx(env)
-	ctx.Kernels = eval.LowerKernels(dep.query.Def)
+	var err error
+	if ctx.Plans, err = eval.Prepare(dep.query.Def); err != nil {
+		return 0, err
+	}
 	start := time.Now()
 	ctx.Materialize(dep.query.Def)
 	sequential := time.Since(start)

@@ -11,7 +11,8 @@ import (
 )
 
 // block is one compiled statement block prepared for execution, once: its
-// statements, the schemas they bind, and their kernel plans. The driver
+// statements, the schemas they bind, and the prepared plans of its
+// compute statements. The driver
 // prepares each block of a program the first time it runs it
 // (Cluster.prepare); a worker process builds its own copy from the
 // block's deploy blob the first time a stage names it (Shard.stageBlock).
@@ -22,18 +23,24 @@ type block struct {
 	id      uint64
 	stmts   []dist.Stmt
 	schemas map[string]mring.Schema
-	kernels eval.Kernels
+	plans   eval.Plans
 	// deploy is the encoded deployment a process worker builds the block
 	// from; nil for in-process shards and driver-side blocks.
 	deploy []byte
 }
 
-func newBlock(id uint64, stmts []dist.Stmt, schemas map[string]mring.Schema) *block {
-	es := make([]expr.Expr, len(stmts))
-	for i, s := range stmts {
-		es[i] = s.RHS
+func newBlock(id uint64, stmts []dist.Stmt, schemas map[string]mring.Schema) (*block, error) {
+	var es []expr.Expr
+	for _, s := range stmts {
+		if _, ok := s.RHS.(*dist.Xform); !ok {
+			es = append(es, s.RHS)
+		}
 	}
-	return &block{id: id, stmts: stmts, schemas: schemas, kernels: eval.LowerKernels(es...)}
+	plans, err := eval.Prepare(es...)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: block %d: %w", id, err)
+	}
+	return &block{id: id, stmts: stmts, schemas: schemas, plans: plans}, nil
 }
 
 // A deploy blob is a distributed block's statements — target, operator,
@@ -72,12 +79,12 @@ func decodeDeploy(id uint64, blob []byte) (*block, error) {
 	if err := checkStmts(stmts, schemas); err != nil {
 		return nil, fmt.Errorf("cluster: deployment of block %d: %w", id, err)
 	}
-	return newBlock(id, stmts, schemas), nil
+	return newBlock(id, stmts, schemas)
 }
 
 // checkStmts verifies that statements are well formed for the
-// interpreter, which treats a malformed program as a programming error
-// and panics: every node is present and of a kind the interpreter runs,
+// evaluator, which treats a malformed program as a programming error
+// and panics: every node is present and of a kind the evaluator runs,
 // every relation has a schema of its declared arity, every variable is
 // bound before a value term, group-by or materialization reads it, and
 // every statement's arity matches its target's. Compiled programs pass by

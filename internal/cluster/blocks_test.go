@@ -272,7 +272,10 @@ func TestCompiledBlocksPassDeployCheck(t *testing.T) {
 			cl := New(DefaultConfig(2), dist.ViewSchemas(prog), parts)
 			for _, dp := range dist.CompileProgram(prog, parts, level) {
 				for i := range dp.Blocks {
-					b := cl.prepare(&dp.Blocks[i])
+					b, err := cl.prepare(&dp.Blocks[i])
+					if err != nil {
+						t.Fatalf("%s O%d: %v\n%s", q.Name, level, err, dp.Blocks[i])
+					}
 					if dp.Blocks[i].Mode != dist.LDist {
 						continue
 					}

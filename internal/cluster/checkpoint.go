@@ -153,7 +153,7 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 	if err := c.each(func(i int, w worker) error { return w.restore(cp.Workers[i]) }); err != nil {
 		return c.fail(err)
 	}
-	c.driver.rels = driver
+	c.driver.setRels(driver)
 	c.retirePrograms()
 	for name, r := range driver {
 		c.schemas[name] = r.Schema()

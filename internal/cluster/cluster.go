@@ -588,13 +588,13 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram, deal []rows) (Metrics, error
 
 // prepare returns a program block prepared for execution, preparing it
 // the first time the driver meets it: its schemas registered, the subset
-// its statements bind, its kernel plans, a fresh id, and — for a
+// its statements bind, its statements' plans, a fresh id, and — for a
 // distributed block on process workers — its deploy blob. A block stays
 // prepared until a Repartition or Restore retires its program, so every
 // program a caller runs in between is held once, however often it runs.
-func (c *Cluster) prepare(b *dist.Block) *block {
+func (c *Cluster) prepare(b *dist.Block) (*block, error) {
 	if p := c.blocks[b]; p != nil {
-		return p
+		return p, nil
 	}
 	c.prepareStmts(b.Stmts)
 	schemas := make(map[string]mring.Schema)
@@ -608,12 +608,15 @@ func (c *Cluster) prepare(b *dist.Block) *block {
 		bind(s.LHS)
 	}
 	c.nextID++
-	p := newBlock(c.nextID, b.Stmts, schemas)
+	p, err := newBlock(c.nextID, b.Stmts, schemas)
+	if err != nil {
+		return nil, err
+	}
 	if c.rpc && b.Mode == dist.LDist {
 		p.deploy = encodeDeploy(p.stmts, p.schemas)
 	}
 	c.blocks[b] = p
-	return p
+	return p, nil
 }
 
 // prepareStmts resolves every schema a block's statements may register, in
@@ -710,7 +713,10 @@ func (c *Cluster) planOf(prog *dist.DistProgram) (*plan, error) {
 	}
 	for i := range prog.Blocks {
 		b := &prog.Blocks[i]
-		p.blocks[i] = c.prepare(b)
+		var err error
+		if p.blocks[i], err = c.prepare(b); err != nil {
+			return nil, err
+		}
 		if b.Mode == dist.LDist {
 			step()
 			continue
@@ -900,7 +906,7 @@ func (c *Cluster) runLocalBlock(r *run, b *block, xfers []*transfer, m *Metrics)
 			}
 			continue
 		}
-		st.Add(runStmtOn(&c.driver, b.schemas, s, b.kernels, c.driverSinkFor(s.LHS)))
+		st.Add(runStmtOn(&c.driver, b, s, c.driverSinkFor(s.LHS)))
 	}
 	c.Stats.Add(st)
 	compute := c.computeTime(st.Lookups+st.Scans+st.Emits, time.Since(computeStart))

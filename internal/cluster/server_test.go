@@ -33,7 +33,10 @@ func q3WorkerBlocks(t testing.TB) []*block {
 			if dp.Blocks[i].Mode != dist.LDist {
 				continue
 			}
-			b := driver.prepare(&dp.Blocks[i])
+			b, err := driver.prepare(&dp.Blocks[i])
+			if err != nil {
+				t.Fatal(err)
+			}
 			b.deploy = encodeDeploy(b.stmts, b.schemas)
 			blocks = append(blocks, b)
 		}

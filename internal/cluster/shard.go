@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/eval"
-	"repro/internal/expr"
 	"repro/internal/mring"
 	"repro/internal/pool"
 )
@@ -154,12 +153,22 @@ func wireSize(r rows) int64 {
 	return 0
 }
 
-// node holds the relation fragments of one worker (or the driver).
+// node holds the relation fragments of one worker (or the driver), and
+// the evaluation context its statements run in.
 type node struct {
 	rels map[string]*mring.Relation
+	// ctx evaluates over rels, created on first use; setRels drops it
+	// with the map it shares.
+	ctx *eval.Ctx
 }
 
 func newNode() node { return node{rels: make(map[string]*mring.Relation)} }
+
+// setRels replaces every fragment at once.
+func (n *node) setRels(rels map[string]*mring.Relation) {
+	n.rels = rels
+	n.ctx = nil
+}
 
 func (n *node) rel(name string, schema mring.Schema) *mring.Relation {
 	r := n.rels[name]
@@ -190,21 +199,23 @@ func (n *node) snapshot() map[string]Frag {
 	return out
 }
 
-// runStmtOn evaluates a compute statement against one node's state,
-// dispatching covered aggregates by the block's plan table, and returns
-// the evaluation statistics. It only reads the schema map and mutates
-// nothing but the node's own fragments (and the caller-private sink), so
-// concurrent calls on distinct nodes are race-free.
-func runStmtOn(n *node, schemas map[string]mring.Schema, s dist.Stmt, kernels eval.Kernels, sink *mring.Relation) eval.Stats {
-	env := eval.NewEnv()
-	// Bind every relation the statement reads; lazily create fragments.
-	walkRefs(s.RHS, func(r *expr.Rel) {
-		name := eval.RelEnvName(r)
-		env.Bind(name, n.rel(name, schemas[name]))
-	})
-	target := n.rel(s.LHS, schemas[s.LHS])
-	ctx := eval.NewCtx(env)
-	ctx.Kernels = kernels
+// runStmtOn evaluates one of a block's compute statements against one
+// node's state through the block's plans, and returns the evaluation
+// statistics. It only reads the block and mutates nothing but the node's
+// own fragments and context (and the caller-private sink), so concurrent
+// calls on distinct nodes are race-free.
+func runStmtOn(n *node, b *block, s dist.Stmt, sink *mring.Relation) eval.Stats {
+	// Create the fragments the statement reads on first use.
+	for _, name := range b.plans[s.RHS].Rels() {
+		n.rel(name, b.schemas[name])
+	}
+	target := n.rel(s.LHS, b.schemas[s.LHS])
+	if n.ctx == nil {
+		n.ctx = eval.NewCtx(eval.EnvOf(n.rels))
+	}
+	ctx := n.ctx
+	ctx.Plans = b.plans
+	ctx.Stats = eval.Stats{}
 	if sink != nil {
 		ctx.CaptureFolds(target, sink)
 	}
@@ -213,6 +224,9 @@ func runStmtOn(n *node, schemas map[string]mring.Schema, s dist.Stmt, kernels ev
 	// node's own fragments; the tables stay worker-local here and meet
 	// only in the driver's gather, in worker-index order.
 	ctx.FoldStmt(target, s.Op, s.RHS)
+	if sink != nil {
+		ctx.CaptureFolds(target, nil)
+	}
 	return ctx.Stats
 }
 
@@ -408,7 +422,7 @@ func (sh *Shard) run(b *block, watch []string, resp *stageResp) {
 	start := time.Now()
 	for _, s := range b.stmts {
 		sink, _ := resp.sinks[s.LHS].(*mring.Relation)
-		resp.stats.Add(runStmtOn(&sh.node, b.schemas, s, b.kernels, sink))
+		resp.stats.Add(runStmtOn(&sh.node, b, s, sink))
 	}
 	resp.compute = time.Since(start)
 }
@@ -437,7 +451,7 @@ func (sh *Shard) restore(frags map[string]Frag) error {
 	if err != nil {
 		return err
 	}
-	sh.rels = rels
+	sh.setRels(rels)
 	sh.blocks = nil
 	return nil
 }

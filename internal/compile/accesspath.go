@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/eval"
@@ -8,14 +9,14 @@ import (
 	"repro/internal/mring"
 )
 
-// Access-path analysis. Evaluation dispatches every relational term to
-// foreach, get, or slice depending on which of its columns are bound when
-// it is reached (Sec. 5.1); the binding flow is static — left to right
-// through products, restored across union terms — so the compiler can
-// enumerate exactly the (relation, bound-column mask) pairs the slice path
-// will probe at run time. Executors use the result to register the needed
-// persistent secondary indexes up front, instead of paying a full build on
-// the first probe after deployment.
+// Access-path analysis. Evaluation reaches every relational term with a
+// statically known set of bound columns, so lowering a statement
+// (eval.Prepare) fixes each term's access path — foreach, get, or slice
+// (Sec. 5.1). The compiler prepares the trees an executor of the program
+// runs once, keeps the plans with the program, and reads the slice paths
+// off them: the indexes it declares are exactly the ones evaluation
+// probes, and executors register them up front instead of paying a full
+// build on the first probe after deployment.
 
 // IndexSpec names one secondary index a compiled program probes: the
 // environment name of the relation (view name, base-table name, or Δ-delta
@@ -25,42 +26,64 @@ type IndexSpec struct {
 	Pos []int
 }
 
-// collectIndexSpecs walks every trigger statement and every persistent
-// view definition (used by warm starts) and returns the deduplicated slice
-// access patterns in a deterministic order.
-func collectIndexSpecs(p *Program) []IndexSpec {
-	seen := make(map[string]map[uint64][]int)
-	record := func(r *expr.Rel, pos []int) {
-		if len(pos) == 0 || len(pos) == len(r.Cols) {
-			return // foreach or get: no secondary index
-		}
-		rel := eval.RelEnvName(r)
-		if !mring.Indexable(pos) {
-			return // >64-column relation: eval degrades to a scan
-		}
-		mask := mring.ColMask(pos)
-		if seen[rel] == nil {
-			seen[rel] = make(map[uint64][]int)
-		}
-		if _, ok := seen[rel][mask]; !ok {
-			seen[rel][mask] = append([]int(nil), pos...)
-		}
-	}
+// warmStart reports whether InitFromBases evaluates view v's definition:
+// persistent views over base relations only.
+func warmStart(v *ViewDef) bool { return !v.Transient && !expr.HasDelta(v.Def) }
+
+// executedTrees returns the trees an executor of p evaluates: every
+// trigger statement, in trigger-name order, then every view definition a
+// warm start evaluates.
+func executedTrees(p *Program) []expr.Expr {
 	names := make([]string, 0, len(p.Triggers))
 	for n := range p.Triggers {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	var es []expr.Expr
 	for _, n := range names {
 		for _, s := range p.Triggers[n].Stmts {
-			walkAccess(s.RHS, map[string]bool{}, record)
+			es = append(es, s.RHS)
 		}
 	}
 	for _, v := range p.Views {
-		if v.Transient || expr.HasDelta(v.Def) {
-			continue
+		if warmStart(v) {
+			es = append(es, v.Def)
 		}
-		walkAccess(v.Def, map[string]bool{}, record)
+	}
+	return es
+}
+
+// preparePlans lowers the program's executed trees and derives what the
+// compiler reports from them: the secondary indexes and the kernel
+// statements.
+func preparePlans(p *Program) error {
+	plans, err := eval.Prepare(executedTrees(p)...)
+	if err != nil {
+		return fmt.Errorf("compile: program %s: %w", p.QueryName, err)
+	}
+	p.plans = plans
+	p.Indexes = collectIndexSpecs(p)
+	p.Kernels = collectKernelStmts(p)
+	return nil
+}
+
+// collectIndexSpecs returns the deduplicated slice access paths of the
+// program's plans in a deterministic order.
+func collectIndexSpecs(p *Program) []IndexSpec {
+	seen := make(map[string]map[uint64][]int)
+	for _, e := range executedTrees(p) {
+		for _, a := range p.plans[e].Accesses() {
+			if !a.Slice() {
+				continue
+			}
+			mask := mring.ColMask(a.Bound)
+			if seen[a.Env] == nil {
+				seen[a.Env] = make(map[uint64][]int)
+			}
+			if _, ok := seen[a.Env][mask]; !ok {
+				seen[a.Env][mask] = a.Bound
+			}
+		}
 	}
 	var specs []IndexSpec
 	rels := make([]string, 0, len(seen))
@@ -79,45 +102,4 @@ func collectIndexSpecs(p *Program) []IndexSpec {
 		}
 	}
 	return specs
-}
-
-// walkAccess simulates eval's bound-variable flow over e and calls visit
-// on every relation term with the positions of its columns bound when the
-// term is reached: none is a foreach scan, all a get, some a slice. bound
-// is read but never mutated (products extend a private copy), mirroring
-// how eval restores bindings across union terms and nested expressions.
-func walkAccess(e expr.Expr, bound map[string]bool, visit func(r *expr.Rel, pos []int)) {
-	switch x := e.(type) {
-	case *expr.Rel:
-		var pos []int
-		for i, col := range x.Cols {
-			if bound[col] {
-				pos = append(pos, i)
-			}
-		}
-		visit(x, pos)
-	case *expr.Mul:
-		cur := make(map[string]bool, len(bound))
-		for c := range bound {
-			cur[c] = true
-		}
-		for _, f := range x.Factors {
-			walkAccess(f, cur, visit)
-			for _, c := range f.Schema() {
-				cur[c] = true
-			}
-		}
-	case *expr.Plus:
-		for _, t := range x.Terms {
-			walkAccess(t, bound, visit)
-		}
-	case *expr.Agg:
-		walkAccess(x.Body, bound, visit)
-	case *expr.Assign:
-		if x.Q != nil {
-			walkAccess(x.Q, bound, visit)
-		}
-	case *expr.Exists:
-		walkAccess(x.Body, bound, visit)
-	}
 }

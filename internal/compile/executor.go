@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/eval"
-	"repro/internal/expr"
 	"repro/internal/mring"
 )
 
@@ -19,9 +18,9 @@ type Executor struct {
 	// deltaIdx holds, per Δ-delta env name, the index masks the triggers
 	// slice update batches with; ApplyBatch registers them on each batch.
 	deltaIdx map[string][][]int
-	// kernels is the program's plan table, lowered once: every context
-	// the executor evaluates through dispatches covered aggregates by it.
-	kernels eval.Kernels
+	// ctx evaluates every trigger through the program's plans; its
+	// scratch is reused across statements and batches.
+	ctx *eval.Ctx
 	// Stats accumulates evaluation statistics across batches.
 	Stats eval.Stats
 	// SingleTuple processes batches one tuple at a time through the same
@@ -35,15 +34,23 @@ type Executor struct {
 // NewExecutor creates an executor with empty view contents. The secondary
 // indexes declared by the compiler's access-path analysis are registered
 // on the views up front; the relations maintain them incrementally from
-// then on. The program's kernel plans are lowered here, once.
+// then on. The executor runs the plans the compiler prepared with the
+// program (a program built by other means is prepared here, once).
 func NewExecutor(prog *Program) *Executor {
+	if prog.plans == nil {
+		if err := preparePlans(prog); err != nil {
+			panic(err)
+		}
+	}
+	env := eval.NewEnv()
 	ex := &Executor{
 		prog:     prog,
-		env:      eval.NewEnv(),
+		env:      env,
 		views:    make(map[string]*mring.Relation),
 		deltaIdx: make(map[string][][]int),
-		kernels:  kernelTable(prog),
+		ctx:      eval.NewCtx(env),
 	}
+	ex.ctx.Plans = prog.plans
 	for _, v := range prog.Views {
 		ex.views[v.Name] = ex.env.Define(v.Name, v.Schema)
 	}
@@ -86,15 +93,11 @@ func (ex *Executor) InitFromBases(bases map[string]*mring.Relation) {
 		}
 	}
 	ctx := eval.NewCtx(env)
-	ctx.Kernels = ex.kernels
+	ctx.Plans = ex.prog.plans
 	for _, v := range ex.prog.Views {
-		if v.Transient {
-			continue
+		if warmStart(v) {
+			ctx.Apply(ex.views[v.Name], eval.OpSet, v.Def)
 		}
-		if expr.HasDelta(v.Def) {
-			continue
-		}
-		ctx.Apply(ex.views[v.Name], eval.OpSet, v.Def)
 	}
 }
 
@@ -175,8 +178,8 @@ func (ex *Executor) applyBatch(trg *Trigger, rel string, batch *mring.Relation, 
 
 func (ex *Executor) runTrigger(trg *Trigger, rel string, batch *mring.Relation, sinks map[string]*mring.Relation) {
 	ex.env.Bind(eval.DeltaName(rel), batch)
-	ctx := eval.NewCtx(ex.env)
-	ctx.Kernels = ex.kernels
+	ctx := ex.ctx
+	ctx.Stats = eval.Stats{}
 	ctx.Tracer = ex.Tracer
 	for name, sink := range sinks {
 		ctx.CaptureFolds(ex.views[name], sink)
@@ -189,6 +192,9 @@ func (ex *Executor) runTrigger(trg *Trigger, rel string, batch *mring.Relation, 
 		// incrementally by the folds, so no invalidation is needed
 		// between statements.
 		ctx.FoldStmt(ex.views[s.LHS], s.Op, s.RHS)
+	}
+	for name := range sinks {
+		ctx.CaptureFolds(ex.views[name], nil)
 	}
 	ex.Stats.Add(ctx.Stats)
 }

@@ -126,11 +126,11 @@ func scanCensus(t *testing.T) map[string]int {
 		}
 		for _, trg := range prog.Triggers {
 			for _, s := range trg.Stmts {
-				walkAccess(s.RHS, map[string]bool{}, func(r *expr.Rel, pos []int) {
-					if v := prog.View(r.Name); len(pos) == 0 && r.Kind == expr.RView && !v.Transient {
+				for _, a := range prog.plans[s.RHS].Accesses() {
+					if r := a.Rel; len(a.Bound) == 0 && r.Kind == expr.RView && !prog.View(r.Name).Transient {
 						out[q.Name]++
 					}
-				})
+				}
 			}
 		}
 	}

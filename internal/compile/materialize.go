@@ -89,8 +89,9 @@ func Compile(queryName string, q expr.Expr, bases map[string]mring.Schema, opts 
 		}
 		orderJoins(trg, c.isBatch)
 	}
-	prog.Indexes = collectIndexSpecs(prog)
-	prog.Kernels = collectKernelStmts(prog)
+	if err := preparePlans(prog); err != nil {
+		return nil, err
+	}
 	return prog, nil
 }
 

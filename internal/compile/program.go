@@ -106,6 +106,10 @@ type Program struct {
 	Kernels []KernelStmt
 	// Opts records the compilation options.
 	Opts Options
+	// plans holds the prepared plans of the trees an executor runs
+	// (executedTrees), lowered once at compile time and shared by every
+	// executor of the program.
+	plans eval.Plans
 }
 
 // View returns the view definition by name, or nil.

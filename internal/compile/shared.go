@@ -185,8 +185,9 @@ func (sc *SharedCompiler) Program() (*Program, error) {
 		}
 		prog.Triggers[rel] = t
 	}
-	prog.Indexes = collectIndexSpecs(prog)
-	prog.Kernels = collectKernelStmts(prog)
+	if err := preparePlans(prog); err != nil {
+		return nil, err
+	}
 	return prog, nil
 }
 

@@ -141,7 +141,7 @@ func (k XformKind) String() string {
 
 // Xform is a data-movement transformer statement RHS. It implements
 // expr.Expr so transformer and compute statements share one statement
-// type, but it is never evaluated by the expression interpreter: the
+// type, but it is never evaluated by the expression evaluator: the
 // cluster runtime intercepts it and performs the movement.
 type Xform struct {
 	Kind XformKind

@@ -401,12 +401,64 @@ func TestEnvNamesAndMustRel(t *testing.T) {
 	env.MustRel("missing")
 }
 
-func TestBindingTuplePanicsOnUnbound(t *testing.T) {
-	b := NewBinding()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unbound variable")
+// TestPrepareRefusesUnboundRead pins that lowering rejects, before
+// anything runs, a tree that reads a variable no term binds where it is
+// read — in a value term, a group-by, or the output schema — and one that
+// reads a variable only some terms of a union bind.
+func TestPrepareRefusesUnboundRead(t *testing.T) {
+	for _, e := range []expr.Expr{
+		expr.ValE(expr.V("nope")),
+		expr.Join(expr.Eq(expr.V("a"), expr.LitI(1)), expr.Base("R", "a")),
+		expr.Sum([]string{"nope"}, expr.Base("R", "a")),
+		expr.LiftV("x", expr.AddV(expr.V("a"), expr.LitI(1))),
+		expr.Sum(nil, expr.Join(
+			expr.Add(expr.Base("R", "a"), expr.Base("S", "b")),
+			expr.Base("T", "a"))),
+	} {
+		if _, err := Prepare(e); err == nil {
+			t.Errorf("Prepare(%v) accepted an unbound read", e)
 		}
-	}()
-	b.Tuple(mring.Schema{"nope"})
+	}
+	// A union whose terms bind different variables is fine as long as
+	// nothing after it reads them.
+	if _, err := Prepare(expr.Sum(nil, expr.Add(expr.Base("R", "a"), expr.Base("S", "b")))); err != nil {
+		t.Fatalf("Prepare refused a union read by nothing: %v", err)
+	}
+}
+
+// TestRepeatedColumnIsSelfEquality pins that a variable repeated within
+// one relational term constrains the columns it names to be equal, on
+// every access path: foreach (nothing bound), slice (another column
+// bound), and get (every column bound). The reference interpreter agrees.
+func TestRepeatedColumnIsSelfEquality(t *testing.T) {
+	env := NewEnv()
+	fill(env, "R", mring.Schema{"a", "b"}, row(1, 1, 1), row(1, 1, 2), row(1, 3, 3))
+	fill(env, "T", mring.Schema{"k", "a", "b"}, row(1, 7, 1, 1), row(1, 7, 1, 2), row(1, 8, 2, 2))
+	fill(env, "S", mring.Schema{"k"}, row(1, 7), row(1, 8))
+	fill(env, "U", mring.Schema{"k"}, row(1, 1), row(1, 2), row(1, 3))
+	for _, c := range []struct {
+		path string
+		q    expr.Expr
+		want map[int]float64
+	}{
+		{"foreach", expr.Sum([]string{"x"}, expr.Base("R", "x", "x")), map[int]float64{1: 1, 3: 1}},
+		{"slice", expr.Sum([]string{"x"}, expr.Join(expr.Base("S", "k"), expr.Base("T", "k", "x", "x"))),
+			map[int]float64{1: 1, 2: 1}},
+		{"get", expr.Sum([]string{"x"}, expr.Join(expr.Base("U", "x"), expr.Base("R", "x", "x"))),
+			map[int]float64{1: 1, 3: 1}},
+	} {
+		for name, got := range map[string]*mring.Relation{
+			"prepared":  NewCtx(env).Materialize(c.q),
+			"reference": NewReference(env, true, c.q).Materialize(c.q),
+		} {
+			if got.Len() != len(c.want) {
+				t.Fatalf("%s %s: %v, want %v", c.path, name, got, c.want)
+			}
+			for x, m := range c.want {
+				if got.Get(tup(x)) != m {
+					t.Fatalf("%s %s: %v, want %v", c.path, name, got, c.want)
+				}
+			}
+		}
+	}
 }

@@ -8,24 +8,20 @@ import (
 	"repro/internal/pool"
 )
 
-// This file routes covered aggregate statements to the vectorized
-// columnar kernels of internal/pool instead of the row-wise interpreter.
-// A statement is covered when its RHS is Sum_[gb](R(...) * f1 * ... * fk)
-// where R is the single scanned relation (all columns distinct), every fi
-// is either a static comparison (column vs literal, either order), a
-// value term over R's columns and literals, or a constant, and every
-// group-by column is one of R's columns. Everything else — joins, slices,
-// correlated aggregates (non-empty outer binding), lifted assignments,
-// Exists — falls back to the row path, as do covered statements whose
-// relation has mixed-kind columns (no columnar mirror) or is too small to
-// be worth vectorizing.
+// This file routes covered aggregates to the vectorized columnar kernels
+// of internal/pool instead of the row path. An aggregate is covered when
+// it is Sum_[gb](R(...) * f1 * ... * fk) where R is the single scanned
+// relation (all columns distinct), every fi is either a static comparison
+// (column vs literal, either order), a value term over R's columns and
+// literals, or a constant, and every group-by column is one of R's
+// columns. Lowering (plan.go) attaches the kernel plan to a covered
+// aggregate reached with no variable bound, beside its row sub-plan;
+// everything else — joins, slices, correlated aggregates, lifted
+// assignments, Exists — has only the row path. At run time the kernel
+// still yields to the row sub-plan when the relation has mixed-kind
+// columns (no columnar mirror), is too small to be worth vectorizing, or
+// a tracer is watching.
 //
-// The kernel result is bit-for-bit the row path's: rows fold in the same scan order, value
-// factors multiply in the same factor order (comparisons contribute the
-// exact factor 1), zero-valued factors drop rows exactly where the row
-// path refuses to emit them, and group hashes come from the same
-// streaming hash kernel.
-
 // kernelMinRows is the scan size below which the row path wins; tiny
 // batches (single-tuple mode) skip mirror construction entirely.
 const kernelMinRows = 8
@@ -42,44 +38,6 @@ type kernelPlan struct {
 	cols     []string // its column variables, in schema order
 	steps    []kstep  // post-scan factors, in factor order
 	groupPos []int    // group-by positions into cols
-}
-
-// Kernels is a lowered plan table: the covered aggregates of one set of
-// expression trees, keyed by node. Its owner is whatever owns the trees —
-// a compiled program's executor, or one prepared cluster block — so the
-// table and the trees it points into are released together.
-type Kernels map[*expr.Agg]*kernelPlan
-
-// LowerKernels lowers every covered aggregate node found anywhere in es,
-// nested aggregates included, into a plan table.
-func LowerKernels(es ...expr.Expr) Kernels {
-	k := Kernels{}
-	for _, e := range es {
-		expr.Walk(e, func(n expr.Expr) bool {
-			if a, ok := n.(*expr.Agg); ok {
-				if p := analyzeAgg(a); p != nil {
-					k[a] = p
-				}
-			}
-			return true
-		})
-	}
-	return k
-}
-
-// Scans reports whether rhs is an aggregate the table covers, and the
-// environment name of the relation its kernel scans. The compiler
-// records covered statements next to its access-path analysis.
-func (k Kernels) Scans(rhs expr.Expr) (string, bool) {
-	a, ok := rhs.(*expr.Agg)
-	if !ok {
-		return "", false
-	}
-	p := k[a]
-	if p == nil {
-		return "", false
-	}
-	return p.env, true
 }
 
 func analyzeAgg(a *expr.Agg) *kernelPlan {
@@ -102,8 +60,8 @@ func analyzeAgg(a *expr.Agg) *kernelPlan {
 	colPos := make(map[string]int, len(r0.Cols))
 	for i, c := range r0.Cols {
 		if _, dup := colPos[c]; dup {
-			// A repeated column variable is a self-equality constraint the
-			// row path implements through rebinding; not covered.
+			// A repeated column variable is a self-equality constraint,
+			// which the row path checks per tuple; not covered.
 			return nil
 		}
 		colPos[c] = i
@@ -286,26 +244,23 @@ func lowerVal(e expr.VExpr, colPos map[string]int) vnode {
 	}
 }
 
-// tryKernelAgg attempts the vectorized fold of a into gt, returning false
-// when the context's plan table does not cover a, or the runtime relation
-// or the context state is not covered — the caller then runs the row-wise
-// path. It requires an empty outer binding (correlated aggregates rebind
-// per outer row) and no tracer (the kernels never materialize per-row
-// tuples to hash for it).
-func (c *Ctx) tryKernelAgg(a *expr.Agg, b *Binding, gt *mring.GroupTable) bool {
-	plan := c.Kernels[a]
-	if plan == nil || c.Tracer != nil || len(b.vals) != 0 {
+// foldKernel attempts the vectorized fold of a covered aggregate into gt,
+// returning false when the relation or the context is not covered at run
+// time — the caller then runs the row sub-plan. It yields to a tracer,
+// because the kernels never materialize per-row tuples to hash for it.
+func (c *Ctx) foldKernel(n *aggNode, gt *mring.GroupTable) bool {
+	if c.Tracer != nil {
 		return false
 	}
-	rel := c.Env.Rel(plan.env)
-	if rel == nil || rel.Len() < kernelMinRows || len(rel.Schema()) != len(plan.cols) {
+	rel := c.rels[n.krel]
+	if rel == nil || rel.Len() < kernelMinRows || len(rel.Schema()) != len(n.kernel.cols) {
 		return false
 	}
 	batch := pool.MirrorOf(rel)
 	if batch == nil {
 		return false
 	}
-	c.foldBatch(plan, batch, gt)
+	foldBatch(&c.Stats, n.kernel, batch, gt)
 	c.Stats.KernelFolds++
 	return true
 }
@@ -315,17 +270,17 @@ func (c *Ctx) tryKernelAgg(a *expr.Agg, b *Binding, gt *mring.GroupTable) bool {
 // multiply into the row weights (dropping rows whose factor value is
 // exactly zero, as the row path does), then the surviving rows hash and
 // fold into the group table in row order.
-func (c *Ctx) foldBatch(plan *kernelPlan, batch *pool.ColBatch, gt *mring.GroupTable) {
+func foldBatch(stats *Stats, plan *kernelPlan, batch *pool.ColBatch, gt *mring.GroupTable) {
 	n := batch.Len()
-	c.Stats.Scans += int64(n)
-	c.Stats.Emits += int64(n)
+	stats.Scans += int64(n)
+	stats.Emits += int64(n)
 	sel := pool.NewSel(n)
 	for _, st := range plan.steps {
 		if st.pred == nil {
 			continue
 		}
 		sel = batch.FilterPred(*st.pred, sel)
-		c.Stats.Emits += int64(len(sel))
+		stats.Emits += int64(len(sel))
 		if len(sel) == 0 {
 			return
 		}
@@ -342,7 +297,7 @@ func (c *Ctx) foldBatch(plan *kernelPlan, batch *pool.ColBatch, gt *mring.GroupT
 			for k := range ms {
 				ms[k] *= lit.f
 			}
-			c.Stats.Emits += int64(len(sel))
+			stats.Emits += int64(len(sel))
 			continue
 		}
 		vec := st.val.eval(batch, sel)
@@ -355,7 +310,7 @@ func (c *Ctx) foldBatch(plan *kernelPlan, batch *pool.ColBatch, gt *mring.GroupT
 			}
 		}
 		sel, ms = sel[:out], ms[:out]
-		c.Stats.Emits += int64(out)
+		stats.Emits += int64(out)
 		if out == 0 {
 			return
 		}

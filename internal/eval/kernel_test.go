@@ -11,8 +11,10 @@ import (
 )
 
 // The kernel dispatch tests pin the vectorized columnar path to the
-// row-wise interpreter bit for bit: the same statement folded with
-// kernels enabled and disabled must produce identical group relations —
+// row-wise reference interpreter (reference_test.go) bit for bit: the
+// same statement folded through a prepared plan, which takes the kernel,
+// and through the reference without kernels must produce identical group
+// relations —
 // same groups, same first-insertion order, same float bits — across
 // random covered statements over adversarial data (NaN floats, integers
 // beyond 2^53, zero constants, division by zero), with and without
@@ -122,22 +124,22 @@ func randomCoveredStmt(rng *rand.Rand) expr.Expr {
 	return expr.Sum(gb, expr.Join(factors...))
 }
 
-// foldBoth folds stmt into fresh targets through the kernel and row
-// paths and requires bitwise-identical results, returning the kernel
-// context for dispatch assertions.
+// foldBoth folds stmt into fresh targets through the prepared plan (the
+// kernel path where covered) and the reference row path and requires
+// bitwise-identical results, returning the prepared context for dispatch
+// assertions.
 func foldBoth(t *testing.T, env *Env, stmt expr.Expr, op AssignOp, hashFn func(mring.Tuple) uint64, label string) *Ctx {
 	t.Helper()
 	schema := stmt.Schema()
 	kT := mring.NewRelation(schema)
 	rT := mring.NewRelation(schema)
-	kCtx, rCtx := NewCtx(env), NewCtx(env)
+	kCtx, rCtx := NewCtx(env), NewReference(env, false)
 	kCtx.groupHash, rCtx.groupHash = hashFn, hashFn
-	kCtx.Kernels = LowerKernels(stmt)
 	kCtx.FoldStmt(kT, op, stmt)
 	rCtx.FoldStmt(rT, op, stmt)
 
-	if kCtx.Stats.KernelFolds == 0 && rCtx.Stats.KernelFolds != 0 {
-		t.Fatalf("%s: a context without a plan table took the kernel path", label)
+	if rCtx.Stats.KernelFolds != 0 {
+		t.Fatalf("%s: the reference without kernels took the kernel path", label)
 	}
 	if kT.Len() != rT.Len() {
 		t.Fatalf("%s: kernel path %d groups, row path %d\n kernel: %v\n row:    %v",
@@ -236,7 +238,6 @@ func TestKernelFallbacks(t *testing.T) {
 		fillKernelRel(rng, env.Define("R", kernelSchema), 20)
 		target := mring.NewRelation(mring.Schema{"d"})
 		ctx := NewCtx(env)
-		ctx.Kernels = LowerKernels(stmt)
 		ctx.Tracer = func(string, uint64) {}
 		ctx.FoldStmt(target, OpAdd, stmt)
 		if ctx.Stats.KernelFolds != 0 {
@@ -265,8 +266,15 @@ func TestKernelFallbacks(t *testing.T) {
 	})
 }
 
-// kernelEligible lowers e alone and reports whether the table covers it.
-func kernelEligible(e expr.Expr) (string, bool) { return LowerKernels(e).Scans(e) }
+// kernelEligible prepares e alone and reports whether its plan carries a
+// kernel; a tree Prepare refuses has no plan, so no kernel.
+func kernelEligible(e expr.Expr) (string, bool) {
+	ps, err := Prepare(e)
+	if err != nil {
+		return "", false
+	}
+	return ps[e].Kernel()
+}
 
 // TestKernelEligible pins the compiler-facing coverage check on the
 // canonical shapes.
@@ -289,8 +297,10 @@ func TestKernelEligible(t *testing.T) {
 }
 
 // BenchmarkColFold folds a Q6-shaped pre-aggregation (date-grouped
-// revenue under the Q6 predicates) through the row-wise interpreter
-// (row) and the vectorized kernel dispatch (kernel). The kernel side
+// revenue under the Q6 predicates) through the row path (row) and the
+// vectorized kernel dispatch (kernel). The row side runs the same
+// statement behind a leading unit factor, which the kernels do not cover
+// and which leaves every multiplicity's bits unchanged. The kernel side
 // reuses the relation's version-cached columnar mirror across folds, the
 // steady state of a maintenance stream.
 func BenchmarkColFold(b *testing.B) {
@@ -306,28 +316,30 @@ func BenchmarkColFold(b *testing.B) {
 	}
 	env := NewEnv()
 	env.Bind("R", rel)
-	stmt := expr.Sum([]string{"sdate"}, expr.Join(
+	factors := []expr.Expr{
 		expr.Base("R", schema...),
 		expr.CmpE(expr.CGe, expr.V("sdate"), expr.LitI(19940101)),
 		expr.CmpE(expr.CLt, expr.V("sdate"), expr.LitI(19950101)),
 		expr.CmpE(expr.CLt, expr.V("qty"), expr.LitI(24)),
 		expr.ValE(expr.MulV(expr.V("price"), expr.V("disc"))),
-	))
+	}
 	for _, kernel := range []bool{false, true} {
-		name := "row"
+		name, body := "row", expr.Expr(&expr.Mul{Factors: append([]expr.Expr{&expr.Const{V: 1}}, factors...)})
 		if kernel {
-			name = "kernel"
+			name, body = "kernel", expr.Join(factors...)
 		}
+		stmt := expr.Sum([]string{"sdate"}, body)
 		b.Run(name, func(b *testing.B) {
 			ctx := NewCtx(env)
-			if kernel {
-				ctx.Kernels = LowerKernels(stmt)
+			var err error
+			if ctx.Plans, err = Prepare(stmt); err != nil {
+				b.Fatal(err)
 			}
 			for b.Loop() {
 				ctx.FoldStmt(mring.NewRelation(mring.Schema{"sdate"}), OpAdd, stmt)
 			}
-			if kernel && ctx.Stats.KernelFolds == 0 {
-				b.Fatal("ColFold never dispatched to the kernel path")
+			if kernel != (ctx.Stats.KernelFolds != 0) {
+				b.Fatalf("ColFold %s: %d kernel folds", name, ctx.Stats.KernelFolds)
 			}
 		})
 	}

@@ -12,7 +12,7 @@ import (
 // statement can hold; Read refuses unknown tags, operators and kinds, and
 // trees nested deeper than MaxDepth, so a hostile input cannot exhaust
 // the stack. Read checks only the encoding: whether the tree is a program
-// the interpreter can run is the caller's check.
+// the evaluator can run is the caller's check.
 const (
 	tagRel byte = iota + 1
 	tagPlus

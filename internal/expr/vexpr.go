@@ -88,9 +88,14 @@ func (a Arith) Vars(dst []string) []string { return a.R.Vars(a.L.Vars(dst)) }
 
 // EvalV implements VExpr.
 func (a Arith) EvalV(lookup func(string) mring.Value) mring.Value {
-	l := a.L.EvalV(lookup).AsFloat()
-	r := a.R.EvalV(lookup).AsFloat()
-	switch a.Op {
+	return ArithV(a.Op, a.L.EvalV(lookup).AsFloat(), a.R.EvalV(lookup).AsFloat())
+}
+
+// ArithV applies op to two operands already converted to floats: the
+// arithmetic of Arith.EvalV, shared with evaluators that resolve the
+// operands themselves.
+func ArithV(op VOp, l, r float64) mring.Value {
+	switch op {
 	case VAdd:
 		return mring.Float(l + r)
 	case VSub:

@@ -91,7 +91,7 @@ func (v Value) Equal(o Value) bool {
 	return v.AsFloat() == o.AsFloat()
 }
 
-// keyEqual reports whether two values are identical under the canonical
+// KeyEqual reports whether two values are identical under the canonical
 // key encoding (EncodeKey): strings compare exactly; numerics compare
 // through the same float canonicalization the encoder applies, so
 // integers beyond 2^53 collapse to their float value and NaNs compare by
@@ -99,7 +99,7 @@ func (v Value) Equal(o Value) bool {
 // and indexes; it differs from Equal only on NaN (where Equal is
 // irreflexive) and on integers Equal distinguishes but the encoding
 // cannot.
-func (v Value) keyEqual(o Value) bool {
+func (v Value) KeyEqual(o Value) bool {
 	if v.K == KString || o.K == KString {
 		return v.K == KString && o.K == KString && v.S == o.S
 	}
@@ -343,7 +343,7 @@ func (t Tuple) KeyEqual(o Tuple) bool {
 		return false
 	}
 	for i := range t {
-		if !t[i].keyEqual(o[i]) {
+		if !t[i].KeyEqual(o[i]) {
 			return false
 		}
 	}
@@ -358,7 +358,7 @@ func (t Tuple) EqualAt(pos []int, probe Tuple) bool {
 		return false
 	}
 	for i, j := range pos {
-		if !t[j].keyEqual(probe[i]) {
+		if !t[j].KeyEqual(probe[i]) {
 			return false
 		}
 	}

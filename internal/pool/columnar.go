@@ -82,6 +82,23 @@ func NewColBatch(schema mring.Schema, kinds []mring.Kind) *ColBatch {
 // Len returns the number of rows.
 func (b *ColBatch) Len() int { return len(b.Mults) }
 
+// reserve sizes an empty batch's columns and multiplicities for n rows,
+// so appending them allocates nothing more.
+func (b *ColBatch) reserve(n int) {
+	for i := range b.Cols {
+		c := &b.Cols[i]
+		switch c.Kind {
+		case mring.KInt:
+			c.Ints = make([]int64, 0, n)
+		case mring.KFloat:
+			c.Flts = make([]float64, 0, n)
+		default:
+			c.Strs = make([]string, 0, n)
+		}
+	}
+	b.Mults = make([]float64, 0, n)
+}
+
 // Append adds one row.
 func (b *ColBatch) Append(t mring.Tuple, m float64) {
 	if len(t) != len(b.Cols) {

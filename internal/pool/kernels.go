@@ -8,8 +8,8 @@ import (
 // predicate over one typed column into a selection vector, gather/multiply
 // value columns over a selection, hash selected group keys column-wise,
 // and fold the result into a hash-native group table. Each kernel touches
-// one contiguous array per pass; eval.Ctx routes covered statements here
-// and falls back to the row-wise interpreter otherwise.
+// one contiguous array per pass; eval's prepared plans route covered
+// aggregates here and run their row sub-plans otherwise.
 //
 // Comparison semantics are pinned to the row-wise oracle
 // (expr.EvalCmp via mring.Value.Equal/Less), including its edge cases:

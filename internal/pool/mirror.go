@@ -36,6 +36,7 @@ func TryFromRelation(r *mring.Relation) (*ColBatch, bool) {
 		kinds = make([]mring.Kind, len(r.Schema()))
 	}
 	b := NewColBatch(r.Schema(), kinds)
+	b.reserve(r.Len())
 	r.Foreach(func(t mring.Tuple, m float64) { b.Append(t, m) })
 	return b, true
 }

@@ -42,3 +42,34 @@ func TestMirrorInvalidatesOnMutation(t *testing.T) {
 		t.Fatalf("negative mirror answer not stable")
 	}
 }
+
+// TestMirrorColumnsArePresized pins that TryFromRelation sizes every
+// column and the multiplicities to the relation's row count before
+// filling them: the allocations of one conversion do not grow with the
+// rows, and the batch encodes exactly as one grown row by row does.
+func TestMirrorColumnsArePresized(t *testing.T) {
+	schema := mring.Schema{"i", "f", "s"}
+	fill := func(n int) *mring.Relation {
+		r := mring.NewRelation(schema)
+		for i := 0; i < n; i++ {
+			r.Add(mring.Tuple{mring.Int(int64(i)), mring.Float(float64(i) / 4), mring.Str("s")}, float64(i%3+1))
+		}
+		return r
+	}
+	allocs := func(r *mring.Relation) float64 {
+		return testing.AllocsPerRun(5, func() { TryFromRelation(r) })
+	}
+	small, large := fill(16), fill(4096)
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Fatalf("conversion allocates %v times for 16 rows, %v for 4096", a, b)
+	}
+	got, ok := TryFromRelation(large)
+	if !ok {
+		t.Fatal("no batch for a fixed-kind relation")
+	}
+	grown := NewColBatch(schema, []mring.Kind{mring.KInt, mring.KFloat, mring.KString})
+	large.Foreach(func(tp mring.Tuple, m float64) { grown.Append(tp, m) })
+	if string(got.Encode()) != string(grown.Encode()) {
+		t.Fatal("presized batch encodes differently from a grown one")
+	}
+}

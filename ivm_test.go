@@ -329,3 +329,31 @@ func TestDistributedTPCHKeyRanks(t *testing.T) {
 		t.Fatal("last-transaction metrics empty")
 	}
 }
+
+// TestRepeatedColumnSelfJoin pins that a variable repeated within one
+// relational term is a self-equality on every backend: Sum_[x](R(x,x))
+// counts only R's rows whose two columns are equal.
+func TestRepeatedColumnSelfJoin(t *testing.T) {
+	q := Sum([]string{"x"}, Table("R", "x", "x"))
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{{"local", nil}, {"distributed2", []Option{Distributed(2)}}} {
+		t.Run(c.name, func(t *testing.T) {
+			eng, err := New("Q", q, map[string]Schema{"R": {"a", "b"}}, c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			b := NewBatch(Schema{"a", "b"})
+			b.Insert(Row(1, 1))
+			b.Insert(Row(1, 2))
+			if err := eng.ApplyBatch("R", b); err != nil {
+				t.Fatal(err)
+			}
+			if res := eng.Result(); res.Len() != 1 || res.Get(Row(1)) != 1 {
+				t.Fatalf("result %v, want {(1)->1}", res)
+			}
+		})
+	}
+}
