@@ -33,8 +33,8 @@ lint:
 # behind every driver/worker op with deploy blobs included, checkpoints,
 # and both changefeed messages) must never panic on arbitrary bytes —
 # the checkpoint and changefeed decoders must also re-encode what they
-# accept to the same bytes — and the columnar hash kernels must agree
-# with the row-wise hashes.
+# accept to the same bytes — and tuples with equal canonical keys must
+# compare and hash equal.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashColsKeyEqual$$' -fuzztime=30s ./internal/mring
 	$(GO) test -run='^$$' -fuzz='^FuzzColBatchDecode$$' -fuzztime=30s ./internal/pool
@@ -86,5 +86,4 @@ SOAK_TIME ?= 2s
 soak:
 	TUNE_SOAK=$(SOAK_TIME) $(GO) test -race -run '^TestTuningSoak$$' -v .
 
-ci: lint build test soak proc-smoke crash-smoke check-api
-	@$(MAKE) bench || echo "warning: benchmark smoke pass failed"
+ci: lint build test soak proc-smoke crash-smoke check-api bench

@@ -76,3 +76,77 @@ func TestQ3AllocsPerChangedTuple(t *testing.T) {
 		t.Fatalf("Q3 local allocates %.2f times per changed tuple, want <= %.0f", perTuple, bound)
 	}
 }
+
+// TestQ1AllocsPerChangedTuple is the tier-1 allocation gate for small
+// transactions, built as TestQ3AllocsPerChangedTuple is: a local Q1
+// engine serving one subscriber, warmed on a fixed TPC-H stream kept to a
+// sliding window, then the allocations of Apply over the following
+// transactions per changed tuple. With ten changes per transaction, the
+// per-transaction and per-statement costs of serving and evaluation
+// dominate the count.
+func TestQ1AllocsPerChangedTuple(t *testing.T) {
+	const (
+		chunk  = 10  // stream events per transaction
+		window = 200 // transactions a chunk stays live
+		warm   = 400 // transactions before measuring
+		runs   = 200 // measured transactions
+		bound  = 6.0 // allocations per changed tuple
+	)
+	q, err := tpch.QueryByName("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(q.Name, q.Def, q.BaseSchemas())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if _, err := eng.Subscribe(func(Delta) {}); err != nil {
+		t.Fatal(err)
+	}
+	stream := tpch.NewStream(tpch.NewGenerator(1, 1), q.Tables)
+	var chunks [][]tpch.Batch
+	var txs []*Tx
+	var changed []int
+	for i := 0; i < warm+runs+1; i++ {
+		chunks = append(chunks, stream.NextBatches(chunk))
+		tx, n := eng.NewTx(), 0
+		change := func(b tpch.Batch, sign float64) {
+			r := NewBatch(b.Rel.Schema())
+			r.rel.MergeScaled(b.Rel, sign)
+			if err := tx.Put(b.Table, r); err != nil {
+				t.Fatal(err)
+			}
+			n += b.Rel.Len()
+		}
+		for _, b := range chunks[i] {
+			change(b, 1)
+		}
+		if i >= window {
+			for _, b := range chunks[i-window] {
+				change(b, -1)
+			}
+		}
+		txs, changed = append(txs, tx), append(changed, n)
+	}
+	for _, tx := range txs[:warm] {
+		if err := eng.Apply(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, tuples := warm, 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := eng.Apply(txs[next]); err != nil {
+			t.Fatal(err)
+		}
+		if next > warm { // AllocsPerRun's first call is an unmeasured warm-up
+			tuples += changed[next]
+		}
+		next++
+	})
+	perTuple := allocs * runs / float64(tuples)
+	t.Logf("Q1 local: %.2f allocations per changed tuple (%d tuples over %d transactions)", perTuple, tuples, runs)
+	if perTuple > bound {
+		t.Fatalf("Q1 local allocates %.2f times per changed tuple, want <= %.1f", perTuple, bound)
+	}
+}

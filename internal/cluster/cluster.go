@@ -1090,9 +1090,9 @@ func (c *Cluster) applyXform(r *run, t *transfer) (int64, int64, error) {
 			if r, ok := f.(*mring.Relation); ok {
 				gt.MergeRelation(r)
 			} else {
-				// Stored hashes equal recomputed ones, so this replays
-				// MergeRelation's float additions exactly.
-				f.Foreach(func(t mring.Tuple, m float64) { gt.AddPrehashed(t.Hash(), t, m) })
+				// Recomputed hashes equal the stored ones MergeRelation
+				// reuses, so this replays its float additions exactly.
+				f.Foreach(gt.Add)
 			}
 		}
 		dst := c.driver.rel(t.lhs, t.lhsSchema)
@@ -1150,27 +1150,15 @@ func (c *Cluster) read(r *run, t *transfer) ([][]rows, error) {
 
 // encodeSize is the size of what a shuffle of r ships — the simulator's
 // measured network traffic: its columnar encoding, or its row payload
-// when mixed-kind columns rule the columnar form out. Resolving the
-// columnar form attaches (and reuses) the relation's mirror, so
-// fragmentBatch on the same relation is free.
+// when mixed-kind columns rule the columnar form out.
 func encodeSize(r *mring.Relation) int64 {
 	if r.Len() == 0 {
 		return 0
 	}
-	if b := pool.MirrorOf(r); b != nil {
+	if b, ok := pool.TryFromRelation(r); ok {
 		return int64(len(b.Encode()))
 	}
 	return int64(len(inet.EncodePayload(r, nil)))
-}
-
-// fragmentBatch returns the columnar form a shuffle ships for r, or nil
-// when r cannot be represented losslessly (mixed-kind columns) and the
-// fragment must move in row form instead.
-func fragmentBatch(r *mring.Relation) *pool.ColBatch {
-	if r.Len() == 0 {
-		return nil
-	}
-	return pool.MirrorOf(r)
 }
 
 // walkRefs visits every relational reference in an expression (descending

@@ -39,7 +39,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		}, &stageReq{}},
 		{&stageReq{installs: []install{{kind: installReplace, name: "ΔR", schema: schema, from: []rows{p}}}}, &stageReq{}},
 		{&stageReq{outputs: []output{{src: "R", schema: schema}}}, &stageReq{}},
-		{&stageResp{stats: eval.Stats{Lookups: 1, Scans: 2, Emits: 3, IndexOps: 4, KernelFolds: 5}, compute: -7,
+		{&stageResp{stats: eval.Stats{Lookups: 1, Scans: 2, Emits: 3, IndexOps: 4}, compute: -7,
 			sinks:    map[string]rows{"V": p, "Q": nil},
 			replaced: [][2]rows{{nil, nil}, {p, nil}},
 			outs:     [][]rows{{p}, {nil, p}}}, &stageResp{}},
@@ -93,7 +93,7 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	arity := marshal(&stageReq{installs: []install{{kind: installScatter, name: "R", schema: schema[:1], from: []rows{p}}}})
 	resp := marshal(&stageResp{outs: [][]rows{{p}}})
 	var junk wire.Enc
-	junk.Varints(make([]int64, 6)) // stats and compute
+	junk.Varints(make([]int64, 5)) // stats and compute
 	junk.Int(0)                    // no sinks
 	junk.Int(0)                    // no replacements
 	junk.Int(1)                    // one output of one piece

@@ -182,7 +182,7 @@ func (m *stageReq) get(d *wire.Dec) {
 // output's pieces.
 func (m *stageResp) put(e *wire.Enc) {
 	s := &m.stats
-	for _, v := range []int64{s.Lookups, s.Scans, s.Emits, s.IndexOps, s.KernelFolds, m.compute.Nanoseconds()} {
+	for _, v := range []int64{s.Lookups, s.Scans, s.Emits, s.IndexOps, m.compute.Nanoseconds()} {
 		e.Varint(v)
 	}
 	wire.PutMap(e, m.sinks, func(e *wire.Enc, r rows) { e.Bytes(encodeRows(r, nil)) })
@@ -203,7 +203,7 @@ func (m *stageResp) put(e *wire.Enc) {
 func (m *stageResp) get(d *wire.Dec) {
 	s := &m.stats
 	var ns int64
-	for _, v := range []*int64{&s.Lookups, &s.Scans, &s.Emits, &s.IndexOps, &s.KernelFolds, &ns} {
+	for _, v := range []*int64{&s.Lookups, &s.Scans, &s.Emits, &s.IndexOps, &ns} {
 		*v = d.Varint()
 	}
 	m.compute = time.Duration(ns)

@@ -108,10 +108,10 @@ func (rw *remoteWorker) stage(req *stageReq) (stageResp, error) {
 	return resp, nil
 }
 
-// pack encodes a fragment once — columnar when its mirror allows, so it
-// lands columnar on the worker exactly as in process.
+// pack encodes a fragment once — columnar when every column is
+// kind-pure, in row form otherwise.
 func (rw *remoteWorker) pack(r *mring.Relation) rows {
-	return &shipped{raw: inet.EncodePayload(r, fragmentBatch(r))}
+	return &shipped{raw: inet.EncodeRelationPlain(r)}
 }
 
 func (rw *remoteWorker) fetch(name string, schema mring.Schema) (rows, error) {

@@ -51,7 +51,7 @@ func q3WorkerBlocks(t testing.TB) []*block {
 // served stage but its fragments: one driver session deploys each Q3
 // worker block once, then serves many stage requests that name the
 // blocks by id, and the worker's live heap must not grow with the number
-// of requests. Decoded trees and their kernel plans live in the shard's
+// of requests. Decoded trees and their prepared plans live in the shard's
 // block table, built once per deploy; anything a stage kept beyond that
 // would grow with the requests.
 func TestServedStagesRetainNothing(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/mring"
-	"repro/internal/pool"
 )
 
 // worker is one worker node as the driver sees it. Its methods work on
@@ -458,27 +457,15 @@ func (sh *Shard) restore(frags map[string]Frag) error {
 
 func (sh *Shard) close() error { return nil }
 
-// installFragment fills the just-cleared dst with a shipped fragment.
-// When the fragment has a columnar form — an in-process relation's
-// mirror, or a columnar wire payload — the rows merge straight from the
-// batch and the batch becomes dst's mirror (the receiver keeps the
-// fragment columnar); otherwise the rows merge one by one. Either way
-// rows land in the fragment's order, so dst's storage is bitwise
-// independent of which path ran.
+// installFragment fills the just-cleared dst with a shipped fragment: a
+// decoded columnar payload merges straight from its batch, anything else
+// (an in-process relation, a row payload) row by row. Either way rows
+// land in the fragment's order, so dst's storage is bitwise independent
+// of how the fragment travelled.
 func installFragment(dst *mring.Relation, src rows) {
-	var batch *pool.ColBatch
-	switch s := src.(type) {
-	case *mring.Relation:
-		batch = fragmentBatch(s)
-	case *shipped:
-		batch = s.Batch
-	}
-	if batch == nil {
-		src.Foreach(dst.Add)
+	if s, ok := src.(*shipped); ok && s.Batch != nil {
+		s.Batch.MergeInto(dst)
 		return
 	}
-	batch.MergeInto(dst)
-	if dst.Len() == batch.Len() {
-		pool.AttachMirror(dst, batch)
-	}
+	src.Foreach(dst.Add)
 }

@@ -53,9 +53,8 @@ func executedTrees(p *Program) []expr.Expr {
 	return es
 }
 
-// preparePlans lowers the program's executed trees and derives what the
-// compiler reports from them: the secondary indexes and the kernel
-// statements.
+// preparePlans lowers the program's executed trees and derives from them
+// the secondary indexes the program reports.
 func preparePlans(p *Program) error {
 	plans, err := eval.Prepare(executedTrees(p)...)
 	if err != nil {
@@ -63,7 +62,6 @@ func preparePlans(p *Program) error {
 	}
 	p.plans = plans
 	p.Indexes = collectIndexSpecs(p)
-	p.Kernels = collectKernelStmts(p)
 	return nil
 }
 

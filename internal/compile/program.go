@@ -99,11 +99,6 @@ type Program struct {
 	// Indexes lists the secondary indexes the program's slice access
 	// paths probe (see accesspath.go); executors register them up front.
 	Indexes []IndexSpec
-	// Kernels lists the statements the evaluator's vectorized columnar
-	// path covers (see kernels.go); informational for executors, asserted
-	// by tests so coverage of the pre-aggregation stages cannot silently
-	// regress.
-	Kernels []KernelStmt
 	// Opts records the compilation options.
 	Opts Options
 	// plans holds the prepared plans of the trees an executor runs

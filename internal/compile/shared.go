@@ -164,7 +164,7 @@ func (sc *SharedCompiler) SharedViews() int { return len(sc.vorder) }
 
 // Program finalizes the shared maintenance program: merged triggers are
 // re-ordered under the cross-program read-before-refresh constraints,
-// and the access-path and kernel analyses run over the merged whole.
+// and the access-path analysis runs over the merged whole.
 func (sc *SharedCompiler) Program() (*Program, error) {
 	if len(sc.order) == 0 {
 		return nil, fmt.Errorf("compile: shared program has no registered views")

@@ -17,8 +17,8 @@
 //     so per-update maintenance is constant time and nothing is ever
 //     rebuilt or invalidated between batches.
 //
-// Variables live in slot-indexed frames, value terms read slots, and
-// covered aggregates fold through the columnar kernels (kernel.go).
+// Variables live in slot-indexed frames and value terms read slots; every
+// aggregate folds its body tuple at a time into a hash-native group table.
 package eval
 
 import (
@@ -81,8 +81,6 @@ type Stats struct {
 	Scans    int64 // tuples visited by foreach/slice
 	Emits    int64 // tuples produced
 	IndexOps int64 // secondary-index builds (first registration only)
-	// KernelFolds counts aggregate folds served by the columnar kernels.
-	KernelFolds int64
 }
 
 // Add accumulates other into s.
@@ -91,7 +89,6 @@ func (s *Stats) Add(o Stats) {
 	s.Scans += o.Scans
 	s.Emits += o.Emits
 	s.IndexOps += o.IndexOps
-	s.KernelFolds += o.KernelFolds
 }
 
 // Ctx is one evaluation context: the environment the plans it runs

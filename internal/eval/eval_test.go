@@ -449,7 +449,7 @@ func TestRepeatedColumnIsSelfEquality(t *testing.T) {
 	} {
 		for name, got := range map[string]*mring.Relation{
 			"prepared":  NewCtx(env).Materialize(c.q),
-			"reference": NewReference(env, true, c.q).Materialize(c.q),
+			"reference": NewReference(env).Materialize(c.q),
 		} {
 			if got.Len() != len(c.want) {
 				t.Fatalf("%s %s: %v, want %v", c.path, name, got, c.want)

@@ -19,9 +19,7 @@ import (
 //     bound positions, or foreach (none bound); its free columns are
 //     written into slots, and a variable repeated among them binds at its
 //     first occurrence and is compared at the later ones;
-//   - every value term (Val, Cmp, Assign) reads slots, not a lookup;
-//   - a covered aggregate reached with nothing bound carries its kernel
-//     plan (kernel.go) beside its row sub-plan.
+//   - every value term (Val, Cmp, Assign) reads slots, not a lookup.
 //
 // The lowered nodes are wired in continuation-passing style: each node
 // emits into a continuation fixed at lowering, so evaluation allocates no
@@ -100,15 +98,6 @@ func (p *Plan) Rels() []string { return p.rels }
 // in tree order.
 func (p *Plan) Accesses() []Access { return p.access }
 
-// Kernel reports whether the tree is an aggregate the columnar kernels
-// cover, and the environment name of the relation its kernel scans.
-func (p *Plan) Kernel() (string, bool) {
-	if a := p.root.agg; a != nil && a.kernel != nil {
-		return a.kernel.env, true
-	}
-	return "", false
-}
-
 // Static binding state at one point of a tree, per slot.
 const (
 	unbound uint8 = iota
@@ -139,15 +128,6 @@ func (s state) with(slots ...int) state {
 		out[i] = bound
 	}
 	return out
-}
-
-func (s state) empty() bool {
-	for _, b := range s {
-		if b != unbound {
-			return false
-		}
-	}
-	return true
 }
 
 // merge is the state after a union: bound where every term left the slot
@@ -382,11 +362,6 @@ func (l *lowerer) lowerAgg(a *expr.Agg, in state, k sink) (*aggNode, state) {
 		n.gb[i] = l.read(out, col)
 		if !l.isBound(in, n.gb[i], col) {
 			n.free = append(n.free, i)
-		}
-	}
-	if in.empty() {
-		if kp := analyzeAgg(a); kp != nil {
-			n.kernel, n.krel = kp, l.rel(kp.env)
 		}
 	}
 	return n, in.with(n.gb...)
@@ -686,10 +661,9 @@ func (n *sliceNode) match(c *Ctx, t mring.Tuple, m float64) {
 	n.k.emit(c, m)
 }
 
-// aggNode is Sum_[gb](body): the body folds into a group table (through
-// the kernel when one is attached and the run time allows), and each live
-// group is emitted in first-insertion order with its group-by columns in
-// their slots. Its cell holds the table while the body runs.
+// aggNode is Sum_[gb](body): the body folds into a group table, and each
+// live group is emitted in first-insertion order with its group-by
+// columns in their slots. Its cell holds the table while the body runs.
 type aggNode struct {
 	body   node
 	schema mring.Schema
@@ -697,8 +671,6 @@ type aggNode struct {
 	free   []int // group-by positions unbound where the node is reached
 	cell   int
 	key    int
-	kernel *kernelPlan
-	krel   int
 	k      sink
 }
 
@@ -706,9 +678,6 @@ func (n *aggNode) groups(c *Ctx) *mring.GroupTable {
 	gt := mring.NewGroupTable(n.schema)
 	if c.groupHash != nil {
 		gt.SetHashFnForTest(c.groupHash)
-	}
-	if n.kernel != nil && c.foldKernel(n, gt) {
-		return gt
 	}
 	c.cells[n.cell].gt = gt
 	n.body.run(c)

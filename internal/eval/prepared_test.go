@@ -205,7 +205,7 @@ func newHarness(t *testing.T, trees []expr.Expr, setup func(*eval.Env)) *harness
 				tracer: func(f func(string, uint64)) { ctx.Tracer = f },
 				groups: ctx.MaterializeGroups, rel: ctx.Materialize}
 		} else {
-			rc := eval.NewReference(env, true, trees...)
+			rc := eval.NewReference(env)
 			h.sides[i] = side{env: env, plans: plans, stats: &rc.Stats,
 				tracer: func(f func(string, uint64)) { rc.Tracer = f },
 				groups: rc.MaterializeGroups, rel: rc.Materialize}

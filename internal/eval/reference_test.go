@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/mring"
-	"repro/internal/pool"
 )
 
 // This file keeps the map-binding interpreter the prepared plans
@@ -15,7 +14,7 @@ import (
 // from the interpreter as it ran is the repeated-column fix: a variable
 // that occurs twice among a term's free columns binds at its first
 // occurrence and compares (by key identity, as get and slice probes
-// match) at later ones. TestPreparedMatchesReference and the kernel
+// match) at later ones. TestPreparedMatchesReference and the scan-fold
 // parity tests hold the prepared evaluator to it bit for bit.
 
 // Reference is one reference evaluation context.
@@ -23,33 +22,12 @@ type Reference struct {
 	Env   *Env
 	Stats Stats
 	// Tracer, when non-nil, observes every relation memory touch.
-	Tracer func(rel string, tupleHash uint64)
-	// kernels holds the covered aggregates of the trees evaluated, nil
-	// for the row path only.
-	kernels   map[*expr.Agg]*kernelPlan
+	Tracer    func(rel string, tupleHash uint64)
 	groupHash func(mring.Tuple) uint64
 }
 
-// NewReference returns a reference context over env. With kernels, the
-// covered aggregates of es fold through the columnar kernels whenever
-// the evaluator's plans would; without, everything takes the row path.
-func NewReference(env *Env, kernels bool, es ...expr.Expr) *Reference {
-	c := &Reference{Env: env}
-	if kernels {
-		c.kernels = map[*expr.Agg]*kernelPlan{}
-		for _, e := range es {
-			expr.Walk(e, func(n expr.Expr) bool {
-				if a, ok := n.(*expr.Agg); ok {
-					if p := analyzeAgg(a); p != nil {
-						c.kernels[a] = p
-					}
-				}
-				return true
-			})
-		}
-	}
-	return c
-}
+// NewReference returns a reference context over env.
+func NewReference(env *Env) *Reference { return &Reference{Env: env} }
 
 // bindFree binds the free columns of r to t's values, first occurrence
 // first; a later occurrence of an already-bound variable is an equality
@@ -290,9 +268,6 @@ func (c *Reference) aggGroups(a *expr.Agg, b *refBinding) *mring.GroupTable {
 	if c.groupHash != nil {
 		gt.SetHashFnForTest(c.groupHash)
 	}
-	if c.tryKernelAgg(a, b, gt) {
-		return gt
-	}
 	key := make(mring.Tuple, len(a.GroupBy))
 	c.eval(a.Body, b, func(m float64) {
 		for i, col := range a.GroupBy {
@@ -500,30 +475,6 @@ func (c *Reference) MaterializeGroups(a *expr.Agg) *mring.GroupTable {
 	gt := c.aggGroups(a, newRefBinding())
 	c.Stats.Emits += int64(gt.Len())
 	return gt
-}
-
-// tryKernelAgg attempts the vectorized fold of a into gt, returning false
-// when the context's plan table does not cover a, or the runtime relation
-// or the context state is not covered — the caller then runs the row-wise
-// path. It requires an empty outer binding (correlated aggregates rebind
-// per outer row) and no tracer (the kernels never materialize per-row
-// tuples to hash for it).
-func (c *Reference) tryKernelAgg(a *expr.Agg, b *refBinding, gt *mring.GroupTable) bool {
-	plan := c.kernels[a]
-	if plan == nil || c.Tracer != nil || len(b.vals) != 0 {
-		return false
-	}
-	rel := c.Env.Rel(plan.env)
-	if rel == nil || rel.Len() < kernelMinRows || len(rel.Schema()) != len(plan.cols) {
-		return false
-	}
-	batch := pool.MirrorOf(rel)
-	if batch == nil {
-		return false
-	}
-	foldBatch(&c.Stats, plan, batch, gt)
-	c.Stats.KernelFolds++
-	return true
 }
 
 // FoldStmt evaluates rhs with no outer bindings and folds it into target

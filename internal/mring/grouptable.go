@@ -136,16 +136,6 @@ func (g *GroupTable) Add(key Tuple, v float64) {
 	g.addHashed(g.hash(key), key, v)
 }
 
-// AddPrehashed accumulates v under a caller-computed hash, which must
-// equal key.Hash() (columnar kernels hash column-wise and feed rows here).
-// A test hash override takes precedence over h.
-func (g *GroupTable) AddPrehashed(h uint64, key Tuple, v float64) {
-	if g.hashFn != nil {
-		h = g.hashFn(key)
-	}
-	g.addHashed(h, key, v)
-}
-
 // Get returns the accumulated value of the group keyed by key (zero when
 // absent or canceled).
 func (g *GroupTable) Get(key Tuple) float64 {

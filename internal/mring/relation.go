@@ -111,13 +111,6 @@ type Relation struct {
 	// hashFn overrides tuple hashing in tests (forcing collisions); nil
 	// means Tuple.Hash. Set it before the first insert.
 	hashFn func(Tuple) uint64
-	// version counts content mutations (insert, remove, in-place Set,
-	// Clear). Derived structures snapshot it to detect staleness.
-	version uint64
-	// scratch is an attachment point for derived state tied to this
-	// relation's lifetime (the columnar mirror of internal/pool). It is
-	// opaque to mring and validated by the owner against Version().
-	scratch any
 }
 
 // NewRelation returns an empty relation with the given schema.
@@ -148,19 +141,6 @@ func (r *Relation) grow() {
 
 // Schema returns the relation's column names. Callers must not mutate it.
 func (r *Relation) Schema() Schema { return r.schema }
-
-// Version returns the content mutation counter. It changes whenever a
-// tuple is inserted, removed, replaced in place, or the relation is
-// cleared, so derived read-only structures (columnar mirrors) can verify
-// they still reflect the contents without comparing them.
-func (r *Relation) Version() uint64 { return r.version }
-
-// SetScratch attaches owner-defined derived state to the relation.
-// mring never reads it; Clone does not copy it.
-func (r *Relation) SetScratch(v any) { r.scratch = v }
-
-// Scratch returns the attachment set by SetScratch (nil if none).
-func (r *Relation) Scratch() any { return r.scratch }
 
 // Len returns the number of tuples with non-zero multiplicity.
 func (r *Relation) Len() int { return r.n }
@@ -226,7 +206,6 @@ func (r *Relation) insertHashed(h uint64, t Tuple, m float64) {
 	e := &entry{t: t, m: m, h: h, next: r.tab[i]}
 	r.tab[i] = e
 	r.n++
-	r.version++
 	for _, ix := range r.idxs {
 		ix.insert(e)
 	}
@@ -248,7 +227,6 @@ func (r *Relation) removeHashed(target *entry) {
 		}
 		e.next = nil
 		r.n--
-		r.version++
 		for _, ix := range r.idxs {
 			ix.remove(e)
 		}
@@ -277,7 +255,6 @@ func (r *Relation) addHashed(h uint64, t Tuple, m float64) {
 		for e := r.tab[h&r.mask]; e != nil; e = e.next {
 			if e.h == h && e.t.KeyEqual(t) {
 				e.m += m
-				r.version++
 				if e.m > -Eps && e.m < Eps {
 					r.removeHashed(e)
 				}
@@ -312,7 +289,6 @@ func (r *Relation) Set(t Tuple, m float64) {
 		// primary and index bucket positions stay valid.
 		e.t = t.Clone()
 		e.m = m
-		r.version++
 		return
 	}
 	r.insertHashed(h, t.Clone(), m)
@@ -368,7 +344,6 @@ func (r *Relation) Clone() *Relation {
 func (r *Relation) Clear() {
 	clear(r.tab)
 	r.n = 0
-	r.version++
 	for _, ix := range r.idxs {
 		clear(ix.m)
 	}

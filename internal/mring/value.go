@@ -296,25 +296,6 @@ func hashFinish(h uint64) uint64 {
 	return h
 }
 
-// HashInit, HashInt64, HashFloat64, HashStr, and HashFinish expose the
-// tuple hash as a streaming kernel: fold one column value at a time into
-// the running state, then finalize. Columnar code hashes a batch
-// column-wise with them — one pass per column over contiguous arrays —
-// and the result equals the row-wise Hash/HashCols of the same values.
-func HashInit() uint64 { return hashSeed }
-
-// HashInt64 folds an integer column value into the running state.
-func HashInt64(h uint64, i int64) uint64 { return hashValue(h, Value{K: KInt, I: i}) }
-
-// HashFloat64 folds a float column value into the running state.
-func HashFloat64(h uint64, f float64) uint64 { return hashValue(h, Value{K: KFloat, F: f}) }
-
-// HashStr folds a string column value into the running state.
-func HashStr(h uint64, s string) uint64 { return hashValue(h, Value{K: KString, S: s}) }
-
-// HashFinish finalizes a streaming hash state.
-func HashFinish(h uint64) uint64 { return hashFinish(h) }
-
 // Hash returns a 64-bit hash of the tuple consistent with Equal. It never
 // allocates.
 func (t Tuple) Hash() uint64 {

@@ -36,8 +36,7 @@ const maxPayloadCols = 1 << 12
 type Payload struct {
 	Schema mring.Schema
 	// Batch is the decoded columnar batch for columnar payloads, nil for
-	// row-format payloads. Receivers that keep fragments columnar attach
-	// it as the rebuilt relation's mirror.
+	// row-format payloads.
 	Batch *pool.ColBatch
 
 	rows  []mring.Tuple
@@ -83,8 +82,7 @@ func EncodePayload(r *mring.Relation, batch *pool.ColBatch) []byte {
 
 // EncodeRelationPlain serializes r losslessly in its Foreach order,
 // through the columnar form when the contents are single-kind per column
-// and the row format otherwise. Use it for payloads whose receiver
-// replays rows without attaching a mirror.
+// and the row format otherwise.
 func EncodeRelationPlain(r *mring.Relation) []byte {
 	if r == nil || r.Len() == 0 {
 		return nil

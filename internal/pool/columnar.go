@@ -1,9 +1,8 @@
-// Package pool implements the columnar data layouts of Sec. 5.2.2:
-// typed column-per-attribute batches, their compact wire encoding and the
-// row/column transformers used for serialization, the vectorized filter,
-// hash and fold kernels the evaluator's columnar path runs, and the
-// version-cached columnar mirrors relations carry for those kernels.
-// Materialized views themselves live in mring.Relation.
+// Package pool implements the columnar data layout of Sec. 5.2.2 as a
+// wire format: typed column-per-attribute batches, their compact
+// encoding, and the row/column transformers used for serialization.
+// Materialized views themselves live in mring.Relation, and every
+// statement evaluates over them tuple at a time.
 package pool
 
 import (
@@ -57,9 +56,8 @@ func (c *Column) value(i int) mring.Value {
 }
 
 // ColBatch is a column-oriented batch of (tuple, multiplicity) pairs —
-// the layout used for input batches and serialized shuffle payloads
-// (Sec. 5.2.2): filtering simple static conditions over one column at a
-// time touches contiguous memory.
+// the layout of serialized shuffle payloads (Sec. 5.2.2): each column
+// encodes as one typed array, with no per-value kind tag.
 type ColBatch struct {
 	Schema mring.Schema
 	Cols   []Column
@@ -130,35 +128,41 @@ func (b *ColBatch) Foreach(f func(t mring.Tuple, m float64)) {
 	}
 }
 
-// GroupHashes computes the canonical key hash of every row's projection
-// onto the column positions pos — the column-wise group-hash kernel: each
-// column folds into all row hash states in one pass over its contiguous
-// value array, so scan-heavy pre-aggregation touches memory columnar
-// instead of materializing row tuples. The result matches the row-wise
-// mring.Tuple.HashCols of the same values exactly.
-func (b *ColBatch) GroupHashes(pos []int) []uint64 {
-	return b.HashSel(pos, nil)
-}
-
-// GroupSum pre-aggregates the batch into a hash-native group table over
-// cols: row hashes come from the columnar kernel, and each row feeds the
-// table pre-hashed through a reused key buffer (cloned only when a group
-// is new). Multiplicities accumulate in row order with the data model's
-// in-table zero cancellation. Wire-batch decode (ToRelation, reached
-// from checkpoint restore) runs through it; columnar worker state
-// (ROADMAP) would put it on scan-heavy pre-aggregation stages.
-func (b *ColBatch) GroupSum(cols []string) *mring.GroupTable {
-	pos := b.Schema.Positions(cols)
-	hs := b.GroupHashes(pos)
-	gt := mring.NewGroupTable(mring.Schema(cols))
-	key := make(mring.Tuple, len(pos))
-	for i, m := range b.Mults {
-		for j, p := range pos {
-			key[j] = b.Cols[p].value(i)
+// TryFromRelation is the strict columnar conversion: it succeeds only
+// when every column holds one value kind throughout, so the batch
+// round-trips losslessly (the requirement for shipping real bytes).
+// Unlike FromRelation, which coerces mixed columns to the first tuple's
+// kinds, a mismatch reports ok=false.
+func TryFromRelation(r *mring.Relation) (*ColBatch, bool) {
+	var kinds []mring.Kind
+	ok := true
+	r.Foreach(func(t mring.Tuple, _ float64) {
+		if !ok {
+			return
 		}
-		gt.AddPrehashed(hs[i], key, m)
+		if kinds == nil {
+			kinds = make([]mring.Kind, len(t))
+			for i, v := range t {
+				kinds[i] = v.K
+			}
+		}
+		for i, v := range t {
+			if v.K != kinds[i] {
+				ok = false
+				return
+			}
+		}
+	})
+	if !ok {
+		return nil, false
 	}
-	return gt
+	if kinds == nil {
+		kinds = make([]mring.Kind, len(r.Schema()))
+	}
+	b := NewColBatch(r.Schema(), kinds)
+	b.reserve(r.Len())
+	r.Foreach(func(t mring.Tuple, m float64) { b.Append(t, m) })
+	return b, true
 }
 
 // FromRelation converts row-format contents to columnar form. Column
@@ -178,14 +182,6 @@ func FromRelation(r *mring.Relation) *ColBatch {
 	b := NewColBatch(r.Schema(), kinds)
 	r.Foreach(func(t mring.Tuple, m float64) { b.Append(t, m) })
 	return b
-}
-
-// ToRelation converts back to row format, merging duplicate tuples. The
-// shuffle-decode hot path runs through the columnar group kernel: rows are
-// hashed column-wise and the group table converts into the relation with
-// its stored hashes, never re-hashing tuple-at-a-time.
-func (b *ColBatch) ToRelation() *mring.Relation {
-	return b.GroupSum(b.Schema).ToRelation()
 }
 
 // Encode serializes the batch into a compact binary columnar layout. The

@@ -1,6 +1,8 @@
 package pool
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -55,8 +57,8 @@ func TestColBatchRelationConversions(t *testing.T) {
 	r := mring.NewRelation(mring.Schema{"a", "b"})
 	r.Add(tup(1, 2), 3)
 	r.Add(tup(4, 5), -1)
-	b := FromRelation(r)
-	back := b.ToRelation()
+	back := mring.NewRelation(r.Schema())
+	FromRelation(r).MergeInto(back)
 	if !back.Equal(r) {
 		t.Fatalf("round trip: %v vs %v", back, r)
 	}
@@ -75,9 +77,87 @@ func TestQuickColBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return dec.ToRelation().Equal(r)
+		back := mring.NewRelation(dec.Schema)
+		dec.MergeInto(back)
+		return back.Equal(r)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMirrorColumnsArePresized pins that TryFromRelation, the strict
+// conversion every columnar payload is encoded from, sizes every column
+// and the multiplicities to the relation's row count before filling
+// them: the allocations of one conversion do not grow with the rows, and
+// the batch encodes exactly as one grown row by row does.
+func TestMirrorColumnsArePresized(t *testing.T) {
+	schema := mring.Schema{"i", "f", "s"}
+	fill := func(n int) *mring.Relation {
+		r := mring.NewRelation(schema)
+		for i := 0; i < n; i++ {
+			r.Add(mring.Tuple{mring.Int(int64(i)), mring.Float(float64(i) / 4), mring.Str("s")}, float64(i%3+1))
+		}
+		return r
+	}
+	allocs := func(r *mring.Relation) float64 {
+		return testing.AllocsPerRun(5, func() { TryFromRelation(r) })
+	}
+	small, large := fill(16), fill(4096)
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Fatalf("conversion allocates %v times for 16 rows, %v for 4096", a, b)
+	}
+	got, ok := TryFromRelation(large)
+	if !ok {
+		t.Fatal("no batch for a fixed-kind relation")
+	}
+	grown := NewColBatch(schema, []mring.Kind{mring.KInt, mring.KFloat, mring.KString})
+	large.Foreach(func(tp mring.Tuple, m float64) { grown.Append(tp, m) })
+	if string(got.Encode()) != string(grown.Encode()) {
+		t.Fatal("presized batch encodes differently from a grown one")
+	}
+}
+
+// randomGroupBatch builds a batch over (int, string, float) columns with
+// a small value domain so rows repeat, plus NaN and >2^53 edge values.
+func randomGroupBatch(rng *rand.Rand, rows int) *ColBatch {
+	schema := mring.Schema{"k", "name", "v"}
+	kinds := []mring.Kind{mring.KInt, mring.KString, mring.KFloat}
+	b := NewColBatch(schema, kinds)
+	for i := 0; i < rows; i++ {
+		k := int64(rng.Intn(6))
+		if rng.Intn(16) == 0 {
+			k = (int64(1) << 53) + int64(rng.Intn(2))
+		}
+		v := float64(rng.Intn(4))
+		if rng.Intn(16) == 0 {
+			v = math.NaN()
+		}
+		b.Append(mring.Tuple{
+			mring.Int(k),
+			mring.Str(fmt.Sprintf("g%d", rng.Intn(3))),
+			mring.Float(v),
+		}, float64(rng.Intn(5)-2))
+	}
+	return b
+}
+
+// TestToRelationColumnarMatchesRowPath guards the decode path: a batch
+// with repeated rows and NaN and >2^53 values, shipped through Encode and
+// Decode and merged by MergeInto (which replaced ToRelation), must equal
+// the relation a row-by-row Add of the batch builds.
+func TestToRelationColumnarMatchesRowPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	b := randomGroupBatch(rng, 250)
+	want := mring.NewRelation(b.Schema)
+	b.Foreach(func(tp mring.Tuple, m float64) { want.Add(tp.Clone(), m) })
+	dec, err := Decode(b.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := mring.NewRelation(dec.Schema)
+	dec.MergeInto(got)
+	if !got.Equal(want) {
+		t.Fatalf("decoded MergeInto diverges:\n got %v\nwant %v", got, want)
 	}
 }

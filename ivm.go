@@ -193,22 +193,10 @@ func (b *Batch) arityCheck(t Tuple) error {
 
 // Insert adds one insertion. Tuples whose arity mismatches the batch
 // schema are rejected with an error.
-func (b *Batch) Insert(t Tuple) error {
-	if err := b.arityCheck(t); err != nil {
-		return err
-	}
-	b.rel.Add(t, 1)
-	return nil
-}
+func (b *Batch) Insert(t Tuple) error { return b.Change(t, 1) }
 
 // Delete adds one deletion (arity-checked like Insert).
-func (b *Batch) Delete(t Tuple) error {
-	if err := b.arityCheck(t); err != nil {
-		return err
-	}
-	b.rel.Add(t, -1)
-	return nil
-}
+func (b *Batch) Delete(t Tuple) error { return b.Change(t, -1) }
 
 // Change adds a tuple with an explicit multiplicity delta (arity-checked
 // like Insert).
@@ -216,7 +204,27 @@ func (b *Batch) Change(t Tuple, delta float64) error {
 	if err := b.arityCheck(t); err != nil {
 		return err
 	}
+	if err := finiteChange(b.rel, t, delta); err != nil {
+		return err
+	}
 	b.rel.Add(t, delta)
+	return nil
+}
+
+// finiteChange refuses a delta that would leave t's multiplicity in rel
+// NaN or infinite: such a value poisons every view it folds into, and
+// no later change can bring it back. A finite delta below half an ulp of
+// MaxFloat64 cannot carry a finite multiplicity past it, so only a
+// larger one looks up the multiplicity it adds to.
+func finiteChange(rel *mring.Relation, t Tuple, delta float64) error {
+	if math.IsNaN(delta) || math.IsInf(delta, 0) {
+		return fmt.Errorf("ivm: multiplicity delta %v for tuple %v is not finite", delta, t)
+	}
+	if math.Abs(delta) >= 0x1p970 {
+		if sum := rel.Get(t) + delta; math.IsInf(sum, 0) {
+			return fmt.Errorf("ivm: multiplicity of tuple %v would overflow to %v", t, sum)
+		}
+	}
 	return nil
 }
 

@@ -3,17 +3,19 @@ package ivm
 import (
 	"testing"
 
+	"repro/internal/mring"
 	"repro/internal/tpch"
 )
 
-// TestKernelFoldsOnEveryBackend pins the kernel-plan wiring of every
-// backend: a Q1 stream's pre-aggregation is a covered single-scan
-// aggregate, so each backend must report columnar kernel folds in its
-// merged stats — the local executor from its program's plan table, the
-// simulated and the process cluster from the plan tables lowered once per
-// block (the process cluster's workers lower theirs at deploy, and their
-// folds arrive in the stage responses).
-// The goldens compare results only, which the row path would also pass.
+// TestKernelFoldsOnEveryBackend pins the plan wiring of every backend on
+// a Q1 stream, whose pre-aggregation is the single-scan aggregate a
+// columnar kernel once folded (the test keeps that kernel-era name). Each
+// backend must fold it through its prepared row plans to the rebuild
+// oracle's result and report the folds' scans in its merged stats — the
+// local executor from its program's plan table, the simulated and the
+// process cluster from the plan tables lowered once per block (the
+// process cluster's workers lower theirs at deploy, and their counts
+// arrive in the stage responses).
 func TestKernelFoldsOnEveryBackend(t *testing.T) {
 	q, err := tpch.QueryByName("Q1")
 	if err != nil {
@@ -36,16 +38,28 @@ func TestKernelFoldsOnEveryBackend(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
+			accum := map[string]*mring.Relation{}
+			for _, tbl := range q.Tables {
+				accum[tbl] = mring.NewRelation(tpch.Schemas[tbl])
+			}
 			stream := tpch.NewStream(tpch.NewGenerator(0.01, 5), q.Tables)
 			for i := 0; i < 4; i++ {
 				for _, b := range stream.NextBatches(250) {
 					if err := e.ApplyBatch(b.Table, &Batch{rel: b.Rel}); err != nil {
 						t.Fatal(err)
 					}
+					accum[b.Table].Merge(b.Rel)
 				}
 			}
-			if got := e.Stats().KernelFolds; got == 0 {
-				t.Fatal("no aggregate fold ran through the columnar kernels")
+			if got := e.Stats().Scans; got == 0 {
+				t.Fatal("no aggregate fold scanned a tuple")
+			}
+			got, want := e.Result().rel, rebuildOracle(q, accum)
+			if want.Len() == 0 {
+				t.Fatal("the stream left Q1 empty")
+			}
+			if !got.EqualApprox(want, 1e-6) {
+				t.Fatalf("diverges from the rebuild oracle\n got %v\nwant %v", got, want)
 			}
 		})
 	}

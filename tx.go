@@ -64,6 +64,15 @@ func (tx *Tx) Put(table string, b *Batch) error {
 			return fmt.Errorf("ivm: batch schema %v for table %q does not match the transaction's %v",
 				[]string(b.rel.Schema()), table, []string(have.rel.Schema()))
 		}
+		var err error
+		b.rel.Foreach(func(t Tuple, m float64) {
+			if err == nil {
+				err = finiteChange(have.rel, t, m)
+			}
+		})
+		if err != nil {
+			return err
+		}
 		have.rel.Merge(b.rel)
 		return nil
 	}
