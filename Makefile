@@ -33,10 +33,12 @@ lint:
 # behind every driver/worker op with deploy blobs included, checkpoints,
 # and both changefeed messages) must never panic on arbitrary bytes —
 # the checkpoint and changefeed decoders must also re-encode what they
-# accept to the same bytes — and tuples with equal canonical keys must
-# compare and hash equal.
+# accept to the same bytes — tuples with equal canonical keys must
+# compare and hash equal, and any sequence of relation and group-table
+# operations must match a plain-map model.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashColsKeyEqual$$' -fuzztime=30s ./internal/mring
+	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=30s ./internal/mring
 	$(GO) test -run='^$$' -fuzz='^FuzzColBatchDecode$$' -fuzztime=30s ./internal/pool
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameDecode$$' -fuzztime=30s ./internal/net
 	$(GO) test -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=30s ./internal/store

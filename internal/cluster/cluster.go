@@ -525,7 +525,8 @@ func (c *Cluster) RunPartitioned(prog *dist.DistProgram, partsOfBatch []*mring.R
 // RunPartitionedBatch deals a driver-resident batch round-robin over the
 // workers and processes it as RunPartitioned. Each worker rebuilds its
 // fragment from the rows in deal order, so the fragment's layout is the
-// same whichever kind of worker holds it.
+// same whichever kind of worker holds it. The dealt rows alias the
+// batch's storage, which nothing mutates until the run returns.
 func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
 	if err := c.ready(prog); err != nil {
 		return Metrics{}, err

@@ -18,6 +18,9 @@ type Executor struct {
 	// deltaIdx holds, per Δ-delta env name, the index masks the triggers
 	// slice update batches with; ApplyBatch registers them on each batch.
 	deltaIdx map[string][][]int
+	// deltas holds each triggered base relation's Δ env name, built once
+	// so applying a batch concatenates no strings.
+	deltas map[string]string
 	// ctx evaluates every trigger through the program's plans; its
 	// scratch is reused across statements and batches.
 	ctx *eval.Ctx
@@ -48,9 +51,13 @@ func NewExecutor(prog *Program) *Executor {
 		env:      env,
 		views:    make(map[string]*mring.Relation),
 		deltaIdx: make(map[string][][]int),
+		deltas:   make(map[string]string, len(prog.Triggers)),
 		ctx:      eval.NewCtx(env),
 	}
 	ex.ctx.Plans = prog.plans
+	for rel := range prog.Triggers {
+		ex.deltas[rel] = eval.DeltaName(rel)
+	}
 	for _, v := range prog.Views {
 		ex.views[v.Name] = ex.env.Define(v.Name, v.Schema)
 	}
@@ -157,7 +164,7 @@ func (ex *Executor) ApplyTxCapture(tx []TableBatch, sinks map[string]*mring.Rela
 }
 
 func (ex *Executor) applyBatch(trg *Trigger, rel string, batch *mring.Relation, sinks map[string]*mring.Relation) {
-	dn := eval.DeltaName(rel)
+	dn := ex.deltas[rel]
 	if ex.SingleTuple {
 		single := mring.NewRelation(batch.Schema())
 		for _, pos := range ex.deltaIdx[dn] {
@@ -177,7 +184,7 @@ func (ex *Executor) applyBatch(trg *Trigger, rel string, batch *mring.Relation, 
 }
 
 func (ex *Executor) runTrigger(trg *Trigger, rel string, batch *mring.Relation, sinks map[string]*mring.Relation) {
-	ex.env.Bind(eval.DeltaName(rel), batch)
+	ex.env.Bind(ex.deltas[rel], batch)
 	ctx := ex.ctx
 	ctx.Stats = eval.Stats{}
 	ctx.Tracer = ex.Tracer

@@ -120,6 +120,10 @@ type Ctx struct {
 	frame []mring.Value
 	keys  []mring.Value
 	cells []cell
+	// spare[a] holds released group tables of key arity a. Tables are
+	// taken in nested order, so each stack is no deeper than the nesting
+	// of aggregates of its arity, however many plans the context runs.
+	spare [][]*mring.GroupTable
 }
 
 // NewCtx returns a fresh evaluation context over env.
@@ -159,6 +163,33 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// table returns an empty group table for schema, reusing a released one
+// of the same key arity when there is one.
+func (c *Ctx) table(schema mring.Schema) *mring.GroupTable {
+	var gt *mring.GroupTable
+	if a := len(schema); a < len(c.spare) && len(c.spare[a]) > 0 {
+		s := c.spare[a]
+		gt, c.spare[a] = s[len(s)-1], s[:len(s)-1]
+		gt.Reset(schema)
+	} else {
+		gt = mring.NewGroupTable(schema)
+	}
+	if c.groupHash != nil {
+		gt.SetHashFnForTest(c.groupHash)
+	}
+	return gt
+}
+
+// release returns a table its consumer has finished folding; nothing may
+// read it afterwards.
+func (c *Ctx) release(gt *mring.GroupTable) {
+	a := len(gt.Schema())
+	for len(c.spare) <= a {
+		c.spare = append(c.spare, nil)
+	}
+	c.spare[a] = append(c.spare[a], gt)
+}
+
 // key returns the scratch key of n values at offset off.
 func (c *Ctx) key(off, n int) mring.Tuple { return c.keys[off : off+n : off+n] }
 
@@ -171,9 +202,9 @@ func (c *Ctx) Materialize(e expr.Expr) *mring.Relation {
 }
 
 // MaterializeGroups evaluates an aggregate with no outer bindings into a
-// hash-native group table. Executors fold the table straight into target
-// views (AppendTo/FillRelation), reusing its hashes instead of rebuilding
-// a scratch relation.
+// hash-native group table, which the caller owns. Executors fold the
+// table straight into target views (AppendTo/FillRelation), reusing its
+// hashes instead of rebuilding a scratch relation.
 func (c *Ctx) MaterializeGroups(a *expr.Agg) *mring.GroupTable {
 	p := c.plan(a)
 	c.begin(p)
@@ -247,6 +278,7 @@ func (c *Ctx) FoldStmt(target *mring.Relation, op AssignOp, rhs expr.Expr) {
 				gt.AppendTo(sink)
 			}
 		}
+		c.release(gt)
 	} else {
 		tmp := p.root.relation(c)
 		if op == OpSet {

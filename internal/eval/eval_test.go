@@ -462,3 +462,41 @@ func TestRepeatedColumnIsSelfEquality(t *testing.T) {
 		}
 	}
 }
+
+// TestSpareTablesBounded runs many distinct prepared plans through one
+// context, each nesting a grouped aggregate under another, and checks
+// what the context keeps: released group tables are reused, and the
+// spares stay bounded by the aggregates one plan nests, not by how many
+// plans have run.
+func TestSpareTablesBounded(t *testing.T) {
+	env := NewEnv()
+	fill(env, "R", mring.Schema{"A", "B"}, row(1, 1, 10), row(1, 2, 10), row(1, 3, 20))
+	fill(env, "S", mring.Schema{"B", "C"}, row(1, 10, 100), row(2, 20, 200))
+	ctx := NewCtx(env)
+	target := mring.NewRelation(mring.Schema{"B"})
+	const plans = 200
+	for i := 0; i < plans; i++ {
+		q := expr.Sum([]string{"B"}, expr.Join(
+			expr.Base("R", "A", "B"),
+			expr.Sum([]string{"B"}, expr.Base("S", "B", "C")),
+			expr.CmpE(expr.CLt, expr.V("A"), expr.LitI(int64(i%4)))))
+		ps, err := Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Plans = ps
+		ctx.FoldStmt(target, OpAdd, q)
+	}
+	// Plans with i%4 = 2 and 3 admit A = 1 (B = 10, inner sum 1) and A =
+	// 1, 2 (B = 10, twice); A = 3 never passes.
+	if got, want := target.Get(tup(10)), float64(plans/4*(1+2)); got != want {
+		t.Fatalf("B=10 accumulated %g, want %g", got, want)
+	}
+	spares := 0
+	for _, s := range ctx.spare {
+		spares += len(s)
+	}
+	if spares == 0 || spares > 2 {
+		t.Fatalf("after %d plans the context keeps %d spare tables, want 1 or 2 (one per nested aggregate)", plans, spares)
+	}
+}

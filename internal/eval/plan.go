@@ -663,7 +663,9 @@ func (n *sliceNode) match(c *Ctx, t mring.Tuple, m float64) {
 
 // aggNode is Sum_[gb](body): the body folds into a group table, and each
 // live group is emitted in first-insertion order with its group-by
-// columns in their slots. Its cell holds the table while the body runs.
+// columns in their slots. Its cell holds the table while the body runs;
+// the table comes from the context's spares, and whoever folds it
+// releases it.
 type aggNode struct {
 	body   node
 	schema mring.Schema
@@ -675,10 +677,7 @@ type aggNode struct {
 }
 
 func (n *aggNode) groups(c *Ctx) *mring.GroupTable {
-	gt := mring.NewGroupTable(n.schema)
-	if c.groupHash != nil {
-		gt.SetHashFnForTest(c.groupHash)
-	}
+	gt := c.table(n.schema)
 	c.cells[n.cell].gt = gt
 	n.body.run(c)
 	c.cells[n.cell].gt = nil
@@ -696,13 +695,15 @@ func (n *aggNode) emit(c *Ctx, m float64) {
 }
 
 func (n *aggNode) run(c *Ctx) {
-	n.groups(c).Foreach(func(t mring.Tuple, m float64) {
+	gt := n.groups(c)
+	gt.Foreach(func(t mring.Tuple, m float64) {
 		for _, i := range n.free {
 			c.frame[n.gb[i]] = t[i]
 		}
 		c.Stats.Emits++
 		n.k.emit(c, m)
 	})
+	c.release(gt)
 }
 
 // matNode evaluates a tree into a fresh relation: an aggregate through
@@ -721,7 +722,9 @@ func (n *matNode) relation(c *Ctx) *mring.Relation {
 	if n.agg != nil {
 		gt := n.agg.groups(c)
 		c.Stats.Emits += int64(gt.Len())
-		return gt.ToRelation()
+		out := gt.ToRelation()
+		c.release(gt)
+		return out
 	}
 	out := mring.NewRelation(n.schema)
 	c.cells[n.cell].out = out

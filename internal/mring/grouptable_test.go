@@ -9,11 +9,11 @@ import (
 // groupRef is the string-keyed model GroupTable must match: canonical-key
 // groups, in-table Eps cancellation, first-insertion iteration order.
 type groupRef struct {
-	vals  map[string]float64
-	keys  map[string]Tuple
-	order []string // every insertion, including ones later canceled
-	dead  []bool   // tombstones aligned with order
-	occ   map[string]int
+	vals     map[string]float64
+	keys     map[string]Tuple
+	inserted []string // every insertion, including ones later canceled
+	dead     []bool   // tombstones aligned with inserted
+	occ      map[string]int
 }
 
 func newGroupRef() *groupRef {
@@ -29,9 +29,9 @@ func (r *groupRef) add(key Tuple, v float64) {
 	if !ok {
 		r.vals[k] = v
 		r.keys[k] = key.Clone()
-		r.order = append(r.order, k)
+		r.inserted = append(r.inserted, k)
 		r.dead = append(r.dead, false)
-		r.occ[k] = len(r.order) - 1
+		r.occ[k] = len(r.inserted) - 1
 		return
 	}
 	cur += v
@@ -92,10 +92,10 @@ func runGroupTableProperty(t *testing.T, seed int64, hashFn func(Tuple) uint64) 
 	// the reference's live insertion sequence must line up key for key.
 	i := 0
 	gt.Foreach(func(key Tuple, _ float64) {
-		for i < len(ref.order) && ref.dead[i] {
+		for i < len(ref.inserted) && ref.dead[i] {
 			i++
 		}
-		if i >= len(ref.order) || ref.order[i] != key.Key() {
+		if i >= len(ref.inserted) || ref.inserted[i] != key.Key() {
 			t.Fatalf("iteration order diverges at %v", key)
 		}
 		i++

@@ -8,13 +8,13 @@ import "fmt"
 // and maintained incrementally on every Add/Set/Clear, so they are always
 // consistent with the primary storage — there is nothing to invalidate.
 //
-// Index buckets share the relation's entry nodes, so a pure multiplicity
+// Index buckets hold the relation's entry ids, so a pure multiplicity
 // change needs no index work at all; only insertions and deletions of
 // distinct tuples touch the buckets.
 type Index struct {
 	r   *Relation
 	pos []int
-	m   map[uint64][]*entry
+	m   map[uint64][]int32
 }
 
 // MaxIndexCol is the first column position a secondary index cannot
@@ -51,18 +51,17 @@ func (ix *Index) keyHash(t Tuple, pos []int) uint64 {
 	return t.HashCols(pos)
 }
 
-func (ix *Index) insert(e *entry) {
-	h := ix.keyHash(e.t, ix.pos)
-	ix.m[h] = append(ix.m[h], e)
+func (ix *Index) insert(id int32) {
+	h := ix.keyHash(ix.r.vals.at(id), ix.pos)
+	ix.m[h] = append(ix.m[h], id)
 }
 
-func (ix *Index) remove(e *entry) {
-	h := ix.keyHash(e.t, ix.pos)
+func (ix *Index) remove(id int32) {
+	h := ix.keyHash(ix.r.vals.at(id), ix.pos)
 	b := ix.m[h]
 	for i, x := range b {
-		if x == e {
+		if x == id {
 			b[i] = b[len(b)-1]
-			b[len(b)-1] = nil
 			b = b[:len(b)-1]
 			if len(b) == 0 {
 				delete(ix.m, h)
@@ -83,12 +82,8 @@ func (r *Relation) EnsureIndex(pos []int) (*Index, bool) {
 	if ix, ok := r.idxs[mask]; ok {
 		return ix, false
 	}
-	ix := &Index{r: r, pos: append([]int(nil), pos...), m: make(map[uint64][]*entry, r.n)}
-	for _, e := range r.tab {
-		for ; e != nil; e = e.next {
-			ix.insert(e)
-		}
-	}
+	ix := &Index{r: r, pos: append([]int(nil), pos...), m: make(map[uint64][]int32, r.n)}
+	r.each(func(id int32, _ entry) { ix.insert(id) })
 	if r.idxs == nil {
 		r.idxs = make(map[uint64]*Index)
 	}
@@ -97,8 +92,9 @@ func (r *Relation) EnsureIndex(pos []int) (*Index, bool) {
 }
 
 // Probe calls f for every tuple whose projection onto the index columns
-// equals probe (one value per index column, in ascending position order).
-// f must not mutate the relation.
+// equals probe (one value per index column, in ascending position order),
+// in the order the key's bucket holds them. f must not mutate the
+// relation; the tuple it receives aliases storage, as in Foreach.
 func (ix *Index) Probe(probe Tuple, f func(t Tuple, m float64)) {
 	var h uint64
 	if ix.r.hashFn != nil {
@@ -106,9 +102,9 @@ func (ix *Index) Probe(probe Tuple, f func(t Tuple, m float64)) {
 	} else {
 		h = probe.Hash()
 	}
-	for _, e := range ix.m[h] {
-		if e.t.EqualAt(ix.pos, probe) {
-			f(e.t, e.m)
+	for _, id := range ix.m[h] {
+		if t := ix.r.vals.at(id); t.EqualAt(ix.pos, probe) {
+			f(t, ix.r.ents[id].m)
 		}
 	}
 }

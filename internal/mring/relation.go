@@ -80,30 +80,35 @@ func (s Schema) Union(o Schema) Schema {
 	return out
 }
 
-// entry stores one unique tuple, its multiplicity, and its full 64-bit
-// hash (kept for cheap rehashing and as an equality pre-filter). Entries
-// are heap nodes shared between the primary hash table and any secondary
-// indexes, so a multiplicity update is visible everywhere without index
-// maintenance. next chains entries landing in the same bucket (nil in the
-// overwhelming common case).
+// entry is one slab slot: a unique tuple's multiplicity, its full 64-bit
+// hash (kept for cheap rehashing and as an equality pre-filter), and the
+// id of the next entry in its bucket chain. The tuple's values live in
+// the relation's arena under the same id. Entries hold no pointers, so
+// the collector never scans the slab, and secondary indexes share them
+// by id, so a multiplicity update is visible everywhere without index
+// maintenance.
 type entry struct {
-	t    Tuple
 	m    float64
 	h    uint64
-	next *entry
+	next int32
 }
 
 // Relation is a generalized multiset relation: a finite map from unique
-// tuples to non-zero multiplicities. Storage is hash-native: an
-// open-chained power-of-two bucket table keyed directly by the tuples'
-// 64-bit canonical hash, so lookups and inserts never materialize string
-// keys and never re-hash the key the way a built-in map would
-// (Tuple.EncodeKey remains only for the wire format). The zero value is
-// not ready to use; construct with NewRelation.
+// tuples to non-zero multiplicities. Storage is hash-native and owned by
+// the relation: an open-chained power-of-two bucket table keyed directly
+// by the tuples' 64-bit canonical hash, whose chains link entry ids in a
+// slab, with each tuple's values copied into a chunked arena. Lookups
+// and inserts never materialize string keys, never re-hash the key the
+// way a built-in map would (Tuple.EncodeKey remains only for the wire
+// format), and a stored tuple costs no allocation of its own. The zero
+// value is not ready to use; construct with NewRelation.
 type Relation struct {
 	schema Schema
-	tab    []*entry // power-of-two bucket array, nil until first insert
-	mask   uint64   // len(tab)-1
+	ents   []entry // slab; ents[0] is a sentinel, so id 0 ends a chain
+	vals   arena   // entry id -> tuple values
+	free   int32   // removed slots, chained through next; 0 when none
+	tab    []int32 // power-of-two bucket heads, nil until first insert
+	mask   uint64  // len(tab)-1
 	n      int
 	// idxs holds the registered secondary indexes, keyed by bound-column
 	// bitmask; they are maintained incrementally on every mutation.
@@ -115,7 +120,7 @@ type Relation struct {
 
 // NewRelation returns an empty relation with the given schema.
 func NewRelation(schema Schema) *Relation {
-	return &Relation{schema: schema.Clone()}
+	return &Relation{schema: schema.Clone(), vals: arena{arity: len(schema)}}
 }
 
 // grow doubles the bucket table (or creates it) and relinks every entry
@@ -125,15 +130,16 @@ func (r *Relation) grow() {
 	if len(r.tab) > 0 {
 		size = len(r.tab) * 2
 	}
-	ntab := make([]*entry, size)
+	ntab := make([]int32, size)
 	nmask := uint64(size - 1)
-	for _, e := range r.tab {
-		for e != nil {
+	for _, id := range r.tab {
+		for id != 0 {
+			e := &r.ents[id]
 			next := e.next
 			i := e.h & nmask
 			e.next = ntab[i]
-			ntab[i] = e
-			e = next
+			ntab[i] = id
+			id = next
 		}
 	}
 	r.tab, r.mask = ntab, nmask
@@ -170,7 +176,7 @@ func (r *Relation) Preseed(buckets int) {
 	if buckets < 8 || buckets&(buckets-1) != 0 {
 		panic(fmt.Sprintf("mring: Preseed size %d not a power of two >= 8", buckets))
 	}
-	r.tab = make([]*entry, buckets)
+	r.tab = make([]int32, buckets)
 	r.mask = uint64(buckets - 1)
 }
 
@@ -181,62 +187,61 @@ func (r *Relation) hash(t Tuple) uint64 {
 	return t.Hash()
 }
 
-// lookup returns the entry holding t, or nil.
-func (r *Relation) lookup(t Tuple) *entry {
+// find returns the id of the entry holding t under hash h, or 0.
+func (r *Relation) find(h uint64, t Tuple) int32 {
 	if r.tab == nil {
-		return nil
+		return 0
 	}
-	h := r.hash(t)
-	for e := r.tab[h&r.mask]; e != nil; e = e.next {
-		if e.h == h && e.t.KeyEqual(t) {
-			return e
+	for id := r.tab[h&r.mask]; id != 0; id = r.ents[id].next {
+		if r.ents[id].h == h && r.vals.at(id).KeyEqual(t) {
+			return id
 		}
 	}
-	return nil
+	return 0
 }
 
-// insertHashed adds a fresh entry for t (which must not be present) under
-// its precomputed hash. t is stored as-is; callers clone when the tuple
-// may be reused.
+// insertHashed copies t (which must not be present) into a fresh entry
+// under its precomputed hash, reusing a removed slot when there is one.
 func (r *Relation) insertHashed(h uint64, t Tuple, m float64) {
 	if r.n >= len(r.tab) { // covers the nil table: 0 >= 0
 		r.grow()
 	}
+	id := r.free
+	if id != 0 {
+		r.vals.put(id, t)
+		r.free = r.ents[id].next
+	} else {
+		if len(r.ents) == 0 {
+			r.ents = append(r.ents, entry{}) // the sentinel
+		}
+		id = int32(len(r.ents))
+		r.vals.put(id, t)
+		r.ents = append(r.ents, entry{})
+	}
 	i := h & r.mask
-	e := &entry{t: t, m: m, h: h, next: r.tab[i]}
-	r.tab[i] = e
+	r.ents[id] = entry{m: m, h: h, next: r.tab[i]}
+	r.tab[i] = id
 	r.n++
 	for _, ix := range r.idxs {
-		ix.insert(e)
+		ix.insert(id)
 	}
 }
 
-// removeHashed unlinks target from its bucket chain and from all
-// secondary indexes.
-func (r *Relation) removeHashed(target *entry) {
-	i := target.h & r.mask
-	var prev *entry
-	for e := r.tab[i]; e != nil; prev, e = e, e.next {
-		if e != target {
-			continue
-		}
-		if prev == nil {
-			r.tab[i] = e.next
-		} else {
-			prev.next = e.next
-		}
-		e.next = nil
-		r.n--
-		for _, ix := range r.idxs {
-			ix.remove(e)
-		}
-		return
+// remove unlinks entry id from its bucket chain and from all secondary
+// indexes, zeroes its values and puts its slot on the free list.
+func (r *Relation) remove(id int32) {
+	link := &r.tab[r.ents[id].h&r.mask]
+	for *link != id {
+		link = &r.ents[*link].next
 	}
-}
-
-// insert adds a fresh entry for t (which must not be present).
-func (r *Relation) insert(t Tuple, m float64) {
-	r.insertHashed(r.hash(t), t, m)
+	*link = r.ents[id].next
+	r.n--
+	for _, ix := range r.idxs {
+		ix.remove(id)
+	}
+	r.vals.zero(id)
+	r.ents[id] = entry{next: r.free}
+	r.free = id
 }
 
 // Add adds m to the multiplicity of tuple t, inserting or deleting as
@@ -251,79 +256,80 @@ func (r *Relation) addHashed(h uint64, t Tuple, m float64) {
 	if m == 0 {
 		return
 	}
-	if r.tab != nil {
-		for e := r.tab[h&r.mask]; e != nil; e = e.next {
-			if e.h == h && e.t.KeyEqual(t) {
-				e.m += m
-				if e.m > -Eps && e.m < Eps {
-					r.removeHashed(e)
-				}
-				return
-			}
-		}
-	}
-	r.insertHashed(h, t.Clone(), m)
-}
-
-// Set forces the multiplicity of t to m (removing the tuple when m is zero).
-func (r *Relation) Set(t Tuple, m float64) {
-	h := r.hash(t)
-	var e *entry
-	if r.tab != nil {
-		for e = r.tab[h&r.mask]; e != nil; e = e.next {
-			if e.h == h && e.t.KeyEqual(t) {
-				break
-			}
-		}
-	}
-	if m > -Eps && m < Eps {
-		if e != nil {
-			r.removeHashed(e)
+	if id := r.find(h, t); id != 0 {
+		e := &r.ents[id]
+		e.m += m
+		if e.m > -Eps && e.m < Eps {
+			r.remove(id)
 		}
 		return
 	}
-	if e != nil {
+	r.insertHashed(h, t, m)
+}
+
+// Set forces the multiplicity of t to m (removing the tuple when m is
+// zero). The tuple is copied; callers may reuse t.
+func (r *Relation) Set(t Tuple, m float64) {
+	h := r.hash(t)
+	id := r.find(h, t)
+	if m > -Eps && m < Eps {
+		if id != 0 {
+			r.remove(id)
+		}
+		return
+	}
+	if id != 0 {
 		// Replace the stored tuple too: t may be a key-equal but distinct
 		// representation (Float(3) over Int(3)), and Set semantics store
 		// the caller's tuple. Key-equal tuples hash identically, so the
 		// primary and index bucket positions stay valid.
-		e.t = t.Clone()
-		e.m = m
+		r.vals.put(id, t)
+		r.ents[id].m = m
 		return
 	}
-	r.insertHashed(h, t.Clone(), m)
+	r.insertHashed(h, t, m)
 }
 
 // Get returns the multiplicity of t (zero if absent).
 func (r *Relation) Get(t Tuple) float64 {
-	if e := r.lookup(t); e != nil {
-		return e.m
+	if id := r.find(r.hash(t), t); id != 0 {
+		return r.ents[id].m
 	}
 	return 0
 }
 
-// Foreach calls f for every tuple with non-zero multiplicity. Iteration
-// order is unspecified. f must not mutate the relation.
+// Foreach calls f for every tuple with non-zero multiplicity: buckets in
+// table order, newest entry first within a bucket. f must not mutate the
+// relation. The tuple f receives aliases the relation's storage and is
+// valid only until the relation's next mutation; f must copy what it
+// keeps.
 func (r *Relation) Foreach(f func(t Tuple, m float64)) {
-	for _, e := range r.tab {
-		for ; e != nil; e = e.next {
-			f(e.t, e.m)
+	for _, id := range r.tab {
+		for ; id != 0; id = r.ents[id].next {
+			f(r.vals.at(id), r.ents[id].m)
 		}
 	}
 }
 
-// ForeachSorted iterates in the deterministic tuple order; it is intended
-// for tests and report output, not hot paths.
+// ForeachSorted iterates in the deterministic tuple order, handing f
+// owned copies of the tuples. It backs result and delta reads, not hot
+// paths: the rows are copied once, into one backing array, and the
+// copies sorted.
 func (r *Relation) ForeachSorted(f func(t Tuple, m float64)) {
-	es := make([]*entry, 0, r.n)
-	for _, e := range r.tab {
-		for ; e != nil; e = e.next {
-			es = append(es, e)
-		}
+	ts, ms := make([]Tuple, 0, r.n), make([]float64, 0, r.n)
+	vals := make([]Value, 0, r.n*r.vals.arity)
+	r.Foreach(func(t Tuple, m float64) {
+		vals = append(vals, t...)
+		ts, ms = append(ts, vals[len(vals)-len(t):len(vals):len(vals)]), append(ms, m)
+	})
+	// Sorting a permutation swaps 4 bytes instead of a row.
+	ord := make([]int32, len(ts))
+	for i := range ord {
+		ord[i] = int32(i)
 	}
-	sort.Slice(es, func(i, j int) bool { return es[i].t.Less(es[j].t) })
-	for _, e := range es {
-		f(e.t, e.m)
+	sort.Slice(ord, func(i, j int) bool { return ts[ord[i]].Less(ts[ord[j]]) })
+	for _, i := range ord {
+		f(ts[i], ms[i])
 	}
 }
 
@@ -332,17 +338,30 @@ func (r *Relation) ForeachSorted(f func(t Tuple, m float64)) {
 func (r *Relation) Clone() *Relation {
 	c := NewRelation(r.schema)
 	c.hashFn = r.hashFn
-	r.Foreach(func(t Tuple, m float64) {
-		c.insert(t.Clone(), m)
-	})
+	c.ents = make([]entry, 1, r.n+1)
+	r.each(func(id int32, e entry) { c.insertHashed(e.h, r.vals.at(id), e.m) })
 	return c
 }
 
-// Clear removes all tuples, keeping the bucket table's capacity.
-// Registered secondary indexes stay registered (emptied) and keep being
-// maintained on subsequent mutations.
+// each is Foreach over entry ids, for the storage's own walks.
+func (r *Relation) each(f func(id int32, e entry)) {
+	for _, id := range r.tab {
+		for ; id != 0; id = r.ents[id].next {
+			f(id, r.ents[id])
+		}
+	}
+}
+
+// Clear removes all tuples, keeping the bucket table, the slab and the
+// arena's chunks. Registered secondary indexes stay registered (emptied)
+// and keep being maintained on subsequent mutations.
 func (r *Relation) Clear() {
+	for id := 1; id < len(r.ents); id++ {
+		r.vals.zero(int32(id))
+	}
 	clear(r.tab)
+	r.ents = r.ents[:0]
+	r.free = 0
 	r.n = 0
 	for _, ix := range r.idxs {
 		clear(ix.m)
@@ -362,50 +381,35 @@ func (r *Relation) MergeScaled(o *Relation, c float64) {
 // Equal reports whether two relations hold the same tuples with
 // multiplicities equal within Eps.
 func (r *Relation) Equal(o *Relation) bool {
-	if r.n != o.n {
-		return false
-	}
-	for _, e := range r.tab {
-		for ; e != nil; e = e.next {
-			oe := o.lookup(e.t)
-			if oe == nil {
-				return false
-			}
-			d := e.m - oe.m
-			if d < -Eps || d > Eps {
-				return false
-			}
-		}
-	}
-	return true
+	return r.n == o.n && r.within(o, Eps, false)
 }
 
 // EqualApprox is Equal with a caller-chosen tolerance, for float-heavy
 // aggregate comparisons.
 func (r *Relation) EqualApprox(o *Relation, tol float64) bool {
-	for _, e := range r.tab {
-		for ; e != nil; e = e.next {
-			oe := o.lookup(e.t)
-			if oe == nil {
-				if e.m < -tol || e.m > tol {
-					return false
-				}
-				continue
-			}
-			d := e.m - oe.m
-			if d < -tol || d > tol {
-				return false
-			}
+	return r.within(o, tol, true) && o.within(r, tol, true)
+}
+
+// within reports whether every tuple of r has a multiplicity in o within
+// tol of its own; with absentZero, a tuple o lacks passes when its own
+// multiplicity is within tol of zero.
+func (r *Relation) within(o *Relation, tol float64, absentZero bool) bool {
+	ok := true
+	r.Foreach(func(t Tuple, m float64) {
+		if !ok {
+			return
 		}
-	}
-	for _, e := range o.tab {
-		for ; e != nil; e = e.next {
-			if r.lookup(e.t) == nil && (e.m < -tol || e.m > tol) {
-				return false
-			}
+		var om float64
+		if id := o.find(o.hash(t), t); id != 0 {
+			om = o.ents[id].m
+		} else if !absentZero {
+			ok = false
+			return
 		}
-	}
-	return true
+		d := m - om
+		ok = !(d < -tol || d > tol)
+	})
+	return ok
 }
 
 // String renders the relation deterministically, for debugging and tests.

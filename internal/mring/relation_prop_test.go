@@ -189,7 +189,7 @@ func TestForcedCollisionChainsExercised(t *testing.T) {
 	}
 	occupied := 0
 	for _, e := range rel.tab {
-		if e != nil {
+		if e != 0 {
 			occupied++
 		}
 	}

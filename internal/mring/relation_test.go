@@ -1,6 +1,7 @@
 package mring
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -268,5 +269,27 @@ func TestRelationString(t *testing.T) {
 	want := `[a]{(1)->3, (2)->1}`
 	if got := r.String(); got != want {
 		t.Fatalf("String = %s, want %s", got, want)
+	}
+}
+
+// TestForeachSortedHandsOutCopies pins the aliasing rule's exception:
+// Foreach hands out tuples that alias storage, ForeachSorted owned
+// copies, which must survive the relation freeing, zeroing and reusing
+// the slots they were read from.
+func TestForeachSortedHandsOutCopies(t *testing.T) {
+	r := NewRelation(Schema{"k", "name"})
+	for i := 0; i < 10; i++ {
+		r.Add(tup(i, fmt.Sprintf("name-%d", i)), 1)
+	}
+	var kept []Tuple
+	r.ForeachSorted(func(tp Tuple, _ float64) { kept = append(kept, tp) })
+	for i := 0; i < 10; i++ {
+		r.Add(tup(i, fmt.Sprintf("name-%d", i)), -1)
+		r.Add(tup(100+i, "other"), 1) // lands in the slot just freed
+	}
+	for i, tp := range kept {
+		if want := tup(i, fmt.Sprintf("name-%d", i)); !tp.Equal(want) {
+			t.Fatalf("kept tuple %d reads %v, want %v", i, tp, want)
+		}
 	}
 }
