@@ -34,12 +34,14 @@ lint:
 # and both changefeed messages) must never panic on arbitrary bytes —
 # the checkpoint and changefeed decoders must also re-encode what they
 # accept to the same bytes — tuples with equal canonical keys must
-# compare and hash equal, and any sequence of relation and group-table
-# operations must match a plain-map model.
+# compare and hash equal, any sequence of relation and group-table
+# operations must match a plain-map model, and the simulator's computed
+# shuffle size must equal the columnar encoding's length.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashColsKeyEqual$$' -fuzztime=30s ./internal/mring
 	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=30s ./internal/mring
 	$(GO) test -run='^$$' -fuzz='^FuzzColBatchDecode$$' -fuzztime=30s ./internal/pool
+	$(GO) test -run='^$$' -fuzz='^FuzzEncodedSize$$' -fuzztime=30s ./internal/pool
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameDecode$$' -fuzztime=30s ./internal/net
 	$(GO) test -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=30s ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzServeRequest$$' -fuzztime=30s ./internal/cluster

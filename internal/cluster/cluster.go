@@ -5,8 +5,8 @@
 // workers in parallel.
 //
 // There is one driver, Cluster, over two kinds of worker. New deploys
-// in-process shards that receive fragments by reference (the simulator);
-// Connect reaches worker processes over a framed transport, each call one
+// in-process shards that receive rows by reference and copy them into
+// fragments they own (the simulator); Connect reaches worker processes over a framed transport, each call one
 // round trip of the protocol in proto.go served by the same Shard code on
 // the far side. A transaction calls each worker once per step of a
 // program: one step per distributed block, with the transfers of the
@@ -36,8 +36,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/expr"
 	"repro/internal/mring"
-	inet "repro/internal/net"
-	"repro/internal/pool"
 )
 
 // Config holds the platform cost-model parameters. The defaults are
@@ -420,10 +418,12 @@ func (c *Cluster) captureReplace(name string, cur, old rows) {
 // WarmViews installs initial contents for materialized views before
 // streaming (the distributed warm start): each view's relation is placed
 // according to its canonical location — driver copy for local views,
-// key-partitioned worker fragments (via the platform placement function,
-// dist.SplitByKey) for distributed views, and a full replica per worker
-// plus the driver mirror for replicated views. Call before the first
-// batch; the relations are owned by the cluster afterwards.
+// key-partitioned worker fragments (dealt by the platform placement
+// function, dist.PlaceIndex) for distributed views, and a full replica
+// per worker plus the driver mirror for replicated views. Call before
+// the first batch. Every worker copies its rows into its own fragment;
+// a local or replicated view's relation becomes the driver's copy, owned
+// by the cluster afterwards.
 func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 	if c.err != nil {
 		return c.err
@@ -444,7 +444,7 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 		case loc.Kind == dist.LIndiff:
 			c.driver.rels[name] = rel
 			for i := range frags {
-				frags[i] = copyOf{rel}
+				frags[i] = rel
 			}
 		case loc.Keyed():
 			keyPos := make([]int, len(loc.Key))
@@ -455,12 +455,7 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 				}
 				keyPos[i] = p
 			}
-			for i, f := range dist.SplitByKey(rel, keyPos, len(c.workers)) {
-				if f == nil {
-					f = mring.NewRelation(schema)
-				}
-				frags[i] = f
-			}
+			frags = split(rel, keyPos, len(c.workers))
 		default:
 			return fmt.Errorf("cluster: cannot warm load view %q located %v", name, loc)
 		}
@@ -502,8 +497,9 @@ func (c *Cluster) ready(prog *dist.DistProgram) error {
 // RunPartitioned processes a batch already spread over workers (the
 // weak/strong scaling experiments simulate workers ingesting stream
 // fragments directly, Sec. 6.2). partsOfBatch must have one relation per
-// worker. The program must have been compiled with the delta tagged
-// Random.
+// worker; each worker copies its relation into its own fragment, and
+// the caller's relations are left as they were. The program must have
+// been compiled with the delta tagged Random.
 func (c *Cluster) RunPartitioned(prog *dist.DistProgram, partsOfBatch []*mring.Relation) (Metrics, error) {
 	if err := c.ready(prog); err != nil {
 		return Metrics{}, err
@@ -523,8 +519,8 @@ func (c *Cluster) RunPartitioned(prog *dist.DistProgram, partsOfBatch []*mring.R
 }
 
 // RunPartitionedBatch deals a driver-resident batch round-robin over the
-// workers and processes it as RunPartitioned. Each worker rebuilds its
-// fragment from the rows in deal order, so the fragment's layout is the
+// workers and processes it as RunPartitioned. Each worker refills its
+// fragment with the rows in deal order, so the fragment's layout is the
 // same whichever kind of worker holds it. The dealt rows alias the
 // batch's storage, which nothing mutates until the run returns.
 func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
@@ -664,9 +660,10 @@ type transfer struct {
 	srcSchema, lhsSchema mring.Schema
 	keyPos               []int
 	read                 readKind
-	// snapshot marks a broadcast whose source a driver statement writes
+	// snapshot marks a scatter whose source a driver statement writes
 	// before the next step lands it: it ships a copy taken now. Any other
-	// pack is the driver relation itself in process.
+	// scatter ships the driver relation itself, or pieces aliasing it, in
+	// process.
 	snapshot bool
 }
 
@@ -696,19 +693,19 @@ func (c *Cluster) planOf(prog *dist.DistProgram) (*plan, error) {
 	p := &plan{blocks: make([]*block, len(prog.Blocks)), xfers: make([][]*transfer, len(prog.Blocks))}
 	// open: a step has gone out whose response can carry reads; moved: the
 	// targets installed since it, true when the driver holds their pieces;
-	// shared: the broadcasts queued since it, by source; queued: installs
+	// scattered: the scatters queued since it, by source; queued: installs
 	// wait for a step.
 	open, queued := false, false
 	moved := map[string]bool{}
-	shared := map[string][]*transfer{}
+	scattered := map[string][]*transfer{}
 	step := func() {
 		p.outputs = append(p.outputs, nil)
 		open, queued = true, false
 		clear(moved)
-		clear(shared)
+		clear(scattered)
 	}
 	written := func(name string) {
-		for _, t := range shared[name] {
+		for _, t := range scattered[name] {
 			t.snapshot = true
 		}
 	}
@@ -750,8 +747,8 @@ func (c *Cluster) planOf(prog *dist.DistProgram) (*plan, error) {
 			switch {
 			case t.kind == dist.XGather:
 				written(t.lhs)
-			case t.kind == dist.XScatter && len(t.keyPos) == 0:
-				shared[t.src] = append(shared[t.src], t)
+			case t.kind == dist.XScatter:
+				scattered[t.src] = append(scattered[t.src], t)
 				fallthrough
 			default:
 				moved[t.lhs] = t.kind == dist.XRepart
@@ -838,10 +835,7 @@ func (c *Cluster) send(r *run, b *block) error {
 		r.reqs[i].block, r.reqs[i].watch, r.reqs[i].outputs = b, watch, outputs
 	}
 	resps := make([]stageResp, n)
-	if err := c.each(func(i int, w worker) (err error) {
-		resps[i], err = w.stage(&r.reqs[i])
-		return err
-	}); err != nil {
+	if err := c.stage(r.reqs, resps); err != nil {
 		return err
 	}
 	for i, resp := range resps {
@@ -880,6 +874,33 @@ func (c *Cluster) send(r *run, b *block) error {
 	clear(r.reqs)
 	r.captures, r.routed = nil, nil
 	r.resps, r.read = resps, 0
+	return nil
+}
+
+// stage runs one step's requests, one per worker. Process workers serve
+// theirs concurrently, each encoding its pieces into its response before
+// anything else runs. In-process shards land each install on every shard
+// before the next install, and every install before any shard runs its
+// block: a piece aliases the fragment it was dealt from, which a later
+// install or block on its sender may change, and worker state is
+// shared-nothing, so the order is otherwise invisible.
+func (c *Cluster) stage(reqs []stageReq, resps []stageResp) error {
+	if c.rpc {
+		return c.each(func(i int, w worker) (err error) {
+			resps[i], err = w.stage(&reqs[i])
+			return err
+		})
+	}
+	for k := range reqs[0].installs {
+		for i, w := range c.workers {
+			w.(*Shard).land(&reqs[i], k, &resps[i])
+		}
+	}
+	for i, w := range c.workers {
+		if err := w.(*Shard).finish(&reqs[i], &resps[i]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -1007,7 +1028,7 @@ func (c *Cluster) applyXform(r *run, t *transfer) (int64, int64, error) {
 			total = maxPer * int64(n)
 			capture = false
 		} else {
-			for i, f := range dist.SplitByKey(srcRel, t.keyPos, n) {
+			for i, f := range split(srcRel, t.keyPos, n) {
 				if f == nil {
 					continue
 				}
@@ -1044,10 +1065,15 @@ func (c *Cluster) applyXform(r *run, t *transfer) (int64, int64, error) {
 				if p == nil {
 					continue
 				}
+				if own, ok := p.(*piece); ok && t.lhs == t.src {
+					// An exchange in place clears the fragments its pieces
+					// alias before the last of them lands.
+					p = own.clone()
+				}
 				routed[ti][wi] = p
 				if t.read == readChained {
 					// Pieces the driver split itself ship from here.
-					p = c.workers[ti].pack(p.(*mring.Relation))
+					p = c.workers[ti].pack(p)
 					from[ti][wi] = p
 				}
 				if ti != wi { // local data does not cross the network
@@ -1128,12 +1154,7 @@ func (c *Cluster) read(r *run, t *transfer) ([][]rows, error) {
 				outs[wi] = []rows{f}
 				continue
 			}
-			outs[wi] = make([]rows, n)
-			for ti, p := range dist.SplitByKey(f, t.keyPos, n) {
-				if p != nil && p.Len() > 0 {
-					outs[wi][ti] = p
-				}
-			}
+			outs[wi] = split(f, t.keyPos, n)
 		}
 		return outs, nil
 	}
@@ -1147,19 +1168,6 @@ func (c *Cluster) read(r *run, t *transfer) ([][]rows, error) {
 	}
 	r.read++
 	return outs, nil
-}
-
-// encodeSize is the size of what a shuffle of r ships — the simulator's
-// measured network traffic: its columnar encoding, or its row payload
-// when mixed-kind columns rule the columnar form out.
-func encodeSize(r *mring.Relation) int64 {
-	if r.Len() == 0 {
-		return 0
-	}
-	if b, ok := pool.TryFromRelation(r); ok {
-		return int64(len(b.Encode()))
-	}
-	return int64(len(inet.EncodePayload(r, nil)))
 }
 
 // walkRefs visits every relational reference in an expression (descending

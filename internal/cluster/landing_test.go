@@ -1,0 +1,166 @@
+package cluster
+
+import (
+	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/eval"
+	"repro/internal/expr"
+	"repro/internal/mring"
+)
+
+// landingBatch is the update batch the landing tests feed: seven keys
+// spread over forty rows.
+func landingBatch() *mring.Relation {
+	batch := mring.NewRelation(mring.Schema{"a", "b"})
+	for i := 0; i < 40; i++ {
+		batch.Add(tup(i%7, i), 1)
+	}
+	return batch
+}
+
+// runOnBothKinds runs prog over batch on two in-process shards and on
+// two loopback process workers, and returns both clusters.
+func runOnBothKinds(t *testing.T, prog *dist.DistProgram, parts dist.PartInfo, schemas func() map[string]mring.Schema) (sim, proc *Cluster) {
+	t.Helper()
+	sim = New(DefaultConfig(2), schemas(), parts)
+	lb := newLoopback(2)
+	proc, err := Connect(lb, lb.addrs(), schemas(), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Cluster{sim, proc} {
+		if _, err := c.RunPartitionedBatch(prog, landingBatch()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sim, proc
+}
+
+// checkViews asserts each named view holds want on both clusters, and
+// that the process workers' contents are bitwise the simulator's.
+func checkViews(t *testing.T, sim, proc *Cluster, want map[string]*mring.Relation) {
+	t.Helper()
+	for name, w := range want {
+		got, fromProc := sim.ViewContents(name), proc.ViewContents(name)
+		if !got.Equal(w) {
+			t.Fatalf("simulated %s = %v, want %v", name, got, w)
+		}
+		if fromProc.Len() != got.Len() {
+			t.Fatalf("process workers hold %d rows of %s, the simulator %d", fromProc.Len(), name, got.Len())
+		}
+		got.Foreach(func(tp mring.Tuple, m float64) {
+			if g := fromProc.Get(tp); g != m {
+				t.Fatalf("%s%v = %g on process workers, %g simulated", name, tp, g, m)
+			}
+		})
+	}
+}
+
+// TestExchangeLandsBeforeBlocks pins the in-process landing order. An
+// exchange's pieces alias the fragments they were dealt from, and the
+// step that lands them here also overwrites that source in its block:
+// each shard's block rewrites T with other values, so a piece of T
+// landed after its sender's block would carry them. Every install lands
+// on every shard before any shard runs its block, so U and V hold the
+// batch summed by a, bitwise as on process workers, whose pieces travel
+// encoded.
+func TestExchangeLandsBeforeBlocks(t *testing.T) {
+	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
+		{Mode: dist.LDist, Stmts: []dist.Stmt{
+			{LHS: "T", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "a", "b"))}}},
+		{Mode: dist.LLocal, Stmts: []dist.Stmt{
+			{LHS: "U", Op: eval.OpSet, RHS: &dist.Xform{Kind: dist.XRepart, Key: []string{"a"}, Body: expr.View("T", "a")}}}},
+		{Mode: dist.LDist, Stmts: []dist.Stmt{
+			{LHS: "T", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "b", "a"))},
+			{LHS: "V", Op: eval.OpAdd, RHS: expr.View("U", "a")}}},
+	}}
+	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "T": dist.Random, "U": dist.Dist("a"), "V": dist.Dist("a")}
+	schemas := func() map[string]mring.Schema { return map[string]mring.Schema{"U": {"a"}, "V": {"a"}} }
+	sim, proc := runOnBothKinds(t, prog, parts, schemas)
+	sum := landingBatch().ProjectSum(mring.Schema{"a"})
+	checkViews(t, sim, proc, map[string]*mring.Relation{"U": sum, "V": sum})
+}
+
+// TestExchangeInPlace pins an exchange whose target is its own source:
+// landing it clears the fragments its pieces were dealt from, so the
+// driver copies those pieces out first.
+func TestExchangeInPlace(t *testing.T) {
+	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
+		{Mode: dist.LDist, Stmts: []dist.Stmt{
+			{LHS: "T", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "a", "b"))}}},
+		{Mode: dist.LLocal, Stmts: []dist.Stmt{
+			{LHS: "T", Op: eval.OpSet, RHS: &dist.Xform{Kind: dist.XRepart, Key: []string{"a"}, Body: expr.View("T", "a")}}}},
+		{Mode: dist.LDist, Stmts: []dist.Stmt{
+			{LHS: "V", Op: eval.OpAdd, RHS: expr.View("T", "a")}}},
+	}}
+	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "T": dist.Dist("a"), "V": dist.Dist("a")}
+	schemas := func() map[string]mring.Schema { return map[string]mring.Schema{"T": {"a"}, "V": {"a"}} }
+	sim, proc := runOnBothKinds(t, prog, parts, schemas)
+	sum := landingBatch().ProjectSum(mring.Schema{"a"})
+	checkViews(t, sim, proc, map[string]*mring.Relation{"T": sum, "V": sum})
+}
+
+// TestScatterOfRewrittenDriverRelation pins the keyed scatter's
+// snapshot: its pieces alias the driver relation they were dealt from,
+// and a later driver statement of the same block rewrites that relation
+// before the next step lands them, so the scatter ships a copy.
+func TestScatterOfRewrittenDriverRelation(t *testing.T) {
+	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
+		{Mode: dist.LDist, Stmts: []dist.Stmt{
+			{LHS: "T", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "a", "b"))},
+			{LHS: "T2", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "b", "a"))}}},
+		{Mode: dist.LLocal, Stmts: []dist.Stmt{
+			{LHS: "G", Op: eval.OpSet, RHS: &dist.Xform{Kind: dist.XGather, Body: expr.View("T", "a")}},
+			{LHS: "H", Op: eval.OpSet, RHS: &dist.Xform{Kind: dist.XGather, Body: expr.View("T2", "a")}},
+			{LHS: "S", Op: eval.OpSet, RHS: &dist.Xform{Kind: dist.XScatter, Key: []string{"a"}, Body: expr.View("G", "a")}},
+			{LHS: "G", Op: eval.OpSet, RHS: expr.View("H", "a")}}},
+		{Mode: dist.LDist, Stmts: []dist.Stmt{
+			{LHS: "V", Op: eval.OpAdd, RHS: expr.View("S", "a")}}},
+	}}
+	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "T": dist.Random, "T2": dist.Random,
+		"G": dist.Local, "H": dist.Local, "S": dist.Dist("a"), "V": dist.Dist("a")}
+	schemas := func() map[string]mring.Schema { return map[string]mring.Schema{"S": {"a"}, "V": {"a"}} }
+	sim, proc := runOnBothKinds(t, prog, parts, schemas)
+	sum := landingBatch().ProjectSum(mring.Schema{"a"})
+	checkViews(t, sim, proc, map[string]*mring.Relation{"S": sum, "V": sum})
+}
+
+// TestRunPartitionedLeavesCallerBatches pins install ownership: a shard
+// copies a caller's batch partition into a fragment of its own, so the
+// next run, which refills that fragment, leaves the caller's relations
+// as they were.
+func TestRunPartitionedLeavesCallerBatches(t *testing.T) {
+	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
+		{Mode: dist.LDist, Stmts: []dist.Stmt{
+			{LHS: "V", Op: eval.OpAdd, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "a", "b"))}}},
+	}}
+	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "V": dist.Dist("a")}
+	cl := New(DefaultConfig(2), map[string]mring.Schema{"V": {"a"}}, parts)
+	batch := landingBatch()
+	partsOfBatch := []*mring.Relation{mring.NewRelation(batch.Schema()), mring.NewRelation(batch.Schema())}
+	i := 0
+	batch.Foreach(func(tp mring.Tuple, m float64) {
+		partsOfBatch[i%2].Add(tp, m)
+		i++
+	})
+	kept := []*mring.Relation{partsOfBatch[0].Clone(), partsOfBatch[1].Clone()}
+	if _, err := cl.RunPartitioned(prog, partsOfBatch); err != nil {
+		t.Fatal(err)
+	}
+	next := mring.NewRelation(batch.Schema())
+	next.Add(tup(100, 1), 1)
+	if _, err := cl.RunPartitionedBatch(prog, next); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range partsOfBatch {
+		if !p.Equal(kept[i]) {
+			t.Fatalf("partition %d changed to %v, was %v", i, p, kept[i])
+		}
+	}
+	want := batch.ProjectSum(mring.Schema{"a"})
+	want.Add(tup(100), 1)
+	if got := cl.ViewContents("V"); !got.Equal(want) {
+		t.Fatalf("V = %v, want %v", got, want)
+	}
+}

@@ -72,9 +72,9 @@ func decodeRows(b []byte) (rows, error) {
 }
 
 // encodeRows is the payload a row sequence ships as: a received or packed
-// payload as it came, a relation (or a copyOf) in its Foreach order,
-// columnar when every column is kind-pure; any other sequence in its own
-// order, in row form under schema.
+// payload as it came, a relation in its Foreach order or a piece in its
+// deal order, columnar when every column is kind-pure; any other
+// sequence in its own order, in row form under schema.
 func encodeRows(r rows, schema mring.Schema) []byte {
 	switch r := r.(type) {
 	case nil:
@@ -83,8 +83,8 @@ func encodeRows(r rows, schema mring.Schema) []byte {
 		return r.raw
 	case *mring.Relation:
 		return inet.EncodeRelationPlain(r)
-	case copyOf:
-		return inet.EncodeRelationPlain(r.Relation)
+	case *piece:
+		return inet.EncodeRowsPlain(r.schema, r)
 	}
 	b := inet.NewPayloadBuilder(schema)
 	r.Foreach(b.Add)
@@ -108,10 +108,10 @@ func (rw *remoteWorker) stage(req *stageReq) (stageResp, error) {
 	return resp, nil
 }
 
-// pack encodes a fragment once — columnar when every column is
+// pack encodes a relation or piece once — columnar when every column is
 // kind-pure, in row form otherwise.
-func (rw *remoteWorker) pack(r *mring.Relation) rows {
-	return &shipped{raw: inet.EncodeRelationPlain(r)}
+func (rw *remoteWorker) pack(r rows) rows {
+	return &shipped{raw: encodeRows(r, nil)}
 }
 
 func (rw *remoteWorker) fetch(name string, schema mring.Schema) (rows, error) {

@@ -7,11 +7,14 @@ import (
 	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/mring"
+	inet "repro/internal/net"
+	"repro/internal/pool"
 )
 
 // worker is one worker node as the driver sees it. Its methods work on
 // relations and row sequences, never on bytes. Shard is the in-process
-// implementation: fragments are handed over by reference. remoteWorker
+// implementation: row sequences are handed over by reference, and copied
+// into the shard's own fragments as they land. remoteWorker
 // encodes each call into the framed protocol of proto.go, to be served
 // by a Shard in a worker process (server.go). The driver never calls one
 // worker concurrently with itself.
@@ -20,9 +23,9 @@ type worker interface {
 	// installs in order, then its block, then its outputs. It is the only
 	// call a transaction makes.
 	stage(req *stageReq) (stageResp, error)
-	// pack readies a driver-held fragment for an install on this kind of
+	// pack readies driver-held rows for an install on this kind of
 	// worker; one pack may be installed on every worker (broadcast).
-	pack(r *mring.Relation) rows
+	pack(r rows) rows
 	// fetch returns the worker's fragment of a relation, nil when it holds
 	// none (an absent replica differs from an empty one).
 	fetch(name string, schema mring.Schema) (rows, error)
@@ -35,13 +38,17 @@ type worker interface {
 	close() error
 }
 
-// installKind says how an install fills its target fragment.
+// installKind says how an install fills its target fragment. Every kind
+// copies the rows, in their order, into a fragment the shard owns: the
+// rows may alias the driver's or another shard's storage, and the shard
+// reuses the fragment's storage from install to install.
 type installKind byte
 
 const (
-	// installReplace makes the rows the fragment: an in-process relation
-	// as is, a copyOf as the worker's own copy, any other row sequence (an
-	// update-batch deal, a payload off the wire) rebuilt in order.
+	// installReplace makes the rows the fragment's contents: an update
+	// batch's deal, a warm load or a caller's batch partition. It refills
+	// the fragment when it has the install's arity, and replaces it with a
+	// fresh one otherwise.
 	installReplace installKind = iota
 	// installScatter clears the fragment and fills it from one packed
 	// fragment (nil: leaves it empty): a keyed scatter piece or a
@@ -69,7 +76,7 @@ type install struct {
 }
 
 // output is a worker-side read that rides a stage's response, taken after
-// the block runs: a fragment fetched whole for a gather, or split by key
+// the block runs: a fragment fetched whole for a gather, or dealt by key
 // into one piece per destination worker for an exchange.
 type output struct {
 	src    string
@@ -113,17 +120,10 @@ type stageResp struct {
 
 // rows is a row sequence in a fixed order: a relation (its Foreach
 // order), a decoded wire payload (wire order), or a deal.
-type rows interface {
-	Foreach(f func(t mring.Tuple, m float64))
-	Len() int
-}
+type rows = pool.Rows
 
-// copyOf is a shared relation every receiving worker must hold its own
-// copy of (a replicated view's warm load).
-type copyOf struct{ *mring.Relation }
-
-// row and rowList are the rows one worker is dealt from an update batch,
-// in deal order.
+// row and rowList are rows in deal order: what one worker is dealt of an
+// update batch, which ships in row form.
 type row struct {
 	t mring.Tuple
 	m float64
@@ -139,17 +139,87 @@ func (l rowList) Foreach(f func(t mring.Tuple, m float64)) {
 	}
 }
 
+// piece is what one worker is dealt of a relation split by key: its rows
+// in the relation's Foreach order. It ships as a relation holding them
+// would, columnar when every column is kind-pure. Its tuples alias the
+// relation's storage, so it is landed before anything changes the
+// relation (Cluster.stage) or encoded first (a process worker's response).
+type piece struct {
+	schema mring.Schema
+	rowList
+}
+
+// clone copies the piece out of the storage it aliases.
+func (p *piece) clone() *piece {
+	vals := make([]mring.Value, 0, len(p.rowList)*len(p.schema))
+	l := make(rowList, len(p.rowList))
+	for i, r := range p.rowList {
+		vals = append(vals, r.t...)
+		l[i] = row{vals[len(vals)-len(r.t) : len(vals) : len(vals)], r.m}
+	}
+	return &piece{p.schema, l}
+}
+
+// split deals src's rows to n workers with the platform's placement
+// function on the key at keyPos, in src's Foreach order; a worker dealt
+// nothing gets nil. The pieces share one backing array.
+func split(src *mring.Relation, keyPos []int, n int) []rows {
+	at := make([]int32, 0, src.Len())
+	next := make([]int, n+1)
+	src.Foreach(func(t mring.Tuple, _ float64) {
+		i := dist.PlaceIndex(t, keyPos, n)
+		at = append(at, int32(i))
+		next[i+1]++
+	})
+	all := make(rowList, len(at))
+	ps := make([]piece, n)
+	for i := range ps {
+		next[i+1] += next[i]
+		ps[i] = piece{schema: src.Schema(), rowList: all[next[i]:next[i+1]]}
+	}
+	k := 0
+	src.Foreach(func(t mring.Tuple, m float64) {
+		i := at[k]
+		all[next[i]] = row{t, m}
+		next[i]++
+		k++
+	})
+	out := make([]rows, n)
+	for i := range ps {
+		if len(ps[i].rowList) > 0 {
+			out[i] = &ps[i]
+		}
+	}
+	return out
+}
+
 // wireSize is what moving a fragment costs on the wire: a process
-// worker's payload length, or the columnar encoding of an in-process
-// relation (the simulator's measured traffic).
+// worker's payload length, or — the simulator's measured traffic — the
+// size of the payload an in-process relation or piece would ship as,
+// computed from its values: its columnar batch, or its row payload when
+// mixed-kind columns rule the columnar form out. A batch deal is not a
+// shuffle and costs nothing.
 func wireSize(r rows) int64 {
+	var schema mring.Schema
 	switch r := r.(type) {
 	case *shipped:
 		return int64(len(r.raw))
 	case *mring.Relation:
-		return encodeSize(r)
+		schema = r.Schema()
+	case *piece:
+		schema = r.schema
+	default:
+		return 0
 	}
-	return 0
+	if r.Len() == 0 {
+		return 0
+	}
+	if n, ok := pool.EncodedSize(schema, r); ok {
+		return int64(n)
+	}
+	b := inet.NewPayloadBuilder(schema)
+	r.Foreach(b.Add)
+	return int64(len(b.Bytes()))
 }
 
 // node holds the relation fragments of one worker (or the driver), and
@@ -268,18 +338,32 @@ func (sh *Shard) stageBlock(id uint64, deploy []byte) (*block, error) {
 // and takes the outputs. A request off the wire passes check first.
 func (sh *Shard) stage(req *stageReq) (stageResp, error) {
 	var resp stageResp
-	for i, in := range req.installs {
-		cur, old := sh.install(in)
-		if !in.capture {
-			continue
-		}
-		if resp.replaced == nil {
-			resp.replaced = make([][2]rows, len(req.installs))
-		}
-		resp.replaced[i] = [2]rows{cur, old}
+	for k := range req.installs {
+		sh.land(req, k, &resp)
 	}
+	return resp, sh.finish(req, &resp)
+}
+
+// land lands a request's k-th install, recording its replacement in resp
+// when it captures.
+func (sh *Shard) land(req *stageReq, k int, resp *stageResp) {
+	in := req.installs[k]
+	cur, old := sh.install(in)
+	if !in.capture {
+		return
+	}
+	if resp.replaced == nil {
+		resp.replaced = make([][2]rows, len(req.installs))
+	}
+	resp.replaced[k] = [2]rows{cur, old}
+}
+
+// finish runs a step's block over the landed installs, then takes its
+// outputs: a gather's fragment as it stands, an exchange's source dealt
+// by key.
+func (sh *Shard) finish(req *stageReq, resp *stageResp) error {
 	if req.block != nil {
-		sh.run(req.block, req.watch, &resp)
+		sh.run(req.block, req.watch, resp)
 	}
 	for _, o := range req.outputs {
 		if !o.split {
@@ -289,17 +373,11 @@ func (sh *Shard) stage(req *stageReq) (stageResp, error) {
 		}
 		src := sh.rel(o.src, o.schema)
 		if len(src.Schema()) != len(o.schema) {
-			return stageResp{}, fmt.Errorf("cluster: split of %q at arity %d, fragment has %d", o.src, len(o.schema), len(src.Schema()))
+			return fmt.Errorf("cluster: split of %q at arity %d, fragment has %d", o.src, len(o.schema), len(src.Schema()))
 		}
-		pieces := make([]rows, sh.workers)
-		for i, f := range dist.SplitByKey(src, o.keyPos, sh.workers) {
-			if f != nil && f.Len() > 0 {
-				pieces[i] = f
-			}
-		}
-		resp.outs = append(resp.outs, pieces)
+		resp.outs = append(resp.outs, split(src, o.keyPos, sh.workers))
 	}
-	return resp, nil
+	return nil
 }
 
 // check refuses a request the shard cannot run whole, before anything
@@ -365,22 +443,12 @@ const maxPieces = 1 << 20
 // contents after and before, each its own copy (the block may change the
 // fragment before the driver reads them).
 func (sh *Shard) install(in install) (cur, old rows) {
-	if in.kind == installReplace {
-		switch r := in.from[0].(type) {
-		case *mring.Relation:
-			sh.rels[in.name] = r
-		case copyOf:
-			sh.rels[in.name] = r.Clone()
-		default:
-			fresh := mring.NewRelation(in.schema)
-			if r != nil {
-				r.Foreach(fresh.Add)
-			}
-			sh.rels[in.name] = fresh
-		}
-		return nil, nil
+	dst := sh.rels[in.name]
+	if dst == nil || len(dst.Schema()) != len(in.schema) {
+		// Only a replace meets another arity: check refuses the others.
+		dst = mring.NewRelation(in.schema)
+		sh.rels[in.name] = dst
 	}
-	dst := sh.rel(in.name, in.schema)
 	if in.capture {
 		old = dst.Clone()
 	}
@@ -426,7 +494,7 @@ func (sh *Shard) run(b *block, watch []string, resp *stageResp) {
 	resp.compute = time.Since(start)
 }
 
-func (sh *Shard) pack(r *mring.Relation) rows { return r }
+func (sh *Shard) pack(r rows) rows { return r }
 
 func (sh *Shard) fetch(name string, _ mring.Schema) (rows, error) {
 	if r := sh.rels[name]; r != nil {
@@ -459,9 +527,9 @@ func (sh *Shard) close() error { return nil }
 
 // installFragment fills the just-cleared dst with a shipped fragment: a
 // decoded columnar payload merges straight from its batch, anything else
-// (an in-process relation, a row payload) row by row. Either way rows
-// land in the fragment's order, so dst's storage is bitwise independent
-// of how the fragment travelled.
+// (an in-process relation or deal, a row payload) row by row. Either way
+// rows land in the fragment's order, so dst's storage is bitwise
+// independent of how the fragment travelled.
 func installFragment(dst *mring.Relation, src rows) {
 	if s, ok := src.(*shipped); ok && s.Batch != nil {
 		s.Batch.MergeInto(dst)

@@ -110,20 +110,6 @@ func PlaceIndex(t mring.Tuple, keyPos []int, n int) int {
 	return int(t.HashCols(keyPos) % uint64(n))
 }
 
-// SplitByKey hash-partitions r into n fragments with PlaceIndex.
-// Fragments a tuple never landed in are nil.
-func SplitByKey(r *mring.Relation, keyPos []int, n int) []*mring.Relation {
-	out := make([]*mring.Relation, n)
-	r.Foreach(func(t mring.Tuple, m float64) {
-		i := PlaceIndex(t, keyPos, n)
-		if out[i] == nil {
-			out[i] = mring.NewRelation(r.Schema())
-		}
-		out[i].Add(t, m)
-	})
-	return out
-}
-
 func chooseViewLoc(v *compile.ViewDef, keyRanks map[string]int, weights map[string]float64) Loc {
 	if len(v.Schema) == 0 {
 		if v.Transient {

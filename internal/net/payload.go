@@ -84,11 +84,25 @@ func EncodePayload(r *mring.Relation, batch *pool.ColBatch) []byte {
 // through the columnar form when the contents are single-kind per column
 // and the row format otherwise.
 func EncodeRelationPlain(r *mring.Relation) []byte {
-	if r == nil || r.Len() == 0 {
+	if r == nil {
 		return nil
 	}
-	b, _ := pool.TryFromRelation(r)
-	return EncodePayload(r, b)
+	return EncodeRowsPlain(r.Schema(), r)
+}
+
+// EncodeRowsPlain is EncodeRelationPlain over any row sequence of the
+// given schema, in its order: rows dealt from a relation encode exactly
+// as a relation holding them in that order would.
+func EncodeRowsPlain(schema mring.Schema, r pool.Rows) []byte {
+	if r.Len() == 0 {
+		return nil
+	}
+	if b, ok := pool.TryFromRows(schema, r); ok {
+		return append([]byte{payloadColumnar}, b.Encode()...)
+	}
+	b := NewPayloadBuilder(schema)
+	r.Foreach(b.Add)
+	return b.Bytes()
 }
 
 // PayloadBuilder accumulates rows into a row-format payload in the exact

@@ -7,6 +7,7 @@ package pool
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mring"
 	"repro/internal/wire"
@@ -128,14 +129,65 @@ func (b *ColBatch) Foreach(f func(t mring.Tuple, m float64)) {
 	}
 }
 
+// Rows is a row sequence in a fixed order: a relation (its Foreach
+// order), or rows dealt from one.
+type Rows interface {
+	Foreach(f func(t mring.Tuple, m float64))
+	Len() int
+}
+
 // TryFromRelation is the strict columnar conversion: it succeeds only
 // when every column holds one value kind throughout, so the batch
 // round-trips losslessly (the requirement for shipping real bytes).
 // Unlike FromRelation, which coerces mixed columns to the first tuple's
 // kinds, a mismatch reports ok=false.
 func TryFromRelation(r *mring.Relation) (*ColBatch, bool) {
-	var kinds []mring.Kind
-	ok := true
+	return TryFromRows(r.Schema(), r)
+}
+
+// TryFromRows is TryFromRelation over any row sequence of the given
+// schema, in its order.
+func TryFromRows(schema mring.Schema, r Rows) (*ColBatch, bool) {
+	kinds, ok := pureKinds(r, nil)
+	if !ok {
+		return nil, false
+	}
+	if kinds == nil {
+		kinds = make([]mring.Kind, len(schema))
+	}
+	b := NewColBatch(schema, kinds)
+	b.reserve(r.Len())
+	r.Foreach(func(t mring.Tuple, m float64) { b.Append(t, m) })
+	return b, true
+}
+
+// EncodedSize is len(b.Encode()) of the batch TryFromRows(schema, r)
+// would build, computed from the values without building or encoding
+// it; ok=false exactly when TryFromRows refuses.
+func EncodedSize(schema mring.Schema, r Rows) (size int, ok bool) {
+	n := r.Len()
+	size = uvarintLen(uint64(len(schema))) + uvarintLen(uint64(n)) + 8*n
+	for _, name := range schema {
+		size += uvarintLen(uint64(len(name))) + len(name) + 1
+	}
+	_, ok = pureKinds(r, func(v mring.Value) {
+		switch v.K {
+		case mring.KInt:
+			size += varintLen(v.I)
+		case mring.KFloat:
+			size += 8
+		default:
+			size += uvarintLen(uint64(len(v.S))) + len(v.S)
+		}
+	})
+	return size, ok
+}
+
+// pureKinds returns each column's value kind, nil for no rows, and
+// ok=false when a column holds two kinds. each, when set, visits every
+// value of the rows it checks.
+func pureKinds(r Rows, each func(v mring.Value)) (kinds []mring.Kind, ok bool) {
+	ok = true
 	r.Foreach(func(t mring.Tuple, _ float64) {
 		if !ok {
 			return
@@ -151,19 +203,18 @@ func TryFromRelation(r *mring.Relation) (*ColBatch, bool) {
 				ok = false
 				return
 			}
+			if each != nil {
+				each(v)
+			}
 		}
 	})
-	if !ok {
-		return nil, false
-	}
-	if kinds == nil {
-		kinds = make([]mring.Kind, len(r.Schema()))
-	}
-	b := NewColBatch(r.Schema(), kinds)
-	b.reserve(r.Len())
-	r.Foreach(func(t mring.Tuple, m float64) { b.Append(t, m) })
-	return b, true
+	return kinds, ok
 }
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintLen is the length of v as a zig-zag varint (wire.Enc.Varint).
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 // FromRelation converts row-format contents to columnar form. Column
 // kinds are taken from the first tuple; empty relations produce int

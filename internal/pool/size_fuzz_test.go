@@ -1,0 +1,121 @@
+package pool
+
+import (
+	"encoding/binary"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/mring"
+)
+
+// sizeFuzzRelation builds a relation from fuzz bytes. The first byte
+// sets the arity (1 to 3); each column then takes a name length (a byte
+// >= 200 asks for a long name) and a base kind. Every row follows: per
+// value a byte whose low bits pick the kind — the column's base kind
+// unless the high bit is set, which mixes kinds — then an 8-byte int or
+// float, or a string (a length byte, >= 200 for a long one, then that
+// many bytes); a row ends in a signed multiplicity byte.
+func sizeFuzzRelation(data []byte) *mring.Relation {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	word := func() uint64 {
+		var w [8]byte
+		n := copy(w[:], data)
+		data = data[n:]
+		return binary.LittleEndian.Uint64(w[:])
+	}
+	str := func() string {
+		n := int(next())
+		if n >= 200 {
+			return strings.Repeat("s", (n-199)*100)
+		}
+		n = min(n, len(data))
+		s := string(data[:n])
+		data = data[n:]
+		return s
+	}
+	arity := 1 + int(next())%3
+	schema := make(mring.Schema, arity)
+	base := make([]mring.Kind, arity)
+	for i := range schema {
+		schema[i] = "c" + str()
+		base[i] = mring.Kind(next() % 3)
+	}
+	r := mring.NewRelation(schema)
+	for len(data) > 0 {
+		t := make(mring.Tuple, arity)
+		for i := range t {
+			k, sel := base[i], next()
+			if sel&0x80 != 0 {
+				k = mring.Kind(sel % 3)
+			}
+			switch k {
+			case mring.KInt:
+				t[i] = mring.Int(int64(word()))
+			case mring.KFloat:
+				t[i] = mring.Float(math.Float64frombits(word()))
+			default:
+				t[i] = mring.Str(str())
+			}
+		}
+		r.Add(t, float64(int8(next())))
+	}
+	return r
+}
+
+// FuzzEncodedSize pins the simulator's computed shuffle size to the
+// encoder: over arbitrary relations — extreme and negative ints, NaN and
+// signed-zero floats, empty and long strings and names, mixed-kind
+// columns — EncodedSize refuses exactly when TryFromRelation does, and
+// otherwise equals the length of the batch's encoding.
+func FuzzEncodedSize(f *testing.F) {
+	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	cat := func(parts ...[]byte) []byte {
+		var out []byte
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0}) // one int column, no rows
+	// Two int columns: extreme, negative and small values.
+	f.Add(cat([]byte{1, 1, 'a', 0, 1, 'b', 0},
+		[]byte{0}, le(math.MaxInt64), []byte{0}, le(1<<63), []byte{1},
+		[]byte{0}, le(^uint64(0)), []byte{0}, le(127), []byte{0xff},
+		[]byte{0}, le(64), []byte{0}, le(0), []byte{3}))
+	// A float column: NaN, -0, +0 and an infinity.
+	f.Add(cat([]byte{0, 0, 1},
+		[]byte{1}, le(math.Float64bits(math.NaN())), []byte{1},
+		[]byte{1}, le(1<<63), []byte{2},
+		[]byte{1}, le(0), []byte{1},
+		[]byte{1}, le(math.Float64bits(math.Inf(-1))), []byte{5}))
+	// A string column under a long name: empty, short and long strings.
+	f.Add(cat([]byte{0, 250, 2},
+		[]byte{2, 0, 1},
+		[]byte{2, 3, 'x', 0, 'y', 1},
+		[]byte{2, 255, 2},
+		[]byte{2, 201, 1}))
+	// Mixed kinds in one column: refused.
+	f.Add(cat([]byte{0, 0, 0},
+		[]byte{0}, le(5), []byte{1},
+		[]byte{0x82, 1, 'z', 1}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := sizeFuzzRelation(data)
+		size, ok := EncodedSize(r.Schema(), r)
+		b, want := TryFromRelation(r)
+		if ok != want {
+			t.Fatalf("EncodedSize ok=%v, TryFromRelation ok=%v on %v", ok, want, r)
+		}
+		if ok && size != len(b.Encode()) {
+			t.Fatalf("EncodedSize = %d, encoding is %d bytes, on %v", size, len(b.Encode()), r)
+		}
+	})
+}
