@@ -28,15 +28,17 @@ lint:
 	fi
 
 # fuzz exercises the decode/hash attack surfaces for 30s each, same as
-# the CI fuzz job: every byte-format decoder (columnar and row payloads,
-# the transport frame layer, WAL records, the worker's request decoder
-# behind every driver/worker op with deploy blobs included, checkpoints,
-# and both changefeed messages) must never panic on arbitrary bytes —
-# the checkpoint and changefeed decoders must also re-encode what they
-# accept to the same bytes — tuples with equal canonical keys must
-# compare and hash equal, any sequence of relation and group-table
-# operations must match a plain-map model, and the simulator's computed
-# shuffle size must equal the columnar encoding's length.
+# the CI fuzz job: every byte-format decoder (relation payloads — the
+# columnar batch, Mixed columns included, and the read-only legacy row
+# format — the transport frame layer, WAL records, the worker's request
+# decoder behind every driver/worker op with deploy blobs included,
+# checkpoints, and both changefeed messages) must never panic on
+# arbitrary bytes — the checkpoint and changefeed decoders must also
+# re-encode what they accept to the same bytes — tuples with equal
+# canonical keys must compare and hash equal, any sequence of relation
+# and group-table operations must match a plain-map model, and the
+# simulator's computed shuffle size must equal the columnar encoding's
+# length on every relation, mixed kinds included.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashColsKeyEqual$$' -fuzztime=30s ./internal/mring
 	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=30s ./internal/mring

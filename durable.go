@@ -214,51 +214,50 @@ func (s *serving) attachDurability(cfg *engineConfig) error {
 // as the original call did (capture-free: subscribers re-attach after
 // construction, and capture never perturbs maintained state).
 func (s *serving) replayRecord(r store.Record) error {
-	switch r.Kind {
-	case store.RecWarm:
-		bases := make(map[string]*mring.Relation, len(s.prog.Bases))
-		for _, tf := range r.Tables {
-			schema, ok := s.prog.Bases[tf.Table]
-			if !ok {
-				return fmt.Errorf("ivm: WAL names unknown table %q; the program changed since the log was written", tf.Table)
-			}
-			rel, err := inet.RestoreRelationExact(tf.Payload, tf.Buckets, schema)
-			if err != nil {
-				return fmt.Errorf("ivm: table %q: %w", tf.Table, err)
-			}
-			if len(rel.Schema()) != len(schema) {
-				return fmt.Errorf("ivm: WAL batch for %q has arity %d, schema wants %d", tf.Table, len(rel.Schema()), len(schema))
-			}
-			bases[tf.Table] = rel
-		}
-		for n, schema := range s.prog.Bases {
-			if bases[n] == nil {
-				bases[n] = mring.NewRelation(schema)
-			}
-		}
-		_, err := s.be.Warm(bases, nil)
-		return err
-	case store.RecTx:
-		batches := make([]compile.TableBatch, 0, len(r.Tables))
-		for _, tf := range r.Tables {
-			schema, ok := s.prog.Bases[tf.Table]
-			if !ok {
-				return fmt.Errorf("ivm: WAL names unknown table %q; the program changed since the log was written", tf.Table)
-			}
-			rel, err := inet.RestoreRelationExact(tf.Payload, tf.Buckets, schema)
-			if err != nil {
-				return fmt.Errorf("ivm: table %q: %w", tf.Table, err)
-			}
-			if len(rel.Schema()) != len(schema) {
-				return fmt.Errorf("ivm: WAL batch for %q has arity %d, schema wants %d", tf.Table, len(rel.Schema()), len(schema))
-			}
-			batches = append(batches, compile.TableBatch{Table: tf.Table, Batch: rel})
-		}
-		_, err := s.be.ApplyTx(batches, nil)
-		return err
-	default:
+	if r.Kind != store.RecWarm && r.Kind != store.RecTx {
 		return fmt.Errorf("ivm: unknown WAL record kind %d", r.Kind)
 	}
+	tables, err := s.replayTables(r)
+	if err != nil {
+		return err
+	}
+	if r.Kind == store.RecTx {
+		_, err = s.be.ApplyTx(tables, nil)
+		return err
+	}
+	bases := make(map[string]*mring.Relation, len(s.prog.Bases))
+	for _, tb := range tables {
+		bases[tb.Table] = tb.Batch
+	}
+	for n, schema := range s.prog.Bases {
+		if bases[n] == nil {
+			bases[n] = mring.NewRelation(schema)
+		}
+	}
+	_, err = s.be.Warm(bases, nil)
+	return err
+}
+
+// replayTables restores each table a WAL record carries, in the record's
+// order and layout-exact, refusing a table the program does not have and
+// a batch of another arity.
+func (s *serving) replayTables(r store.Record) ([]compile.TableBatch, error) {
+	tables := make([]compile.TableBatch, 0, len(r.Tables))
+	for _, tf := range r.Tables {
+		schema, ok := s.prog.Bases[tf.Table]
+		if !ok {
+			return nil, fmt.Errorf("ivm: WAL names unknown table %q; the program changed since the log was written", tf.Table)
+		}
+		rel, err := inet.RestoreRelationExact(tf.Payload, tf.Buckets, schema)
+		if err != nil {
+			return nil, fmt.Errorf("ivm: table %q: %w", tf.Table, err)
+		}
+		if len(rel.Schema()) != len(schema) {
+			return nil, fmt.Errorf("ivm: WAL batch for %q has arity %d, schema wants %d", tf.Table, len(rel.Schema()), len(schema))
+		}
+		tables = append(tables, compile.TableBatch{Table: tf.Table, Batch: rel})
+	}
+	return tables, nil
 }
 
 // logTxLocked appends one validated transaction to the WAL (and, per

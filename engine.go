@@ -34,7 +34,6 @@ type engineConfig struct {
 	remoteAddrs []string
 	keyRanks    map[string]int
 	copts       compile.Options
-	singleTuple bool
 	autoTune    bool
 	tuneCfg     TuneConfig
 	durSet      bool
@@ -65,7 +64,7 @@ func Distributed(workers int) Option {
 // A worker lost mid-transaction fails that transaction atomically: the
 // engine reports the error, keeps serving the pre-transaction results,
 // and rejects further transactions (reconnect by building a new engine
-// and warm-starting it). Incompatible with Distributed and SingleTuple.
+// and warm-starting it). Incompatible with Distributed.
 func Remote(addrs ...string) Option {
 	return func(c *engineConfig) {
 		c.remote = true
@@ -88,25 +87,13 @@ func CompileOptions(o Options) Option {
 	return func(c *engineConfig) { c.copts = o }
 }
 
-// SingleTuple switches the local executor to tuple-at-a-time processing
-// (the comparison mode of Sec. 3.3). Incompatible with Distributed.
-func SingleTuple() Option {
-	return func(c *engineConfig) { c.singleTuple = true }
-}
-
 func (cfg *engineConfig) validate() error {
 	if cfg.distributed && cfg.workers < 1 {
 		return fmt.Errorf("ivm: Distributed needs at least one worker, got %d", cfg.workers)
 	}
-	if cfg.distributed && cfg.singleTuple {
-		return fmt.Errorf("ivm: SingleTuple is a local execution mode; drop it or drop Distributed")
-	}
 	if cfg.remote {
 		if cfg.distributed {
 			return fmt.Errorf("ivm: Remote and Distributed are exclusive backends; pick one")
-		}
-		if cfg.singleTuple {
-			return fmt.Errorf("ivm: SingleTuple is a local execution mode; drop it or drop Remote")
 		}
 		if len(cfg.remoteAddrs) == 0 {
 			return fmt.Errorf("ivm: Remote needs at least one worker address")
@@ -137,7 +124,7 @@ func (cfg *engineConfig) backend(prog *compile.Program) (backend, error) {
 	case cfg.remote, cfg.distributed:
 		return newDistBackend(prog, cfg)
 	default:
-		return newLocalBackend(prog, cfg.singleTuple), nil
+		return newLocalBackend(prog), nil
 	}
 }
 
@@ -267,7 +254,7 @@ type Engine struct {
 // New compiles the query over the given base relation schemas and
 // returns an engine over empty tables. By default it compiles with the
 // paper's default options and runs single-node; see Distributed,
-// KeyRanks, CompileOptions, and SingleTuple.
+// KeyRanks, and CompileOptions.
 func New(name string, query Expr, bases map[string]Schema, opts ...Option) (*Engine, error) {
 	cfg := engineConfig{copts: compile.DefaultOptions()}
 	for _, o := range opts {
@@ -812,10 +799,8 @@ type localBackend struct {
 	ex   *compile.Executor
 }
 
-func newLocalBackend(prog *compile.Program, singleTuple bool) *localBackend {
-	ex := compile.NewExecutor(prog)
-	ex.SingleTuple = singleTuple
-	return &localBackend{prog: prog, ex: ex}
+func newLocalBackend(prog *compile.Program) *localBackend {
+	return &localBackend{prog: prog, ex: compile.NewExecutor(prog)}
 }
 
 func (lb *localBackend) ApplyTx(tx []compile.TableBatch, capture []string) (map[string]*mring.Relation, error) {

@@ -363,9 +363,21 @@ func Fig13(cfg DistConfig) (*Table, error) {
 	return t, nil
 }
 
-// AblationColumnarShuffle compares the two relation payload forms a
-// shuffle can ship, columnar and row, on the update batches of a
-// distributed Q3 run (Sec. 5.2.2).
+// taggedBatch is r in columnar form with every column pool.Mixed, so each
+// value carries its kind byte as in a row layout.
+func taggedBatch(r *mring.Relation) *pool.ColBatch {
+	kinds := make([]mring.Kind, len(r.Schema()))
+	for i := range kinds {
+		kinds[i] = pool.Mixed
+	}
+	b := pool.NewColBatch(r.Schema(), kinds)
+	r.Foreach(b.Append)
+	return b
+}
+
+// AblationColumnarShuffle compares typed columns with per-value kind
+// tags on the update batches of a distributed Q3 run (Sec. 5.2.2): the
+// row side is the same batch with every column pool.Mixed.
 func AblationColumnarShuffle(cfg DistConfig) (*Table, error) {
 	dep, err := deploy("Q3", dist.O3)
 	if err != nil {
@@ -381,8 +393,8 @@ func AblationColumnarShuffle(cfg DistConfig) (*Table, error) {
 	for i := 0; i < 4; i++ {
 		var colBytes, rowBytes int
 		for _, b := range stream.NextBatches(20000) {
-			colBytes += len(inet.EncodePayload(b.Rel, pool.FromRelation(b.Rel)))
-			rowBytes += len(inet.EncodePayload(b.Rel, nil))
+			colBytes += len(inet.EncodePayload(b.Rel, nil))
+			rowBytes += len(inet.EncodePayload(b.Rel, taggedBatch(b.Rel)))
 		}
 		if colBytes == 0 {
 			break

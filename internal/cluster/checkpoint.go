@@ -14,11 +14,9 @@ import (
 // (Sec. 4: "Using data checkpointing, we can periodically save
 // intermediate state to reliable storage (HDFS) in order to shorten
 // recovery time"). The snapshot stores every node's relation fragments
-// in the lossless wire payload format (columnar when a relation's
-// columns are kind-pure, tagged rows otherwise — the earlier
-// columnar-only encoding silently dropped mixed-kind columns, so a
-// restore of such a view produced garbage); its size approximates the
-// HDFS write.
+// in the lossless wire payload format (a columnar batch whose mixed-kind
+// columns tag each value with its kind); its size approximates the HDFS
+// write.
 //
 // Each fragment also records the relation's bucket-table size, so
 // Restore rebuilds the exact physical layout (same chains, same Foreach

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/mring"
 	inet "repro/internal/net"
+	"repro/internal/pool"
 )
 
 // Connect dials the worker processes at addrs over tr, assigns each its
@@ -55,7 +56,7 @@ type remoteWorker struct {
 // bytes, and their decoding when the driver received them. A payload the
 // driver packed itself is never decoded on this side.
 type shipped struct {
-	*inet.Payload
+	*pool.ColBatch
 	raw []byte
 }
 
@@ -68,13 +69,13 @@ func decodeRows(b []byte) (rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &shipped{Payload: p, raw: b}, nil
+	return &shipped{ColBatch: p, raw: b}, nil
 }
 
-// encodeRows is the payload a row sequence ships as: a received or packed
-// payload as it came, a relation in its Foreach order or a piece in its
-// deal order, columnar when every column is kind-pure; any other
-// sequence in its own order, in row form under schema.
+// encodeRows is the payload a row sequence ships as, in its own order: a
+// received or packed payload as it came, a piece under its relation's
+// schema, and a relation or a deal under its own (schema is the deal's
+// install schema).
 func encodeRows(r rows, schema mring.Schema) []byte {
 	switch r := r.(type) {
 	case nil:
@@ -84,11 +85,9 @@ func encodeRows(r rows, schema mring.Schema) []byte {
 	case *mring.Relation:
 		return inet.EncodeRelationPlain(r)
 	case *piece:
-		return inet.EncodeRowsPlain(r.schema, r)
+		schema = r.schema
 	}
-	b := inet.NewPayloadBuilder(schema)
-	r.Foreach(b.Add)
-	return b.Bytes()
+	return inet.EncodeRowsPlain(schema, r)
 }
 
 // stage sends one step; the block's deploy blob rides along the first
@@ -108,8 +107,7 @@ func (rw *remoteWorker) stage(req *stageReq) (stageResp, error) {
 	return resp, nil
 }
 
-// pack encodes a relation or piece once — columnar when every column is
-// kind-pure, in row form otherwise.
+// pack encodes a relation or piece once.
 func (rw *remoteWorker) pack(r rows) rows {
 	return &shipped{raw: encodeRows(r, nil)}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/mring"
-	inet "repro/internal/net"
 	"repro/internal/pool"
 )
 
@@ -123,7 +122,7 @@ type stageResp struct {
 type rows = pool.Rows
 
 // row and rowList are rows in deal order: what one worker is dealt of an
-// update batch, which ships in row form.
+// update batch, which ships under its install's schema.
 type row struct {
 	t mring.Tuple
 	m float64
@@ -141,9 +140,9 @@ func (l rowList) Foreach(f func(t mring.Tuple, m float64)) {
 
 // piece is what one worker is dealt of a relation split by key: its rows
 // in the relation's Foreach order. It ships as a relation holding them
-// would, columnar when every column is kind-pure. Its tuples alias the
-// relation's storage, so it is landed before anything changes the
-// relation (Cluster.stage) or encoded first (a process worker's response).
+// would. Its tuples alias the relation's storage, so it is landed before
+// anything changes the relation (Cluster.stage) or encoded first (a
+// process worker's response).
 type piece struct {
 	schema mring.Schema
 	rowList
@@ -195,10 +194,9 @@ func split(src *mring.Relation, keyPos []int, n int) []rows {
 
 // wireSize is what moving a fragment costs on the wire: a process
 // worker's payload length, or — the simulator's measured traffic — the
-// size of the payload an in-process relation or piece would ship as,
-// computed from its values: its columnar batch, or its row payload when
-// mixed-kind columns rule the columnar form out. A batch deal is not a
-// shuffle and costs nothing.
+// size of the columnar batch an in-process relation or piece would ship
+// as, computed from its values. A batch deal is not a shuffle and costs
+// nothing.
 func wireSize(r rows) int64 {
 	var schema mring.Schema
 	switch r := r.(type) {
@@ -214,12 +212,7 @@ func wireSize(r rows) int64 {
 	if r.Len() == 0 {
 		return 0
 	}
-	if n, ok := pool.EncodedSize(schema, r); ok {
-		return int64(n)
-	}
-	b := inet.NewPayloadBuilder(schema)
-	r.Foreach(b.Add)
-	return int64(len(b.Bytes()))
+	return int64(pool.EncodedSize(schema, r))
 }
 
 // node holds the relation fragments of one worker (or the driver), and
@@ -457,7 +450,7 @@ func (sh *Shard) install(in install) (cur, old rows) {
 	case in.kind == installRepart:
 		exchange(dst, in.from)
 	case in.from[0] != nil:
-		installFragment(dst, in.from[0])
+		in.from[0].Foreach(dst.Add)
 	}
 	if in.capture {
 		cur = dst.Clone()
@@ -524,16 +517,3 @@ func (sh *Shard) restore(frags map[string]Frag) error {
 }
 
 func (sh *Shard) close() error { return nil }
-
-// installFragment fills the just-cleared dst with a shipped fragment: a
-// decoded columnar payload merges straight from its batch, anything else
-// (an in-process relation or deal, a row payload) row by row. Either way
-// rows land in the fragment's order, so dst's storage is bitwise
-// independent of how the fragment travelled.
-func installFragment(dst *mring.Relation, src rows) {
-	if s, ok := src.(*shipped); ok && s.Batch != nil {
-		s.Batch.MergeInto(dst)
-		return
-	}
-	src.Foreach(dst.Add)
-}

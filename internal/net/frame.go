@@ -1,8 +1,8 @@
 // Package net puts the engine's already-serialized wire format on a real
 // transport: length-prefixed frames over TCP (the Transport interface is
-// shaped so a QUIC implementation can slot in), carrying the columnar /
-// row-format relation payloads of internal/pool between a driver process
-// and N worker processes, and streaming the changefeed to remote
+// shaped so a QUIC implementation can slot in), carrying the columnar
+// relation payloads of internal/pool between a driver process and N
+// worker processes, and streaming the changefeed to remote
 // subscribers. Every decoder in this package is hardened against hostile
 // bytes: malformed frames and payloads return errors, never panic, and
 // never allocate unbounded memory.

@@ -103,22 +103,20 @@ func TestPayloadRowRoundTrip(t *testing.T) {
 	})
 }
 
-// TestColumnarPayloadSmallerThanRows pins why shuffles ship columnar
-// when they can: for a kind-pure batch the columnar payload, whose
-// header and kinds are written once, is smaller than the row payload,
-// which tags every value with its kind.
+// TestColumnarPayloadSmallerThanRows pins why a kind-pure column is
+// typed: its values encode smaller than the same rows in pool.Mixed
+// columns, which tag every value with its kind as a row layout does.
 func TestColumnarPayloadSmallerThanRows(t *testing.T) {
-	r := mring.NewRelation(mring.Schema{"a", "b", "c", "d"})
+	schema := mring.Schema{"a", "b", "c", "d"}
+	r := mring.NewRelation(schema)
 	for i := 0; i < 1000; i++ {
 		r.Add(mring.Tuple{mring.Int(int64(i)), mring.Int(int64(i % 10)), mring.Int(int64(i % 5)), mring.Int(int64(i % 2))}, 1)
 	}
-	col, ok := pool.TryFromRelation(r)
-	if !ok {
-		t.Fatal("kind-pure relation has no columnar form")
-	}
-	colSize, rowSize := len(EncodePayload(r, col)), len(EncodePayload(r, nil))
+	tagged := pool.NewColBatch(schema, []mring.Kind{pool.Mixed, pool.Mixed, pool.Mixed, pool.Mixed})
+	r.Foreach(tagged.Append)
+	colSize, rowSize := len(EncodePayload(r, nil)), len(EncodePayload(r, tagged))
 	if colSize >= rowSize {
-		t.Fatalf("columnar %dB not smaller than row %dB", colSize, rowSize)
+		t.Fatalf("typed columns %dB not smaller than Mixed columns %dB", colSize, rowSize)
 	}
 }
 
@@ -204,6 +202,8 @@ func FuzzFrameDecode(f *testing.F) {
 	var huge [4]byte
 	binary.BigEndian.PutUint32(huge[:], MaxFrame+1)
 	f.Add(huge[:])
+	f.Add(legacyRowPayload)
+	f.Add(AppendFrame(nil, 2, legacyRowPayload))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, rest, err := DecodeFrame(data)
 		if err == nil {

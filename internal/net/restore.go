@@ -4,34 +4,13 @@ import (
 	"fmt"
 
 	"repro/internal/mring"
+	"repro/internal/pool"
 )
 
 // MaxRestoreBuckets bounds the bucket-table size a snapshot may ask a
 // restored relation to preseed, so a corrupt size field cannot demand an
 // arbitrary allocation before validation catches it.
 const MaxRestoreBuckets = 1 << 28
-
-// ForeachReverse visits the payload's rows in reverse wire order. This is
-// the exact-layout restore primitive: the encoder wrote rows in the source
-// relation's Foreach order, and re-inserting them in reverse into a table
-// preseeded to the source's bucket count reproduces the source's chains
-// exactly (each insert pushes at the chain head). Tuples passed to f are
-// safe to retain.
-func (p *Payload) ForeachReverse(f func(t mring.Tuple, m float64)) {
-	rows, mults := p.rows, p.mults
-	if p.Batch != nil {
-		// Columnar batches decode through a reused tuple buffer, so
-		// materialize owned copies before walking backwards.
-		rows, mults = nil, nil
-		p.Batch.Foreach(func(t mring.Tuple, m float64) {
-			rows = append(rows, t.Clone())
-			mults = append(mults, m)
-		})
-	}
-	for i := len(rows) - 1; i >= 0; i-- {
-		f(rows[i], mults[i])
-	}
-}
 
 // validateBuckets checks a snapshot's recorded bucket-table size against
 // the row count it claims to have held. buckets == 0 means the source
@@ -62,34 +41,11 @@ func validateBuckets(buckets, rows int) error {
 // empty source (then only capacity is restored). Corrupt input returns a
 // descriptive error and never panics.
 func RestoreIntoExact(dst *mring.Relation, payload []byte, buckets int) error {
-	if len(payload) == 0 {
-		if err := validateBuckets(buckets, 0); err != nil {
-			return err
-		}
-		if buckets > 0 {
-			dst.Preseed(buckets)
-		}
-		return nil
-	}
-	p, err := DecodePayload(payload)
+	b, err := decodeSnapshot(payload)
 	if err != nil {
 		return err
 	}
-	if len(p.Schema) != len(dst.Schema()) {
-		return fmt.Errorf("inet: snapshot schema arity %d does not match relation arity %d", len(p.Schema), len(dst.Schema()))
-	}
-	if err := validateBuckets(buckets, p.Len()); err != nil {
-		return err
-	}
-	if buckets > 0 {
-		dst.Preseed(buckets)
-		p.ForeachReverse(dst.Add)
-		return nil
-	}
-	// No recorded size (legacy snapshot): contents-only rebuild in wire
-	// order. Correct values, but no layout guarantee.
-	p.Foreach(dst.Add)
-	return nil
+	return restoreExact(dst, b, buckets)
 }
 
 // RestoreRelationExact is RestoreIntoExact for callers that do not hold a
@@ -97,17 +53,50 @@ func RestoreIntoExact(dst *mring.Relation, payload []byte, buckets int) error {
 // fallback when the payload is empty (empty relations encode to nil, which
 // carries no schema).
 func RestoreRelationExact(payload []byte, buckets int, fallback mring.Schema) (*mring.Relation, error) {
+	b, err := decodeSnapshot(payload)
+	if err != nil {
+		return nil, err
+	}
 	schema := fallback
-	if len(payload) > 0 {
-		p, err := DecodePayload(payload)
-		if err != nil {
-			return nil, err
-		}
-		schema = p.Schema
+	if b != nil {
+		schema = b.Schema
 	}
 	r := mring.NewRelation(schema)
-	if err := RestoreIntoExact(r, payload, buckets); err != nil {
+	if err := restoreExact(r, b, buckets); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// decodeSnapshot decodes a snapshot's payload; nil for an empty one.
+func decodeSnapshot(payload []byte) (*pool.ColBatch, error) {
+	if len(payload) == 0 {
+		return nil, nil
+	}
+	return DecodePayload(payload)
+}
+
+// restoreExact fills dst from a decoded snapshot (nil when empty). The
+// encoder wrote rows in the source relation's Foreach order, and
+// re-inserting them in reverse into a table preseeded to the source's
+// bucket count reproduces the source's chains exactly (each insert
+// pushes at the chain head).
+func restoreExact(dst *mring.Relation, b *pool.ColBatch, buckets int) error {
+	rows := 0
+	if b != nil {
+		if len(b.Schema) != len(dst.Schema()) {
+			return fmt.Errorf("inet: snapshot schema arity %d does not match relation arity %d", len(b.Schema), len(dst.Schema()))
+		}
+		rows = b.Len()
+	}
+	if err := validateBuckets(buckets, rows); err != nil {
+		return err
+	}
+	if buckets > 0 {
+		dst.Preseed(buckets)
+	}
+	if b != nil {
+		b.ForeachReverse(dst.Add)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,8 +15,10 @@ func buildHistory(t *testing.T, schema mring.Schema, mixed bool, seed int64) *mr
 	for op := 0; op < 200; op++ {
 		k := int64(rng.Intn(48))
 		var tp mring.Tuple
-		if mixed {
+		if mixed && k%2 == 0 {
 			tp = mring.Tuple{mring.Int(k), mring.Str("s")}
+		} else if mixed {
+			tp = mring.Tuple{mring.Str(fmt.Sprint(k)), mring.Float(float64(k) / 2)}
 		} else {
 			tp = mring.Tuple{mring.Int(k), mring.Int(k * 3)}
 		}
@@ -48,10 +51,11 @@ func requireExact(t *testing.T, label string, got, want *mring.Relation) {
 	}
 }
 
-// TestRestoreExactBothForms pins the exact-layout restore for both wire
-// forms (columnar for kind-pure relations, row format for mixed kinds):
-// the rebuilt relation must have the identical bucket-table size and
-// Foreach order as the encoder's source.
+// TestRestoreExactBothForms pins the exact-layout restore for kind-pure
+// relations ("columnar": typed columns) and relations whose columns mix
+// kinds ("rows", the form earlier builds wrote them in; now Mixed
+// columns): the rebuilt relation must have the identical bucket-table
+// size and Foreach order as the encoder's source.
 func TestRestoreExactBothForms(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

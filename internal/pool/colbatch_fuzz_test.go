@@ -8,8 +8,9 @@ import (
 	"repro/internal/mring"
 )
 
-// fuzzSeedBatches are valid wire images seeding the corpus: empty,
-// single-kind, and mixed batches with adversarial values.
+// fuzzSeedBatches are valid wire images seeding the corpus: empty and
+// single-kind batches, typed columns of every kind, and a Mixed column,
+// with adversarial values.
 func fuzzSeedBatches() []*ColBatch {
 	empty := NewColBatch(mring.Schema{"a"}, []mring.Kind{mring.KInt})
 	ints := NewColBatch(mring.Schema{"a", "b"}, []mring.Kind{mring.KInt, mring.KInt})
@@ -19,7 +20,11 @@ func fuzzSeedBatches() []*ColBatch {
 		[]mring.Kind{mring.KInt, mring.KFloat, mring.KString})
 	mixed.Append(mring.Tuple{mring.Int(7), mring.Float(math.NaN()), mring.Str("")}, 1)
 	mixed.Append(mring.Tuple{mring.Int(-7), mring.Float(math.Inf(-1)), mring.Str("x\x00y")}, 3.25)
-	return []*ColBatch{empty, ints, mixed}
+	tagged := NewColBatch(mring.Schema{"k", "n"}, []mring.Kind{Mixed, mring.KInt})
+	tagged.Append(mring.Tuple{mring.Int(2), mring.Int(1)}, 1)
+	tagged.Append(mring.Tuple{mring.Float(math.NaN()), mring.Int(2)}, -1)
+	tagged.Append(mring.Tuple{mring.Str(""), mring.Int(3)}, 0.5)
+	return []*ColBatch{empty, ints, mixed, tagged}
 }
 
 func batchesEqual(a, b *ColBatch) bool {

@@ -13,13 +13,20 @@ import (
 	"repro/internal/wire"
 )
 
-// Column is one typed column of a columnar batch. Exactly one of the value
-// slices is populated, according to Kind.
+// Mixed is the kind of a column whose values differ in kind: each of its
+// values is written as wire.Enc.Value, kind byte first. It makes the
+// columnar batch lossless for every relation; a kind-pure column stays
+// one typed array with no per-value tag.
+const Mixed = mring.KString + 1
+
+// Column is one column of a columnar batch. Exactly one of the value
+// slices is populated, according to Kind: Vals for a Mixed column.
 type Column struct {
 	Kind mring.Kind
 	Ints []int64
 	Flts []float64
 	Strs []string
+	Vals []mring.Value
 }
 
 // Len returns the number of values in the column.
@@ -29,8 +36,10 @@ func (c *Column) Len() int {
 		return len(c.Ints)
 	case mring.KFloat:
 		return len(c.Flts)
-	default:
+	case mring.KString:
 		return len(c.Strs)
+	default:
+		return len(c.Vals)
 	}
 }
 
@@ -40,8 +49,10 @@ func (c *Column) append(v mring.Value) {
 		c.Ints = append(c.Ints, v.AsInt())
 	case mring.KFloat:
 		c.Flts = append(c.Flts, v.AsFloat())
-	default:
+	case mring.KString:
 		c.Strs = append(c.Strs, v.S)
+	default:
+		c.Vals = append(c.Vals, v)
 	}
 }
 
@@ -51,14 +62,17 @@ func (c *Column) value(i int) mring.Value {
 		return mring.Int(c.Ints[i])
 	case mring.KFloat:
 		return mring.Float(c.Flts[i])
-	default:
+	case mring.KString:
 		return mring.Str(c.Strs[i])
+	default:
+		return c.Vals[i]
 	}
 }
 
 // ColBatch is a column-oriented batch of (tuple, multiplicity) pairs —
-// the layout of serialized shuffle payloads (Sec. 5.2.2): each column
-// encodes as one typed array, with no per-value kind tag.
+// the layout of every serialized relation payload (Sec. 5.2.2): each
+// kind-pure column encodes as one typed array, with no per-value kind
+// tag; only a Mixed column tags its values.
 type ColBatch struct {
 	Schema mring.Schema
 	Cols   []Column
@@ -91,8 +105,10 @@ func (b *ColBatch) reserve(n int) {
 			c.Ints = make([]int64, 0, n)
 		case mring.KFloat:
 			c.Flts = make([]float64, 0, n)
-		default:
+		case mring.KString:
 			c.Strs = make([]string, 0, n)
+		default:
+			c.Vals = make([]mring.Value, 0, n)
 		}
 	}
 	b.Mults = make([]float64, 0, n)
@@ -109,68 +125,64 @@ func (b *ColBatch) Append(t mring.Tuple, m float64) {
 	b.Mults = append(b.Mults, m)
 }
 
-// Row materializes row i.
-func (b *ColBatch) Row(i int) (mring.Tuple, float64) {
-	t := make(mring.Tuple, len(b.Cols))
+// load materializes row i into t.
+func (b *ColBatch) load(t mring.Tuple, i int) {
 	for j := range b.Cols {
 		t[j] = b.Cols[j].value(i)
 	}
-	return t, b.Mults[i]
 }
 
-// Foreach visits every row, materializing tuples into a reused buffer.
+// Foreach visits every row in batch order, materializing tuples into a
+// reused buffer.
 func (b *ColBatch) Foreach(f func(t mring.Tuple, m float64)) {
 	t := make(mring.Tuple, len(b.Cols))
-	for i := range b.Mults {
-		for j := range b.Cols {
-			t[j] = b.Cols[j].value(i)
-		}
+	for i, m := range b.Mults {
+		b.load(t, i)
+		f(t, m)
+	}
+}
+
+// ForeachReverse is Foreach from the last row to the first: the order an
+// exact-layout restore re-inserts a relation's rows in.
+func (b *ColBatch) ForeachReverse(f func(t mring.Tuple, m float64)) {
+	t := make(mring.Tuple, len(b.Cols))
+	for i := len(b.Mults) - 1; i >= 0; i-- {
+		b.load(t, i)
 		f(t, b.Mults[i])
 	}
 }
 
 // Rows is a row sequence in a fixed order: a relation (its Foreach
-// order), or rows dealt from one.
+// order), a batch, or rows dealt from one.
 type Rows interface {
 	Foreach(f func(t mring.Tuple, m float64))
 	Len() int
 }
 
-// TryFromRelation is the strict columnar conversion: it succeeds only
-// when every column holds one value kind throughout, so the batch
-// round-trips losslessly (the requirement for shipping real bytes).
-// Unlike FromRelation, which coerces mixed columns to the first tuple's
-// kinds, a mismatch reports ok=false.
-func TryFromRelation(r *mring.Relation) (*ColBatch, bool) {
-	return TryFromRows(r.Schema(), r)
-}
-
-// TryFromRows is TryFromRelation over any row sequence of the given
-// schema, in its order.
-func TryFromRows(schema mring.Schema, r Rows) (*ColBatch, bool) {
-	kinds, ok := pureKinds(r, nil)
-	if !ok {
-		return nil, false
-	}
-	if kinds == nil {
-		kinds = make([]mring.Kind, len(schema))
-	}
-	b := NewColBatch(schema, kinds)
+// FromRows converts a row sequence of the given schema to columnar form,
+// in its order. A column whose values share one kind is typed with it
+// (an int column when there are no rows); one that mixes kinds is Mixed,
+// so the conversion is lossless. Every column is sized to the row count
+// before it is filled.
+func FromRows(schema mring.Schema, r Rows) *ColBatch {
+	b := NewColBatch(schema, columnKinds(r, len(schema), nil))
 	b.reserve(r.Len())
-	r.Foreach(func(t mring.Tuple, m float64) { b.Append(t, m) })
-	return b, true
+	r.Foreach(b.Append)
+	return b
 }
 
-// EncodedSize is len(b.Encode()) of the batch TryFromRows(schema, r)
-// would build, computed from the values without building or encoding
-// it; ok=false exactly when TryFromRows refuses.
-func EncodedSize(schema mring.Schema, r Rows) (size int, ok bool) {
+// FromRelation is FromRows over a relation, in its Foreach order.
+func FromRelation(r *mring.Relation) *ColBatch { return FromRows(r.Schema(), r) }
+
+// EncodedSize is len(FromRows(schema, r).Encode()), computed from the
+// values without building or encoding the batch.
+func EncodedSize(schema mring.Schema, r Rows) int {
 	n := r.Len()
-	size = uvarintLen(uint64(len(schema))) + uvarintLen(uint64(n)) + 8*n
+	size := uvarintLen(uint64(len(schema))) + uvarintLen(uint64(n)) + 8*n
 	for _, name := range schema {
 		size += uvarintLen(uint64(len(name))) + len(name) + 1
 	}
-	_, ok = pureKinds(r, func(v mring.Value) {
+	kinds := columnKinds(r, len(schema), func(v mring.Value) {
 		switch v.K {
 		case mring.KInt:
 			size += varintLen(v.I)
@@ -180,35 +192,36 @@ func EncodedSize(schema mring.Schema, r Rows) (size int, ok bool) {
 			size += uvarintLen(uint64(len(v.S))) + len(v.S)
 		}
 	})
-	return size, ok
+	for _, k := range kinds {
+		if k == Mixed {
+			size += n // a kind byte per value
+		}
+	}
+	return size
 }
 
-// pureKinds returns each column's value kind, nil for no rows, and
-// ok=false when a column holds two kinds. each, when set, visits every
-// value of the rows it checks.
-func pureKinds(r Rows, each func(v mring.Value)) (kinds []mring.Kind, ok bool) {
-	ok = true
+// columnKinds returns the kind of each of r's columns: the one its values
+// share, Mixed when they differ, KInt when there are no rows. each, when
+// set, visits every value.
+func columnKinds(r Rows, arity int, each func(v mring.Value)) []mring.Kind {
+	kinds := make([]mring.Kind, arity)
+	first := true
 	r.Foreach(func(t mring.Tuple, _ float64) {
-		if !ok {
-			return
-		}
-		if kinds == nil {
-			kinds = make([]mring.Kind, len(t))
-			for i, v := range t {
-				kinds[i] = v.K
-			}
-		}
 		for i, v := range t {
 			if v.K != kinds[i] {
-				ok = false
-				return
+				if first {
+					kinds[i] = v.K
+				} else {
+					kinds[i] = Mixed
+				}
 			}
 			if each != nil {
 				each(v)
 			}
 		}
+		first = false
 	})
-	return kinds, ok
+	return kinds
 }
 
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
@@ -216,29 +229,11 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // varintLen is the length of v as a zig-zag varint (wire.Enc.Varint).
 func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
 
-// FromRelation converts row-format contents to columnar form. Column
-// kinds are taken from the first tuple; empty relations produce int
-// columns.
-func FromRelation(r *mring.Relation) *ColBatch {
-	kinds := make([]mring.Kind, len(r.Schema()))
-	first := true
-	r.Foreach(func(t mring.Tuple, _ float64) {
-		if first {
-			for i, v := range t {
-				kinds[i] = v.K
-			}
-			first = false
-		}
-	})
-	b := NewColBatch(r.Schema(), kinds)
-	r.Foreach(func(t mring.Tuple, m float64) { b.Append(t, m) })
-	return b
-}
-
 // Encode serializes the batch into a compact binary columnar layout. The
 // format is self-describing: schema, column kinds, then per-column value
-// arrays, then multiplicities. It is the wire format of the simulated
-// cluster's shuffles; its length measures network traffic.
+// arrays (a Mixed column's values each kind-tagged), then multiplicities.
+// It is the body of every relation payload; its length measures the
+// simulated cluster's network traffic.
 func (b *ColBatch) Encode() []byte {
 	var e wire.Enc
 	e.Int(len(b.Schema))
@@ -254,10 +249,12 @@ func (b *ColBatch) Encode() []byte {
 			e.Varints(c.Ints)
 		case mring.KFloat:
 			e.Floats(c.Flts)
-		default:
+		case mring.KString:
 			for _, v := range c.Strs {
 				e.Str(v)
 			}
+		default:
+			e.Tuple(c.Vals)
 		}
 	}
 	e.Floats(b.Mults)
@@ -273,7 +270,9 @@ func Decode(buf []byte) (*ColBatch, error) {
 	kinds := make([]mring.Kind, nc)
 	for i := range schema {
 		schema[i] = d.Str()
-		kinds[i] = d.Kind()
+		if kinds[i] = mring.Kind(d.Byte()); kinds[i] > Mixed {
+			d.Fail("unknown column kind %d", kinds[i])
+		}
 	}
 	// Each row costs at least 8 bytes for its multiplicity alone.
 	n := d.Count(8)
@@ -293,11 +292,14 @@ func Decode(buf []byte) (*ColBatch, error) {
 		case mring.KFloat:
 			c.Flts = make([]float64, n)
 			d.Floats(c.Flts)
-		default:
+		case mring.KString:
 			c.Strs = make([]string, n)
 			for j := range c.Strs {
 				c.Strs[j] = d.Str()
 			}
+		default:
+			c.Vals = make([]mring.Value, n)
+			d.Tuple(c.Vals)
 		}
 	}
 	b.Mults = make([]float64, n)
@@ -306,18 +308,4 @@ func Decode(buf []byte) (*ColBatch, error) {
 		return nil, fmt.Errorf("pool: bad batch: %w", err)
 	}
 	return b, nil
-}
-
-// MergeInto adds every row of the batch into r (bag union in place) — the
-// receive side of a byte-shipped shuffle fragment. Rows land in batch
-// order, matching the order a Foreach-driven Merge of the source relation
-// would have used.
-func (b *ColBatch) MergeInto(r *mring.Relation) {
-	t := make(mring.Tuple, len(b.Cols))
-	for i, m := range b.Mults {
-		for j := range b.Cols {
-			t[j] = b.Cols[j].value(i)
-		}
-		r.Add(t, m)
-	}
 }

@@ -33,12 +33,8 @@ func TestColBatchRoundTrip(t *testing.T) {
 	if !dec.Schema.Equal(b.Schema) || dec.Len() != 2 {
 		t.Fatalf("decode mismatch: %v", dec.Schema)
 	}
-	for i := 0; i < 2; i++ {
-		t1, m1 := b.Row(i)
-		t2, m2 := dec.Row(i)
-		if !t1.Equal(t2) || m1 != m2 {
-			t.Fatalf("row %d mismatch: %v/%g vs %v/%g", i, t1, m1, t2, m2)
-		}
+	if !batchesEqual(b, dec) {
+		t.Fatalf("decode mismatch: %+v vs %+v", dec, b)
 	}
 }
 
@@ -58,7 +54,7 @@ func TestColBatchRelationConversions(t *testing.T) {
 	r.Add(tup(1, 2), 3)
 	r.Add(tup(4, 5), -1)
 	back := mring.NewRelation(r.Schema())
-	FromRelation(r).MergeInto(back)
+	FromRelation(r).Foreach(back.Add)
 	if !back.Equal(r) {
 		t.Fatalf("round trip: %v vs %v", back, r)
 	}
@@ -78,7 +74,7 @@ func TestQuickColBatchRoundTrip(t *testing.T) {
 			return false
 		}
 		back := mring.NewRelation(dec.Schema)
-		dec.MergeInto(back)
+		dec.Foreach(back.Add)
 		return back.Equal(r)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
@@ -86,8 +82,8 @@ func TestQuickColBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMirrorColumnsArePresized pins that TryFromRelation, the strict
-// conversion every columnar payload is encoded from, sizes every column
+// TestMirrorColumnsArePresized pins that FromRelation, the conversion
+// every relation payload is encoded from, sizes every column
 // and the multiplicities to the relation's row count before filling
 // them: the allocations of one conversion do not grow with the rows, and
 // the batch encodes exactly as one grown row by row does.
@@ -101,16 +97,13 @@ func TestMirrorColumnsArePresized(t *testing.T) {
 		return r
 	}
 	allocs := func(r *mring.Relation) float64 {
-		return testing.AllocsPerRun(5, func() { TryFromRelation(r) })
+		return testing.AllocsPerRun(5, func() { FromRelation(r) })
 	}
 	small, large := fill(16), fill(4096)
 	if a, b := allocs(small), allocs(large); a != b {
 		t.Fatalf("conversion allocates %v times for 16 rows, %v for 4096", a, b)
 	}
-	got, ok := TryFromRelation(large)
-	if !ok {
-		t.Fatal("no batch for a fixed-kind relation")
-	}
+	got := FromRelation(large)
 	grown := NewColBatch(schema, []mring.Kind{mring.KInt, mring.KFloat, mring.KString})
 	large.Foreach(func(tp mring.Tuple, m float64) { grown.Append(tp, m) })
 	if string(got.Encode()) != string(grown.Encode()) {
@@ -144,8 +137,8 @@ func randomGroupBatch(rng *rand.Rand, rows int) *ColBatch {
 
 // TestToRelationColumnarMatchesRowPath guards the decode path: a batch
 // with repeated rows and NaN and >2^53 values, shipped through Encode and
-// Decode and merged by MergeInto (which replaced ToRelation), must equal
-// the relation a row-by-row Add of the batch builds.
+// Decode and added in batch order, must equal the relation a row-by-row
+// Add of the source batch builds.
 func TestToRelationColumnarMatchesRowPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := randomGroupBatch(rng, 250)
@@ -156,8 +149,49 @@ func TestToRelationColumnarMatchesRowPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := mring.NewRelation(dec.Schema)
-	dec.MergeInto(got)
+	dec.Foreach(got.Add)
 	if !got.Equal(want) {
-		t.Fatalf("decoded MergeInto diverges:\n got %v\nwant %v", got, want)
+		t.Fatalf("decoded batch diverges:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestFromRowsMixedColumns pins the lossless conversion: a column whose
+// values mix kinds becomes Mixed, a kind-pure one keeps its type, and the
+// batch's rows, read forwards or backwards, keep each value's kind and
+// bits — Int(2) stays an int although it equals Float(2).
+func TestFromRowsMixedColumns(t *testing.T) {
+	r := mring.NewRelation(mring.Schema{"k", "v", "n"})
+	want := []mring.Tuple{
+		{mring.Int(2), mring.Float(2), mring.Int(1)},
+		{mring.Str("2"), mring.Int(3), mring.Int(2)},
+		{mring.Float(math.Copysign(0, -1)), mring.Float(math.NaN()), mring.Int(3)},
+	}
+	for i, tp := range want {
+		r.Add(tp, float64(i+1))
+	}
+	b := FromRelation(r)
+	if k := []mring.Kind{b.Cols[0].Kind, b.Cols[1].Kind, b.Cols[2].Kind}; k[0] != Mixed || k[1] != Mixed || k[2] != mring.KInt {
+		t.Fatalf("column kinds %v, want [Mixed Mixed int]", k)
+	}
+	dec, err := Decode(b.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !batchesEqual(b, dec) {
+		t.Fatalf("round trip diverged: %+v vs %+v", dec, b)
+	}
+	var fwd, rev []mring.Tuple
+	r.Foreach(func(tp mring.Tuple, _ float64) { fwd = append(fwd, tp.Clone()) })
+	dec.ForeachReverse(func(tp mring.Tuple, _ float64) { rev = append(rev, tp.Clone()) })
+	if len(rev) != len(fwd) {
+		t.Fatalf("ForeachReverse visited %d rows, want %d", len(rev), len(fwd))
+	}
+	for i, tp := range rev {
+		for j, v := range tp {
+			w := fwd[len(fwd)-1-i][j]
+			if v.K != w.K || v.I != w.I || v.S != w.S || math.Float64bits(v.F) != math.Float64bits(w.F) {
+				t.Fatalf("reverse row %d column %d: got %#v, want %#v", i, j, v, w)
+			}
+		}
 	}
 }

@@ -73,8 +73,9 @@ func sizeFuzzRelation(data []byte) *mring.Relation {
 // FuzzEncodedSize pins the simulator's computed shuffle size to the
 // encoder: over arbitrary relations — extreme and negative ints, NaN and
 // signed-zero floats, empty and long strings and names, mixed-kind
-// columns — EncodedSize refuses exactly when TryFromRelation does, and
-// otherwise equals the length of the batch's encoding.
+// columns — EncodedSize equals the length of FromRelation's encoding, and
+// that encoding decodes back to the relation's rows in its order, each
+// value with its kind and bits.
 func FuzzEncodedSize(f *testing.F) {
 	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	cat := func(parts ...[]byte) []byte {
@@ -103,19 +104,39 @@ func FuzzEncodedSize(f *testing.F) {
 		[]byte{2, 3, 'x', 0, 'y', 1},
 		[]byte{2, 255, 2},
 		[]byte{2, 201, 1}))
-	// Mixed kinds in one column: refused.
+	// Mixed kinds in one column: sized with a kind byte per value.
 	f.Add(cat([]byte{0, 0, 0},
 		[]byte{0}, le(5), []byte{1},
 		[]byte{0x82, 1, 'z', 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := sizeFuzzRelation(data)
-		size, ok := EncodedSize(r.Schema(), r)
-		b, want := TryFromRelation(r)
-		if ok != want {
-			t.Fatalf("EncodedSize ok=%v, TryFromRelation ok=%v on %v", ok, want, r)
+		b := FromRelation(r)
+		enc := b.Encode()
+		if size := EncodedSize(r.Schema(), r); size != len(enc) {
+			t.Fatalf("EncodedSize = %d, encoding is %d bytes, on %v", size, len(enc), r)
 		}
-		if ok && size != len(b.Encode()) {
-			t.Fatalf("EncodedSize = %d, encoding is %d bytes, on %v", size, len(b.Encode()), r)
+		dec, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		var want []mring.Tuple
+		var mults []float64
+		r.Foreach(func(tp mring.Tuple, m float64) { want, mults = append(want, tp.Clone()), append(mults, m) })
+		i := 0
+		dec.Foreach(func(tp mring.Tuple, m float64) {
+			for j, v := range tp {
+				w := want[i][j]
+				if v.K != w.K || v.I != w.I || v.S != w.S || math.Float64bits(v.F) != math.Float64bits(w.F) {
+					t.Fatalf("row %d column %d: decoded %#v, relation holds %#v", i, j, v, w)
+				}
+			}
+			if math.Float64bits(m) != math.Float64bits(mults[i]) {
+				t.Fatalf("row %d: multiplicity %v, want %v", i, m, mults[i])
+			}
+			i++
+		})
+		if i != len(want) {
+			t.Fatalf("decoded %d rows, relation holds %d", i, len(want))
 		}
 	})
 }

@@ -1,7 +1,7 @@
 // Package wire is the module's one byte codec. Every format that crosses
-// a process boundary or lands on disk — relation payloads (columnar and
-// row), WAL records, the cluster's control messages and deploy blobs,
-// checkpoints and changefeed messages — is written with Enc and read with
+// a process boundary or lands on disk — relation payloads, WAL records,
+// the cluster's control messages and deploy blobs, checkpoints and
+// changefeed messages — is written with Enc and read with
 // Dec, as a flat sequence of unsigned varints (counts, lengths, ids),
 // zig-zag varints (signed integers), single bytes (kinds, tags,
 // booleans), little-endian float64s and length-prefixed byte strings.

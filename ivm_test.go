@@ -122,29 +122,11 @@ func TestEngineWarm(t *testing.T) {
 	}
 }
 
-func TestEngineSingleTupleMode(t *testing.T) {
-	q := Sum([]string{"a"}, Table("R", "a", "b"))
-	eng, err := New("QS", q, map[string]Schema{"R": {"a", "b"}}, SingleTuple())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBatch(Schema{"a", "b"})
-	b.Insert(Row(1, 2))
-	b.Insert(Row(1, 3))
-	eng.ApplyBatch("R", b)
-	if got := eng.Result().Get(Row(1)); got != 2 {
-		t.Fatalf("single-tuple mode = %g, want 2", got)
-	}
-}
-
 func TestNewOptionValidation(t *testing.T) {
 	q := Sum([]string{"a"}, Table("R", "a"))
 	bases := map[string]Schema{"R": {"a"}}
 	if _, err := New("Q", q, bases, Distributed(0)); err == nil {
 		t.Fatal("Distributed(0) accepted, want error")
-	}
-	if _, err := New("Q", q, bases, Distributed(2), SingleTuple()); err == nil {
-		t.Fatal("Distributed+SingleTuple accepted, want error")
 	}
 }
 

@@ -35,7 +35,7 @@ type Registry struct {
 
 // NewRegistry creates an empty multi-view registry over the given base
 // relation schemas. The same options as New select the backend shared by
-// all registered views; SingleTuple is not supported.
+// all registered views.
 func NewRegistry(bases map[string]Schema, opts ...Option) (*Registry, error) {
 	cfg := engineConfig{copts: compile.DefaultOptions()}
 	for _, o := range opts {
@@ -43,9 +43,6 @@ func NewRegistry(bases map[string]Schema, opts ...Option) (*Registry, error) {
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.singleTuple {
-		return nil, fmt.Errorf("ivm: SingleTuple is not supported on a Registry")
 	}
 	return &Registry{
 		cfg:   cfg,
