@@ -33,12 +33,14 @@ lint:
 # format — the transport frame layer, WAL records, the worker's request
 # decoder behind every driver/worker op with deploy blobs included,
 # checkpoints, and both changefeed messages) must never panic on
-# arbitrary bytes — the checkpoint and changefeed decoders must also
-# re-encode what they accept to the same bytes — tuples with equal
+# arbitrary bytes — the in-place columnar batch reader, the checkpoint
+# and the changefeed decoders must also re-encode what they accept to
+# the same bytes, and the batch reader must visit the same rows forwards
+# and backwards — tuples with equal
 # canonical keys must compare and hash equal, any sequence of relation
 # and group-table operations must match a plain-map model, and the
-# simulator's computed shuffle size must equal the columnar encoding's
-# length on every relation, mixed kinds included.
+# simulator's computed shuffle size must equal the length of the
+# one-pass writer's output on every relation, mixed kinds included.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashColsKeyEqual$$' -fuzztime=30s ./internal/mring
 	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=30s ./internal/mring

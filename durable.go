@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -8,7 +9,9 @@ import (
 	"repro/internal/compile"
 	"repro/internal/mring"
 	inet "repro/internal/net"
+	"repro/internal/pool"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // Durable persists the engine to dir: every applied transaction appends
@@ -150,6 +153,11 @@ type durable struct {
 	// err is the durability poison: the first WAL or checkpoint I/O
 	// failure sticks, and every later write path returns it.
 	err error
+	// rec holds the record body being logged, each table's payload
+	// written in place after its head by w; both are reused for every
+	// record.
+	rec wire.Enc
+	w   pool.Writer
 }
 
 func (d *durable) poison(err error) error {
@@ -268,20 +276,13 @@ func (s *serving) logTxLocked(batches []compile.TableBatch) error {
 	if s.dur.err != nil {
 		return s.dur.err
 	}
-	rec := store.Record{Kind: store.RecTx, Tables: make([]store.TableFrag, 0, len(batches))}
+	d := s.dur
+	d.rec.Reset()
+	d.rec.B = store.AppendRecordHead(d.rec.B, store.RecTx, len(batches))
 	for _, tb := range batches {
-		rec.Tables = append(rec.Tables, store.TableFrag{
-			Table:   tb.Table,
-			Buckets: tb.Batch.TableSize(),
-			Payload: inet.EncodeRelationPlain(tb.Batch),
-		})
+		d.appendTable(tb.Table, tb.Batch)
 	}
-	if err := s.dur.st.Append(rec); err != nil {
-		return s.dur.poison(fmt.Errorf("ivm: WAL append: %w", err))
-	}
-	s.dur.applied++
-	s.dur.sinceCkpt++
-	return nil
+	return d.appendRecord()
 }
 
 // logWarmLocked appends the full warm-start contents (every base table,
@@ -295,20 +296,36 @@ func (s *serving) logWarmLocked(init map[string]*mring.Relation) error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	rec := store.Record{Kind: store.RecWarm, Tables: make([]store.TableFrag, 0, len(names))}
+	d := s.dur
+	d.rec.Reset()
+	d.rec.B = store.AppendRecordHead(d.rec.B, store.RecWarm, len(names))
 	for _, n := range names {
-		r := init[n]
-		rec.Tables = append(rec.Tables, store.TableFrag{
-			Table:   n,
-			Buckets: r.TableSize(),
-			Payload: inet.EncodeRelationPlain(r),
-		})
+		d.appendTable(n, init[n])
 	}
-	if err := s.dur.st.Append(rec); err != nil {
-		return s.dur.poison(fmt.Errorf("ivm: WAL append: %w", err))
+	return d.appendRecord()
+}
+
+// appendTable writes one table of the record being built: its head, then
+// its payload in place.
+func (d *durable) appendTable(table string, r *mring.Relation) {
+	d.rec.B = store.AppendTableHead(d.rec.B, table, r.TableSize())
+	d.rec.B = inet.AppendPayload(d.rec.B, &d.w, r.Schema(), r)
+}
+
+// appendRecord logs the record built in rec. A record the log refuses
+// for its size fails the write whole without poisoning durability:
+// nothing of it was logged.
+func (d *durable) appendRecord() error {
+	if err := d.st.AppendBody(d.rec.B); err != nil {
+		err = fmt.Errorf("ivm: WAL append: %w", err)
+		var tooLarge *store.RecordTooLargeError
+		if errors.As(err, &tooLarge) {
+			return err
+		}
+		return d.poison(err)
 	}
-	s.dur.applied++
-	s.dur.sinceCkpt++
+	d.applied++
+	d.sinceCkpt++
 	return nil
 }
 

@@ -558,3 +558,57 @@ func TestDurableGroupCommitStats(t *testing.T) {
 	// Sanity: the stats stringer-free struct renders (no stale fields).
 	_ = fmt.Sprintf("%+v", ds)
 }
+
+// TestDurableOversizedRecordDoesNotPoison pins that a record the log
+// refuses for its size fails that write alone: nothing of it was logged,
+// so durability is not poisoned, the applied count does not move, later
+// transactions log and ack as before, and the directory recovers them.
+// The oversized body is never touched before the refusal.
+func TestDurableOversizedRecordDoesNotPoison(t *testing.T) {
+	q, err := tpch.QueryByName("Q6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := q.BaseSchemas()
+	rounds := txRounds(t, q, 0.1, 50)[:4]
+	oracle, err := New(q.Name, q.Def, bases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	e, err := New(q.Name, q.Def, bases, Durable(dir, NoFsync()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyRound(t, oracle, rounds[0])
+	applyRound(t, e, rounds[0])
+
+	e.beMu.Lock()
+	e.dur.rec.B = make([]byte, store.MaxRecord+1)
+	err = e.dur.appendRecord()
+	poisoned, applied := e.dur.err, e.dur.applied
+	e.beMu.Unlock()
+	if err == nil || !strings.Contains(err.Error(), "exceeds MaxRecord") {
+		t.Fatalf("oversized record: got %v, want a refusal", err)
+	}
+	if poisoned != nil || applied != 1 {
+		t.Fatalf("the refusal poisoned durability (%v) or counted the record (applied %d)", poisoned, applied)
+	}
+
+	for _, round := range rounds[1:] {
+		applyRound(t, oracle, round)
+		applyRound(t, e, round)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := New(q.Name, q.Def, bases, Durable(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Stats().Durability.Applied; got != int64(len(rounds)) {
+		t.Fatalf("recovered %d transactions, want %d", got, len(rounds))
+	}
+	requireBitwiseEqual(t, "reopened result", reopened.Result().rel, oracle.Result().rel)
+}

@@ -363,16 +363,24 @@ func Fig13(cfg DistConfig) (*Table, error) {
 	return t, nil
 }
 
-// taggedBatch is r in columnar form with every column pool.Mixed, so each
-// value carries its kind byte as in a row layout.
-func taggedBatch(r *mring.Relation) *pool.ColBatch {
-	kinds := make([]mring.Kind, len(r.Schema()))
-	for i := range kinds {
-		kinds[i] = pool.Mixed
+// mixedOverhead is what a relation payload grows by with every column
+// pool.Mixed: a kind byte per value of each kind-pure column, as a row
+// layout tags every value.
+func mixedOverhead(payload []byte) (int, error) {
+	if len(payload) == 0 {
+		return 0, nil
 	}
-	b := pool.NewColBatch(r.Schema(), kinds)
-	r.Foreach(b.Append)
-	return b
+	b, err := inet.DecodePayload(payload)
+	if err != nil {
+		return 0, err
+	}
+	pure := 0
+	for i := range b.Schema {
+		if b.Kind(i) != pool.Mixed {
+			pure++
+		}
+	}
+	return pure * b.Len(), nil
 }
 
 // AblationColumnarShuffle compares typed columns with per-value kind
@@ -393,8 +401,13 @@ func AblationColumnarShuffle(cfg DistConfig) (*Table, error) {
 	for i := 0; i < 4; i++ {
 		var colBytes, rowBytes int
 		for _, b := range stream.NextBatches(20000) {
-			colBytes += len(inet.EncodePayload(b.Rel, nil))
-			rowBytes += len(inet.EncodePayload(b.Rel, taggedBatch(b.Rel)))
+			p := inet.EncodePayload(b.Rel, nil)
+			tags, err := mixedOverhead(p)
+			if err != nil {
+				return nil, err
+			}
+			colBytes += len(p)
+			rowBytes += len(p) + tags
 		}
 		if colBytes == 0 {
 			break

@@ -45,7 +45,8 @@ func TestCodecRoundTrip(t *testing.T) {
 			outs:     [][]rows{{p}, {nil, p}}}, &stageResp{}},
 		{&stageResp{}, &stageResp{}},
 		{&fetchReq{Name: "R", Schema: schema}, &fetchReq{}},
-		{&fetchResp{Present: true, Payload: []byte{6}}, &fetchResp{}},
+		{&fetchResp{Present: true, Rows: p}, &fetchResp{}},
+		{&fetchResp{Present: true}, &fetchResp{}},
 		{&snapshotMsg{Frags: frags}, &snapshotMsg{}},
 		{&retainReq{Keep: map[string]bool{"b": true, "a": true}}, &retainReq{}},
 	} {

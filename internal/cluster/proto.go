@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mring"
 	inet "repro/internal/net"
+	"repro/internal/pool"
 	"repro/internal/wire"
 )
 
@@ -54,18 +55,62 @@ const (
 
 // message is one protocol body.
 type message interface {
-	put(e *wire.Enc)
+	put(e *encoder)
 	get(d *wire.Dec)
 }
 
-// marshal encodes a body; nil encodes the empty body.
-func marshal(m message) []byte {
-	if m == nil {
-		return nil
+// encoder writes protocol bodies. Each connection end holds one and
+// writes every message it sends into the same buffer, relation payloads
+// included: a payload is written in place, after its length prefix, by
+// the encoder's pool.Writer. inet.Conn.Send does not retain a body, so
+// the next message may overwrite it.
+type encoder struct {
+	wire.Enc
+	w pool.Writer
+}
+
+// message encodes a body into the encoder's buffer, valid until the
+// next call; nil encodes the empty body.
+func (e *encoder) message(m message) []byte {
+	e.Reset()
+	if m != nil {
+		m.put(e)
 	}
-	var e wire.Enc
-	m.put(&e)
 	return e.B
+}
+
+// rows appends the payload a row sequence ships as, with its length
+// prefix, in the sequence's own order: a received or packed payload as
+// it came, anything else written by the encoder's Writer under
+// shipSchema.
+func (e *encoder) rows(r rows, schema mring.Schema) {
+	switch r := r.(type) {
+	case nil:
+		e.Bytes(nil)
+	case *shipped:
+		e.Bytes(r.raw)
+	default:
+		e.B = inet.AppendPayload(e.B, &e.w, shipSchema(r, schema), r)
+	}
+}
+
+// shipSchema is the schema a row sequence ships under: a relation's or a
+// piece's own, or, for a deal, its install's schema.
+func shipSchema(r rows, schema mring.Schema) mring.Schema {
+	switch r := r.(type) {
+	case *mring.Relation:
+		return r.Schema()
+	case *piece:
+		return r.schema
+	}
+	return schema
+}
+
+// marshal encodes a body into a buffer of its own; nil encodes the empty
+// body.
+func marshal(m message) []byte {
+	var e encoder
+	return e.message(m)
 }
 
 // unmarshal decodes a body into m (nil: the body must be empty).
@@ -88,14 +133,14 @@ type setupReq struct {
 	Workers int
 }
 
-func (m *setupReq) put(e *wire.Enc) { e.Int(m.Index); e.Int(m.Workers) }
+func (m *setupReq) put(e *encoder)  { e.Int(m.Index); e.Int(m.Workers) }
 func (m *setupReq) get(d *wire.Dec) { m.Index = d.Int(); m.Workers = d.Int() }
 
 // A stage request is its installs — each a kind, a target, its schema,
 // its payloads and a capture flag — then an optional block (id, deploy
 // blob, watch list), then its outputs — each a source, its schema and an
 // optional split key.
-func (m *stageReq) put(e *wire.Enc) {
+func (m *stageReq) put(e *encoder) {
 	e.Int(len(m.installs))
 	for _, in := range m.installs {
 		e.Byte(byte(in.kind))
@@ -103,7 +148,7 @@ func (m *stageReq) put(e *wire.Enc) {
 		e.Strs(in.schema)
 		e.Int(len(in.from))
 		for _, f := range in.from {
-			e.Bytes(encodeRows(f, in.schema))
+			e.rows(f, in.schema)
 		}
 		e.Bool(in.capture)
 	}
@@ -180,22 +225,22 @@ func (m *stageReq) get(d *wire.Dec) {
 // A stage response is the block's stats and compute time, its sinks by
 // view name, then the installs' replacements (after, before), then each
 // output's pieces.
-func (m *stageResp) put(e *wire.Enc) {
+func (m *stageResp) put(e *encoder) {
 	s := &m.stats
 	for _, v := range []int64{s.Lookups, s.Scans, s.Emits, s.IndexOps, m.compute.Nanoseconds()} {
 		e.Varint(v)
 	}
-	wire.PutMap(e, m.sinks, func(e *wire.Enc, r rows) { e.Bytes(encodeRows(r, nil)) })
+	wire.PutMap(&e.Enc, m.sinks, func(_ *wire.Enc, r rows) { e.rows(r, nil) })
 	e.Int(len(m.replaced))
 	for _, r := range m.replaced {
-		e.Bytes(encodeRows(r[0], nil))
-		e.Bytes(encodeRows(r[1], nil))
+		e.rows(r[0], nil)
+		e.rows(r[1], nil)
 	}
 	e.Int(len(m.outs))
 	for _, pieces := range m.outs {
 		e.Int(len(pieces))
 		for _, p := range pieces {
-			e.Bytes(encodeRows(p, nil))
+			e.rows(p, nil)
 		}
 	}
 }
@@ -241,18 +286,19 @@ type fetchReq struct {
 	Schema mring.Schema
 }
 
-func (m *fetchReq) put(e *wire.Enc) { e.Str(m.Name); e.Strs(m.Schema) }
+func (m *fetchReq) put(e *encoder)  { e.Str(m.Name); e.Strs(m.Schema) }
 func (m *fetchReq) get(d *wire.Dec) { m.Name = d.Str(); m.Schema = d.Schema() }
 
 type fetchResp struct {
 	// Present reports whether the shard holds the relation at all (view
 	// reads distinguish an absent replica from an empty one).
 	Present bool
-	Payload []byte
+	// Rows is the relation's contents; nil when empty.
+	Rows rows
 }
 
-func (m *fetchResp) put(e *wire.Enc) { e.Bool(m.Present); e.Bytes(m.Payload) }
-func (m *fetchResp) get(d *wire.Dec) { m.Present = d.Bool(); m.Payload = d.Bytes() }
+func (m *fetchResp) put(e *encoder)  { e.Bool(m.Present); e.rows(m.Rows, nil) }
+func (m *fetchResp) get(d *wire.Dec) { m.Present = d.Bool(); m.Rows = getRows(d) }
 
 // snapshotMsg carries a shard's whole state: the snapshot response, and
 // the restore request. Frags holds every restorable fragment (contents
@@ -262,7 +308,7 @@ type snapshotMsg struct {
 	Frags map[string]Frag
 }
 
-func (m *snapshotMsg) put(e *wire.Enc) { putFrags(e, m.Frags) }
+func (m *snapshotMsg) put(e *encoder)  { putFrags(&e.Enc, m.Frags) }
 func (m *snapshotMsg) get(d *wire.Dec) { m.Frags = getFrags(d) }
 
 // putFrags writes one node's fragments in name order (snapshots,
@@ -289,7 +335,7 @@ type retainReq struct {
 	Keep map[string]bool
 }
 
-func (m *retainReq) put(e *wire.Enc) {
+func (m *retainReq) put(e *encoder) {
 	var names []string
 	for _, name := range wire.SortedKeys(m.Keep) {
 		if m.Keep[name] {
@@ -311,10 +357,10 @@ func (m *retainReq) get(d *wire.Dec) {
 	}
 }
 
-// call runs one request/response round trip on a worker connection; a
-// nil resp expects an empty response body.
-func call(c inet.Conn, op byte, req, resp message) error {
-	if err := c.Send(op, marshal(req)); err != nil {
+// call runs one request/response round trip on a worker connection,
+// encoding the request with e; a nil resp expects an empty response body.
+func call(c inet.Conn, e *encoder, op byte, req, resp message) error {
+	if err := c.Send(op, e.message(req)); err != nil {
 		return err
 	}
 	typ, rbody, err := c.Recv()

@@ -34,7 +34,7 @@ func Connect(tr inet.Transport, addrs []string, schemas map[string]mring.Schema,
 	c := newCluster(Config{Workers: len(ws)}, ws, schemas, parts)
 	c.rpc = true
 	if err := c.each(func(i int, w worker) error {
-		return call(w.(*remoteWorker).conn, opSetup, &setupReq{Index: i, Workers: len(ws)}, nil)
+		return w.(*remoteWorker).call(opSetup, &setupReq{Index: i, Workers: len(ws)}, nil)
 	}); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("cluster: worker setup: %w", err)
@@ -46,15 +46,23 @@ func Connect(tr inet.Transport, addrs []string, schemas map[string]mring.Schema,
 // is one request/response round trip of the protocol in proto.go.
 type remoteWorker struct {
 	conn inet.Conn
+	// enc encodes every request sent on conn, and pack's payloads.
+	enc encoder
 	// deployed holds the ids of the blocks the worker holds: the first
 	// stage of a block ships its deploy blob, every later one its id.
 	// Retain and restore retire the worker's blocks, and clear it.
 	deployed map[uint64]bool
 }
 
-// shipped is a relation payload as it crossed (or will cross) the wire: the
-// bytes, and their decoding when the driver received them. A payload the
-// driver packed itself is never decoded on this side.
+// call runs one round trip on the worker's connection.
+func (rw *remoteWorker) call(op byte, req, resp message) error {
+	return call(rw.conn, &rw.enc, op, req, resp)
+}
+
+// shipped is a relation payload as it crossed (or will cross) the wire:
+// the bytes, and the batch read in place from them when the driver
+// received them. A payload the driver packed itself is never read on
+// this side.
 type shipped struct {
 	*pool.ColBatch
 	raw []byte
@@ -72,24 +80,6 @@ func decodeRows(b []byte) (rows, error) {
 	return &shipped{ColBatch: p, raw: b}, nil
 }
 
-// encodeRows is the payload a row sequence ships as, in its own order: a
-// received or packed payload as it came, a piece under its relation's
-// schema, and a relation or a deal under its own (schema is the deal's
-// install schema).
-func encodeRows(r rows, schema mring.Schema) []byte {
-	switch r := r.(type) {
-	case nil:
-		return nil
-	case *shipped:
-		return r.raw
-	case *mring.Relation:
-		return inet.EncodeRelationPlain(r)
-	case *piece:
-		schema = r.schema
-	}
-	return inet.EncodeRowsPlain(schema, r)
-}
-
 // stage sends one step; the block's deploy blob rides along the first
 // time this worker runs the block.
 func (rw *remoteWorker) stage(req *stageReq) (stageResp, error) {
@@ -98,7 +88,7 @@ func (rw *remoteWorker) stage(req *stageReq) (stageResp, error) {
 		req.deploy = req.block.deploy
 	}
 	var resp stageResp
-	if err := call(rw.conn, opStage, req, &resp); err != nil {
+	if err := rw.call(opStage, req, &resp); err != nil {
 		return stageResp{}, err
 	}
 	if req.block != nil {
@@ -107,36 +97,40 @@ func (rw *remoteWorker) stage(req *stageReq) (stageResp, error) {
 	return resp, nil
 }
 
-// pack encodes a relation or piece once.
+// pack encodes a relation or piece once, into a payload of its own: a
+// broadcast installs the one pack on every worker.
 func (rw *remoteWorker) pack(r rows) rows {
-	return &shipped{raw: encodeRows(r, nil)}
+	if s, ok := r.(*shipped); ok {
+		return s
+	}
+	return &shipped{raw: inet.EncodeRows(&rw.enc.w, shipSchema(r, nil), r)}
 }
 
 func (rw *remoteWorker) fetch(name string, schema mring.Schema) (rows, error) {
 	var resp fetchResp
-	if err := call(rw.conn, opFetch, &fetchReq{Name: name, Schema: schema}, &resp); err != nil || !resp.Present {
+	if err := rw.call(opFetch, &fetchReq{Name: name, Schema: schema}, &resp); err != nil || !resp.Present {
 		return nil, err
 	}
-	if len(resp.Payload) == 0 {
+	if resp.Rows == nil {
 		return mring.NewRelation(schema), nil // present but empty
 	}
-	return decodeRows(resp.Payload)
+	return resp.Rows, nil
 }
 
 func (rw *remoteWorker) retain(keep map[string]bool) error {
 	clear(rw.deployed)
-	return call(rw.conn, opRetain, &retainReq{Keep: keep}, nil)
+	return rw.call(opRetain, &retainReq{Keep: keep}, nil)
 }
 
 func (rw *remoteWorker) snapshot() (map[string]Frag, error) {
 	var resp snapshotMsg
-	err := call(rw.conn, opSnapshot, nil, &resp)
+	err := rw.call(opSnapshot, nil, &resp)
 	return resp.Frags, err
 }
 
 func (rw *remoteWorker) restore(frags map[string]Frag) error {
 	clear(rw.deployed)
-	return call(rw.conn, opRestore, &snapshotMsg{Frags: frags}, nil)
+	return rw.call(opRestore, &snapshotMsg{Frags: frags}, nil)
 }
 
 func (rw *remoteWorker) close() error { return rw.conn.Close() }

@@ -17,6 +17,7 @@ import (
 func ServeConn(conn inet.Conn) error {
 	defer conn.Close()
 	sh := &Shard{node: newNode()}
+	var enc encoder // writes every response of the session
 	for {
 		op, body, err := conn.Recv()
 		if err != nil {
@@ -29,7 +30,7 @@ func ServeConn(conn inet.Conn) error {
 		if herr != nil {
 			err = conn.Send(opErr, []byte(herr.Error()))
 		} else {
-			err = conn.Send(opOK, marshal(resp))
+			err = conn.Send(opOK, enc.message(resp))
 		}
 		if err != nil {
 			return err
@@ -98,7 +99,7 @@ func serve(sh *Shard, op byte, body []byte) (message, error) {
 		if r == nil {
 			return &fetchResp{}, nil
 		}
-		return &fetchResp{Present: true, Payload: encodeRows(r, nil)}, nil
+		return &fetchResp{Present: true, Rows: r}, nil
 	case opRetain:
 		var req retainReq
 		if err := unmarshal(body, &req); err != nil {

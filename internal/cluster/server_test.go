@@ -66,7 +66,8 @@ func TestServedStagesRetainNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := call(conn, opSetup, &setupReq{Index: 0, Workers: 2}, nil); err != nil {
+	var enc encoder
+	if err := call(conn, &enc, opSetup, &setupReq{Index: 0, Workers: 2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	serveAll := func(deploy bool) {
@@ -76,7 +77,7 @@ func TestServedStagesRetainNothing(t *testing.T) {
 				req.deploy = b.deploy
 			}
 			var resp stageResp
-			if err := call(conn, opStage, req, &resp); err != nil {
+			if err := call(conn, &enc, opStage, req, &resp); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -41,8 +41,13 @@ func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// WriteFrame writes one frame to w.
+// WriteFrame writes one frame to w. A payload whose frame body would
+// exceed MaxFrame, which the reader refuses, is refused with
+// ErrFrameTooLarge before any byte is written.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
+	if len(payload) >= MaxFrame {
+		return ErrFrameTooLarge
+	}
 	var hdr [frameHeader + 1]byte
 	binary.BigEndian.PutUint32(hdr[:frameHeader], uint32(1+len(payload)))
 	hdr[frameHeader] = typ

@@ -5,10 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"net"
 	"testing"
 
 	"repro/internal/mring"
-	"repro/internal/pool"
+	"repro/internal/wire"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -104,19 +105,24 @@ func TestPayloadRowRoundTrip(t *testing.T) {
 }
 
 // TestColumnarPayloadSmallerThanRows pins why a kind-pure column is
-// typed: its values encode smaller than the same rows in pool.Mixed
-// columns, which tag every value with its kind as a row layout does.
+// typed: its values encode smaller than the same rows in the row layout,
+// which tags every value with its kind.
 func TestColumnarPayloadSmallerThanRows(t *testing.T) {
 	schema := mring.Schema{"a", "b", "c", "d"}
 	r := mring.NewRelation(schema)
 	for i := 0; i < 1000; i++ {
 		r.Add(mring.Tuple{mring.Int(int64(i)), mring.Int(int64(i % 10)), mring.Int(int64(i % 5)), mring.Int(int64(i % 2))}, 1)
 	}
-	tagged := pool.NewColBatch(schema, []mring.Kind{pool.Mixed, pool.Mixed, pool.Mixed, pool.Mixed})
-	r.Foreach(tagged.Append)
-	colSize, rowSize := len(EncodePayload(r, nil)), len(EncodePayload(r, tagged))
+	rowLayout := wire.Enc{B: []byte{payloadRows}}
+	rowLayout.Strs(schema)
+	rowLayout.Int(r.Len())
+	r.Foreach(func(tp mring.Tuple, m float64) {
+		rowLayout.Tuple(tp)
+		rowLayout.Float(m)
+	})
+	colSize, rowSize := len(EncodePayload(r, nil)), len(rowLayout.B)
 	if colSize >= rowSize {
-		t.Fatalf("typed columns %dB not smaller than Mixed columns %dB", colSize, rowSize)
+		t.Fatalf("typed columns %dB not smaller than the row layout's %dB", colSize, rowSize)
 	}
 }
 
@@ -228,3 +234,29 @@ func FuzzFrameDecode(f *testing.F) {
 }
 
 const opFuzzSeedType = 1
+
+// TestSendRefusesOversizedFrame pins that a sender never writes a frame
+// its reader refuses: a payload whose frame body would exceed MaxFrame
+// fails with ErrFrameTooLarge before any byte is written, through
+// WriteFrame and through a TCP connection's Send. The payload is never
+// touched, so its pages stay unmapped.
+func TestSendRefusesOversizedFrame(t *testing.T) {
+	payload := make([]byte, MaxFrame) // body: the type byte, then MaxFrame bytes
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, 7, payload); !errors.Is(err, ErrFrameTooLarge) || buf.Len() != 0 {
+		t.Fatalf("WriteFrame returned %v after writing %d bytes, want ErrFrameTooLarge and none", err, buf.Len())
+	}
+
+	client, server := net.Pipe()
+	got := make(chan int64)
+	go func() {
+		n, _ := io.Copy(io.Discard, server)
+		got <- n
+	}()
+	c := newTCPConn(client)
+	err := c.Send(7, payload)
+	c.Close()
+	if n := <-got; !errors.Is(err, ErrFrameTooLarge) || n != 0 {
+		t.Fatalf("Send returned %v after sending %d bytes, want ErrFrameTooLarge and none", err, n)
+	}
+}

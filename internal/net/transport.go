@@ -10,6 +10,12 @@ import (
 // Send and Recv move whole frames; both are safe for one concurrent
 // sender plus one concurrent receiver (the request/response protocols
 // above serialize harder than that). Close unblocks a pending Recv.
+//
+// Send does not retain payload after it returns, so a sender may encode
+// every message into one reused buffer; a payload over MaxFrame is
+// refused before any byte is sent. Recv returns each frame's payload in
+// a buffer of its own, which the receiver may keep: a received relation
+// payload is read in place from it.
 type Conn interface {
 	Send(typ byte, payload []byte) error
 	Recv() (typ byte, payload []byte, err error)

@@ -11,57 +11,79 @@ import (
 // fuzzSeedBatches are valid wire images seeding the corpus: empty and
 // single-kind batches, typed columns of every kind, and a Mixed column,
 // with adversarial values.
-func fuzzSeedBatches() []*ColBatch {
-	empty := NewColBatch(mring.Schema{"a"}, []mring.Kind{mring.KInt})
-	ints := NewColBatch(mring.Schema{"a", "b"}, []mring.Kind{mring.KInt, mring.KInt})
-	ints.Append(mring.Tuple{mring.Int(-1), mring.Int(1 << 60)}, 2)
-	ints.Append(mring.Tuple{mring.Int(0), mring.Int(-(1 << 53))}, -0.5)
-	mixed := NewColBatch(mring.Schema{"i", "f", "s"},
-		[]mring.Kind{mring.KInt, mring.KFloat, mring.KString})
-	mixed.Append(mring.Tuple{mring.Int(7), mring.Float(math.NaN()), mring.Str("")}, 1)
-	mixed.Append(mring.Tuple{mring.Int(-7), mring.Float(math.Inf(-1)), mring.Str("x\x00y")}, 3.25)
-	tagged := NewColBatch(mring.Schema{"k", "n"}, []mring.Kind{Mixed, mring.KInt})
-	tagged.Append(mring.Tuple{mring.Int(2), mring.Int(1)}, 1)
-	tagged.Append(mring.Tuple{mring.Float(math.NaN()), mring.Int(2)}, -1)
-	tagged.Append(mring.Tuple{mring.Str(""), mring.Int(3)}, 0.5)
+func fuzzSeedBatches(t testing.TB) []*ColBatch {
+	empty := write(t, mring.Schema{"a"}, rowList{})
+	ints := write(t, mring.Schema{"a", "b"}, rowList{
+		{mring.Tuple{mring.Int(-1), mring.Int(1 << 60)}, 2},
+		{mring.Tuple{mring.Int(0), mring.Int(-(1 << 53))}, -0.5},
+	})
+	mixed := write(t, mring.Schema{"i", "f", "s"}, rowList{
+		{mring.Tuple{mring.Int(7), mring.Float(math.NaN()), mring.Str("")}, 1},
+		{mring.Tuple{mring.Int(-7), mring.Float(math.Inf(-1)), mring.Str("x\x00y")}, 3.25},
+	})
+	tagged := write(t, mring.Schema{"k", "n"}, rowList{
+		{mring.Tuple{mring.Int(2), mring.Int(1)}, 1},
+		{mring.Tuple{mring.Float(math.NaN()), mring.Int(2)}, -1},
+		{mring.Tuple{mring.Str(""), mring.Int(3)}, 0.5},
+	})
 	return []*ColBatch{empty, ints, mixed, tagged}
 }
 
-func batchesEqual(a, b *ColBatch) bool {
-	if !a.Schema.Equal(b.Schema) || a.Len() != b.Len() || len(a.Cols) != len(b.Cols) {
-		return false
-	}
-	for i := range a.Cols {
-		ca, cb := &a.Cols[i], &b.Cols[i]
-		if ca.Kind != cb.Kind || ca.Len() != cb.Len() {
-			return false
-		}
-		for j := 0; j < ca.Len(); j++ {
-			va, vb := ca.value(j), cb.value(j)
-			// Bitwise: NaNs round-trip, -0 stays -0.
-			if va.K != vb.K || va.I != vb.I || va.S != vb.S ||
-				math.Float64bits(va.F) != math.Float64bits(vb.F) {
-				return false
-			}
-		}
-	}
-	for i := range a.Mults {
-		if math.Float64bits(a.Mults[i]) != math.Float64bits(b.Mults[i]) {
-			return false
-		}
-	}
-	return true
+// sameValue reports whether two values have the same kind and bits: NaNs
+// compare equal, -0 differs from +0.
+func sameValue(a, b mring.Value) bool {
+	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
-// FuzzColBatchDecode feeds arbitrary bytes to the shuffle-wire decoder:
-// Decode must return a batch or an error, never panic or over-allocate,
-// and any batch it accepts must re-encode and re-decode to the same
-// contents (the decoder's output is always a valid wire image).
+// rowsEqual reports whether b holds want's rows in want's order, each
+// value and multiplicity with the same kind and bits.
+func rowsEqual(b Rows, want rowList) bool {
+	if b.Len() != len(want) {
+		return false
+	}
+	i, ok := 0, true
+	b.Foreach(func(t mring.Tuple, m float64) {
+		w := want[i]
+		ok = ok && len(t) == len(w.t) && math.Float64bits(m) == math.Float64bits(w.m)
+		for j := range t {
+			ok = ok && sameValue(t[j], w.t[j])
+		}
+		i++
+	})
+	return ok && i == len(want)
+}
+
+// collect copies a batch's rows out, in the order visit enumerates them.
+func collect(visit func(func(mring.Tuple, float64))) rowList {
+	var l rowList
+	visit(func(t mring.Tuple, m float64) { l = append(l, row{t.Clone(), m}) })
+	return l
+}
+
+// batchesEqual reports whether two batches have the same schema, column
+// kinds and rows.
+func batchesEqual(a, b *ColBatch) bool {
+	if !a.Schema.Equal(b.Schema) || a.Len() != b.Len() {
+		return false
+	}
+	for i := range a.Schema {
+		if a.Kind(i) != b.Kind(i) {
+			return false
+		}
+	}
+	return rowsEqual(b, collect(a.Foreach))
+}
+
+// FuzzColBatchDecode feeds arbitrary bytes to the in-place reader:
+// Decode must return a batch or an error, never panic or over-allocate.
+// Any batch it accepts is canonical — a Writer writes exactly the same
+// bytes for its rows — and Foreach and ForeachReverse visit the same
+// rows in opposite orders.
 func FuzzColBatchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	for _, b := range fuzzSeedBatches() {
+	for _, b := range fuzzSeedBatches(f) {
 		f.Add(b.Encode())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -69,13 +91,16 @@ func FuzzColBatchDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := b.Encode()
-		b2, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("re-decode of accepted batch failed: %v", err)
+		var w Writer
+		if enc := w.Append(nil, b.Schema, b); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted batch re-encodes differently:\n input: %x\n again: %x", data, enc)
 		}
-		if !batchesEqual(b, b2) {
-			t.Fatalf("re-encode round-trip diverged:\n first: %+v\n again: %+v", b, b2)
+		fwd, rev := collect(b.Foreach), collect(b.ForeachReverse)
+		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+			rev[i], rev[j] = rev[j], rev[i]
+		}
+		if len(fwd) != b.Len() || !rowsEqual(b, rev) {
+			t.Fatalf("ForeachReverse disagrees with Foreach:\n fwd: %v\n rev: %v", fwd, rev)
 		}
 	})
 }
@@ -83,7 +108,7 @@ func FuzzColBatchDecode(f *testing.F) {
 // TestEncodeDecodeRoundTrip is the deterministic counterpart of the fuzz
 // round-trip property, byte-exact on the wire image too.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	for _, b := range fuzzSeedBatches() {
+	for _, b := range fuzzSeedBatches(t) {
 		enc := b.Encode()
 		got, err := Decode(enc)
 		if err != nil {
@@ -92,7 +117,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if !batchesEqual(b, got) {
 			t.Fatalf("round trip diverged:\n in:  %+v\n out: %+v", b, got)
 		}
-		if !bytes.Equal(got.Encode(), enc) {
+		var w Writer
+		if !bytes.Equal(w.Append(nil, got.Schema, got), enc) {
 			t.Fatalf("re-encode is not byte-identical")
 		}
 	}
@@ -115,6 +141,31 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	for i, buf := range cases {
 		if _, err := Decode(buf); err == nil {
 			t.Errorf("case %d: hostile input accepted", i)
+		}
+	}
+}
+
+// TestDecodeRefusesNonCanonical pins that the reader accepts only what a
+// Writer writes: a Mixed column whose values share one kind, a typed
+// column in an empty batch, and an overlong varint are each refused,
+// while their canonical forms read.
+func TestDecodeRefusesNonCanonical(t *testing.T) {
+	mult := []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f} // multiplicity 1
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		ok   bool
+	}{
+		{"int column", cat([]byte{0x01, 0x01, 'a', 0x00, 0x01, 0x04}, mult), true},
+		{"one-kind Mixed column", cat([]byte{0x01, 0x01, 'a', 0x03, 0x01, 0x00, 0x04}, mult), false},
+		{"overlong varint", cat([]byte{0x01, 0x01, 'a', 0x00, 0x01, 0x84, 0x00}, mult), false},
+		{"empty batch", []byte{0x01, 0x01, 'a', 0x00, 0x00}, true},
+		{"empty batch, float column", []byte{0x01, 0x01, 'a', 0x01, 0x00}, false},
+		{"empty batch, Mixed column", []byte{0x01, 0x01, 'a', 0x03, 0x00}, false},
+	} {
+		if _, err := Decode(c.buf); (err == nil) != c.ok {
+			t.Errorf("%s: Decode error %v, want accepted = %v", c.name, err, c.ok)
 		}
 	}
 }

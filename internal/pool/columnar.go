@@ -1,13 +1,22 @@
 // Package pool implements the columnar data layout of Sec. 5.2.2 as a
-// wire format: typed column-per-attribute batches, their compact
-// encoding, and the row/column transformers used for serialization.
+// wire format: every serialized relation is a column-per-attribute
+// batch, written in one pass by a Writer straight into its caller's
+// buffer and read in place, from the bytes it arrived in, as a ColBatch.
 // Materialized views themselves live in mring.Relation, and every
 // statement evaluates over them tuple at a time.
+//
+// A batch encodes as its schema and column kinds, its row count, then
+// each column's values (a kind-pure column as bare typed values, a Mixed
+// one kind-tagged), then the multiplicities — all in the internal/wire
+// codec.
 package pool
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/mring"
 	"repro/internal/wire"
@@ -15,142 +24,9 @@ import (
 
 // Mixed is the kind of a column whose values differ in kind: each of its
 // values is written as wire.Enc.Value, kind byte first. It makes the
-// columnar batch lossless for every relation; a kind-pure column stays
-// one typed array with no per-value tag.
+// columnar batch lossless for every relation; a kind-pure column writes
+// its values bare, with no per-value tag.
 const Mixed = mring.KString + 1
-
-// Column is one column of a columnar batch. Exactly one of the value
-// slices is populated, according to Kind: Vals for a Mixed column.
-type Column struct {
-	Kind mring.Kind
-	Ints []int64
-	Flts []float64
-	Strs []string
-	Vals []mring.Value
-}
-
-// Len returns the number of values in the column.
-func (c *Column) Len() int {
-	switch c.Kind {
-	case mring.KInt:
-		return len(c.Ints)
-	case mring.KFloat:
-		return len(c.Flts)
-	case mring.KString:
-		return len(c.Strs)
-	default:
-		return len(c.Vals)
-	}
-}
-
-func (c *Column) append(v mring.Value) {
-	switch c.Kind {
-	case mring.KInt:
-		c.Ints = append(c.Ints, v.AsInt())
-	case mring.KFloat:
-		c.Flts = append(c.Flts, v.AsFloat())
-	case mring.KString:
-		c.Strs = append(c.Strs, v.S)
-	default:
-		c.Vals = append(c.Vals, v)
-	}
-}
-
-func (c *Column) value(i int) mring.Value {
-	switch c.Kind {
-	case mring.KInt:
-		return mring.Int(c.Ints[i])
-	case mring.KFloat:
-		return mring.Float(c.Flts[i])
-	case mring.KString:
-		return mring.Str(c.Strs[i])
-	default:
-		return c.Vals[i]
-	}
-}
-
-// ColBatch is a column-oriented batch of (tuple, multiplicity) pairs —
-// the layout of every serialized relation payload (Sec. 5.2.2): each
-// kind-pure column encodes as one typed array, with no per-value kind
-// tag; only a Mixed column tags its values.
-type ColBatch struct {
-	Schema mring.Schema
-	Cols   []Column
-	Mults  []float64
-}
-
-// NewColBatch creates an empty columnar batch. kinds fixes each column's
-// type up front (generated code knows the input schema's types).
-func NewColBatch(schema mring.Schema, kinds []mring.Kind) *ColBatch {
-	if len(schema) != len(kinds) {
-		panic("pool: schema/kinds arity mismatch")
-	}
-	cols := make([]Column, len(kinds))
-	for i, k := range kinds {
-		cols[i].Kind = k
-	}
-	return &ColBatch{Schema: schema.Clone(), Cols: cols}
-}
-
-// Len returns the number of rows.
-func (b *ColBatch) Len() int { return len(b.Mults) }
-
-// reserve sizes an empty batch's columns and multiplicities for n rows,
-// so appending them allocates nothing more.
-func (b *ColBatch) reserve(n int) {
-	for i := range b.Cols {
-		c := &b.Cols[i]
-		switch c.Kind {
-		case mring.KInt:
-			c.Ints = make([]int64, 0, n)
-		case mring.KFloat:
-			c.Flts = make([]float64, 0, n)
-		case mring.KString:
-			c.Strs = make([]string, 0, n)
-		default:
-			c.Vals = make([]mring.Value, 0, n)
-		}
-	}
-	b.Mults = make([]float64, 0, n)
-}
-
-// Append adds one row.
-func (b *ColBatch) Append(t mring.Tuple, m float64) {
-	if len(t) != len(b.Cols) {
-		panic("pool: tuple arity mismatch")
-	}
-	for i := range b.Cols {
-		b.Cols[i].append(t[i])
-	}
-	b.Mults = append(b.Mults, m)
-}
-
-// load materializes row i into t.
-func (b *ColBatch) load(t mring.Tuple, i int) {
-	for j := range b.Cols {
-		t[j] = b.Cols[j].value(i)
-	}
-}
-
-// Foreach visits every row in batch order, materializing tuples into a
-// reused buffer.
-func (b *ColBatch) Foreach(f func(t mring.Tuple, m float64)) {
-	t := make(mring.Tuple, len(b.Cols))
-	for i, m := range b.Mults {
-		b.load(t, i)
-		f(t, m)
-	}
-}
-
-// ForeachReverse is Foreach from the last row to the first: the order an
-// exact-layout restore re-inserts a relation's rows in.
-func (b *ColBatch) ForeachReverse(f func(t mring.Tuple, m float64)) {
-	t := make(mring.Tuple, len(b.Cols))
-	for i := len(b.Mults) - 1; i >= 0; i-- {
-		b.load(t, i)
-		f(t, b.Mults[i])
-	}
-}
 
 // Rows is a row sequence in a fixed order: a relation (its Foreach
 // order), a batch, or rows dealt from one.
@@ -159,23 +35,311 @@ type Rows interface {
 	Len() int
 }
 
-// FromRows converts a row sequence of the given schema to columnar form,
-// in its order. A column whose values share one kind is typed with it
-// (an int column when there are no rows); one that mixes kinds is Mixed,
-// so the conversion is lossless. Every column is sized to the row count
-// before it is filled.
-func FromRows(schema mring.Schema, r Rows) *ColBatch {
-	b := NewColBatch(schema, columnKinds(r, len(schema), nil))
-	b.reserve(r.Len())
-	r.Foreach(b.Append)
+// Writer writes the columnar encoding of row sequences. Load encodes a
+// sequence's values in one Foreach into per-column scratch buffers,
+// typing each column by the kind of its first value; a column that turns
+// out to mix kinds is Mixed, and only then does a second pass write it.
+// AppendTo then appends the batch to a caller's buffer. The scratch is
+// reused from one payload to the next, so a Writer held by a connection
+// or a log costs no allocation per payload once warm. The zero Writer is
+// ready to use; it is not safe for concurrent use.
+type Writer struct {
+	schema mring.Schema
+	kinds  []mring.Kind
+	cols   [][]byte
+	mults  []byte
+	n      int
+	mixed  bool
+	// row and mixedRow are the Foreach callbacks, bound once to self (a
+	// copied Writer binds its own).
+	self          *Writer
+	row, mixedRow func(mring.Tuple, float64)
+}
+
+// maxRetained bounds the scratch a Writer keeps between payloads, so one
+// bulk payload, such as a warm start's, does not pin its size for the
+// Writer's lifetime.
+const maxRetained = 64 << 10
+
+// Append appends the columnar encoding of r, a row sequence of the given
+// schema, to dst in r's order.
+func (w *Writer) Append(dst []byte, schema mring.Schema, r Rows) []byte {
+	w.Load(schema, r)
+	return w.AppendTo(dst)
+}
+
+// Load encodes r, a row sequence of the given schema, into the Writer's
+// scratch and returns the length of its encoding, which AppendTo then
+// appends. A column whose values share one kind is typed with it (an int
+// column when there are no rows); one that mixes kinds is Mixed, so the
+// encoding is lossless.
+func (w *Writer) Load(schema mring.Schema, r Rows) int {
+	nc := len(schema)
+	w.schema, w.n, w.mixed = schema, 0, false
+	w.kinds = slices.Grow(w.kinds[:0], nc)[:nc]
+	clear(w.kinds) // KInt: the kind of an empty batch's columns
+	if len(w.cols) < nc {
+		w.cols = append(w.cols, make([][]byte, nc-len(w.cols))...)
+	}
+	// Every value takes at least a byte and every multiplicity eight, so
+	// a fresh Writer sizes its scratch once for that.
+	n := r.Len()
+	for i := range w.cols[:nc] {
+		w.cols[i] = slices.Grow(w.cols[i][:0], n)
+	}
+	w.mults = slices.Grow(w.mults[:0], 8*n)
+	if w.self != w {
+		w.self, w.row, w.mixedRow = w, w.addRow, w.addMixed
+	}
+	r.Foreach(w.row)
+	if w.mixed {
+		r.Foreach(w.mixedRow)
+	}
+	return w.Len()
+}
+
+// addRow writes one row's kind-pure values and its multiplicity; the
+// first row fixes the column kinds.
+func (w *Writer) addRow(t mring.Tuple, m float64) {
+	if len(t) != len(w.kinds) {
+		panic("pool: tuple arity mismatch")
+	}
+	if w.n == 0 {
+		for i, v := range t {
+			w.kinds[i] = v.K
+		}
+	}
+	w.n++
+	for i, v := range t {
+		if v.K != w.kinds[i] {
+			if w.kinds[i] != Mixed {
+				w.kinds[i], w.cols[i], w.mixed = Mixed, w.cols[i][:0], true
+			}
+			continue
+		}
+		e := wire.Enc{B: w.cols[i]}
+		switch v.K {
+		case mring.KInt:
+			e.Varint(v.I)
+		case mring.KFloat:
+			e.Float(v.F)
+		default:
+			e.Str(v.S)
+		}
+		w.cols[i] = e.B
+	}
+	e := wire.Enc{B: w.mults}
+	e.Float(m)
+	w.mults = e.B
+}
+
+// addMixed writes one row's values of the Mixed columns, each kind
+// first.
+func (w *Writer) addMixed(t mring.Tuple, _ float64) {
+	for i, v := range t {
+		if w.kinds[i] == Mixed {
+			e := wire.Enc{B: w.cols[i]}
+			e.Value(v)
+			w.cols[i] = e.B
+		}
+	}
+}
+
+// Len returns the length of the loaded batch's encoding.
+func (w *Writer) Len() int {
+	size := w.headerLen() + len(w.mults)
+	for _, c := range w.cols[:len(w.schema)] {
+		size += len(c)
+	}
+	return size
+}
+
+// headerLen is the length of the loaded batch's schema, column kinds and
+// row count.
+func (w *Writer) headerLen() int {
+	size := uvarintLen(uint64(len(w.schema))) + uvarintLen(uint64(w.n))
+	for _, name := range w.schema {
+		size += uvarintLen(uint64(len(name))) + len(name) + 1
+	}
+	return size
+}
+
+// AppendTo appends the loaded batch's encoding to dst: the header, then
+// the column buffers and the multiplicities as Load wrote them.
+func (w *Writer) AppendTo(dst []byte) []byte {
+	e := wire.Enc{B: slices.Grow(dst, w.Len())}
+	e.Int(len(w.schema))
+	for i, name := range w.schema {
+		e.Str(name)
+		e.Byte(byte(w.kinds[i]))
+	}
+	e.Int(w.n)
+	for i := range w.schema {
+		e.B = append(e.B, w.cols[i]...)
+	}
+	e.B = append(e.B, w.mults...)
+	kept := cap(w.mults)
+	for _, c := range w.cols {
+		kept += cap(c)
+	}
+	if kept > maxRetained {
+		w.cols, w.mults = nil, nil
+	}
+	w.schema = nil
+	return e.B
+}
+
+// ColBatch is a columnar batch read in place: the bytes of one encoding,
+// checked whole when the batch is made, with each column's byte range.
+// Foreach and ForeachReverse decode its rows from those bytes when they
+// are visited, so reading a received batch builds no column arrays. The
+// batch aliases the bytes it was read from; they must not change while
+// it is in use.
+type ColBatch struct {
+	Schema mring.Schema
+	kinds  []mring.Kind
+	buf    []byte
+	// starts holds the offset in buf of each column's first value, then
+	// of the first multiplicity.
+	starts []int
+	n      int
+}
+
+// Len returns the number of rows.
+func (b *ColBatch) Len() int { return b.n }
+
+// Kind returns column i's kind: a value kind, or Mixed.
+func (b *ColBatch) Kind(i int) mring.Kind { return b.kinds[i] }
+
+// Encode returns the batch's encoding: the bytes it was read from or
+// written into. The result aliases the batch.
+func (b *ColBatch) Encode() []byte { return b.buf }
+
+// FromRelation writes r in columnar form, in its Foreach order, and
+// returns the batch over the encoding.
+func FromRelation(r *mring.Relation) *ColBatch {
+	var w Writer
+	w.Load(r.Schema(), r)
+	b := &ColBatch{
+		Schema: r.Schema().Clone(),
+		kinds:  slices.Clone(w.kinds),
+		starts: make([]int, len(w.kinds)+1),
+		n:      w.n,
+	}
+	off := w.headerLen()
+	for i, c := range w.cols[:len(w.kinds)] {
+		b.starts[i] = off
+		off += len(c)
+	}
+	b.starts[len(w.kinds)] = off
+	b.buf = w.AppendTo(nil)
 	return b
 }
 
-// FromRelation is FromRows over a relation, in its Foreach order.
-func FromRelation(r *mring.Relation) *ColBatch { return FromRows(r.Schema(), r) }
+// Decode reads an encoding as a batch in place. One pass checks it
+// whole — every count, kind, canonical varint and string bound, and that
+// it is exactly what a Writer writes for its rows (no Mixed column whose
+// values share a kind, no typed column in an empty batch) — and records
+// each column's byte range, so hostile bytes fail here, before any row
+// is handed out. The batch aliases buf.
+func Decode(buf []byte) (*ColBatch, error) {
+	d := wire.NewDec(buf)
+	// Every column header costs at least two bytes (name length and kind).
+	nc := d.Count(2)
+	b := &ColBatch{Schema: make(mring.Schema, nc), kinds: make([]mring.Kind, nc), buf: buf}
+	for i := range b.Schema {
+		b.Schema[i] = d.Str()
+		if b.kinds[i] = mring.Kind(d.Byte()); b.kinds[i] > Mixed {
+			d.Fail("unknown column kind %d", b.kinds[i])
+		}
+	}
+	// Each row costs at least 8 bytes for its multiplicity alone.
+	b.n = d.Count(8)
+	b.starts = make([]int, nc+1)
+	for i, k := range b.kinds {
+		b.starts[i] = d.Offset()
+		switch {
+		case b.n == 0 && k != mring.KInt:
+			d.Fail("column %q of an empty batch has kind %d", b.Schema[i], k)
+		case k == Mixed:
+			if !d.SkipValues(b.n) {
+				d.Fail("Mixed column %q holds values of one kind", b.Schema[i])
+			}
+		default:
+			d.Skip(k, b.n)
+		}
+	}
+	b.starts[nc] = d.Offset()
+	d.Skip(mring.KFloat, b.n)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("pool: bad batch: %w", err)
+	}
+	return b, nil
+}
 
-// EncodedSize is len(FromRows(schema, r).Encode()), computed from the
-// values without building or encoding the batch.
+// Foreach visits every row in batch order, decoding tuples into a reused
+// buffer.
+func (b *ColBatch) Foreach(f func(t mring.Tuple, m float64)) {
+	t := make(mring.Tuple, len(b.kinds))
+	at := slices.Clone(b.starts[:len(b.kinds)])
+	for i := 0; i < b.n; i++ {
+		b.row(t, at)
+		f(t, b.mult(i))
+	}
+}
+
+// ForeachReverse is Foreach from the last row to the first: the order an
+// exact-layout restore re-inserts a relation's rows in. It decodes the
+// rows forwards into one slab of values, then hands them out backwards.
+func (b *ColBatch) ForeachReverse(f func(t mring.Tuple, m float64)) {
+	nc := len(b.kinds)
+	vals := make(mring.Tuple, b.n*nc)
+	at := slices.Clone(b.starts[:nc])
+	for i := 0; i < b.n; i++ {
+		b.row(vals[i*nc:(i+1)*nc], at)
+	}
+	for i := b.n - 1; i >= 0; i-- {
+		f(vals[i*nc:(i+1)*nc:(i+1)*nc], b.mult(i))
+	}
+}
+
+// row decodes into t the row whose values start at the offsets in at,
+// advancing each offset past its value. Decode checked the batch whole,
+// so row decodes the values as wire.Enc wrote them — a zig-zag varint, a
+// little-endian float64 or a length-prefixed string, kind byte first in
+// a Mixed column — without checking them again.
+func (b *ColBatch) row(t mring.Tuple, at []int) {
+	buf := b.buf
+	for j, k := range b.kinds {
+		p := at[j]
+		if k == Mixed {
+			k = mring.Kind(buf[p])
+			p++
+		}
+		switch k {
+		case mring.KInt:
+			u, n := binary.Uvarint(buf[p:])
+			t[j] = mring.Int(int64(u>>1) ^ -int64(u&1))
+			p += n
+		case mring.KFloat:
+			t[j] = mring.Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[p:])))
+			p += 8
+		default:
+			l, n := binary.Uvarint(buf[p:])
+			t[j] = mring.Str(string(buf[p+n : p+n+int(l)]))
+			p += n + int(l)
+		}
+		at[j] = p
+	}
+}
+
+// mult decodes row i's multiplicity.
+func (b *ColBatch) mult(i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b.buf[b.starts[len(b.kinds)]+8*i:]))
+}
+
+// EncodedSize is the length of a Writer's encoding of r under schema,
+// computed from the values without encoding them.
 func EncodedSize(schema mring.Schema, r Rows) int {
 	n := r.Len()
 	size := uvarintLen(uint64(len(schema))) + uvarintLen(uint64(n)) + 8*n
@@ -201,8 +365,8 @@ func EncodedSize(schema mring.Schema, r Rows) int {
 }
 
 // columnKinds returns the kind of each of r's columns: the one its values
-// share, Mixed when they differ, KInt when there are no rows. each, when
-// set, visits every value.
+// share, Mixed when they differ, KInt when there are no rows. each
+// visits every value.
 func columnKinds(r Rows, arity int, each func(v mring.Value)) []mring.Kind {
 	kinds := make([]mring.Kind, arity)
 	first := true
@@ -215,9 +379,7 @@ func columnKinds(r Rows, arity int, each func(v mring.Value)) []mring.Kind {
 					kinds[i] = Mixed
 				}
 			}
-			if each != nil {
-				each(v)
-			}
+			each(v)
 		}
 		first = false
 	})
@@ -228,84 +390,3 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // varintLen is the length of v as a zig-zag varint (wire.Enc.Varint).
 func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
-
-// Encode serializes the batch into a compact binary columnar layout. The
-// format is self-describing: schema, column kinds, then per-column value
-// arrays (a Mixed column's values each kind-tagged), then multiplicities.
-// It is the body of every relation payload; its length measures the
-// simulated cluster's network traffic.
-func (b *ColBatch) Encode() []byte {
-	var e wire.Enc
-	e.Int(len(b.Schema))
-	for i, name := range b.Schema {
-		e.Str(name)
-		e.Byte(byte(b.Cols[i].Kind))
-	}
-	e.Int(b.Len())
-	for i := range b.Cols {
-		c := &b.Cols[i]
-		switch c.Kind {
-		case mring.KInt:
-			e.Varints(c.Ints)
-		case mring.KFloat:
-			e.Floats(c.Flts)
-		case mring.KString:
-			for _, v := range c.Strs {
-				e.Str(v)
-			}
-		default:
-			e.Tuple(c.Vals)
-		}
-	}
-	e.Floats(b.Mults)
-	return e.B
-}
-
-// Decode deserializes a batch produced by Encode.
-func Decode(buf []byte) (*ColBatch, error) {
-	d := wire.NewDec(buf)
-	// Every column header costs at least two bytes (name length and kind).
-	nc := d.Count(2)
-	schema := make(mring.Schema, nc)
-	kinds := make([]mring.Kind, nc)
-	for i := range schema {
-		schema[i] = d.Str()
-		if kinds[i] = mring.Kind(d.Byte()); kinds[i] > Mixed {
-			d.Fail("unknown column kind %d", kinds[i])
-		}
-	}
-	// Each row costs at least 8 bytes for its multiplicity alone.
-	n := d.Count(8)
-	b := NewColBatch(schema, kinds)
-	for i := range b.Cols {
-		// Every value takes at least one byte: refuse a column the bytes
-		// left cannot hold before allocating it.
-		if d.Len() < n {
-			d.Fail("column %q truncated", schema[i])
-			break
-		}
-		c := &b.Cols[i]
-		switch c.Kind {
-		case mring.KInt:
-			c.Ints = make([]int64, n)
-			d.Varints(c.Ints)
-		case mring.KFloat:
-			c.Flts = make([]float64, n)
-			d.Floats(c.Flts)
-		case mring.KString:
-			c.Strs = make([]string, n)
-			for j := range c.Strs {
-				c.Strs[j] = d.Str()
-			}
-		default:
-			c.Vals = make([]mring.Value, n)
-			d.Tuple(c.Vals)
-		}
-	}
-	b.Mults = make([]float64, n)
-	d.Floats(b.Mults)
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("pool: bad batch: %w", err)
-	}
-	return b, nil
-}

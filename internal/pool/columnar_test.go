@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -18,12 +19,48 @@ func tup(vs ...int) mring.Tuple {
 	return t
 }
 
+// row and rowList are a row sequence in a fixed order, for writing
+// batches whose rows a relation would reorder or merge.
+type row struct {
+	t mring.Tuple
+	m float64
+}
+
+type rowList []row
+
+func (l rowList) Len() int { return len(l) }
+
+func (l rowList) Foreach(f func(t mring.Tuple, m float64)) {
+	for _, r := range l {
+		f(r.t, r.m)
+	}
+}
+
+// write encodes rows under schema with a fresh Writer and reads the
+// encoding back in place.
+func write(t testing.TB, schema mring.Schema, rows Rows) *ColBatch {
+	t.Helper()
+	var w Writer
+	b, err := Decode(w.Append(nil, schema, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestColBatchRoundTrip(t *testing.T) {
-	b := NewColBatch(mring.Schema{"a", "f", "s"}, []mring.Kind{mring.KInt, mring.KFloat, mring.KString})
-	b.Append(mring.Tuple{mring.Int(1), mring.Float(2.5), mring.Str("x")}, 2)
-	b.Append(mring.Tuple{mring.Int(-7), mring.Float(0), mring.Str("")}, -1.5)
+	src := rowList{
+		{mring.Tuple{mring.Int(1), mring.Float(2.5), mring.Str("x")}, 2},
+		{mring.Tuple{mring.Int(-7), mring.Float(0), mring.Str("")}, -1.5},
+	}
+	b := write(t, mring.Schema{"a", "f", "s"}, src)
 	if b.Len() != 2 {
 		t.Fatal("Len wrong")
+	}
+	for i, k := range []mring.Kind{mring.KInt, mring.KFloat, mring.KString} {
+		if b.Kind(i) != k {
+			t.Fatalf("column %d has kind %d, want %d", i, b.Kind(i), k)
+		}
 	}
 	enc := b.Encode()
 	dec, err := Decode(enc)
@@ -33,15 +70,13 @@ func TestColBatchRoundTrip(t *testing.T) {
 	if !dec.Schema.Equal(b.Schema) || dec.Len() != 2 {
 		t.Fatalf("decode mismatch: %v", dec.Schema)
 	}
-	if !batchesEqual(b, dec) {
+	if !batchesEqual(b, dec) || !rowsEqual(dec, src) {
 		t.Fatalf("decode mismatch: %+v vs %+v", dec, b)
 	}
 }
 
 func TestColBatchDecodeTruncated(t *testing.T) {
-	b := NewColBatch(mring.Schema{"a"}, []mring.Kind{mring.KInt})
-	b.Append(tup(42), 1)
-	enc := b.Encode()
+	enc := write(t, mring.Schema{"a"}, rowList{{tup(42), 1}}).Encode()
 	for _, cut := range []int{0, 1, len(enc) / 2, len(enc) - 1} {
 		if _, err := Decode(enc[:cut]); err == nil {
 			t.Fatalf("Decode of %d/%d bytes should fail", cut, len(enc))
@@ -82,41 +117,61 @@ func TestQuickColBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMirrorColumnsArePresized pins that FromRelation, the conversion
-// every relation payload is encoded from, sizes every column
-// and the multiplicities to the relation's row count before filling
-// them: the allocations of one conversion do not grow with the rows, and
-// the batch encodes exactly as one grown row by row does.
-func TestMirrorColumnsArePresized(t *testing.T) {
-	schema := mring.Schema{"i", "f", "s"}
+// TestWriterReuse pins that a Writer's reused scratch carries nothing
+// from one payload to the next: payloads of different arities, kinds and
+// Mixed columns, written in turn by one Writer into one buffer, equal
+// what a fresh Writer writes for each.
+func TestWriterReuse(t *testing.T) {
+	wide := mring.NewRelation(mring.Schema{"k", "v", "s"})
+	wide.Add(mring.Tuple{mring.Int(1), mring.Float(2), mring.Str("a")}, 1)
+	wide.Add(mring.Tuple{mring.Str("b"), mring.Float(3), mring.Str("c")}, -2)
+	narrow := mring.NewRelation(mring.Schema{"x"})
+	narrow.Add(mring.Tuple{mring.Float(0.5)}, 4)
+	empty := mring.NewRelation(mring.Schema{"p", "q"})
+	var w Writer
+	var buf []byte
+	for _, r := range []*mring.Relation{wide, narrow, empty, wide, narrow} {
+		var fresh Writer
+		want := fresh.Append(nil, r.Schema(), r)
+		buf = w.Append(buf[:0], r.Schema(), r)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("reused Writer wrote %x for %v, a fresh one %x", buf, r, want)
+		}
+		if n := w.Load(r.Schema(), r); n != len(want) {
+			t.Fatalf("Load returned %d for %v, the encoding is %d bytes", n, r, len(want))
+		}
+		w.AppendTo(nil)
+	}
+}
+
+// TestWarmWriterAllocatesNothing pins that a warm Writer encodes a
+// payload into a caller's buffer without allocating, and that it lets go
+// of scratch a bulk payload grew past maxRetained.
+func TestWarmWriterAllocatesNothing(t *testing.T) {
 	fill := func(n int) *mring.Relation {
-		r := mring.NewRelation(schema)
+		r := mring.NewRelation(mring.Schema{"i", "f", "s"})
 		for i := 0; i < n; i++ {
 			r.Add(mring.Tuple{mring.Int(int64(i)), mring.Float(float64(i) / 4), mring.Str("s")}, float64(i%3+1))
 		}
 		return r
 	}
-	allocs := func(r *mring.Relation) float64 {
-		return testing.AllocsPerRun(5, func() { FromRelation(r) })
+	small, bulk := fill(1000), fill(20000)
+	var w Writer
+	buf := w.Append(nil, small.Schema(), small)
+	if allocs := testing.AllocsPerRun(5, func() { buf = w.Append(buf[:0], small.Schema(), small) }); allocs != 0 {
+		t.Fatalf("a warm Writer allocates %v times per payload", allocs)
 	}
-	small, large := fill(16), fill(4096)
-	if a, b := allocs(small), allocs(large); a != b {
-		t.Fatalf("conversion allocates %v times for 16 rows, %v for 4096", a, b)
-	}
-	got := FromRelation(large)
-	grown := NewColBatch(schema, []mring.Kind{mring.KInt, mring.KFloat, mring.KString})
-	large.Foreach(func(tp mring.Tuple, m float64) { grown.Append(tp, m) })
-	if string(got.Encode()) != string(grown.Encode()) {
-		t.Fatal("presized batch encodes differently from a grown one")
+	w.Append(nil, bulk.Schema(), bulk)
+	if w.cols != nil || w.mults != nil {
+		t.Fatal("the Writer kept the scratch of a bulk payload")
 	}
 }
 
 // randomGroupBatch builds a batch over (int, string, float) columns with
 // a small value domain so rows repeat, plus NaN and >2^53 edge values.
-func randomGroupBatch(rng *rand.Rand, rows int) *ColBatch {
+func randomGroupBatch(t testing.TB, rng *rand.Rand, rows int) *ColBatch {
 	schema := mring.Schema{"k", "name", "v"}
-	kinds := []mring.Kind{mring.KInt, mring.KString, mring.KFloat}
-	b := NewColBatch(schema, kinds)
+	var l rowList
 	for i := 0; i < rows; i++ {
 		k := int64(rng.Intn(6))
 		if rng.Intn(16) == 0 {
@@ -126,13 +181,13 @@ func randomGroupBatch(rng *rand.Rand, rows int) *ColBatch {
 		if rng.Intn(16) == 0 {
 			v = math.NaN()
 		}
-		b.Append(mring.Tuple{
+		l = append(l, row{mring.Tuple{
 			mring.Int(k),
 			mring.Str(fmt.Sprintf("g%d", rng.Intn(3))),
 			mring.Float(v),
-		}, float64(rng.Intn(5)-2))
+		}, float64(rng.Intn(5) - 2)})
 	}
-	return b
+	return write(t, schema, l)
 }
 
 // TestToRelationColumnarMatchesRowPath guards the decode path: a batch
@@ -141,7 +196,7 @@ func randomGroupBatch(rng *rand.Rand, rows int) *ColBatch {
 // Add of the source batch builds.
 func TestToRelationColumnarMatchesRowPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	b := randomGroupBatch(rng, 250)
+	b := randomGroupBatch(t, rng, 250)
 	want := mring.NewRelation(b.Schema)
 	b.Foreach(func(tp mring.Tuple, m float64) { want.Add(tp.Clone(), m) })
 	dec, err := Decode(b.Encode())
@@ -155,7 +210,7 @@ func TestToRelationColumnarMatchesRowPath(t *testing.T) {
 	}
 }
 
-// TestFromRowsMixedColumns pins the lossless conversion: a column whose
+// TestFromRowsMixedColumns pins that the writer is lossless: a column whose
 // values mix kinds becomes Mixed, a kind-pure one keeps its type, and the
 // batch's rows, read forwards or backwards, keep each value's kind and
 // bits — Int(2) stays an int although it equals Float(2).
@@ -170,7 +225,7 @@ func TestFromRowsMixedColumns(t *testing.T) {
 		r.Add(tp, float64(i+1))
 	}
 	b := FromRelation(r)
-	if k := []mring.Kind{b.Cols[0].Kind, b.Cols[1].Kind, b.Cols[2].Kind}; k[0] != Mixed || k[1] != Mixed || k[2] != mring.KInt {
+	if k := []mring.Kind{b.Kind(0), b.Kind(1), b.Kind(2)}; k[0] != Mixed || k[1] != Mixed || k[2] != mring.KInt {
 		t.Fatalf("column kinds %v, want [Mixed Mixed int]", k)
 	}
 	dec, err := Decode(b.Encode())

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"strings"
@@ -71,11 +72,12 @@ func sizeFuzzRelation(data []byte) *mring.Relation {
 }
 
 // FuzzEncodedSize pins the simulator's computed shuffle size to the
-// encoder: over arbitrary relations — extreme and negative ints, NaN and
+// writer: over arbitrary relations — extreme and negative ints, NaN and
 // signed-zero floats, empty and long strings and names, mixed-kind
-// columns — EncodedSize equals the length of FromRelation's encoding, and
-// that encoding decodes back to the relation's rows in its order, each
-// value with its kind and bits.
+// columns — EncodedSize equals the length of a Writer's encoding, which
+// FromRelation's batch holds too, and that encoding reads back in place
+// to the relation's rows in its order, each value with its kind and
+// bits.
 func FuzzEncodedSize(f *testing.F) {
 	le := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	cat := func(parts ...[]byte) []byte {
@@ -110,8 +112,11 @@ func FuzzEncodedSize(f *testing.F) {
 		[]byte{0x82, 1, 'z', 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := sizeFuzzRelation(data)
-		b := FromRelation(r)
-		enc := b.Encode()
+		var w Writer
+		enc := w.Append(nil, r.Schema(), r)
+		if b := FromRelation(r); !bytes.Equal(b.Encode(), enc) {
+			t.Fatalf("FromRelation holds %x, a Writer writes %x", b.Encode(), enc)
+		}
 		if size := EncodedSize(r.Schema(), r); size != len(enc) {
 			t.Fatalf("EncodedSize = %d, encoding is %d bytes, on %v", size, len(enc), r)
 		}

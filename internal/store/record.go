@@ -66,14 +66,34 @@ func EncodeRecord(r Record) []byte {
 	for _, tf := range r.Tables {
 		size += 3*binary.MaxVarintLen64 + len(tf.Table) + len(tf.Payload)
 	}
-	e := wire.Enc{B: make([]byte, 0, size)}
-	e.Byte(r.Kind)
-	e.Int(len(r.Tables))
+	b := AppendRecordHead(make([]byte, 0, size), r.Kind, len(r.Tables))
 	for _, tf := range r.Tables {
-		e.Str(tf.Table)
-		e.Int(tf.Buckets)
+		b = AppendTableHead(b, tf.Table, tf.Buckets)
+		e := wire.Enc{B: b}
 		e.Bytes(tf.Payload)
+		b = e.B
 	}
+	return b
+}
+
+// AppendRecordHead appends the start of a record body to dst: its kind
+// and table count. A caller that writes each table's payload in place
+// follows it with the tables, each an AppendTableHead and then the
+// payload with its length prefix (inet.AppendPayload), and logs the body
+// with Store.AppendBody.
+func AppendRecordHead(dst []byte, kind byte, tables int) []byte {
+	e := wire.Enc{B: dst}
+	e.Byte(kind)
+	e.Int(tables)
+	return e.B
+}
+
+// AppendTableHead appends a table's name and bucket count to a record
+// body; its payload follows.
+func AppendTableHead(dst []byte, table string, buckets int) []byte {
+	e := wire.Enc{B: dst}
+	e.Str(table)
+	e.Int(buckets)
 	return e.B
 }
 

@@ -165,7 +165,14 @@ func Open(dir string, opt Options) (*Store, *Recovery, error) {
 // Append logs one record under the sync policy. When it returns nil
 // under SyncEvery == 1 the record is on stable storage.
 func (s *Store) Append(r Record) error {
-	return s.w.append(EncodeRecord(r))
+	return s.AppendBody(EncodeRecord(r))
+}
+
+// AppendBody is Append for a record body its caller encoded (see
+// AppendRecordHead); the log does not retain body. A body over MaxRecord
+// fails with a *RecordTooLargeError and logs nothing.
+func (s *Store) AppendBody(body []byte) error {
+	return s.w.append(body)
 }
 
 // Sync forces any unsynced appends to stable storage (a barrier for

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/mring"
 	inet "repro/internal/net"
+	"repro/internal/pool"
 )
 
 func testRecord(i int) Record {
@@ -325,5 +326,79 @@ func TestSealedSegmentDamageErrors(t *testing.T) {
 	os.WriteFile(seg1, sdata[:len(sdata)-2], 0o644)
 	if _, _, err := Open(dir, Options{Retain: 4}); err == nil {
 		t.Fatalf("expected sealed-segment error")
+	}
+}
+
+// TestAppendRefusesOversizedRecord pins that the log never writes a
+// record its reader refuses: a body over MaxRecord fails with a
+// *RecordTooLargeError before any byte of it lands (the body is never
+// touched, so its pages stay unmapped), the segment keeps only what was
+// logged, and appending and reopening continue as before.
+func TestAppendRefusesOversizedRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(walPath(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.AppendBody(make([]byte, MaxRecord+1))
+	if tooLarge, ok := err.(*RecordTooLargeError); !ok || tooLarge.Len != MaxRecord+1 {
+		t.Fatalf("oversized append returned %v, want a *RecordTooLargeError", err)
+	}
+	if after, err := os.ReadFile(walPath(t, dir)); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused record changed the segment (%v)", err)
+	}
+	if err := s.Append(testRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after a refused record: %v", err)
+	}
+	defer s.Close()
+	if len(rec.Records) != 2 || !reflect.DeepEqual(rec.Records[1], testRecord(1)) {
+		t.Fatalf("recovered %d records, want the 2 logged", len(rec.Records))
+	}
+}
+
+// TestAppendedBodyMatchesEncodeRecord pins that a record body built in
+// place — heads appended, each payload written after them by a reused
+// pool.Writer — is byte-identical to EncodeRecord over payloads encoded
+// one by one, empty tables and Mixed columns included.
+func TestAppendedBodyMatchesEncodeRecord(t *testing.T) {
+	empty := mring.NewRelation(mring.Schema{"k"})
+	mixed := mring.NewRelation(mring.Schema{"k", "v"})
+	mixed.Add(mring.Tuple{mring.Str("x"), mring.Float(0.5)}, 1)
+	mixed.Add(mring.Tuple{mring.Int(4), mring.Float(-1)}, 2)
+	ints := mring.NewRelation(mring.Schema{"k", "v"})
+	for i := 0; i < 20; i++ {
+		ints.Add(mring.Tuple{mring.Int(int64(i)), mring.Int(int64(i * 7))}, 2)
+	}
+	var w pool.Writer
+	buf := []byte("stale bytes")
+	for _, rec := range []struct {
+		kind byte
+		rels []*mring.Relation
+	}{{RecWarm, []*mring.Relation{mixed, empty, ints}}, {RecTx, []*mring.Relation{ints}}, {RecTx, nil}} {
+		want := Record{Kind: rec.kind}
+		buf = AppendRecordHead(buf[:0], rec.kind, len(rec.rels))
+		for i, r := range rec.rels {
+			name := string(rune('a' + i))
+			want.Tables = append(want.Tables, TableFrag{Table: name, Buckets: r.TableSize(), Payload: inet.EncodeRelationPlain(r)})
+			buf = AppendTableHead(buf, name, r.TableSize())
+			buf = inet.AppendPayload(buf, &w, r.Schema(), r)
+		}
+		if !bytes.Equal(buf, EncodeRecord(want)) {
+			t.Fatalf("record built in place:\n%x\nEncodeRecord:\n%x", buf, EncodeRecord(want))
+		}
 	}
 }

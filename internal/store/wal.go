@@ -160,7 +160,19 @@ func openSegment(path string, syncEvery int) (*walWriter, error) {
 	return &walWriter{f: f, syncEvery: syncEvery}, nil
 }
 
+// RecordTooLargeError reports a record body over MaxRecord, which the
+// log refuses before writing any byte of it: a reader would refuse the
+// record, and the directory would not reopen.
+type RecordTooLargeError struct{ Len int }
+
+func (e *RecordTooLargeError) Error() string {
+	return fmt.Sprintf("store: record of %d bytes exceeds MaxRecord (%d)", e.Len, MaxRecord)
+}
+
 func (w *walWriter) append(body []byte) error {
+	if len(body) > MaxRecord {
+		return &RecordTooLargeError{Len: len(body)}
+	}
 	w.buf = AppendRecordFrame(w.buf[:0], body)
 	if _, err := w.f.Write(w.buf); err != nil {
 		return err

@@ -28,6 +28,20 @@ import (
 // name.
 type Enc struct{ B []byte }
 
+// maxKept bounds the buffer Reset keeps for the next message.
+const maxKept = 64 << 10
+
+// Reset empties B for the next message. It keeps B's capacity, unless
+// that exceeds 64 KiB, so an encoder reused for every message sent on a
+// connection allocates nothing once warm, and one bulk message, such as
+// a warm start's, does not pin its size.
+func (e *Enc) Reset() {
+	if cap(e.B) > maxKept {
+		e.B = nil
+	}
+	e.B = e.B[:0]
+}
+
 func (e *Enc) Byte(v byte) { e.B = append(e.B, v) }
 
 func (e *Enc) Uvarint(v uint64) { e.B = binary.AppendUvarint(e.B, v) }
@@ -129,6 +143,9 @@ func (d *Dec) Err() error { return d.err }
 
 // Len returns the number of bytes left.
 func (d *Dec) Len() int { return len(d.b) }
+
+// Offset returns the number of bytes read so far.
+func (d *Dec) Offset() int { return d.n - len(d.b) }
 
 // Done returns the first error, or an error if bytes are left over.
 func (d *Dec) Done() error {
@@ -340,6 +357,56 @@ func (d *Dec) Tuple(t mring.Tuple) {
 		return
 	}
 	d.b = b
+}
+
+// Skip checks and passes over n consecutive values of kind k written
+// bare — as Varint, Float or Str write them — without decoding them.
+func (d *Dec) Skip(k mring.Kind, n int) {
+	b := d.b
+	switch k {
+	case mring.KInt:
+		for i := 0; i < n; i++ {
+			_, w := binary.Uvarint(b)
+			if !canonical(b, w) {
+				d.b = b
+				d.badVarint()
+				return
+			}
+			b = b[w:]
+		}
+	case mring.KFloat:
+		if len(b)/8 < n {
+			d.Fail("truncated float")
+			return
+		}
+		b = b[8*n:]
+	default:
+		for i := 0; i < n; i++ {
+			l, w := binary.Uvarint(b)
+			if !canonical(b, w) || l > uint64(len(b)-w) {
+				d.b = b
+				d.Bytes() // records the error
+				return
+			}
+			b = b[w+int(l):]
+		}
+	}
+	d.b = b
+}
+
+// SkipValues checks and passes over n consecutive values written by
+// Enc.Value, and reports whether they differ in kind.
+func (d *Dec) SkipValues(n int) (mixed bool) {
+	var first mring.Kind
+	for i := 0; i < n && d.err == nil; i++ {
+		k := d.Kind()
+		if i == 0 {
+			first = k
+		}
+		mixed = mixed || k != first
+		d.Skip(k, 1)
+	}
+	return mixed
 }
 
 // PutMap writes m in sorted key order: the entry count, then each key

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mring"
 	inet "repro/internal/net"
+	"repro/internal/pool"
 	"repro/internal/wire"
 )
 
@@ -66,10 +67,16 @@ type feedDeltaMsg struct {
 
 func (m *feedDeltaMsg) encode() []byte {
 	var e wire.Enc
-	e.Varint(m.Seq)
-	e.Strs(m.Schema)
+	putDeltaHead(&e, m.Seq, m.Schema)
 	e.Bytes(m.Payload)
 	return e.B
+}
+
+// putDeltaHead writes a delta message up to its payload, which follows
+// with its length prefix.
+func putDeltaHead(e *wire.Enc, seq int64, schema mring.Schema) {
+	e.Varint(seq)
+	e.Strs(schema)
 }
 
 func (m *feedDeltaMsg) decode(body []byte) error {
@@ -261,6 +268,10 @@ func (s *FeedServer) dropConn(fc *feedConn) {
 type feedConn struct {
 	conn   inet.Conn
 	cancel func()
+	// enc and w encode every delta writeLoop sends, the payload written
+	// in place after the message head; only writeLoop touches them.
+	enc wire.Enc
+	w   pool.Writer
 
 	mu     sync.Mutex
 	wake   *sync.Cond
@@ -308,8 +319,10 @@ func (fc *feedConn) writeLoop() {
 		q := fc.queue[0]
 		fc.queue = fc.queue[1:]
 		fc.mu.Unlock()
-		msg := feedDeltaMsg{Seq: q.seq, Schema: q.rel.Schema(), Payload: inet.EncodeRelationPlain(q.rel)}
-		if err := fc.conn.Send(feedOpDelta, msg.encode()); err != nil {
+		fc.enc.Reset()
+		putDeltaHead(&fc.enc, q.seq, q.rel.Schema())
+		fc.enc.B = inet.AppendPayload(fc.enc.B, &fc.w, q.rel.Schema(), q.rel)
+		if err := fc.conn.Send(feedOpDelta, fc.enc.B); err != nil {
 			return
 		}
 	}
