@@ -38,9 +38,12 @@ lint:
 # the same bytes, and the batch reader must visit the same rows forwards
 # and backwards — tuples with equal
 # canonical keys must compare and hash equal, any sequence of relation
-# and group-table operations must match a plain-map model, and the
+# and group-table operations must match a plain-map model, the
 # simulator's computed shuffle size must equal the length of the
-# one-pass writer's output on every relation, mixed kinds included.
+# one-pass writer's output on every relation, mixed kinds included, and
+# the local and Distributed(2) engines must equal the oracle
+# (internal/baseline) after every transaction of a short stream of
+# inserts and deletes on one of a fixed set of query shapes.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashColsKeyEqual$$' -fuzztime=30s ./internal/mring
 	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=30s ./internal/mring
@@ -51,6 +54,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzServeRequest$$' -fuzztime=30s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=30s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzFeedMessages$$' -fuzztime=30s .
+	$(GO) test -run='^$$' -fuzz='^FuzzOracleAgreement$$' -fuzztime=30s .
 
 # proc-smoke runs the process-cluster smoke gate: builds the real worker
 # binary, spawns 4 worker processes on localhost, and asserts the

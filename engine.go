@@ -784,9 +784,11 @@ func routeDelta(f *feed, rel *mring.Relation) []*subscriber {
 	return matched
 }
 
+// prefixEqual matches a group to a subscriber's key by the key identity
+// relations store groups by and keyShard routes them by (KeyEqual).
 func prefixEqual(t mring.Tuple, key Tuple) bool {
 	for i, v := range key {
-		if !t[i].Equal(v) {
+		if !t[i].KeyEqual(v) {
 			return false
 		}
 	}

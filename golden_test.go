@@ -2,16 +2,19 @@ package ivm
 
 // Golden-result gate for the unified engine API: the TPC-H aggregate
 // queries (Q1-style group-bys) must produce identical results through
-// every execution plane — ivm.New's local backend, its distributed
-// backend at 1, 8, and 16 workers, and a fresh-rebuild oracle that
-// recomputes the query from the accumulated base tables. Run under
-// -race (make test) this also certifies the group tables built on
-// worker goroutines share nothing.
+// every execution plane — ivm.New's local backend and its distributed
+// backend at 1, 8, and 16 workers — and equal the oracle
+// (internal/baseline), which recomputes the query naively from the
+// accumulated base tables. Every engine here runs on the test
+// goroutine — the simulated cluster runs its shards inline on it
+// (DESIGN.md §4) — so -race (make test) certifies no concurrency in
+// these tests; the concurrent fan-out to process workers is raced where
+// Remote backends run, as in TestKernelFoldsOnEveryBackend.
 
 import (
 	"testing"
 
-	"repro/internal/eval"
+	"repro/internal/baseline"
 	"repro/internal/mring"
 	"repro/internal/tpch"
 )
@@ -44,13 +47,13 @@ func goldenStream(t *testing.T, q tpch.Query, apply func(table string, b *Batch)
 }
 
 // rebuildOracle recomputes the query from scratch over accumulated base
-// tables.
+// tables through the oracle.
 func rebuildOracle(q tpch.Query, accum map[string]*mring.Relation) *mring.Relation {
-	env := eval.NewEnv()
-	for n, r := range accum {
-		env.Bind(n, r)
+	out := mring.NewRelation(q.Def.Schema())
+	for _, r := range baseline.Eval(q.Def, baseline.Of(accum)) {
+		out.Add(r.Tuple, r.M)
 	}
-	return eval.NewCtx(env).Materialize(q.Def)
+	return out
 }
 
 func TestGoldenAggregatesAcrossEngines(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/cachesim"
 	"repro/internal/compile"
 	"repro/internal/mring"
@@ -195,7 +194,7 @@ func warmDatabase(q tpch.Query, sf float64, seed int64) map[string]*mring.Relati
 // the engine has already ingested the warm database, and each additional
 // batch must refresh the view. Slow engines are capped at a few batches
 // per cell — enough for a rate, cheap enough to terminate.
-func measureRefreshRate(q tpch.Query, e baseline.Engine, seed int64, batchSize, maxBatches int) float64 {
+func measureRefreshRate(q tpch.Query, e Engine, seed int64, batchSize, maxBatches int) float64 {
 	gen := tpch.NewGenerator(0.05, seed+1000)
 	stream := tpch.NewStream(gen, q.Tables)
 	tuples := 0
@@ -218,7 +217,7 @@ func measureRefreshRate(q tpch.Query, e baseline.Engine, seed int64, batchSize, 
 	return float64(tuples) / time.Since(start).Seconds()
 }
 
-// recursiveEngine adapts the executor to the baseline.Engine interface.
+// recursiveEngine adapts the executor to the Engine interface.
 type recursiveEngine struct{ ex *compile.Executor }
 
 func (e recursiveEngine) ApplyBatch(rel string, b *mring.Relation) { e.ex.ApplyBatch(rel, b) }
@@ -277,23 +276,23 @@ func engineComparison(cfg LocalConfig, names []string, title, notes string) (*Ta
 		engines := []struct {
 			label      string
 			maxBatches int
-			mk         func() baseline.Engine
+			mk         func() Engine
 		}{
-			{"re-eval", 3, func() baseline.Engine {
-				e := baseline.NewReEval(q.Def, q.BaseSchemas())
+			{"re-eval", 3, func() Engine {
+				e := NewReEval(q.Def, q.BaseSchemas())
 				for tbl, r := range warm {
 					e.LoadBase(tbl, r.Clone())
 				}
 				return e
 			}},
-			{"classical", 5, func() baseline.Engine {
-				e := baseline.NewClassicalIVM(q.Def, q.BaseSchemas())
+			{"classical", 5, func() Engine {
+				e := NewClassicalIVM(q.Def, q.BaseSchemas())
 				for tbl, r := range warm {
 					e.LoadBase(tbl, r.Clone())
 				}
 				return e
 			}},
-			{"recursive", 50, func() baseline.Engine {
+			{"recursive", 50, func() Engine {
 				ex := compile.NewExecutor(prog)
 				ex.InitFromBases(warm)
 				return recursiveEngine{ex}

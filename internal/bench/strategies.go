@@ -1,6 +1,7 @@
-// Package baseline implements the two comparison strategies of the
-// paper's Fig. 8 and Table 1 (run there on PostgreSQL; DESIGN.md §3
-// records the substitution):
+package bench
+
+// The two comparison strategies of the paper's Fig. 8 and Table 1 (run
+// there on PostgreSQL; DESIGN.md §3 records the substitution):
 //
 //   - ReEval: refresh the materialized result by recomputing the query
 //     over the stored base tables on every batch;
@@ -10,7 +11,6 @@
 //
 // Both maintain the base tables themselves and share the generic
 // evaluator, so the measured gaps isolate the maintenance strategy.
-package baseline
 
 import (
 	"fmt"
@@ -65,7 +65,7 @@ func (e *ReEval) LoadBase(rel string, r *mring.Relation) {
 func (e *ReEval) ApplyBatch(rel string, batch *mring.Relation) {
 	b, ok := e.bases[rel]
 	if !ok {
-		panic(fmt.Sprintf("baseline: unknown relation %q", rel))
+		panic(fmt.Sprintf("bench: unknown relation %q", rel))
 	}
 	b.Merge(batch)
 	e.refresh()
@@ -80,7 +80,7 @@ func (e *ReEval) refresh() {
 func planCtx(env *eval.Env, es ...expr.Expr) *eval.Ctx {
 	plans, err := eval.Prepare(es...)
 	if err != nil {
-		panic(fmt.Sprintf("baseline: %v", err))
+		panic(fmt.Sprintf("bench: %v", err))
 	}
 	ctx := eval.NewCtx(env)
 	ctx.Plans = plans
@@ -151,7 +151,7 @@ func (e *ClassicalIVM) LoadBase(rel string, r *mring.Relation) {
 func (e *ClassicalIVM) ApplyBatch(rel string, batch *mring.Relation) {
 	dq, ok := e.deltas[rel]
 	if !ok {
-		panic(fmt.Sprintf("baseline: unknown relation %q", rel))
+		panic(fmt.Sprintf("bench: unknown relation %q", rel))
 	}
 	e.env.Bind(eval.DeltaName(rel), batch)
 	if !expr.IsZero(dq) {

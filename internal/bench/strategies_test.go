@@ -1,9 +1,11 @@
-package baseline
+package bench
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/compile"
 	"repro/internal/eval"
 	"repro/internal/expr"
@@ -25,20 +27,8 @@ func engines(t *testing.T, q expr.Expr, bases map[string]mring.Schema) []Engine 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rivm := compile.NewExecutor(prog)
-	return []Engine{
-		NewReEval(q, bases),
-		NewClassicalIVM(q, bases),
-		executorEngine{rivm},
-	}
+	return []Engine{NewReEval(q, bases), NewClassicalIVM(q, bases), recursiveEngine{compile.NewExecutor(prog)}}
 }
-
-// executorEngine adapts the recursive executor to the Engine interface.
-type executorEngine struct{ ex *compile.Executor }
-
-func (e executorEngine) ApplyBatch(rel string, b *mring.Relation) { e.ex.ApplyBatch(rel, b) }
-func (e executorEngine) Result() *mring.Relation                  { return e.ex.Result() }
-func (e executorEngine) Name() string                             { return "recursive-ivm" }
 
 func TestAllEnginesAgreeFlatJoin(t *testing.T) {
 	q := expr.Sum([]string{"B"}, expr.Join(
@@ -57,33 +47,31 @@ func TestAllEnginesAgreeNested(t *testing.T) {
 	checkAgree(t, q, bases, 7)
 }
 
+// checkAgree feeds every strategy the same random batches and holds
+// each result to the oracle over the accumulated base tables.
 func checkAgree(t *testing.T, q expr.Expr, bases map[string]mring.Schema, seed int64) {
 	t.Helper()
 	es := engines(t, q, bases)
 	rng := rand.New(rand.NewSource(seed))
+	db := baseline.DB{}
 	var rels []string
-	for n := range bases {
+	for n, s := range bases {
+		db[n] = mring.NewRelation(s)
 		rels = append(rels, n)
 	}
-	for i := 1; i < len(rels); i++ {
-		for j := i; j > 0 && rels[j] < rels[j-1]; j-- {
-			rels[j], rels[j-1] = rels[j-1], rels[j]
-		}
-	}
+	sort.Strings(rels)
 	for b := 0; b < 12; b++ {
 		rel := rels[rng.Intn(len(rels))]
 		batch := mring.NewRelation(bases[rel])
 		for i := 0; i < 6; i++ {
 			batch.Add(tup(rng.Intn(4), rng.Intn(4)), 1)
 		}
+		db[rel].(*mring.Relation).Merge(batch)
+		want := baseline.Eval(q, db)
 		for _, e := range es {
 			e.ApplyBatch(rel, batch.Clone())
-		}
-		ref := es[0].Result()
-		for _, e := range es[1:] {
-			if !e.Result().EqualApprox(ref, 1e-6) {
-				t.Fatalf("batch %d: %s diverged from %s\n%s: %v\n%s: %v",
-					b, e.Name(), es[0].Name(), e.Name(), e.Result(), es[0].Name(), ref)
+			if d := baseline.Diff(e.Result(), want); d != "" {
+				t.Fatalf("batch %d: %s diverged from the oracle: %s", b, e.Name(), d)
 			}
 		}
 	}

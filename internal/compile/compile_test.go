@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/eval"
 	"repro/internal/expr"
 	"repro/internal/mring"
+	"repro/internal/tpch"
 )
 
 func tup(vs ...int) mring.Tuple {
@@ -119,11 +121,10 @@ func checkAgainstRecompute(t *testing.T, name string, q expr.Expr, bases map[str
 		ex.ApplyBatch(rel, batch)
 		accum[rel].Merge(batch)
 
-		env := eval.NewEnv()
-		for n, r := range accum {
-			env.Bind(n, r)
+		want := mring.NewRelation(q.Schema())
+		for _, r := range baseline.Eval(q, baseline.Of(accum)) {
+			want.Add(r.Tuple, r.M)
 		}
-		want := eval.NewCtx(env).Materialize(q)
 		if !ex.Result().EqualApprox(want, 1e-6) {
 			t.Fatalf("%s (opts=%+v single=%v): batch %d on %s diverged\n got: %v\nwant: %v\nprogram:\n%s",
 				name, opts, singleTuple, b, rel, ex.Result(), want, prog)
@@ -288,11 +289,10 @@ func TestInitFromBases(t *testing.T) {
 	ex.ApplyBatch("R", batch)
 	init["R"].Merge(batch)
 
-	env := eval.NewEnv()
-	for n, r := range init {
-		env.Bind(n, r)
+	want := mring.NewRelation(q.Schema())
+	for _, r := range baseline.Eval(q, baseline.Of(init)) {
+		want.Add(r.Tuple, r.M)
 	}
-	want := eval.NewCtx(env).Materialize(q)
 	if !ex.Result().EqualApprox(want, 1e-6) {
 		t.Fatalf("warm start diverged:\n got %v\nwant %v", ex.Result(), want)
 	}
@@ -372,4 +372,56 @@ func TestPreAggregatePerAlias(t *testing.T) {
 	// And it must still be correct.
 	checkAgainstRecompute(t, "Q17S", q, bases,
 		Options{DomainExtraction: true, PreAggregate: true}, false, 31, 10, 5, 4)
+}
+
+// TestKeptViewsMatchOracle holds every view the local executor keeps for
+// a TPC-H program — not only its result, which the stream leaves empty
+// for most queries — to the oracle: after an SF 0.1 stream of six rounds
+// of 100-event batches, each non-transient, delta-free view must equal
+// the oracle's evaluation of its definition over the accumulated base
+// tables.
+func TestKeptViewsMatchOracle(t *testing.T) {
+	views, nonEmpty := 0, 0
+	for _, q := range tpch.Queries() {
+		prog, err := Compile(q.Name, q.Def, q.BaseSchemas(), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := tpch.NewGenerator(0.1, 3)
+		accum := map[string]*mring.Relation{}
+		for _, tbl := range q.Tables {
+			if tbl == tpch.Nation || tbl == tpch.Region {
+				accum[tbl] = gen.Static(tbl)
+			} else {
+				accum[tbl] = mring.NewRelation(tpch.Schemas[tbl])
+			}
+		}
+		ex := NewExecutor(prog)
+		ex.InitFromBases(accum)
+		stream := tpch.NewStream(gen, q.Tables)
+		for i := 0; i < 6; i++ {
+			for _, b := range stream.NextBatches(100) {
+				ex.ApplyBatch(b.Table, b.Rel)
+				accum[b.Table].Merge(b.Rel)
+			}
+		}
+		db := baseline.Of(accum)
+		for _, v := range prog.Views {
+			if v.Transient || expr.HasDelta(v.Def) {
+				continue
+			}
+			got := ex.View(v.Name)
+			if d := baseline.Diff(got, baseline.Eval(v.Def, db)); d != "" {
+				t.Fatalf("%s view %s diverges from the oracle: %s\n%v", q.Name, v.Name, d, v.Def)
+			}
+			views++
+			if got.Len() > 0 {
+				nonEmpty++
+			}
+		}
+	}
+	if nonEmpty < views/2 {
+		t.Fatalf("only %d of %d kept views are non-empty: the stream tests too little", nonEmpty, views)
+	}
+	t.Logf("%d kept views equal the oracle, %d of them non-empty", views, nonEmpty)
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/eval"
+	"repro/internal/baseline"
 	"repro/internal/expr"
 	"repro/internal/mring"
 )
@@ -18,10 +18,26 @@ func tup(vs ...int) mring.Tuple {
 	return t
 }
 
-// applyBatch merges batch into base (post-state).
-func applyBatch(base, batch *mring.Relation) *mring.Relation {
-	out := base.Clone()
-	out.Merge(batch)
+// ivmSides evaluates both sides of the IVM equation for query q, its
+// delta dq and a batch on rel through the oracle: M(D) + ΔQ(D, ΔD) and
+// M(D + ΔD).
+func ivmSides(q, dq expr.Expr, rels map[string]*mring.Relation, rel string, batch *mring.Relation) (got, want *mring.Relation) {
+	pre := baseline.Of(rels)
+	pre["Δ"+rel] = batch
+	got = evalOracle(q, pre)
+	got.Merge(evalOracle(dq, pre))
+	post := baseline.Of(rels)
+	after := rels[rel].Clone()
+	after.Merge(batch)
+	post[rel] = after
+	return got, evalOracle(q, post)
+}
+
+func evalOracle(q expr.Expr, db baseline.DB) *mring.Relation {
+	out := mring.NewRelation(q.Schema())
+	for _, r := range baseline.Eval(q, db) {
+		out.Add(r.Tuple, r.M)
+	}
 	return out
 }
 
@@ -30,33 +46,9 @@ func applyBatch(base, batch *mring.Relation) *mring.Relation {
 func checkIncremental(t *testing.T, q expr.Expr, rels map[string]*mring.Relation, rel string, batch *mring.Relation, opts Options) {
 	t.Helper()
 	dq := Derive(q, rel, opts)
-
-	// Pre-state evaluation of the delta.
-	env := eval.NewEnv()
-	for n, r := range rels {
-		env.Bind(n, r)
-	}
-	env.Bind(eval.DeltaName(rel), batch)
-	deltaResult := eval.NewCtx(env).Materialize(dq)
-
-	// Old result + delta.
-	oldResult := eval.NewCtx(env).Materialize(q)
-	oldResult.Merge(deltaResult)
-
-	// Recomputed post-state result.
-	env2 := eval.NewEnv()
-	for n, r := range rels {
-		if n == rel {
-			env2.Bind(n, applyBatch(r, batch))
-		} else {
-			env2.Bind(n, r)
-		}
-	}
-	newResult := eval.NewCtx(env2).Materialize(q)
-
-	if !oldResult.EqualApprox(newResult, 1e-6) {
+	if got, want := ivmSides(q, dq, rels, rel, batch); !got.EqualApprox(want, 1e-6) {
 		t.Fatalf("IVM equation violated for %s:\n delta: %s\n old+delta: %v\n recomputed: %v",
-			dq, dq, oldResult, newResult)
+			dq, dq, got, want)
 	}
 }
 
@@ -272,23 +264,7 @@ func TestQuickIVMEquation(t *testing.T) {
 			batch.Add(tup(rng.Intn(4), rng.Intn(4)), float64(rng.Intn(5)-2))
 		}
 		// Use the test helper inline (cannot call t.Fatalf in quick).
-		dq := Derive(q, target, Options{DomainExtraction: de})
-		env := eval.NewEnv()
-		for n, r := range rels {
-			env.Bind(n, r)
-		}
-		env.Bind(eval.DeltaName(target), batch)
-		got := eval.NewCtx(env).Materialize(q)
-		got.Merge(eval.NewCtx(env).Materialize(dq))
-		env2 := eval.NewEnv()
-		for n, r := range rels {
-			if n == target {
-				env2.Bind(n, applyBatch(r, batch))
-			} else {
-				env2.Bind(n, r)
-			}
-		}
-		want := eval.NewCtx(env2).Materialize(q)
+		got, want := ivmSides(q, Derive(q, target, Options{DomainExtraction: de}), rels, target, batch)
 		return got.EqualApprox(want, 1e-6)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {

@@ -6,46 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/expr"
 	"repro/internal/mring"
 )
-
-// refAggregator is the string-keyed reference the hash-native evalAgg must
-// behave identically to: groups keyed by the canonical string key of the
-// group-by projection, accumulated in body-emission order, with the data
-// model's in-table zero cancellation (a group whose value crosses into
-// (-Eps, Eps) is removed; a canceled key seen again starts a new group).
-// It mirrors relation_prop_test.go's refModel, lifted to aggregation.
-type refAggregator struct {
-	vals  map[string]float64
-	keys  map[string]mring.Tuple
-	order []string
-}
-
-func newRefAggregator() *refAggregator {
-	return &refAggregator{vals: map[string]float64{}, keys: map[string]mring.Tuple{}}
-}
-
-func (r *refAggregator) add(group mring.Tuple, m float64) {
-	if m == 0 {
-		return
-	}
-	k := group.Key()
-	v, ok := r.vals[k]
-	if !ok {
-		r.vals[k] = m
-		r.keys[k] = group.Clone()
-		r.order = append(r.order, k)
-		return
-	}
-	v += m
-	if v > -mring.Eps && v < mring.Eps {
-		delete(r.vals, k)
-		delete(r.keys, k)
-		return
-	}
-	r.vals[k] = v
-}
 
 // randomAggTuple draws tuples over the identity edge cases: NaN group
 // keys (canonical key is reflexive on NaN), integers beyond 2^53 (the
@@ -73,10 +37,13 @@ func randomAggTuple(rng *rand.Rand) mring.Tuple {
 
 // runAggModelProperty fills a relation with random tuples and random
 // multiplicities, materializes Sum_[gb](R) through the hash-native
-// group-table path, and compares against the string-keyed reference fed
-// by an identical scan. Both consume the same emission sequence, so the
-// accumulated floats must match bit for bit. hashFn, when non-nil, forces
-// group-table hash collisions so the chain compare paths do all the work.
+// group-table path, and compares against the oracle's string-keyed
+// aggregation, which sums the same rows in the same scan order under the
+// data model's in-table cancellation (a group whose value crosses into
+// (-Eps, Eps) is removed; a canceled key seen again starts a new group).
+// The accumulated floats must therefore match bit for bit. hashFn, when
+// non-nil, forces group-table hash collisions so the chain compare paths
+// do all the work.
 func runAggModelProperty(t *testing.T, seed int64, hashFn func(mring.Tuple) uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	schema := mring.Schema{"g", "a", "v"}
@@ -88,29 +55,24 @@ func runAggModelProperty(t *testing.T, seed int64, hashFn func(mring.Tuple) uint
 		}
 		// Random group-by subset (possibly empty: scalar aggregate).
 		var gb []string
-		var pos []int
-		for i, col := range schema {
+		for _, col := range schema {
 			if rng.Intn(2) == 0 {
 				gb = append(gb, col)
-				pos = append(pos, i)
 			}
 		}
+		q := expr.Sum(gb, expr.Base("R", schema...))
 		ctx := NewCtx(env)
 		ctx.groupHash = hashFn
-		got := ctx.Materialize(expr.Sum(gb, expr.Base("R", schema...)))
-
-		ref := newRefAggregator()
-		rel.Foreach(func(tp mring.Tuple, m float64) {
-			ref.add(tp.Project(pos), m)
-		})
-		if got.Len() != len(ref.vals) {
-			t.Fatalf("seed %d round %d gb=%v: %d groups, reference has %d\n got: %v",
-				seed, round, gb, got.Len(), len(ref.vals), got)
+		got := ctx.Materialize(q)
+		want := baseline.Eval(q, baseline.Of(env.rels))
+		if got.Len() != len(want) {
+			t.Fatalf("seed %d round %d gb=%v: %d groups, oracle has %d\n got: %v",
+				seed, round, gb, got.Len(), len(want), got)
 		}
-		for k, want := range ref.vals {
-			if g := got.Get(ref.keys[k]); g != want {
-				t.Fatalf("seed %d round %d gb=%v: group %v = %g, reference %g",
-					seed, round, gb, ref.keys[k], g, want)
+		for _, w := range want {
+			if g := got.Get(w.Tuple); math.Float64bits(g) != math.Float64bits(w.M) {
+				t.Fatalf("seed %d round %d gb=%v: group %v = %g, oracle %g",
+					seed, round, gb, w.Tuple, g, w.M)
 			}
 		}
 	}
@@ -175,9 +137,9 @@ func TestAggCancelsZeroGroupsInTable(t *testing.T) {
 
 	// The maintained view must agree with a fresh rebuild of the same
 	// aggregate — the oracle the old emit-time skip diverged from.
-	oracle := NewCtx(env).Materialize(expr.Sum([]string{"g"}, expr.Base("R", schema...)))
-	if !target.Equal(oracle) {
-		t.Errorf("view %v diverges from rebuild oracle %v", target, oracle)
+	oracle := baseline.Eval(expr.Sum([]string{"g"}, expr.Base("R", schema...)), baseline.Of(env.rels))
+	if d := baseline.Diff(target, oracle); d != "" {
+		t.Errorf("view diverges from the oracle: %s", d)
 	}
 }
 

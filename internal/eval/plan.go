@@ -25,11 +25,11 @@ import (
 // emits into a continuation fixed at lowering, so evaluation allocates no
 // closures, and the state a node keeps while its continuation runs (a
 // product's running multiplicity, an aggregate's group table) lives in a
-// per-node cell of the Ctx's scratch. Emission order, fold order, float
-// arithmetic order and the operations counted in Stats must be those of
-// the map-binding reference interpreter (reference_test.go);
-// TestPreparedMatchesReference holds every compiled TPC-H and TPC-DS
-// statement to it.
+// per-node cell of the Ctx's scratch. TestPreparedMatchesReference holds
+// every compiled TPC-H and TPC-DS statement to the oracle
+// (internal/baseline), and pins its emission order, fold order, float
+// arithmetic order and the operations counted in Stats to committed
+// digests.
 
 // Plan is one expression tree lowered for execution. It is immutable and
 // may be shared by any number of contexts.

@@ -1,10 +1,16 @@
 package eval_test
 
 import (
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/compile"
 	"repro/internal/dist"
 	"repro/internal/eval"
@@ -14,18 +20,43 @@ import (
 	"repro/internal/tpch"
 )
 
-// TestPreparedMatchesReference holds the prepared plans to the map-binding
-// interpreter they replaced (eval.Reference, reference_test.go) over every
-// trigger statement and view definition of the TPC-H and TPC-DS programs
-// compiled with the default options, and over every compute statement of
-// the TPC-H programs' O3 distributed blocks run on one node. Each side
-// keeps its own copy of the database and folds its own results, so index
-// builds count on both. Per statement and batch, both sides must produce
-// identical group tables or relations — the same rows in the same order
-// with the same multiplicity bits — and equal eval.Stats. Every other
-// batch runs with a tracer on both sides, which must observe the same
-// (relation, hash) sequence.
+var update = flag.Bool("update", false, "rewrite "+digestFile+" from this run")
+
+const digestFile = "testdata/prepared.digests"
+
+// TestPreparedMatchesReference runs every trigger statement and view
+// definition of the TPC-H and TPC-DS programs compiled with the default
+// options, and every compute statement of the TPC-H programs' O3
+// distributed blocks run on one node, through their prepared plans over
+// a streamed database. Two references hold each run:
+//
+//   - the oracle (internal/baseline): each statement's result must equal
+//     the oracle's evaluation of the same tree over the same database, at
+//     relative baseline.Tolerance, an absent group read as zero;
+//   - a committed digest per program (testdata/prepared.digests): each
+//     statement's rows in order with their multiplicity bits and its
+//     eval.Stats, and on every other batch the traced (relation, hash)
+//     sequence, fold into one hash that must equal the committed one.
+//
+// The digests were taken from the map-binding interpreter the plans
+// replaced, so they pin the plans to its emission order, fold order,
+// float arithmetic and counted work. Regenerate them with -update only
+// for a change meant to move one of those, and say so. They are checked
+// on amd64, where the digests were taken: elsewhere the compiler may
+// fuse a multiply and an add, which moves float bits.
 func TestPreparedMatchesReference(t *testing.T) {
+	want := readDigests(t)
+	got := map[string]string{}
+	check := func(t *testing.T, name string, h *harness) {
+		got[name] = fmt.Sprintf("%016x", uint64(h.dig))
+		if h.touches == 0 {
+			t.Fatal("no traced relation touch")
+		}
+		if !*update && runtime.GOARCH == "amd64" && got[name] != want[name] {
+			t.Fatalf("digest %s, committed %q: the plans moved a row, a multiplicity bit, a count or a traced touch",
+				got[name], want[name])
+		}
+	}
 	for _, q := range tpch.Queries() {
 		gen := tpch.NewGenerator(0.1, 3)
 		init := map[string]*mring.Relation{}
@@ -40,10 +71,10 @@ func TestPreparedMatchesReference(t *testing.T) {
 			batches = append(batches, stream.NextBatches(100)...)
 		}
 		prog := compileQuery(t, q.Name, q.Def, q.BaseSchemas())
-		t.Run(q.Name, func(t *testing.T) { compareLocal(t, prog, init, batches) })
+		t.Run(q.Name, func(t *testing.T) { check(t, q.Name, runLocal(t, prog, init, batches)) })
 		t.Run(q.Name+"/O3", func(t *testing.T) {
 			parts := dist.ChoosePartitioning(prog, tpch.PrimaryKeyRanks)
-			compareDist(t, prog, dist.CompileProgram(prog, parts, dist.O3), batches)
+			check(t, q.Name+"/O3", runDist(t, prog, dist.CompileProgram(prog, parts, dist.O3), batches))
 		})
 	}
 	for _, q := range tpcds.Queries() {
@@ -60,8 +91,35 @@ func TestPreparedMatchesReference(t *testing.T) {
 			batches = append(batches, tpch.Batch{Table: tpcds.StoreSales, Rel: b})
 		}
 		prog := compileQuery(t, q.Name, q.Def, q.BaseSchemas())
-		t.Run(q.Name, func(t *testing.T) { compareLocal(t, prog, init, batches) })
+		t.Run(q.Name, func(t *testing.T) { check(t, q.Name, runLocal(t, prog, init, batches)) })
 	}
+	if *update {
+		for k, v := range got {
+			want[k] = v
+		}
+		var lines []string
+		for k, v := range want {
+			lines = append(lines, k+" "+v+"\n")
+		}
+		sort.Strings(lines)
+		if err := os.WriteFile(digestFile, []byte(strings.Join(lines, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func readDigests(t *testing.T) map[string]string {
+	data, err := os.ReadFile(digestFile)
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if name, d, ok := strings.Cut(line, " "); ok {
+			out[name] = d
+		}
+	}
+	return out
 }
 
 func compileQuery(t *testing.T, name string, def expr.Expr, schemas map[string]mring.Schema) *compile.Program {
@@ -72,10 +130,10 @@ func compileQuery(t *testing.T, name string, def expr.Expr, schemas map[string]m
 	return prog
 }
 
-// compareLocal runs the program's warm start over init, its triggers over
+// runLocal runs the program's warm start over init, its triggers over
 // the batches, and finally every warm-start view definition again over
 // the accumulated base tables.
-func compareLocal(t *testing.T, prog *compile.Program, init map[string]*mring.Relation, batches []tpch.Batch) {
+func runLocal(t *testing.T, prog *compile.Program, init map[string]*mring.Relation, batches []tpch.Batch) *harness {
 	var trees []expr.Expr
 	for _, trg := range prog.Triggers {
 		for _, s := range trg.Stmts {
@@ -89,17 +147,16 @@ func compareLocal(t *testing.T, prog *compile.Program, init map[string]*mring.Re
 			trees = append(trees, v.Def)
 		}
 	}
-	h := newHarness(t, trees, func(env *eval.Env) {
-		for _, v := range prog.Views {
-			env.Define(v.Name, v.Schema)
+	h := newHarness(t, trees)
+	for _, v := range prog.Views {
+		h.env.Define(v.Name, v.Schema)
+	}
+	for n, schema := range prog.Bases {
+		r := h.env.Define(n, schema)
+		if init[n] != nil {
+			r.Merge(init[n])
 		}
-		for n, schema := range prog.Bases {
-			r := env.Define(n, schema)
-			if init[n] != nil {
-				r.Merge(init[n])
-			}
-		}
-	})
+	}
 	for _, v := range warm {
 		h.step("warm start "+v.Name, v.Def, v.Name, eval.OpSet)
 	}
@@ -108,20 +165,19 @@ func compareLocal(t *testing.T, prog *compile.Program, init map[string]*mring.Re
 		for _, st := range prog.Triggers[b.Table].Stmts {
 			h.step(fmt.Sprintf("batch %d trigger %s stmt %s", bi, b.Table, st.LHS), st.RHS, st.LHS, st.Op)
 		}
-		for _, s := range h.sides {
-			s.env.MustRel(b.Table).Merge(b.Rel)
-		}
+		h.env.MustRel(b.Table).Merge(b.Rel)
 	}
-	h.checkTraces()
+	h.ctx.Tracer = nil
 	for _, v := range warm {
 		h.step("final "+v.Name, v.Def, "", 0)
 	}
+	return h
 }
 
-// compareDist runs the distributed programs' blocks on one node: a
+// runDist runs the distributed programs' blocks on one node: a
 // transformer folds a copy of its source into its target, and every
-// compute statement is compared.
-func compareDist(t *testing.T, prog *compile.Program, dps map[string]*dist.DistProgram, batches []tpch.Batch) {
+// compute statement runs as a step.
+func runDist(t *testing.T, prog *compile.Program, dps map[string]*dist.DistProgram, batches []tpch.Batch) *harness {
 	var trees []expr.Expr
 	for _, dp := range dps {
 		for _, b := range dp.Blocks {
@@ -132,172 +188,129 @@ func compareDist(t *testing.T, prog *compile.Program, dps map[string]*dist.DistP
 			}
 		}
 	}
-	h := newHarness(t, trees, func(env *eval.Env) {
-		for n, schema := range dist.ViewSchemas(prog) {
-			env.Define(n, schema)
-		}
-	})
+	h := newHarness(t, trees)
+	for n, schema := range dist.ViewSchemas(prog) {
+		h.env.Define(n, schema)
+	}
 	for bi, b := range batches {
 		h.batch(bi, b)
 		for _, blk := range dps[b.Table].Blocks {
 			for _, st := range blk.Stmts {
 				if x, ok := st.RHS.(*dist.Xform); ok {
 					src := eval.RelEnvName(x.Body.(*expr.Rel))
-					for _, s := range h.sides {
-						s.ensure(st.LHS, x.Schema())
-						s.fold(st.LHS, st.Op, s.ensure(src, x.Schema()).Clone())
-					}
+					h.ensure(st.LHS, x.Schema())
+					h.fold(st.LHS, st.Op, h.ensure(src, x.Schema()).Clone())
 					continue
 				}
 				h.step(fmt.Sprintf("batch %d %v", bi, st), st.RHS, st.LHS, st.Op)
 			}
 		}
 	}
-	h.checkTraces()
+	return h
 }
 
-// side is one evaluator with its own copy of the database.
-type side struct {
-	env    *eval.Env
-	plans  eval.Plans
-	stats  *eval.Stats
-	tracer func(func(string, uint64))
-	groups func(*expr.Agg) *mring.GroupTable
-	rel    func(expr.Expr) *mring.Relation
+// harness runs prepared plans over one database, holds each statement
+// to the oracle and folds what it produced into a digest.
+type harness struct {
+	t       *testing.T
+	rels    map[string]*mring.Relation
+	env     *eval.Env
+	ctx     *eval.Ctx
+	dig     digest
+	touches int
+}
+
+func newHarness(t *testing.T, trees []expr.Expr) *harness {
+	plans, err := eval.Prepare(trees...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{t: t, rels: map[string]*mring.Relation{}, dig: digestSeed}
+	h.env = eval.EnvOf(h.rels)
+	h.ctx = eval.NewCtx(h.env)
+	h.ctx.Plans = plans
+	return h
 }
 
 // ensure returns relation name, defining it empty when missing.
-func (s side) ensure(name string, schema mring.Schema) *mring.Relation {
-	if r := s.env.Rel(name); r != nil {
+func (h *harness) ensure(name string, schema mring.Schema) *mring.Relation {
+	if r := h.env.Rel(name); r != nil {
 		return r
 	}
-	return s.env.Define(name, schema)
+	return h.env.Define(name, schema)
 }
 
-func (s side) fold(target string, op eval.AssignOp, r *mring.Relation) {
-	dst := s.env.MustRel(target)
+func (h *harness) fold(target string, op eval.AssignOp, r *mring.Relation) {
+	dst := h.env.MustRel(target)
 	if op == eval.OpSet {
 		dst.Clear()
 	}
 	dst.Merge(r)
 }
 
-// harness runs the prepared side and the reference side in lockstep.
-type harness struct {
-	t      *testing.T
-	sides  [2]side
-	traces [2]traceLog
-}
-
-func newHarness(t *testing.T, trees []expr.Expr, setup func(*eval.Env)) *harness {
-	plans, err := eval.Prepare(trees...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &harness{t: t}
-	for i := range h.sides {
-		env := eval.NewEnv()
-		setup(env)
-		if i == 0 {
-			ctx := eval.NewCtx(env)
-			ctx.Plans = plans
-			h.sides[i] = side{env: env, plans: plans, stats: &ctx.Stats,
-				tracer: func(f func(string, uint64)) { ctx.Tracer = f },
-				groups: ctx.MaterializeGroups, rel: ctx.Materialize}
-		} else {
-			rc := eval.NewReference(env)
-			h.sides[i] = side{env: env, plans: plans, stats: &rc.Stats,
-				tracer: func(f func(string, uint64)) { rc.Tracer = f },
-				groups: rc.MaterializeGroups, rel: rc.Materialize}
-		}
-	}
-	return h
-}
-
-// batch binds batch bi as its table's Δ relation on both sides, with the
-// tracers on for odd batches.
+// batch binds batch bi as its table's Δ relation, with the tracer on
+// for odd batches.
 func (h *harness) batch(bi int, b tpch.Batch) {
-	for i, s := range h.sides {
-		s.env.Bind(eval.DeltaName(b.Table), b.Rel.Clone())
-		if bi%2 == 1 {
-			s.tracer(h.traces[i].add)
-		} else {
-			s.tracer(nil)
+	h.env.Bind(eval.DeltaName(b.Table), b.Rel.Clone())
+	h.ctx.Tracer = nil
+	if bi%2 == 1 {
+		h.ctx.Tracer = func(rel string, hv uint64) {
+			h.touches++
+			h.dig.str(rel)
+			h.dig.word(hv)
 		}
 	}
 }
 
-func (h *harness) checkTraces() {
-	for _, s := range h.sides {
-		s.tracer(nil)
-	}
-	if h.traces[0] != h.traces[1] {
-		h.t.Fatalf("tracers saw %+v prepared, %+v reference", h.traces[0], h.traces[1])
-	}
-	if h.traces[0].n == 0 {
-		h.t.Fatal("no traced relation touch")
-	}
-}
-
-// step evaluates rhs on both sides, compares, and folds each side's result
-// into its own target (none when target is empty). Relations rhs reads
-// that do not exist yet are defined empty, as a cluster node creates its
-// fragments on first use.
+// step evaluates rhs, holds it to the oracle, digests its rows and
+// stats, and folds it into target (none when target is empty). Relations
+// rhs reads that do not exist yet are defined empty, as a cluster node
+// creates its fragments on first use.
 func (h *harness) step(label string, rhs expr.Expr, target string, op eval.AssignOp) {
-	var outs [2][]row
-	var stats [2]eval.Stats
-	for i, s := range h.sides {
-		for _, a := range s.plans[rhs].Accesses() {
-			s.ensure(a.Env, a.Rel.Cols)
-		}
-		if target != "" {
-			s.ensure(target, rhs.Schema())
-		}
-		*s.stats = eval.Stats{}
-		var r *mring.Relation
-		if a, ok := rhs.(*expr.Agg); ok {
-			gt := s.groups(a)
-			gt.Foreach(func(k mring.Tuple, m float64) { outs[i] = append(outs[i], row{k.Clone(), m}) })
-			r = gt.ToRelation()
-		} else {
-			r = s.rel(rhs)
-			r.Foreach(func(k mring.Tuple, m float64) { outs[i] = append(outs[i], row{k.Clone(), m}) })
-		}
-		stats[i] = *s.stats
-		if target != "" {
-			s.fold(target, op, r)
-		}
+	for _, a := range h.ctx.Plans[rhs].Accesses() {
+		h.ensure(a.Env, a.Rel.Cols)
 	}
-	if stats[0] != stats[1] {
-		h.t.Fatalf("%s: prepared stats %+v, reference %+v\n%v", label, stats[0], stats[1], rhs)
+	if target != "" {
+		h.ensure(target, rhs.Schema())
 	}
-	if len(outs[0]) != len(outs[1]) {
-		h.t.Fatalf("%s: prepared %d rows, reference %d\n%v", label, len(outs[0]), len(outs[1]), rhs)
+	h.ctx.Stats = eval.Stats{}
+	var rows []baseline.Row
+	collect := func(k mring.Tuple, m float64) { rows = append(rows, baseline.Row{Tuple: k.Clone(), M: m}) }
+	var r *mring.Relation
+	if a, ok := rhs.(*expr.Agg); ok {
+		gt := h.ctx.MaterializeGroups(a)
+		gt.Foreach(collect)
+		r = gt.ToRelation()
+	} else {
+		r = h.ctx.Materialize(rhs)
+		r.Foreach(collect)
 	}
-	for j := range outs[0] {
-		p, r := outs[0][j], outs[1][j]
-		if !p.t.KeyEqual(r.t) || math.Float64bits(p.m) != math.Float64bits(r.m) {
-			h.t.Fatalf("%s: row %d is %v=%v prepared, %v=%v reference\n%v", label, j, p.t, p.m, r.t, r.m, rhs)
-		}
+	if d := baseline.Diff(r, baseline.Eval(rhs, baseline.Of(h.rels))); d != "" {
+		h.t.Fatalf("%s diverges from the oracle: %s\n%v", label, d, rhs)
+	}
+	h.dig.word(uint64(len(rows)))
+	for _, row := range rows {
+		h.dig.word(row.Tuple.Hash())
+		h.dig.word(math.Float64bits(row.M))
+	}
+	s := h.ctx.Stats
+	for _, n := range []int64{s.Lookups, s.Scans, s.Emits, s.IndexOps} {
+		h.dig.word(uint64(n))
+	}
+	if target != "" {
+		h.fold(target, op, r)
 	}
 }
 
-type row struct {
-	t mring.Tuple
-	m float64
-}
+// digest is an order-sensitive FNV-1a hash over 64-bit words.
+type digest uint64
 
-// traceLog folds a tracer's (relation, hash) sequence into a count and an
-// order-sensitive digest.
-type traceLog struct {
-	n   int
-	sum uint64
-}
+const digestSeed digest = 14695981039346656037
 
-func (l *traceLog) add(rel string, h uint64) {
-	l.n++
-	for i := 0; i < len(rel); i++ {
-		l.sum = l.sum*1099511628211 ^ uint64(rel[i])
+func (d *digest) word(w uint64) { *d = (*d ^ digest(w)) * 1099511628211 }
+
+func (d *digest) str(s string) {
+	for i := 0; i < len(s); i++ {
+		d.word(uint64(s[i]))
 	}
-	l.sum = l.sum*1099511628211 ^ h
 }

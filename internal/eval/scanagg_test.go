@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/expr"
 	"repro/internal/mring"
 )
@@ -13,13 +14,11 @@ import (
 // The scan-aggregate parity tests hold the prepared plan of
 // Sum_[gb](R * f1 * ... * fk) — one scanned relation under static
 // comparisons (both operand orders), value terms and constants, the shape
-// of every pre-aggregation statement — to the reference interpreter
-// (reference_test.go) bit for bit: the same groups in the same
-// first-insertion order with the same float bits, and equal Stats. The
-// data is adversarial: NaN floats, integers beyond 2^53, strings compared
-// with numbers and read as numbers, division by zero, zero constants,
-// and columns mixing value kinds, with and without forced group-hash
-// collisions.
+// of every pre-aggregation statement — to the oracle (internal/baseline).
+// The data is adversarial: NaN floats, integers beyond 2^53, strings
+// compared with numbers and read as numbers, division by zero, zero
+// constants, and columns mixing value kinds, with and without forced
+// group-hash collisions.
 
 var scanSchema = mring.Schema{"d", "q", "s"}
 
@@ -128,48 +127,34 @@ func randomScanAgg(rng *rand.Rand) expr.Expr {
 	return expr.Sum(gb, expr.Join(factors...))
 }
 
-// foldBoth folds stmt into fresh targets through its prepared plan and
-// through the reference, and requires bitwise-identical targets and equal
-// Stats. setup, when non-nil, configures both contexts before the fold.
-func foldBoth(t *testing.T, env *Env, stmt expr.Expr, op AssignOp, setup func(*Ctx, *Reference), label string) {
+// foldChecked folds stmt into a fresh target through its prepared plan
+// and requires the target to hold the groups of the oracle's evaluation
+// of stmt with the same float bits: both multiply a row's factors left
+// to right and sum a group's rows in scan order. setup, when non-nil,
+// configures the context before the fold.
+func foldChecked(t *testing.T, env *Env, stmt expr.Expr, op AssignOp, setup func(*Ctx), label string) *Ctx {
 	t.Helper()
-	schema := stmt.Schema()
-	pT := mring.NewRelation(schema)
-	rT := mring.NewRelation(schema)
-	pCtx, rCtx := NewCtx(env), NewReference(env)
+	target := mring.NewRelation(stmt.Schema())
+	ctx := NewCtx(env)
 	if setup != nil {
-		setup(pCtx, rCtx)
+		setup(ctx)
 	}
-	pCtx.FoldStmt(pT, op, stmt)
-	rCtx.FoldStmt(rT, op, stmt)
-
-	if pCtx.Stats != rCtx.Stats {
-		t.Fatalf("%s: prepared stats %+v, reference %+v", label, pCtx.Stats, rCtx.Stats)
+	ctx.FoldStmt(target, op, stmt)
+	want := baseline.Eval(stmt, baseline.Of(env.rels))
+	if target.Len() != len(want) {
+		t.Fatalf("%s: %d groups, oracle %d: %s", label, target.Len(), len(want), baseline.Diff(target, want))
 	}
-	if pT.Len() != rT.Len() {
-		t.Fatalf("%s: prepared %d groups, reference %d\n prepared:  %v\n reference: %v",
-			label, pT.Len(), rT.Len(), pT, rT)
-	}
-	// Same groups, same accumulated bits, same first-insertion order.
-	type ent struct {
-		t mring.Tuple
-		m float64
-	}
-	var pOrder, rOrder []ent
-	pT.Foreach(func(tp mring.Tuple, m float64) { pOrder = append(pOrder, ent{tp.Clone(), m}) })
-	rT.Foreach(func(tp mring.Tuple, m float64) { rOrder = append(rOrder, ent{tp.Clone(), m}) })
-	for i := range rOrder {
-		if !pOrder[i].t.KeyEqual(rOrder[i].t) ||
-			math.Float64bits(pOrder[i].m) != math.Float64bits(rOrder[i].m) {
-			t.Fatalf("%s: position %d diverges: prepared %v=%v, reference %v=%v",
-				label, i, pOrder[i].t, pOrder[i].m, rOrder[i].t, rOrder[i].m)
+	for _, w := range want {
+		if got := target.Get(w.Tuple); math.Float64bits(got) != math.Float64bits(w.M) {
+			t.Fatalf("%s: group %v is %v, oracle %v", label, w.Tuple, got, w.M)
 		}
 	}
+	return ctx
 }
 
 func runScanAggParity(t *testing.T, seed int64, hashFn func(mring.Tuple) uint64) {
 	rng := rand.New(rand.NewSource(seed))
-	setup := func(p *Ctx, r *Reference) { p.groupHash, r.groupHash = hashFn, hashFn }
+	setup := func(c *Ctx) { c.groupHash = hashFn }
 	for round := 0; round < 120; round++ {
 		env := NewEnv()
 		fillScanRel(rng, env.Define("R", scanSchema), 1+rng.Intn(50))
@@ -178,13 +163,13 @@ func runScanAggParity(t *testing.T, seed int64, hashFn func(mring.Tuple) uint64)
 		if rng.Intn(3) == 0 {
 			op = OpSet
 		}
-		foldBoth(t, env, stmt, op, setup, fmt.Sprintf("seed %d round %d %v", seed, round, stmt))
+		foldChecked(t, env, stmt, op, setup, fmt.Sprintf("seed %d round %d %v", seed, round, stmt))
 	}
 }
 
 // The parity tests keep the names they had when a columnar kernel shared
 // these statements with the row path; the kernel is gone, and they now
-// hold the prepared row plan to the reference.
+// hold the prepared row plan to the oracle.
 
 func TestKernelMatchesRowPathBitwise(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
@@ -207,7 +192,7 @@ func TestKernelMatchesRowPathUnderForcedCollisions(t *testing.T) {
 // handed back to the row path — a one-row relation, a column of mixed
 // kinds, a traced fold, a two-relation join and a repeated column
 // variable. Each now folds through its prepared plan like every other
-// aggregate, and must match the reference bit for bit.
+// aggregate, and must match the oracle.
 func TestKernelFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	stmt := expr.Sum([]string{"d"}, expr.Join(
@@ -219,7 +204,7 @@ func TestKernelFallbacks(t *testing.T) {
 	t.Run("small-relation", func(t *testing.T) {
 		env := NewEnv()
 		env.Define("R", scanSchema).Add(mring.Tuple{mring.Int(1), mring.Float(0.5), mring.Str("s")}, 2)
-		foldBoth(t, env, stmt, OpAdd, nil, "small")
+		foldChecked(t, env, stmt, OpAdd, nil, "small")
 	})
 
 	t.Run("mixed-kind-column", func(t *testing.T) {
@@ -228,31 +213,26 @@ func TestKernelFallbacks(t *testing.T) {
 		fillScanRel(rng, rel, 20)
 		rel.Add(mring.Tuple{mring.Str("not-an-int"), mring.Float(1), mring.Str("x")}, 1)
 		rel.Add(mring.Tuple{mring.Float(2.5), mring.Int(3), mring.Str("y")}, 1)
-		foldBoth(t, env, stmt, OpAdd, nil, "mixed")
+		foldChecked(t, env, stmt, OpAdd, nil, "mixed")
 	})
 
 	t.Run("tracer", func(t *testing.T) {
+		// A traced fold observes every scanned tuple once, in scan order.
 		env := NewEnv()
-		fillScanRel(rng, env.Define("R", scanSchema), 20)
-		type touch struct {
-			rel  string
-			hash uint64
-		}
-		var pSeen, rSeen []touch
-		foldBoth(t, env, stmt, OpAdd, func(p *Ctx, r *Reference) {
-			p.Tracer = func(rel string, h uint64) { pSeen = append(pSeen, touch{rel, h}) }
-			r.Tracer = func(rel string, h uint64) { rSeen = append(rSeen, touch{rel, h}) }
-		}, "tracer")
-		if len(pSeen) == 0 {
-			t.Fatal("the tracer saw no relation touch")
-		}
-		if len(pSeen) != len(rSeen) {
-			t.Fatalf("tracer saw %d touches prepared, %d reference", len(pSeen), len(rSeen))
-		}
-		for i := range pSeen {
-			if pSeen[i] != rSeen[i] {
-				t.Fatalf("touch %d: prepared %+v, reference %+v", i, pSeen[i], rSeen[i])
+		rel := env.Define("R", scanSchema)
+		fillScanRel(rng, rel, 20)
+		var want, seen []uint64
+		rel.Foreach(func(tp mring.Tuple, _ float64) { want = append(want, tp.Hash()) })
+		ctx := foldChecked(t, env, stmt, OpAdd, func(c *Ctx) {
+			c.Tracer = func(name string, h uint64) {
+				if name != "R" {
+					t.Fatalf("the tracer saw relation %q", name)
+				}
+				seen = append(seen, h)
 			}
+		}, "tracer")
+		if int64(len(seen)) != ctx.Stats.Scans || fmt.Sprint(seen) != fmt.Sprint(want) {
+			t.Fatalf("tracer saw %d touches %v, want the %d scanned tuples %v", len(seen), seen, ctx.Stats.Scans, want)
 		}
 	})
 
@@ -265,7 +245,7 @@ func TestKernelFallbacks(t *testing.T) {
 			expr.Base("R", scanSchema...),
 			expr.Base("S", "d"),
 		))
-		foldBoth(t, env, join, OpAdd, nil, "join")
+		foldChecked(t, env, join, OpAdd, nil, "join")
 	})
 
 	t.Run("repeated-column", func(t *testing.T) {
@@ -274,6 +254,6 @@ func TestKernelFallbacks(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			rel.Add(mring.Tuple{mring.Int(int64(i % 3)), mring.Int(int64(i % 4))}, float64(i%5-2))
 		}
-		foldBoth(t, env, expr.Sum([]string{"d"}, expr.Base("R", "d", "d")), OpAdd, nil, "repeated")
+		foldChecked(t, env, expr.Sum([]string{"d"}, expr.Base("R", "d", "d")), OpAdd, nil, "repeated")
 	})
 }

@@ -3,8 +3,8 @@ package tpcds
 import (
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/compile"
-	"repro/internal/eval"
 	"repro/internal/mring"
 )
 
@@ -77,11 +77,10 @@ func TestQueriesIncrementalMatchesRecompute(t *testing.T) {
 				ex.ApplyBatch(StoreSales, b)
 				accum[StoreSales].Merge(b)
 			}
-			env := eval.NewEnv()
-			for n, r := range accum {
-				env.Bind(n, r)
+			want := mring.NewRelation(q.Def.Schema())
+			for _, r := range baseline.Eval(q.Def, baseline.Of(accum)) {
+				want.Add(r.Tuple, r.M)
 			}
-			want := eval.NewCtx(env).Materialize(q.Def)
 			if !ex.Result().EqualApprox(want, 1e-4) {
 				t.Fatalf("%s diverged\nprogram:\n%s", q.Name, prog)
 			}

@@ -3,8 +3,8 @@ package tpch
 import (
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/compile"
-	"repro/internal/eval"
 	"repro/internal/mring"
 )
 
@@ -168,11 +168,10 @@ func TestQueriesIncrementalMatchesRecompute(t *testing.T) {
 					accum[b.Table].Merge(b.Rel)
 				}
 			}
-			env := eval.NewEnv()
-			for n, r := range accum {
-				env.Bind(n, r)
+			want := mring.NewRelation(q.Def.Schema())
+			for _, r := range baseline.Eval(q.Def, baseline.Of(accum)) {
+				want.Add(r.Tuple, r.M)
 			}
-			want := eval.NewCtx(env).Materialize(q.Def)
 			got := ex.Result()
 			if !got.EqualApprox(want, 1e-4) {
 				t.Fatalf("%s diverged after stream\n got (%d tuples)\nwant (%d tuples)\nprogram:\n%s",

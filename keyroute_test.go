@@ -8,6 +8,8 @@ package ivm
 // capture overhead immediately.
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -287,4 +289,71 @@ func TestRegistryOnKeyRouting(t *testing.T) {
 			t.Fatalf("registry keyed feed routed group %v, want key 2", tp)
 		}
 	})
+}
+
+// TestOnKeyMatchesByKeyIdentity pins that a keyed subscription matches
+// groups by the key identity relations store and shard them by, not by
+// value equality: a NaN key reaches its subscriber, and integers beyond
+// 2^53 that fold into one group reach a subscriber keyed on each. On
+// the local and distributed backends and through a Registry.
+func TestOnKeyMatchesByKeyIdentity(t *testing.T) {
+	query := Sum([]string{"a"}, Table("R", "a", "b"))
+	bases := map[string]Schema{"R": {"a", "b"}}
+	big := int64(1) << 53
+	for _, tc := range []struct {
+		name     string
+		registry bool
+		opts     []Option
+	}{{"local", false, nil}, {"distributed2", false, []Option{Distributed(2)}}, {"registry", true, nil}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var apply func(string, *Batch) error
+			var subscribe func(func(Delta), ...SubOption)
+			if tc.registry {
+				r, err := NewRegistry(bases, tc.opts...)
+				if err != nil || r.Register("q", query) != nil {
+					t.Fatal(err)
+				}
+				apply = r.ApplyBatch
+				subscribe = func(fn func(Delta), o ...SubOption) {
+					if _, err := r.Subscribe("q", fn, o...); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				e, err := New("q", query, bases, tc.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				apply = e.ApplyBatch
+				subscribe = func(fn func(Delta), o ...SubOption) { e.Subscribe(fn, o...) }
+			}
+			var plain, nan, lo, hi []float64
+			collect := func(dst *[]float64) func(Delta) {
+				return func(d Delta) { d.Foreach(func(_ Tuple, m float64) { *dst = append(*dst, m) }) }
+			}
+			subscribe(collect(&plain))
+			subscribe(collect(&nan), OnKey(Float(math.NaN())))
+			subscribe(collect(&lo), OnKey(Int(big)))
+			subscribe(collect(&hi), OnKey(Int(big+1)))
+
+			b := NewBatch(Schema{"a", "b"})
+			b.Insert(Row(math.NaN(), 1))
+			if err := apply("R", b); err != nil {
+				t.Fatal(err)
+			}
+			if len(plain) != 1 || len(nan) != 1 {
+				t.Fatalf("a NaN group: plain subscriber got %v, OnKey(NaN) got %v", plain, nan)
+			}
+			b = NewBatch(Schema{"a", "b"})
+			b.Insert(Row(big, 1))
+			b.Insert(Row(big+1, 2))
+			if err := apply("R", b); err != nil {
+				t.Fatal(err)
+			}
+			if len(plain) != 2 || fmt.Sprint(lo) != "[2]" || fmt.Sprint(hi) != "[2]" {
+				t.Fatalf("2^53 and 2^53+1 in one group: plain subscriber got %v, OnKey(2^53) %v, OnKey(2^53+1) %v",
+					plain, lo, hi)
+			}
+		})
+	}
 }
