@@ -140,6 +140,30 @@ func TestOneWireCodec(t *testing.T) {
 	}
 }
 
+// TestBenchEvaluatesNothing is the guard for the experiment harness:
+// every maintenance strategy internal/bench measures is a compiled
+// program run by compile.Executor and counted by its eval.Stats, so no
+// non-test file of internal/bench may import the evaluator or the delta
+// deriver and build an engine of its own.
+func TestBenchEvaluatesNothing(t *testing.T) {
+	fset, files := moduleFiles(t)
+	var bad []string
+	for _, f := range files {
+		path := filepath.ToSlash(fset.Position(f.Package).Filename)
+		if !strings.HasPrefix(path, "internal/bench/") {
+			continue
+		}
+		for _, imp := range f.Imports {
+			if v := imp.Path.Value; v == `"repro/internal/eval"` || v == `"repro/internal/delta"` {
+				bad = append(bad, fmt.Sprintf("%s: imports %s", fset.Position(imp.Pos()), v))
+			}
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("internal/bench evaluates outside the compiled programs:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
 // mutableType names what a declared or composite-literal type holds, or
 // "" for anything else.
 func mutableType(typ ast.Expr) string {

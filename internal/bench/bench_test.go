@@ -53,16 +53,43 @@ func TestFig7Smoke(t *testing.T) {
 	}
 }
 
-func TestFig8Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("steady-state warm-up is expensive")
-	}
-	tab, err := Fig8(LocalConfig{SF: 0.05, Seed: 1})
+// TestStrategyWorkScaling asserts the shape of Fig. 8 and Table 1 on
+// counted work rather than time. Q3 is warmed at two scales, then
+// refreshed by the same three 1,000-event batches: recursive IVM's work
+// per event stays flat as the database grows fourfold, re-evaluation's
+// grows with it, and first-order IVM lies between the two.
+func TestStrategyWorkScaling(t *testing.T) {
+	q, err := tpch.QueryByName("Q3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 { // three engines for Q17
-		t.Fatalf("rows = %d, want 3", len(tab.Rows))
+	work := map[string][]float64{} // strategy -> work per event at each scale
+	for _, sf := range []float64{0.05, 0.2} {
+		warm := warmDatabase(q, sf, 1)
+		for _, s := range strategies() {
+			prog, err := s.build(q.Name, q.Def, q.BaseSchemas())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := compile.NewExecutor(prog)
+			ex.InitFromBases(warm)
+			n, _ := refresh(q, ex, 1, 1000, 3)
+			st := ex.Stats
+			work[s.label] = append(work[s.label], float64(st.Lookups+st.Scans+st.Emits+st.IndexOps)/float64(n))
+		}
+	}
+	re, fo, rec := work["re-eval"], work["classical"], work["recursive"]
+	t.Logf("work per event at SF 0.05 -> 0.2: re-eval %.1f -> %.1f, classical %.1f -> %.1f, recursive %.2f -> %.2f",
+		re[0], re[1], fo[0], fo[1], rec[0], rec[1])
+	if rec[1] > 1.1*rec[0] {
+		t.Errorf("recursive IVM work grew with the database: %.2f -> %.2f per event", rec[0], rec[1])
+	}
+	if g := (re[1] / rec[1]) / (re[0] / rec[0]); g < 4 {
+		t.Errorf("re-evaluation/recursive work ratio grew only %.1fx (%.1f -> %.1f), want >= 4x",
+			g, re[0]/rec[0], re[1]/rec[1])
+	}
+	if fo[1] <= rec[1] || fo[1] >= re[1] {
+		t.Errorf("first-order work %.1f per event is not between recursive %.2f and re-evaluation %.1f", fo[1], rec[1], re[1])
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compile"
 	"repro/internal/dist"
-	"repro/internal/eval"
 	"repro/internal/mring"
 	inet "repro/internal/net"
 	"repro/internal/pool"
@@ -222,10 +221,11 @@ func Fig10(cfg DistConfig) (*Table, error) {
 // triggers a full recomputation of the query over the accumulated base
 // tables, executed as one distributed scan+aggregate whose per-worker
 // compute is the re-evaluation work divided across workers, plus the
-// platform costs. The accumulated table grows with each batch.
+// platform costs. The accumulated tables grow with each batch; the
+// re-evaluation program's refresh on the last table batch of the third
+// is the measured recomputation.
 func distributedReEval(dep *deployment, workers, batchSize int, seed int64) (time.Duration, error) {
 	gen := tpch.NewGenerator(4, seed)
-	// Accumulate three batches and measure recomputation cost of the last.
 	accum := map[string]*mring.Relation{}
 	for _, tbl := range dep.query.Tables {
 		if tbl == tpch.Nation || tbl == tpch.Region {
@@ -235,22 +235,26 @@ func distributedReEval(dep *deployment, workers, batchSize int, seed int64) (tim
 		}
 	}
 	stream := tpch.NewStream(gen, dep.query.Tables)
+	var last tpch.Batch
 	for b := 0; b < 3; b++ {
 		for _, batch := range stream.NextBatches(batchSize) {
-			accum[batch.Table].Merge(batch.Rel)
+			if last.Rel != nil {
+				accum[last.Table].Merge(last.Rel)
+			}
+			last = batch
 		}
 	}
-	env := eval.NewEnv()
-	for n, r := range accum {
-		env.Bind(n, r)
+	if last.Rel == nil {
+		return 0, fmt.Errorf("bench: empty re-evaluation stream")
 	}
-	ctx := eval.NewCtx(env)
-	var err error
-	if ctx.Plans, err = eval.Prepare(dep.query.Def); err != nil {
+	prog, err := compile.ReEvalProgram(dep.query.Name, dep.query.Def, dep.query.BaseSchemas())
+	if err != nil {
 		return 0, err
 	}
+	ex := compile.NewExecutor(prog)
+	ex.InitFromBases(accum)
 	start := time.Now()
-	ctx.Materialize(dep.query.Def)
+	ex.ApplyBatch(last.Table, last.Rel)
 	sequential := time.Since(start)
 	cfg := cluster.DefaultConfig(workers)
 	// Perfectly parallelized scan work plus one scheduling round and one

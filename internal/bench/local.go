@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cachesim"
 	"repro/internal/compile"
+	"repro/internal/expr"
 	"repro/internal/mring"
 	"repro/internal/tpcds"
 	"repro/internal/tpch"
@@ -190,39 +191,57 @@ func warmDatabase(q tpch.Query, sf float64, seed int64) map[string]*mring.Relati
 	return out
 }
 
-// measureRefreshRate measures the steady-state view refresh throughput:
-// the engine has already ingested the warm database, and each additional
-// batch must refresh the view. Slow engines are capped at a few batches
-// per cell — enough for a rate, cheap enough to terminate.
-func measureRefreshRate(q tpch.Query, e Engine, seed int64, batchSize, maxBatches int) float64 {
-	gen := tpch.NewGenerator(0.05, seed+1000)
-	stream := tpch.NewStream(gen, q.Tables)
+// refresh streams up to maxBatches batches of batchSize events into an
+// executor that has already ingested the warm database, so each batch
+// must refresh the view; it returns the events applied and the time they
+// took. Slow strategies are capped at a few batches per cell: enough for
+// a rate, cheap enough to terminate.
+func refresh(q tpch.Query, ex *compile.Executor, seed int64, batchSize, maxBatches int) (int, time.Duration) {
+	stream := tpch.NewStream(tpch.NewGenerator(0.05, seed+1000), q.Tables)
 	tuples := 0
-	batches := 0
 	start := time.Now()
-	for batches < maxBatches {
+	for b := 0; b < maxBatches; b++ {
 		bs := stream.NextBatches(batchSize)
 		if len(bs) == 0 {
 			break
 		}
-		for _, b := range bs {
-			tuples += b.Rel.Len()
-			e.ApplyBatch(b.Table, b.Rel)
+		for _, tb := range bs {
+			tuples += tb.Rel.Len()
+			ex.ApplyBatch(tb.Table, tb.Rel)
 		}
-		batches++
 	}
-	if tuples == 0 {
-		return 0
-	}
-	return float64(tuples) / time.Since(start).Seconds()
+	return tuples, time.Since(start)
 }
 
-// recursiveEngine adapts the executor to the Engine interface.
-type recursiveEngine struct{ ex *compile.Executor }
+// refreshRate is refresh's steady-state view refresh throughput.
+func refreshRate(q tpch.Query, ex *compile.Executor, seed int64, batchSize, maxBatches int) float64 {
+	n, d := refresh(q, ex, seed, batchSize, maxBatches)
+	if n == 0 {
+		return 0
+	}
+	return float64(n) / d.Seconds()
+}
 
-func (e recursiveEngine) ApplyBatch(rel string, b *mring.Relation) { e.ex.ApplyBatch(rel, b) }
-func (e recursiveEngine) Result() *mring.Relation                  { return e.ex.Result() }
-func (e recursiveEngine) Name() string                             { return "recursive-ivm" }
+// strategy is one maintenance strategy of Fig. 8 and Table 1, compiled
+// to a program the one executor runs. maxBatches caps its batches per
+// measured cell.
+type strategy struct {
+	label      string
+	maxBatches int
+	build      func(name string, q expr.Expr, bases map[string]mring.Schema) (*compile.Program, error)
+}
+
+// strategies lists re-evaluation, classical (first-order) IVM and
+// recursive IVM, slowest first.
+func strategies() []strategy {
+	return []strategy{
+		{"re-eval", 3, compile.ReEvalProgram},
+		{"classical", 5, compile.FirstOrderProgram},
+		{"recursive", 50, func(name string, q expr.Expr, bases map[string]mring.Schema) (*compile.Program, error) {
+			return compile.Compile(name, q, bases, compile.DefaultOptions())
+		}},
+	}
+}
 
 // Fig8 compares re-evaluation, classical IVM, and recursive IVM on
 // TPC-H Q17 across batch sizes (the paper's PostgreSQL comparison).
@@ -260,58 +279,34 @@ func engineComparison(cfg LocalConfig, names []string, title, notes string) (*Ta
 		if err != nil {
 			return nil, err
 		}
-		// All engines refresh the same grown database: the view refresh
-		// rate is a steady-state property. The database must dwarf the
-		// largest batch, as in the paper (10GB streams vs 100k batches),
-		// for re-evaluation's recompute-everything cost to show.
+		// Every strategy refreshes the same grown database: the view
+		// refresh rate is a steady-state property. The database must
+		// dwarf the largest batch, as in the paper (10GB streams vs 100k
+		// batches), for re-evaluation's recompute-everything cost to show.
 		warmSF := cfg.SF * 8
 		if warmSF < 0.8 {
 			warmSF = 0.8
 		}
 		warm := warmDatabase(q, warmSF, cfg.Seed)
-		prog, err := compile.Compile(q.Name, q.Def, q.BaseSchemas(), compile.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		engines := []struct {
-			label      string
-			maxBatches int
-			mk         func() Engine
-		}{
-			{"re-eval", 3, func() Engine {
-				e := NewReEval(q.Def, q.BaseSchemas())
-				for tbl, r := range warm {
-					e.LoadBase(tbl, r.Clone())
-				}
-				return e
-			}},
-			{"classical", 5, func() Engine {
-				e := NewClassicalIVM(q.Def, q.BaseSchemas())
-				for tbl, r := range warm {
-					e.LoadBase(tbl, r.Clone())
-				}
-				return e
-			}},
-			{"recursive", 50, func() Engine {
-				ex := compile.NewExecutor(prog)
-				ex.InitFromBases(warm)
-				return recursiveEngine{ex}
-			}},
-		}
-		for _, e := range engines {
-			row := []string{name, e.label, ""}
-			if e.label == "recursive" {
+		for _, s := range strategies() {
+			prog, err := s.build(q.Name, q.Def, q.BaseSchemas())
+			if err != nil {
+				return nil, err
+			}
+			row := []string{name, s.label, ""}
+			if s.label == "recursive" {
 				ex := compile.NewExecutor(prog)
 				ex.InitFromBases(warm)
 				ex.SingleTuple = true
-				row[2] = f0(measureRefreshRate(q, recursiveEngine{ex}, cfg.Seed, 1000, 2))
+				row[2] = f0(refreshRate(q, ex, cfg.Seed, 1000, 2))
 			}
-			// One engine instance per row: warm initialization is the
-			// dominant cost and refresh rates remain steady-state as the
-			// measured batches accumulate.
-			eng := e.mk()
+			// One executor per row: the warm start is the dominant cost
+			// and refresh rates remain steady-state as the measured
+			// batches accumulate.
+			ex := compile.NewExecutor(prog)
+			ex.InitFromBases(warm)
 			for i, bs := range BatchSizes {
-				row = append(row, f0(measureRefreshRate(q, eng, cfg.Seed+int64(i), bs, e.maxBatches)))
+				row = append(row, f0(refreshRate(q, ex, cfg.Seed+int64(i), bs, s.maxBatches)))
 			}
 			t.Rows = append(t.Rows, row)
 		}

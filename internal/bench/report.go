@@ -2,6 +2,12 @@
 // evaluation (Sec. 6 and the appendices) on the scaled-down workloads.
 // Each experiment returns structured rows plus a formatted text table;
 // cmd/hotdog prints them and EXPERIMENTS.md records paper-vs-measured.
+//
+// The package evaluates nothing itself. Every strategy it measures —
+// re-evaluation, classical (first-order) IVM and recursive IVM — is a
+// program from internal/compile run by compile.Executor, so all three
+// are timed through the same ApplyBatch and counted by the same
+// eval.Stats, base-table upkeep included.
 package bench
 
 import (

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/mring"
@@ -80,17 +79,6 @@ func restoreFrags(frags map[string]Frag) (map[string]*mring.Relation, error) {
 		out[name] = r
 	}
 	return out, nil
-}
-
-// CheckpointCost models the virtual time to write the snapshot, charged
-// against the same bandwidth as shuffles (the paper notes checkpointing
-// "may have detrimental effects on the latency of processing").
-func (c *Cluster) CheckpointCost(cp *Checkpoint) time.Duration {
-	perWorker := int64(0)
-	for _, w := range cp.Workers {
-		perWorker = max(perWorker, fragBytes(w))
-	}
-	return c.shuffleTime(perWorker)
 }
 
 // Bytes is the total size of the checkpoint's fragment payloads.

@@ -27,7 +27,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -57,12 +56,6 @@ type Config struct {
 	// compute time. Zero disables modeled compute (real measured time is
 	// used instead).
 	ComputeNsPerOp float64
-	// StragglerProb is the per-stage probability that the slowest worker
-	// is inflated by StragglerFactor (Sec. 6.2.1 observes 1.5–3x).
-	StragglerProb   float64
-	StragglerFactor float64
-	// Seed drives straggler sampling and nothing else.
-	Seed int64
 }
 
 // DefaultConfig returns the calibrated platform model.
@@ -74,9 +67,6 @@ func DefaultConfig(workers int) Config {
 		NetLatency:           5 * time.Millisecond,
 		BandwidthBytesPerSec: 100 << 20, // 100 MB/s effective per worker
 		ComputeNsPerOp:       25,
-		StragglerProb:        0,
-		StragglerFactor:      2,
-		Seed:                 1,
 	}
 }
 
@@ -133,7 +123,6 @@ type Cluster struct {
 	rpc     bool
 	schemas map[string]mring.Schema
 	parts   dist.PartInfo
-	rng     *rand.Rand
 	// Stats accumulates evaluation statistics across all nodes and
 	// batches. Per-worker contributions are merged in worker-index order
 	// after each stage barrier, so the totals are deterministic even
@@ -211,7 +200,6 @@ func newCluster(cfg Config, ws []worker, schemas map[string]mring.Schema, parts 
 		workers:       ws,
 		schemas:       schemas,
 		parts:         parts,
-		rng:           rand.New(rand.NewSource(cfg.Seed)),
 		workerCompute: make([]time.Duration, len(ws)),
 		workerStages:  make([]int, len(ws)),
 		blocks:        make(map[*dist.Block]*block),
@@ -970,9 +958,6 @@ func (c *Cluster) runDistBlock(r *run, b *block, m *Metrics) error {
 		if compute > maxCompute {
 			maxCompute = compute
 		}
-	}
-	if c.cfg.StragglerProb > 0 && c.rng.Float64() < c.cfg.StragglerProb {
-		maxCompute = time.Duration(float64(maxCompute) * c.cfg.StragglerFactor)
 	}
 	sched := c.cfg.SchedBase + time.Duration(c.cfg.Workers)*c.cfg.SchedPerWorker
 	m.Latency += sched + maxCompute

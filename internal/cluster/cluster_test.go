@@ -321,9 +321,6 @@ func TestCheckpointRestoreAfterFailure(t *testing.T) {
 	if cp.Bytes() == 0 {
 		t.Fatal("checkpoint should capture state")
 	}
-	if cl.CheckpointCost(cp) <= 0 {
-		t.Fatal("checkpoint cost should be positive")
-	}
 	// Fail a worker that owns a fragment of the view: the distributed
 	// contents are now missing it. (Which workers own fragments depends on
 	// the tuple hash, so pick one that actually holds state.)
@@ -392,39 +389,6 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 	// State must be untouched after a failed restore.
 	if cl.ViewContents("QX").Get(mring.Tuple{}) != before {
 		t.Fatal("failed restore mutated state")
-	}
-}
-
-func TestStragglerInflation(t *testing.T) {
-	// With straggler probability 1, stage latency must exceed the
-	// deterministic run's.
-	q := expr.Sum([]string{"B"}, expr.Base("R", "A", "B"))
-	bases := map[string]mring.Schema{"R": {"A", "B"}}
-	prog, err := compile.Compile("QS2", q, bases, compile.Options{DomainExtraction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := partitionAll(prog, false)
-	dprogs := dist.CompileProgram(prog, parts, dist.O3)
-	batch := mring.NewRelation(bases["R"])
-	for i := 0; i < 200; i++ {
-		batch.Add(tup(i, i%9), 1)
-	}
-	run := func(prob float64) Metrics {
-		cfg := DefaultConfig(4)
-		cfg.StragglerProb = prob
-		cfg.StragglerFactor = 3
-		cl := New(cfg, dist.ViewSchemas(prog), parts)
-		m, err := cl.RunPartitionedBatch(dprogs["R"], batch.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	base := run(0)
-	slow := run(1)
-	if slow.ComputeMax <= base.ComputeMax {
-		t.Fatalf("straggler run (%v) should exceed baseline (%v)", slow.ComputeMax, base.ComputeMax)
 	}
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/mring"
 	inet "repro/internal/net"
@@ -140,15 +139,7 @@ func decodeFragment(b []byte, schema mring.Schema) (rows, error) {
 // on its own goroutine. Close stops accepting and severs every active
 // connection — the kill-a-worker tests use it to drop a worker
 // mid-transaction.
-type WorkerServer struct {
-	l inet.Listener
-
-	mu     sync.Mutex
-	conns  map[inet.Conn]struct{}
-	closed bool
-
-	wg sync.WaitGroup
-}
+type WorkerServer struct{ *inet.Server }
 
 // ListenAndServeWorker starts a worker server on addr (port 0 picks a
 // free port; read it back with Addr).
@@ -157,59 +148,5 @@ func ListenAndServeWorker(tr inet.Transport, addr string) (*WorkerServer, error)
 	if err != nil {
 		return nil, err
 	}
-	s := &WorkerServer{l: l, conns: make(map[inet.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// Addr returns the listener's address.
-func (s *WorkerServer) Addr() string { return s.l.Addr() }
-
-func (s *WorkerServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			ServeConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close stops the server: no new connections are accepted and every
-// active driver connection is severed. Safe to call more than once.
-func (s *WorkerServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	conns := make([]inet.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	err := s.l.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return err
+	return &WorkerServer{inet.Serve(l, func(c inet.Conn) { ServeConn(c) })}, nil
 }

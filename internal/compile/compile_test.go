@@ -78,9 +78,8 @@ func TestCompileExample22Structure(t *testing.T) {
 	}
 }
 
-// checkAgainstRecompute streams nBatches random batches into the executor
-// and cross-checks the maintained result against recomputation from the
-// accumulated base tables after every batch.
+// checkAgainstRecompute compiles q's recursive program and checks it
+// with checkStream.
 func checkAgainstRecompute(t *testing.T, name string, q expr.Expr, bases map[string]mring.Schema,
 	opts Options, singleTuple bool, seed int64, nBatches, batchSize, domain int) {
 	t.Helper()
@@ -88,6 +87,15 @@ func checkAgainstRecompute(t *testing.T, name string, q expr.Expr, bases map[str
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	checkStream(t, prog, singleTuple, seed, nBatches, batchSize, domain)
+}
+
+// checkStream streams nBatches random batches, deletions included, into
+// an executor of prog and holds its result to the oracle over the
+// accumulated base tables after every batch.
+func checkStream(t *testing.T, prog *Program, singleTuple bool, seed int64, nBatches, batchSize, domain int) {
+	t.Helper()
+	q, bases := prog.Query, prog.Bases
 	ex := NewExecutor(prog)
 	ex.SingleTuple = singleTuple
 	rng := rand.New(rand.NewSource(seed))
@@ -127,7 +135,7 @@ func checkAgainstRecompute(t *testing.T, name string, q expr.Expr, bases map[str
 		}
 		if !ex.Result().EqualApprox(want, 1e-6) {
 			t.Fatalf("%s (opts=%+v single=%v): batch %d on %s diverged\n got: %v\nwant: %v\nprogram:\n%s",
-				name, opts, singleTuple, b, rel, ex.Result(), want, prog)
+				prog.QueryName, prog.Opts, singleTuple, b, rel, ex.Result(), want, prog)
 		}
 	}
 }
@@ -374,6 +382,20 @@ func TestPreAggregatePerAlias(t *testing.T) {
 		Options{DomainExtraction: true, PreAggregate: true}, false, 31, 10, 5, 4)
 }
 
+// tpchBases returns q's base tables before its stream: the static
+// dimensions filled, every other table empty.
+func tpchBases(gen *tpch.Generator, q tpch.Query) map[string]*mring.Relation {
+	out := map[string]*mring.Relation{}
+	for _, tbl := range q.Tables {
+		if tbl == tpch.Nation || tbl == tpch.Region {
+			out[tbl] = gen.Static(tbl)
+		} else {
+			out[tbl] = mring.NewRelation(tpch.Schemas[tbl])
+		}
+	}
+	return out
+}
+
 // TestKeptViewsMatchOracle holds every view the local executor keeps for
 // a TPC-H program — not only its result, which the stream leaves empty
 // for most queries — to the oracle: after an SF 0.1 stream of six rounds
@@ -388,14 +410,7 @@ func TestKeptViewsMatchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen := tpch.NewGenerator(0.1, 3)
-		accum := map[string]*mring.Relation{}
-		for _, tbl := range q.Tables {
-			if tbl == tpch.Nation || tbl == tpch.Region {
-				accum[tbl] = gen.Static(tbl)
-			} else {
-				accum[tbl] = mring.NewRelation(tpch.Schemas[tbl])
-			}
-		}
+		accum := tpchBases(gen, q)
 		ex := NewExecutor(prog)
 		ex.InitFromBases(accum)
 		stream := tpch.NewStream(gen, q.Tables)

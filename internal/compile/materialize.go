@@ -23,10 +23,8 @@ type compiler struct {
 // Compile builds the recursive incremental maintenance program for query q
 // named queryName over the given base relation schemas.
 func Compile(queryName string, q expr.Expr, bases map[string]mring.Schema, opts Options) (*Program, error) {
-	for _, rel := range expr.Relations(q, expr.RBase) {
-		if _, ok := bases[rel]; !ok {
-			return nil, fmt.Errorf("compile: query references undeclared base relation %q", rel)
-		}
+	if err := checkDeclared(q, bases); err != nil {
+		return nil, err
 	}
 	c := &compiler{
 		opts:  opts,
@@ -88,6 +86,69 @@ func Compile(queryName string, q expr.Expr, bases map[string]mring.Schema, opts 
 			c.preAggregate(prog, trg)
 		}
 		orderJoins(trg, c.isBatch)
+	}
+	if err := preparePlans(prog); err != nil {
+		return nil, err
+	}
+	return prog, nil
+}
+
+// checkDeclared refuses a query that reads a base relation bases does
+// not declare.
+func checkDeclared(q expr.Expr, bases map[string]mring.Schema) error {
+	for _, rel := range expr.Relations(q, expr.RBase) {
+		if _, ok := bases[rel]; !ok {
+			return fmt.Errorf("compile: query references undeclared base relation %q", rel)
+		}
+	}
+	return nil
+}
+
+// ReEvalProgram compiles re-evaluation, the first comparison strategy of
+// the paper's Fig. 8 and Table 1: the trigger for R folds ΔR into R's
+// copy, then recomputes the query over the copies.
+func ReEvalProgram(name string, q expr.Expr, bases map[string]mring.Schema) (*Program, error) {
+	return baseCopyProgram(name, q, bases, func(rel string, fold Stmt) []Stmt {
+		return []Stmt{fold, {LHS: name, Op: eval.OpSet, RHS: q}}
+	})
+}
+
+// FirstOrderProgram compiles classical (first-order) IVM, the second: the
+// trigger for R folds the query's delta, read over the pre-update copies,
+// into the result, then ΔR into R's copy. Nothing else is materialized.
+// Domain extraction is on, as the paper grants its PostgreSQL version.
+func FirstOrderProgram(name string, q expr.Expr, bases map[string]mring.Schema) (*Program, error) {
+	return baseCopyProgram(name, q, bases, func(rel string, fold Stmt) []Stmt {
+		if dq := delta.Derive(q, rel, delta.Options{DomainExtraction: true}); !expr.IsZero(dq) {
+			return []Stmt{{LHS: name, Op: eval.OpAdd, RHS: dq}, fold}
+		}
+		return []Stmt{fold}
+	})
+}
+
+// baseCopyProgram builds a program that keeps the query view plus one
+// view per base table, named like the table and defined as it: q and its
+// deltas read the copies unchanged, and a warm start fills them. trigger
+// returns one table's statements given its copy's fold R += ΔR.
+func baseCopyProgram(name string, q expr.Expr, bases map[string]mring.Schema, trigger func(rel string, fold Stmt) []Stmt) (*Program, error) {
+	if err := checkDeclared(q, bases); err != nil {
+		return nil, err
+	}
+	if _, ok := bases[name]; ok {
+		return nil, fmt.Errorf("compile: query name %q is a base relation", name)
+	}
+	prog := &Program{QueryName: name, Query: q, Bases: bases, Triggers: make(map[string]*Trigger, len(bases)),
+		Views: []*ViewDef{{Name: name, Schema: q.Schema().Clone(), Def: q}}}
+	rels := make([]string, 0, len(bases))
+	for rel := range bases {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels)
+	for i, rel := range rels {
+		cols := bases[rel]
+		prog.Views = append(prog.Views, &ViewDef{Name: rel, Schema: cols.Clone(), Def: expr.Base(rel, cols...), creation: i + 1})
+		fold := Stmt{LHS: rel, Op: eval.OpAdd, RHS: expr.Delta(rel, cols...)}
+		prog.Triggers[rel] = &Trigger{Relation: rel, Stmts: trigger(rel, fold)}
 	}
 	if err := preparePlans(prog); err != nil {
 		return nil, err

@@ -60,10 +60,8 @@ func (sc *SharedCompiler) Register(name string, q expr.Expr) error {
 	if _, dup := sc.tops[name]; dup {
 		return fmt.Errorf("compile: view %q already registered", name)
 	}
-	for _, rel := range expr.Relations(q, expr.RBase) {
-		if _, ok := sc.bases[rel]; !ok {
-			return fmt.Errorf("compile: query references undeclared base relation %q", rel)
-		}
+	if err := checkDeclared(q, sc.bases); err != nil {
+		return err
 	}
 	// Canonicalized after unification, a join written with equality
 	// predicates is the same shape as one written with shared columns.

@@ -113,16 +113,11 @@ func (m *feedDeltaMsg) relation() (*mring.Relation, error) {
 // per-connection queue with coalescing overflow, so one slow or stalled
 // subscriber cannot stall transactions or other subscribers.
 type FeedServer struct {
-	l inet.Listener
+	srv *inet.Server
 	// resolve registers a subscription for one connection; it is the
 	// engine's or registry's internal subscribe path (returns errors, as
 	// the remote peer cannot be helped by a panic).
 	resolve func(view string, fn func(Delta), opts ...SubOption) (func(), error)
-
-	mu     sync.Mutex
-	conns  map[*feedConn]struct{}
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // ServeFeed starts a changefeed server for this engine's query on addr
@@ -156,62 +151,29 @@ func newFeedServer(addr string, resolve func(string, func(Delta), ...SubOption) 
 	if err != nil {
 		return nil, err
 	}
-	s := &FeedServer{l: l, resolve: resolve, conns: make(map[*feedConn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &FeedServer{resolve: resolve}
+	s.srv = inet.Serve(l, s.serveConn)
 	return s, nil
 }
 
 // Addr returns the server's listen address.
-func (s *FeedServer) Addr() string { return s.l.Addr() }
-
-func (s *FeedServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.l.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
-	}
-}
+func (s *FeedServer) Addr() string { return s.srv.Addr() }
 
 // Close stops accepting, severs every subscriber connection, and
 // unregisters their subscriptions. Safe to call more than once.
-func (s *FeedServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	conns := make([]*feedConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	err := s.l.Close()
-	for _, c := range conns {
-		c.teardown()
-	}
-	s.wg.Wait()
-	return err
-}
+func (s *FeedServer) Close() error { return s.srv.Close() }
 
+// serveConn serves one subscriber until either side closes. The server
+// closes conn on Close, which ends the drain below; the subscription is
+// unregistered and the writer stopped before serveConn returns.
 func (s *FeedServer) serveConn(conn inet.Conn) {
 	op, body, err := conn.Recv()
 	if err != nil || op != feedOpSub {
-		conn.Close()
 		return
 	}
 	var req feedSubReq
 	if err := req.decode(body); err != nil {
 		conn.Send(feedOpErr, []byte(fmt.Sprintf("ivm: bad subscribe request: %v", err)))
-		conn.Close()
 		return
 	}
 	fc := &feedConn{conn: conn}
@@ -223,27 +185,18 @@ func (s *FeedServer) serveConn(conn inet.Conn) {
 	cancel, err := s.resolve(req.View, fc.push, opts...)
 	if err != nil {
 		conn.Send(feedOpErr, []byte(err.Error()))
-		conn.Close()
 		return
 	}
 	fc.cancel = cancel
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if err := conn.Send(feedOpOK, nil); err != nil {
 		fc.teardown()
 		return
 	}
-	s.conns[fc] = struct{}{}
-	s.mu.Unlock()
-	if err := conn.Send(feedOpOK, nil); err != nil {
-		s.dropConn(fc)
-		return
-	}
-	s.wg.Add(1)
+	wrote := make(chan struct{})
 	go func() {
-		defer s.wg.Done()
+		defer close(wrote)
 		fc.writeLoop()
-		s.dropConn(fc)
+		fc.teardown()
 	}()
 	// Drain the connection until the client goes away; its only valid
 	// traffic after the subscribe request is EOF.
@@ -252,14 +205,8 @@ func (s *FeedServer) serveConn(conn inet.Conn) {
 			break
 		}
 	}
-	s.dropConn(fc)
-}
-
-func (s *FeedServer) dropConn(fc *feedConn) {
-	s.mu.Lock()
-	delete(s.conns, fc)
-	s.mu.Unlock()
 	fc.teardown()
+	<-wrote
 }
 
 // feedConn is one subscriber connection: a bounded delta queue filled

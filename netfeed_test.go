@@ -3,6 +3,7 @@ package ivm
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mring"
 	inet "repro/internal/net"
@@ -50,6 +51,40 @@ func TestFeedRecvRefusesArityMismatch(t *testing.T) {
 	}
 	if d, err := sub.Recv(); err == nil || !strings.Contains(err.Error(), "arity") {
 		t.Fatalf("Recv of a 2-column payload under a 1-column schema: got %v, %v; want an arity error", d, err)
+	}
+}
+
+// TestFeedCloseSeversSilentClient pins that Close returns while a client
+// is connected but has not subscribed yet: the server tracks every
+// accepted connection, not only subscribed ones, and closes it.
+func TestFeedCloseSeversSilentClient(t *testing.T) {
+	eng, err := New("Q", Sum(nil, Table("R", "A")), map[string]Schema{"R": {"A"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	fs, err := eng.ServeFeed("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := inet.TCP{}.Dial(fs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	time.Sleep(50 * time.Millisecond) // let the server accept the silent connection
+	closed := make(chan error, 1)
+	go func() { closed <- fs.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("FeedServer.Close did not return within 2s while a silent client was connected")
+	}
+	if _, _, err := conn.Recv(); err == nil {
+		t.Fatal("the silent client's connection is still open after Close")
 	}
 }
 
