@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test lint fuzz bench api check-api soak proc-smoke crash-smoke ci
+.PHONY: build test lint fuzz bench api check-api proc-smoke crash-smoke ci
 
 build:
 	$(GO) build ./...
@@ -90,12 +90,4 @@ check-api:
 	@$(GO) doc -all . | diff -u API.txt - || { \
 		echo "exported API surface changed: run 'make api' and commit API.txt" >&2; exit 1; }
 
-# soak runs the self-tuning skew controller against a skewed stream for
-# SOAK_TIME of wall time under the race detector and asserts that
-# repartitioning settles (same step as CI). SOAK_TIME=2s by default for
-# a quick local check; CI uses 30s.
-SOAK_TIME ?= 2s
-soak:
-	TUNE_SOAK=$(SOAK_TIME) $(GO) test -race -run '^TestTuningSoak$$' -v .
-
-ci: lint build test soak proc-smoke crash-smoke check-api bench
+ci: lint build test proc-smoke crash-smoke check-api bench

@@ -169,8 +169,8 @@ func (d *durable) poison(err error) error {
 
 // attachDurability opens (and, on an existing directory, recovers) the
 // durable store and hooks it onto the serving half. Called during
-// construction with exclusive access: s.prog and s.be are set, no tuner
-// or subscriber exists yet, so the backend can be mutated freely.
+// construction with exclusive access: s.prog and s.be are set, no
+// subscriber exists yet, so the backend can be mutated freely.
 func (s *serving) attachDurability(cfg *engineConfig) error {
 	if !cfg.durSet {
 		return nil

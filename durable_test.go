@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/store"
 	"repro/internal/tpch"
 )
@@ -157,6 +158,69 @@ func TestDurableRecoveryGolden(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestDurableReopenAdoptsRecordedPlacement pins that a checkpoint's
+// recorded placement wins over the one the reopening engine would
+// compile: a durable Distributed(2) Q3 engine under the TPC-H key ranks
+// is abandoned with a checkpoint and a WAL tail, then reopened with the
+// customer keys ranked above the order keys, which picks another
+// placement. Recovery must adopt the recorded one, and after the rest of
+// the stream the result must be bitwise the uninterrupted engine's.
+func TestDurableReopenAdoptsRecordedPlacement(t *testing.T) {
+	q, err := tpch.QueryByName("Q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := q.BaseSchemas()
+	rounds := txRounds(t, q, 0.1, 50)
+	if len(rounds) < 6 {
+		t.Fatalf("stream too short for a meaningful crash point: %d rounds", len(rounds))
+	}
+	ckptAt, killAt := len(rounds)/3, 2*len(rounds)/3
+	ranks := map[string]int{}
+	for col, r := range tpch.PrimaryKeyRanks {
+		ranks[col] = r
+	}
+	ranks["o_custkey"], ranks["c_custkey"] = 7, 7
+
+	oracle, err := New(q.Name, q.Def, bases, Distributed(2), KeyRanks(tpch.PrimaryKeyRanks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, round := range rounds {
+		applyRound(t, oracle, round)
+	}
+	dir := t.TempDir()
+	victim, err := New(q.Name, q.Def, bases, Durable(dir), Distributed(2), KeyRanks(tpch.PrimaryKeyRanks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < killAt; i++ {
+		applyRound(t, victim, rounds[i])
+		if i+1 == ckptAt {
+			if err := victim.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	recovered, err := New(q.Name, q.Def, bases, Durable(dir), Distributed(2), KeyRanks(ranks))
+	if err != nil {
+		t.Fatalf("reopen under other key ranks: %v", err)
+	}
+	defer recovered.Close()
+	recorded := victim.be.(*distBackend).parts
+	if dist.ChoosePartitioning(recovered.prog, ranks).Equal(recorded) {
+		t.Fatal("the other key ranks pick Q3's recorded placement; the reopen tests nothing")
+	}
+	if got := recovered.be.(*distBackend).parts; !got.Equal(recorded) {
+		t.Fatalf("reopen kept its own placement %v, want the recorded %v", got, recorded)
+	}
+	for i := killAt; i < len(rounds); i++ {
+		applyRound(t, recovered, rounds[i])
+	}
+	requireBitwiseEqual(t, "reopened result", recovered.Result().rel, oracle.Result().rel)
 }
 
 // TestDurableRefusesVersion1Checkpoint pins the checkpoint format

@@ -3,7 +3,6 @@ package ivm
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -34,8 +33,6 @@ type engineConfig struct {
 	remoteAddrs []string
 	keyRanks    map[string]int
 	copts       compile.Options
-	autoTune    bool
-	tuneCfg     TuneConfig
 	durSet      bool
 	durDir      string
 	dur         durConfig
@@ -58,7 +55,7 @@ func Distributed(workers int) Option {
 // Remote deploys the engine on a process cluster: one worker process
 // (cmd/ivmworker) per address, reached over the length-prefixed framed
 // TCP transport of internal/net. Everything else — partitioning,
-// compiled distributed trigger programs, transactions, AutoTune, the
+// compiled distributed trigger programs, transactions, the
 // keyed changefeed — works exactly as with Distributed, and results are
 // bitwise-identical to the in-process cluster at the same worker count.
 // A worker lost mid-transaction fails that transaction atomically: the
@@ -110,12 +107,6 @@ func (cfg *engineConfig) validate() error {
 			return fmt.Errorf("ivm: RetainCheckpoints wants a positive count, got %d", cfg.dur.retain)
 		}
 	}
-	if tc := cfg.tuneCfg; tc.SkewPatience < 0 || tc.SkewCooldown < 0 {
-		return fmt.Errorf("ivm: TuneConfig wants non-negative SkewPatience and SkewCooldown, got %d and %d", tc.SkewPatience, tc.SkewCooldown)
-	}
-	if th := cfg.tuneCfg.SkewThreshold; th < 0 || math.IsNaN(th) || math.IsInf(th, 0) {
-		return fmt.Errorf("ivm: TuneConfig wants a finite non-negative SkewThreshold, got %g", th)
-	}
 	return nil
 }
 
@@ -156,14 +147,8 @@ type backend interface {
 	// (zero on the local backend).
 	Metrics() (total, lastTx Metrics)
 	// WorkerTimings returns each worker's accumulated stage compute in
-	// worker-index order (nil on the local backend) — the skew signal.
+	// worker-index order (nil on the local backend).
 	WorkerTimings() []cluster.WorkerTiming
-	// Rebalance re-derives the partitioning from measured placement
-	// skew and, when the choice changed, redeploys state and programs
-	// under the new placement. Reports whether anything changed; always
-	// (false, nil) on the local backend. Must only run between
-	// transactions.
-	Rebalance() (bool, error)
 	// SnapshotState captures the backend's entire materialized state —
 	// every relation's contents plus its physical bucket-table size — as
 	// a checkpoint whose restore is layout-exact (same chains, same
@@ -185,15 +170,11 @@ type serving struct {
 	prog *compile.Program
 
 	// beMu serializes all backend access: transactions, warm starts,
-	// stats/metrics/result snapshots, and the tuner's actuation, so
-	// observation paths are safe to call concurrently with Apply. Lock
-	// order is beMu before mu; subscriber callbacks run with neither
-	// held.
+	// and stats/metrics/result snapshots, so observation paths are safe
+	// to call concurrently with Apply. Lock order is beMu before mu;
+	// subscriber callbacks run with neither held.
 	beMu sync.Mutex
 	be   backend
-	// tn is the self-tuning state (nil without AutoTune), actuated after
-	// every fold. Guarded by beMu.
-	tn *tuner
 	// dur is the durability runtime (nil without the Durable option):
 	// the write-ahead log appended to before every ack and the
 	// checkpoint cadence that truncates it. Guarded by beMu.
@@ -279,14 +260,13 @@ func New(name string, query Expr, bases map[string]Schema, opts ...Option) (*Eng
 		be.Close()
 		return nil, err
 	}
-	e.init(prog, be, newTuner(&cfg))
+	e.init(prog, be)
 	return e, nil
 }
 
-func (s *serving) init(prog *compile.Program, be backend, tn *tuner) {
+func (s *serving) init(prog *compile.Program, be backend) {
 	s.prog = prog
 	s.be = be
-	s.tn = tn
 	s.feeds = make(map[string]*feed)
 }
 
@@ -348,7 +328,7 @@ func (e *Engine) TriggerProgram(table string) string { return e.triggerProgram(t
 
 // Stats returns the engine's runtime statistics — evaluation counters
 // (on the distributed backend merged deterministically across nodes),
-// per-worker stage timings, and the tuning controller's state. The
+// per-worker stage timings, and the durability state. The
 // snapshot is taken under the backend lock, so it is consistent even
 // while another goroutine is applying transactions.
 func (e *Engine) Stats() Stats { return e.statsSnapshot() }
@@ -364,8 +344,8 @@ func (e *Engine) LastMetrics() Metrics { _, last := e.metricsSnapshot(); return 
 // Result returns the maintained query result. Iterate with Foreach.
 func (e *Engine) Result() *Result { return e.result(e.prog.QueryName) }
 
-// triggerProgram renders a trigger under the backend lock (the
-// distributed programs can be swapped by a tuner repartition).
+// triggerProgram renders a trigger under the backend lock, like every
+// other backend read.
 func (s *serving) triggerProgram(table string) string {
 	s.beMu.Lock()
 	defer s.beMu.Unlock()
@@ -378,9 +358,6 @@ func (s *serving) statsSnapshot() Stats {
 	defer s.beMu.Unlock()
 	st := Stats{Stats: s.be.Stats()}
 	st.Workers = s.be.WorkerTimings()
-	if s.tn != nil {
-		st.Tuning = s.tn.snapshot()
-	}
 	st.Durability = s.durabilityStatsLocked()
 	return st
 }
@@ -452,9 +429,6 @@ func (s *serving) applyTx(tx *Tx) error {
 		}
 	}
 	deltas, err := s.be.ApplyTx(batches, s.captureList())
-	if err == nil && s.tn != nil {
-		err = s.tn.afterFoldLocked(s)
-	}
 	if err == nil && s.dur != nil {
 		err = s.maybeCheckpointLocked()
 	}
@@ -856,8 +830,6 @@ func (lb *localBackend) Metrics() (Metrics, Metrics) { return Metrics{}, Metrics
 
 func (lb *localBackend) WorkerTimings() []cluster.WorkerTiming { return nil }
 
-func (lb *localBackend) Rebalance() (bool, error) { return false, nil }
-
 // SnapshotState captures every executor view — including transient
 // ones, whose retained table capacity shapes later fold layouts — as a
 // driver-only checkpoint. The local engine does not retain base tables,
@@ -921,13 +893,12 @@ func (lb *localBackend) Close() error { return nil }
 // partitioned by the paper's heuristic and batches are processed through
 // compiled distributed trigger programs either way.
 type distBackend struct {
-	prog     *compile.Program
-	parts    dist.PartInfo
-	keyRanks map[string]int
-	dprogs   map[string]*dist.DistProgram
-	cl       *cluster.Cluster
-	total    Metrics
-	last     Metrics
+	prog   *compile.Program
+	parts  dist.PartInfo
+	dprogs map[string]*dist.DistProgram
+	cl     *cluster.Cluster
+	total  Metrics
+	last   Metrics
 	// watching mirrors the cluster's watch set (a view is in it only
 	// while the engine has changefeed subscribers for it).
 	watching map[string]bool
@@ -948,7 +919,7 @@ func newDistBackend(prog *compile.Program, cfg *engineConfig) (*distBackend, err
 	} else {
 		cl = cluster.New(cluster.DefaultConfig(cfg.workers), dist.ViewSchemas(prog), parts)
 	}
-	return &distBackend{prog: prog, parts: parts, keyRanks: cfg.keyRanks, dprogs: dist.CompileProgram(prog, parts, dist.O3),
+	return &distBackend{prog: prog, parts: parts, dprogs: dist.CompileProgram(prog, parts, dist.O3),
 		cl: cl, watching: make(map[string]bool)}, nil
 }
 
@@ -1062,14 +1033,14 @@ func (db *distBackend) WorkerTimings() []cluster.WorkerTiming { return db.cl.Wor
 
 // SnapshotState captures every node's fragments (driver and workers)
 // with the deployed partitioning, so a restore re-warms the same
-// deployment shape even after a skew-feedback repartition.
+// deployment shape.
 func (db *distBackend) SnapshotState() (*cluster.Checkpoint, error) { return db.cl.Checkpoint() }
 
 // RestoreState installs the checkpoint across the cluster, then adopts
-// its recorded partitioning: if the state was captured under a
-// placement the tuner had moved to, the distributed trigger programs
-// recompile against it so maintenance keeps matching the restored
-// fragment placement.
+// its recorded partitioning: if the state was captured under another
+// placement (the engine that wrote it had other KeyRanks), the
+// distributed trigger programs recompile against it so maintenance keeps
+// matching the restored fragment placement.
 func (db *distBackend) RestoreState(cp *cluster.Checkpoint) error {
 	if err := checkViewSchemas(db.prog, cp); err != nil {
 		return err
@@ -1082,96 +1053,4 @@ func (db *distBackend) RestoreState(cp *cluster.Checkpoint) error {
 		db.dprogs = dist.CompileProgram(db.prog, cp.Parts, dist.O3)
 	}
 	return nil
-}
-
-// persistentViews visits the program's persistent (non-transient,
-// non-delta) views — the ones that hold state across transactions and
-// therefore must move in a repartition.
-func (db *distBackend) persistentViews(f func(v *compile.ViewDef)) {
-	for _, v := range db.prog.Views {
-		if v.Transient || expr.HasDelta(v.Def) {
-			continue
-		}
-		f(v)
-	}
-}
-
-// measureSkew returns, per candidate partition column, the observed
-// placement imbalance (max/mean fragment size) hash placement on that
-// column would produce, aggregated tuple-count-weighted over the
-// persistent distributed views whose schema holds the column. This is
-// the measured replacement for the heuristic's uniform-skew assumption.
-func (db *distBackend) measureSkew() (map[string]float64, error) {
-	n := db.cl.Workers()
-	if n < 2 {
-		return nil, nil
-	}
-	num := make(map[string]float64)
-	den := make(map[string]float64)
-	var err error
-	db.persistentViews(func(v *compile.ViewDef) {
-		if err != nil || !db.parts[v.Name].Keyed() {
-			return
-		}
-		var rel *mring.Relation
-		if rel, err = db.cl.ReadView(v.Name); err != nil {
-			return
-		}
-		// Tiny views cannot produce a meaningful imbalance estimate.
-		if rel.Len() < 64 {
-			return
-		}
-		for _, col := range v.Schema {
-			if db.keyRanks[col] < 2 {
-				continue
-			}
-			sk := dist.KeySkew(rel, []int{v.Schema.Index(col)}, n)
-			num[col] += sk * float64(rel.Len())
-			den[col] += float64(rel.Len())
-		}
-	})
-	w := make(map[string]float64, len(num))
-	for col, s := range num {
-		w[col] = s / den[col]
-	}
-	return w, err
-}
-
-// Rebalance re-runs the partitioning heuristic with measured skew
-// weights and, when it picks a different placement, redeploys between
-// transactions: moved views are gathered, the cluster drops all state
-// compiled against the old placement (keeping unmoved persistent
-// views in place), the moved contents re-install under their new keys,
-// and the distributed trigger programs recompile against the new
-// placement.
-func (db *distBackend) Rebalance() (bool, error) {
-	weights, err := db.measureSkew()
-	if err != nil || len(weights) == 0 {
-		return false, err
-	}
-	parts := dist.ChoosePartitioningWeighted(db.prog, db.keyRanks, weights)
-	if parts.Equal(db.parts) {
-		return false, nil
-	}
-	moved := make(map[string]*mring.Relation)
-	keep := make(map[string]bool)
-	db.persistentViews(func(v *compile.ViewDef) {
-		if err != nil {
-			return
-		}
-		if db.parts[v.Name].Equal(parts[v.Name]) {
-			keep[v.Name] = true
-		} else {
-			moved[v.Name], err = db.cl.ReadView(v.Name)
-		}
-	})
-	if err != nil {
-		return false, err
-	}
-	if err := db.cl.Repartition(parts, moved, keep); err != nil {
-		return false, err
-	}
-	db.parts = parts
-	db.dprogs = dist.CompileProgram(db.prog, parts, dist.O3)
-	return true, nil
 }

@@ -17,7 +17,7 @@ import (
 // (Cluster.prepare); a worker process builds its own copy from the
 // block's deploy blob the first time a stage names it (Shard.stageBlock).
 // Either way the plans live exactly as long as the block, which lives
-// until the programs it belongs to are retired (Repartition, Restore).
+// until a Restore retires the programs it belongs to.
 type block struct {
 	// id names the block on process workers; a cluster never reuses one.
 	id      uint64

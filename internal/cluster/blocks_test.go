@@ -84,11 +84,11 @@ func (c *loopConn) Close() error { return nil }
 
 // TestBlockTablesFollowPrograms pins the block lifecycle on a two-worker
 // process cluster running Q3: every distributed block ships to each
-// worker exactly once however many transactions run it; a repartition
-// and a checkpoint restore that changes placement each retire the
-// running programs, leaving the driver's and the workers' tables holding
-// only the blocks of the programs that replace them; and a stage naming
-// an unknown or retired block id fails.
+// worker exactly once however many transactions run it; a checkpoint
+// restore that changes placement adopts it and retires the running
+// programs, leaving the driver's and the workers' tables holding only the
+// blocks of the programs that replace them; block ids are never reused;
+// and a stage naming an unknown or retired block id fails.
 func TestBlockTablesFollowPrograms(t *testing.T) {
 	q, err := tpch.QueryByName("Q3")
 	if err != nil {
@@ -100,7 +100,7 @@ func TestBlockTablesFollowPrograms(t *testing.T) {
 	}
 	parts := dist.ChoosePartitioning(prog, tpch.PrimaryKeyRanks)
 	// Ranking customer keys first moves the views partitioned on order
-	// keys: the placement a skew rebalance could pick.
+	// keys.
 	ranks := map[string]int{}
 	for col, r := range tpch.PrimaryKeyRanks {
 		ranks[col] = r
@@ -112,7 +112,7 @@ func TestBlockTablesFollowPrograms(t *testing.T) {
 	}
 
 	lb := newLoopback(2)
-	cl, err := Connect(lb, lb.addrs(), dist.ViewSchemas(prog), parts)
+	cl, err := Connect(lb, lb.addrs(), dist.ViewSchemas(prog), moved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestBlockTablesFollowPrograms(t *testing.T) {
 	local := compile.NewExecutor(prog)
 	var applied []compile.TableBatch
 	stream := tpch.NewStream(tpch.NewGenerator(0.2, 5), q.Tables)
-	dprogs := dist.CompileProgram(prog, parts, dist.O3)
+	dprogs := dist.CompileProgram(prog, moved, dist.O3)
 	run := func(txs int) {
 		t.Helper()
 		for tx := 0; tx < txs; tx++ {
@@ -196,40 +196,21 @@ func TestBlockTablesFollowPrograms(t *testing.T) {
 			t.Fatalf("worker %d ran a stage naming an unknown block", i)
 		}
 	}
-	cp, err := cl.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkpointed := len(applied)
 
-	// Rebalance: gather the views whose placement changes, keep the rest.
-	contents := map[string]*mring.Relation{}
-	keep := map[string]bool{}
-	for _, v := range prog.Views {
-		if v.Transient {
-			continue
-		}
-		if parts[v.Name].Equal(moved[v.Name]) {
-			keep[v.Name] = true
-		} else if contents[v.Name], err = cl.ReadView(v.Name); err != nil {
+	// A checkpoint of the same transactions taken under the first
+	// placement, by an in-process cluster.
+	src := New(DefaultConfig(2), dist.ViewSchemas(prog), parts)
+	srcProgs := dist.CompileProgram(prog, parts, dist.O3)
+	for _, b := range applied {
+		if _, err := src.RunPartitionedBatch(srcProgs[b.Table], b.Batch.Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cl.Repartition(moved, contents, keep); err != nil {
+	cp, err := src.Checkpoint()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cl.blocks) != 0 || len(lb.shards[0].blocks) != 0 || len(lb.shards[1].blocks) != 0 {
-		t.Fatal("repartition left prepared blocks behind")
-	}
-	retired("after repartition", first)
-	for i := range lb.deploys {
-		clear(lb.deploys[i])
-	}
-	dprogs = dist.CompileProgram(prog, moved, dist.O3)
-	run(4)
-	second := tables("after repartition")
 
-	// Restore the checkpoint taken under the first placement.
 	if err := cl.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
@@ -239,18 +220,14 @@ func TestBlockTablesFollowPrograms(t *testing.T) {
 	if len(cl.blocks) != 0 || len(lb.shards[0].blocks) != 0 || len(lb.shards[1].blocks) != 0 {
 		t.Fatal("restore left prepared blocks behind")
 	}
-	retired("after restore", second)
+	retired("after restore", first)
 	for i := range lb.deploys {
 		clear(lb.deploys[i])
 	}
-	dprogs = dist.CompileProgram(prog, parts, dist.O3)
-	local = compile.NewExecutor(prog)
-	for _, b := range applied[:checkpointed] {
-		local.ApplyBatch(b.Table, b.Batch.Clone())
-	}
+	dprogs = srcProgs
 	run(4)
 	for id := range tables("after restore") {
-		if first[id] || second[id] {
+		if first[id] {
 			t.Fatalf("block id %d reused after restore", id)
 		}
 	}

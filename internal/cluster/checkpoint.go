@@ -29,9 +29,9 @@ type Checkpoint struct {
 	// Driver holds the driver's relations.
 	Driver map[string]Frag
 	// Parts records the placement the fragments were captured under, so
-	// a restore re-deploys against the same partitioning even when a
-	// skew-feedback repartition had moved it off the compile-time
-	// default. Nil on single-node snapshots.
+	// a restore re-deploys against the same partitioning even when the
+	// restoring engine would compile another one (it was built with
+	// other KeyRanks). Nil on single-node snapshots.
 	Parts dist.PartInfo
 }
 
@@ -140,7 +140,16 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 		return c.fail(err)
 	}
 	c.driver.setRels(driver)
-	c.retirePrograms()
+	// Forget what the driver prepared for the retired programs: their
+	// blocks and the schemas they registered. The workers dropped their
+	// deployed blocks in the restore call.
+	clear(c.blocks)
+	clear(c.plans)
+	for name := range c.schemas {
+		if !c.declared[name] {
+			delete(c.schemas, name)
+		}
+	}
 	for name, r := range driver {
 		c.schemas[name] = r.Schema()
 	}
@@ -157,7 +166,7 @@ func (c *Cluster) KillWorker(i int) {
 	if i < 0 || i >= len(c.workers) {
 		panic("cluster: no such worker")
 	}
-	c.workers[i].retain(nil)
+	_ = c.workers[i].restore(nil)
 }
 
 // Checkpoint serialization: a magic and a format version, so drift — or

@@ -20,9 +20,8 @@
 // really-partitioned state and really-serialized shuffles, and combines the
 // measured per-worker work with a virtual-time cost model for the platform
 // terms the paper measures: per-stage scheduling/synchronization overhead
-// that grows with the worker count, shuffle time proportional to the
-// maximum per-worker payload, and optional straggler inflation. DESIGN.md
-// §3 documents this substitution.
+// that grows with the worker count, and shuffle time proportional to the
+// maximum per-worker payload. DESIGN.md §3 documents this substitution.
 package cluster
 
 import (
@@ -104,7 +103,7 @@ func (m *Metrics) Add(o Metrics) {
 }
 
 // Cluster is one deployment: schemas and partitioning are fixed at
-// construction (Repartition moves the latter between transactions); state
+// construction (a Restore may adopt its checkpoint's placement); state
 // persists across batches (workers are stateful).
 //
 // Failure semantics: the first worker error poisons the cluster (worker
@@ -142,10 +141,10 @@ type Cluster struct {
 	workerCompute []time.Duration
 	workerStages  []int
 	// blocks holds every block the driver has run, prepared once, keyed
-	// by the program block it came from. Repartition and Restore retire
-	// the programs the blocks belong to, so they empty it (and the
-	// workers drop their deployed copies); nextID is never reset, so a
-	// block id names one block for the cluster's whole lifetime.
+	// by the program block it came from. Restore retires the programs the
+	// blocks belong to, so it empties it (and the workers drop their
+	// deployed copies); nextID is never reset, so a block id names one
+	// block for the cluster's whole lifetime.
 	blocks map[*dist.Block]*block
 	nextID uint64
 	// plans holds each program's plan, beside its blocks and retired with
@@ -272,42 +271,6 @@ func (c *Cluster) WorkerTimings() []WorkerTiming {
 		out[i] = WorkerTiming{Worker: i, Compute: c.workerCompute[i], Stages: c.workerStages[i]}
 	}
 	return out
-}
-
-// Repartition swaps the cluster's placement map between transactions:
-// every relation not named in keep (moved views, temp/transient state,
-// and stale delta fragments — anything a program compiled against the
-// old placement may have left behind) is dropped from the driver and
-// all workers, the new placement takes effect, and the moved views'
-// gathered contents are re-installed under their new locations via
-// WarmViews. The caller must not run a program compiled against the old
-// placement afterwards: the driver and every worker drop their prepared
-// blocks.
-func (c *Cluster) Repartition(parts dist.PartInfo, contents map[string]*mring.Relation, keep map[string]bool) error {
-	if c.err != nil {
-		return c.err
-	}
-	c.driver.retain(keep)
-	c.retirePrograms()
-	if err := c.each(func(_ int, w worker) error { return w.retain(keep) }); err != nil {
-		return c.fail(err)
-	}
-	c.parts = parts
-	return c.WarmViews(contents)
-}
-
-// retirePrograms forgets what the driver prepared for the running
-// programs — their blocks and the schemas they registered — when a
-// repartition or restore retires them. The workers drop their deployed
-// blocks in the same call that retires the programs on their side.
-func (c *Cluster) retirePrograms() {
-	clear(c.blocks)
-	clear(c.plans)
-	for name := range c.schemas {
-		if !c.declared[name] {
-			delete(c.schemas, name)
-		}
-	}
 }
 
 // WatchView starts capturing every maintenance write to the named view
@@ -575,7 +538,7 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram, deal []rows) (Metrics, error
 // the first time the driver meets it: its schemas registered, the subset
 // its statements bind, its statements' plans, a fresh id, and — for a
 // distributed block on process workers — its deploy blob. A block stays
-// prepared until a Repartition or Restore retires its program, so every
+// prepared until a Restore retires its program, so every
 // program a caller runs in between is held once, however often it runs.
 func (c *Cluster) prepare(b *dist.Block) (*block, error) {
 	if p := c.blocks[b]; p != nil {
@@ -942,8 +905,7 @@ func (c *Cluster) runLocalBlock(r *run, b *block, xfers []*transfer, m *Metrics)
 // each worker's own statement order is unchanged and per-worker outcomes
 // — stats, compute, and the change sinks of watched views — are merged in
 // worker-index order after the barrier. Stage latency is the scheduling
-// overhead plus the slowest worker's compute (with optional straggler
-// inflation).
+// overhead plus the slowest worker's compute.
 func (c *Cluster) runDistBlock(r *run, b *block, m *Metrics) error {
 	if err := c.send(r, b); err != nil {
 		return err

@@ -48,7 +48,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		{&fetchResp{Present: true, Rows: p}, &fetchResp{}},
 		{&fetchResp{Present: true}, &fetchResp{}},
 		{&snapshotMsg{Frags: frags}, &snapshotMsg{}},
-		{&retainReq{Keep: map[string]bool{"b": true, "a": true}}, &retainReq{}},
 	} {
 		body := marshal(c.in)
 		if err := unmarshal(body, c.out); err != nil {

@@ -44,9 +44,6 @@ const (
 	// fragments, rebuilt layout-exact (worker re-warm during recovery),
 	// and drops its deployed blocks.
 	opRestore byte = 5
-	// opRetain drops every shard fragment not named in the keep set, and
-	// every deployed block (the worker half of a repartition).
-	opRetain byte = 6
 
 	// opOK carries a response body; opErr carries an error string.
 	opOK  byte = 64
@@ -327,34 +324,6 @@ func getFrags(d *wire.Dec) map[string]Frag {
 	return wire.GetMap(d, 4, func(d *wire.Dec) Frag {
 		return Frag{Schema: d.Schema(), Buckets: d.Int(), Payload: d.Bytes()}
 	})
-}
-
-// retainReq names the fragments a shard keeps; every other fragment is
-// dropped.
-type retainReq struct {
-	Keep map[string]bool
-}
-
-func (m *retainReq) put(e *encoder) {
-	var names []string
-	for _, name := range wire.SortedKeys(m.Keep) {
-		if m.Keep[name] {
-			names = append(names, name)
-		}
-	}
-	e.Strs(names)
-}
-
-func (m *retainReq) get(d *wire.Dec) {
-	names := d.Strs()
-	m.Keep = make(map[string]bool, len(names))
-	for i, name := range names {
-		if i > 0 && name <= names[i-1] {
-			d.Fail("keep name %q out of order", name)
-			return
-		}
-		m.Keep[name] = true
-	}
 }
 
 // call runs one request/response round trip on a worker connection,

@@ -117,11 +117,6 @@ func (rw *remoteWorker) fetch(name string, schema mring.Schema) (rows, error) {
 	return resp.Rows, nil
 }
 
-func (rw *remoteWorker) retain(keep map[string]bool) error {
-	clear(rw.deployed)
-	return rw.call(opRetain, &retainReq{Keep: keep}, nil)
-}
-
 func (rw *remoteWorker) snapshot() (map[string]Frag, error) {
 	var resp snapshotMsg
 	err := rw.call(opSnapshot, nil, &resp)

@@ -99,12 +99,6 @@ func serve(sh *Shard, op byte, body []byte) (message, error) {
 			return &fetchResp{}, nil
 		}
 		return &fetchResp{Present: true, Rows: r}, nil
-	case opRetain:
-		var req retainReq
-		if err := unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, sh.retain(req.Keep)
 	case opSnapshot:
 		if err := unmarshal(body, nil); err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"io"
 	"runtime"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/mring"
 	inet "repro/internal/net"
 	"repro/internal/tpch"
+	"repro/internal/wire"
 )
 
 // q3WorkerBlocks compiles TPC-H Q3 for the default placement and returns
@@ -153,7 +155,7 @@ func FuzzServeRequest(f *testing.F) {
 		{opFetch, &fetchReq{Name: "R", Schema: schema}},
 		{opSnapshot, nil},
 		{opRestore, &snapshotMsg{Frags: snap}},
-		{opRetain, &retainReq{Keep: map[string]bool{"R": true}}},
+		{6, nil}, // the retired retain op
 	} {
 		f.Add(seed.op, marshal(seed.msg))
 	}
@@ -226,5 +228,72 @@ func TestRefusedStageChangesNothing(t *testing.T) {
 	}
 	if state() == before {
 		t.Fatal("the first install changed nothing")
+	}
+}
+
+// frame is one request or response on a scriptConn.
+type frame struct {
+	typ  byte
+	body []byte
+}
+
+// scriptConn replays a fixed list of request frames into ServeConn and
+// records its responses; Recv reports EOF once the script is spent.
+type scriptConn struct {
+	reqs, resps []frame
+}
+
+func (c *scriptConn) Send(typ byte, body []byte) error {
+	c.resps = append(c.resps, frame{typ, append([]byte(nil), body...)})
+	return nil
+}
+
+func (c *scriptConn) Recv() (byte, []byte, error) {
+	if len(c.reqs) == 0 {
+		return 0, nil, io.EOF
+	}
+	r := c.reqs[0]
+	c.reqs = c.reqs[1:]
+	return r.typ, r.body, nil
+}
+
+func (c *scriptConn) Close() error { return nil }
+
+// TestRetiredOpRefused pins that op byte 6, which once dropped every
+// fragment outside a keep set, is now an unknown op: the worker answers
+// it with an error response and its fragments stay as they were.
+func TestRetiredOpRefused(t *testing.T) {
+	_, r := fuzzShard()
+	p, err := decodeRows(inet.EncodeRelationPlain(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deal := install{kind: installReplace, name: "R", schema: r.Schema(), from: []rows{p}}
+	var keepNothing wire.Enc
+	keepNothing.Strs(nil)
+	conn := &scriptConn{reqs: []frame{
+		{opSetup, marshal(&setupReq{Index: 0, Workers: 2})},
+		{opStage, marshal(&stageReq{installs: []install{deal}})},
+		{6, keepNothing.B},
+		{opFetch, marshal(&fetchReq{Name: "R", Schema: r.Schema()})},
+	}}
+	if err := ServeConn(conn); err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.resps) != 4 {
+		t.Fatalf("got %d responses to 4 requests", len(conn.resps))
+	}
+	if got := conn.resps[2]; got.typ != opErr || string(got.body) != "cluster: unknown op 6" {
+		t.Fatalf("op 6 answered %d %q, want an error response %q", got.typ, got.body, "cluster: unknown op 6")
+	}
+	var got fetchResp
+	if conn.resps[3].typ != opOK {
+		t.Fatalf("fetch after op 6 failed: %s", conn.resps[3].body)
+	}
+	if err := unmarshal(conn.resps[3].body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Present || got.Rows == nil || got.Rows.Len() != r.Len() {
+		t.Fatalf("op 6 changed the shard: fetch of R gave %+v, want its %d rows", got, r.Len())
 	}
 }

@@ -28,8 +28,6 @@ type worker interface {
 	// fetch returns the worker's fragment of a relation, nil when it holds
 	// none (an absent replica differs from an empty one).
 	fetch(name string, schema mring.Schema) (rows, error)
-	// retain drops every fragment not named in keep.
-	retain(keep map[string]bool) error
 	// snapshot and restore move the worker's whole state in and out of a
 	// durability checkpoint, bucket-table sizes included.
 	snapshot() (map[string]Frag, error)
@@ -241,14 +239,6 @@ func (n *node) rel(name string, schema mring.Schema) *mring.Relation {
 	return r
 }
 
-func (n *node) retain(keep map[string]bool) {
-	for name := range n.rels {
-		if !keep[name] {
-			delete(n.rels, name)
-		}
-	}
-}
-
 // snapshot encodes every fragment carrying restorable state, including
 // empty-but-sized ones, so a restore reproduces the physical layout.
 func (n *node) snapshot() map[string]Frag {
@@ -302,7 +292,7 @@ type Shard struct {
 	node
 	workers int
 	// blocks holds the blocks deployed to a worker process, by id, until
-	// a retain or restore retires them. In-process shards run the
+	// a restore retires them. In-process shards run the
 	// driver's prepared blocks directly and leave it empty.
 	blocks map[uint64]*block
 }
@@ -494,12 +484,6 @@ func (sh *Shard) fetch(name string, _ mring.Schema) (rows, error) {
 		return r, nil
 	}
 	return nil, nil
-}
-
-func (sh *Shard) retain(keep map[string]bool) error {
-	sh.node.retain(keep)
-	sh.blocks = nil
-	return nil
 }
 
 func (sh *Shard) snapshot() (map[string]Frag, error) { return sh.node.snapshot(), nil }

@@ -42,20 +42,6 @@ func ViewSchemas(prog *compile.Program) map[string]mring.Schema {
 //   - update batches are tagged Random: workers ingest stream fragments
 //     directly (Sec. 6.2), which is what Cluster.RunPartitioned models.
 func ChoosePartitioning(prog *compile.Program, keyRanks map[string]int) PartInfo {
-	return ChoosePartitioningWeighted(prog, keyRanks, nil)
-}
-
-// ChoosePartitioningWeighted is ChoosePartitioning with measured skew
-// feedback: weights maps a candidate partition column to its observed
-// placement imbalance (max/mean fragment size under hash placement;
-// 1 = perfectly uniform, as the unweighted heuristic implicitly
-// assumes). The rank ordering still decides *whether* a view
-// distributes or replicates — that depends on source-table size, not
-// balance — but among a view's distributable key columns the choice is
-// re-scored by rank/max(1, weight), so a heavily skewed big-table key
-// loses to a slightly lower-ranked but well-balanced one. Nil or empty
-// weights reduce exactly to the unweighted heuristic.
-func ChoosePartitioningWeighted(prog *compile.Program, keyRanks map[string]int, weights map[string]float64) PartInfo {
 	read := make(map[string]bool, len(prog.Views))
 	for _, tr := range prog.Triggers {
 		for _, s := range tr.Stmts {
@@ -66,7 +52,7 @@ func ChoosePartitioningWeighted(prog *compile.Program, keyRanks map[string]int, 
 	}
 	parts := make(PartInfo, len(prog.Views)+len(prog.Bases))
 	for _, v := range prog.Views {
-		loc := chooseViewLoc(v, keyRanks, weights)
+		loc := chooseViewLoc(v, keyRanks)
 		if loc.Kind == LIndiff && !read[v.Name] {
 			// A replica serves the statements that read it; with none,
 			// the driver copy is the whole view.
@@ -80,27 +66,6 @@ func ChoosePartitioningWeighted(prog *compile.Program, keyRanks map[string]int, 
 	return parts
 }
 
-// KeySkew measures the placement imbalance relation r would have if
-// hash-partitioned on the columns at pos across n workers: max/mean
-// fragment tuple count (1 = perfectly balanced, n = everything on one
-// worker). Relations too small to matter report 1.
-func KeySkew(r *mring.Relation, pos []int, n int) float64 {
-	if n <= 1 || r.Len() == 0 {
-		return 1
-	}
-	counts := make([]int, n)
-	r.Foreach(func(t mring.Tuple, _ float64) {
-		counts[PlaceIndex(t, pos, n)]++
-	})
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	return float64(max) * float64(n) / float64(r.Len())
-}
-
 // PlaceIndex is the platform's placement function: the worker index
 // owning tuple t under the partition-key columns at keyPos, for n
 // workers. It is the single definition shared by the shuffle
@@ -110,34 +75,19 @@ func PlaceIndex(t mring.Tuple, keyPos []int, n int) int {
 	return int(t.HashCols(keyPos) % uint64(n))
 }
 
-func chooseViewLoc(v *compile.ViewDef, keyRanks map[string]int, weights map[string]float64) Loc {
+func chooseViewLoc(v *compile.ViewDef, keyRanks map[string]int) Loc {
 	if len(v.Schema) == 0 {
 		if v.Transient {
 			return Random
 		}
 		return Local
 	}
-	// bestRank (unweighted) decides distribute-vs-replicate; best is the
-	// weighted argmax among distributable (rank >= 2) columns. Schema
-	// order breaks score ties deterministically.
-	best, bestRank, bestScore := "", 0, 0.0
+	// The first column of the highest rank wins (schema order breaks
+	// ties); it decides distribute-vs-replicate.
+	best, bestRank := "", 0
 	for _, col := range v.Schema {
-		r, ok := keyRanks[col]
-		if !ok {
-			continue
-		}
-		if r > bestRank {
-			bestRank = r
-		}
-		if r < 2 {
-			continue
-		}
-		score := float64(r)
-		if w := weights[col]; w > 1 {
-			score = float64(r) / w
-		}
-		if score > bestScore {
-			best, bestScore = col, score
+		if r := keyRanks[col]; r > bestRank {
+			best, bestRank = col, r
 		}
 	}
 	if bestRank >= 2 {

@@ -11,7 +11,6 @@ package ivm
 
 import (
 	"errors"
-	"math/rand"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -173,15 +172,12 @@ func TestProcessClusterWarmParity(t *testing.T) {
 // semantics: severing a worker mid-stream fails the whole transaction
 // atomically on the driver — the failed Apply's partial captures are
 // discarded, Result stays at the last committed state, and every later
-// operation reports the poisoned cluster. The AutoTune case runs with no
-// subscriber: a tuned engine folds each transaction as submitted, so the
-// kill must surface on the very Apply it breaks, not on a later call.
+// operation reports the poisoned cluster.
 func TestProcessClusterWorkerKill(t *testing.T) {
-	t.Run("subscribed", func(t *testing.T) { workerKill(t, true) })
-	t.Run("autotune", func(t *testing.T) { workerKill(t, false, AutoTune()) })
+	t.Run("subscribed", workerKill)
 }
 
-func workerKill(t *testing.T, subscribe bool, opts ...Option) {
+func workerKill(t *testing.T) {
 	q, err := tpch.QueryByName("Q1")
 	if err != nil {
 		t.Fatal(err)
@@ -192,18 +188,15 @@ func workerKill(t *testing.T, subscribe bool, opts ...Option) {
 		t.Fatal(err)
 	}
 	addrs, srvs := startWorkers(t, 2)
-	remote, err := New(q.Name, q.Def, bases,
-		append([]Option{Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks)}, opts...)...)
+	remote, err := New(q.Name, q.Def, bases, Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer remote.Close()
 
 	var feed []string
-	if subscribe {
-		if _, err := remote.Subscribe(func(d Delta) { feed = append(feed, d.String()) }); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := remote.Subscribe(func(d Delta) { feed = append(feed, d.String()) }); err != nil {
+		t.Fatal(err)
 	}
 
 	gen := tpch.NewGenerator(0.03, 5)
@@ -510,67 +503,6 @@ func TestRemoteRoundTripsPerTransaction(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRemoteSkewRebalance drives measured-skew repartitioning on the
-// process cluster: after the skewed stream of
-// TestSkewRebalanceRepartitions, Rebalance must move Remote(8) to the
-// placement it moves Distributed(8) to, and both must stay bitwise equal
-// afterwards.
-func TestRemoteSkewRebalance(t *testing.T) {
-	bases := map[string]Schema{"R": {"id", "u", "h", "v"}}
-	q := Sum([]string{"u", "h"}, Join(Table("R", "id", "u", "h", "v"), Val(Col("v"))))
-	ranks := map[string]int{"h": 5, "u": 4}
-	sim, err := New("Q", q, bases, Distributed(8), KeyRanks(ranks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs, _ := startWorkers(t, 8)
-	remote, err := New("Q", q, bases, Remote(addrs...), KeyRanks(ranks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	rng := rand.New(rand.NewSource(1))
-	id := 0
-	feed := func(rounds int) {
-		for r := 0; r < rounds; r++ {
-			bs, br := NewBatch(bases["R"]), NewBatch(bases["R"])
-			for i := 0; i < 400; i++ {
-				row := skewedRow(rng, id)
-				id++
-				if err := bs.Insert(row); err != nil {
-					t.Fatal(err)
-				}
-				if err := br.Insert(row.Clone()); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := sim.ApplyBatch("R", bs); err != nil {
-				t.Fatal(err)
-			}
-			if err := remote.ApplyBatch("R", br); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	feed(40)
-	before := sim.be.(*distBackend).parts.Clone()
-	for _, e := range []*Engine{sim, remote} {
-		changed, err := e.be.Rebalance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !changed {
-			t.Fatalf("skewed stream left the placement unchanged: %v", before)
-		}
-	}
-	simParts, remoteParts := sim.be.(*distBackend).parts, remote.be.(*distBackend).parts
-	if !simParts.Equal(remoteParts) {
-		t.Fatalf("placements diverged\n sim    %v\n remote %v", simParts, remoteParts)
-	}
-	feed(10)
-	requireBitwiseEqual(t, "rebalanced process cluster", remote.Result().rel, sim.Result().rel)
 }
 
 // TestRemoteOptionValidation pins the constructor contract.

@@ -90,7 +90,7 @@ func (r *Registry) ensure() error {
 		be.Close()
 		return err
 	}
-	r.init(prog, be, newTuner(&r.cfg))
+	r.init(prog, be)
 	r.built = true
 	return nil
 }
