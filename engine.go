@@ -835,14 +835,9 @@ func (lb *localBackend) WorkerTimings() []cluster.WorkerTiming { return nil }
 // driver-only checkpoint. The local engine does not retain base tables,
 // so the views are its complete recoverable state.
 func (lb *localBackend) SnapshotState() (*cluster.Checkpoint, error) {
-	cp := &cluster.Checkpoint{Driver: map[string]cluster.Frag{}}
-	lb.ex.ForEachViewAll(func(name string, r *mring.Relation) {
-		if r == nil || (r.Len() == 0 && r.TableSize() == 0) {
-			return
-		}
-		cp.Driver[name] = cluster.Frag{Schema: r.Schema().Clone(), Buckets: r.TableSize(), Payload: inet.EncodeRelationPlain(r)}
-	})
-	return cp, nil
+	views := map[string]*mring.Relation{}
+	lb.ex.ForEachViewAll(func(name string, r *mring.Relation) { views[name] = r })
+	return &cluster.Checkpoint{Driver: cluster.SnapshotRels(views)}, nil
 }
 
 // RestoreState rebuilds the executor's views layout-exact from a

@@ -233,8 +233,8 @@ func TestBlockTablesFollowPrograms(t *testing.T) {
 	}
 }
 
-// TestCompiledBlocksPassDeployCheck pins that checkStmts accepts every
-// distributed block the compiler emits for the TPC-H queries at every
+// TestCompiledBlocksPassDeployCheck pins that the block check accepts
+// every block the compiler emits for the TPC-H queries at every
 // optimization level — the check refuses only malformed deployments —
 // and that each block's deploy blob decodes to statements that encode to
 // the same blob.
@@ -249,15 +249,12 @@ func TestCompiledBlocksPassDeployCheck(t *testing.T) {
 			cl := New(DefaultConfig(2), dist.ViewSchemas(prog), parts)
 			for _, dp := range dist.CompileProgram(prog, parts, level) {
 				for i := range dp.Blocks {
-					b, err := cl.prepare(&dp.Blocks[i])
+					b, err := cl.prepare(dp, &dp.Blocks[i])
 					if err != nil {
 						t.Fatalf("%s O%d: %v\n%s", q.Name, level, err, dp.Blocks[i])
 					}
 					if dp.Blocks[i].Mode != dist.LDist {
 						continue
-					}
-					if err := checkStmts(b.stmts, b.schemas); err != nil {
-						t.Fatalf("%s O%d: %v\n%s", q.Name, level, err, dp.Blocks[i])
 					}
 					blob := encodeDeploy(b.stmts, b.schemas)
 					got, err := decodeDeploy(b.id, blob)
@@ -273,11 +270,20 @@ func TestCompiledBlocksPassDeployCheck(t *testing.T) {
 	}
 }
 
+// mixedUnion is a statement whose tree reads b where only some union
+// terms bind it — Sum([b], (R(a,b) + S(a)) ⋈ T(b)) — with the schemas it
+// binds.
+func mixedUnion() ([]dist.Stmt, map[string]mring.Schema) {
+	rhs := expr.Sum([]string{"b"}, expr.Join(expr.Add(expr.View("R", "a", "b"), expr.View("S", "a")), expr.View("T", "b")))
+	return []dist.Stmt{{LHS: "X", RHS: rhs}}, map[string]mring.Schema{"X": {"b"}, "R": {"a", "b"}, "S": {"a"}, "T": {"b"}}
+}
+
 // TestDeployCheckRefusesMalformed pins that a deployment the interpreter
 // would panic on is refused at deploy time.
 func TestDeployCheckRefusesMalformed(t *testing.T) {
 	b := q3WorkerBlocks(t)[0]
 	s := b.stmts[0]
+	read := b.plans[s.RHS].Rels()[0]
 	schemas := func(drop string) map[string]mring.Schema {
 		out := map[string]mring.Schema{}
 		for k, v := range b.schemas {
@@ -287,6 +293,9 @@ func TestDeployCheckRefusesMalformed(t *testing.T) {
 		}
 		return out
 	}
+	wide := schemas("")
+	wide[read] = append(wide[read].Clone(), "extra")
+	mixed, mixedSchemas := mixedUnion()
 	for name, c := range map[string]struct {
 		stmts   []dist.Stmt
 		schemas map[string]mring.Schema
@@ -296,8 +305,11 @@ func TestDeployCheckRefusesMalformed(t *testing.T) {
 		"unbound variable":  {[]dist.Stmt{{LHS: s.LHS, RHS: expr.Sum([]string{"nope"}, s.RHS)}}, b.schemas},
 		"transformer":       {[]dist.Stmt{{LHS: s.LHS, RHS: &dist.Xform{Body: s.RHS}}}, b.schemas},
 		"arity into target": {[]dist.Stmt{{LHS: s.LHS, RHS: expr.Sum(nil, s.RHS)}}, b.schemas},
+		"mixed union":       {mixed, mixedSchemas},
+		"read no schema":    {b.stmts, schemas(read)},
+		"read at arity":     {b.stmts, wide},
 	} {
-		if err := checkStmts(c.stmts, c.schemas); err == nil {
+		if _, err := newBlock(1, dist.LDist, c.stmts, c.schemas); err == nil {
 			t.Errorf("%s: deployment accepted", name)
 		}
 	}

@@ -44,11 +44,17 @@ type Frag struct {
 	Payload []byte
 }
 
-// snapFrag encodes one relation. Empty relations with allocated tables
-// still snapshot (capacity shapes future layout); nil/never-touched ones
-// are skipped by callers.
-func snapFrag(r *mring.Relation) Frag {
-	return Frag{Schema: r.Schema().Clone(), Buckets: r.TableSize(), Payload: inet.EncodeRelationPlain(r)}
+// SnapshotRels encodes every relation carrying restorable state: a
+// worker's or the driver's fragments, or a local engine's views. Empty relations with allocated tables still snapshot (capacity
+// shapes future layout); nil and never-touched ones are skipped.
+func SnapshotRels(rels map[string]*mring.Relation) map[string]Frag {
+	out := map[string]Frag{}
+	for name, r := range rels {
+		if worthSnapshot(r) {
+			out[name] = Frag{Schema: r.Schema().Clone(), Buckets: r.TableSize(), Payload: inet.EncodeRelationPlain(r)}
+		}
+	}
+	return out
 }
 
 // worthSnapshot reports whether a relation carries restorable state.
@@ -140,19 +146,10 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 		return c.fail(err)
 	}
 	c.driver.setRels(driver)
-	// Forget what the driver prepared for the retired programs: their
-	// blocks and the schemas they registered. The workers dropped their
-	// deployed blocks in the restore call.
+	// Forget the blocks the driver prepared for the retired programs. The
+	// workers dropped their deployed blocks in the restore call.
 	clear(c.blocks)
 	clear(c.plans)
-	for name := range c.schemas {
-		if !c.declared[name] {
-			delete(c.schemas, name)
-		}
-	}
-	for name, r := range driver {
-		c.schemas[name] = r.Schema()
-	}
 	if cp.Parts != nil {
 		c.parts = cp.Parts
 	}

@@ -11,7 +11,7 @@
 // the far side. A transaction calls each worker once per step of a
 // program: one step per distributed block, with the transfers of the
 // driver statements around it riding its request and response.
-// Everything else — schema preparation, the step schedule, delta capture,
+// Everything else — block preparation, the step schedule, delta capture,
 // worker-index-ordered merges, the cost model, checkpoints, failure
 // poisoning — is the driver's, written once, so both deployments produce
 // bitwise-identical results by construction.
@@ -150,11 +150,6 @@ type Cluster struct {
 	// plans holds each program's plan, beside its blocks and retired with
 	// them.
 	plans map[*dist.DistProgram]*plan
-	// declared names the schemas the cluster was constructed with. Every
-	// other schema was registered by a running program, and is forgotten
-	// with the program: a recompiled program may reuse a temporary's name
-	// at another arity.
-	declared map[string]bool
 
 	// err is the poison: set by the first failed operation, returned by
 	// every operation after it.
@@ -177,6 +172,9 @@ type WorkerTiming struct {
 }
 
 // New creates a simulated cluster of in-process shards with empty state.
+// schemas names the views the cluster reads (WatchView, ViewContents) and
+// warm-loads (WarmViews); the schemas a program's blocks bind come from
+// the program (dist.DistProgram.Schemas).
 func New(cfg Config, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
 	if cfg.Workers <= 0 {
 		panic("cluster: need at least one worker")
@@ -189,10 +187,6 @@ func New(cfg Config, schemas map[string]mring.Schema, parts dist.PartInfo) *Clus
 }
 
 func newCluster(cfg Config, ws []worker, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
-	declared := make(map[string]bool, len(schemas))
-	for name := range schemas {
-		declared[name] = true
-	}
 	return &Cluster{
 		cfg:           cfg,
 		driver:        newNode(),
@@ -203,7 +197,6 @@ func newCluster(cfg Config, ws []worker, schemas map[string]mring.Schema, parts 
 		workerStages:  make([]int, len(ws)),
 		blocks:        make(map[*dist.Block]*block),
 		plans:         make(map[*dist.DistProgram]*plan),
-		declared:      declared,
 		committed:     make(map[string]*mring.Relation),
 	}
 }
@@ -385,7 +378,10 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 		if rel == nil {
 			continue
 		}
-		schema := c.schemaOf(name, rel.Schema())
+		schema, ok := c.schemas[name]
+		if !ok {
+			return fmt.Errorf("cluster: warm load of unknown view %q", name)
+		}
 		loc := c.parts[name]
 		frags := make([]rows, len(c.workers))
 		switch {
@@ -426,17 +422,6 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 	return nil
 }
 
-// schemaOf returns the schema for a view/delta name, falling back to the
-// partitioning key when unknown (temp views register lazily on first
-// write).
-func (c *Cluster) schemaOf(name string, fallback mring.Schema) mring.Schema {
-	if s, ok := c.schemas[name]; ok {
-		return s
-	}
-	c.schemas[name] = fallback.Clone()
-	return c.schemas[name]
-}
-
 // ready checks a program can run: it exists and the cluster is healthy.
 func (c *Cluster) ready(prog *dist.DistProgram) error {
 	if prog == nil {
@@ -459,14 +444,13 @@ func (c *Cluster) RunPartitioned(prog *dist.DistProgram, partsOfBatch []*mring.R
 		return Metrics{}, fmt.Errorf("cluster: got %d batch partitions for %d workers", len(partsOfBatch), len(c.workers))
 	}
 	frags := make([]rows, len(c.workers))
-	dn := eval.DeltaName(prog.Relation)
+	schema := prog.Schemas[eval.DeltaName(prog.Relation)]
 	for i, p := range partsOfBatch {
 		if p != nil {
-			frags[i] = p
-			c.schemas[dn] = p.Schema()
+			frags[i], schema = p, p.Schema()
 		}
 	}
-	return c.runBlocks(prog, frags)
+	return c.runBlocks(prog, schema, frags)
 }
 
 // RunPartitionedBatch deals a driver-resident batch round-robin over the
@@ -478,7 +462,6 @@ func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relat
 	if err := c.ready(prog); err != nil {
 		return Metrics{}, err
 	}
-	c.schemas[eval.DeltaName(prog.Relation)] = batch.Schema()
 	n := len(c.workers)
 	deals := make([]rowList, n)
 	for i := range deals {
@@ -493,15 +476,15 @@ func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relat
 	for i := range deals {
 		frags[i] = deals[i]
 	}
-	return c.runBlocks(prog, frags)
+	return c.runBlocks(prog, batch.Schema(), frags)
 }
 
-// runBlocks runs a program, with one delta fragment dealt to each worker,
-// as its plan's steps: the deal and the installs of each stretch of
-// driver statements ride the next step's request, and the worker reads
-// of driver statements ride the previous step's response, so each worker
-// serves one round trip per step.
-func (c *Cluster) runBlocks(prog *dist.DistProgram, deal []rows) (Metrics, error) {
+// runBlocks runs a program, with one delta fragment of the given schema
+// dealt to each worker, as its plan's steps: the deal and the installs of
+// each stretch of driver statements ride the next step's request, and the
+// worker reads of driver statements ride the previous step's response, so
+// each worker serves one round trip per step.
+func (c *Cluster) runBlocks(prog *dist.DistProgram, schema mring.Schema, deal []rows) (Metrics, error) {
 	var m Metrics
 	m.Stages = prog.Stages()
 	m.Jobs = prog.Jobs()
@@ -510,8 +493,7 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram, deal []rows) (Metrics, error
 		return m, c.fail(err)
 	}
 	r := &run{plan: p, reqs: make([]stageReq, len(c.workers))}
-	dn := eval.DeltaName(prog.Relation)
-	r.queue(install{kind: installReplace, name: dn, schema: c.schemas[dn]}, func(i int) []rows { return deal[i : i+1] })
+	r.queue(install{kind: installReplace, name: eval.DeltaName(prog.Relation), schema: schema}, func(i int) []rows { return deal[i : i+1] })
 	for i, b := range p.blocks {
 		if prog.Blocks[i].Mode == dist.LDist {
 			err = c.runDistBlock(r, b, &m)
@@ -535,28 +517,30 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram, deal []rows) (Metrics, error
 }
 
 // prepare returns a program block prepared for execution, preparing it
-// the first time the driver meets it: its schemas registered, the subset
-// its statements bind, its statements' plans, a fresh id, and — for a
-// distributed block on process workers — its deploy blob. A block stays
-// prepared until a Restore retires its program, so every
-// program a caller runs in between is held once, however often it runs.
-func (c *Cluster) prepare(b *dist.Block) (*block, error) {
+// the first time the driver meets it: the program's schemas of the names
+// its statements read and write, its statements checked and lowered
+// (newBlock), a fresh id, and — for a distributed block on process
+// workers — its deploy blob. A block stays prepared until a Restore
+// retires its program, so every program a caller runs in between is held
+// once, however often it runs.
+func (c *Cluster) prepare(prog *dist.DistProgram, b *dist.Block) (*block, error) {
 	if p := c.blocks[b]; p != nil {
 		return p, nil
 	}
-	c.prepareStmts(b.Stmts)
 	schemas := make(map[string]mring.Schema)
 	bind := func(name string) {
-		if s, ok := c.schemas[name]; ok {
+		if s, ok := prog.Schemas[name]; ok {
 			schemas[name] = s
 		}
 	}
 	for _, s := range b.Stmts {
-		walkRefs(s.RHS, func(r *expr.Rel) { bind(eval.RelEnvName(r)) })
+		for name := range s.Reads() {
+			bind(name)
+		}
 		bind(s.LHS)
 	}
 	c.nextID++
-	p, err := newBlock(c.nextID, b.Stmts, schemas)
+	p, err := newBlock(c.nextID, b.Mode, b.Stmts, schemas)
 	if err != nil {
 		return nil, err
 	}
@@ -565,28 +549,6 @@ func (c *Cluster) prepare(b *dist.Block) (*block, error) {
 	}
 	c.blocks[b] = p
 	return p, nil
-}
-
-// prepareStmts resolves every schema a block's statements may register, in
-// statement order, before any worker runs. Workers then only read the
-// schemas their block binds; all lazy registration happens here, on the
-// driver thread.
-func (c *Cluster) prepareStmts(stmts []dist.Stmt) {
-	for _, s := range stmts {
-		walkRefs(s.RHS, func(r *expr.Rel) {
-			name := eval.RelEnvName(r)
-			if _, ok := c.schemas[name]; !ok {
-				c.schemas[name] = r.Cols.Clone()
-			}
-		})
-		if x, ok := s.RHS.(*dist.Xform); ok {
-			if src, ok := x.Body.(*expr.Rel); ok {
-				c.schemaOf(s.LHS, c.schemaOf(eval.RelEnvName(src), src.Cols))
-			}
-			continue
-		}
-		c.schemaOf(s.LHS, s.RHS.Schema())
-	}
 }
 
 // plan is a program scheduled as steps, each one stage call per worker: a
@@ -663,7 +625,7 @@ func (c *Cluster) planOf(prog *dist.DistProgram) (*plan, error) {
 	for i := range prog.Blocks {
 		b := &prog.Blocks[i]
 		var err error
-		if p.blocks[i], err = c.prepare(b); err != nil {
+		if p.blocks[i], err = c.prepare(prog, b); err != nil {
 			return nil, err
 		}
 		if b.Mode == dist.LDist {
@@ -677,7 +639,7 @@ func (c *Cluster) planOf(prog *dist.DistProgram) (*plan, error) {
 				written(s.LHS)
 				continue
 			}
-			t, err := c.resolve(s.LHS, x)
+			t, err := resolve(prog.Schemas, s.LHS, x)
 			if err != nil {
 				return nil, err
 			}
@@ -715,16 +677,13 @@ func (c *Cluster) planOf(prog *dist.DistProgram) (*plan, error) {
 	return p, nil
 }
 
-// resolve prepares one transformer statement: its source, its schemas
-// (registering them lazily) and its key positions in the source.
-func (c *Cluster) resolve(lhs string, x *dist.Xform) (*transfer, error) {
-	src, ok := x.Body.(*expr.Rel)
-	if !ok {
-		return nil, fmt.Errorf("cluster: transformer body is not a view reference: %s", x)
-	}
+// resolve prepares one transformer statement of a prepared block (its
+// relations checked): its source, its schemas and its key positions in
+// the source.
+func resolve(schemas map[string]mring.Schema, lhs string, x *dist.Xform) (*transfer, error) {
+	src := x.Body.(*expr.Rel)
 	t := &transfer{kind: x.Kind, src: eval.RelEnvName(src), lhs: lhs}
-	t.srcSchema = c.schemaOf(t.src, src.Cols)
-	t.lhsSchema = c.schemaOf(lhs, t.srcSchema)
+	t.srcSchema, t.lhsSchema = schemas[t.src], schemas[lhs]
 	t.keyPos = make([]int, len(x.Key))
 	for i, k := range x.Key {
 		p := src.Cols.Index(k)
@@ -899,9 +858,9 @@ func (c *Cluster) runLocalBlock(r *run, b *block, xfers []*transfer, m *Metrics)
 // runDistBlock executes one stage: every worker runs the block's
 // statements over its fragments (process workers concurrently), and the
 // stage closes when all have answered (the platform's synchronous-round
-// model). Worker state is shared-nothing, and all schema registration
-// happens in prepare before the first fan-out, so the workers race on
-// nothing; results are bit-identical to sequential execution because
+// model). Worker state is shared-nothing, and the schemas a block binds
+// are fixed when it is prepared, before the first fan-out, so the workers
+// race on nothing; results are bit-identical to sequential execution because
 // each worker's own statement order is unchanged and per-worker outcomes
 // — stats, compute, and the change sinks of watched views — are merged in
 // worker-index order after the barrier. Stage latency is the scheduling
@@ -1115,33 +1074,6 @@ func (c *Cluster) read(r *run, t *transfer) ([][]rows, error) {
 	}
 	r.read++
 	return outs, nil
-}
-
-// walkRefs visits every relational reference in an expression (descending
-// into transformer bodies, though compute statements carry none).
-func walkRefs(e expr.Expr, f func(*expr.Rel)) {
-	switch x := e.(type) {
-	case *dist.Xform:
-		walkRefs(x.Body, f)
-	case *expr.Rel:
-		f(x)
-	case *expr.Plus:
-		for _, t := range x.Terms {
-			walkRefs(t, f)
-		}
-	case *expr.Mul:
-		for _, t := range x.Factors {
-			walkRefs(t, f)
-		}
-	case *expr.Agg:
-		walkRefs(x.Body, f)
-	case *expr.Assign:
-		if x.Q != nil {
-			walkRefs(x.Q, f)
-		}
-	case *expr.Exists:
-		walkRefs(x.Body, f)
-	}
 }
 
 // ViewContents reconstructs the full logical contents of a view by

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -74,7 +75,7 @@ func TestExchangeLandsBeforeBlocks(t *testing.T) {
 		{Mode: dist.LDist, Stmts: []dist.Stmt{
 			{LHS: "T", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "b", "a"))},
 			{LHS: "V", Op: eval.OpAdd, RHS: expr.View("U", "a")}}},
-	}}
+	}, Schemas: map[string]mring.Schema{eval.DeltaName("R"): {"a", "b"}, "T": {"a"}, "U": {"a"}, "V": {"a"}}}
 	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "T": dist.Random, "U": dist.Dist("a"), "V": dist.Dist("a")}
 	schemas := func() map[string]mring.Schema { return map[string]mring.Schema{"U": {"a"}, "V": {"a"}} }
 	sim, proc := runOnBothKinds(t, prog, parts, schemas)
@@ -93,7 +94,7 @@ func TestExchangeInPlace(t *testing.T) {
 			{LHS: "T", Op: eval.OpSet, RHS: &dist.Xform{Kind: dist.XRepart, Key: []string{"a"}, Body: expr.View("T", "a")}}}},
 		{Mode: dist.LDist, Stmts: []dist.Stmt{
 			{LHS: "V", Op: eval.OpAdd, RHS: expr.View("T", "a")}}},
-	}}
+	}, Schemas: map[string]mring.Schema{eval.DeltaName("R"): {"a", "b"}, "T": {"a"}, "V": {"a"}}}
 	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "T": dist.Dist("a"), "V": dist.Dist("a")}
 	schemas := func() map[string]mring.Schema { return map[string]mring.Schema{"T": {"a"}, "V": {"a"}} }
 	sim, proc := runOnBothKinds(t, prog, parts, schemas)
@@ -117,7 +118,8 @@ func TestScatterOfRewrittenDriverRelation(t *testing.T) {
 			{LHS: "G", Op: eval.OpSet, RHS: expr.View("H", "a")}}},
 		{Mode: dist.LDist, Stmts: []dist.Stmt{
 			{LHS: "V", Op: eval.OpAdd, RHS: expr.View("S", "a")}}},
-	}}
+	}, Schemas: map[string]mring.Schema{eval.DeltaName("R"): {"a", "b"}, "T": {"a"}, "T2": {"a"},
+		"G": {"a"}, "H": {"a"}, "S": {"a"}, "V": {"a"}}}
 	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "T": dist.Random, "T2": dist.Random,
 		"G": dist.Local, "H": dist.Local, "S": dist.Dist("a"), "V": dist.Dist("a")}
 	schemas := func() map[string]mring.Schema { return map[string]mring.Schema{"S": {"a"}, "V": {"a"}} }
@@ -134,7 +136,7 @@ func TestRunPartitionedLeavesCallerBatches(t *testing.T) {
 	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
 		{Mode: dist.LDist, Stmts: []dist.Stmt{
 			{LHS: "V", Op: eval.OpAdd, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "a", "b"))}}},
-	}}
+	}, Schemas: map[string]mring.Schema{eval.DeltaName("R"): {"a", "b"}, "V": {"a"}}}
 	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "V": dist.Dist("a")}
 	cl := New(DefaultConfig(2), map[string]mring.Schema{"V": {"a"}}, parts)
 	batch := landingBatch()
@@ -162,5 +164,43 @@ func TestRunPartitionedLeavesCallerBatches(t *testing.T) {
 	want.Add(tup(100), 1)
 	if got := cl.ViewContents("V"); !got.Equal(want) {
 		t.Fatalf("V = %v, want %v", got, want)
+	}
+}
+
+// TestUndeclaredRelationRefused pins that a program reading a relation it
+// declares no schema for is refused before any install lands, with the
+// same error on in-process shards and on process workers.
+func TestUndeclaredRelationRefused(t *testing.T) {
+	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
+		{Mode: dist.LDist, Stmts: []dist.Stmt{
+			{LHS: "V", Op: eval.OpAdd, RHS: expr.Sum([]string{"a"}, expr.Join(expr.Delta("R", "a", "b"), expr.View("Q", "a")))}}},
+	}, Schemas: map[string]mring.Schema{eval.DeltaName("R"): {"a", "b"}, "V": {"a"}}}
+	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "V": dist.Dist("a")}
+	sim := New(DefaultConfig(2), map[string]mring.Schema{"V": {"a"}}, parts)
+	lb := newLoopback(2)
+	proc, err := Connect(lb, lb.addrs(), map[string]mring.Schema{"V": {"a"}}, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs []string
+	for _, c := range []*Cluster{sim, proc} {
+		_, err := c.RunPartitionedBatch(prog, landingBatch())
+		if err == nil || !strings.Contains(err.Error(), `relation "Q" without schema`) {
+			t.Fatalf("run reading an undeclared relation returned %v", err)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Fatalf("in-process shards refused with %q, process workers with %q", errs[0], errs[1])
+	}
+	for i, w := range sim.workers {
+		if n := len(w.(*Shard).rels); n != 0 {
+			t.Fatalf("in-process shard %d holds %d fragments", i, n)
+		}
+	}
+	for i, sh := range lb.shards {
+		if n := len(sh.rels); n != 0 || lb.requests[i] != 1 {
+			t.Fatalf("process worker %d holds %d fragments after %d requests, want none after its setup", i, n, lb.requests[i])
+		}
 	}
 }

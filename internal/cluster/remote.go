@@ -11,8 +11,9 @@ import (
 )
 
 // Connect dials the worker processes at addrs over tr, assigns each its
-// index, and returns the driver over them. The schemas map is shared with
-// the caller and mutated by lazy registration, exactly as with New. The
+// index, and returns the driver over them. As with New, the schemas map
+// names the views the cluster reads and warm-loads; each program carries
+// the schemas its blocks bind, and the cluster writes to neither. The
 // cost model runs with no platform terms and measured compute: Metrics
 // report each worker's own measured stage time and the driver's wall
 // time, and real payload sizes.

@@ -50,7 +50,7 @@ func handleSafely(sh *Shard, op byte, body []byte) (resp message, err error) {
 // response body (nil: empty) — the worker-process side of every
 // remoteWorker call. Malformed or hostile requests return errors: bodies
 // go through the bounds-checked internal/wire codec, payloads through the
-// hardened internal/net decoders, deploy blobs through checkStmts. A
+// hardened internal/net decoders, deploy blobs through newBlock's check. A
 // stage is refused before its first install lands when its deploy blob
 // fails the check, its block id is not deployed, or a payload's arity
 // differs from its target's.

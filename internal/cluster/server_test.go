@@ -35,7 +35,7 @@ func q3WorkerBlocks(t testing.TB) []*block {
 			if dp.Blocks[i].Mode != dist.LDist {
 				continue
 			}
-			b, err := driver.prepare(&dp.Blocks[i])
+			b, err := driver.prepare(dp, &dp.Blocks[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,8 +125,9 @@ func fuzzShard() (*Shard, *mring.Relation) {
 // fails the fuzzer. The seeds are one real request per op, and one stage
 // of each shape: a deal only; installs, a run that deploys a Q3 block and
 // outputs; outputs only; scatter and repartition installs that capture;
-// a run naming an id the shard never saw; and a payload of the wrong
-// arity.
+// a run naming an id the shard never saw; a payload of the wrong arity;
+// and deployments of a mixed-union tree and of a block reading a
+// relation at another arity.
 func FuzzServeRequest(f *testing.F) {
 	blocks := q3WorkerBlocks(f)
 	sh, r := fuzzShard()
@@ -140,6 +141,11 @@ func FuzzServeRequest(f *testing.F) {
 	watch := []string{blocks[0].stmts[0].LHS}
 	outputs := []output{{src: "R", schema: schema}, {src: "R", schema: schema, split: true, keyPos: []int{1}}}
 	deal := install{kind: installReplace, name: "S", schema: schema, from: []rows{p}}
+	mixed, mixedSchemas := mixedUnion()
+	wide := map[string]mring.Schema{}
+	for name, s := range blocks[0].schemas {
+		wide[name] = append(s.Clone(), "extra")
+	}
 	for _, seed := range []struct {
 		op  byte
 		msg message
@@ -152,6 +158,8 @@ func FuzzServeRequest(f *testing.F) {
 		{opStage, &stageReq{installs: []install{{kind: installRepart, name: "S", schema: schema, from: []rows{p, nil}, capture: true}}}},
 		{opStage, &stageReq{installs: []install{deal}, block: &block{id: 1 << 40}, watch: watch}},
 		{opStage, &stageReq{installs: []install{{kind: installScatter, name: "R", schema: schema[:1], from: []rows{p}}}}},
+		{opStage, &stageReq{block: &block{id: 2}, deploy: encodeDeploy(mixed, mixedSchemas)}},
+		{opStage, &stageReq{block: &block{id: 3}, deploy: encodeDeploy(blocks[0].stmts, wide)}},
 		{opFetch, &fetchReq{Name: "R", Schema: schema}},
 		{opSnapshot, nil},
 		{opRestore, &snapshotMsg{Frags: snap}},
@@ -168,7 +176,7 @@ func FuzzServeRequest(f *testing.F) {
 }
 
 // TestRefusedStageChangesNothing pins that a stage is refused whole,
-// before its first install lands: a deploy blob that fails checkStmts, a
+// before its first install lands: a deploy blob that fails its check, a
 // block id the shard never deployed, a payload whose arity differs from
 // its install's schema, an install into a fragment of another arity, and
 // more exchange pieces than maxPieces each fail a request whose first

@@ -241,15 +241,7 @@ func (n *node) rel(name string, schema mring.Schema) *mring.Relation {
 
 // snapshot encodes every fragment carrying restorable state, including
 // empty-but-sized ones, so a restore reproduces the physical layout.
-func (n *node) snapshot() map[string]Frag {
-	out := map[string]Frag{}
-	for name, r := range n.rels {
-		if worthSnapshot(r) {
-			out[name] = snapFrag(r)
-		}
-	}
-	return out
-}
+func (n *node) snapshot() map[string]Frag { return SnapshotRels(n.rels) }
 
 // runStmtOn evaluates one of a block's compute statements against one
 // node's state through the block's plans, and returns the evaluation

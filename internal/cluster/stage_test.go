@@ -104,11 +104,12 @@ func TestTransferOnlySteps(t *testing.T) {
 			{LHS: "V", Op: eval.OpAdd, RHS: expr.View("S", "a")}}},
 		{Mode: dist.LLocal, Stmts: []dist.Stmt{
 			{LHS: "W", Op: eval.OpSet, RHS: xf(dist.XScatter, []string{"a"}, "G")}}},
-	}}
+	}, Schemas: map[string]mring.Schema{eval.DeltaName("R"): {"a", "b"}, "T": {"a"}, "G0": {"a"},
+		"S": {"a"}, "G": {"a"}, "V": {"a"}, "W": {"a"}}}
 	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "T": dist.Random, "G0": dist.Local,
 		"S": dist.Dist("a"), "G": dist.Local, "V": dist.Dist("a"), "W": dist.Dist("a")}
 	lb := newLoopback(2)
-	cl, err := Connect(lb, lb.addrs(), map[string]mring.Schema{"V": {"a"}}, parts)
+	cl, err := Connect(lb, lb.addrs(), map[string]mring.Schema{"V": {"a"}, "G": {"a"}, "W": {"a"}}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -546,53 +546,5 @@ func (c *compiler) orderTrigger(t *Trigger) {
 		}
 		return vi.creation < vj.creation
 	})
-	// Kahn's algorithm on edges: A -> B when A reads B.LHS (A must run
-	// while B's LHS is still pre-update).
-	n := len(adds)
-	succ := make([][]int, n)
-	indeg := make([]int, n)
-	lhsIdx := make(map[string]int, n)
-	for i, s := range adds {
-		lhsIdx[s.LHS] = i
-	}
-	for i, s := range adds {
-		for _, read := range StatementsReading(s) {
-			if j, ok := lhsIdx[read]; ok && j != i {
-				succ[i] = append(succ[i], j)
-				indeg[j]++
-			}
-		}
-	}
-	var order []int
-	avail := make([]int, 0, n)
-	used := make([]bool, n)
-	for len(order) < n {
-		avail = avail[:0]
-		for i := 0; i < n; i++ {
-			if !used[i] && indeg[i] == 0 {
-				avail = append(avail, i)
-			}
-		}
-		if len(avail) == 0 {
-			// Cycle (should not happen): fall back to the pre-sort order.
-			for i := 0; i < n; i++ {
-				if !used[i] {
-					avail = append(avail, i)
-					break
-				}
-			}
-		}
-		i := avail[0] // pre-sorted order preference
-		used[i] = true
-		order = append(order, i)
-		for _, j := range succ[i] {
-			indeg[j]--
-		}
-	}
-	sorted := make([]Stmt, 0, len(t.Stmts))
-	for _, i := range order {
-		sorted = append(sorted, adds[i])
-	}
-	sorted = append(sorted, sets...)
-	t.Stmts = sorted
+	t.Stmts = append(readersFirst(adds), sets...)
 }

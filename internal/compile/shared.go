@@ -211,16 +211,25 @@ func orderMergedStmts(views map[string]*ViewDef, stmts []Stmt) []Stmt {
 			adds = append(adds, s)
 		}
 	}
-	n := len(adds)
+	return append(append(pre, readersFirst(adds)...), sets...)
+}
+
+// readersFirst orders maintenance statements so that each runs before the
+// statements that refresh the views it reads: Kahn's algorithm on the
+// read graph, always picking the lowest-index ready statement, so an
+// order that already satisfies the graph comes out unchanged. On a cycle
+// (which should not happen) it takes the lowest-index statement left.
+func readersFirst(stmts []Stmt) []Stmt {
+	n := len(stmts)
 	lhsIdx := make(map[string]int, n)
-	for i, s := range adds {
+	for i, s := range stmts {
 		lhsIdx[s.LHS] = i
 	}
 	// Edges: A -> B when A reads B.LHS (A must run while B's target is
 	// still pre-update).
 	succ := make([][]int, n)
 	indeg := make([]int, n)
-	for i, s := range adds {
+	for i, s := range stmts {
 		for _, read := range StatementsReading(s) {
 			if j, ok := lhsIdx[read]; ok && j != i {
 				succ[i] = append(succ[i], j)
@@ -228,30 +237,25 @@ func orderMergedStmts(views map[string]*ViewDef, stmts []Stmt) []Stmt {
 			}
 		}
 	}
-	ordered := pre
+	out := make([]Stmt, 0, n)
 	used := make([]bool, n)
-	for k := 0; k < n; k++ {
+	for range stmts {
 		pick := -1
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && pick < 0; i++ {
 			if !used[i] && indeg[i] == 0 {
 				pick = i
-				break
 			}
 		}
-		if pick < 0 {
-			// Cycle (should not happen): fall back to registration order.
-			for i := 0; i < n; i++ {
-				if !used[i] {
-					pick = i
-					break
-				}
+		for i := 0; i < n && pick < 0; i++ {
+			if !used[i] {
+				pick = i
 			}
 		}
 		used[pick] = true
-		ordered = append(ordered, adds[pick])
+		out = append(out, stmts[pick])
 		for _, j := range succ[pick] {
 			indeg[j]--
 		}
 	}
-	return append(ordered, sets...)
+	return out
 }

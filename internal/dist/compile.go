@@ -70,6 +70,7 @@ func compileTrigger(prog *compile.Program, trg *compile.Trigger, parts PartInfo,
 		Level:    level,
 		Blocks:   tc.blocks,
 		Parts:    tc.cur,
+		Schemas:  tc.schemas,
 	}
 	if level >= O3 {
 		dp.Blocks = FuseBlocks(dp.Blocks)

@@ -184,6 +184,23 @@ func (s Stmt) String() string {
 	return fmt.Sprintf("%s %s %s", s.LHS, s.Op, s.RHS)
 }
 
+// Reads returns the environment names a statement reads (descending
+// into transformer bodies).
+func (s Stmt) Reads() map[string]bool {
+	reads := map[string]bool{}
+	body := s.RHS
+	if x, ok := body.(*Xform); ok {
+		body = x.Body
+	}
+	expr.Walk(body, func(n expr.Expr) bool {
+		if r, ok := n.(*expr.Rel); ok {
+			reads[eval.RelEnvName(r)] = true
+		}
+		return true
+	})
+	return reads
+}
+
 // IsXform reports whether the statement is a data-movement transformer.
 func (s Stmt) IsXform() bool {
 	_, ok := s.RHS.(*Xform)
@@ -247,6 +264,10 @@ type DistProgram struct {
 	// Parts locates every relation the program touches: the canonical
 	// view locations plus the movement temporaries.
 	Parts PartInfo
+	// Schemas holds the schema of every relation the program may read or
+	// write: every view of the compiled program, the Δ batches under
+	// their Δ-names, and this program's movement temporaries.
+	Schemas map[string]mring.Schema
 }
 
 // Stages counts the distributed stages (LDist blocks): each is one

@@ -151,13 +151,56 @@ func TestFuseBlocksPreservesDependencies(t *testing.T) {
 		written[eval.DeltaName(rel)] = true
 		for _, b := range dp.Blocks {
 			for _, s := range b.Stmts {
-				for name := range stmtReads(s) {
+				for name := range s.Reads() {
 					if !written[name] {
 						t.Fatalf("%s: statement %q reads %q before it is written\n%s",
 							rel, s, name, dp)
 					}
 				}
 				written[s.LHS] = true
+			}
+		}
+	}
+}
+
+// TestProgramSchemasCoverEveryReference pins that a distributed program
+// declares every relation it touches, for every TPC-H query at every
+// level: each statement's target and each relation it reads has a schema
+// in Schemas of the arity the statement references it at.
+func TestProgramSchemasCoverEveryReference(t *testing.T) {
+	for _, q := range tpch.Queries() {
+		prog, err := compile.Compile(q.Name, q.Def, q.BaseSchemas(), compile.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := ChoosePartitioning(prog, tpch.PrimaryKeyRanks)
+		for _, level := range []OptLevel{O0, O1, O2, O3} {
+			for rel, dp := range CompileProgram(prog, parts, level) {
+				check := func(s Stmt, name string, arity int) {
+					if got, ok := dp.Schemas[name]; !ok || len(got) != arity {
+						t.Fatalf("%s O%d %s: statement %s references %q at arity %d, Schemas has %v (declared %v)",
+							q.Name, level, rel, s, name, arity, got, ok)
+					}
+				}
+				for _, b := range dp.Blocks {
+					for _, s := range b.Stmts {
+						check(s, s.LHS, len(s.RHS.Schema()))
+						arity := map[string]int{}
+						body := s.RHS
+						if x, ok := body.(*Xform); ok {
+							body = x.Body
+						}
+						expr.Walk(body, func(n expr.Expr) bool {
+							if r, ok := n.(*expr.Rel); ok {
+								arity[eval.RelEnvName(r)] = len(r.Cols)
+							}
+							return true
+						})
+						for name := range s.Reads() {
+							check(s, name, arity[name])
+						}
+					}
+				}
 			}
 		}
 	}

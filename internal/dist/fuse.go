@@ -1,10 +1,5 @@
 package dist
 
-import (
-	"repro/internal/eval"
-	"repro/internal/expr"
-)
-
 // FuseBlocks is the block-fusion pass of App. C.3 (the O3 optimization):
 // it reorders statements within their data dependencies to merge blocks
 // of the same execution mode, minimizing the number of synchronization
@@ -23,7 +18,7 @@ func FuseBlocks(blocks []Block) []Block {
 	var nodes []*node
 	for _, b := range blocks {
 		for _, s := range b.Stmts {
-			n := &node{mode: b.Mode, stmt: s, reads: stmtReads(s), writes: s.LHS}
+			n := &node{mode: b.Mode, stmt: s, reads: s.Reads(), writes: s.LHS}
 			nodes = append(nodes, n)
 		}
 	}
@@ -85,25 +80,4 @@ func FuseBlocks(blocks []Block) []Block {
 		}
 	}
 	return out
-}
-
-// stmtReads returns the environment names a statement reads (descending
-// into transformer bodies).
-func stmtReads(s Stmt) map[string]bool {
-	reads := map[string]bool{}
-	var walk func(e expr.Expr)
-	walk = func(e expr.Expr) {
-		if x, ok := e.(*Xform); ok {
-			walk(x.Body)
-			return
-		}
-		expr.Walk(e, func(n expr.Expr) bool {
-			if r, ok := n.(*expr.Rel); ok {
-				reads[eval.RelEnvName(r)] = true
-			}
-			return true
-		})
-	}
-	walk(s.RHS)
-	return reads
 }
