@@ -11,6 +11,12 @@
 //	-sf float      TPC-H/DS scale factor (default 0.5)
 //	-quick         shrink distributed sweeps for a fast pass
 //	-queries list  comma-separated query filter for local experiments
+//
+// Every experiment runs the engine's own paths (see internal/bench):
+// the local ones stream batches through compile.Executor, single-tuple
+// columns as one-event batches, and the distributed ones enter each
+// batch through cluster.RunPartitionedBatch and report the cluster's
+// virtual time. table2 reports counted work per streamed tuple.
 package main
 
 import (

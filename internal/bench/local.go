@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cachesim"
 	"repro/internal/compile"
 	"repro/internal/expr"
 	"repro/internal/mring"
@@ -38,47 +37,61 @@ func (c LocalConfig) wants(name string) bool {
 	return false
 }
 
-// runLocalStream streams a TPC-H query's workload through an executor
-// and returns (tuples processed, wall time).
-func runLocalStream(q tpch.Query, sf float64, seed int64, batchSize int, singleTuple bool, opts compile.Options) (int, time.Duration, error) {
-	prog, err := compile.Compile(q.Name, q.Def, q.BaseSchemas(), opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	ex := compile.NewExecutor(prog)
-	ex.SingleTuple = singleTuple
-	gen := tpch.NewGenerator(sf, seed)
-	init := map[string]*mring.Relation{}
+// startTables returns q's base tables before its stream: the static
+// dimensions (nation, region) drawn from gen, every stream table empty.
+func startTables(q tpch.Query, gen *tpch.Generator) map[string]*mring.Relation {
+	out := map[string]*mring.Relation{}
 	for _, tbl := range q.Tables {
 		if tbl == tpch.Nation || tbl == tpch.Region {
-			init[tbl] = gen.Static(tbl)
+			out[tbl] = gen.Static(tbl)
 		} else {
-			init[tbl] = mring.NewRelation(tpch.Schemas[tbl])
+			out[tbl] = mring.NewRelation(tpch.Schemas[tbl])
 		}
 	}
-	ex.InitFromBases(init)
-	stream := tpch.NewStream(gen, q.Tables)
+	return out
+}
+
+// streamQuery hands apply up to maxBatches chunks of batchSize events of
+// stream (the whole stream when maxBatches is 0), one table batch at a
+// time, and returns the events handed over and the time it took.
+func streamQuery(stream *tpch.Stream, batchSize, maxBatches int, apply func(table string, batch *mring.Relation)) (int, time.Duration) {
 	tuples := 0
 	start := time.Now()
-	for {
+	for b := 0; maxBatches == 0 || b < maxBatches; b++ {
 		bs := stream.NextBatches(batchSize)
 		if len(bs) == 0 {
 			break
 		}
-		for _, b := range bs {
-			n := b.Rel.Len()
-			ex.ApplyBatch(b.Table, b.Rel)
-			tuples += n
+		for _, tb := range bs {
+			tuples += tb.Rel.Len()
+			apply(tb.Table, tb.Rel)
 		}
 	}
-	return tuples, time.Since(start), nil
+	return tuples, time.Since(start)
+}
+
+// runLocalStream compiles a TPC-H query with opts, starts it from its
+// start tables and streams its whole workload at sf through it in
+// batches of batchSize events. It returns the executor with the tuples
+// streamed and the time they took.
+func runLocalStream(q tpch.Query, sf float64, seed int64, batchSize int, opts compile.Options) (*compile.Executor, int, time.Duration, error) {
+	prog, err := compile.Compile(q.Name, q.Def, q.BaseSchemas(), opts)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	ex := compile.NewExecutor(prog)
+	gen := tpch.NewGenerator(sf, seed)
+	ex.InitFromBases(startTables(q, gen))
+	n, d := streamQuery(tpch.NewStream(gen, q.Tables), batchSize, 0, ex.ApplyBatch)
+	return ex, n, d, nil
 }
 
 // Fig7 reproduces the normalized-throughput-vs-batch-size experiment for
-// the TPC-H queries (single-tuple execution = 1.0).
+// the TPC-H queries. Single-tuple execution (= 1.0) is the same stream in
+// one-event batches.
 func Fig7(cfg LocalConfig) (*Table, error) {
 	t := &Table{
-		Title:   "Figure 7: normalized throughput of TPC-H queries per batch size (baseline = single-tuple)",
+		Title:   "Figure 7: normalized throughput of TPC-H queries per batch size (baseline = single-tuple, one-event batches)",
 		Columns: []string{"query"},
 		Notes: "paper shape: ~half the queries peak at or below 1x (single-tuple wins); " +
 			"batch pre-aggregation queries (Q1, Q20, Q22) gain large factors; peaks fall at 1k-10k",
@@ -90,14 +103,14 @@ func Fig7(cfg LocalConfig) (*Table, error) {
 		if !cfg.wants(q.Name) {
 			continue
 		}
-		n, base, err := runLocalStream(q, cfg.SF, cfg.Seed, 1, true, compile.DefaultOptions())
+		_, n, base, err := runLocalStream(q, cfg.SF, cfg.Seed, 1, compile.DefaultOptions())
 		if err != nil {
 			return nil, fmt.Errorf("%s single-tuple: %w", q.Name, err)
 		}
 		baseTput := float64(n) / base.Seconds()
 		row := []string{q.Name}
 		for _, bs := range BatchSizes {
-			n2, dur, err := runLocalStream(q, cfg.SF, cfg.Seed, bs, false, compile.DefaultOptions())
+			_, n2, dur, err := runLocalStream(q, cfg.SF, cfg.Seed, bs, compile.DefaultOptions())
 			if err != nil {
 				return nil, fmt.Errorf("%s bs=%d: %w", q.Name, bs, err)
 			}
@@ -111,7 +124,7 @@ func Fig7(cfg LocalConfig) (*Table, error) {
 // Fig12 is the TPC-DS variant of Fig7.
 func Fig12(cfg LocalConfig) (*Table, error) {
 	t := &Table{
-		Title:   "Figure 12: normalized throughput of TPC-DS queries per batch size (baseline = single-tuple)",
+		Title:   "Figure 12: normalized throughput of TPC-DS queries per batch size (baseline = single-tuple, one-event batches)",
 		Columns: []string{"query"},
 		Notes:   "paper shape: single-tuple often wins; filtering queries gain up to ~5x",
 	}
@@ -122,13 +135,12 @@ func Fig12(cfg LocalConfig) (*Table, error) {
 		if !cfg.wants(q.Name) {
 			continue
 		}
-		run := func(batchSize int, single bool) (float64, error) {
+		run := func(batchSize int) (float64, error) {
 			prog, err := compile.Compile(q.Name, q.Def, q.BaseSchemas(), compile.DefaultOptions())
 			if err != nil {
 				return 0, err
 			}
 			ex := compile.NewExecutor(prog)
-			ex.SingleTuple = single
 			gen := tpcds.NewGenerator(cfg.SF, cfg.Seed)
 			init := map[string]*mring.Relation{}
 			for _, tbl := range q.Tables {
@@ -148,13 +160,13 @@ func Fig12(cfg LocalConfig) (*Table, error) {
 			}
 			return float64(tuples) / time.Since(start).Seconds(), nil
 		}
-		baseTput, err := run(1, true)
+		baseTput, err := run(1)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
 		row := []string{q.Name}
 		for _, bs := range BatchSizes {
-			tput, err := run(bs, false)
+			tput, err := run(bs)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", q.Name, err)
 			}
@@ -170,24 +182,8 @@ func Fig12(cfg LocalConfig) (*Table, error) {
 // refresh rates are measured.
 func warmDatabase(q tpch.Query, sf float64, seed int64) map[string]*mring.Relation {
 	gen := tpch.NewGenerator(sf, seed)
-	out := map[string]*mring.Relation{}
-	for _, tbl := range q.Tables {
-		if tbl == tpch.Nation || tbl == tpch.Region {
-			out[tbl] = gen.Static(tbl)
-		} else {
-			out[tbl] = mring.NewRelation(tpch.Schemas[tbl])
-		}
-	}
-	stream := tpch.NewStream(gen, q.Tables)
-	for {
-		bs := stream.NextBatches(10000)
-		if len(bs) == 0 {
-			break
-		}
-		for _, b := range bs {
-			out[b.Table].Merge(b.Rel)
-		}
-	}
+	out := startTables(q, gen)
+	streamQuery(tpch.NewStream(gen, q.Tables), 10000, 0, func(table string, b *mring.Relation) { out[table].Merge(b) })
 	return out
 }
 
@@ -198,19 +194,7 @@ func warmDatabase(q tpch.Query, sf float64, seed int64) map[string]*mring.Relati
 // a rate, cheap enough to terminate.
 func refresh(q tpch.Query, ex *compile.Executor, seed int64, batchSize, maxBatches int) (int, time.Duration) {
 	stream := tpch.NewStream(tpch.NewGenerator(0.05, seed+1000), q.Tables)
-	tuples := 0
-	start := time.Now()
-	for b := 0; b < maxBatches; b++ {
-		bs := stream.NextBatches(batchSize)
-		if len(bs) == 0 {
-			break
-		}
-		for _, tb := range bs {
-			tuples += tb.Rel.Len()
-			ex.ApplyBatch(tb.Table, tb.Rel)
-		}
-	}
-	return tuples, time.Since(start)
+	return streamQuery(stream, batchSize, maxBatches, ex.ApplyBatch)
 }
 
 // refreshRate is refresh's steady-state view refresh throughput.
@@ -297,8 +281,7 @@ func engineComparison(cfg LocalConfig, names []string, title, notes string) (*Ta
 			if s.label == "recursive" {
 				ex := compile.NewExecutor(prog)
 				ex.InitFromBases(warm)
-				ex.SingleTuple = true
-				row[2] = f0(refreshRate(q, ex, cfg.Seed, 1000, 2))
+				row[2] = f0(refreshRate(q, ex, cfg.Seed, 1, 2000))
 			}
 			// One executor per row: the warm start is the dominant cost
 			// and refresh rates remain steady-state as the measured
@@ -314,53 +297,34 @@ func engineComparison(cfg LocalConfig, names []string, title, notes string) (*Ta
 	return t, nil
 }
 
-// Table2 reproduces the cache-locality experiment: TPC-H Q3 maintained
-// at several batch sizes with every record touch fed through the cache
-// simulator.
+// Table2 stands in for the paper's cache-locality experiment: TPC-H Q3
+// maintained at each batch size, with the work the triggers count
+// (lookups, scans, emits and index builds) reported per streamed tuple.
 func Table2(cfg LocalConfig) (*Table, error) {
 	q, err := tpch.QueryByName("Q3")
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		Title:   "Table 2: simulated cache locality of TPC-H Q3 (per batch size)",
-		Columns: []string{"batch", "ops (instr proxy)", "L1 refs", "L1 misses", "LLC refs", "LLC misses"},
-		Notes: "paper shape: batch=1 executes ~10x more work than batch=1000; " +
-			"LLC refs/misses bottom out at mid-size batches",
+		Title:   "Table 2: counted work of TPC-H Q3 per batch size",
+		Columns: []string{"batch", "tuples", "lookups", "scans", "emits", "index ops", "work/tuple"},
+		Notes: "paper: batch=1 executes ~10x more instructions than batch=1000; counted work per tuple " +
+			"stays within ~1.1x across batch sizes, so that gap does not reproduce here",
 	}
-	sizes := append([]int{}, BatchSizes...)
-	for _, bs := range sizes {
-		prog, err := compile.Compile(q.Name, q.Def, q.BaseSchemas(), compile.DefaultOptions())
+	for _, bs := range BatchSizes {
+		ex, n, _, err := runLocalStream(q, cfg.SF, cfg.Seed, bs, compile.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
-		ex := compile.NewExecutor(prog)
-		h := cachesim.NewHierarchy()
-		ex.Tracer = func(rel string, hash uint64) { h.Access(hash) }
-		gen := tpch.NewGenerator(cfg.SF, cfg.Seed)
-		init := map[string]*mring.Relation{}
-		for _, tbl := range q.Tables {
-			init[tbl] = mring.NewRelation(tpch.Schemas[tbl])
-		}
-		ex.InitFromBases(init)
-		stream := tpch.NewStream(gen, q.Tables)
-		for {
-			bsz := stream.NextBatches(bs)
-			if len(bsz) == 0 {
-				break
-			}
-			for _, b := range bsz {
-				ex.ApplyBatch(b.Table, b.Rel)
-			}
-		}
-		ops := ex.Stats.Lookups + ex.Stats.Scans + ex.Stats.Emits
+		st := ex.Stats
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", bs),
-			fmt.Sprintf("%d", ops),
-			fmt.Sprintf("%d", h.L1.Refs),
-			fmt.Sprintf("%d", h.L1.Misses),
-			fmt.Sprintf("%d", h.LLC.Refs),
-			fmt.Sprintf("%d", h.LLC.Misses),
+			fmt.Sprintf("%d", n),
+			fmt.Sprintf("%d", st.Lookups),
+			fmt.Sprintf("%d", st.Scans),
+			fmt.Sprintf("%d", st.Emits),
+			fmt.Sprintf("%d", st.IndexOps),
+			f2(float64(st.Lookups+st.Scans+st.Emits+st.IndexOps) / float64(n)),
 		})
 	}
 	return t, nil
@@ -381,11 +345,11 @@ func AblationPreAgg(cfg LocalConfig) (*Table, error) {
 		if !cfg.wants(q.Name) {
 			continue
 		}
-		n1, d1, err := runLocalStream(q, cfg.SF, cfg.Seed, 1000, false, on)
+		_, n1, d1, err := runLocalStream(q, cfg.SF, cfg.Seed, 1000, on)
 		if err != nil {
 			return nil, err
 		}
-		n2, d2, err := runLocalStream(q, cfg.SF, cfg.Seed, 1000, false, off)
+		_, n2, d2, err := runLocalStream(q, cfg.SF, cfg.Seed, 1000, off)
 		if err != nil {
 			return nil, err
 		}
@@ -412,12 +376,12 @@ func AblationDomainExtraction(cfg LocalConfig) (*Table, error) {
 		if !q.Nested || !cfg.wants(q.Name) {
 			continue
 		}
-		n1, d1, err := runLocalStream(q, cfg.SF, cfg.Seed, 1000, false, on)
+		_, n1, d1, err := runLocalStream(q, cfg.SF, cfg.Seed, 1000, on)
 		if err != nil {
 			return nil, err
 		}
 		// The naive variant is drastically slower; run it at reduced scale.
-		n2, d2, err := runLocalStream(q, cfg.SF/5, cfg.Seed, 1000, false, off)
+		_, n2, d2, err := runLocalStream(q, cfg.SF/5, cfg.Seed, 1000, off)
 		if err != nil {
 			return nil, err
 		}
@@ -440,36 +404,13 @@ func MemoryReport(cfg LocalConfig) (*Table, error) {
 		if !cfg.wants(q.Name) {
 			continue
 		}
-		prog, err := compile.Compile(q.Name, q.Def, q.BaseSchemas(), compile.DefaultOptions())
+		ex, streamed, _, err := runLocalStream(q, cfg.SF, cfg.Seed, 1000, compile.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
-		ex := compile.NewExecutor(prog)
-		gen := tpch.NewGenerator(cfg.SF, cfg.Seed)
-		init := map[string]*mring.Relation{}
-		for _, tbl := range q.Tables {
-			if tbl == tpch.Nation || tbl == tpch.Region {
-				init[tbl] = gen.Static(tbl)
-			} else {
-				init[tbl] = mring.NewRelation(tpch.Schemas[tbl])
-			}
-		}
-		ex.InitFromBases(init)
-		stream := tpch.NewStream(gen, q.Tables)
-		streamed := 0
-		for {
-			bs := stream.NextBatches(1000)
-			if len(bs) == 0 {
-				break
-			}
-			for _, b := range bs {
-				streamed += b.Rel.Len()
-				ex.ApplyBatch(b.Table, b.Rel)
-			}
-		}
 		t.Rows = append(t.Rows, []string{
 			q.Name,
-			fmt.Sprintf("%d", len(prog.Views)),
+			fmt.Sprintf("%d", len(ex.Program().Views)),
 			fmt.Sprintf("%d", ex.MemoryFootprint()),
 			fmt.Sprintf("%d", streamed),
 		})

@@ -3,11 +3,16 @@
 // Each experiment returns structured rows plus a formatted text table;
 // cmd/hotdog prints them and EXPERIMENTS.md records paper-vs-measured.
 //
-// The package evaluates nothing itself. Every strategy it measures —
-// re-evaluation, classical (first-order) IVM and recursive IVM — is a
-// program from internal/compile run by compile.Executor, so all three
-// are timed through the same ApplyBatch and counted by the same
-// eval.Stats, base-table upkeep included.
+// The package evaluates nothing itself, and runs only the engine's own
+// paths. Every strategy it measures — re-evaluation, classical
+// (first-order) IVM and recursive IVM — is a program from
+// internal/compile run by compile.Executor, so all three are timed
+// through the same ApplyBatch and counted by the same eval.Stats,
+// base-table upkeep included. Tuple-at-a-time execution is a stream of
+// one-event batches. The distributed experiments deal every batch over
+// the workers with cluster.RunPartitionedBatch, the engine's own entry,
+// and report the cluster's virtual time, which it computes from counted
+// work; Fig. 10's re-evaluation stand-in is charged on the same clock.
 package bench
 
 import (

@@ -430,34 +430,14 @@ func (c *Cluster) ready(prog *dist.DistProgram) error {
 	return c.err
 }
 
-// RunPartitioned processes a batch already spread over workers (the
-// weak/strong scaling experiments simulate workers ingesting stream
-// fragments directly, Sec. 6.2). partsOfBatch must have one relation per
-// worker; each worker copies its relation into its own fragment, and
-// the caller's relations are left as they were. The program must have
-// been compiled with the delta tagged Random.
-func (c *Cluster) RunPartitioned(prog *dist.DistProgram, partsOfBatch []*mring.Relation) (Metrics, error) {
-	if err := c.ready(prog); err != nil {
-		return Metrics{}, err
-	}
-	if len(partsOfBatch) != len(c.workers) {
-		return Metrics{}, fmt.Errorf("cluster: got %d batch partitions for %d workers", len(partsOfBatch), len(c.workers))
-	}
-	frags := make([]rows, len(c.workers))
-	schema := prog.Schemas[eval.DeltaName(prog.Relation)]
-	for i, p := range partsOfBatch {
-		if p != nil {
-			frags[i], schema = p, p.Schema()
-		}
-	}
-	return c.runBlocks(prog, schema, frags)
-}
-
-// RunPartitionedBatch deals a driver-resident batch round-robin over the
-// workers and processes it as RunPartitioned. Each worker refills its
-// fragment with the rows in deal order, so the fragment's layout is the
-// same whichever kind of worker holds it. The dealt rows alias the
-// batch's storage, which nothing mutates until the run returns.
+// RunPartitionedBatch deals a batch round-robin over the workers, the
+// first row to worker 0, and runs the program over it: each worker
+// ingests its share of the stream as its fragment of the delta (Sec.
+// 6.2), so the program must have been compiled with the delta tagged
+// Random. Each worker refills its fragment with the rows in deal order,
+// so the fragment's layout is the same whichever kind of worker holds
+// it. The dealt rows alias the batch's storage, which nothing mutates
+// until the run returns; the batch is left as it was.
 func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
 	if err := c.ready(prog); err != nil {
 		return Metrics{}, err
@@ -1083,7 +1063,7 @@ func (c *Cluster) read(r *run, t *transfer) ([][]rows, error) {
 // applied transaction.
 func (c *Cluster) ViewContents(name string) *mring.Relation {
 	if c.err == nil {
-		out, err := c.ReadView(name)
+		out, err := c.readView(name)
 		if err == nil {
 			c.committed[name] = out.Clone()
 			return out
@@ -1096,13 +1076,9 @@ func (c *Cluster) ViewContents(name string) *mring.Relation {
 	return mring.NewRelation(c.schemas[name])
 }
 
-// ReadView reconstructs a view's full contents like ViewContents, but
-// reports failures and leaves the read cache alone — for reads the
-// driver's own machinery makes (skew measurement, repartitioning).
-func (c *Cluster) ReadView(name string) (*mring.Relation, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
+// readView merges a view's driver copy and worker fragments into its
+// full contents, or reports why the workers could not serve them.
+func (c *Cluster) readView(name string) (*mring.Relation, error) {
 	out := mring.NewRelation(c.schemas[name])
 	loc, ok := c.parts[name]
 	if ok && loc.Kind == dist.LLocal {

@@ -187,17 +187,11 @@ func TestRunPartitionedIngest(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for b := 0; b < 5; b++ {
 		full := mring.NewRelation(bases["L"])
-		frags := make([]*mring.Relation, workers)
-		for i := range frags {
-			frags[i] = mring.NewRelation(bases["L"])
-		}
 		for i := 0; i < 40; i++ {
-			tp := tup(rng.Intn(6), rng.Intn(10))
-			full.Add(tp, 1)
-			frags[rng.Intn(workers)].Add(tp, 1)
+			full.Add(tup(rng.Intn(6), rng.Intn(10)), 1)
 		}
 		local.ApplyBatch("L", full)
-		if _, err := cl.RunPartitioned(dprogs["L"], frags); err != nil {
+		if _, err := cl.RunPartitionedBatch(dprogs["L"], full); err != nil {
 			t.Fatalf("batch %d: %v\n%s", b, err, dprogs["L"])
 		}
 		if got, want := cl.ViewContents("QP"), local.Result(); !got.EqualApprox(want, 1e-6) {

@@ -128,45 +128,6 @@ func TestScatterOfRewrittenDriverRelation(t *testing.T) {
 	checkViews(t, sim, proc, map[string]*mring.Relation{"S": sum, "V": sum})
 }
 
-// TestRunPartitionedLeavesCallerBatches pins install ownership: a shard
-// copies a caller's batch partition into a fragment of its own, so the
-// next run, which refills that fragment, leaves the caller's relations
-// as they were.
-func TestRunPartitionedLeavesCallerBatches(t *testing.T) {
-	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
-		{Mode: dist.LDist, Stmts: []dist.Stmt{
-			{LHS: "V", Op: eval.OpAdd, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "a", "b"))}}},
-	}, Schemas: map[string]mring.Schema{eval.DeltaName("R"): {"a", "b"}, "V": {"a"}}}
-	parts := dist.PartInfo{eval.DeltaName("R"): dist.Random, "V": dist.Dist("a")}
-	cl := New(DefaultConfig(2), map[string]mring.Schema{"V": {"a"}}, parts)
-	batch := landingBatch()
-	partsOfBatch := []*mring.Relation{mring.NewRelation(batch.Schema()), mring.NewRelation(batch.Schema())}
-	i := 0
-	batch.Foreach(func(tp mring.Tuple, m float64) {
-		partsOfBatch[i%2].Add(tp, m)
-		i++
-	})
-	kept := []*mring.Relation{partsOfBatch[0].Clone(), partsOfBatch[1].Clone()}
-	if _, err := cl.RunPartitioned(prog, partsOfBatch); err != nil {
-		t.Fatal(err)
-	}
-	next := mring.NewRelation(batch.Schema())
-	next.Add(tup(100, 1), 1)
-	if _, err := cl.RunPartitionedBatch(prog, next); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range partsOfBatch {
-		if !p.Equal(kept[i]) {
-			t.Fatalf("partition %d changed to %v, was %v", i, p, kept[i])
-		}
-	}
-	want := batch.ProjectSum(mring.Schema{"a"})
-	want.Add(tup(100), 1)
-	if got := cl.ViewContents("V"); !got.Equal(want) {
-		t.Fatalf("V = %v, want %v", got, want)
-	}
-}
-
 // TestUndeclaredRelationRefused pins that a program reading a relation it
 // declares no schema for is refused before any install lands, with the
 // same error on in-process shards and on process workers.

@@ -81,23 +81,22 @@ func TestCompileExample22Structure(t *testing.T) {
 // checkAgainstRecompute compiles q's recursive program and checks it
 // with checkStream.
 func checkAgainstRecompute(t *testing.T, name string, q expr.Expr, bases map[string]mring.Schema,
-	opts Options, singleTuple bool, seed int64, nBatches, batchSize, domain int) {
+	opts Options, seed int64, nBatches, batchSize, domain int) {
 	t.Helper()
 	prog, err := Compile(name, q, bases, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	checkStream(t, prog, singleTuple, seed, nBatches, batchSize, domain)
+	checkStream(t, prog, seed, nBatches, batchSize, domain)
 }
 
 // checkStream streams nBatches random batches, deletions included, into
 // an executor of prog and holds its result to the oracle over the
 // accumulated base tables after every batch.
-func checkStream(t *testing.T, prog *Program, singleTuple bool, seed int64, nBatches, batchSize, domain int) {
+func checkStream(t *testing.T, prog *Program, seed int64, nBatches, batchSize, domain int) {
 	t.Helper()
 	q, bases := prog.Query, prog.Bases
 	ex := NewExecutor(prog)
-	ex.SingleTuple = singleTuple
 	rng := rand.New(rand.NewSource(seed))
 
 	accum := map[string]*mring.Relation{}
@@ -134,8 +133,8 @@ func checkStream(t *testing.T, prog *Program, singleTuple bool, seed int64, nBat
 			want.Add(r.Tuple, r.M)
 		}
 		if !ex.Result().EqualApprox(want, 1e-6) {
-			t.Fatalf("%s (opts=%+v single=%v): batch %d on %s diverged\n got: %v\nwant: %v\nprogram:\n%s",
-				prog.QueryName, prog.Opts, singleTuple, b, rel, ex.Result(), want, prog)
+			t.Fatalf("%s (opts=%+v): batch %d on %s diverged\n got: %v\nwant: %v\nprogram:\n%s",
+				prog.QueryName, prog.Opts, b, rel, ex.Result(), want, prog)
 		}
 	}
 }
@@ -153,13 +152,15 @@ func allOptionCombos() []Options {
 func TestExecutorTriJoin(t *testing.T) {
 	q, bases := triJoinQuery()
 	for i, opts := range allOptionCombos() {
-		checkAgainstRecompute(t, "Q", q, bases, opts, false, int64(100+i), 12, 6, 4)
+		checkAgainstRecompute(t, "Q", q, bases, opts, int64(100+i), 12, 6, 4)
 	}
 }
 
+// TestExecutorTriJoinSingleTuple runs the tuple-at-a-time mode of Sec.
+// 3.3, which is a stream of one-tuple batches.
 func TestExecutorTriJoinSingleTuple(t *testing.T) {
 	q, bases := triJoinQuery()
-	checkAgainstRecompute(t, "Q", q, bases, DefaultOptions(), true, 7, 8, 4, 4)
+	checkAgainstRecompute(t, "Q", q, bases, DefaultOptions(), 7, 32, 1, 4)
 }
 
 func TestExecutorFilterAndValue(t *testing.T) {
@@ -170,7 +171,7 @@ func TestExecutorFilterAndValue(t *testing.T) {
 		expr.ValE(expr.V("A"))))
 	bases := map[string]mring.Schema{"R": {"A", "B"}}
 	for i, opts := range allOptionCombos() {
-		checkAgainstRecompute(t, "QF", q, bases, opts, false, int64(200+i), 10, 8, 5)
+		checkAgainstRecompute(t, "QF", q, bases, opts, int64(200+i), 10, 8, 5)
 	}
 }
 
@@ -179,7 +180,7 @@ func TestExecutorTwoWayJoin(t *testing.T) {
 	q := expr.Sum([]string{"C"}, expr.Join(expr.Base("R", "A", "B"), expr.Base("S", "B", "C")))
 	bases := map[string]mring.Schema{"R": {"A", "B"}, "S": {"B", "C"}}
 	for i, opts := range allOptionCombos() {
-		checkAgainstRecompute(t, "Q2", q, bases, opts, false, int64(300+i), 12, 6, 4)
+		checkAgainstRecompute(t, "Q2", q, bases, opts, int64(300+i), 12, 6, 4)
 	}
 }
 
@@ -193,9 +194,9 @@ func TestExecutorNestedCorrelated(t *testing.T) {
 		expr.CmpE(expr.CLt, expr.V("A"), expr.V("X"))))
 	bases := map[string]mring.Schema{"R": {"A", "B"}, "S": {"B2", "C"}}
 	for i, opts := range allOptionCombos() {
-		checkAgainstRecompute(t, "QN", q, bases, opts, false, int64(400+i), 10, 5, 4)
+		checkAgainstRecompute(t, "QN", q, bases, opts, int64(400+i), 10, 5, 4)
 	}
-	checkAgainstRecompute(t, "QN", q, bases, DefaultOptions(), true, 401, 6, 3, 4)
+	checkAgainstRecompute(t, "QN", q, bases, DefaultOptions(), 401, 18, 1, 4)
 }
 
 func TestExecutorDistinct(t *testing.T) {
@@ -205,7 +206,7 @@ func TestExecutorDistinct(t *testing.T) {
 		expr.CmpE(expr.CGt, expr.V("B"), expr.LitI(1)))))
 	bases := map[string]mring.Schema{"R": {"A", "B"}}
 	for i, opts := range allOptionCombos() {
-		checkAgainstRecompute(t, "QD", q, bases, opts, false, int64(500+i), 10, 5, 4)
+		checkAgainstRecompute(t, "QD", q, bases, opts, int64(500+i), 10, 5, 4)
 	}
 }
 
@@ -220,7 +221,7 @@ func TestExecutorUncorrelatedNested(t *testing.T) {
 		expr.CmpE(expr.CLt, expr.V("A"), expr.V("X"))))
 	bases := map[string]mring.Schema{"R": {"A", "B"}, "S": {"E"}}
 	for i, opts := range allOptionCombos() {
-		checkAgainstRecompute(t, "QU", q, bases, opts, false, int64(600+i), 10, 4, 4)
+		checkAgainstRecompute(t, "QU", q, bases, opts, int64(600+i), 10, 4, 4)
 	}
 }
 
@@ -230,7 +231,7 @@ func TestExecutorUnionQuery(t *testing.T) {
 		expr.Base("S", "A", "C")))
 	bases := map[string]mring.Schema{"R": {"A", "B"}, "S": {"A", "C"}}
 	for i, opts := range allOptionCombos() {
-		checkAgainstRecompute(t, "QUN", q, bases, opts, false, int64(700+i), 12, 5, 4)
+		checkAgainstRecompute(t, "QUN", q, bases, opts, int64(700+i), 12, 5, 4)
 	}
 }
 
@@ -240,7 +241,7 @@ func TestExecutorSelfJoin(t *testing.T) {
 	// Self-join schema note: both references use R's physical schema but
 	// different variable names; declare via a single base schema of arity 2.
 	for i, opts := range allOptionCombos() {
-		checkAgainstRecompute(t, "QS", q, bases, opts, false, int64(800+i), 10, 4, 3)
+		checkAgainstRecompute(t, "QS", q, bases, opts, int64(800+i), 10, 4, 3)
 	}
 }
 
@@ -379,7 +380,7 @@ func TestPreAggregatePerAlias(t *testing.T) {
 	}
 	// And it must still be correct.
 	checkAgainstRecompute(t, "Q17S", q, bases,
-		Options{DomainExtraction: true, PreAggregate: true}, false, 31, 10, 5, 4)
+		Options{DomainExtraction: true, PreAggregate: true}, 31, 10, 5, 4)
 }
 
 // tpchBases returns q's base tables before its stream: the static

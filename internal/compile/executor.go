@@ -26,12 +26,6 @@ type Executor struct {
 	ctx *eval.Ctx
 	// Stats accumulates evaluation statistics across batches.
 	Stats eval.Stats
-	// SingleTuple processes batches one tuple at a time through the same
-	// triggers (the tuple-at-a-time comparison mode of Sec. 3.3).
-	SingleTuple bool
-	// Tracer forwards relation accesses (for the cache-locality
-	// experiment); nil disables tracing.
-	Tracer func(rel string, tupleHash uint64)
 }
 
 // NewExecutor creates an executor with empty view contents. The secondary
@@ -165,29 +159,12 @@ func (ex *Executor) ApplyTxCapture(tx []TableBatch, sinks map[string]*mring.Rela
 
 func (ex *Executor) applyBatch(trg *Trigger, rel string, batch *mring.Relation, sinks map[string]*mring.Relation) {
 	dn := ex.deltas[rel]
-	if ex.SingleTuple {
-		single := mring.NewRelation(batch.Schema())
-		for _, pos := range ex.deltaIdx[dn] {
-			single.EnsureIndex(pos)
-		}
-		batch.Foreach(func(t mring.Tuple, m float64) {
-			single.Clear()
-			single.Add(t, m)
-			ex.runTrigger(trg, rel, single, sinks)
-		})
-		return
-	}
 	for _, pos := range ex.deltaIdx[dn] {
 		batch.EnsureIndex(pos)
 	}
-	ex.runTrigger(trg, rel, batch, sinks)
-}
-
-func (ex *Executor) runTrigger(trg *Trigger, rel string, batch *mring.Relation, sinks map[string]*mring.Relation) {
-	ex.env.Bind(ex.deltas[rel], batch)
+	ex.env.Bind(dn, batch)
 	ctx := ex.ctx
 	ctx.Stats = eval.Stats{}
-	ctx.Tracer = ex.Tracer
 	for name, sink := range sinks {
 		ctx.CaptureFolds(ex.views[name], sink)
 	}

@@ -53,7 +53,7 @@ func TestStrategiesMatchOracle(t *testing.T) {
 	for i, sh := range shapes {
 		for j, s := range strategies {
 			t.Run(sh.name+"/"+s.name, func(t *testing.T) {
-				checkStream(t, build(t, j, "Q", sh.q, sh.bases), false, int64(900+i), 30, 6, 4)
+				checkStream(t, build(t, j, "Q", sh.q, sh.bases), int64(900+i), 30, 6, 4)
 			})
 		}
 	}

@@ -52,16 +52,7 @@ func TestAggDropsAnchorSafety(t *testing.T) {
 			batch.Add(mring.Tuple{mring.Int(int64(b*12 + i)), mring.Int(int64(i % 3))}, 1)
 		}
 		local.ApplyBatch("R", batch.Clone())
-		frags := make([]*mring.Relation, workers)
-		for i := range frags {
-			frags[i] = mring.NewRelation(bases["R"])
-		}
-		i := 0
-		batch.Foreach(func(tp mring.Tuple, m float64) {
-			frags[i%workers].Add(tp, m)
-			i++
-		})
-		if _, err := cl.RunPartitioned(dprogs["R"], frags); err != nil {
+		if _, err := cl.RunPartitionedBatch(dprogs["R"], batch); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := cl.ViewContents("Q"), local.Result(); !got.EqualApprox(want, 1e-9) {

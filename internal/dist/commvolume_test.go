@@ -33,16 +33,7 @@ func runLevel(t *testing.T, level dist.OptLevel, workers, batches, batchSize int
 	var total cluster.Metrics
 	for b := 0; b < batches; b++ {
 		for _, batch := range stream.NextBatches(batchSize) {
-			frags := make([]*mring.Relation, workers)
-			for i := range frags {
-				frags[i] = mring.NewRelation(batch.Rel.Schema())
-			}
-			i := 0
-			batch.Rel.Foreach(func(tp mring.Tuple, m float64) {
-				frags[i%workers].Add(tp, m)
-				i++
-			})
-			m, err := cl.RunPartitioned(dprogs[batch.Table], frags)
+			m, err := cl.RunPartitionedBatch(dprogs[batch.Table], batch.Rel)
 			if err != nil {
 				t.Fatalf("O%d: %v", level, err)
 			}
@@ -176,16 +167,7 @@ func TestDistributedMatchesLocalOnQ3(t *testing.T) {
 	for b := 0; b < 4; b++ {
 		for _, batch := range stream.NextBatches(2000) {
 			local.ApplyBatch(batch.Table, batch.Rel.Clone())
-			frags := make([]*mring.Relation, workers)
-			for i := range frags {
-				frags[i] = mring.NewRelation(batch.Rel.Schema())
-			}
-			i := 0
-			batch.Rel.Foreach(func(tp mring.Tuple, m float64) {
-				frags[i%workers].Add(tp, m)
-				i++
-			})
-			if _, err := cl.RunPartitioned(dprogs[batch.Table], frags); err != nil {
+			if _, err := cl.RunPartitionedBatch(dprogs[batch.Table], batch.Rel); err != nil {
 				t.Fatal(err)
 			}
 		}

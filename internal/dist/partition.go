@@ -40,7 +40,8 @@ func ViewSchemas(prog *compile.Program) map[string]mring.Schema {
 //   - transient per-batch delta views with no ranked column stay wherever
 //     the batch fragments live (Random);
 //   - update batches are tagged Random: workers ingest stream fragments
-//     directly (Sec. 6.2), which is what Cluster.RunPartitioned models.
+//     directly (Sec. 6.2), which is what Cluster.RunPartitionedBatch
+//     models by dealing each batch round-robin.
 func ChoosePartitioning(prog *compile.Program, keyRanks map[string]int) PartInfo {
 	read := make(map[string]bool, len(prog.Views))
 	for _, tr := range prog.Triggers {

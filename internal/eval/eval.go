@@ -75,7 +75,7 @@ func (e *Env) Names() []string {
 }
 
 // Stats accumulates operation counts during evaluation. They feed the
-// distributed cost model and the cache-locality experiment.
+// distributed cost model and the counted-work experiment (Table 2).
 type Stats struct {
 	Lookups  int64 // get operations on relations
 	Scans    int64 // tuples visited by foreach/slice
@@ -102,9 +102,6 @@ func (s *Stats) Add(o Stats) {
 type Ctx struct {
 	Env   *Env
 	Stats Stats
-	// Tracer, when non-nil, observes every relation memory touch for the
-	// cache-locality experiment.
-	Tracer func(rel string, tupleHash uint64)
 	// Plans is the plan table of the trees this context evaluates; a
 	// tree without a plan is lowered on the spot, every time it runs.
 	Plans Plans

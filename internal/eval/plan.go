@@ -577,9 +577,6 @@ func (n *getNode) run(c *Ctx) {
 		key[i] = c.frame[s]
 	}
 	c.Stats.Lookups++
-	if c.Tracer != nil {
-		c.Tracer(n.name, key.Hash())
-	}
 	if m := rel.Get(key); m != 0 {
 		c.Stats.Emits++
 		n.k.emit(c, m)
@@ -595,9 +592,6 @@ type scanNode struct {
 func (n *scanNode) run(c *Ctx) {
 	n.relation(c).Foreach(func(t mring.Tuple, m float64) {
 		c.Stats.Scans++
-		if c.Tracer != nil {
-			c.Tracer(n.name, t.Hash())
-		}
 		if len(t) != n.arity {
 			panic(fmt.Sprintf("eval: arity mismatch scanning %s", n.name))
 		}
@@ -651,9 +645,6 @@ func (n *sliceNode) run(c *Ctx) {
 }
 
 func (n *sliceNode) match(c *Ctx, t mring.Tuple, m float64) {
-	if c.Tracer != nil {
-		c.Tracer(n.name, t.Hash())
-	}
 	if !n.bind(c, t) {
 		return
 	}

@@ -132,7 +132,7 @@ func randomScanAgg(rng *rand.Rand) expr.Expr {
 // of stmt with the same float bits: both multiply a row's factors left
 // to right and sum a group's rows in scan order. setup, when non-nil,
 // configures the context before the fold.
-func foldChecked(t *testing.T, env *Env, stmt expr.Expr, op AssignOp, setup func(*Ctx), label string) *Ctx {
+func foldChecked(t *testing.T, env *Env, stmt expr.Expr, op AssignOp, setup func(*Ctx), label string) {
 	t.Helper()
 	target := mring.NewRelation(stmt.Schema())
 	ctx := NewCtx(env)
@@ -149,7 +149,6 @@ func foldChecked(t *testing.T, env *Env, stmt expr.Expr, op AssignOp, setup func
 			t.Fatalf("%s: group %v is %v, oracle %v", label, w.Tuple, got, w.M)
 		}
 	}
-	return ctx
 }
 
 func runScanAggParity(t *testing.T, seed int64, hashFn func(mring.Tuple) uint64) {
@@ -214,26 +213,6 @@ func TestKernelFallbacks(t *testing.T) {
 		rel.Add(mring.Tuple{mring.Str("not-an-int"), mring.Float(1), mring.Str("x")}, 1)
 		rel.Add(mring.Tuple{mring.Float(2.5), mring.Int(3), mring.Str("y")}, 1)
 		foldChecked(t, env, stmt, OpAdd, nil, "mixed")
-	})
-
-	t.Run("tracer", func(t *testing.T) {
-		// A traced fold observes every scanned tuple once, in scan order.
-		env := NewEnv()
-		rel := env.Define("R", scanSchema)
-		fillScanRel(rng, rel, 20)
-		var want, seen []uint64
-		rel.Foreach(func(tp mring.Tuple, _ float64) { want = append(want, tp.Hash()) })
-		ctx := foldChecked(t, env, stmt, OpAdd, func(c *Ctx) {
-			c.Tracer = func(name string, h uint64) {
-				if name != "R" {
-					t.Fatalf("the tracer saw relation %q", name)
-				}
-				seen = append(seen, h)
-			}
-		}, "tracer")
-		if int64(len(seen)) != ctx.Stats.Scans || fmt.Sprint(seen) != fmt.Sprint(want) {
-			t.Fatalf("tracer saw %d touches %v, want the %d scanned tuples %v", len(seen), seen, ctx.Stats.Scans, want)
-		}
 	})
 
 	t.Run("uncovered-shape", func(t *testing.T) {
