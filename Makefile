@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test lint fuzz bench api check-api proc-smoke crash-smoke ci
+.PHONY: build test lint fuzz bench figures api check-api proc-smoke crash-smoke ci
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,11 @@ crash-smoke:
 # internal/. The performance harness proper is benchmark/run.sh.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/...
+
+# figures prints the paper's tables and figures, each a test asserting
+# its shape on counted work (internal/bench).
+figures:
+	$(GO) test -count=1 -v -run '^Test(Fig|Table)' ./internal/bench
 
 # api regenerates the golden public-API surface file. Run it whenever
 # the exported surface of the root package changes on purpose.

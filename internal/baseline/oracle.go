@@ -11,7 +11,8 @@
 // Eval: the goldens, the delta-derivation and compiler tests, the
 // prepared-plan tests and the oracle-agreement fuzz target. The
 // re-evaluation and classical-IVM strategies of Fig. 8 and Table 1 are
-// engines, not oracles; they live in internal/bench.
+// engines, not oracles: compiled programs (compile.ReEvalProgram,
+// compile.FirstOrderProgram) that internal/bench holds to Eval.
 package baseline
 
 import (

@@ -1,264 +1,12 @@
 package bench
 
 import (
-	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/compile"
-	"repro/internal/dist"
 	"repro/internal/mring"
 	"repro/internal/tpch"
 )
-
-// tiny configurations keep the harness smoke tests fast.
-func tinyLocal() LocalConfig {
-	return LocalConfig{SF: 0.05, Seed: 1, Queries: []string{"Q1", "Q3", "Q6", "Q17", "DS42"}}
-}
-
-func tinyDist() DistConfig {
-	return DistConfig{
-		Seed:            1,
-		WeakWorkers:     []int{2, 4},
-		PerWorkerBatch:  50,
-		StrongWorkers:   []int{2, 4},
-		StrongBatches:   []int{200, 400},
-		BatchesPerPoint: 1,
-	}
-}
-
-func TestTableRender(t *testing.T) {
-	tab := &Table{
-		Title:   "T",
-		Columns: []string{"a", "bb"},
-		Rows:    [][]string{{"1", "2"}, {"333", "4"}},
-		Notes:   "n",
-	}
-	out := tab.Render()
-	for _, want := range []string{"== T ==", "a", "bb", "333", "note: n"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig7Smoke(t *testing.T) {
-	tab, err := Fig7(tinyLocal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 { // Q1, Q3, Q6, Q17
-		t.Fatalf("rows = %d, want 4", len(tab.Rows))
-	}
-	if len(tab.Columns) != 1+len(BatchSizes) {
-		t.Fatalf("columns = %d", len(tab.Columns))
-	}
-}
-
-// TestStrategyWorkScaling asserts the shape of Fig. 8 and Table 1 on
-// counted work rather than time. Q3 is warmed at two scales, then
-// refreshed by the same three 1,000-event batches: recursive IVM's work
-// per event stays flat as the database grows fourfold, re-evaluation's
-// grows with it, and first-order IVM lies between the two.
-func TestStrategyWorkScaling(t *testing.T) {
-	q, err := tpch.QueryByName("Q3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	work := map[string][]float64{} // strategy -> work per event at each scale
-	for _, sf := range []float64{0.05, 0.2} {
-		warm := warmDatabase(q, sf, 1)
-		for _, s := range strategies() {
-			prog, err := s.build(q.Name, q.Def, q.BaseSchemas())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex := compile.NewExecutor(prog)
-			ex.InitFromBases(warm)
-			n, _ := refresh(q, ex, 1, 1000, 3)
-			st := ex.Stats
-			work[s.label] = append(work[s.label], float64(st.Lookups+st.Scans+st.Emits+st.IndexOps)/float64(n))
-		}
-	}
-	re, fo, rec := work["re-eval"], work["classical"], work["recursive"]
-	t.Logf("work per event at SF 0.05 -> 0.2: re-eval %.1f -> %.1f, classical %.1f -> %.1f, recursive %.2f -> %.2f",
-		re[0], re[1], fo[0], fo[1], rec[0], rec[1])
-	if rec[1] > 1.1*rec[0] {
-		t.Errorf("recursive IVM work grew with the database: %.2f -> %.2f per event", rec[0], rec[1])
-	}
-	if g := (re[1] / rec[1]) / (re[0] / rec[0]); g < 4 {
-		t.Errorf("re-evaluation/recursive work ratio grew only %.1fx (%.1f -> %.1f), want >= 4x",
-			g, re[0]/rec[0], re[1]/rec[1])
-	}
-	if fo[1] <= rec[1] || fo[1] >= re[1] {
-		t.Errorf("first-order work %.1f per event is not between recursive %.2f and re-evaluation %.1f", fo[1], rec[1], re[1])
-	}
-}
-
-// TestTable1Smoke runs the full engine grid on the two scan queries
-// only: re-evaluating Q3 and Q17 over the warmed database takes a minute.
-func TestTable1Smoke(t *testing.T) {
-	tab, err := Table1(LocalConfig{SF: 0.05, Seed: 1, Queries: []string{"Q1", "Q6"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2*3 { // Q1, Q6 x three engines
-		t.Fatalf("rows = %d, want 6", len(tab.Rows))
-	}
-}
-
-func TestFig12Smoke(t *testing.T) {
-	tab, err := Fig12(tinyLocal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 1 { // DS42
-		t.Fatalf("rows = %d, want 1", len(tab.Rows))
-	}
-}
-
-// TestTable2Smoke pins what Table 2 measures on Q3 at SF 0.05: every
-// batch size streams the same tuples, and the counted work per tuple at
-// batch 1 is at least, and within 1.1x of, the work at batch 1000 — the
-// triggers do about constant work per update tuple, so the paper's ~10x
-// gap does not reproduce in counted work.
-func TestTable2Smoke(t *testing.T) {
-	tab, err := Table2(LocalConfig{SF: 0.05, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != len(BatchSizes) {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	perTuple := map[string]float64{}
-	tuples := ""
-	for _, r := range tab.Rows {
-		if tuples == "" {
-			tuples = r[1]
-		}
-		if r[1] != tuples {
-			t.Fatalf("batch %s streamed %s tuples, batch %s streamed %s", r[0], r[1], tab.Rows[0][0], tuples)
-		}
-		n := cells(t, r[1:6])
-		perTuple[r[0]] = float64(n[1]+n[2]+n[3]+n[4]) / float64(n[0])
-	}
-	ratio := perTuple["1"] / perTuple["1000"]
-	t.Logf("%s tuples; work per tuple %.2f at batch 1, %.2f at batch 1000 (%.3fx)", tuples, perTuple["1"], perTuple["1000"], ratio)
-	if ratio < 1 || ratio > 1.1 {
-		t.Fatalf("work per tuple at batch 1 is %.3fx the work at batch 1000, want 1.0-1.1x", ratio)
-	}
-}
-
-// cells parses a table row's integer cells.
-func cells(t *testing.T, row []string) []int64 {
-	t.Helper()
-	out := make([]int64, len(row))
-	for i, c := range row {
-		n, err := strconv.ParseInt(c, 10, 64)
-		if err != nil {
-			t.Fatalf("cell %q of %v: %v", c, row, err)
-		}
-		out[i] = n
-	}
-	return out
-}
-
-func TestTable3Smoke(t *testing.T) {
-	tab, err := Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) < 15 {
-		t.Fatalf("expected a row per TPC-H query, got %d", len(tab.Rows))
-	}
-	// Q6 must be the simplest: 1 job, 1 stage.
-	for _, r := range tab.Rows {
-		if r[0] == "Q6" && (r[1] != "1" || r[2] != "1") {
-			t.Fatalf("Q6 should be 1 job / 1 stage: %v", r)
-		}
-	}
-}
-
-func TestFig5Smoke(t *testing.T) {
-	tab, err := Fig5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 triggers", len(tab.Rows))
-	}
-	// Fusion must not increase block counts, local or distributed.
-	for _, r := range tab.Rows {
-		n := cells(t, r[1:])
-		if n[2] > n[0] || n[3] > n[1] {
-			t.Fatalf("blocks grew after fusion: %v", r)
-		}
-	}
-}
-
-func TestFig9Smoke(t *testing.T) {
-	tab, err := Fig9(tinyDist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != len(WeakQueries)*2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-}
-
-func TestFig10Smoke(t *testing.T) {
-	cfg := tinyDist()
-	tab, err := Fig10(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != len(WeakQueries)*len(cfg.StrongWorkers) {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	if len(tab.Columns) != 3+len(cfg.StrongBatches) { // query, workers, batches, reeval
-		t.Fatalf("columns = %d", len(tab.Columns))
-	}
-}
-
-// TestDistributedReEvalReproduces pins that Fig. 10's re-evaluation
-// column runs on the cluster's clock of counted work: the same arguments
-// give the same duration.
-func TestDistributedReEvalReproduces(t *testing.T) {
-	dep, err := deploy("Q3", dist.O3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := distributedReEval(dep, 4, 400, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := distributedReEval(dep, 4, 400, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != second {
-		t.Fatalf("re-evaluation took %v, then %v for the same batch", first, second)
-	}
-}
-
-func TestFig13Smoke(t *testing.T) {
-	tab, err := Fig13(tinyDist())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-}
-
-func TestAblationsSmoke(t *testing.T) {
-	if _, err := AblationPreAgg(tinyLocal()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AblationColumnarShuffle(tinyDist()); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // BenchmarkAggGroupUpdate measures the grouped-aggregate maintenance hot
 // path end to end: TPC-H Q1 (pricing summary, the Q1-style group-by) fed

@@ -11,6 +11,31 @@ import (
 	"repro/internal/mring"
 )
 
+// strategy is one program a refresh comparison runs: a maintenance
+// strategy of Fig. 8 and Table 1, or a compile option of an ablation.
+type strategy struct {
+	label string
+	build func(name string, q expr.Expr, bases map[string]mring.Schema) (*compile.Program, error)
+}
+
+// strategies lists re-evaluation, classical (first-order) IVM and
+// recursive IVM.
+func strategies() []strategy {
+	return []strategy{
+		{"re-eval", compile.ReEvalProgram},
+		{"classical", compile.FirstOrderProgram},
+		{"recursive", build(compile.DefaultOptions())},
+	}
+}
+
+// build compiles a program with fixed options, in the shape of
+// compile.ReEvalProgram and compile.FirstOrderProgram.
+func build(opts compile.Options) func(string, expr.Expr, map[string]mring.Schema) (*compile.Program, error) {
+	return func(name string, q expr.Expr, bases map[string]mring.Schema) (*compile.Program, error) {
+		return compile.Compile(name, q, bases, opts)
+	}
+}
+
 func tup(vs ...int) mring.Tuple {
 	t := make(mring.Tuple, len(vs))
 	for i, v := range vs {
