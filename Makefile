@@ -43,7 +43,10 @@ lint:
 # one-pass writer's output on every relation, mixed kinds included, and
 # the local and Distributed(2) engines must equal the oracle
 # (internal/baseline) after every transaction of a short stream of
-# inserts and deletes on one of a fixed set of query shapes.
+# inserts and deletes on one of a fixed set of query shapes, and the
+# prepared plans' value kernels (FuzzValueKernels) must equal their
+# definitions: float arithmetic bit for bit ArithV(...).AsFloat(), the
+# integer-literal comparison expr.EvalCmp.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzHashColsKeyEqual$$' -fuzztime=30s ./internal/mring
 	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=30s ./internal/mring
@@ -55,6 +58,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=30s ./internal/cluster
 	$(GO) test -run='^$$' -fuzz='^FuzzFeedMessages$$' -fuzztime=30s .
 	$(GO) test -run='^$$' -fuzz='^FuzzOracleAgreement$$' -fuzztime=30s .
+	$(GO) test -run='^$$' -fuzz='^FuzzValueKernels$$' -fuzztime=30s ./internal/eval
 
 # proc-smoke runs the process-cluster smoke gate: builds the real worker
 # binary, spawns 4 worker processes on localhost, and asserts the

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/mring"
@@ -16,10 +18,12 @@ import (
 //   - every variable gets a slot in a frame of values;
 //   - every relational term gets its access path: get (all columns
 //     bound) with a probe built from slots, slice (some bound) with its
-//     bound positions, or foreach (none bound); its free columns are
-//     written into slots, and a variable repeated among them binds at its
-//     first occurrence and is compared at the later ones;
-//   - every value term (Val, Cmp, Assign) reads slots, not a lookup.
+//     bound positions, or foreach (none bound); a variable repeated among
+//     its free columns binds at its first occurrence and is compared at
+//     the later ones, and only free columns some node reads are written
+//     into slots (liveness prunes the rest once the tree is lowered);
+//   - every value term (Val, Cmp, Assign) reads slots, not a lookup, and
+//     a numeric one computes in float64 without building a Value.
 //
 // The lowered nodes are wired in continuation-passing style: each node
 // emits into a continuation fixed at lowering, so evaluation allocates no
@@ -43,12 +47,15 @@ type Plan struct {
 }
 
 // Access is the access path lowering fixed for one relational term: the
-// environment name it reads, and the positions of its columns bound when
-// it is reached — none is a foreach scan, all a get, some a slice.
+// environment name it reads, the positions of its columns bound when it
+// is reached — none is a foreach scan, all a get, some a slice — and the
+// positions of its free columns it writes into the frame, those whose
+// variable some node of the tree reads.
 type Access struct {
-	Rel   *expr.Rel
-	Env   string
-	Bound []int
+	Rel    *expr.Rel
+	Env    string
+	Bound  []int
+	Writes []int
 }
 
 // Slice reports whether the access probes a secondary index: some but
@@ -83,10 +90,18 @@ func Prepare(es ...expr.Expr) (Plans, error) {
 }
 
 func prepare(e expr.Expr) (*Plan, error) {
-	l := &lowerer{slots: map[string]int{}, relIdx: map[string]int{}}
+	l := &lowerer{slots: map[string]int{}, relIdx: map[string]int{}, reads: map[int]bool{}}
 	root, _ := l.materializer(e, nil)
 	if l.err != nil {
 		return nil, l.err
+	}
+	for _, f := range append(l.binds, l.rows...) {
+		f.binds = slices.DeleteFunc(f.binds, func(b colSlot) bool { return !l.reads[b.slot] })
+	}
+	for i, f := range l.binds {
+		for _, b := range f.binds {
+			l.access[i].Writes = append(l.access[i].Writes, b.pos)
+		}
 	}
 	return &Plan{root: root, rels: l.rels, slots: len(l.slots), keys: l.keys, cells: l.cells, access: l.access}, nil
 }
@@ -158,6 +173,9 @@ type lowerer struct {
 	keys   int
 	cells  int
 	access []Access
+	reads  map[int]bool // slots some node reads
+	binds  []*freeCols  // per access: the free columns its term writes
+	rows   []*freeCols  // the columns each materialized row writes
 	err    error
 }
 
@@ -194,15 +212,17 @@ func (l *lowerer) read(in state, name string) int {
 	case mixed:
 		l.fail("variable %q read where only some union terms bind it", name)
 	}
+	l.reads[s] = true
 	return s
 }
 
 // isBound reports whether a variable the tree binds or compares at a
-// point with state in is bound there.
+// point with state in is bound there, and counts a bound one as read.
 func (l *lowerer) isBound(in state, s int, name string) bool {
 	if in.at(s) == mixed {
 		l.fail("variable %q bound where only some union terms bind it", name)
 	}
+	l.reads[s] = l.reads[s] || in.at(s) == bound
 	return in.at(s) == bound
 }
 
@@ -230,14 +250,15 @@ func (l *lowerer) cell(n int) int {
 
 // rowWrites returns the positions of cols unbound in in and their slots:
 // the columns a materialized row writes back into the frame.
-func (l *lowerer) rowWrites(in state, cols []string) []colSlot {
-	var out []colSlot
+func (l *lowerer) rowWrites(in state, cols []string) *freeCols {
+	f := &freeCols{}
 	for i, c := range cols {
 		if s := l.slot(c); !l.isBound(in, s, c) {
-			out = append(out, colSlot{pos: i, slot: s})
+			f.binds = append(f.binds, colSlot{pos: i, slot: s})
 		}
 	}
-	return out
+	l.rows = append(l.rows, f)
+	return f
 }
 
 // lower lowers e, reached with binding state in, emitting into k, and
@@ -249,7 +270,12 @@ func (l *lowerer) lower(e expr.Expr, in state, k sink) (node, state) {
 	case *expr.Val:
 		return &valNode{v: l.value(x.E, in), k: k}, in
 	case *expr.Cmp:
-		return &cmpNode{op: x.Op, l: l.value(x.L, in), r: l.value(x.R, in), k: k}, in
+		lv, rv := l.value(x.L, in), l.value(x.R, in)
+		s, slot := lv.(vslot)
+		if c, ok := rv.(vconst); slot && ok && c.v.K == mring.KInt {
+			return &cmpIntNode{op: x.Op, slot: int(s), lit: c.v.I, k: k}, in
+		}
+		return &cmpNode{op: x.Op, l: lv, r: rv, k: k}, in
 	case *expr.Rel:
 		return l.lowerRel(x, in, k)
 	case *expr.Mul:
@@ -321,7 +347,7 @@ func (l *lowerer) lowerRel(r *expr.Rel, in state, k sink) (node, state) {
 	env := RelEnvName(r)
 	base := relNode{rel: l.rel(env), env: env, name: r.Name, arity: len(r.Cols), k: k}
 	var pos, probe []int
-	var f freeCols
+	f := &freeCols{}
 	first := map[int]int{} // slot -> position of its first free occurrence
 	for i, col := range r.Cols {
 		s := l.slot(col)
@@ -338,6 +364,7 @@ func (l *lowerer) lowerRel(r *expr.Rel, in state, k sink) (node, state) {
 		f.binds = append(f.binds, colSlot{pos: i, slot: s})
 	}
 	l.access = append(l.access, Access{Rel: r, Env: env, Bound: pos})
+	l.binds = append(l.binds, f)
 	out := in
 	for _, b := range f.binds {
 		out = out.with(b.slot)
@@ -395,9 +422,15 @@ func (l *lowerer) value(v expr.VExpr, in state) vprog {
 	case expr.VarRef:
 		return vslot(l.read(in, x.Name))
 	case expr.Lit:
-		return vconst{v: x.V}
+		return lit(x.V)
 	case expr.Arith:
-		return &varith{op: x.Op, l: l.value(x.L, in), r: l.value(x.R, in)}
+		a := &varith{op: x.Op, l: l.value(x.L, in), r: l.value(x.R, in)}
+		lc, lok := a.l.(vconst)
+		rc, rok := a.r.(vconst)
+		if lok && rok {
+			return lit(expr.ArithV(x.Op, lc.f, rc.f))
+		}
+		return a
 	case *expr.VarRef:
 		if x != nil {
 			return l.value(*x, in)
@@ -459,7 +492,7 @@ type valNode struct {
 }
 
 func (n *valNode) run(c *Ctx) {
-	if v := n.v.val(c.frame).AsFloat(); v != 0 {
+	if v := n.v.float(c.frame); v != 0 {
 		c.Stats.Emits++
 		n.k.emit(c, v)
 	}
@@ -475,6 +508,43 @@ func (n *cmpNode) run(c *Ctx) {
 	if expr.EvalCmp(n.op, n.l.val(c.frame), n.r.val(c.frame)) {
 		c.Stats.Emits++
 		n.k.emit(c, 1)
+	}
+}
+
+// cmpIntNode compares a slot with an integer literal.
+type cmpIntNode struct {
+	op   expr.CmpOp
+	slot int
+	lit  int64
+	k    sink
+}
+
+func (n *cmpIntNode) run(c *Ctx) {
+	if cmpInt(n.op, &c.frame[n.slot], n.lit) {
+		c.Stats.Emits++
+		n.k.emit(c, 1)
+	}
+}
+
+// cmpInt is expr.EvalCmp(op, *v, mring.Int(lit)), comparing the integers
+// directly when v holds one.
+func cmpInt(op expr.CmpOp, v *mring.Value, lit int64) bool {
+	if v.K != mring.KInt {
+		return expr.EvalCmp(op, *v, mring.Int(lit))
+	}
+	switch op {
+	case expr.CEq:
+		return v.I == lit
+	case expr.CNe:
+		return v.I != lit
+	case expr.CLt:
+		return v.I < lit
+	case expr.CLe:
+		return v.I <= lit
+	case expr.CGt:
+		return v.I > lit
+	default:
+		return v.I >= lit
 	}
 }
 
@@ -586,7 +656,7 @@ func (n *getNode) run(c *Ctx) {
 // scanNode is the foreach path: no column bound.
 type scanNode struct {
 	relNode
-	freeCols
+	*freeCols
 }
 
 func (n *scanNode) run(c *Ctx) {
@@ -608,7 +678,7 @@ func (n *scanNode) run(c *Ctx) {
 // filters.
 type sliceNode struct {
 	relNode
-	freeCols
+	*freeCols
 	pos   []int // bound positions, ascending
 	slots []int // their slots
 	key   int
@@ -781,7 +851,7 @@ func (n *assignScalar) emit(c *Ctx, m float64) { c.cells[n.cell].acc += m }
 // multiplicity.
 type assignRel struct {
 	q     *matNode
-	free  []colSlot
+	free  *freeCols
 	slot  int
 	bound bool
 	k     sink
@@ -789,9 +859,7 @@ type assignRel struct {
 
 func (n *assignRel) run(c *Ctx) {
 	n.q.relation(c).Foreach(func(t mring.Tuple, m float64) {
-		for _, b := range n.free {
-			c.frame[b.slot] = t[b.pos]
-		}
+		n.free.bind(c, t)
 		c.lift(n.slot, n.bound, mring.Float(m), n.k)
 	})
 }
@@ -838,32 +906,40 @@ func (n *existsScalar) emit(c *Ctx, m float64) {
 // the body is materialized and each distinct row emits multiplicity 1.
 type existsRel struct {
 	body *matNode
-	free []colSlot
+	free *freeCols
 	k    sink
 }
 
 func (n *existsRel) run(c *Ctx) {
 	n.body.relation(c).Foreach(func(t mring.Tuple, _ float64) {
-		for _, b := range n.free {
-			c.frame[b.slot] = t[b.pos]
-		}
+		n.free.bind(c, t)
 		c.Stats.Emits++
 		n.k.emit(c, 1)
 	})
 }
 
-// vprog is a value term lowered to slot reads.
+// vprog is a value term lowered to slot reads. float is val(frame).AsFloat()
+// bit for bit, computed without building a Value.
 type vprog interface {
 	val(frame []mring.Value) mring.Value
+	float(frame []mring.Value) float64
 }
 
 type vslot int
 
 func (v vslot) val(frame []mring.Value) mring.Value { return frame[v] }
+func (v vslot) float(frame []mring.Value) float64   { return frame[v].AsFloat() }
 
-type vconst struct{ v mring.Value }
+// vconst is a literal, converted to float once.
+type vconst struct {
+	v mring.Value
+	f float64
+}
+
+func lit(v mring.Value) vconst { return vconst{v: v, f: v.AsFloat()} }
 
 func (v vconst) val([]mring.Value) mring.Value { return v.v }
+func (v vconst) float([]mring.Value) float64   { return v.f }
 
 type varith struct {
 	op   expr.VOp
@@ -871,5 +947,29 @@ type varith struct {
 }
 
 func (v *varith) val(frame []mring.Value) mring.Value {
-	return expr.ArithV(v.op, v.l.val(frame).AsFloat(), v.r.val(frame).AsFloat())
+	return expr.ArithV(v.op, v.l.float(frame), v.r.float(frame))
+}
+
+func (v *varith) float(frame []mring.Value) float64 {
+	return arith(v.op, v.l.float(frame), v.r.float(frame))
+}
+
+// arith is expr.ArithV(op, l, r).AsFloat() bit for bit. Each result is
+// converted explicitly, which the Go spec makes round it: the compiler
+// may not fuse a product into a sum and skip the product's rounding.
+func arith(op expr.VOp, l, r float64) float64 {
+	switch {
+	case op == expr.VAdd:
+		return float64(l + r)
+	case op == expr.VSub:
+		return float64(l - r)
+	case op == expr.VMul:
+		return float64(l * r)
+	case r == 0:
+		return 0
+	case op == expr.VFloorDiv:
+		return float64(int64(math.Floor(l / r)))
+	default:
+		return float64(l / r)
+	}
 }
