@@ -113,7 +113,7 @@ func TestPlansWriteOnlyWhatTheyRead(t *testing.T) {
 		"Q3 Δorders":   "4 of 6",
 		"Q3 Δcustomer": "2 of 5",
 	}
-	got := map[string]string{}
+	seen := map[string]int{}
 	for name, trees := range livenessTrees(t) {
 		plans, err := eval.Prepare(trees...)
 		if err != nil {
@@ -129,14 +129,17 @@ func TestPlansWriteOnlyWhatTheyRead(t *testing.T) {
 					}
 				}
 				if k := name + " " + a.Env; want[k] != "" && len(a.Bound) == 0 {
-					got[k] = fmt.Sprintf("%d of %d", len(a.Writes), len(a.Rel.Cols))
+					seen[k]++
+					if got := fmt.Sprintf("%d of %d", len(a.Writes), len(a.Rel.Cols)); got != want[k] {
+						t.Errorf("%s scan writes %s columns, want %s:\n%v", k, got, want[k], e)
+					}
 				}
 			}
 		}
 	}
-	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("%s scan writes %s columns, want %s", k, got[k], w)
+	for k := range want {
+		if seen[k] == 0 {
+			t.Errorf("no %s scan found", k)
 		}
 	}
 }

@@ -424,13 +424,7 @@ func (l *lowerer) value(v expr.VExpr, in state) vprog {
 	case expr.Lit:
 		return lit(x.V)
 	case expr.Arith:
-		a := &varith{op: x.Op, l: l.value(x.L, in), r: l.value(x.R, in)}
-		lc, lok := a.l.(vconst)
-		rc, rok := a.r.(vconst)
-		if lok && rok {
-			return lit(expr.ArithV(x.Op, lc.f, rc.f))
-		}
-		return a
+		return &varith{op: x.Op, l: l.value(x.L, in), r: l.value(x.R, in)}
 	case *expr.VarRef:
 		if x != nil {
 			return l.value(*x, in)
