@@ -3,6 +3,9 @@ package ivm
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -374,14 +377,10 @@ func (s *serving) result(view string) *Result {
 	return &Result{rel: s.be.ViewContents(view)}
 }
 
-// knownTables renders the engine's base tables for error messages.
-func knownTables(bases map[string]Schema) string {
-	names := make([]string, 0, len(bases))
-	for n := range bases {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
+// sortedNames renders names sorted and comma-separated, for error
+// messages.
+func sortedNames(names iter.Seq[string]) string {
+	return strings.Join(slices.Sorted(names), ", ")
 }
 
 // Apply folds one transaction — update batches for any set of base
@@ -405,7 +404,7 @@ func (s *serving) applyTx(tx *Tx) error {
 	for _, table := range tx.order {
 		schema, ok := s.prog.Bases[table]
 		if !ok {
-			return fmt.Errorf("ivm: unknown table %q (engine has: %s)", table, knownTables(s.prog.Bases))
+			return fmt.Errorf("ivm: unknown table %q (engine has: %s)", table, sortedNames(maps.Keys(s.prog.Bases)))
 		}
 		b := tx.batches[table]
 		if got := len(b.Schema()); got != len(schema) {
@@ -482,7 +481,7 @@ func (e *Engine) Warm(tables map[string]*Batch) error { return e.warm(tables) }
 func (s *serving) warm(tables map[string]*Batch) error {
 	for n, b := range tables {
 		if _, ok := s.prog.Bases[n]; !ok {
-			return fmt.Errorf("ivm: unknown table %q (engine has: %s)", n, knownTables(s.prog.Bases))
+			return fmt.Errorf("ivm: unknown table %q (engine has: %s)", n, sortedNames(maps.Keys(s.prog.Bases)))
 		}
 		if b == nil {
 			return fmt.Errorf("ivm: nil initial batch for table %q", n)
@@ -894,9 +893,6 @@ type distBackend struct {
 	cl     *cluster.Cluster
 	total  Metrics
 	last   Metrics
-	// watching mirrors the cluster's watch set (a view is in it only
-	// while the engine has changefeed subscribers for it).
-	watching map[string]bool
 }
 
 // newDistBackend deploys the program on the cluster the configuration
@@ -914,34 +910,13 @@ func newDistBackend(prog *compile.Program, cfg *engineConfig) (*distBackend, err
 	} else {
 		cl = cluster.New(cluster.DefaultConfig(cfg.workers), dist.ViewSchemas(prog), parts)
 	}
-	return &distBackend{prog: prog, parts: parts, dprogs: dist.CompileProgram(prog, parts, dist.O3),
-		cl: cl, watching: make(map[string]bool)}, nil
-}
-
-// setCapture reconciles the cluster's watch set with the views that
-// currently have subscribers, so unsubscribed views pay no per-batch
-// sink or clone work.
-func (db *distBackend) setCapture(capture []string) {
-	want := make(map[string]bool, len(capture))
-	for _, v := range capture {
-		want[v] = true
-	}
-	for v := range db.watching {
-		if !want[v] {
-			db.cl.UnwatchView(v)
-			delete(db.watching, v)
-		}
-	}
-	for _, v := range capture {
-		if !db.watching[v] {
-			db.cl.WatchView(v)
-			db.watching[v] = true
-		}
-	}
+	return &distBackend{prog: prog, parts: parts, dprogs: dist.CompileProgram(prog, parts, dist.O3), cl: cl}, nil
 }
 
 func (db *distBackend) ApplyTx(tx []compile.TableBatch, capture []string) (map[string]*mring.Relation, error) {
-	db.setCapture(capture)
+	// Watch exactly the views with subscribers, so the others pay no
+	// per-batch sink or clone work.
+	db.cl.SetWatch(capture)
 	var txm Metrics
 	for _, tb := range tx {
 		dp := db.dprogs[tb.Table]
@@ -1003,12 +978,7 @@ func (db *distBackend) ViewContents(name string) *mring.Relation {
 	return db.cl.ViewContents(name)
 }
 
-func (db *distBackend) StopCapture(view string) {
-	if db.watching[view] {
-		db.cl.UnwatchView(view)
-		delete(db.watching, view)
-	}
-}
+func (db *distBackend) StopCapture(view string) { db.cl.UnwatchView(view) }
 
 func (db *distBackend) Stats() eval.Stats { return db.cl.Stats }
 

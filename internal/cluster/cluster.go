@@ -26,6 +26,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -127,7 +128,7 @@ type Cluster struct {
 	// after each stage barrier, so the totals are deterministic even
 	// though process workers run concurrently.
 	Stats eval.Stats
-	// watch maps each watched view (WatchView) to the delta accumulated
+	// watch maps each watched view (SetWatch) to the delta accumulated
 	// since its last TakeWatchDelta, gathered deterministically:
 	// driver-side folds for local/replicated views, per-worker folds
 	// merged strictly in worker-index order for distributed views.
@@ -172,7 +173,7 @@ type WorkerTiming struct {
 }
 
 // New creates a simulated cluster of in-process shards with empty state.
-// schemas names the views the cluster reads (WatchView, ViewContents) and
+// schemas names the views the cluster reads (SetWatch, ViewContents) and
 // warm-loads (WarmViews); the schemas a program's blocks bind come from
 // the program (dist.DistProgram.Schemas).
 func New(cfg Config, schemas map[string]mring.Schema, parts dist.PartInfo) *Cluster {
@@ -266,20 +267,28 @@ func (c *Cluster) WorkerTimings() []WorkerTiming {
 	return out
 }
 
-// WatchView starts capturing every maintenance write to the named view
-// as a per-batch delta. Several views can be watched at once; watching
-// an already-watched view keeps its accumulator. The view must be one of
-// the schemas the cluster was constructed with.
-func (c *Cluster) WatchView(name string) {
-	s, ok := c.schemas[name]
-	if !ok {
-		panic(fmt.Sprintf("cluster: cannot watch unknown view %q", name))
+// SetWatch makes views the watched set: every maintenance write to a
+// watched view is captured as a per-batch delta. A view that stays
+// watched keeps its accumulator, a newly watched one starts empty, and
+// every other view stops capturing. Each view must be one of the schemas
+// the cluster was constructed with.
+func (c *Cluster) SetWatch(views []string) {
+	for name := range c.watch {
+		if !slices.Contains(views, name) {
+			delete(c.watch, name)
+		}
 	}
-	if c.watch == nil {
-		c.watch = make(map[string]*mring.Relation, 1)
-	}
-	if c.watch[name] == nil {
-		c.watch[name] = mring.NewRelation(s)
+	for _, name := range views {
+		s, ok := c.schemas[name]
+		if !ok {
+			panic(fmt.Sprintf("cluster: cannot watch unknown view %q", name))
+		}
+		if c.watch == nil {
+			c.watch = make(map[string]*mring.Relation, len(views))
+		}
+		if c.watch[name] == nil {
+			c.watch[name] = mring.NewRelation(s)
+		}
 	}
 }
 
@@ -413,10 +422,7 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 	if len(reqs[0].installs) == 0 {
 		return nil
 	}
-	if err := c.each(func(i int, w worker) error {
-		_, err := w.stage(&reqs[i])
-		return err
-	}); err != nil {
+	if _, err := c.stage(reqs); err != nil {
 		return c.fail(err)
 	}
 	return nil
@@ -714,7 +720,6 @@ func (r *run) queue(in install, from func(i int) []rows) {
 // their watched views first, in install order and worker-index order
 // within each, then b's sinks in worker-index order.
 func (c *Cluster) send(r *run, b *block) error {
-	n := len(c.workers)
 	var watch []string
 	if b != nil {
 		watch = c.workerWatches(b.stmts)
@@ -724,23 +729,9 @@ func (c *Cluster) send(r *run, b *block) error {
 	for i := range r.reqs {
 		r.reqs[i].block, r.reqs[i].watch, r.reqs[i].outputs = b, watch, outputs
 	}
-	resps := make([]stageResp, n)
-	if err := c.stage(r.reqs, resps); err != nil {
+	resps, err := c.stage(r.reqs)
+	if err != nil {
 		return err
-	}
-	for i, resp := range resps {
-		if len(resp.outs) != len(outputs) {
-			return fmt.Errorf("cluster: worker %d returned %d outputs for %d", i, len(resp.outs), len(outputs))
-		}
-		for k, o := range outputs {
-			want := 1
-			if o.split {
-				want = n
-			}
-			if len(resp.outs[k]) != want {
-				return fmt.Errorf("cluster: worker %d returned %d pieces of %s for %d", i, len(resp.outs[k]), o.src, want)
-			}
-		}
 	}
 	for k, name := range r.captures {
 		if name == "" {
@@ -767,31 +758,55 @@ func (c *Cluster) send(r *run, b *block) error {
 	return nil
 }
 
-// stage runs one step's requests, one per worker. Process workers serve
-// theirs concurrently, each encoding its pieces into its response before
-// anything else runs. In-process shards land each install on every shard
-// before the next install, and every install before any shard runs its
-// block: a piece aliases the fragment it was dealt from, which a later
-// install or block on its sender may change, and worker state is
-// shared-nothing, so the order is otherwise invisible.
-func (c *Cluster) stage(reqs []stageReq, resps []stageResp) error {
+// stage runs one step's requests, one per worker, and returns the
+// responses, each checked to carry one entry per output and one piece
+// per worker for each split output. Every exchange with the workers but
+// setup and checkpoints is a stage: a program step, a warm load, a view
+// read. Process workers serve theirs concurrently, each encoding its
+// pieces into its response before anything else runs. In-process shards
+// land each install on every shard before the next install, and every
+// install before any shard runs its block: a piece aliases the fragment
+// it was dealt from, which a later install or block on its sender may
+// change, and worker state is shared-nothing, so the order is otherwise
+// invisible.
+func (c *Cluster) stage(reqs []stageReq) ([]stageResp, error) {
+	n := len(c.workers)
+	resps := make([]stageResp, n)
 	if c.rpc {
-		return c.each(func(i int, w worker) (err error) {
+		if err := c.each(func(i int, w worker) (err error) {
 			resps[i], err = w.stage(&reqs[i])
 			return err
-		})
-	}
-	for k := range reqs[0].installs {
+		}); err != nil {
+			return nil, err
+		}
+	} else {
+		for k := range reqs[0].installs {
+			for i, w := range c.workers {
+				w.(*Shard).land(&reqs[i], k, &resps[i])
+			}
+		}
 		for i, w := range c.workers {
-			w.(*Shard).land(&reqs[i], k, &resps[i])
+			if err := w.(*Shard).finish(&reqs[i], &resps[i]); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for i, w := range c.workers {
-		if err := w.(*Shard).finish(&reqs[i], &resps[i]); err != nil {
-			return err
+	for i, resp := range resps {
+		outputs := reqs[i].outputs
+		if len(resp.outs) != len(outputs) {
+			return nil, fmt.Errorf("cluster: worker %d returned %d outputs for %d", i, len(resp.outs), len(outputs))
+		}
+		for k, o := range outputs {
+			want := 1
+			if o.split {
+				want = n
+			}
+			if len(resp.outs[k]) != want {
+				return nil, fmt.Errorf("cluster: worker %d returned %d pieces of %s for %d", i, len(resp.outs[k]), o.src, want)
+			}
 		}
 	}
-	return nil
+	return resps, nil
 }
 
 // runLocalBlock executes driver-side statements; transformer statements
@@ -1087,20 +1102,25 @@ func (c *Cluster) readView(name string) (*mring.Relation, error) {
 		}
 		return out, nil
 	}
-	frags := make([]rows, len(c.workers))
-	if err := c.each(func(i int, w worker) (err error) {
-		frags[i], err = w.fetch(name, c.schemas[name])
-		return err
-	}); err != nil {
+	// One transfer-only stage whose single output is the view's fragment.
+	reqs := make([]stageReq, len(c.workers))
+	read := []output{{src: name, schema: c.schemas[name]}}
+	for i := range reqs {
+		reqs[i].outputs = read
+	}
+	resps, err := c.stage(reqs)
+	if err != nil {
 		return nil, err
 	}
-	for _, f := range frags {
-		if f == nil {
+	for _, resp := range resps {
+		f := resp.outs[0][0]
+		if f == nil || f.Len() == 0 {
 			continue
 		}
 		f.Foreach(out.Add)
 		if loc.Kind == dist.LIndiff {
-			// Replicated: the first present replica, in worker-index
+			// Replicated: every replica is installed from the same pack in
+			// the same order, so the first non-empty one, in worker-index
 			// order, is the contents.
 			return out, nil
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/expr"
 	"repro/internal/mring"
+	inet "repro/internal/net"
 )
 
 func tup(vs ...int) mring.Tuple {
@@ -393,4 +394,52 @@ func TestConfigZeroWorkersPanics(t *testing.T) {
 		}
 	}()
 	New(Config{Workers: 0}, nil, nil)
+}
+
+// TestReplicatedViewReadAfterReplicaLost pins that a replicated view
+// still reads whole once a replica is gone: a warmed replicated view
+// whose worker 0 lost its state reads as the local executor's contents,
+// on in-process shards and on two worker processes.
+func TestReplicatedViewReadAfterReplicaLost(t *testing.T) {
+	bases := map[string]mring.Schema{"R": {"A", "B"}}
+	prog, err := compile.Compile("QI", expr.Sum([]string{"B"}, expr.Base("R", "A", "B")), bases, compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := partitionAll(prog, false)
+	parts[prog.QueryName] = dist.Indiff
+	r := mring.NewRelation(bases["R"])
+	for i := 0; i < 20; i++ {
+		r.Add(tup(i, i%4), float64(1+i%3))
+	}
+	local := compile.NewExecutor(prog)
+	local.InitFromBases(map[string]*mring.Relation{"R": r})
+	want := local.Result()
+	if want.Len() == 0 {
+		t.Fatal("the replicated view is empty")
+	}
+	addrs := make([]string, 2)
+	for i := range addrs {
+		srv, err := ListenAndServeWorker(inet.TCP{}, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs[i] = srv.Addr()
+	}
+	proc, err := Connect(inet.TCP{}, addrs, dist.ViewSchemas(prog), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proc.Close()
+	sim := New(DefaultConfig(2), dist.ViewSchemas(prog), parts)
+	for kind, cl := range map[string]*Cluster{"simulated": sim, "process": proc} {
+		if err := cl.WarmViews(map[string]*mring.Relation{prog.QueryName: want.Clone()}); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		cl.KillWorker(0)
+		if got := cl.ViewContents(prog.QueryName); !got.EqualApprox(want, 1e-9) {
+			t.Fatalf("%s: replicated view after losing worker 0 = %v, want %v", kind, got, want)
+		}
+	}
 }

@@ -44,9 +44,6 @@ func TestCodecRoundTrip(t *testing.T) {
 			replaced: [][2]rows{{nil, nil}, {p, nil}},
 			outs:     [][]rows{{p}, {nil, p}}}, &stageResp{}},
 		{&stageResp{}, &stageResp{}},
-		{&fetchReq{Name: "R", Schema: schema}, &fetchReq{}},
-		{&fetchResp{Present: true, Rows: p}, &fetchResp{}},
-		{&fetchResp{Present: true}, &fetchResp{}},
 		{&snapshotMsg{Frags: frags}, &snapshotMsg{}},
 	} {
 		body := marshal(c.in)

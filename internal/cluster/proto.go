@@ -20,12 +20,15 @@ import (
 // pieces — and runs at most one distributed block; the response carries
 // the block's stats and sinks, the installs' capture replacements, and
 // the outputs the driver statements after the block read — fragments for
-// gathers, pieces for exchanges. A distributed block crosses the wire
-// once per worker: the first stage that names it carries its deploy blob
-// (block.go), every later one only its id. remoteWorker encodes each
-// worker-interface call, and serve decodes it onto a Shard. Each worker
-// connection carries strictly sequential request/response pairs; the
-// driver fans out across workers concurrently.
+// gathers, pieces for exchanges. A warm load and a view read are one
+// opStage each too, the one carrying installs only, the other one output
+// only; setup opens a session, and snapshot and restore move checkpoints.
+// A distributed block crosses the wire once per worker: the first stage
+// that names it carries its deploy blob (block.go), every later one only
+// its id. remoteWorker encodes each worker-interface call, and serve
+// decodes it onto a Shard. Each worker connection carries strictly
+// sequential request/response pairs; the driver fans out across workers
+// concurrently.
 //
 // DESIGN.md §11 documents the protocol; change both together.
 const (
@@ -35,8 +38,6 @@ const (
 	// opStage runs one step of a program: installs, then at most one
 	// distributed block, then outputs (stageReq, stageResp).
 	opStage byte = 2
-	// opFetch returns a shard fragment's contents (view reads).
-	opFetch byte = 3
 	// opSnapshot returns every fragment the shard holds, with bucket-table
 	// sizes, for a durability checkpoint.
 	opSnapshot byte = 4
@@ -44,6 +45,8 @@ const (
 	// fragments, rebuilt layout-exact (worker re-warm during recovery),
 	// and drops its deployed blocks.
 	opRestore byte = 5
+	// Ops 3 (fetch) and 6 (retain) are retired: a worker refuses them as
+	// unknown.
 
 	// opOK carries a response body; opErr carries an error string.
 	opOK  byte = 64
@@ -277,25 +280,6 @@ func getRows(d *wire.Dec) rows {
 	}
 	return r
 }
-
-type fetchReq struct {
-	Name   string
-	Schema mring.Schema
-}
-
-func (m *fetchReq) put(e *encoder)  { e.Str(m.Name); e.Strs(m.Schema) }
-func (m *fetchReq) get(d *wire.Dec) { m.Name = d.Str(); m.Schema = d.Schema() }
-
-type fetchResp struct {
-	// Present reports whether the shard holds the relation at all (view
-	// reads distinguish an absent replica from an empty one).
-	Present bool
-	// Rows is the relation's contents; nil when empty.
-	Rows rows
-}
-
-func (m *fetchResp) put(e *encoder)  { e.Bool(m.Present); e.rows(m.Rows, nil) }
-func (m *fetchResp) get(d *wire.Dec) { m.Present = d.Bool(); m.Rows = getRows(d) }
 
 // snapshotMsg carries a shard's whole state: the snapshot response, and
 // the restore request. Frags holds every restorable fragment (contents

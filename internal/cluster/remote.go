@@ -107,17 +107,6 @@ func (rw *remoteWorker) pack(r rows) rows {
 	return &shipped{raw: inet.EncodeRows(&rw.enc.w, shipSchema(r, nil), r)}
 }
 
-func (rw *remoteWorker) fetch(name string, schema mring.Schema) (rows, error) {
-	var resp fetchResp
-	if err := rw.call(opFetch, &fetchReq{Name: name, Schema: schema}, &resp); err != nil || !resp.Present {
-		return nil, err
-	}
-	if resp.Rows == nil {
-		return mring.NewRelation(schema), nil // present but empty
-	}
-	return resp.Rows, nil
-}
-
 func (rw *remoteWorker) snapshot() (map[string]Frag, error) {
 	var resp snapshotMsg
 	err := rw.call(opSnapshot, nil, &resp)

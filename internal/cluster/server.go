@@ -89,16 +89,6 @@ func serve(sh *Shard, op byte, body []byte) (message, error) {
 			return nil, err
 		}
 		return &resp, nil
-	case opFetch:
-		var req fetchReq
-		if err := unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		r, _ := sh.fetch(req.Name, req.Schema)
-		if r == nil {
-			return &fetchResp{}, nil
-		}
-		return &fetchResp{Present: true, Rows: r}, nil
 	case opSnapshot:
 		if err := unmarshal(body, nil); err != nil {
 			return nil, err

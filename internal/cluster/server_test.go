@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"testing"
@@ -122,12 +123,12 @@ func fuzzShard() (*Shard, *mring.Relation) {
 // FuzzServeRequest feeds arbitrary requests to a set-up worker shard: an
 // op byte and a body must produce a response or an error, never a panic.
 // serve is called directly, without handleSafely's recover, so a panic
-// fails the fuzzer. The seeds are one real request per op, and one stage
-// of each shape: a deal only; installs, a run that deploys a Q3 block and
-// outputs; outputs only; scatter and repartition installs that capture;
-// a run naming an id the shard never saw; a payload of the wrong arity;
-// and deployments of a mixed-union tree and of a block reading a
-// relation at another arity.
+// fails the fuzzer. The seeds are one real request per live op, each
+// retired op byte, and one stage of each shape: a deal only; installs, a
+// run that deploys a Q3 block and outputs; outputs only; scatter and
+// repartition installs that capture; a run naming an id the shard never
+// saw; a payload of the wrong arity; and deployments of a mixed-union
+// tree and of a block reading a relation at another arity.
 func FuzzServeRequest(f *testing.F) {
 	blocks := q3WorkerBlocks(f)
 	sh, r := fuzzShard()
@@ -160,9 +161,9 @@ func FuzzServeRequest(f *testing.F) {
 		{opStage, &stageReq{installs: []install{{kind: installScatter, name: "R", schema: schema[:1], from: []rows{p}}}}},
 		{opStage, &stageReq{block: &block{id: 2}, deploy: encodeDeploy(mixed, mixedSchemas)}},
 		{opStage, &stageReq{block: &block{id: 3}, deploy: encodeDeploy(blocks[0].stmts, wide)}},
-		{opFetch, &fetchReq{Name: "R", Schema: schema}},
 		{opSnapshot, nil},
 		{opRestore, &snapshotMsg{Frags: snap}},
+		{3, nil}, // the retired fetch op
 		{6, nil}, // the retired retain op
 	} {
 		f.Add(seed.op, marshal(seed.msg))
@@ -267,9 +268,11 @@ func (c *scriptConn) Recv() (byte, []byte, error) {
 
 func (c *scriptConn) Close() error { return nil }
 
-// TestRetiredOpRefused pins that op byte 6, which once dropped every
-// fragment outside a keep set, is now an unknown op: the worker answers
-// it with an error response and its fragments stay as they were.
+// TestRetiredOpRefused pins that the retired op bytes are now unknown
+// ops: op 3, which once returned a fragment, and op 6, which once dropped
+// every fragment outside a keep set. The worker answers each with an
+// error response, and a stage reading R afterwards finds its fragment as
+// it was.
 func TestRetiredOpRefused(t *testing.T) {
 	_, r := fuzzShard()
 	p, err := decodeRows(inet.EncodeRelationPlain(r))
@@ -279,29 +282,41 @@ func TestRetiredOpRefused(t *testing.T) {
 	deal := install{kind: installReplace, name: "R", schema: r.Schema(), from: []rows{p}}
 	var keepNothing wire.Enc
 	keepNothing.Strs(nil)
+	var fetchR wire.Enc
+	fetchR.Str("R")
+	fetchR.Strs(r.Schema())
 	conn := &scriptConn{reqs: []frame{
 		{opSetup, marshal(&setupReq{Index: 0, Workers: 2})},
 		{opStage, marshal(&stageReq{installs: []install{deal}})},
+		{3, fetchR.B},
 		{6, keepNothing.B},
-		{opFetch, marshal(&fetchReq{Name: "R", Schema: r.Schema()})},
+		{opStage, marshal(&stageReq{outputs: []output{{src: "R", schema: r.Schema()}}})},
 	}}
 	if err := ServeConn(conn); err != nil {
 		t.Fatal(err)
 	}
-	if len(conn.resps) != 4 {
-		t.Fatalf("got %d responses to 4 requests", len(conn.resps))
+	if len(conn.resps) != 5 {
+		t.Fatalf("got %d responses to 5 requests", len(conn.resps))
 	}
-	if got := conn.resps[2]; got.typ != opErr || string(got.body) != "cluster: unknown op 6" {
-		t.Fatalf("op 6 answered %d %q, want an error response %q", got.typ, got.body, "cluster: unknown op 6")
+	for i, op := range []byte{3, 6} {
+		want := fmt.Sprintf("cluster: unknown op %d", op)
+		if got := conn.resps[2+i]; got.typ != opErr || string(got.body) != want {
+			t.Fatalf("op %d answered %d %q, want an error response %q", op, got.typ, got.body, want)
+		}
 	}
-	var got fetchResp
-	if conn.resps[3].typ != opOK {
-		t.Fatalf("fetch after op 6 failed: %s", conn.resps[3].body)
+	var got stageResp
+	if conn.resps[4].typ != opOK {
+		t.Fatalf("stage after the retired ops failed: %s", conn.resps[4].body)
 	}
-	if err := unmarshal(conn.resps[3].body, &got); err != nil {
+	if err := unmarshal(conn.resps[4].body, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !got.Present || got.Rows == nil || got.Rows.Len() != r.Len() {
-		t.Fatalf("op 6 changed the shard: fetch of R gave %+v, want its %d rows", got, r.Len())
+	if len(got.outs) != 1 || len(got.outs[0]) != 1 || got.outs[0][0] == nil || got.outs[0][0].Len() != r.Len() {
+		t.Fatalf("a retired op changed the shard: reading R gave %+v, want its %d rows", got.outs, r.Len())
 	}
+	got.outs[0][0].Foreach(func(tp mring.Tuple, m float64) {
+		if want := r.Get(tp); m != want {
+			t.Fatalf("a retired op changed the shard: R%v = %g, want %g", tp, m, want)
+		}
+	})
 }

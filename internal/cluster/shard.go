@@ -20,14 +20,11 @@ import (
 type worker interface {
 	// stage runs one step of a program on the worker: the request's
 	// installs in order, then its block, then its outputs. It is the only
-	// call a transaction makes.
+	// call a transaction, a warm load or a view read makes.
 	stage(req *stageReq) (stageResp, error)
 	// pack readies driver-held rows for an install on this kind of
 	// worker; one pack may be installed on every worker (broadcast).
 	pack(r rows) rows
-	// fetch returns the worker's fragment of a relation, nil when it holds
-	// none (an absent replica differs from an empty one).
-	fetch(name string, schema mring.Schema) (rows, error)
 	// snapshot and restore move the worker's whole state in and out of a
 	// durability checkpoint, bucket-table sizes included.
 	snapshot() (map[string]Frag, error)
@@ -73,8 +70,8 @@ type install struct {
 }
 
 // output is a worker-side read that rides a stage's response, taken after
-// the block runs: a fragment fetched whole for a gather, or dealt by key
-// into one piece per destination worker for an exchange.
+// the block runs: a fragment read whole for a gather or a view read, or
+// dealt by key into one piece per destination worker for an exchange.
 type output struct {
 	src    string
 	schema mring.Schema
@@ -109,7 +106,7 @@ type stageResp struct {
 	// replaced holds, per install in request order, the fragment's
 	// contents after and before it; empty when no install captures.
 	replaced [][2]rows
-	// outs holds, per output in request order, the fragment fetched (one
+	// outs holds, per output in request order, the fragment read (one
 	// entry, nil when empty or absent) or its pieces by destination (nil:
 	// nothing for that worker).
 	outs [][]rows
@@ -342,7 +339,11 @@ func (sh *Shard) finish(req *stageReq, resp *stageResp) error {
 	}
 	for _, o := range req.outputs {
 		if !o.split {
-			r, _ := sh.fetch(o.src, o.schema)
+			// An absent fragment reads as nil, not as a nil relation.
+			var r rows
+			if f := sh.rels[o.src]; f != nil {
+				r = f
+			}
 			resp.outs = append(resp.outs, []rows{r})
 			continue
 		}
@@ -470,13 +471,6 @@ func (sh *Shard) run(b *block, watch []string, resp *stageResp) {
 }
 
 func (sh *Shard) pack(r rows) rows { return r }
-
-func (sh *Shard) fetch(name string, _ mring.Schema) (rows, error) {
-	if r := sh.rels[name]; r != nil {
-		return r, nil
-	}
-	return nil, nil
-}
 
 func (sh *Shard) snapshot() (map[string]Frag, error) { return sh.node.snapshot(), nil }
 

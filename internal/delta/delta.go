@@ -344,18 +344,3 @@ func unionDoms(a, b expr.Expr) expr.Expr {
 	}
 	return expr.Join(a, b)
 }
-
-// BindsEqualityCorrelatedVar reports whether dom binds at least one of the
-// given correlation variables. The paper's policy (Sec. 3.2.3): maintain a
-// nested query incrementally only when the extracted nested domain binds
-// at least one equality-correlated variable; otherwise prefer
-// re-evaluation.
-func BindsEqualityCorrelatedVar(dom expr.Expr, correlated []string) bool {
-	s := dom.Schema()
-	for _, v := range correlated {
-		if s.Contains(v) {
-			return true
-		}
-	}
-	return false
-}

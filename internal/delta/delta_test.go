@@ -189,9 +189,6 @@ func TestExtractDomUncorrelatedIsOne(t *testing.T) {
 	if !isOne(dom) {
 		t.Fatalf("uncorrelated domain = %s, want 1", dom)
 	}
-	if BindsEqualityCorrelatedVar(dom, []string{"B"}) {
-		t.Fatal("uncorrelated domain should bind nothing")
-	}
 }
 
 func TestExtractDomCorrelatedBindsVar(t *testing.T) {
@@ -199,7 +196,7 @@ func TestExtractDomCorrelatedBindsVar(t *testing.T) {
 	// B2 values restricts B through the equality.
 	dq := expr.Sum([]string{"B2"}, expr.Delta("S", "B2", "C"))
 	dom := ExtractDom(dq)
-	if !BindsEqualityCorrelatedVar(dom, []string{"B2"}) {
+	if !dom.Schema().Contains("B2") {
 		t.Fatalf("domain %s should bind B2", dom)
 	}
 }

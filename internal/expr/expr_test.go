@@ -112,18 +112,6 @@ func TestRelationsAndHas(t *testing.T) {
 	}
 }
 
-func TestRenameRel(t *testing.T) {
-	q := Join(Base("R", "a"), Base("S", "a"))
-	q2 := RenameRel(q, RBase, "R", RView, "M_R")
-	if !HasRel(q2, RView, "M_R") || HasRel(q2, RBase, "R") {
-		t.Fatalf("rename failed: %v", q2)
-	}
-	// original untouched
-	if !HasRel(q, RBase, "R") {
-		t.Fatal("RenameRel mutated input")
-	}
-}
-
 func TestVExprEval(t *testing.T) {
 	env := map[string]mring.Value{"a": mring.Int(4), "b": mring.Float(2)}
 	lookup := func(n string) mring.Value { return env[n] }

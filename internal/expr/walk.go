@@ -320,20 +320,6 @@ func Simplify(e Expr) Expr {
 	})
 }
 
-// RenameRel returns a copy of the tree where every reference to relation
-// (kind, from) is renamed to `to` with kind toKind.
-func RenameRel(e Expr, kind RelKind, from string, toKind RelKind, to string) Expr {
-	return Transform(e, func(n Expr) Expr {
-		if r, ok := n.(*Rel); ok && r.Kind == kind && r.Name == from {
-			c := *r
-			c.Kind = toKind
-			c.Name = to
-			return &c
-		}
-		return n
-	})
-}
-
 // FreeAfter returns the variables of the whole Mul expression that are
 // bound before position i (columns produced by factors 0..i-1).
 func boundBefore(m *Mul, i int) mring.Schema {

@@ -2,7 +2,7 @@ package ivm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/compile"
 )
@@ -117,21 +117,9 @@ func (r *Registry) top(name string) (string, error) {
 	t, ok := r.sc.Top(name)
 	if !ok {
 		return "", fmt.Errorf("ivm: unknown registered view %q (registry has: %s)",
-			name, joinNames(r.sc.Names()))
+			name, sortedNames(slices.Values(r.sc.Names())))
 	}
 	return t, nil
-}
-
-func joinNames(names []string) string {
-	sort.Strings(names)
-	s := ""
-	for i, n := range names {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
 }
 
 // Apply folds one transaction into every registered view in a single

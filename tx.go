@@ -1,6 +1,9 @@
 package ivm
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // Tx is an atomic multi-table transaction: per-table update batches
 // that Engine.Apply folds into the maintained views in one maintenance
@@ -92,7 +95,7 @@ func (tx *Tx) batchFor(table string) (*Batch, error) {
 	}
 	schema, ok := tx.bases[table]
 	if !ok {
-		return nil, fmt.Errorf("ivm: unknown table %q (engine has: %s)", table, knownTables(tx.bases))
+		return nil, fmt.Errorf("ivm: unknown table %q (engine has: %s)", table, sortedNames(maps.Keys(tx.bases)))
 	}
 	return tx.Batch(table, schema), nil
 }
