@@ -37,7 +37,9 @@ lint:
 # and the changefeed decoders must also re-encode what they accept to
 # the same bytes, and the batch reader must visit the same rows forwards
 # and backwards — tuples with equal
-# canonical keys must compare and hash equal, any sequence of relation
+# canonical keys must compare and hash equal, on both sides of the
+# integer fast path (an integer within ±2^53 hashes and compares by its
+# own word) included, any sequence of relation
 # and group-table operations must match a plain-map model, the
 # simulator's computed shuffle size must equal the length of the
 # one-pass writer's output on every relation, mixed kinds included, and

@@ -18,16 +18,17 @@ import (
 // request on shards[i] inside the driver's call, through the same codec
 // and serve a worker process runs. The test holds the shards, so it can
 // read each worker's block table between driver calls, and each
-// connection counts the requests it carried and the deploy blobs among
-// them, by block id.
+// connection counts the requests it carried, the deploy blobs among them
+// by block id, and the response bytes it delivered.
 type loopback struct {
 	shards   []*Shard
 	requests []int
+	received []int
 	deploys  []map[uint64]int
 }
 
 func newLoopback(workers int) *loopback {
-	lb := &loopback{requests: make([]int, workers)}
+	lb := &loopback{requests: make([]int, workers), received: make([]int, workers)}
 	for i := 0; i < workers; i++ {
 		lb.shards = append(lb.shards, &Shard{node: newNode()})
 		lb.deploys = append(lb.deploys, make(map[uint64]int))
@@ -48,7 +49,7 @@ func (lb *loopback) Dial(addr string) (inet.Conn, error) {
 	if err != nil || i < 0 || i >= len(lb.shards) {
 		return nil, errors.New("loopback: no such worker")
 	}
-	return &loopConn{sh: lb.shards[i], requests: &lb.requests[i], deploys: lb.deploys[i]}, nil
+	return &loopConn{sh: lb.shards[i], requests: &lb.requests[i], received: &lb.received[i], deploys: lb.deploys[i]}, nil
 }
 
 func (lb *loopback) Listen(string) (inet.Listener, error) {
@@ -58,6 +59,7 @@ func (lb *loopback) Listen(string) (inet.Listener, error) {
 type loopConn struct {
 	sh       *Shard
 	requests *int
+	received *int
 	deploys  map[uint64]int
 	typ      byte
 	body     []byte
@@ -75,6 +77,7 @@ func (c *loopConn) Send(op byte, body []byte) error {
 	} else {
 		c.typ, c.body = opOK, marshal(resp)
 	}
+	*c.received += len(c.body)
 	return nil
 }
 

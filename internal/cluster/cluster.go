@@ -791,22 +791,30 @@ func (c *Cluster) stage(reqs []stageReq) ([]stageResp, error) {
 			}
 		}
 	}
-	for i, resp := range resps {
-		outputs := reqs[i].outputs
-		if len(resp.outs) != len(outputs) {
-			return nil, fmt.Errorf("cluster: worker %d returned %d outputs for %d", i, len(resp.outs), len(outputs))
-		}
-		for k, o := range outputs {
-			want := 1
-			if o.split {
-				want = n
-			}
-			if len(resp.outs[k]) != want {
-				return nil, fmt.Errorf("cluster: worker %d returned %d pieces of %s for %d", i, len(resp.outs[k]), o.src, want)
-			}
+	for i := range resps {
+		if err := c.checkOutputs(i, &reqs[i], &resps[i]); err != nil {
+			return nil, err
 		}
 	}
 	return resps, nil
+}
+
+// checkOutputs checks that worker i answered each of req's outputs with
+// one fragment, or with one piece per worker for a split output.
+func (c *Cluster) checkOutputs(i int, req *stageReq, resp *stageResp) error {
+	if len(resp.outs) != len(req.outputs) {
+		return fmt.Errorf("cluster: worker %d returned %d outputs for %d", i, len(resp.outs), len(req.outputs))
+	}
+	for k, o := range req.outputs {
+		want := 1
+		if o.split {
+			want = len(c.workers)
+		}
+		if len(resp.outs[k]) != want {
+			return fmt.Errorf("cluster: worker %d returned %d pieces of %s for %d", i, len(resp.outs[k]), o.src, want)
+		}
+	}
+	return nil
 }
 
 // runLocalBlock executes driver-side statements; transformer statements
@@ -1102,9 +1110,30 @@ func (c *Cluster) readView(name string) (*mring.Relation, error) {
 		}
 		return out, nil
 	}
-	// One transfer-only stage whose single output is the view's fragment.
-	reqs := make([]stageReq, len(c.workers))
+	// A transfer-only stage whose single output is the view's fragment.
 	read := []output{{src: name, schema: c.schemas[name]}}
+	if ok && loc.Kind == dist.LIndiff {
+		// Replicated: every replica is installed from the same pack in the
+		// same order, so the first non-empty one, in worker-index order, is
+		// the contents. Ask one worker at a time, the next only when a
+		// replica comes back empty.
+		req := stageReq{outputs: read}
+		for i, w := range c.workers {
+			resp, err := w.stage(&req)
+			if err == nil {
+				err = c.checkOutputs(i, &req, &resp)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if f := resp.outs[0][0]; f != nil && f.Len() > 0 {
+				f.Foreach(out.Add)
+				return out, nil
+			}
+		}
+		return out, nil
+	}
+	reqs := make([]stageReq, len(c.workers))
 	for i := range reqs {
 		reqs[i].outputs = read
 	}
@@ -1113,16 +1142,8 @@ func (c *Cluster) readView(name string) (*mring.Relation, error) {
 		return nil, err
 	}
 	for _, resp := range resps {
-		f := resp.outs[0][0]
-		if f == nil || f.Len() == 0 {
-			continue
-		}
-		f.Foreach(out.Add)
-		if loc.Kind == dist.LIndiff {
-			// Replicated: every replica is installed from the same pack in
-			// the same order, so the first non-empty one, in worker-index
-			// order, is the contents.
-			return out, nil
+		if f := resp.outs[0][0]; f != nil {
+			f.Foreach(out.Add)
 		}
 	}
 	if !ok {

@@ -443,3 +443,55 @@ func TestReplicatedViewReadAfterReplicaLost(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicatedViewReadsOneReplica reads a replicated (LIndiff) view of
+// 1,000 rows through counting loopback workers and checks that a read
+// ships one replica, not one per worker: the response bytes of a read at
+// 2, 4 and 8 workers exceed the 1-worker reading by at most a small
+// fixed overhead per worker.
+func TestReplicatedViewReadsOneReplica(t *testing.T) {
+	const perWorker = 32 // response bytes a read may add per extra worker
+	bases := map[string]mring.Schema{"R": {"A", "B"}}
+	prog, err := compile.Compile("QI", expr.Sum([]string{"A", "B"}, expr.Base("R", "A", "B")), bases, compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := partitionAll(prog, false)
+	parts[prog.QueryName] = dist.Indiff
+	view := mring.NewRelation(dist.ViewSchemas(prog)[prog.QueryName])
+	for i := 0; i < 1000; i++ {
+		view.Add(tup(i, i%7), float64(1+i%3))
+	}
+	read := func(workers int) int {
+		lb := newLoopback(workers)
+		cl, err := Connect(lb, lb.addrs(), dist.ViewSchemas(prog), parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := cl.WarmViews(map[string]*mring.Relation{prog.QueryName: view.Clone()}); err != nil {
+			t.Fatal(err)
+		}
+		before := 0
+		for _, n := range lb.received {
+			before += n
+		}
+		if got := cl.ViewContents(prog.QueryName); !got.EqualApprox(view, 0) {
+			t.Fatalf("%d workers: replicated view reads %d rows, want %v", workers, got.Len(), view.Len())
+		}
+		after := 0
+		for _, n := range lb.received {
+			after += n
+		}
+		return after - before
+	}
+	one := read(1)
+	t.Logf("1 worker: %d response bytes per read", one)
+	for _, workers := range []int{2, 4, 8} {
+		got := read(workers)
+		t.Logf("%d workers: %d response bytes per read", workers, got)
+		if got > one+perWorker*(workers-1) {
+			t.Errorf("%d workers: a read receives %d bytes, want <= %d (one replica)", workers, got, one+perWorker*(workers-1))
+		}
+	}
+}

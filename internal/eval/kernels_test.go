@@ -28,7 +28,7 @@ var kernelOperands = []mring.Value{
 // sameValue reports whether two values are identical, float bits
 // included.
 func sameValue(x, y mring.Value) bool {
-	return x.K == y.K && x.I == y.I && math.Float64bits(x.F) == math.Float64bits(y.F) && x.S == y.S
+	return x == y
 }
 
 type countSink struct{ m float64 }

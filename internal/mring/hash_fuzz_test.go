@@ -56,13 +56,25 @@ func FuzzHashColsKeyEqual(f *testing.F) {
 		le.PutUint64(b[:], w)
 		return b[:]
 	}
-	// Seeds: identical int/float pairs, NaN, 2^53 neighbors, strings.
-	f.Add(append([]byte{2, 0}, bytes.Repeat(append([]byte{0}, b8(7)...), 4)...))
-	f.Add(append([]byte{1, 1}, append(append([]byte{1}, b8(math.Float64bits(math.NaN()))...),
-		append([]byte{1}, b8(math.Float64bits(math.NaN()))...)...)...))
-	f.Add(append([]byte{1, 1}, append(append([]byte{0}, b8(uint64(int64(1)<<53))...),
-		append([]byte{0}, b8(uint64(int64(1)<<53+1))...)...)...))
-	f.Add(append([]byte{2, 3}, bytes.Repeat(append([]byte{7}, []byte("grpkey00")...), 4)...))
+	i64 := func(i int64) []byte { return append([]byte{0}, b8(uint64(i))...) }
+	f64 := func(x float64) []byte { return append([]byte{1}, b8(math.Float64bits(x))...) }
+	pair := func(a, b []byte) { f.Add(append(append([]byte{0, 1}, a...), b...)) }
+	// Seeds: identical int/float pairs, NaN, 2^53 neighbors, strings. An
+	// input holds two tuples of the arity its first byte selects.
+	f.Add(append([]byte{2, 0}, bytes.Repeat(i64(7), 6)...))
+	pair(f64(math.NaN()), f64(math.NaN()))
+	pair(i64(1<<53), i64(1<<53+1))
+	f.Add(append([]byte{2, 3}, bytes.Repeat(append([]byte{7}, []byte("grpkey00")...), 6)...))
+	// One-column pairs on the edge of the integer fast path (|I| <= 2^53
+	// hashes and compares by I): its neighbours either side, MinInt64,
+	// and an integer against the float of the same value.
+	pair(i64(1<<53-1), i64(1<<53+1))
+	pair(i64(-1<<53-1), i64(-1<<53))
+	pair(i64(-1<<53+1), i64(-1<<53-1))
+	pair(i64(math.MinInt64), i64(math.MinInt64+1))
+	pair(i64(math.MinInt64), f64(-1<<63))
+	pair(i64(1<<53), f64(1<<53))
+	pair(i64(-1<<53), f64(-1<<53))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

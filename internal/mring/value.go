@@ -34,12 +34,17 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is a tagged union holding one column value of a tuple.
-// The zero Value is the integer 0.
+// Value is a tagged union holding one column value of a tuple, in 32
+// bytes: a KInt keeps its integer in I, a KFloat keeps its float's IEEE
+// bits in I, and a KString keeps its string in S. The zero Value is the
+// integer 0.
+//
+// Go's == on Values compares those words: it is reflexive on NaN and
+// tells -0 from +0. Value identity is Equal (numeric) or KeyEqual
+// (storage), never ==.
 type Value struct {
 	K Kind
 	I int64
-	F float64
 	S string
 }
 
@@ -47,7 +52,7 @@ type Value struct {
 func Int(i int64) Value { return Value{K: KInt, I: i} }
 
 // Float returns a floating-point Value.
-func Float(f float64) Value { return Value{K: KFloat, F: f} }
+func Float(f float64) Value { return Value{K: KFloat, I: int64(math.Float64bits(f))} }
 
 // String returns a string Value.
 func Str(s string) Value { return Value{K: KString, S: s} }
@@ -59,7 +64,7 @@ func (v Value) AsFloat() float64 {
 	case KInt:
 		return float64(v.I)
 	case KFloat:
-		return v.F
+		return math.Float64frombits(uint64(v.I))
 	default:
 		f, _ := strconv.ParseFloat(v.S, 64)
 		return f
@@ -72,7 +77,7 @@ func (v Value) AsInt() int64 {
 	case KInt:
 		return v.I
 	case KFloat:
-		return int64(v.F)
+		return int64(math.Float64frombits(uint64(v.I)))
 	default:
 		i, _ := strconv.ParseInt(v.S, 10, 64)
 		return i
@@ -98,8 +103,12 @@ func (v Value) Equal(o Value) bool {
 // bit pattern (reflexively). This is the storage identity of relations
 // and indexes; it differs from Equal only on NaN (where Equal is
 // irreflexive) and on integers Equal distinguishes but the encoding
-// cannot.
+// cannot. Two integers within ±2^53 compare by I, which is what the float
+// canonicalization gives them.
 func (v Value) KeyEqual(o Value) bool {
+	if v.K == KInt && o.K == KInt && exactInt(v.I) && exactInt(o.I) {
+		return v.I == o.I
+	}
 	if v.K == KString || o.K == KString {
 		return v.K == KString && o.K == KString && v.S == o.S
 	}
@@ -152,7 +161,7 @@ func (v Value) String() string {
 	case KInt:
 		return strconv.FormatInt(v.I, 10)
 	case KFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(uint64(v.I)), 'g', -1, 64)
 	default:
 		return strconv.Quote(v.S)
 	}
@@ -278,12 +287,20 @@ func hashValue(h uint64, v Value) uint64 {
 		}
 		return h
 	}
+	if v.K == KInt && exactInt(v.I) {
+		return mixWord(h, hashTagInt^uint64(v.I))
+	}
 	f := v.AsFloat()
 	if i := int64(f); float64(i) == f {
 		return mixWord(h, hashTagInt^uint64(i))
 	}
 	return mixWord(h, hashTagFloat^math.Float64bits(f))
 }
+
+// exactInt reports whether -2^53 <= i <= 2^53: whether the float
+// canonicalization of EncodeKey, Hash and KeyEqual gives i back unchanged,
+// so those can use i as it is.
+func exactInt(i int64) bool { return uint64(i+1<<53) <= 1<<54 }
 
 // hashFinish is murmur3's fmix64 avalanche, giving well-mixed bits for
 // bucket selection and worker partitioning.

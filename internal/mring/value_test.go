@@ -1,0 +1,145 @@
+package mring_test
+
+import (
+	"math"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"repro/internal/mring"
+	"repro/internal/pool"
+	"repro/internal/wire"
+)
+
+// edgeFloats are floats whose bits a round trip through a Value must
+// keep exactly: a NaN with a payload, -0, the infinities, the smallest
+// subnormal, 2^63 (past every int64) and 0.1 (not a binary fraction).
+var edgeFloats = []float64{
+	math.Float64frombits(0x7FF8_0000_DEAD_BEEF),
+	math.Copysign(0, -1),
+	math.Inf(1),
+	math.Inf(-1),
+	math.SmallestNonzeroFloat64,
+	1 << 63,
+	0.1,
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestValueLayout pins the Value layout, a kind and two words, and checks
+// that every edge float keeps its bits through Float/AsFloat, the wire
+// encoding and the columnar batch encoding.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(mring.Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+	for _, f := range edgeFloats {
+		if got := mring.Float(f).AsFloat(); !sameBits(got, f) {
+			t.Errorf("Float(%#x).AsFloat() = %#x", math.Float64bits(f), math.Float64bits(got))
+		}
+	}
+
+	in := make(mring.Tuple, len(edgeFloats))
+	for i, f := range edgeFloats {
+		in[i] = mring.Float(f)
+	}
+	var e wire.Enc
+	e.Tuple(in)
+	d := wire.NewDec(e.B)
+	out := make(mring.Tuple, len(in))
+	d.Tuple(out)
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range edgeFloats {
+		if out[i].K != mring.KFloat || !sameBits(out[i].AsFloat(), f) {
+			t.Errorf("wire round trip of %#x gave %v", math.Float64bits(f), out[i])
+		}
+	}
+
+	// One row per edge float: a float column, written bare, and a column
+	// that mixes in an integer, written kind by kind.
+	var rows rowList
+	for _, f := range edgeFloats {
+		rows = append(rows, mring.Tuple{mring.Float(f), mring.Float(f)})
+	}
+	rows = append(rows, mring.Tuple{mring.Float(1), mring.Int(1)})
+	var w pool.Writer
+	b, err := pool.Decode(w.Append(nil, mring.Schema{"f", "mixed"}, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Kind(0) != mring.KFloat || b.Kind(1) != pool.Mixed {
+		t.Fatalf("column kinds %v, %v; want float, mixed", b.Kind(0), b.Kind(1))
+	}
+	i := 0
+	b.Foreach(func(got mring.Tuple, _ float64) {
+		for j := range got {
+			if got[j] != rows[i][j] {
+				t.Errorf("columnar round trip of row %d column %d: got %v, want %v", i, j, got[j], rows[i][j])
+			}
+		}
+		i++
+	})
+	if i != len(rows) {
+		t.Fatalf("columnar round trip gave %d rows, want %d", i, len(rows))
+	}
+}
+
+type rowList []mring.Tuple
+
+func (r rowList) Len() int { return len(r) }
+func (r rowList) Foreach(f func(mring.Tuple, float64)) {
+	for _, t := range r {
+		f(t, 1)
+	}
+}
+
+// TestTupleHashPinned pins Tuple.Hash on the edges of the numeric
+// canonicalization, so a change to how values hash (and with it bucket
+// order, worker placement and checkpoint layout) cannot pass unseen.
+// Integers within ±2^53 hash as themselves, those past it as the float
+// they round to (so ±(2^53+1) hash as ±2^53), and an integral float as
+// its integer (Float(3) as Int(3), -0 as 0).
+func TestTupleHashPinned(t *testing.T) {
+	pins := []struct {
+		name string
+		t    mring.Tuple
+		want uint64
+		// rangeOut marks a value that rounds to 2^63, past int64's range:
+		// its hash rests on Go's out-of-range float-to-int conversion,
+		// which is implementation-dependent, and these pins are amd64's.
+		rangeOut bool
+	}{
+		{"Int(0)", mring.Tuple{mring.Int(0)}, 0x232e6081017cef1b, false},
+		{"Int(1)", mring.Tuple{mring.Int(1)}, 0x83ab70a1cb8ad6a0, false},
+		{"Int(-1)", mring.Tuple{mring.Int(-1)}, 0x8649fa8ebd069ead, false},
+		{"Int(3)", mring.Tuple{mring.Int(3)}, 0x28243033307ed3bb, false},
+		{"Int(2^53)", mring.Tuple{mring.Int(1 << 53)}, 0xc3cf4bcb3693ce84, false},
+		{"Int(-2^53)", mring.Tuple{mring.Int(-1 << 53)}, 0xa2f77470f976d5f6, false},
+		{"Int(2^53+1)", mring.Tuple{mring.Int(1<<53 + 1)}, 0xc3cf4bcb3693ce84, false},
+		{"Int(-2^53-1)", mring.Tuple{mring.Int(-1<<53 - 1)}, 0xa2f77470f976d5f6, false},
+		{"Int(MinInt64)", mring.Tuple{mring.Int(math.MinInt64)}, 0x2a52be3c38360197, false},
+		{"Int(MaxInt64)", mring.Tuple{mring.Int(math.MaxInt64)}, 0x1252c8d15e293955, true},
+		{"Float(3)", mring.Tuple{mring.Float(3)}, 0x28243033307ed3bb, false},
+		{"Float(-0)", mring.Tuple{mring.Float(math.Copysign(0, -1))}, 0x232e6081017cef1b, false},
+		{"Float(NaN)", mring.Tuple{mring.Float(math.NaN())}, 0x3b35c474956f082d, false},
+		{"Float(+Inf)", mring.Tuple{mring.Float(math.Inf(1))}, 0xe296442d3300e36c, false},
+		{"Float(-Inf)", mring.Tuple{mring.Float(math.Inf(-1))}, 0xe0bd0559d2b4cac4, false},
+		{"Float(2^63)", mring.Tuple{mring.Float(1 << 63)}, 0x1252c8d15e293955, true},
+		{"Float(0.1)", mring.Tuple{mring.Float(0.1)}, 0x9ff5b59e5f7b5d80, false},
+		{`Str("")`, mring.Tuple{mring.Str("")}, 0x0a682b32d3282c90, false},
+		{`Str("a")`, mring.Tuple{mring.Str("a")}, 0xf0f9109cefe6181d, false},
+		{`Str("abcdefgh")`, mring.Tuple{mring.Str("abcdefgh")}, 0x8f0b609b29f6f4c7, false},
+		{`Str("abcdefghi")`, mring.Tuple{mring.Str("abcdefghi")}, 0xfd0b42f91348664d, false},
+		{`(Int(7), Float(2.5), Str("k"))`, mring.Tuple{mring.Int(7), mring.Float(2.5), mring.Str("k")}, 0x68207d09e7317796, false},
+	}
+	for _, p := range pins {
+		if p.rangeOut && runtime.GOARCH != "amd64" {
+			continue
+		}
+		if got := p.t.Hash(); got != p.want {
+			t.Errorf("%s.Hash() = %#016x, want %#016x", p.name, got, p.want)
+		}
+	}
+}

@@ -32,7 +32,7 @@ func fuzzSeedBatches(t testing.TB) []*ColBatch {
 // sameValue reports whether two values have the same kind and bits: NaNs
 // compare equal, -0 differs from +0.
 func sameValue(a, b mring.Value) bool {
-	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+	return a == b
 }
 
 // rowsEqual reports whether b holds want's rows in want's order, each

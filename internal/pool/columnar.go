@@ -122,7 +122,7 @@ func (w *Writer) addRow(t mring.Tuple, m float64) {
 		case mring.KInt:
 			e.Varint(v.I)
 		case mring.KFloat:
-			e.Float(v.F)
+			e.Float(v.AsFloat())
 		default:
 			e.Str(v.S)
 		}

@@ -109,7 +109,7 @@ func (e *Enc) Tuple(t mring.Tuple) {
 		case mring.KInt:
 			b = binary.AppendVarint(b, v.I)
 		case mring.KFloat:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+			b = binary.LittleEndian.AppendUint64(b, uint64(v.I))
 		default:
 			b = binary.AppendUvarint(b, uint64(len(v.S)))
 			b = append(b, v.S...)
