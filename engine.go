@@ -884,15 +884,22 @@ func (lb *localBackend) Close() error { return nil }
 
 // distBackend runs the compiled program on the cluster driver: over
 // in-process shards (Distributed) or worker processes (Remote). Views are
-// partitioned by the paper's heuristic and batches are processed through
-// compiled distributed trigger programs either way.
+// partitioned by the paper's heuristic and transactions are processed
+// through compiled distributed programs either way: one per transaction,
+// the fusion of its tables' trigger programs.
 type distBackend struct {
 	prog   *compile.Program
 	parts  dist.PartInfo
 	dprogs map[string]*dist.DistProgram
-	cl     *cluster.Cluster
-	total  Metrics
-	last   Metrics
+	// txProgs caches each transaction's program (dist.FuseTx) by the
+	// tables it updates in first-touch order, each name ended by a zero
+	// byte; key is the buffer the lookup key is built in. A recompile
+	// empties the cache.
+	txProgs map[string]*dist.DistProgram
+	key     []byte
+	cl      *cluster.Cluster
+	total   Metrics
+	last    Metrics
 }
 
 // newDistBackend deploys the program on the cluster the configuration
@@ -910,7 +917,38 @@ func newDistBackend(prog *compile.Program, cfg *engineConfig) (*distBackend, err
 	} else {
 		cl = cluster.New(cluster.DefaultConfig(cfg.workers), dist.ViewSchemas(prog), parts)
 	}
-	return &distBackend{prog: prog, parts: parts, dprogs: dist.CompileProgram(prog, parts, dist.O3), cl: cl}, nil
+	db := &distBackend{prog: prog, cl: cl}
+	db.compile(parts)
+	return db, nil
+}
+
+// compile compiles the trigger programs against a placement and drops
+// every transaction program fused from the old ones.
+func (db *distBackend) compile(parts dist.PartInfo) {
+	db.parts = parts
+	db.dprogs = dist.CompileProgram(db.prog, parts, dist.O3)
+	db.txProgs = make(map[string]*dist.DistProgram)
+}
+
+// txProgram returns the program of a transaction updating the tables of
+// tx in their order, fusing it the first time the sequence occurs.
+func (db *distBackend) txProgram(tx []compile.TableBatch) (*dist.DistProgram, error) {
+	db.key = db.key[:0]
+	for _, tb := range tx {
+		db.key = append(append(db.key, tb.Table...), 0)
+	}
+	if p := db.txProgs[string(db.key)]; p != nil {
+		return p, nil
+	}
+	progs := make([]*dist.DistProgram, len(tx))
+	for i, tb := range tx {
+		if progs[i] = db.dprogs[tb.Table]; progs[i] == nil {
+			return nil, fmt.Errorf("ivm: no distributed trigger for table %q", tb.Table)
+		}
+	}
+	p := dist.FuseTx(progs)
+	db.txProgs[string(db.key)] = p
+	return p, nil
 }
 
 func (db *distBackend) ApplyTx(tx []compile.TableBatch, capture []string) (map[string]*mring.Relation, error) {
@@ -918,15 +956,18 @@ func (db *distBackend) ApplyTx(tx []compile.TableBatch, capture []string) (map[s
 	// per-batch sink or clone work.
 	db.cl.SetWatch(capture)
 	var txm Metrics
-	for _, tb := range tx {
-		dp := db.dprogs[tb.Table]
-		if dp == nil {
-			return nil, fmt.Errorf("ivm: no distributed trigger for table %q", tb.Table)
+	if len(tx) > 0 {
+		dp, err := db.txProgram(tx)
+		if err != nil {
+			return nil, err
 		}
 		// Workers ingest stream fragments directly (Sec. 6.2): the runtime
-		// spreads the batch round-robin over the workers.
-		m, err := db.cl.RunPartitionedBatch(dp, tb.Batch)
-		if err != nil {
+		// deals each batch over the workers by its delta's location.
+		batches := make([]*mring.Relation, len(tx))
+		for i, tb := range tx {
+			batches[i] = tb.Batch
+		}
+		if txm, err = db.cl.RunPartitionedTx(dp, batches); err != nil {
 			// Discard whatever the failed transaction captured so the
 			// next delivered delta is not polluted by its prefix.
 			for _, v := range capture {
@@ -934,7 +975,6 @@ func (db *distBackend) ApplyTx(tx []compile.TableBatch, capture []string) (map[s
 			}
 			return nil, err
 		}
-		txm.Add(m)
 	}
 	db.total.Add(txm)
 	db.last = txm
@@ -1014,8 +1054,7 @@ func (db *distBackend) RestoreState(cp *cluster.Checkpoint) error {
 		return err
 	}
 	if cp.Parts != nil && !cp.Parts.Equal(db.parts) {
-		db.parts = cp.Parts
-		db.dprogs = dist.CompileProgram(db.prog, cp.Parts, dist.O3)
+		db.compile(cp.Parts)
 	}
 	return nil
 }

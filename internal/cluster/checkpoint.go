@@ -154,6 +154,7 @@ func (c *Cluster) Restore(cp *Checkpoint) error {
 		c.parts = cp.Parts
 	}
 	c.committed = make(map[string]*mring.Relation)
+	c.shared = make(map[string]bool)
 	return nil
 }
 

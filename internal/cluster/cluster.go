@@ -156,8 +156,11 @@ type Cluster struct {
 	// every operation after it.
 	err error
 	// committed caches each view's last healthily-observed contents, the
-	// read path once the cluster is poisoned.
+	// read path once the cluster is poisoned. A cached relation that
+	// ViewContents handed out is shared: nothing mutates it, so the next
+	// commit merges its delta into a copy (copy on write).
 	committed map[string]*mring.Relation
+	shared    map[string]bool
 }
 
 // WorkerTiming is one worker's accumulated share of distributed-stage
@@ -199,6 +202,7 @@ func newCluster(cfg Config, ws []worker, schemas map[string]mring.Schema, parts 
 		blocks:        make(map[*dist.Block]*block),
 		plans:         make(map[*dist.DistProgram]*plan),
 		committed:     make(map[string]*mring.Relation),
+		shared:        make(map[string]bool),
 	}
 }
 
@@ -311,6 +315,10 @@ func (c *Cluster) TakeWatchDelta(name string) *mring.Relation {
 	}
 	c.watch[name] = mring.NewRelation(c.schemas[name])
 	if r := c.committed[name]; r != nil && c.err == nil {
+		if c.shared[name] {
+			r = r.Clone()
+			c.committed[name], c.shared[name] = r, false
+		}
 		r.Merge(d)
 	}
 	return d
@@ -403,13 +411,9 @@ func (c *Cluster) WarmViews(contents map[string]*mring.Relation) error {
 				frags[i] = rel
 			}
 		case loc.Keyed():
-			keyPos := make([]int, len(loc.Key))
-			for i, k := range loc.Key {
-				p := schema.Index(k)
-				if p < 0 {
-					return fmt.Errorf("cluster: warm load of %q: key column %q not in schema %v", name, k, schema)
-				}
-				keyPos[i] = p
+			keyPos, err := keyPositions(schema, loc.Key)
+			if err != nil {
+				return fmt.Errorf("cluster: warm load of %q: %w", name, err)
 			}
 			frags = split(rel, keyPos, len(c.workers))
 		default:
@@ -436,19 +440,47 @@ func (c *Cluster) ready(prog *dist.DistProgram) error {
 	return c.err
 }
 
-// RunPartitionedBatch deals a batch round-robin over the workers, the
-// first row to worker 0, and runs the program over it: each worker
-// ingests its share of the stream as its fragment of the delta (Sec.
-// 6.2), so the program must have been compiled with the delta tagged
-// Random. Each worker refills its fragment with the rows in deal order,
-// so the fragment's layout is the same whichever kind of worker holds
-// it. The dealt rows alias the batch's storage, which nothing mutates
-// until the run returns; the batch is left as it was.
+// RunPartitionedBatch runs a one-table program over a batch: the
+// one-table case of RunPartitionedTx.
 func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relation) (Metrics, error) {
+	return c.RunPartitionedTx(prog, []*mring.Relation{batch})
+}
+
+// RunPartitionedTx runs a transaction's program (dist.FuseTx) over its
+// batches, batches[i] updating prog.Relations[i]. Each worker ingests its
+// share of the stream as its fragment of each delta (Sec. 6.2): a batch
+// is dealt by its delta's location in prog.Parts — by dist.PlaceIndex on
+// the key when keyed, round-robin from worker 0 when Random — and each
+// worker refills its fragment with the rows in deal order, so the
+// fragment's layout is the same whichever kind of worker holds it. The
+// dealt rows alias the batches' storage, which nothing mutates until the
+// run returns; the batches are left as they were.
+func (c *Cluster) RunPartitionedTx(prog *dist.DistProgram, batches []*mring.Relation) (Metrics, error) {
 	if err := c.ready(prog); err != nil {
 		return Metrics{}, err
 	}
-	n := len(c.workers)
+	if len(batches) != len(prog.Relations) {
+		return Metrics{}, fmt.Errorf("cluster: %d batches for a program updating %v", len(batches), prog.Relations)
+	}
+	deals := make([][]rows, len(batches))
+	for k, batch := range batches {
+		delta := eval.DeltaName(prog.Relations[k])
+		if loc := prog.Parts[delta]; loc.Keyed() {
+			keyPos, err := keyPositions(prog.Schemas[delta], loc.Key)
+			if err != nil {
+				return Metrics{}, fmt.Errorf("cluster: deal of %s: %w", delta, err)
+			}
+			deals[k] = split(batch, keyPos, len(c.workers))
+		} else {
+			deals[k] = dealRoundRobin(batch, len(c.workers))
+		}
+	}
+	return c.runBlocks(prog, batches, deals)
+}
+
+// dealRoundRobin deals a batch's rows over n workers in turn, the first
+// row to worker 0.
+func dealRoundRobin(batch *mring.Relation, n int) []rows {
 	deals := make([]rowList, n)
 	for i := range deals {
 		deals[i] = make(rowList, 0, batch.Len()/n+1)
@@ -462,15 +494,27 @@ func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relat
 	for i := range deals {
 		frags[i] = deals[i]
 	}
-	return c.runBlocks(prog, batch.Schema(), frags)
+	return frags
 }
 
-// runBlocks runs a program, with one delta fragment of the given schema
-// dealt to each worker, as its plan's steps: the deal and the installs of
-// each stretch of driver statements ride the next step's request, and the
+// keyPositions resolves partition-key columns to their positions in a
+// schema.
+func keyPositions(schema mring.Schema, key mring.Schema) ([]int, error) {
+	keyPos := make([]int, len(key))
+	for i, k := range key {
+		if keyPos[i] = schema.Index(k); keyPos[i] < 0 {
+			return nil, fmt.Errorf("key column %q not in schema %v", k, schema)
+		}
+	}
+	return keyPos, nil
+}
+
+// runBlocks runs a program, with deals[k][i] of batches[k] dealt to
+// worker i, as its plan's steps: the deals and the installs of each
+// stretch of driver statements ride the next step's request, and the
 // worker reads of driver statements ride the previous step's response, so
 // each worker serves one round trip per step.
-func (c *Cluster) runBlocks(prog *dist.DistProgram, schema mring.Schema, deal []rows) (Metrics, error) {
+func (c *Cluster) runBlocks(prog *dist.DistProgram, batches []*mring.Relation, deals [][]rows) (Metrics, error) {
 	var m Metrics
 	m.Stages = prog.Stages()
 	m.Jobs = prog.Jobs()
@@ -479,7 +523,10 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram, schema mring.Schema, deal []
 		return m, c.fail(err)
 	}
 	r := &run{plan: p, reqs: make([]stageReq, len(c.workers))}
-	r.queue(install{kind: installReplace, name: eval.DeltaName(prog.Relation), schema: schema}, func(i int) []rows { return deal[i : i+1] })
+	for k, rel := range prog.Relations {
+		deal := deals[k]
+		r.queue(install{kind: installReplace, name: eval.DeltaName(rel), schema: batches[k].Schema()}, func(i int) []rows { return deal[i : i+1] })
+	}
 	for i, b := range p.blocks {
 		if prog.Blocks[i].Mode == dist.LDist {
 			err = c.runDistBlock(r, b, &m)
@@ -1081,20 +1128,23 @@ func (c *Cluster) read(r *run, t *transfer) ([][]rows, error) {
 
 // ViewContents reconstructs the full logical contents of a view by
 // merging the driver copy and the worker fragments (result reads). A
-// healthy read refreshes the view's last-committed read cache; a poisoned
+// healthy read becomes the view's last-committed read cache; a poisoned
 // cluster serves that cache instead, so readers never observe a partially
-// applied transaction.
+// applied transaction. Either way the relation returned is the cache
+// itself, which the caller must not mutate and the cluster never does.
 func (c *Cluster) ViewContents(name string) *mring.Relation {
 	if c.err == nil {
 		out, err := c.readView(name)
 		if err == nil {
-			c.committed[name] = out.Clone()
+			c.committed[name] = out
+			c.shared[name] = true
 			return out
 		}
 		c.fail(err)
 	}
 	if r := c.committed[name]; r != nil {
-		return r.Clone()
+		c.shared[name] = true
+		return r
 	}
 	return mring.NewRelation(c.schemas[name])
 }

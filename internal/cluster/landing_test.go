@@ -67,7 +67,7 @@ func checkViews(t *testing.T, sim, proc *Cluster, want map[string]*mring.Relatio
 // batch summed by a, bitwise as on process workers, whose pieces travel
 // encoded.
 func TestExchangeLandsBeforeBlocks(t *testing.T) {
-	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
+	prog := &dist.DistProgram{Relations: []string{"R"}, Blocks: []dist.Block{
 		{Mode: dist.LDist, Stmts: []dist.Stmt{
 			{LHS: "T", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "a", "b"))}}},
 		{Mode: dist.LLocal, Stmts: []dist.Stmt{
@@ -87,7 +87,7 @@ func TestExchangeLandsBeforeBlocks(t *testing.T) {
 // landing it clears the fragments its pieces were dealt from, so the
 // driver copies those pieces out first.
 func TestExchangeInPlace(t *testing.T) {
-	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
+	prog := &dist.DistProgram{Relations: []string{"R"}, Blocks: []dist.Block{
 		{Mode: dist.LDist, Stmts: []dist.Stmt{
 			{LHS: "T", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "a", "b"))}}},
 		{Mode: dist.LLocal, Stmts: []dist.Stmt{
@@ -107,7 +107,7 @@ func TestExchangeInPlace(t *testing.T) {
 // and a later driver statement of the same block rewrites that relation
 // before the next step lands them, so the scatter ships a copy.
 func TestScatterOfRewrittenDriverRelation(t *testing.T) {
-	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
+	prog := &dist.DistProgram{Relations: []string{"R"}, Blocks: []dist.Block{
 		{Mode: dist.LDist, Stmts: []dist.Stmt{
 			{LHS: "T", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "a", "b"))},
 			{LHS: "T2", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "b", "a"))}}},
@@ -132,7 +132,7 @@ func TestScatterOfRewrittenDriverRelation(t *testing.T) {
 // declares no schema for is refused before any install lands, with the
 // same error on in-process shards and on process workers.
 func TestUndeclaredRelationRefused(t *testing.T) {
-	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
+	prog := &dist.DistProgram{Relations: []string{"R"}, Blocks: []dist.Block{
 		{Mode: dist.LDist, Stmts: []dist.Stmt{
 			{LHS: "V", Op: eval.OpAdd, RHS: expr.Sum([]string{"a"}, expr.Join(expr.Delta("R", "a", "b"), expr.View("Q", "a")))}}},
 	}, Schemas: map[string]mring.Schema{eval.DeltaName("R"): {"a", "b"}, "V": {"a"}}}

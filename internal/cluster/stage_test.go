@@ -93,7 +93,7 @@ func TestTransferOnlySteps(t *testing.T) {
 	xf := func(kind dist.XformKind, key []string, src string) *dist.Xform {
 		return &dist.Xform{Kind: kind, Key: key, Body: expr.View(src, "a")}
 	}
-	prog := &dist.DistProgram{Relation: "R", Blocks: []dist.Block{
+	prog := &dist.DistProgram{Relations: []string{"R"}, Blocks: []dist.Block{
 		{Mode: dist.LDist, Stmts: []dist.Stmt{
 			{LHS: "T", Op: eval.OpSet, RHS: expr.Sum([]string{"a"}, expr.Delta("R", "a", "b"))}}},
 		{Mode: dist.LLocal, Stmts: []dist.Stmt{

@@ -66,11 +66,11 @@ func compileTrigger(prog *compile.Program, trg *compile.Trigger, parts PartInfo,
 		tc.compileStmt(Stmt{LHS: s.LHS, Op: s.Op, RHS: s.RHS})
 	}
 	dp := &DistProgram{
-		Relation: trg.Relation,
-		Level:    level,
-		Blocks:   tc.blocks,
-		Parts:    tc.cur,
-		Schemas:  tc.schemas,
+		Relations: []string{trg.Relation},
+		Level:     level,
+		Blocks:    tc.blocks,
+		Parts:     tc.cur,
+		Schemas:   tc.schemas,
 	}
 	if level >= O3 {
 		dp.Blocks = FuseBlocks(dp.Blocks)

@@ -251,12 +251,14 @@ const (
 	O3
 )
 
-// DistProgram is the distributed trigger program for one updated base
-// relation: the sequence of statement blocks the platform executes per
-// batch.
+// DistProgram is the distributed program for one transaction's updated
+// base relations: the sequence of statement blocks the platform executes
+// per transaction. A trigger's program updates one relation; FuseTx fuses
+// the programs of a transaction's tables into one.
 type DistProgram struct {
-	// Relation is the updated base relation (the trigger's ON UPDATE).
-	Relation string
+	// Relations are the updated base relations (the trigger's ON UPDATE),
+	// in the order the transaction first touches them.
+	Relations []string
 	// Level records the optimization level the program was compiled at.
 	Level OptLevel
 	// Blocks is the executed block sequence.
@@ -320,7 +322,11 @@ func (p *DistProgram) CommStmts() int {
 
 func (p *DistProgram) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "ON UPDATE %s BY %s (O%d)\n", p.Relation, eval.DeltaName(p.Relation), p.Level)
+	deltas := make([]string, len(p.Relations))
+	for i, rel := range p.Relations {
+		deltas[i] = eval.DeltaName(rel)
+	}
+	fmt.Fprintf(&sb, "ON UPDATE %s BY %s (O%d)\n", strings.Join(p.Relations, ", "), strings.Join(deltas, ", "), p.Level)
 	for _, b := range p.Blocks {
 		sb.WriteString(b.String())
 		sb.WriteString("\n")

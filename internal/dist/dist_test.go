@@ -51,7 +51,8 @@ func TestChoosePartitioningRespectsKeyRanks(t *testing.T) {
 	if got := parts["Q3"]; !got.Keyed() || got.Key[0] != "o_orderkey" {
 		t.Fatalf("Q3 partitioned %v, want dist[o_orderkey]", got)
 	}
-	// Scalar views stay at the driver, deltas are worker-ingested.
+	// Scalar views stay at the driver; deltas are worker-ingested, keyed
+	// on their table's best-ranked column.
 	q6, err := tpch.QueryByName("Q6")
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +65,12 @@ func TestChoosePartitioningRespectsKeyRanks(t *testing.T) {
 	if got := parts6["Q6"]; got.Kind != LLocal {
 		t.Fatalf("scalar Q6 located %v, want local", got)
 	}
-	if got := parts6[eval.DeltaName("lineitem")]; got.Kind != LDist || got.Keyed() {
-		t.Fatalf("delta located %v, want random", got)
+	if got := parts6[eval.DeltaName("lineitem")]; !got.Equal(Dist("l_orderkey")) {
+		t.Fatalf("delta located %v, want dist[l_orderkey]", got)
+	}
+	// Without a ranked column the stream is dealt at random.
+	if got := ChoosePartitioning(prog6, nil)[eval.DeltaName("lineitem")]; !got.Equal(Random) {
+		t.Fatalf("unranked delta located %v, want random", got)
 	}
 }
 

@@ -7,12 +7,14 @@
 //   - Loc / PartInfo are the location annotations of Sec. 4.2: every
 //     materialized view is local to the driver (Local), hash-partitioned
 //     over the workers by a key (Dist), partitioned with no placement
-//     invariant (Random, e.g. update batches ingested by the workers),
-//     or location-indifferent/replicated (Indiff).
+//     invariant (Random, e.g. per-batch results that lost their key), or
+//     location-indifferent/replicated (Indiff).
 //   - ChoosePartitioning is the co-partitioning heuristic of Sec. 6.2:
 //     partition each view on the highest-cardinality key column in its
 //     schema, replicate small dimension views, keep scalars at the
-//     driver.
+//     driver. Update batches, which the workers ingest, are keyed the
+//     same way, so a trigger meets its batch where the views it joins
+//     live; a batch with no ranked column is Random, dealt round-robin.
 //   - Xform models the transformers of Sec. 4.3: scatter (driver to
 //     workers, keyed or broadcast), repartition (worker exchange), and
 //     gather (workers to driver).
@@ -23,7 +25,9 @@
 //     (identical movements of unchanged data); O3 runs FuseBlocks.
 //   - FuseBlocks is the block-fusion algorithm of App. C.3: statements
 //     are reordered within their data dependencies so adjacent blocks of
-//     one execution mode merge, cutting synchronization barriers.
+//     one execution mode merge, cutting synchronization barriers. FuseTx
+//     applies it across a transaction's tables, so a transaction runs as
+//     one program, not one per table.
 //   - DistProgram.Jobs/Stages report the Table 3 complexity measures:
 //     stages are distributed blocks (one parallel round each), jobs are
 //     driver-side collect rounds.

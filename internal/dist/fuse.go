@@ -1,5 +1,11 @@
 package dist
 
+import (
+	"maps"
+
+	"repro/internal/mring"
+)
+
 // FuseBlocks is the block-fusion pass of App. C.3 (the O3 optimization):
 // it reorders statements within their data dependencies to merge blocks
 // of the same execution mode, minimizing the number of synchronization
@@ -78,6 +84,30 @@ func FuseBlocks(blocks []Block) []Block {
 		} else {
 			mode = LLocal
 		}
+	}
+	return out
+}
+
+// FuseTx makes one program of a transaction: the programs of its tables,
+// in the order the transaction first touches them, concatenated and — at
+// O3 — fused by FuseBlocks across the tables. Fusion keeps every
+// read/write and write/write order, so every relation sees the same
+// sequence of folds as when the programs run one after another, and the
+// result is theirs bitwise. A one-table transaction's program is its
+// trigger's.
+func FuseTx(progs []*DistProgram) *DistProgram {
+	if len(progs) == 1 {
+		return progs[0]
+	}
+	out := &DistProgram{Level: progs[0].Level, Parts: PartInfo{}, Schemas: map[string]mring.Schema{}}
+	for _, p := range progs {
+		out.Relations = append(out.Relations, p.Relations...)
+		out.Blocks = append(out.Blocks, p.Blocks...)
+		maps.Copy(out.Parts, p.Parts)
+		maps.Copy(out.Schemas, p.Schemas)
+	}
+	if out.Level >= O3 {
+		out.Blocks = FuseBlocks(out.Blocks)
 	}
 	return out
 }

@@ -39,9 +39,13 @@ func ViewSchemas(prog *compile.Program) map[string]mring.Schema {
 //     reads (a result view) stays at the driver instead;
 //   - transient per-batch delta views with no ranked column stay wherever
 //     the batch fragments live (Random);
-//   - update batches are tagged Random: workers ingest stream fragments
-//     directly (Sec. 6.2), which is what Cluster.RunPartitionedBatch
-//     models by dealing each batch round-robin.
+//   - update batches are located like views: partitioned on the
+//     best-ranked column of their table when its rank is >= 2, and
+//     Random otherwise. Workers ingest the stream (Sec. 6.2) as fragments
+//     keyed like the views they join, which Cluster.RunPartitionedBatch
+//     models by dealing each batch by its location: by dist.PlaceIndex on
+//     the key, or round-robin when Random. So a trigger whose first step
+//     joins its batch with a view on that key needs no repartition.
 func ChoosePartitioning(prog *compile.Program, keyRanks map[string]int) PartInfo {
 	read := make(map[string]bool, len(prog.Views))
 	for _, tr := range prog.Triggers {
@@ -61,10 +65,27 @@ func ChoosePartitioning(prog *compile.Program, keyRanks map[string]int) PartInfo
 		}
 		parts[v.Name] = loc
 	}
-	for name := range prog.Bases {
-		parts[eval.DeltaName(name)] = Random
+	for name, schema := range prog.Bases {
+		loc := Random
+		if key, rank := bestKey(schema, keyRanks); rank >= 2 {
+			loc = Dist(key)
+		}
+		parts[eval.DeltaName(name)] = loc
 	}
 	return parts
+}
+
+// bestKey returns the schema's highest-ranked column and its rank; the
+// first column of that rank wins (schema order breaks ties). The rank is
+// 0 when no column is ranked.
+func bestKey(schema mring.Schema, keyRanks map[string]int) (string, int) {
+	best, bestRank := "", 0
+	for _, col := range schema {
+		if r := keyRanks[col]; r > bestRank {
+			best, bestRank = col, r
+		}
+	}
+	return best, bestRank
 }
 
 // PlaceIndex is the platform's placement function: the worker index
@@ -83,14 +104,8 @@ func chooseViewLoc(v *compile.ViewDef, keyRanks map[string]int) Loc {
 		}
 		return Local
 	}
-	// The first column of the highest rank wins (schema order breaks
-	// ties); it decides distribute-vs-replicate.
-	best, bestRank := "", 0
-	for _, col := range v.Schema {
-		if r := keyRanks[col]; r > bestRank {
-			best, bestRank = col, r
-		}
-	}
+	// The best-ranked column decides distribute-vs-replicate.
+	best, bestRank := bestKey(v.Schema, keyRanks)
 	if bestRank >= 2 {
 		return Dist(best)
 	}

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/compile"
 	"repro/internal/dist"
 	"repro/internal/mring"
 	inet "repro/internal/net"
@@ -386,8 +387,8 @@ func stageFault(t *testing.T, deployed bool) {
 	requireBitwiseEqual(t, "poisoned result", e.Result().rel, pre)
 }
 
-// roundTrips is the number of requests one worker serves for one batch of
-// a distributed program: one stage per distributed block, plus one before
+// roundTrips is the number of requests one worker serves for one
+// transaction of a distributed program: one stage per distributed block, plus one before
 // a leading local block that reads worker state (a gather or a
 // repartition), plus one after the last distributed block when a local
 // block there writes worker state (a scatter or a repartition). Every
@@ -424,13 +425,15 @@ func roundTrips(dp *dist.DistProgram) int64 {
 // TestRemoteRoundTripsPerTransaction pins the process cluster's wire
 // traffic to the compiled programs: counted on the workers' transport,
 // every Q3 transaction on Remote(2) — changefeed capture included — costs
-// each worker exactly the round trips its programs imply, so the driver
-// adds none of its own. It also pins what the programs imply: one round
-// trip per distributed block of the Q1, Q3 and Q6 triggers.
+// each worker exactly the round trips its fused program implies, so the
+// driver adds none of its own. It also pins what the programs imply: one
+// round trip per distributed block of the Q1, Q3 and Q6 triggers, and 3
+// for a transaction updating all three Q3 tables, whose triggers alone
+// would cost 6.
 func TestRemoteRoundTripsPerTransaction(t *testing.T) {
 	for name, want := range map[string]map[string]int64{
 		"Q1": {"lineitem": 1},
-		"Q3": {"customer": 2, "orders": 3, "lineitem": 2},
+		"Q3": {"customer": 2, "orders": 3, "lineitem": 1},
 		"Q6": {"lineitem": 1},
 	} {
 		q, err := tpch.QueryByName(name)
@@ -471,20 +474,32 @@ func TestRemoteRoundTripsPerTransaction(t *testing.T) {
 	if _, err := e.Subscribe(func(Delta) {}); err != nil {
 		t.Fatal(err)
 	}
-	dprogs := e.be.(*distBackend).dprogs
+	db := e.be.(*distBackend)
 	stream := tpch.NewStream(tpch.NewGenerator(0.03, 5), q.Tables)
+	full := 0
 	for tx := 0; tx < 12; tx++ {
 		bs := stream.NextBatches(40)
 		if len(bs) == 0 {
 			break
 		}
 		apply := NewTx()
-		var want int64
-		for _, b := range bs {
+		tbs := make([]compile.TableBatch, len(bs))
+		for i, b := range bs {
 			if err := apply.Put(b.Table, &Batch{rel: b.Rel}); err != nil {
 				t.Fatal(err)
 			}
-			want += roundTrips(dprogs[b.Table])
+			tbs[i] = compile.TableBatch{Table: b.Table, Batch: b.Rel}
+		}
+		dp, err := db.txProgram(tbs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := roundTrips(dp)
+		if len(bs) == 3 {
+			full++
+			if want != 3 {
+				t.Fatalf("tx %d: the program of %v implies %d round trips, want 3", tx, dp.Relations, want)
+			}
 		}
 		before := make([]int64, workers)
 		for i := range counts {
@@ -502,6 +517,9 @@ func TestRemoteRoundTripsPerTransaction(t *testing.T) {
 				t.Fatalf("tx %d: worker %d answered %d of %d requests", tx, i, sent, counts[i].recv.Load())
 			}
 		}
+	}
+	if full == 0 {
+		t.Fatal("no transaction updated all three tables")
 	}
 }
 

@@ -2,9 +2,10 @@ package ivm
 
 // Process-cluster smoke: real worker processes (cmd/ivmworker) spawned
 // over os/exec, a driver engine connected through ivm.Remote, and a
-// bitwise-parity check against the in-process simulated cluster. Gated
-// on IVM_WORKER_BIN (set by `make proc-smoke` and the CI job) so plain
-// `go test` stays hermetic.
+// bitwise-parity check against the in-process simulated cluster, over
+// single-table batches and over multi-table transactions in two
+// first-touch orders. Gated on IVM_WORKER_BIN (set by `make proc-smoke`
+// and the CI job) so plain `go test` stays hermetic.
 
 import (
 	"bufio"
@@ -81,4 +82,28 @@ func TestProcessClusterSmoke(t *testing.T) {
 		}
 	})
 	requireBitwiseEqual(t, "cross-process result", remote.Result().rel, oracle.Result().rel)
+
+	// Multi-table transactions in two first-touch orders: each runs as one
+	// fused program, deployed to the worker processes like any other.
+	feed := newTableFeed(t, q, 0.2, 13)
+	size := map[string]int{tpch.Customer: 1, tpch.Orders: 5, tpch.Lineitem: 20}
+	for i := 0; i < 10; i++ {
+		seq := []string{tpch.Lineitem, tpch.Orders, tpch.Customer}
+		if i%2 == 1 {
+			seq = []string{tpch.Customer, tpch.Orders, tpch.Lineitem}
+		}
+		tx := NewTx()
+		for _, table := range seq {
+			if err := tx.Put(table, &Batch{rel: feed.next(table, size[table])}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := oracle.Apply(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := remote.Apply(tx); err != nil {
+			t.Fatal(err)
+		}
+		requireBitwiseEqual(t, "cross-process result after a transaction", remote.Result().rel, oracle.Result().rel)
+	}
 }

@@ -171,3 +171,67 @@ func TestPayloadAllocGates(t *testing.T) {
 		})
 	}
 }
+
+// TestDistributedResultReadAllocGate holds a Result read on
+// Distributed(2) to building the view once: the cluster keeps the
+// relation it built as its last-committed read cache and hands out that
+// one, copying it only if a later commit must fold a delta into it. So a
+// read allocates what one copy of the view does plus the stage's fixed
+// overhead (17 allocations on this stream); copying each read into the
+// cache as well read 51 allocations against a copy's 17. A read kept
+// across later commits must not change.
+func TestDistributedResultReadAllocGate(t *testing.T) {
+	q, err := tpch.QueryByName("Q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(q.Name, q.Def, q.BaseSchemas(), Distributed(2), KeyRanks(tpch.PrimaryKeyRanks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if _, err := e.Subscribe(func(Delta) {}); err != nil {
+		t.Fatal(err)
+	}
+	stream := tpch.NewStream(tpch.NewGenerator(1, 3), q.Tables)
+	for i := 0; i < 120; i++ {
+		tx := e.NewTx()
+		for _, b := range stream.NextBatches(50) {
+			if err := tx.Put(b.Table, &Batch{rel: b.Rel}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Apply(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Result()
+	view := e.Result().rel
+	if view.Len() < 100 {
+		t.Fatalf("the view holds %d groups: the gate would measure nothing", view.Len())
+	}
+	read := testing.AllocsPerRun(20, func() { e.Result() })
+	clone := testing.AllocsPerRun(20, func() { view.Clone() })
+	t.Logf("Result read: %.0f allocations; one copy of the %d-group view: %.0f", read, view.Len(), clone)
+	if read > clone+20 {
+		t.Errorf("a Result read allocates %.0f times, want <= one copy (%.0f) + 20", read, clone)
+	}
+	// The read handed out the cache; the next commit folds its delta into
+	// a copy and leaves the read as it was.
+	kept := view.Clone()
+	for i := 0; e.Result().rel.Equal(kept); i++ {
+		if i == 50 {
+			t.Fatal("50 commits changed no group: the check would prove nothing")
+		}
+		tx := e.NewTx()
+		for _, b := range stream.NextBatches(50) {
+			if err := tx.Put(b.Table, &Batch{rel: b.Rel}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Apply(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireBitwiseEqual(t, "a Result read after later commits", view, kept)
+}
