@@ -893,10 +893,8 @@ type distBackend struct {
 	dprogs map[string]*dist.DistProgram
 	// txProgs caches each transaction's program (dist.FuseTx) by the
 	// tables it updates in first-touch order, each name ended by a zero
-	// byte; key is the buffer the lookup key is built in. A recompile
-	// empties the cache.
+	// byte. A recompile empties the cache.
 	txProgs map[string]*dist.DistProgram
-	key     []byte
 	cl      *cluster.Cluster
 	total   Metrics
 	last    Metrics
@@ -931,13 +929,15 @@ func (db *distBackend) compile(parts dist.PartInfo) {
 }
 
 // txProgram returns the program of a transaction updating the tables of
-// tx in their order, fusing it the first time the sequence occurs.
+// tx in their order, fusing it the first time the sequence occurs. A
+// table may appear once: a fused program deals one batch per table.
 func (db *distBackend) txProgram(tx []compile.TableBatch) (*dist.DistProgram, error) {
-	db.key = db.key[:0]
+	var key strings.Builder
 	for _, tb := range tx {
-		db.key = append(append(db.key, tb.Table...), 0)
+		key.WriteString(tb.Table)
+		key.WriteByte(0)
 	}
-	if p := db.txProgs[string(db.key)]; p != nil {
+	if p := db.txProgs[key.String()]; p != nil {
 		return p, nil
 	}
 	progs := make([]*dist.DistProgram, len(tx))
@@ -945,9 +945,12 @@ func (db *distBackend) txProgram(tx []compile.TableBatch) (*dist.DistProgram, er
 		if progs[i] = db.dprogs[tb.Table]; progs[i] == nil {
 			return nil, fmt.Errorf("ivm: no distributed trigger for table %q", tb.Table)
 		}
+		if slices.Contains(progs[:i], progs[i]) {
+			return nil, fmt.Errorf("ivm: transaction updates table %q twice", tb.Table)
+		}
 	}
 	p := dist.FuseTx(progs)
-	db.txProgs[string(db.key)] = p
+	db.txProgs[key.String()] = p
 	return p, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/compile"
 	"repro/internal/dist"
 	"repro/internal/eval"
 	"repro/internal/mring"
@@ -245,4 +246,26 @@ func TestRestoreRecompilesTransactionPrograms(t *testing.T) {
 	}
 	apply(local, restored)
 	sameAsLocal("after restoring random batches", restored, local)
+}
+
+// TestDistributedTxRefusesRepeatedTable feeds the distributed backend a
+// transaction that names one table twice, as only a hand-made WAL record
+// can (Tx.Put merges a table's batches). A fused program deals one batch
+// per table, so the backend must refuse it rather than fold one batch
+// twice.
+func TestDistributedTxRefusesRepeatedTable(t *testing.T) {
+	q, err := tpch.QueryByName("Q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(q.Name, q.Def, q.BaseSchemas(), Distributed(2), KeyRanks(tpch.PrimaryKeyRanks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	b := newTableFeed(t, q, 0.05, 1).next(tpch.Lineitem, 3)
+	tx := []compile.TableBatch{{Table: tpch.Lineitem, Batch: b}, {Table: tpch.Lineitem, Batch: b}}
+	if _, err := e.be.ApplyTx(tx, nil); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Fatalf("a transaction naming lineitem twice returned %v, want a refusal", err)
+	}
 }

@@ -42,7 +42,7 @@ func ViewSchemas(prog *compile.Program) map[string]mring.Schema {
 //   - update batches are located like views: partitioned on the
 //     best-ranked column of their table when its rank is >= 2, and
 //     Random otherwise. Workers ingest the stream (Sec. 6.2) as fragments
-//     keyed like the views they join, which Cluster.RunPartitionedBatch
+//     keyed like the views they join, which Cluster.RunPartitionedTx
 //     models by dealing each batch by its location: by dist.PlaceIndex on
 //     the key, or round-robin when Random. So a trigger whose first step
 //     joins its batch with a view on that key needs no repartition.

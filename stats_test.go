@@ -11,7 +11,9 @@ import (
 // TestStatsApplyRace is the regression test for the snapshot race:
 // Stats, Result, and Metrics hammered concurrently with Apply must be
 // clean under -race (make test) and must not perturb results, on the
-// local and on the distributed backend.
+// local and on the distributed backend. A subscriber makes every commit
+// fold its delta into the distributed read cache, which the Results
+// being read share until the commit copies it.
 func TestStatsApplyRace(t *testing.T) {
 	bases := map[string]Schema{"R": {"a", "b"}, "S": {"b", "c"}}
 	q := Sum([]string{"a"}, Join(Table("R", "a", "b"), Table("S", "b", "c")))
@@ -43,6 +45,9 @@ func TestStatsApplyRace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, err := e.Subscribe(func(Delta) {}); err != nil {
+				t.Fatal(err)
+			}
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			for g := 0; g < 3; g++ {
@@ -56,7 +61,7 @@ func TestStatsApplyRace(t *testing.T) {
 						default:
 						}
 						_ = e.Stats().Workers
-						_ = e.Result().Len()
+						e.Result().Foreach(func(Tuple, float64) {})
 						_ = e.Metrics()
 					}
 				}()
