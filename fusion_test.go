@@ -24,6 +24,9 @@ func q3Sequences() [][]string {
 	}
 }
 
+// q3TxSize is the rows a test transaction takes of each Q3 table.
+var q3TxSize = map[string]int{tpch.Customer: 1, tpch.Orders: 5, tpch.Lineitem: 20}
+
 // tableFeed deals a TPC-H stream out table by table: next returns the
 // next n rows the stream inserts into one table, buffering the events of
 // the others.
@@ -90,13 +93,12 @@ func TestFusedTransactionOrders(t *testing.T) {
 	oneByOne := map[string]*Engine{"Distributed(2)": newEngine(Distributed(2)), "Remote(2)": newEngine(remote())}
 
 	feed := newTableFeed(t, q, 0.2, 9)
-	size := map[string]int{tpch.Customer: 1, tpch.Orders: 5, tpch.Lineitem: 20}
 	seqs := q3Sequences()
 	for round := 0; round < 2; round++ {
 		for _, seq := range seqs {
 			tx := NewTx()
 			for _, table := range seq {
-				if err := tx.Put(table, &Batch{rel: feed.next(table, size[table])}); err != nil {
+				if err := tx.Put(table, &Batch{rel: feed.next(table, q3TxSize[table])}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -163,7 +165,7 @@ func TestRestoreRecompilesTransactionPrograms(t *testing.T) {
 		for _, seq := range q3Sequences() {
 			tx := NewTx()
 			for _, table := range seq {
-				if err := tx.Put(table, &Batch{rel: feed.next(table, map[string]int{tpch.Customer: 1, tpch.Orders: 5, tpch.Lineitem: 20}[table])}); err != nil {
+				if err := tx.Put(table, &Batch{rel: feed.next(table, q3TxSize[table])}); err != nil {
 					t.Fatal(err)
 				}
 			}

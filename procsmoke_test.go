@@ -86,7 +86,6 @@ func TestProcessClusterSmoke(t *testing.T) {
 	// Multi-table transactions in two first-touch orders: each runs as one
 	// fused program, deployed to the worker processes like any other.
 	feed := newTableFeed(t, q, 0.2, 13)
-	size := map[string]int{tpch.Customer: 1, tpch.Orders: 5, tpch.Lineitem: 20}
 	for i := 0; i < 10; i++ {
 		seq := []string{tpch.Lineitem, tpch.Orders, tpch.Customer}
 		if i%2 == 1 {
@@ -94,7 +93,7 @@ func TestProcessClusterSmoke(t *testing.T) {
 		}
 		tx := NewTx()
 		for _, table := range seq {
-			if err := tx.Put(table, &Batch{rel: feed.next(table, size[table])}); err != nil {
+			if err := tx.Put(table, &Batch{rel: feed.next(table, q3TxSize[table])}); err != nil {
 				t.Fatal(err)
 			}
 		}
