@@ -7,13 +7,18 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test lint fuzz bench figures api check-api proc-smoke crash-smoke ci
+.PHONY: build test test-386 lint fuzz bench figures api check-api proc-smoke crash-smoke ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test -race ./...
+
+# test-386 runs every package as 32-bit binaries (natively on amd64), so
+# no key, hash, golden or layout test may depend on the word size.
+test-386:
+	GOARCH=386 $(GO) test ./...
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -37,9 +42,9 @@ lint:
 # and the changefeed decoders must also re-encode what they accept to
 # the same bytes, and the batch reader must visit the same rows forwards
 # and backwards — tuples with equal
-# canonical keys must compare and hash equal, on both sides of the
-# integer fast path (an integer within ±2^53 hashes and compares by its
-# own word) included, any sequence of relation
+# canonical keys must compare and hash equal, and every value's key must
+# be its exact numeric value (distinct integers past 2^53 and at the ends
+# of int64 included), any sequence of relation
 # and group-table operations must match a plain-map model, the
 # simulator's computed shuffle size must equal the length of the
 # one-pass writer's output on every relation, mixed kinds included, and

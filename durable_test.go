@@ -224,38 +224,47 @@ func TestDurableReopenAdoptsRecordedPlacement(t *testing.T) {
 }
 
 // TestDurableRefusesVersion1Checkpoint pins the checkpoint format
-// boundary: a directory whose newest checkpoint has a version-1 body
-// (gob, written by earlier builds) fails to open with an error naming
-// the version; it is never decoded as the current format.
+// boundary: a directory whose newest checkpoint has an older body fails
+// to open with an error naming the version; it is never decoded as the
+// current format. Version 1 was gob, written by earlier builds; version 2
+// is the current layout under keys placed by the float-rounded hash.
 func TestDurableRefusesVersion1Checkpoint(t *testing.T) {
 	q, err := tpch.QueryByName("Q6")
 	if err != nil {
 		t.Fatal(err)
 	}
 	bases := q.BaseSchemas()
-	dir := t.TempDir()
-	e, err := New(q.Name, q.Def, bases, Durable(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, round := range txRounds(t, q, 0.1, 50)[:2] {
-		applyRound(t, e, round)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st, rec, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Checkpoint(rec.Seq, []byte("IVCP\x01 a gob body")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(q.Name, q.Def, bases, Durable(dir)); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("open over a version-1 checkpoint: got %v, want a version error", err)
+	for _, version := range []byte{1, 2} {
+		dir := t.TempDir()
+		e, err := New(q.Name, q.Def, bases, Durable(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, round := range txRounds(t, q, 0.1, 50)[:2] {
+			applyRound(t, e, round)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, rec, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := []byte("IVCP\x01 a gob body")
+		if version == 2 {
+			body = append([]byte(nil), rec.Checkpoint...)
+			body[len("IVCP")] = 2
+		}
+		if err := st.Checkpoint(rec.Seq, body); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("version %d", version)
+		if _, err := New(q.Name, q.Def, bases, Durable(dir)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("open over a version-%d checkpoint: got %v, want a version error", version, err)
+		}
 	}
 }
 

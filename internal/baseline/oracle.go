@@ -4,8 +4,9 @@
 // relation is a list of rows, a product is a nested loop, an aggregate
 // is a map from group to accumulated multiplicity — with no plans, no
 // indexes and no engine storage. From internal/mring it uses only the
-// value model (Value, Tuple and their key identity) and Eps; from
-// internal/expr the trees and their value semantics (EvalV, EvalCmp).
+// value model (Value, Tuple) and Eps, and it keys tuples by its own exact
+// identity (key), not mring's; from internal/expr the trees and their
+// value semantics (EvalV, EvalCmp).
 //
 // Every test that needs ground truth for query semantics takes it from
 // Eval: the goldens, the delta-derivation and compiler tests, the
@@ -18,6 +19,8 @@ package baseline
 import (
 	"fmt"
 	"math"
+	"math/big"
+	"strconv"
 	"strings"
 
 	"repro/internal/expr"
@@ -231,7 +234,7 @@ func (b *binding) match(cols []string, t mring.Tuple) (*binding, bool) {
 	nb := b
 	for i, col := range cols {
 		if v, ok := nb.get(col); ok {
-			if !v.KeyEqual(t[i]) {
+			if !same(v, t[i]) {
 				return nil, false
 			}
 			continue
@@ -254,6 +257,47 @@ func (b *binding) tuple(cols []string) mring.Tuple {
 	return t
 }
 
+// key renders a tuple's identity: a string by its bytes, a finite number
+// by its exact value as a fraction (so Float(3) is Int(3), -0 is 0, and no
+// two distinct integers meet), an infinity by its sign and a NaN by its
+// bits, so every NaN is itself.
+func key(t mring.Tuple) string {
+	var b []byte
+	for _, v := range t {
+		b = appendKey(b, v)
+	}
+	return string(b)
+}
+
+func appendKey(b []byte, v mring.Value) []byte {
+	switch f := v.AsFloat(); {
+	case v.K == mring.KString:
+		b = strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10)
+		return append(append(b, ':'), v.S...)
+	case v.K == mring.KInt:
+		b = strconv.AppendInt(append(b, 'n'), v.I, 10)
+	case math.IsNaN(f):
+		b = strconv.AppendUint(append(b, "nan"...), math.Float64bits(f), 16)
+	case math.IsInf(f, 0):
+		b = strconv.AppendFloat(append(b, 'n'), f, 'g', -1, 64)
+	default:
+		b = append(append(b, 'n'), new(big.Rat).SetFloat64(f).RatString()...)
+	}
+	return append(b, ';')
+}
+
+// same reports whether two values have one key.
+func same(a, b mring.Value) bool {
+	switch {
+	case a.K == mring.KInt && b.K == mring.KInt:
+		return a.I == b.I
+	case a.K == mring.KString || b.K == mring.KString:
+		return a.K == b.K && a.S == b.S
+	}
+	var ka, kb [32]byte
+	return string(appendKey(ka[:0], a)) == string(appendKey(kb[:0], b))
+}
+
 // table sums multiplicities per tuple with the data model's rule: a
 // zero contribution is nothing, and a tuple whose sum falls within Eps
 // of zero is gone, so a later contribution starts it afresh.
@@ -269,7 +313,7 @@ func (t *table) add(tp mring.Tuple, m float64) {
 	if t.at == nil {
 		t.at = map[string]int{}
 	}
-	k := tp.Key()
+	k := key(tp)
 	i, ok := t.at[k]
 	if !ok {
 		t.at[k] = len(t.rows)
@@ -309,11 +353,11 @@ func Diff(got Source, want Rows) string {
 	gotRows := g.live()
 	wantAt := map[string]float64{}
 	for _, r := range want {
-		wantAt[r.Tuple.Key()] += r.M
+		wantAt[key(r.Tuple)] += r.M
 	}
 	gotAt := map[string]float64{}
 	for _, r := range gotRows {
-		gotAt[r.Tuple.Key()] = r.M
+		gotAt[key(r.Tuple)] = r.M
 	}
 	var bad []string
 	check := func(t mring.Tuple, gm, wm float64) {
@@ -322,10 +366,10 @@ func Diff(got Source, want Rows) string {
 		}
 	}
 	for _, r := range want {
-		check(r.Tuple, gotAt[r.Tuple.Key()], r.M)
+		check(r.Tuple, gotAt[key(r.Tuple)], r.M)
 	}
 	for _, r := range gotRows {
-		if _, ok := wantAt[r.Tuple.Key()]; !ok {
+		if _, ok := wantAt[key(r.Tuple)]; !ok {
 			check(r.Tuple, r.M, 0)
 		}
 	}

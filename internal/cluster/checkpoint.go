@@ -169,13 +169,15 @@ func (c *Cluster) KillWorker(i int) {
 
 // Checkpoint serialization: a magic and a format version, so drift — or
 // a body that is not a checkpoint at all — is detected as a descriptive
-// error, never a garbage decode. Version 2 is the wire codec: the worker
+// error, never a garbage decode. Version 3 is the wire codec: the worker
 // count, each worker's fragments and the driver's in snapshotMsg's
-// encoding, then the placement in view order. Version 1 was gob and is
-// refused.
+// encoding, then the placement in view order. Version 2 had the same
+// layout, but its workers held keys placed by a hash that rounded integers
+// past 2^53 to float64, so a fragment may sit on the wrong worker; it is
+// refused, as is version 1 (gob).
 const (
 	ckptMagic   = "IVCP"
-	ckptVersion = 2
+	ckptVersion = 3
 )
 
 // EncodeCheckpoint serializes a checkpoint with the versioned header. The

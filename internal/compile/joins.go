@@ -29,8 +29,8 @@ import (
 //
 // Both passes turn equality predicates into probes, which match on
 // storage identity (Tuple.KeyEqual) rather than Value.Equal. The two
-// differ only on NaN and on integers beyond 2^53, exactly as natural joins
-// over shared column names already do.
+// differ only on NaN (one key with itself, Equal to nothing), exactly as
+// natural joins over shared column names already do.
 
 // unifyEqualities rewrites every variable-to-variable equality that joins
 // two relation terms of the same product into a shared column name.

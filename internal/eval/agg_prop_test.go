@@ -13,7 +13,7 @@ import (
 
 // randomAggTuple draws tuples over the identity edge cases: NaN group
 // keys (canonical key is reflexive on NaN), integers beyond 2^53 (the
-// key encoding collapses them to their float value), int/float kind
+// key keeps them distinct, though one float64 holds several), int/float kind
 // collisions, and plain strings. The small domain makes groups collide
 // and cancel often.
 func randomAggTuple(rng *rand.Rand) mring.Tuple {

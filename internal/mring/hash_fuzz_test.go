@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/big"
 	"testing"
 )
 
@@ -43,12 +44,73 @@ func fuzzTuple(data []byte, arity int) (Tuple, []byte, bool) {
 	return t, data, true
 }
 
+// exact is the exact value of a number that is not NaN.
+func exact(v Value) *big.Float {
+	if v.K == KInt {
+		return new(big.Float).SetInt64(v.I)
+	}
+	return new(big.Float).SetFloat64(v.AsFloat())
+}
+
+func isNaN(v Value) bool { return v.K == KFloat && math.IsNaN(v.AsFloat()) }
+
+// exactKeyEqual spells out the storage identity of two values without
+// numKey: strings by their bytes, NaNs by their bits, and any other two
+// numbers by exact value (so -0 is 0, Float(3) is Int(3), and no two
+// distinct integers are one key).
+func exactKeyEqual(a, b Value) bool {
+	if a.K == KString || b.K == KString {
+		return a.K == b.K && a.S == b.S
+	}
+	if isNaN(a) || isNaN(b) {
+		return a == b
+	}
+	return exact(a).Cmp(exact(b)) == 0
+}
+
+// TestNumbersCompareExactly holds KeyEqual, Equal, Less and Compare on
+// every pair of edge numbers to their exact values: distinct integers
+// past 2^53 and at the ends of int64 never meet, an integer and a float
+// compare without rounding either, and a NaN equals and orders against
+// nothing, yet is one key with itself.
+func TestNumbersCompareExactly(t *testing.T) {
+	vals := []Value{
+		Int(0), Int(1 << 53), Int(1<<53 + 1), Int(-1<<53 - 1),
+		Int(math.MaxInt64 - 1), Int(math.MaxInt64), Int(math.MinInt64), Int(math.MinInt64 + 1),
+		Float(0), Float(math.Copysign(0, -1)), Float(0.5), Float(-0.5),
+		Float(1 << 53), Float(-1 << 53), Float(1 << 63), Float(-1 << 63),
+		Float(math.Nextafter(1<<63, 0)), Float(math.Nextafter(-1<<63, 0)),
+		Float(1e300), Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.NaN()),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := a.KeyEqual(b), exactKeyEqual(a, b); got != want {
+				t.Errorf("%#v.KeyEqual(%#v) = %v, want %v", a, b, got, want)
+			}
+			wantEq, wantLess := false, false
+			if !isNaN(a) && !isNaN(b) {
+				c := exact(a).Cmp(exact(b))
+				wantEq, wantLess = c == 0, c < 0
+				if got := a.Compare(b); got != c {
+					t.Errorf("%#v.Compare(%#v) = %d, want %d", a, b, got, c)
+				}
+			}
+			if got := a.Equal(b); got != wantEq {
+				t.Errorf("%#v.Equal(%#v) = %v, want %v", a, b, got, wantEq)
+			}
+			if got := a.Less(b); got != wantLess {
+				t.Errorf("%#v.Less(%#v) = %v, want %v", a, b, got, wantLess)
+			}
+		}
+	}
+}
+
 // FuzzHashColsKeyEqual fuzzes the storage-identity contract between the
 // canonical key encoding, KeyEqual/EqualAt, and Hash/HashCols: any two
 // tuples with equal canonical keys must compare equal and hash equal,
-// under the full tuple and under every column subset. Aggregation keys
-// groups by exactly these operations, so a violation would split or merge
-// groups relative to the string-keyed reference.
+// under the full tuple and under every column subset, and each column's
+// KeyEqual must be exactKeyEqual. Aggregation keys groups by exactly these
+// operations, so a violation would split or merge groups.
 func FuzzHashColsKeyEqual(f *testing.F) {
 	le := binary.LittleEndian
 	b8 := func(w uint64) []byte {
@@ -60,14 +122,14 @@ func FuzzHashColsKeyEqual(f *testing.F) {
 	f64 := func(x float64) []byte { return append([]byte{1}, b8(math.Float64bits(x))...) }
 	pair := func(a, b []byte) { f.Add(append(append([]byte{0, 1}, a...), b...)) }
 	// Seeds: identical int/float pairs, NaN, 2^53 neighbors, strings. An
-	// input holds two tuples of the arity its first byte selects.
+	// input holds two tuples of the arity its first byte selects; pair
+	// makes one-column tuples.
 	f.Add(append([]byte{2, 0}, bytes.Repeat(i64(7), 6)...))
 	pair(f64(math.NaN()), f64(math.NaN()))
 	pair(i64(1<<53), i64(1<<53+1))
 	f.Add(append([]byte{2, 3}, bytes.Repeat(append([]byte{7}, []byte("grpkey00")...), 6)...))
-	// One-column pairs on the edge of the integer fast path (|I| <= 2^53
-	// hashes and compares by I): its neighbours either side, MinInt64,
-	// and an integer against the float of the same value.
+	// Integers past float64's exact range, the ends of int64, and an
+	// integer against the float of the same or the next value.
 	pair(i64(1<<53-1), i64(1<<53+1))
 	pair(i64(-1<<53-1), i64(-1<<53))
 	pair(i64(-1<<53+1), i64(-1<<53-1))
@@ -75,6 +137,10 @@ func FuzzHashColsKeyEqual(f *testing.F) {
 	pair(i64(math.MinInt64), f64(-1<<63))
 	pair(i64(1<<53), f64(1<<53))
 	pair(i64(-1<<53), f64(-1<<53))
+	pair(i64(math.MaxInt64), f64(1<<63))
+	pair(i64(math.MaxInt64-1), i64(math.MaxInt64))
+	pair(f64(1<<63), f64(1<<63))
+	pair(f64(-1<<63), f64(-1<<63))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -89,6 +155,12 @@ func FuzzHashColsKeyEqual(f *testing.F) {
 		t2, _, ok := fuzzTuple(rest, arity)
 		if !ok {
 			return
+		}
+
+		for i := range t1 {
+			if got, want := t1[i].KeyEqual(t2[i]), exactKeyEqual(t1[i], t2[i]); got != want {
+				t.Fatalf("%v.KeyEqual(%v)=%v, want %v", t1[i], t2[i], got, want)
+			}
 		}
 
 		// Full-tuple contract: KeyEqual ⇔ canonical keys equal, and equal

@@ -99,8 +99,8 @@ type entry struct {
 // by the tuples' 64-bit canonical hash, whose chains link entry ids in a
 // slab, with each tuple's values copied into a chunked arena. Lookups
 // and inserts never materialize string keys, never re-hash the key the
-// way a built-in map would (Tuple.EncodeKey remains only for the wire
-// format), and a stored tuple costs no allocation of its own. The zero
+// way a built-in map would, and a stored tuple costs no allocation of its
+// own. The zero
 // value is not ready to use; construct with NewRelation.
 type Relation struct {
 	schema Schema

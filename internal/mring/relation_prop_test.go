@@ -213,8 +213,8 @@ func TestForcedCollisionChainsExercised(t *testing.T) {
 // TestStorageIdentityMatchesCanonicalKey pins the relation's tuple
 // identity to the canonical key encoding on the cases where Tuple.Equal
 // diverges from it: NaN values (Equal is irreflexive, the key is not) and
-// integers beyond 2^53 (Equal distinguishes, the float-canonical key
-// collapses). Both must behave exactly as the string-keyed storage did.
+// integers beyond 2^53 (the key keeps them exact, as Equal does between
+// two integers). Both must behave exactly as string-keyed storage would.
 func TestStorageIdentityMatchesCanonicalKey(t *testing.T) {
 	nan := math.NaN()
 	r := NewRelation(Schema{"a"})
@@ -231,12 +231,12 @@ func TestStorageIdentityMatchesCanonicalKey(t *testing.T) {
 	const big = int64(1) << 53
 	r2 := NewRelation(Schema{"a"})
 	r2.Add(Tuple{Int(big)}, 1)
-	r2.Add(Tuple{Int(big + 1)}, -1) // same canonical key as big
-	if r2.Len() != 0 {
-		t.Fatalf("integers beyond 2^53 must collapse like their keys, Len=%d", r2.Len())
+	r2.Add(Tuple{Int(big + 1)}, -1)
+	if r2.Len() != 2 || r2.Get(Tuple{Int(big)}) != 1 || r2.Get(Tuple{Int(big + 1)}) != -1 {
+		t.Fatalf("integers beyond 2^53 must stay distinct: Len=%d", r2.Len())
 	}
-	if (Tuple{Int(big)}).Key() != (Tuple{Int(big + 1)}).Key() {
-		t.Fatal("test premise: keys should collapse")
+	if (Tuple{Int(big)}).Key() == (Tuple{Int(big + 1)}).Key() {
+		t.Fatal("test premise: keys should differ")
 	}
 }
 

@@ -35,12 +35,12 @@ func (k Kind) String() string {
 }
 
 // Value is a tagged union holding one column value of a tuple, in 32
-// bytes: a KInt keeps its integer in I, a KFloat keeps its float's IEEE
-// bits in I, and a KString keeps its string in S. The zero Value is the
-// integer 0.
+// bytes on 64-bit platforms (20 on 32-bit): a KInt keeps its integer in
+// I, a KFloat keeps its float's IEEE bits in I, and a KString keeps its
+// string in S. The zero Value is the integer 0.
 //
 // Go's == on Values compares those words: it is reflexive on NaN and
-// tells -0 from +0. Value identity is Equal (numeric) or KeyEqual
+// tells -0 from +0. Value identity is Equal (predicates) or KeyEqual
 // (storage), never ==.
 type Value struct {
 	K Kind
@@ -84,51 +84,31 @@ func (v Value) AsInt() int64 {
 	}
 }
 
-// Equal reports whether two values are equal. Numeric values compare by
-// numeric value across KInt/KFloat; strings compare only to strings.
+// Equal reports whether two values are equal: the predicate equality of
+// the data model. It is KeyEqual, except that a NaN equals nothing. So
+// numbers compare by exact value across KInt/KFloat (Int(3) equals
+// Float(3), Int(2^53+1) does not equal Float(2^53)), and strings compare
+// only to strings.
 func (v Value) Equal(o Value) bool {
-	if v.K == KString || o.K == KString {
-		return v.K == KString && o.K == KString && v.S == o.S
-	}
-	if v.K == KInt && o.K == KInt {
-		return v.I == o.I
-	}
-	return v.AsFloat() == o.AsFloat()
+	return v.KeyEqual(o) && !(v.K == KFloat && math.IsNaN(v.AsFloat()))
 }
 
-// KeyEqual reports whether two values are identical under the canonical
-// key encoding (EncodeKey): strings compare exactly; numerics compare
-// through the same float canonicalization the encoder applies, so
-// integers beyond 2^53 collapse to their float value and NaNs compare by
-// bit pattern (reflexively). This is the storage identity of relations
-// and indexes; it differs from Equal only on NaN (where Equal is
-// irreflexive) and on integers Equal distinguishes but the encoding
-// cannot. Two integers within ±2^53 compare by I, which is what the float
-// canonicalization gives them.
+// KeyEqual reports whether two values are the same key: the storage
+// identity of relations and indexes. Strings compare exactly, and
+// numbers by numKey, so Int(3) and Float(3) are one key while distinct
+// integers never are. It differs from Equal only on NaN, which is one key
+// with itself.
 func (v Value) KeyEqual(o Value) bool {
-	if v.K == KInt && o.K == KInt && exactInt(v.I) && exactInt(o.I) {
-		return v.I == o.I
-	}
 	if v.K == KString || o.K == KString {
 		return v.K == KString && o.K == KString && v.S == o.S
 	}
-	vf, of := v.AsFloat(), o.AsFloat()
-	vi, vInt := int64(vf), false
-	if float64(int64(vf)) == vf {
-		vInt = true
-	}
-	oi, oInt := int64(of), false
-	if float64(int64(of)) == of {
-		oInt = true
-	}
-	if vInt || oInt {
-		return vInt && oInt && vi == oi
-	}
-	return math.Float64bits(vf) == math.Float64bits(of)
+	vt, vw := numKey(v)
+	ot, ow := numKey(o)
+	return vt == ot && vw == ow
 }
 
 // Less reports whether v sorts before o. Numbers sort before strings;
-// mixed numeric kinds compare numerically.
+// mixed numeric kinds compare by exact value, and NaN is unordered.
 func (v Value) Less(o Value) bool {
 	if v.K == KString || o.K == KString {
 		if v.K != KString {
@@ -139,8 +119,17 @@ func (v Value) Less(o Value) bool {
 		}
 		return v.S < o.S
 	}
-	if v.K == KInt && o.K == KInt {
+	switch {
+	case v.K == KInt && o.K == KInt:
 		return v.I < o.I
+	case v.K == KInt:
+		// For an integer x, x < f exactly when x < ceil(f).
+		f := o.AsFloat()
+		return f >= 0x1p63 || f >= -0x1p63 && v.I < int64(math.Ceil(f))
+	case o.K == KInt:
+		// For an integer x, f < x exactly when floor(f) < x.
+		f := v.AsFloat()
+		return f < -0x1p63 || f < 0x1p63 && int64(math.Floor(f)) < o.I
 	}
 	return v.AsFloat() < o.AsFloat()
 }
@@ -218,43 +207,36 @@ func (t Tuple) String() string {
 }
 
 // EncodeKey appends a canonical byte encoding of the tuple to dst and
-// returns the result. Two tuples encode equal iff they are Equal: integers
-// and integral floats share an encoding so that Int(3) and Float(3) collide
-// as the data model requires.
+// returns the result. Two tuples encode equal iff they are KeyEqual.
 func (t Tuple) EncodeKey(dst []byte) []byte {
 	var buf [9]byte
 	for _, v := range t {
-		switch v.K {
-		case KString:
+		if v.K == KString {
 			dst = append(dst, 's')
 			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 			dst = append(dst, v.S...)
-		default:
-			f := v.AsFloat()
-			if i := int64(f); float64(i) == f {
-				buf[0] = 'i'
-				binary.LittleEndian.PutUint64(buf[1:], uint64(i))
-			} else {
-				buf[0] = 'f'
-				binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(f))
-			}
-			dst = append(dst, buf[:]...)
+			continue
 		}
+		tag, w := numKey(v)
+		buf[0] = 'i'
+		if tag == hashTagFloat {
+			buf[0] = 'f'
+		}
+		binary.LittleEndian.PutUint64(buf[1:], w)
+		dst = append(dst, buf[:]...)
 	}
 	return dst
 }
 
 // Key returns the canonical string key for the tuple, suitable as a map key.
-// It allocates; hot paths use Hash/HashCols instead and keep EncodeKey for
-// the wire format.
+// It allocates; hot paths use Hash/HashCols and KeyEqual instead.
 func (t Tuple) Key() string { return string(t.EncodeKey(nil)) }
 
 // Tuple hashing is word-at-a-time multiplicative mixing with a murmur3
 // finalizer: one multiply per numeric column instead of one per encoded
-// byte. The only contract is that Equal tuples hash equal (numeric values
-// are canonicalized exactly as EncodeKey canonicalizes them, so Int(3) and
-// Float(3) agree) — hash-colliding unequal tuples are resolved by the
-// relation's collision chains.
+// byte. The only contract is that KeyEqual tuples hash equal (a number
+// hashes its numKey, so Int(3) and Float(3) agree) — hash-colliding
+// distinct tuples are resolved by the relation's collision chains.
 const (
 	hashSeed     = 14695981039346656037
 	hashMult     = 1099511628211
@@ -287,20 +269,26 @@ func hashValue(h uint64, v Value) uint64 {
 		}
 		return h
 	}
-	if v.K == KInt && exactInt(v.I) {
-		return mixWord(h, hashTagInt^uint64(v.I))
-	}
-	f := v.AsFloat()
-	if i := int64(f); float64(i) == f {
-		return mixWord(h, hashTagInt^uint64(i))
-	}
-	return mixWord(h, hashTagFloat^math.Float64bits(f))
+	tag, w := numKey(v)
+	return mixWord(h, tag^w)
 }
 
-// exactInt reports whether -2^53 <= i <= 2^53: whether the float
-// canonicalization of EncodeKey, Hash and KeyEqual gives i back unchanged,
-// so those can use i as it is.
-func exactInt(i int64) bool { return uint64(i+1<<53) <= 1<<54 }
+// numKey is the storage identity of a number, the one rule KeyEqual,
+// EncodeKey and hashing share. A KInt is its own integer. A KFloat that is
+// integral and in [-2^63, 2^63) is that integer, so Float(3) is Int(3) and
+// -0 is 0; the range is checked first because Go leaves int64(f) out of
+// range to the CPU. Any other float is its bits, so NaN is reflexive.
+func numKey(v Value) (tag, word uint64) {
+	if v.K == KInt {
+		return hashTagInt, uint64(v.I)
+	}
+	if f := math.Float64frombits(uint64(v.I)); f >= -0x1p63 && f < 0x1p63 {
+		if i := int64(f); float64(i) == f {
+			return hashTagInt, uint64(i)
+		}
+	}
+	return hashTagFloat, uint64(v.I)
+}
 
 // hashFinish is murmur3's fmix64 avalanche, giving well-mixed bits for
 // bucket selection and worker partitioning.
@@ -313,8 +301,8 @@ func hashFinish(h uint64) uint64 {
 	return h
 }
 
-// Hash returns a 64-bit hash of the tuple consistent with Equal. It never
-// allocates.
+// Hash returns a 64-bit hash of the tuple consistent with KeyEqual. It
+// never allocates.
 func (t Tuple) Hash() uint64 {
 	h := uint64(hashSeed)
 	for _, v := range t {

@@ -302,8 +302,9 @@ func TestRegistryOnKeyRouting(t *testing.T) {
 // TestOnKeyMatchesByKeyIdentity pins that a keyed subscription matches
 // groups by the key identity relations store and shard them by, not by
 // value equality: a NaN key reaches its subscriber, and integers beyond
-// 2^53 that fold into one group reach a subscriber keyed on each. On
-// the local and distributed backends and through a Registry.
+// 2^53 that one float64 would hold are two groups, each reaching only
+// the subscriber keyed on it. On the local and distributed backends and
+// through a Registry.
 func TestOnKeyMatchesByKeyIdentity(t *testing.T) {
 	query := Sum([]string{"a"}, Table("R", "a", "b"))
 	bases := map[string]Schema{"R": {"a", "b"}}
@@ -355,11 +356,12 @@ func TestOnKeyMatchesByKeyIdentity(t *testing.T) {
 			b = NewBatch(Schema{"a", "b"})
 			b.Insert(Row(big, 1))
 			b.Insert(Row(big+1, 2))
+			b.Insert(Row(big+1, 3))
 			if err := apply("R", b); err != nil {
 				t.Fatal(err)
 			}
-			if len(plain) != 2 || fmt.Sprint(lo) != "[2]" || fmt.Sprint(hi) != "[2]" {
-				t.Fatalf("2^53 and 2^53+1 in one group: plain subscriber got %v, OnKey(2^53) %v, OnKey(2^53+1) %v",
+			if len(plain) != 3 || fmt.Sprint(lo) != "[1]" || fmt.Sprint(hi) != "[2]" {
+				t.Fatalf("2^53 and 2^53+1 as two groups: plain subscriber got %v, OnKey(2^53) %v, OnKey(2^53+1) %v",
 					plain, lo, hi)
 			}
 		})

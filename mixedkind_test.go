@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/baseline"
 )
 
 // mixedChange is one change to a base table of the mixed-kind stream.
@@ -189,4 +191,82 @@ func TestMixedKindColumnsAcrossBackends(t *testing.T) {
 		applyMixed(t, reopened, tx)
 	}
 	requireSameKinded(t, "Durable reopen", reopened.Result(), local.Result())
+}
+
+// TestWideIntegerKeysAcrossBackends groups by integers that float64
+// cannot tell apart: 2^53 and 2^53+1 round to one float, and MaxInt64-1
+// and MaxInt64 both round to 2^63. Each is its own group on the local
+// engine, the simulated cluster, process workers over loopback TCP and a
+// durable cluster engine reopened from a checkpoint and a WAL tail, and
+// every result equals the oracle's.
+func TestWideIntegerKeysAcrossBackends(t *testing.T) {
+	q := Sum([]string{"k"}, Table("R", "k", "v"))
+	bases := map[string]Schema{"R": {"k", "v"}}
+	ranks := KeyRanks(map[string]int{"k": 2})
+	// Key i enters with multiplicity i+1, so every group has its own
+	// count; then one row of 2^53+1 leaves and MaxInt64 gains one.
+	var first []mixedChange
+	for i, k := range []int64{1 << 53, 1<<53 + 1, math.MaxInt64 - 1, math.MaxInt64} {
+		first = append(first, mixedChange{"R", Row(k, i), float64(i + 1)})
+	}
+	txs := [][]mixedChange{first,
+		{{"R", Row(int64(1<<53+1), 1), -1}},
+		{{"R", Row(int64(math.MaxInt64), 7), 1}}}
+	var rows baseline.Rows // every change apart, for the oracle to sum
+	for _, tx := range txs {
+		for _, c := range tx {
+			rows = append(rows, baseline.Row{Tuple: c.t, M: c.delta})
+		}
+	}
+	want := baseline.Eval(q, baseline.DB{"R": rows})
+	if len(want) != 4 {
+		t.Fatalf("the oracle finds %d groups, want 4: %v", len(want), want)
+	}
+	check := func(label string, e *Engine) {
+		t.Helper()
+		if d := baseline.Diff(e.Result().rel, want); d != "" {
+			t.Fatalf("%s: %s", label, d)
+		}
+	}
+	run := func(label string, opts ...Option) {
+		t.Helper()
+		e, err := New("QW", q, bases, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		t.Cleanup(func() { e.Close() })
+		for _, tx := range txs {
+			applyMixed(t, e, tx)
+		}
+		check(label, e)
+	}
+	run("local")
+	run("Distributed(2)", Distributed(2), ranks)
+	addrs, _ := startWorkers(t, 2)
+	run("Remote(2)", Remote(addrs...), ranks)
+
+	// The durable engine checkpoints after the first transaction and is
+	// abandoned un-Closed after the second; the reopened engine restores
+	// the checkpoint, replays the second and runs the third.
+	dir := t.TempDir()
+	opts := []Option{Distributed(2), ranks, Durable(dir, NoFsync())}
+	victim, err := New("QW", q, bases, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyMixed(t, victim, txs[0])
+	if err := victim.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	applyMixed(t, victim, txs[1])
+	reopened, err := New("QW", q, bases, opts...)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reopened.Close()
+	if rec := reopened.Stats().Durability.Recovery; !rec.HasCheckpoint || rec.ReplayedRecords != 1 {
+		t.Fatalf("want checkpoint + 1-record tail replay, got %+v", rec)
+	}
+	applyMixed(t, reopened, txs[2])
+	check("Durable reopen", reopened)
 }

@@ -1,6 +1,7 @@
 package ivm
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/baseline"
@@ -24,9 +25,27 @@ var oracleShapes = []Expr{
 	Sum([]string{"n"}, Join(Lift("n", Sum([]string{"b"}, Table("R", "a", "b"))), Table("S", "b", "c"))),
 }
 
+// fuzzKeys are the wide keys an op's value byte of edgeKey or more
+// picks: integers either side of float64's exact range and at the top of
+// int64, and floats that some of them round to.
+var fuzzKeys = []Value{Int(1<<53 - 1), Int(1 << 53), Int(1<<53 + 1),
+	Int(math.MaxInt64 - 1), Int(math.MaxInt64), Float(1 << 63), Float(1 << 53)}
+
+const edgeKey = 0x80
+
+// fuzzKey decodes one value of an op: a byte below edgeKey is a small
+// integer, so rows collide and cancel often, and any other byte one of
+// fuzzKeys.
+func fuzzKey(b byte) Value {
+	if b < edgeKey {
+		return Int(int64(b % 3))
+	}
+	return fuzzKeys[int(b-edgeKey)%len(fuzzKeys)]
+}
+
 // fuzzOp encodes one update for FuzzOracleAgreement: a change of mult
-// (one of 1, -1, 2, -2) to (x, y) in R or S, optionally ending the
-// transaction.
+// (one of 1, -1, 2, -2) to (fuzzKey(x), fuzzKey(y)) in R or S, optionally
+// ending the transaction.
 func fuzzOp(s string, mult, x, y int, end bool) []byte {
 	b := byte(map[int]byte{1: 0, -1: 2, 2: 4, -2: 6}[mult])
 	if s == "S" {
@@ -39,13 +58,14 @@ func fuzzOp(s string, mult, x, y int, end bool) []byte {
 }
 
 // FuzzOracleAgreement feeds a short stream of inserts and deletes, with
-// cancelling multiplicities over a small domain, to a local engine and
-// two Distributed(2) engines, one without key ranks and one partitioning
-// views and batches on ranked keys, maintaining one of oracleShapes
-// (chosen by the first byte). A transaction's tables are put in the order its ops first
-// touch them, which picks the distributed program it runs, so an input
-// replays exactly. After every transaction both results must equal the
-// oracle's evaluation of the query over the accumulated base tables.
+// cancelling multiplicities over a small domain and wide keys (fuzzKey),
+// to a local engine and two Distributed(2) engines, one without key
+// ranks and one partitioning views and batches on ranked keys,
+// maintaining one of oracleShapes (chosen by the first byte). A
+// transaction's tables are put in the order its ops first touch them,
+// which picks the distributed program it runs, so an input replays
+// exactly. After every transaction every result must equal the oracle's
+// evaluation of the query over the accumulated base tables.
 func FuzzOracleAgreement(f *testing.F) {
 	seed := func(shape byte, ops ...[]byte) {
 		data := []byte{shape}
@@ -73,6 +93,20 @@ func FuzzOracleAgreement(f *testing.F) {
 		fuzzOp("S", -1, 1, 0, false), fuzzOp("R", 2, 1, 1, true))
 	seed(5, fuzzOp("S", 1, 1, 0, false), fuzzOp("R", 1, 0, 1, false), fuzzOp("R", 1, 1, 1, true),
 		fuzzOp("S", 1, 2, 1, false), fuzzOp("R", 1, 2, 2, true))
+	// Wide keys as group keys, as join keys and as a repeated column:
+	// 2^53 and 2^53+1, MaxInt64-1 and MaxInt64, and MaxInt64 and
+	// Float(2^63) are distinct keys, while Float(2^53) is Int(2^53).
+	w := func(i int) int { return edgeKey + i }
+	seed(0, fuzzOp("R", 1, w(1), 0, false), fuzzOp("R", 1, w(2), 0, false), fuzzOp("R", 2, w(3), 0, false),
+		fuzzOp("R", 1, w(4), 0, false), fuzzOp("R", 1, w(5), 0, false), fuzzOp("S", 1, 0, 1, true),
+		fuzzOp("R", -1, w(2), 0, true), fuzzOp("R", -2, w(3), 0, false), fuzzOp("S", 1, 0, 2, true))
+	seed(0, fuzzOp("R", 1, 0, w(1), false), fuzzOp("R", 1, 1, w(2), false), fuzzOp("S", 1, w(6), 0, false),
+		fuzzOp("S", 1, w(2), 1, false), fuzzOp("S", 1, w(0), 2, true), fuzzOp("R", 1, 2, w(4), false),
+		fuzzOp("S", 1, w(5), 0, false), fuzzOp("S", 2, w(3), 1, true))
+	seed(1, fuzzOp("R", 1, w(1), w(1), false), fuzzOp("R", 1, w(1), w(2), false), fuzzOp("R", 1, w(4), w(5), false),
+		fuzzOp("R", 1, w(4), w(4), false), fuzzOp("S", 1, w(6), 0, false), fuzzOp("S", 1, w(4), 1, true))
+	seed(4, fuzzOp("R", 1, 0, w(1), false), fuzzOp("R", 1, 0, w(2), false), fuzzOp("S", 1, w(6), 0, false),
+		fuzzOp("S", 1, w(3), 0, false), fuzzOp("R", 1, 1, w(4), true))
 	bases := map[string]Schema{"R": {"a", "b"}, "S": {"b", "c"}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -91,7 +125,9 @@ func FuzzOracleAgreement(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		accum := map[string]*mring.Relation{"R": mring.NewRelation(bases["R"]), "S": mring.NewRelation(bases["S"])}
+		// The oracle reads every change as a plain row, so rows that the
+		// engine's storage would merge reach it apart.
+		accum := map[string]baseline.Rows{"R": nil, "S": nil}
 		tx := map[string]*mring.Relation{}
 		var order []string // tx's tables in first-touch order
 		ops := data[1:]
@@ -102,7 +138,9 @@ func FuzzOracleAgreement(f *testing.F) {
 				tx[table] = mring.NewRelation(bases[table])
 				order = append(order, table)
 			}
-			tx[table].Add(Row(int(ops[i+1])%3, int(ops[i+2])%3), []float64{1, -1, 2, -2}[b>>1&3])
+			row, m := Tuple{fuzzKey(ops[i+1]), fuzzKey(ops[i+2])}, []float64{1, -1, 2, -2}[b>>1&3]
+			tx[table].Add(row, m)
+			accum[table] = append(accum[table], baseline.Row{Tuple: row, M: m})
 			if b&8 == 0 && i+6 <= len(ops) {
 				continue
 			}
@@ -116,9 +154,6 @@ func FuzzOracleAgreement(f *testing.F) {
 				if err := e.Apply(etx); err != nil {
 					t.Fatal(err)
 				}
-			}
-			for n, r := range tx {
-				accum[n].Merge(r)
 			}
 			tx, order = map[string]*mring.Relation{}, nil
 			want := baseline.Eval(q, baseline.Of(accum))
