@@ -4,8 +4,8 @@ package ivm
 // queries (Q1-style group-bys) must produce identical results through
 // every execution plane — ivm.New's local backend and its distributed
 // backend at 1, 8, and 16 workers — and equal the oracle
-// (internal/baseline), which recomputes the query naively from the
-// accumulated base tables. Every engine here runs on the test
+// (internal/baseline), which recomputes the query naively from every
+// change fed to the base tables. Every engine here runs on the test
 // goroutine — the simulated cluster runs its shards inline on it
 // (DESIGN.md §4) — so -race (make test) certifies no concurrency in
 // these tests; the concurrent fan-out to process workers is raced where
@@ -20,16 +20,15 @@ import (
 )
 
 // goldenStream drives one query's stream through a set of engines in
-// lockstep and returns the accumulated base tables for the oracle.
-func goldenStream(t *testing.T, q tpch.Query, apply func(table string, b *Batch)) map[string]*mring.Relation {
+// lockstep and returns every change it fed them, for the oracle.
+func goldenStream(t *testing.T, q tpch.Query, apply func(table string, b *Batch)) baseline.Changes {
 	t.Helper()
 	gen := tpch.NewGenerator(0.03, 5)
-	accum := map[string]*mring.Relation{}
+	accum := baseline.Changes{}
 	for _, tbl := range q.Tables {
+		accum[tbl] = nil
 		if tbl == tpch.Nation || tbl == tpch.Region {
-			accum[tbl] = gen.Static(tbl)
-		} else {
-			accum[tbl] = mring.NewRelation(tpch.Schemas[tbl])
+			accum.Add(tbl, gen.Static(tbl))
 		}
 	}
 	stream := tpch.NewStream(gen, q.Tables)
@@ -40,15 +39,15 @@ func goldenStream(t *testing.T, q tpch.Query, apply func(table string, b *Batch)
 		}
 		for _, b := range bs {
 			apply(b.Table, &Batch{rel: b.Rel})
-			accum[b.Table].Merge(b.Rel)
+			accum.Add(b.Table, b.Rel)
 		}
 	}
 	return accum
 }
 
-// rebuildOracle recomputes the query from scratch over accumulated base
-// tables through the oracle.
-func rebuildOracle(q tpch.Query, accum map[string]*mring.Relation) *mring.Relation {
+// rebuildOracle recomputes the query from scratch over the base tables'
+// changes through the oracle.
+func rebuildOracle(q tpch.Query, accum baseline.Changes) *mring.Relation {
 	out := mring.NewRelation(q.Def.Schema())
 	for _, r := range baseline.Eval(q.Def, baseline.Of(accum)) {
 		out.Add(r.Tuple, r.M)
@@ -146,9 +145,9 @@ func TestGoldenTxEqualsSequential(t *testing.T) {
 			// Group the stream into multi-table transactions: all batches
 			// of one stream round form one Tx.
 			gen := tpch.NewGenerator(0.03, 7)
-			accum := map[string]*mring.Relation{}
+			accum := baseline.Changes{}
 			for _, tbl := range q.Tables {
-				accum[tbl] = mring.NewRelation(tpch.Schemas[tbl])
+				accum[tbl] = nil
 			}
 			stream := tpch.NewStream(gen, q.Tables)
 			for {
@@ -162,7 +161,7 @@ func TestGoldenTxEqualsSequential(t *testing.T) {
 					if err := seqEng.ApplyBatch(b.Table, &Batch{rel: b.Rel.Clone()}); err != nil {
 						t.Fatal(err)
 					}
-					accum[b.Table].Merge(b.Rel)
+					accum.Add(b.Table, b.Rel)
 				}
 				if err := txEng.Apply(tx); err != nil {
 					t.Fatal(err)

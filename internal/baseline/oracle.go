@@ -33,8 +33,9 @@ type Row struct {
 	M     float64
 }
 
-// Rows is a relation as a plain list: at most one row per tuple, by key
-// identity, and none whose multiplicity is zero.
+// Rows is a relation as a plain list. Eval returns at most one row per
+// tuple, by key identity, and none whose multiplicity is zero; read as
+// input, a tuple may repeat, and its rows sum.
 type Rows []Row
 
 // Foreach implements Source.
@@ -62,6 +63,36 @@ func Of[S Source](rels map[string]S) DB {
 		db[n] = r
 	}
 	return db
+}
+
+// Changes is a change stream per relation name: every change a row of
+// its own, in arrival order. Read through Of, it hands Eval the changes
+// themselves, so rows an engine relation would merge are summed by the
+// oracle's identity, not by the engine's.
+type Changes map[string]Rows
+
+// ChangesOf starts a change stream with every row of rels, as the
+// relations' first changes.
+func ChangesOf[S Source](rels map[string]S) Changes {
+	c := make(Changes, len(rels))
+	for n, r := range rels {
+		c.Add(n, r)
+	}
+	return c
+}
+
+// Add appends a copy of every row of src to relation name's stream; an
+// empty src still names the relation.
+func (c Changes) Add(name string, src Source) {
+	if _, ok := c[name]; !ok {
+		c[name] = nil
+	}
+	src.Foreach(func(t mring.Tuple, m float64) { c.Row(name, t, m) })
+}
+
+// Row appends a copy of one change to relation name's stream.
+func (c Changes) Row(name string, t mring.Tuple, m float64) {
+	c[name] = append(c[name], Row{append(mring.Tuple(nil), t...), m})
 }
 
 // Eval evaluates q over db from scratch and returns its rows over

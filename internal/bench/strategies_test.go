@@ -63,7 +63,7 @@ func TestAllEnginesAgreeNested(t *testing.T) {
 
 // checkAgree compiles every strategy Fig. 8 and Table 1 compare, feeds
 // each the same random batches with deletions, and holds each result to
-// the oracle over the accumulated base tables after every batch.
+// the oracle over every change so far after every batch.
 func checkAgree(t *testing.T, q expr.Expr, bases map[string]mring.Schema, seed int64) {
 	t.Helper()
 	ss := strategies()
@@ -76,10 +76,12 @@ func checkAgree(t *testing.T, q expr.Expr, bases map[string]mring.Schema, seed i
 		exs[i] = compile.NewExecutor(prog)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	accum := map[string]*mring.Relation{}
+	accum := map[string]*mring.Relation{} // decides which deletions are valid
+	changes := baseline.Changes{}
 	var rels []string
 	for n, s := range bases {
 		accum[n] = mring.NewRelation(s)
+		changes[n] = nil
 		rels = append(rels, n)
 	}
 	sort.Strings(rels)
@@ -92,9 +94,10 @@ func checkAgree(t *testing.T, q expr.Expr, bases map[string]mring.Schema, seed i
 				m = -1 // deletion of an existing tuple
 			}
 			batch.Add(tp, m)
+			changes.Row(rel, tp, m)
 		}
 		accum[rel].Merge(batch)
-		want := baseline.Eval(q, baseline.Of(accum))
+		want := baseline.Eval(q, baseline.Of(changes))
 		for i, ex := range exs {
 			ex.ApplyBatch(rel, batch.Clone())
 			if d := baseline.Diff(ex.Result(), want); d != "" {

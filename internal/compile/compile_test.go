@@ -91,18 +91,20 @@ func checkAgainstRecompute(t *testing.T, name string, q expr.Expr, bases map[str
 }
 
 // checkStream streams nBatches random batches, deletions included, into
-// an executor of prog and holds its result to the oracle over the
-// accumulated base tables after every batch.
+// an executor of prog and holds its result to the oracle over every
+// change so far after every batch.
 func checkStream(t *testing.T, prog *Program, seed int64, nBatches, batchSize, domain int) {
 	t.Helper()
 	q, bases := prog.Query, prog.Bases
 	ex := NewExecutor(prog)
 	rng := rand.New(rand.NewSource(seed))
 
-	accum := map[string]*mring.Relation{}
+	accum := map[string]*mring.Relation{} // decides which deletions are valid
+	changes := baseline.Changes{}
 	var relNames []string
 	for n, s := range bases {
 		accum[n] = mring.NewRelation(s)
+		changes[n] = nil
 		relNames = append(relNames, n)
 	}
 	// Deterministic relation order for reproducibility.
@@ -124,12 +126,13 @@ func checkStream(t *testing.T, prog *Program, seed int64, nBatches, batchSize, d
 				m = -1 // deletion of an existing tuple
 			}
 			batch.Add(tp, m)
+			changes.Row(rel, tp, m)
 		}
 		ex.ApplyBatch(rel, batch)
 		accum[rel].Merge(batch)
 
 		want := mring.NewRelation(q.Schema())
-		for _, r := range baseline.Eval(q, baseline.Of(accum)) {
+		for _, r := range baseline.Eval(q, baseline.Of(changes)) {
 			want.Add(r.Tuple, r.M)
 		}
 		if !ex.Result().EqualApprox(want, 1e-6) {
@@ -282,11 +285,14 @@ func TestInitFromBases(t *testing.T) {
 	}
 	// Build initial contents, init executor, then stream more updates.
 	init := map[string]*mring.Relation{}
+	changes := baseline.Changes{}
 	rng := rand.New(rand.NewSource(42))
 	for n, s := range bases {
 		r := mring.NewRelation(s)
 		for i := 0; i < 10; i++ {
-			r.Add(tup(rng.Intn(3), rng.Intn(3)), 1)
+			tp := tup(rng.Intn(3), rng.Intn(3))
+			r.Add(tp, 1)
+			changes.Row(n, tp, 1)
 		}
 		init[n] = r
 	}
@@ -296,10 +302,10 @@ func TestInitFromBases(t *testing.T) {
 	batch := mring.NewRelation(bases["R"])
 	batch.Add(tup(1, 2), 1)
 	ex.ApplyBatch("R", batch)
-	init["R"].Merge(batch)
+	changes.Add("R", batch)
 
 	want := mring.NewRelation(q.Schema())
-	for _, r := range baseline.Eval(q, baseline.Of(init)) {
+	for _, r := range baseline.Eval(q, baseline.Of(changes)) {
 		want.Add(r.Tuple, r.M)
 	}
 	if !ex.Result().EqualApprox(want, 1e-6) {
@@ -401,8 +407,8 @@ func tpchBases(gen *tpch.Generator, q tpch.Query) map[string]*mring.Relation {
 // a TPC-H program — not only its result, which the stream leaves empty
 // for most queries — to the oracle: after an SF 0.1 stream of six rounds
 // of 100-event batches, each non-transient, delta-free view must equal
-// the oracle's evaluation of its definition over the accumulated base
-// tables.
+// the oracle's evaluation of its definition over every change to the
+// base tables.
 func TestKeptViewsMatchOracle(t *testing.T) {
 	views, nonEmpty := 0, 0
 	for _, q := range tpch.Queries() {
@@ -411,14 +417,15 @@ func TestKeptViewsMatchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen := tpch.NewGenerator(0.1, 3)
-		accum := tpchBases(gen, q)
+		init := tpchBases(gen, q)
+		accum := baseline.ChangesOf(init)
 		ex := NewExecutor(prog)
-		ex.InitFromBases(accum)
+		ex.InitFromBases(init)
 		stream := tpch.NewStream(gen, q.Tables)
 		for i := 0; i < 6; i++ {
 			for _, b := range stream.NextBatches(100) {
 				ex.ApplyBatch(b.Table, b.Rel)
-				accum[b.Table].Merge(b.Rel)
+				accum.Add(b.Table, b.Rel)
 			}
 		}
 		db := baseline.Of(accum)

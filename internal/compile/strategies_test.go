@@ -65,11 +65,12 @@ func TestStrategiesMatchOracleTPCH(t *testing.T) {
 	nonEmpty := 0
 	for _, q := range tpch.Queries() {
 		gen := tpch.NewGenerator(0.02, 5)
-		accum := tpchBases(gen, q)
+		init := tpchBases(gen, q)
+		accum := baseline.ChangesOf(init)
 		var exs []*Executor
 		for i := range strategies {
 			ex := NewExecutor(build(t, i, q.Name, q.Def, q.BaseSchemas()))
-			ex.InitFromBases(accum)
+			ex.InitFromBases(init)
 			exs = append(exs, ex)
 		}
 		stream := tpch.NewStream(gen, q.Tables)
@@ -78,7 +79,7 @@ func TestStrategiesMatchOracleTPCH(t *testing.T) {
 				for _, ex := range exs {
 					ex.ApplyBatch(b.Table, b.Rel)
 				}
-				accum[b.Table].Merge(b.Rel)
+				accum.Add(b.Table, b.Rel)
 			}
 			want := baseline.Eval(q.Def, baseline.Of(accum))
 			for i, ex := range exs {
@@ -103,21 +104,24 @@ func TestStrategiesWarmStart(t *testing.T) {
 	q, bases := flatJoin()
 	rng := rand.New(rand.NewSource(3))
 	init := map[string]*mring.Relation{}
+	before := baseline.Changes{}
 	for n, s := range bases {
 		init[n] = mring.NewRelation(s)
 		for i := 0; i < 10; i++ {
-			init[n].Add(tup(rng.Intn(3), rng.Intn(3)), 1)
+			tp := tup(rng.Intn(3), rng.Intn(3))
+			init[n].Add(tp, 1)
+			before.Row(n, tp, 1)
 		}
 	}
 	batch := mring.NewRelation(bases["S"])
 	batch.Add(tup(1, 2), 1)
 	batch.Add(tup(0, 0), -1)
-	after := map[string]*mring.Relation{"R": init["R"], "S": init["S"].Clone()}
-	after["S"].Merge(batch)
+	after := baseline.ChangesOf(before)
+	after.Add("S", batch)
 	for i, s := range strategies {
 		ex := NewExecutor(build(t, i, "Q", q, bases))
 		ex.InitFromBases(init)
-		if d := baseline.Diff(ex.Result(), baseline.Eval(q, baseline.Of(init))); d != "" {
+		if d := baseline.Diff(ex.Result(), baseline.Eval(q, baseline.Of(before))); d != "" {
 			t.Fatalf("%s: warm start diverges from the oracle: %s", s.name, d)
 		}
 		ex.ApplyBatch("S", batch)

@@ -20,17 +20,16 @@ func tup(vs ...int) mring.Tuple {
 
 // ivmSides evaluates both sides of the IVM equation for query q, its
 // delta dq and a batch on rel through the oracle: M(D) + ΔQ(D, ΔD) and
-// M(D + ΔD).
-func ivmSides(q, dq expr.Expr, rels map[string]*mring.Relation, rel string, batch *mring.Relation) (got, want *mring.Relation) {
+// M(D + ΔD). D and ΔD are raw changes, so D + ΔD is their concatenation
+// and the oracle sums it.
+func ivmSides(q, dq expr.Expr, rels map[string]baseline.Rows, rel string, batch baseline.Rows) (got, want *mring.Relation) {
 	pre := baseline.Of(rels)
 	pre["Δ"+rel] = batch
 	got = evalOracle(q, pre)
 	got.Merge(evalOracle(dq, pre))
-	post := baseline.Of(rels)
-	after := rels[rel].Clone()
-	after.Merge(batch)
-	post[rel] = after
-	return got, evalOracle(q, post)
+	post := baseline.ChangesOf(rels)
+	post.Add(rel, batch)
+	return got, evalOracle(q, baseline.Of(post))
 }
 
 func evalOracle(q expr.Expr, db baseline.DB) *mring.Relation {
@@ -43,7 +42,7 @@ func evalOracle(q expr.Expr, db baseline.DB) *mring.Relation {
 
 // checkIncremental verifies the IVM equation M(D+ΔD) = M(D) + ΔQ(D, ΔD)
 // for query q over the given base relations and a batch on rel.
-func checkIncremental(t *testing.T, q expr.Expr, rels map[string]*mring.Relation, rel string, batch *mring.Relation, opts Options) {
+func checkIncremental(t *testing.T, q expr.Expr, rels map[string]baseline.Rows, rel string, batch baseline.Rows, opts Options) {
 	t.Helper()
 	dq := Derive(q, rel, opts)
 	if got, want := ivmSides(q, dq, rels, rel, batch); !got.EqualApprox(want, 1e-6) {
@@ -52,10 +51,11 @@ func checkIncremental(t *testing.T, q expr.Expr, rels map[string]*mring.Relation
 	}
 }
 
-func relOf(schema mring.Schema, rows ...[]int) *mring.Relation {
-	r := mring.NewRelation(schema)
+// rowsOf lists changes, each row its multiplicity followed by its values.
+func rowsOf(rows ...[]int) baseline.Rows {
+	var r baseline.Rows
 	for _, row := range rows {
-		r.Add(tup(row[1:]...), float64(row[0]))
+		r = append(r, baseline.Row{Tuple: tup(row[1:]...), M: float64(row[0])})
 	}
 	return r
 }
@@ -69,12 +69,12 @@ func TestDeriveFlatJoin(t *testing.T) {
 	if !expr.HasRel(d, expr.RDelta, "R") || expr.HasRel(d, expr.RBase, "R") {
 		t.Fatalf("bad delta: %s", d)
 	}
-	rels := map[string]*mring.Relation{
-		"R": relOf(mring.Schema{"A", "B"}, []int{1, 1, 10}, []int{1, 2, 20}),
-		"S": relOf(mring.Schema{"B", "C"}, []int{1, 10, 5}, []int{2, 20, 6}),
-		"T": relOf(mring.Schema{"C", "D"}, []int{1, 5, 0}, []int{1, 6, 1}),
+	rels := map[string]baseline.Rows{
+		"R": rowsOf([]int{1, 1, 10}, []int{1, 2, 20}),
+		"S": rowsOf([]int{1, 10, 5}, []int{2, 20, 6}),
+		"T": rowsOf([]int{1, 5, 0}, []int{1, 6, 1}),
 	}
-	batch := relOf(mring.Schema{"A", "B"}, []int{1, 3, 10}, []int{-1, 1, 10})
+	batch := rowsOf([]int{1, 3, 10}, []int{-1, 1, 10})
 	checkIncremental(t, q, rels, "R", batch, Options{})
 }
 
@@ -88,20 +88,20 @@ func TestDeriveUpdateIndependent(t *testing.T) {
 func TestDeriveSelfJoinSecondOrder(t *testing.T) {
 	// Δ(R ⋈ R) includes the ΔR ⋈ ΔR term; verify numerically.
 	q := expr.Sum(nil, expr.Join(expr.Base("R", "A"), expr.Base("R", "A")))
-	rels := map[string]*mring.Relation{
-		"R": relOf(mring.Schema{"A"}, []int{2, 1}, []int{1, 2}),
+	rels := map[string]baseline.Rows{
+		"R": rowsOf([]int{2, 1}, []int{1, 2}),
 	}
-	batch := relOf(mring.Schema{"A"}, []int{3, 1}, []int{-1, 2}, []int{1, 3})
+	batch := rowsOf([]int{3, 1}, []int{-1, 2}, []int{1, 3})
 	checkIncremental(t, q, rels, "R", batch, Options{})
 }
 
 func TestDeriveUnion(t *testing.T) {
 	q := expr.Sum([]string{"A"}, expr.Add(expr.Base("R", "A"), expr.Base("S", "A")))
-	rels := map[string]*mring.Relation{
-		"R": relOf(mring.Schema{"A"}, []int{1, 1}),
-		"S": relOf(mring.Schema{"A"}, []int{2, 1}, []int{1, 3}),
+	rels := map[string]baseline.Rows{
+		"R": rowsOf([]int{1, 1}),
+		"S": rowsOf([]int{2, 1}, []int{1, 3}),
 	}
-	batch := relOf(mring.Schema{"A"}, []int{1, 3}, []int{-1, 1})
+	batch := rowsOf([]int{1, 3}, []int{-1, 1})
 	checkIncremental(t, q, rels, "R", batch, Options{})
 }
 
@@ -109,10 +109,10 @@ func TestDeriveWithComparison(t *testing.T) {
 	q := expr.Sum([]string{"A"}, expr.Join(
 		expr.Base("R", "A", "B"),
 		expr.CmpE(expr.CGt, expr.V("B"), expr.LitI(3))))
-	rels := map[string]*mring.Relation{
-		"R": relOf(mring.Schema{"A", "B"}, []int{1, 1, 5}, []int{1, 2, 2}),
+	rels := map[string]baseline.Rows{
+		"R": rowsOf([]int{1, 1, 5}, []int{1, 2, 2}),
 	}
-	batch := relOf(mring.Schema{"A", "B"}, []int{1, 1, 9}, []int{-1, 1, 5}, []int{1, 3, 1})
+	batch := rowsOf([]int{1, 1, 9}, []int{-1, 1, 5}, []int{1, 3, 1})
 	checkIncremental(t, q, rels, "R", batch, Options{})
 }
 
@@ -127,15 +127,15 @@ func nestedCountQuery() expr.Expr {
 
 func TestDeriveNestedAggregateBothRelations(t *testing.T) {
 	q := nestedCountQuery()
-	rels := map[string]*mring.Relation{
-		"R": relOf(mring.Schema{"A", "B"}, []int{1, 0, 7}, []int{1, 1, 7}, []int{1, 5, 9}),
-		"S": relOf(mring.Schema{"B2", "C"}, []int{1, 7, 1}, []int{1, 7, 2}, []int{1, 9, 3}),
+	rels := map[string]baseline.Rows{
+		"R": rowsOf([]int{1, 0, 7}, []int{1, 1, 7}, []int{1, 5, 9}),
+		"S": rowsOf([]int{1, 7, 1}, []int{1, 7, 2}, []int{1, 9, 3}),
 	}
 	for _, de := range []bool{false, true} {
 		opts := Options{DomainExtraction: de}
-		batchR := relOf(mring.Schema{"A", "B"}, []int{1, 0, 9}, []int{-1, 1, 7})
+		batchR := rowsOf([]int{1, 0, 9}, []int{-1, 1, 7})
 		checkIncremental(t, q, rels, "R", batchR, opts)
-		batchS := relOf(mring.Schema{"B2", "C"}, []int{1, 7, 4}, []int{-1, 9, 3}, []int{2, 11, 5})
+		batchS := rowsOf([]int{1, 7, 4}, []int{-1, 9, 3}, []int{2, 11, 5})
 		checkIncremental(t, q, rels, "S", batchS, opts)
 	}
 }
@@ -145,23 +145,23 @@ func TestDeriveDistinct(t *testing.T) {
 	q := expr.ExistsE(expr.Sum([]string{"A"}, expr.Join(
 		expr.Base("R", "A", "B"),
 		expr.CmpE(expr.CGt, expr.V("B"), expr.LitI(3)))))
-	rels := map[string]*mring.Relation{
-		"R": relOf(mring.Schema{"A", "B"}, []int{1, 1, 5}, []int{1, 1, 9}, []int{1, 2, 1}),
+	rels := map[string]baseline.Rows{
+		"R": rowsOf([]int{1, 1, 5}, []int{1, 1, 9}, []int{1, 2, 1}),
 	}
 	for _, de := range []bool{false, true} {
 		// Batch deletes the last supporting row of A=1's second witness and
 		// inserts a new A value.
-		batch := relOf(mring.Schema{"A", "B"}, []int{-1, 1, 5}, []int{1, 3, 8}, []int{1, 2, 9})
+		batch := rowsOf([]int{-1, 1, 5}, []int{1, 3, 8}, []int{1, 2, 9})
 		checkIncremental(t, q, rels, "R", batch, Options{DomainExtraction: de})
 	}
 }
 
 func TestDeriveDistinctDeleteAllWitnesses(t *testing.T) {
 	q := expr.ExistsE(expr.Sum([]string{"A"}, expr.Base("R", "A", "B")))
-	rels := map[string]*mring.Relation{
-		"R": relOf(mring.Schema{"A", "B"}, []int{1, 1, 5}, []int{1, 1, 6}),
+	rels := map[string]baseline.Rows{
+		"R": rowsOf([]int{1, 1, 5}, []int{1, 1, 6}),
 	}
-	batch := relOf(mring.Schema{"A", "B"}, []int{-1, 1, 5}, []int{-1, 1, 6})
+	batch := rowsOf([]int{-1, 1, 5}, []int{-1, 1, 6})
 	checkIncremental(t, q, rels, "R", batch, Options{DomainExtraction: true})
 }
 
@@ -238,27 +238,24 @@ func TestQuickIVMEquation(t *testing.T) {
 	prop := func(seed int64, qi uint8, de bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := queries[int(qi)%len(queries)]
-		mk := func(schema mring.Schema, n int) *mring.Relation {
-			r := mring.NewRelation(schema)
+		mk := func(n int) baseline.Rows {
+			var r baseline.Rows
 			for i := 0; i < n; i++ {
-				r.Add(tup(rng.Intn(4), rng.Intn(4)), float64(1+rng.Intn(2)))
+				r = append(r, baseline.Row{Tuple: tup(rng.Intn(4), rng.Intn(4)), M: float64(1 + rng.Intn(2))})
 			}
 			return r
 		}
-		rels := map[string]*mring.Relation{
-			"R": mk(mring.Schema{"A", "B"}, rng.Intn(12)),
-			"S": mk(mring.Schema{"B2", "C"}, rng.Intn(12)),
-		}
+		rels := map[string]baseline.Rows{"R": mk(rng.Intn(12)), "S": mk(rng.Intn(12))}
 		if qi%2 == 0 {
-			rels["S"] = mk(mring.Schema{"B", "C"}, rng.Intn(12))
+			rels["S"] = mk(rng.Intn(12))
 		}
 		target := "R"
 		if rng.Intn(2) == 0 && len(expr.Relations(q, expr.RBase)) > 1 {
 			target = expr.Relations(q, expr.RBase)[1]
 		}
-		batch := mring.NewRelation(rels[target].Schema())
+		var batch baseline.Rows
 		for i := 0; i < rng.Intn(6); i++ {
-			batch.Add(tup(rng.Intn(4), rng.Intn(4)), float64(rng.Intn(5)-2))
+			batch = append(batch, baseline.Row{Tuple: tup(rng.Intn(4), rng.Intn(4)), M: float64(rng.Intn(5) - 2)})
 		}
 		// Use the test helper inline (cannot call t.Fatalf in quick).
 		got, want := ivmSides(q, Derive(q, target, Options{DomainExtraction: de}), rels, target, batch)

@@ -37,19 +37,19 @@ func randomAggTuple(rng *rand.Rand) mring.Tuple {
 
 // runAggModelProperty fills a relation with random tuples and random
 // multiplicities, materializes Sum_[gb](R) through the hash-native
-// group-table path, and compares against the oracle's string-keyed
-// aggregation, which sums the same rows in the same scan order under the
-// data model's in-table cancellation (a group whose value crosses into
-// (-Eps, Eps) is removed; a canceled key seen again starts a new group).
-// The accumulated floats must therefore match bit for bit. hashFn, when
-// non-nil, forces group-table hash collisions so the chain compare paths
-// do all the work.
+// group-table path, and compares against the oracle's own aggregation
+// of the raw changes, under the data model's in-table cancellation (a
+// group whose value crosses into (-Eps, Eps) is removed; a canceled key
+// seen again starts a new group). The multiplicities are small integers,
+// so every summation order gives the same floats, and they must match
+// bit for bit. hashFn, when non-nil, forces group-table hash collisions
+// so the chain compare paths do all the work.
 func runAggModelProperty(t *testing.T, seed int64, hashFn func(mring.Tuple) uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	schema := mring.Schema{"g", "a", "v"}
 	for round := 0; round < 40; round++ {
-		env := NewEnv()
-		rel := env.Define("R", schema)
+		env := newRawEnv()
+		rel := env.define("R", schema)
 		for i := 0; i < rng.Intn(200); i++ {
 			rel.Add(randomAggTuple(rng), float64(rng.Intn(9)-4))
 		}
@@ -61,10 +61,10 @@ func runAggModelProperty(t *testing.T, seed int64, hashFn func(mring.Tuple) uint
 			}
 		}
 		q := expr.Sum(gb, expr.Base("R", schema...))
-		ctx := NewCtx(env)
+		ctx := NewCtx(env.Env)
 		ctx.groupHash = hashFn
 		got := ctx.Materialize(q)
-		want := baseline.Eval(q, baseline.Of(env.rels))
+		want := baseline.Eval(q, baseline.Of(env.raw))
 		if got.Len() != len(want) {
 			t.Fatalf("seed %d round %d gb=%v: %d groups, oracle has %d\n got: %v",
 				seed, round, gb, got.Len(), len(want), got)
@@ -106,8 +106,8 @@ func TestAggMatchesReferenceUnderForcedCollisions(t *testing.T) {
 // the relation data model (and a from-scratch rebuild) would keep it.
 func TestAggCancelsZeroGroupsInTable(t *testing.T) {
 	schema := mring.Schema{"g", "x"}
-	env := NewEnv()
-	r := env.Define("R", schema)
+	env := newRawEnv()
+	r := env.define("R", schema)
 	// Group 1 cancels (+2 then -2 from distinct tuples), group 2 cancels
 	// and is re-contributed (+5, -5, +3), group 3 is a fresh tiny value
 	// below Eps that never crossed zero.
@@ -119,7 +119,7 @@ func TestAggCancelsZeroGroupsInTable(t *testing.T) {
 	r.Add(tup(3, 10), 1e-12)
 
 	target := mring.NewRelation(mring.Schema{"g"})
-	ctx := NewCtx(env)
+	ctx := NewCtx(env.Env)
 	ctx.Apply(target, OpAdd, expr.Sum([]string{"g"}, expr.Base("R", schema...)))
 
 	if got := target.Get(tup(1)); got != 0 {
@@ -137,7 +137,7 @@ func TestAggCancelsZeroGroupsInTable(t *testing.T) {
 
 	// The maintained view must agree with a fresh rebuild of the same
 	// aggregate — the oracle the old emit-time skip diverged from.
-	oracle := baseline.Eval(expr.Sum([]string{"g"}, expr.Base("R", schema...)), baseline.Of(env.rels))
+	oracle := baseline.Eval(expr.Sum([]string{"g"}, expr.Base("R", schema...)), baseline.Of(env.raw))
 	if d := baseline.Diff(target, oracle); d != "" {
 		t.Errorf("view diverges from the oracle: %s", d)
 	}

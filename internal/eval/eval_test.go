@@ -27,11 +27,14 @@ func tup(vs ...any) mring.Tuple {
 	return t
 }
 
-// fill populates relation name in env with rows of (tuple, mult).
-func fill(env *Env, name string, schema mring.Schema, rows ...struct {
+// fillRow is one change: a tuple and its multiplicity.
+type fillRow = struct {
 	t mring.Tuple
 	m float64
-}) *mring.Relation {
+}
+
+// fill populates relation name in env with rows of (tuple, mult).
+func fill(env *Env, name string, schema mring.Schema, rows ...fillRow) *mring.Relation {
 	r := env.Define(name, schema)
 	for _, row := range rows {
 		r.Add(row.t, row.m)
@@ -39,14 +42,44 @@ func fill(env *Env, name string, schema mring.Schema, rows ...struct {
 	return r
 }
 
-func row(m float64, vs ...any) struct {
-	t mring.Tuple
-	m float64
-} {
-	return struct {
-		t mring.Tuple
-		m float64
-	}{tup(vs...), m}
+func row(m float64, vs ...any) fillRow { return fillRow{tup(vs...), m} }
+
+// rawEnv is an Env that also keeps every change to its relations apart,
+// in order, so the oracle reads the changes rather than relations the
+// engine's storage has consolidated.
+type rawEnv struct {
+	*Env
+	raw baseline.Changes
+}
+
+func newRawEnv() rawEnv { return rawEnv{NewEnv(), baseline.Changes{}} }
+
+// define defines relation name, empty, and returns a writer of changes
+// to it.
+func (e rawEnv) define(name string, schema mring.Schema) rawRel {
+	e.raw[name] = nil
+	return rawRel{e.Define(name, schema), name, e.raw}
+}
+
+// fill is fill on a rawEnv.
+func (e rawEnv) fill(name string, schema mring.Schema, rows ...fillRow) {
+	r := e.define(name, schema)
+	for _, row := range rows {
+		r.Add(row.t, row.m)
+	}
+}
+
+// rawRel adds each change to an engine relation and to the change
+// stream.
+type rawRel struct {
+	rel  *mring.Relation
+	name string
+	raw  baseline.Changes
+}
+
+func (r rawRel) Add(t mring.Tuple, m float64) {
+	r.rel.Add(t, m)
+	r.raw.Row(r.name, t, m)
 }
 
 func TestEvalRelForeach(t *testing.T) {
@@ -432,11 +465,11 @@ func TestPrepareRefusesUnboundRead(t *testing.T) {
 // every access path: foreach (nothing bound), slice (another column
 // bound), and get (every column bound). The oracle agrees.
 func TestRepeatedColumnIsSelfEquality(t *testing.T) {
-	env := NewEnv()
-	fill(env, "R", mring.Schema{"a", "b"}, row(1, 1, 1), row(1, 1, 2), row(1, 3, 3))
-	fill(env, "T", mring.Schema{"k", "a", "b"}, row(1, 7, 1, 1), row(1, 7, 1, 2), row(1, 8, 2, 2))
-	fill(env, "S", mring.Schema{"k"}, row(1, 7), row(1, 8))
-	fill(env, "U", mring.Schema{"k"}, row(1, 1), row(1, 2), row(1, 3))
+	env := newRawEnv()
+	env.fill("R", mring.Schema{"a", "b"}, row(1, 1, 1), row(1, 1, 2), row(1, 3, 3))
+	env.fill("T", mring.Schema{"k", "a", "b"}, row(1, 7, 1, 1), row(1, 7, 1, 2), row(1, 8, 2, 2))
+	env.fill("S", mring.Schema{"k"}, row(1, 7), row(1, 8))
+	env.fill("U", mring.Schema{"k"}, row(1, 1), row(1, 2), row(1, 3))
 	for _, c := range []struct {
 		path string
 		q    expr.Expr
@@ -451,8 +484,8 @@ func TestRepeatedColumnIsSelfEquality(t *testing.T) {
 			want = append(want, baseline.Row{Tuple: tup(x), M: 1})
 		}
 		for name, got := range map[string]baseline.Source{
-			"prepared": NewCtx(env).Materialize(c.q),
-			"oracle":   baseline.Eval(c.q, baseline.Of(env.rels)),
+			"prepared": NewCtx(env.Env).Materialize(c.q),
+			"oracle":   baseline.Eval(c.q, baseline.Of(env.raw)),
 		} {
 			if d := baseline.Diff(got, want); d != "" {
 				t.Fatalf("%s %s: %s", c.path, name, d)

@@ -97,6 +97,38 @@ func TestValueKernels(t *testing.T) {
 	}
 }
 
+// TestFloorDivRange pins floor division at the edges of the int64 range:
+// a quotient in [-2^63, 2^63) is an integer and any other, NaN and the
+// infinities included, stays a float, on the value path and the float
+// path alike.
+func TestFloorDivRange(t *testing.T) {
+	for _, c := range []struct {
+		l, r float64
+		want mring.Value
+	}{
+		{7, 2, mring.Int(3)},
+		{-7, 2, mring.Int(-4)},
+		{0, -1, mring.Int(0)},
+		{5, 0, mring.Int(0)},
+		{0x1p63 - 1024, 1, mring.Int(math.MaxInt64 - 1023)},
+		{-0x1p63, 1, mring.Int(math.MinInt64)},
+		{0x1p63, 1, mring.Float(0x1p63)},
+		{-0x1p64, 1, mring.Float(-0x1p64)},
+		{1e300, 0.5, mring.Float(2e300)},
+		{math.Inf(1), 1, mring.Float(math.Inf(1))},
+		{1, math.Inf(-1), mring.Int(0)},
+		{math.NaN(), 3, mring.Float(math.NaN())},
+	} {
+		got := expr.ArithV(expr.VFloorDiv, c.l, c.r)
+		if got != c.want {
+			t.Errorf("%g // %g = %#v, want %#v", c.l, c.r, got, c.want)
+		}
+		if f := arith(expr.VFloorDiv, c.l, c.r); math.Float64bits(f) != math.Float64bits(got.AsFloat()) {
+			t.Errorf("%g // %g: float path %#x, value path %#x", c.l, c.r, math.Float64bits(f), math.Float64bits(got.AsFloat()))
+		}
+	}
+}
+
 // FuzzValueKernels runs checkKernels over arbitrary operands, each of the
 // kind its selector picks.
 func FuzzValueKernels(f *testing.F) {
@@ -105,6 +137,12 @@ func FuzzValueKernels(f *testing.F) {
 	f.Add(uint8(0), int64(1<<53+1), 0.0, "", uint8(1), int64(0), math.NaN(), "")
 	f.Add(uint8(2), int64(0), 0.0, "3.25", uint8(2), int64(0), 0.0, "abc")
 	f.Add(uint8(1), int64(0), math.Inf(1), "", uint8(0), int64(math.MinInt64), 0.0, "")
+	// Quotients and literals past the int64 range, at its edges and NaN.
+	f.Add(uint8(1), int64(0), 1e300, "", uint8(1), int64(0), 1e300, "")
+	f.Add(uint8(1), int64(0), -1e300, "", uint8(1), int64(0), math.Inf(-1), "")
+	f.Add(uint8(1), int64(0), 0x1p63, "", uint8(0), int64(1), 0.0, "")
+	f.Add(uint8(1), int64(0), -0x1p63, "", uint8(1), int64(0), math.NaN(), "")
+	f.Add(uint8(0), int64(math.MinInt64), 0.0, "", uint8(0), int64(-1), 0.0, "")
 	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa float64, sa string, kb uint8, ib int64, fb float64, sb string) {
 		checkKernels(t, operand(ka, ia, fa, sa), operand(kb, ib, fb, sb))
 	})

@@ -962,7 +962,11 @@ func arith(op expr.VOp, l, r float64) float64 {
 	case r == 0:
 		return 0
 	case op == expr.VFloorDiv:
-		return float64(int64(math.Floor(l / r)))
+		q := math.Floor(l / r)
+		if q >= -0x1p63 && q < 0x1p63 {
+			return float64(int64(q)) // -0 becomes 0, as through Int
+		}
+		return q
 	default:
 		return float64(l / r)
 	}

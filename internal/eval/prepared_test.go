@@ -145,12 +145,12 @@ func runLocal(t *testing.T, prog *compile.Program, init map[string]*mring.Relati
 	}
 	h := newHarness(t, trees)
 	for _, v := range prog.Views {
-		h.env.Define(v.Name, v.Schema)
+		h.ensure(v.Name, v.Schema)
 	}
 	for n, schema := range prog.Bases {
-		r := h.env.Define(n, schema)
+		h.ensure(n, schema)
 		if init[n] != nil {
-			r.Merge(init[n])
+			h.fold(n, eval.OpAdd, init[n], init[n])
 		}
 	}
 	for _, v := range warm {
@@ -161,7 +161,7 @@ func runLocal(t *testing.T, prog *compile.Program, init map[string]*mring.Relati
 		for _, st := range prog.Triggers[b.Table].Stmts {
 			h.step(fmt.Sprintf("batch %d trigger %s stmt %s", bi, b.Table, st.LHS), st.RHS, st.LHS, st.Op)
 		}
-		h.env.MustRel(b.Table).Merge(b.Rel)
+		h.fold(b.Table, eval.OpAdd, b.Rel, b.Rel)
 	}
 	for _, v := range warm {
 		h.step("final "+v.Name, v.Def, "", 0)
@@ -185,7 +185,7 @@ func runDist(t *testing.T, prog *compile.Program, dps map[string]*dist.DistProgr
 	}
 	h := newHarness(t, trees)
 	for n, schema := range dist.ViewSchemas(prog) {
-		h.env.Define(n, schema)
+		h.ensure(n, schema)
 	}
 	for bi, b := range batches {
 		h.batch(b)
@@ -194,7 +194,7 @@ func runDist(t *testing.T, prog *compile.Program, dps map[string]*dist.DistProgr
 				if x, ok := st.RHS.(*dist.Xform); ok {
 					src := eval.RelEnvName(x.Body.(*expr.Rel))
 					h.ensure(st.LHS, x.Schema())
-					h.fold(st.LHS, st.Op, h.ensure(src, x.Schema()).Clone())
+					h.fold(st.LHS, st.Op, h.ensure(src, x.Schema()).Clone(), h.raw[src])
 					continue
 				}
 				h.step(fmt.Sprintf("batch %d %v", bi, st), st.RHS, st.LHS, st.Op)
@@ -205,13 +205,14 @@ func runDist(t *testing.T, prog *compile.Program, dps map[string]*dist.DistProgr
 }
 
 // harness runs prepared plans over one database, holds each statement
-// to the oracle and folds what it produced into a digest.
+// to the oracle and folds what it produced into a digest. The oracle
+// reads raw: every change made to each relation, kept apart in order.
 type harness struct {
-	t    *testing.T
-	rels map[string]*mring.Relation
-	env  *eval.Env
-	ctx  *eval.Ctx
-	dig  digest
+	t   *testing.T
+	raw baseline.Changes
+	env *eval.Env
+	ctx *eval.Ctx
+	dig digest
 }
 
 func newHarness(t *testing.T, trees []expr.Expr) *harness {
@@ -219,8 +220,8 @@ func newHarness(t *testing.T, trees []expr.Expr) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{t: t, rels: map[string]*mring.Relation{}, dig: digestSeed}
-	h.env = eval.EnvOf(h.rels)
+	h := &harness{t: t, raw: baseline.Changes{}, dig: digestSeed}
+	h.env = eval.EnvOf(map[string]*mring.Relation{})
 	h.ctx = eval.NewCtx(h.env)
 	h.ctx.Plans = plans
 	return h
@@ -231,20 +232,28 @@ func (h *harness) ensure(name string, schema mring.Schema) *mring.Relation {
 	if r := h.env.Rel(name); r != nil {
 		return r
 	}
+	h.raw[name] = nil
 	return h.env.Define(name, schema)
 }
 
-func (h *harness) fold(target string, op eval.AssignOp, r *mring.Relation) {
+// fold folds r into target, and changes, the rows r was made of, into
+// target's change stream.
+func (h *harness) fold(target string, op eval.AssignOp, r *mring.Relation, changes baseline.Source) {
 	dst := h.env.MustRel(target)
 	if op == eval.OpSet {
 		dst.Clear()
+		h.raw[target] = nil
 	}
 	dst.Merge(r)
+	h.raw.Add(target, changes)
 }
 
 // batch binds b as its table's Δ relation.
 func (h *harness) batch(b tpch.Batch) {
-	h.env.Bind(eval.DeltaName(b.Table), b.Rel.Clone())
+	name := eval.DeltaName(b.Table)
+	h.env.Bind(name, b.Rel.Clone())
+	h.raw[name] = nil
+	h.raw.Add(name, b.Rel)
 }
 
 // step evaluates rhs, holds it to the oracle, digests its rows and
@@ -259,7 +268,7 @@ func (h *harness) step(label string, rhs expr.Expr, target string, op eval.Assig
 		h.ensure(target, rhs.Schema())
 	}
 	h.ctx.Stats = eval.Stats{}
-	var rows []baseline.Row
+	var rows baseline.Rows
 	collect := func(k mring.Tuple, m float64) { rows = append(rows, baseline.Row{Tuple: k.Clone(), M: m}) }
 	var r *mring.Relation
 	if a, ok := rhs.(*expr.Agg); ok {
@@ -270,7 +279,7 @@ func (h *harness) step(label string, rhs expr.Expr, target string, op eval.Assig
 		r = h.ctx.Materialize(rhs)
 		r.Foreach(collect)
 	}
-	if d := baseline.Diff(r, baseline.Eval(rhs, baseline.Of(h.rels))); d != "" {
+	if d := baseline.Diff(r, baseline.Eval(rhs, baseline.Of(h.raw))); d != "" {
 		h.t.Fatalf("%s diverges from the oracle: %s\n%v", label, d, rhs)
 	}
 	h.dig.word(uint64(len(rows)))
@@ -283,7 +292,7 @@ func (h *harness) step(label string, rhs expr.Expr, target string, op eval.Assig
 		h.dig.word(uint64(n))
 	}
 	if target != "" {
-		h.fold(target, op, r)
+		h.fold(target, op, r, rows)
 	}
 }
 

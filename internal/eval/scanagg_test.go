@@ -24,7 +24,7 @@ var scanSchema = mring.Schema{"d", "q", "s"}
 
 // fillScanRel populates R with mostly (int, float, string) rows; one row
 // in eight carries another kind in one of its columns.
-func fillScanRel(rng *rand.Rand, rel *mring.Relation, n int) {
+func fillScanRel(rng *rand.Rand, rel rawRel, n int) {
 	for i := 0; i < n; i++ {
 		var d int64
 		if rng.Intn(8) == 0 {
@@ -129,17 +129,23 @@ func randomScanAgg(rng *rand.Rand) expr.Expr {
 
 // foldChecked folds stmt into a fresh target through its prepared plan
 // and requires the target to hold the groups of the oracle's evaluation
-// of stmt with the same float bits: both multiply a row's factors left
-// to right and sum a group's rows in scan order. setup, when non-nil,
-// configures the context before the fold.
-func foldChecked(t *testing.T, env *Env, stmt expr.Expr, op AssignOp, setup func(*Ctx), label string) {
+// of stmt with the same float bits: reading the relations as the engine
+// stores them, both multiply a row's factors left to right and sum a
+// group's rows in scan order. The target must also agree, within the
+// oracle's tolerance, with the oracle's evaluation of the raw changes,
+// whose rows it sums in arrival order and consolidates by its own
+// identity. setup, when non-nil, configures the context before the fold.
+func foldChecked(t *testing.T, env rawEnv, stmt expr.Expr, op AssignOp, setup func(*Ctx), label string) {
 	t.Helper()
 	target := mring.NewRelation(stmt.Schema())
-	ctx := NewCtx(env)
+	ctx := NewCtx(env.Env)
 	if setup != nil {
 		setup(ctx)
 	}
 	ctx.FoldStmt(target, op, stmt)
+	if d := baseline.Diff(target, baseline.Eval(stmt, baseline.Of(env.raw))); d != "" {
+		t.Fatalf("%s: diverges from the oracle over the raw changes: %s", label, d)
+	}
 	want := baseline.Eval(stmt, baseline.Of(env.rels))
 	if target.Len() != len(want) {
 		t.Fatalf("%s: %d groups, oracle %d: %s", label, target.Len(), len(want), baseline.Diff(target, want))
@@ -155,8 +161,8 @@ func runScanAggParity(t *testing.T, seed int64, hashFn func(mring.Tuple) uint64)
 	rng := rand.New(rand.NewSource(seed))
 	setup := func(c *Ctx) { c.groupHash = hashFn }
 	for round := 0; round < 120; round++ {
-		env := NewEnv()
-		fillScanRel(rng, env.Define("R", scanSchema), 1+rng.Intn(50))
+		env := newRawEnv()
+		fillScanRel(rng, env.define("R", scanSchema), 1+rng.Intn(50))
 		stmt := randomScanAgg(rng)
 		op := OpAdd
 		if rng.Intn(3) == 0 {
@@ -201,14 +207,14 @@ func TestKernelFallbacks(t *testing.T) {
 	))
 
 	t.Run("small-relation", func(t *testing.T) {
-		env := NewEnv()
-		env.Define("R", scanSchema).Add(mring.Tuple{mring.Int(1), mring.Float(0.5), mring.Str("s")}, 2)
+		env := newRawEnv()
+		env.define("R", scanSchema).Add(mring.Tuple{mring.Int(1), mring.Float(0.5), mring.Str("s")}, 2)
 		foldChecked(t, env, stmt, OpAdd, nil, "small")
 	})
 
 	t.Run("mixed-kind-column", func(t *testing.T) {
-		env := NewEnv()
-		rel := env.Define("R", scanSchema)
+		env := newRawEnv()
+		rel := env.define("R", scanSchema)
 		fillScanRel(rng, rel, 20)
 		rel.Add(mring.Tuple{mring.Str("not-an-int"), mring.Float(1), mring.Str("x")}, 1)
 		rel.Add(mring.Tuple{mring.Float(2.5), mring.Int(3), mring.Str("y")}, 1)
@@ -216,9 +222,9 @@ func TestKernelFallbacks(t *testing.T) {
 	})
 
 	t.Run("uncovered-shape", func(t *testing.T) {
-		env := NewEnv()
-		fillScanRel(rng, env.Define("R", scanSchema), 20)
-		other := env.Define("S", mring.Schema{"d"})
+		env := newRawEnv()
+		fillScanRel(rng, env.define("R", scanSchema), 20)
+		other := env.define("S", mring.Schema{"d"})
 		other.Add(mring.Tuple{mring.Int(1)}, 1)
 		join := expr.Sum([]string{"d"}, expr.Join(
 			expr.Base("R", scanSchema...),
@@ -228,8 +234,8 @@ func TestKernelFallbacks(t *testing.T) {
 	})
 
 	t.Run("repeated-column", func(t *testing.T) {
-		env := NewEnv()
-		rel := env.Define("R", mring.Schema{"a", "b"})
+		env := newRawEnv()
+		rel := env.define("R", mring.Schema{"a", "b"})
 		for i := 0; i < 12; i++ {
 			rel.Add(mring.Tuple{mring.Int(int64(i % 3)), mring.Int(int64(i % 4))}, float64(i%5-2))
 		}

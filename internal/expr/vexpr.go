@@ -24,7 +24,8 @@ const (
 	VMul
 	VDiv
 	// VFloorDiv is integer (floor) division, used e.g. to extract the
-	// year from yyyymmdd-coded dates.
+	// year from yyyymmdd-coded dates. A quotient outside the int64 range,
+	// NaN and the infinities included, stays a float.
 	VFloorDiv
 )
 
@@ -106,7 +107,13 @@ func ArithV(op VOp, l, r float64) mring.Value {
 		if r == 0 {
 			return mring.Int(0)
 		}
-		return mring.Int(int64(math.Floor(l / r)))
+		// A quotient past the int64 range, or NaN, stays a float: Go
+		// leaves int64(q) undefined there.
+		q := math.Floor(l / r)
+		if q >= -0x1p63 && q < 0x1p63 {
+			return mring.Int(int64(q))
+		}
+		return mring.Float(q)
 	default:
 		if r == 0 {
 			return mring.Float(0)

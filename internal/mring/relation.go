@@ -110,9 +110,9 @@ type Relation struct {
 	tab    []int32 // power-of-two bucket heads, nil until first insert
 	mask   uint64  // len(tab)-1
 	n      int
-	// idxs holds the registered secondary indexes, keyed by bound-column
-	// bitmask; they are maintained incrementally on every mutation.
-	idxs map[uint64]*Index
+	// idxs holds the registered secondary indexes in registration order;
+	// they are maintained incrementally on every mutation.
+	idxs []*Index
 	// hashFn overrides tuple hashing in tests (forcing collisions); nil
 	// means Tuple.Hash. Set it before the first insert.
 	hashFn func(Tuple) uint64
@@ -364,7 +364,7 @@ func (r *Relation) Clear() {
 	r.free = 0
 	r.n = 0
 	for _, ix := range r.idxs {
-		clear(ix.m)
+		ix.clear()
 	}
 }
 

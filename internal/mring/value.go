@@ -71,13 +71,24 @@ func (v Value) AsFloat() float64 {
 	}
 }
 
-// AsInt converts the value to int64, truncating floats.
+// AsInt converts the value to int64. A float truncates toward zero; one
+// past the int64 range saturates, and NaN gives 0. A string parses as a
+// decimal integer, saturating too, and gives 0 when it is none.
 func (v Value) AsInt() int64 {
 	switch v.K {
 	case KInt:
 		return v.I
 	case KFloat:
-		return int64(math.Float64frombits(uint64(v.I)))
+		switch f := math.Float64frombits(uint64(v.I)); {
+		case f >= 0x1p63:
+			return math.MaxInt64
+		case f >= -0x1p63:
+			return int64(f)
+		case f < -0x1p63:
+			return math.MinInt64
+		default: // NaN
+			return 0
+		}
 	default:
 		i, _ := strconv.ParseInt(v.S, 10, 64)
 		return i

@@ -140,3 +140,33 @@ func TestTupleHashPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestAsIntRange pins AsInt on floats at and past the int64 range: it
+// truncates toward zero inside, saturates outside, and maps NaN to 0.
+func TestAsIntRange(t *testing.T) {
+	for _, c := range []struct {
+		f    float64
+		want int64
+	}{
+		{2.9, 2},
+		{-2.9, -2},
+		{math.Copysign(0, -1), 0},
+		{0x1p63 - 1024, math.MaxInt64 - 1023},
+		{0x1p63, math.MaxInt64},
+		{1e300, math.MaxInt64},
+		{math.Inf(1), math.MaxInt64},
+		{-0x1p63, math.MinInt64},
+		{-0x1p64, math.MinInt64},
+		{math.Inf(-1), math.MinInt64},
+		{math.NaN(), 0},
+	} {
+		if got := mring.Float(c.f).AsInt(); got != c.want {
+			t.Errorf("Float(%g).AsInt() = %d, want %d", c.f, got, c.want)
+		}
+	}
+	for s, want := range map[string]int64{"42": 42, "-7": -7, "99999999999999999999": math.MaxInt64, "3.5": 0, "abc": 0} {
+		if got := mring.Str(s).AsInt(); got != want {
+			t.Errorf("Str(%q).AsInt() = %d, want %d", s, got, want)
+		}
+	}
+}

@@ -59,23 +59,21 @@ func TestQueriesIncrementalMatchesRecompute(t *testing.T) {
 			}
 			ex := compile.NewExecutor(prog)
 			gen := NewGenerator(sf, 9)
-			accum := map[string]*mring.Relation{}
+			accum := baseline.Changes{}
 			init := map[string]*mring.Relation{}
 			for _, tbl := range q.Tables {
 				if tbl == StoreSales {
-					accum[tbl] = mring.NewRelation(Schemas[tbl])
 					init[tbl] = mring.NewRelation(Schemas[tbl])
 				} else {
-					r := gen.Static(tbl)
-					accum[tbl] = r
-					init[tbl] = r
+					init[tbl] = gen.Static(tbl)
 				}
+				accum.Add(tbl, init[tbl])
 			}
 			ex.InitFromBases(init)
 			next := gen.FactBatches(64)
 			for b := next(); b != nil; b = next() {
 				ex.ApplyBatch(StoreSales, b)
-				accum[StoreSales].Merge(b)
+				accum.Add(StoreSales, b)
 			}
 			want := mring.NewRelation(q.Def.Schema())
 			for _, r := range baseline.Eval(q.Def, baseline.Of(accum)) {

@@ -143,17 +143,15 @@ func TestQueriesIncrementalMatchesRecompute(t *testing.T) {
 
 			gen := NewGenerator(sf, 11)
 			// Preload static dimensions and empty stream tables.
-			accum := map[string]*mring.Relation{}
+			accum := baseline.Changes{}
 			init := map[string]*mring.Relation{}
 			for _, tbl := range q.Tables {
 				if tbl == Nation || tbl == Region {
-					r := gen.Static(tbl)
-					accum[tbl] = r
-					init[tbl] = r
+					init[tbl] = gen.Static(tbl)
 				} else {
-					accum[tbl] = mring.NewRelation(Schemas[tbl])
 					init[tbl] = mring.NewRelation(Schemas[tbl])
 				}
+				accum.Add(tbl, init[tbl])
 			}
 			ex.InitFromBases(init)
 
@@ -165,7 +163,7 @@ func TestQueriesIncrementalMatchesRecompute(t *testing.T) {
 				}
 				for _, b := range bs {
 					ex.ApplyBatch(b.Table, b.Rel)
-					accum[b.Table].Merge(b.Rel)
+					accum.Add(b.Table, b.Rel)
 				}
 			}
 			want := mring.NewRelation(q.Def.Schema())

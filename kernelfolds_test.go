@@ -3,7 +3,7 @@ package ivm
 import (
 	"testing"
 
-	"repro/internal/mring"
+	"repro/internal/baseline"
 	"repro/internal/tpch"
 )
 
@@ -38,9 +38,9 @@ func TestKernelFoldsOnEveryBackend(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e.Close()
-			accum := map[string]*mring.Relation{}
+			accum := baseline.Changes{}
 			for _, tbl := range q.Tables {
-				accum[tbl] = mring.NewRelation(tpch.Schemas[tbl])
+				accum[tbl] = nil
 			}
 			stream := tpch.NewStream(tpch.NewGenerator(0.01, 5), q.Tables)
 			for i := 0; i < 4; i++ {
@@ -48,7 +48,7 @@ func TestKernelFoldsOnEveryBackend(t *testing.T) {
 					if err := e.ApplyBatch(b.Table, &Batch{rel: b.Rel}); err != nil {
 						t.Fatal(err)
 					}
-					accum[b.Table].Merge(b.Rel)
+					accum.Add(b.Table, b.Rel)
 				}
 			}
 			if got := e.Stats().Scans; got == 0 {

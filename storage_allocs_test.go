@@ -104,15 +104,15 @@ func TestStorageAllocGates(t *testing.T) {
 		gate  allocGate
 		bound float64
 	}{
-		{"Q3 local", q3, 0.5},
+		{"Q3 local", q3, 0.02}, // reads 0.005; a slice per index key read 0.048
 		{"Q1 local with a subscriber", allocGate{query: "Q1", subscribe: true, chunk: 10, window: 200, warm: 400, runs: 200}, 1.5},
 		{"Q3 Distributed(2)", q3dist, 4.0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			perTuple, _ := allocsPerChangedTuple(t, c.gate)
-			t.Logf("%s: %.2f allocations per changed tuple", c.name, perTuple)
+			t.Logf("%s: %.3f allocations per changed tuple", c.name, perTuple)
 			if perTuple > c.bound {
-				t.Fatalf("%s allocates %.2f times per changed tuple, want <= %.1f", c.name, perTuple, c.bound)
+				t.Fatalf("%s allocates %.3f times per changed tuple, want <= %.2f", c.name, perTuple, c.bound)
 			}
 		})
 	}
