@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 STATICCHECK_STRICT ?= 0
 
-.PHONY: build test test-386 lint fuzz bench figures api check-api proc-smoke crash-smoke ci
+.PHONY: build test test-386 lint fuzz bench figures api check-api proc-smoke crash-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -40,12 +40,11 @@ lint:
 # checkpoints, and both changefeed messages) must never panic on
 # arbitrary bytes — the in-place columnar batch reader, the checkpoint
 # and the changefeed decoders must also re-encode what they accept to
-# the same bytes, and the batch reader must visit the same rows forwards
-# and backwards — tuples with equal
+# the same bytes — tuples with equal
 # canonical keys must compare and hash equal, and every value's key must
 # be its exact numeric value (distinct integers past 2^53 and at the ends
-# of int64 included), any sequence of relation
-# and group-table operations must match a plain-map model, the
+# of int64 included), any sequence of relation operations must match a
+# plain-map model, Foreach, Probe, Clone and Merge in insertion order, the
 # simulator's computed shuffle size must equal the length of the
 # one-pass writer's output on every relation, mixed kinds included, and
 # the local and Distributed(2) engines must equal the oracle
@@ -105,5 +104,18 @@ api:
 check-api:
 	@$(GO) doc -all . | diff -u API.txt - || { \
 		echo "exported API surface changed: run 'make api' and commit API.txt" >&2; exit 1; }
+
+# loc prints the Go line counts a simplicity change reports: non-test and
+# test lines per package directory, benchmark/ (the harness) on its own
+# line, then the module with and without it.
+loc:
+	@src() { find "$$@" -name '*.go' | grep '\.go$$' | grep -v '_test\.go$$' | xargs -r cat | wc -l; }; \
+	tst() { find "$$@" -name '*.go' | grep '_test\.go$$' | xargs -r cat | wc -l; }; \
+	printf '%-26s %9s %9s\n' package non-test test; \
+	for d in $$(find . -path ./benchmark -prune -o -name '*.go' -print | xargs -n1 dirname | sort -u); do \
+		printf '%-26s %9d %9d\n' "$${d#./}" $$(src $$d -maxdepth 1) $$(tst $$d -maxdepth 1); done; \
+	printf '%-26s %9d %9d\n' benchmark/ $$(src benchmark) $$(tst benchmark); \
+	printf '%-26s %9d %9d\n' 'module without benchmark/' $$(src . -path ./benchmark -prune -o) $$(tst . -path ./benchmark -prune -o); \
+	printf '%-26s %9d %9d\n' module $$(src .) $$(tst .)
 
 ci: lint build test proc-smoke crash-smoke check-api bench

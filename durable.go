@@ -199,9 +199,10 @@ func (s *serving) attachDurability(cfg *engineConfig) error {
 		}
 	}
 	// Replay the WAL tail through the normal maintenance path: each
-	// record rebuilds its update batches layout-exact and folds exactly
-	// as the original Apply/Warm did, so the recovered state — physical
-	// layout included — matches the never-crashed engine bitwise.
+	// record rebuilds its update batches in their logged order and folds
+	// exactly as the original Apply/Warm did, so the recovered state —
+	// iteration order included — matches the never-crashed engine
+	// bitwise.
 	for i, r := range rec.Records {
 		if err := s.replayRecord(r); err != nil {
 			st.Close()
@@ -247,8 +248,8 @@ func (s *serving) replayRecord(r store.Record) error {
 }
 
 // replayTables restores each table a WAL record carries, in the record's
-// order and layout-exact, refusing a table the program does not have and
-// a batch of another arity.
+// order and each in its logged row order, refusing a table the program
+// does not have and a batch of another arity.
 func (s *serving) replayTables(r store.Record) ([]compile.TableBatch, error) {
 	tables := make([]compile.TableBatch, 0, len(r.Tables))
 	for _, tf := range r.Tables {
@@ -269,9 +270,9 @@ func (s *serving) replayTables(r store.Record) ([]compile.TableBatch, error) {
 }
 
 // logTxLocked appends one validated transaction to the WAL (and, per
-// the sync policy, to disk) before it folds. Each batch snapshots with
-// its bucket-table size, so replay rebuilds it layout-exact — the batch
-// relation's iteration order feeds the float folds.
+// the sync policy, to disk) before it folds. Each batch is written in
+// its iteration order, which feeds the float folds, so replay rebuilds
+// it in that order.
 func (s *serving) logTxLocked(batches []compile.TableBatch) error {
 	if s.dur.err != nil {
 		return s.dur.err

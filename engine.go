@@ -153,9 +153,9 @@ type backend interface {
 	// worker-index order (nil on the local backend).
 	WorkerTimings() []cluster.WorkerTiming
 	// SnapshotState captures the backend's entire materialized state —
-	// every relation's contents plus its physical bucket-table size — as
-	// a checkpoint whose restore is layout-exact (same chains, same
-	// iteration order, therefore bitwise-identical later float folds).
+	// every relation's contents, in its iteration order — as a
+	// checkpoint whose restore keeps that order, and therefore
+	// bitwise-identical later float folds.
 	SnapshotState() (*cluster.Checkpoint, error)
 	// RestoreState installs a checkpoint into a freshly built backend
 	// (the recovery path). The checkpoint must come from the same
@@ -829,17 +829,21 @@ func (lb *localBackend) Metrics() (Metrics, Metrics) { return Metrics{}, Metrics
 
 func (lb *localBackend) WorkerTimings() []cluster.WorkerTiming { return nil }
 
-// SnapshotState captures every executor view — including transient
-// ones, whose retained table capacity shapes later fold layouts — as a
-// driver-only checkpoint. The local engine does not retain base tables,
-// so the views are its complete recoverable state.
+// SnapshotState captures every executor view but the transient ones,
+// which each transaction re-derives before reading, as a driver-only
+// checkpoint. The local engine does not retain base tables, so the views
+// are its complete recoverable state.
 func (lb *localBackend) SnapshotState() (*cluster.Checkpoint, error) {
 	views := map[string]*mring.Relation{}
-	lb.ex.ForEachViewAll(func(name string, r *mring.Relation) { views[name] = r })
+	lb.ex.ForEachViewAll(func(name string, r *mring.Relation) {
+		if !lb.prog.View(name).Transient {
+			views[name] = r
+		}
+	})
 	return &cluster.Checkpoint{Driver: cluster.SnapshotRels(views)}, nil
 }
 
-// RestoreState rebuilds the executor's views layout-exact from a
+// RestoreState rebuilds the executor's views, each in its order, from a
 // checkpoint. The views already exist empty (bound into the evaluation
 // environment at construction), so fragments restore into them in
 // place; every name is validated against the program first.

@@ -17,12 +17,14 @@ import (
 // columns tag each value with its kind); its size approximates the HDFS
 // write.
 //
-// Each fragment also records the relation's bucket-table size, so
-// Restore rebuilds the exact physical layout (same chains, same Foreach
-// enumeration order) via inet.RestoreIntoExact. Layout exactness is what
-// lets a recovered engine keep producing bitwise-identical float folds:
-// every later maintenance statement enumerates restored state in the
-// same order the never-crashed engine would have.
+// A fragment lists its rows in the relation's Foreach order, which is
+// its insertion order, and Restore re-inserts them in that order via
+// inet.RestoreIntoExact, so the rebuilt relation visits them in the same
+// order. That is what lets a recovered engine keep producing
+// bitwise-identical float folds: every later maintenance statement
+// enumerates restored state in the order the never-crashed engine would
+// have. Each fragment also records the relation's bucket-table size, as
+// a capacity hint.
 type Checkpoint struct {
 	// Workers holds, per worker, the encoded fragments by name.
 	Workers []map[string]Frag
@@ -45,8 +47,9 @@ type Frag struct {
 }
 
 // SnapshotRels encodes every relation carrying restorable state: a
-// worker's or the driver's fragments, or a local engine's views. Empty relations with allocated tables still snapshot (capacity
-// shapes future layout); nil and never-touched ones are skipped.
+// worker's or the driver's fragments, or a local engine's views. Empty
+// relations are skipped: no order depends on capacity, so an empty
+// relation restores as a fresh one.
 func SnapshotRels(rels map[string]*mring.Relation) map[string]Frag {
 	out := map[string]Frag{}
 	for name, r := range rels {
@@ -59,10 +62,10 @@ func SnapshotRels(rels map[string]*mring.Relation) map[string]Frag {
 
 // worthSnapshot reports whether a relation carries restorable state.
 func worthSnapshot(r *mring.Relation) bool {
-	return r != nil && (r.Len() > 0 || r.TableSize() > 0)
+	return r != nil && r.Len() > 0
 }
 
-// restoreFrag rebuilds a relation exactly.
+// restoreFrag rebuilds a relation in its snapshot's order.
 func restoreFrag(name string, f Frag) (*mring.Relation, error) {
 	r, err := inet.RestoreRelationExact(f.Payload, f.Buckets, f.Schema)
 	if err != nil {
@@ -106,9 +109,8 @@ func fragBytes(frags map[string]Frag) int64 {
 }
 
 // Checkpoint snapshots all materialized state — the driver's fragments
-// and every worker's, including empty-but-sized ones, so Restore
-// reproduces each node's physical layout exactly — with the placement it
-// was captured under.
+// and every worker's, each in its order — with the placement it was
+// captured under.
 func (c *Cluster) Checkpoint() (*Checkpoint, error) {
 	if c.err != nil {
 		return nil, c.err

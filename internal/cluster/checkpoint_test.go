@@ -52,7 +52,7 @@ func mustCheckpoint(t testing.TB, cl *Cluster) *Checkpoint {
 }
 
 // requireSameNodes asserts two clusters hold identical fragments with
-// identical physical layout (bucket sizes and Foreach order).
+// identical bucket sizes and Foreach order.
 func requireSameNodes(t *testing.T, got, want *Cluster) {
 	t.Helper()
 	cmp := func(label string, g, w *node) {

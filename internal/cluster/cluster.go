@@ -1046,17 +1046,18 @@ func (c *Cluster) applyXform(r *run, t *transfer) (int64, int64, error) {
 		r.queue(install{kind: installRepart, name: t.lhs, schema: t.lhsSchema, capture: capture},
 			func(i int) []rows { return from[i] })
 	default: // Gather
-		// The workers' pre-aggregated fragments merge into one group
-		// table strictly in worker-index order, so the driver replays the
-		// same float additions in the same sequence on every run — the
-		// gathered result is deterministic however the workers' fragments
-		// were computed, process workers concurrently. The table then
-		// blind-fills the driver view with its stored hashes.
+		// The workers' pre-aggregated fragments merge into one scratch
+		// relation strictly in worker-index order, so the driver replays
+		// the same float additions in the same sequence on every run —
+		// the gathered result is deterministic however the workers'
+		// fragments were computed, process workers concurrently. The
+		// scratch then fills the cleared driver view with its stored
+		// hashes.
 		outs, err := c.read(r, t)
 		if err != nil {
 			return 0, 0, err
 		}
-		gt := mring.NewGroupTable(t.srcSchema)
+		gt := mring.NewRelation(t.srcSchema)
 		for _, o := range outs {
 			f := o[0]
 			if f == nil || f.Len() == 0 {
@@ -1071,10 +1072,10 @@ func (c *Cluster) applyXform(r *run, t *transfer) (int64, int64, error) {
 				maxPer = max(maxPer, sz)
 			}
 			if r, ok := f.(*mring.Relation); ok {
-				gt.MergeRelation(r)
+				gt.Merge(r)
 			} else {
-				// Recomputed hashes equal the stored ones MergeRelation
-				// reuses, so this replays its float additions exactly.
+				// Recomputed hashes equal the stored ones Merge reuses,
+				// so this replays its float additions exactly.
 				f.Foreach(gt.Add)
 			}
 		}
@@ -1084,7 +1085,7 @@ func (c *Cluster) applyXform(r *run, t *transfer) (int64, int64, error) {
 			old = dst.Clone()
 		}
 		dst.Clear()
-		gt.FillRelation(dst)
+		dst.Merge(gt)
 		if old != nil {
 			c.captureReplace(t.lhs, dst, old)
 		}

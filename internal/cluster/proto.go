@@ -38,12 +38,12 @@ const (
 	// opStage runs one step of a program: installs, then at most one
 	// distributed block, then outputs (stageReq, stageResp).
 	opStage byte = 2
-	// opSnapshot returns every fragment the shard holds, with bucket-table
-	// sizes, for a durability checkpoint.
+	// opSnapshot returns every non-empty fragment the shard holds, with
+	// bucket-table sizes, for a durability checkpoint.
 	opSnapshot byte = 4
 	// opRestore replaces the shard's entire state with checkpoint
-	// fragments, rebuilt layout-exact (worker re-warm during recovery),
-	// and drops its deployed blocks.
+	// fragments, each rebuilt in its snapshot's order (worker re-warm
+	// during recovery), and drops its deployed blocks.
 	opRestore byte = 5
 	// Ops 3 (fetch) and 6 (retain) are retired: a worker refuses them as
 	// unknown.
@@ -282,9 +282,8 @@ func getRows(d *wire.Dec) rows {
 }
 
 // snapshotMsg carries a shard's whole state: the snapshot response, and
-// the restore request. Frags holds every restorable fragment (contents
-// plus bucket-table size; empty-but-sized relations included, since
-// retained capacity shapes future layout).
+// the restore request. Frags holds every non-empty fragment, its
+// contents plus its bucket-table size.
 type snapshotMsg struct {
 	Frags map[string]Frag
 }

@@ -236,8 +236,7 @@ func (n *node) rel(name string, schema mring.Schema) *mring.Relation {
 	return r
 }
 
-// snapshot encodes every fragment carrying restorable state, including
-// empty-but-sized ones, so a restore reproduces the physical layout.
+// snapshot encodes every fragment carrying restorable state.
 func (n *node) snapshot() map[string]Frag { return SnapshotRels(n.rels) }
 
 // runStmtOn evaluates one of a block's compute statements against one
@@ -261,9 +260,9 @@ func runStmtOn(n *node, b *block, s dist.Stmt, sink *mring.Relation) eval.Stats 
 		ctx.CaptureFolds(target, sink)
 	}
 	// FoldStmt runs aggregate statements (pre-aggregations and view
-	// maintenance) through a per-worker hash-native group table over the
-	// node's own fragments; the tables stay worker-local here and meet
-	// only in the driver's gather, in worker-index order.
+	// maintenance) through a per-worker scratch relation over the node's
+	// own fragments; the scratches stay worker-local here and meet only
+	// in the driver's gather, in worker-index order.
 	ctx.FoldStmt(target, s.Op, s.RHS)
 	if sink != nil {
 		ctx.CaptureFolds(target, nil)

@@ -184,9 +184,7 @@ func (ex *Executor) applyBatch(trg *Trigger, rel string, batch *mring.Relation, 
 }
 
 // ForEachViewAll visits every program view INCLUDING transient ones, in
-// program order. Durability snapshots use it: transient views are
-// re-derived per transaction, but their retained table capacity shapes
-// later layouts, so exact recovery must capture them too.
+// program order.
 func (ex *Executor) ForEachViewAll(f func(name string, r *mring.Relation)) {
 	for _, v := range ex.prog.Views {
 		f(v.Name, ex.views[v.Name])

@@ -92,10 +92,10 @@ func (c *compiler) preAggregateAlias(prog *Program, t *Trigger, alias mring.Sche
 	prog.Views = c.order
 
 	// The pre-aggregation is an OpSet of an aggregate over the delta, so
-	// the executor evaluates it straight into a hash-native group table
-	// (one streaming HashCols probe per batch tuple) and blind-fills the
-	// transient view with the table's stored hashes — no string keys and
-	// no scratch relation on the per-batch path.
+	// the executor evaluates it into a reused scratch relation (one
+	// streaming hash probe per batch tuple) and fills the cleared
+	// transient view with the scratch's stored hashes, without lookups —
+	// no string keys on the per-batch path.
 	preaggStmt := Stmt{LHS: name, Op: eval.OpSet, RHS: def}
 	for i := range t.Stmts {
 		t.Stmts[i].RHS = substituteDelta(stripped[i], rel, alias, name, used)

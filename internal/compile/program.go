@@ -54,11 +54,8 @@ type ViewDef struct {
 // by its definition (Sec. 3.2's notion of query degree).
 func (v *ViewDef) Degree() int { return expr.Degree(v.Def) }
 
-// Stmt is one trigger statement: LHS op= RHS. Executors dispatch on the
-// RHS shape: a top-level aggregate (every pre-aggregation statement, and
-// most maintenance statements) evaluates into a hash-native group table
-// and folds into the target view; anything else materializes a scratch
-// relation and merges.
+// Stmt is one trigger statement: LHS op= RHS. Executors evaluate the RHS
+// into a scratch relation and merge it into the target view.
 type Stmt struct {
 	LHS string
 	Op  eval.AssignOp

@@ -18,7 +18,8 @@
 //     rebuilt or invalidated between batches.
 //
 // Variables live in slot-indexed frames and value terms read slots; every
-// aggregate folds its body tuple at a time into a hash-native group table.
+// aggregate folds its body tuple at a time into a scratch relation keyed
+// by its group-by columns.
 package eval
 
 import (
@@ -105,8 +106,9 @@ type Ctx struct {
 	// Plans is the plan table of the trees this context evaluates; a
 	// tree without a plan is lowered on the spot, every time it runs.
 	Plans Plans
-	// groupHash overrides group-table key hashing in tests (forcing
-	// collision chains on the aggregation path); nil means Tuple.Hash.
+	// groupHash overrides the hashing of scratch relations in tests
+	// (forcing collision chains on the aggregation path); nil means
+	// Tuple.Hash.
 	groupHash func(mring.Tuple) uint64
 	// foldSinks maps watched fold targets to delta sinks (CaptureFolds);
 	// nil when nothing is watched.
@@ -117,10 +119,11 @@ type Ctx struct {
 	frame []mring.Value
 	keys  []mring.Value
 	cells []cell
-	// spare[a] holds released group tables of key arity a. Tables are
+	// spare[a] holds released scratch relations of arity a. They are
 	// taken in nested order, so each stack is no deeper than the nesting
-	// of aggregates of its arity, however many plans the context runs.
-	spare [][]*mring.GroupTable
+	// of materializations of its arity, however many plans the context
+	// runs.
+	spare [][]*mring.Relation
 }
 
 // NewCtx returns a fresh evaluation context over env.
@@ -160,31 +163,31 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// table returns an empty group table for schema, reusing a released one
-// of the same key arity when there is one.
-func (c *Ctx) table(schema mring.Schema) *mring.GroupTable {
-	var gt *mring.GroupTable
+// table returns an empty scratch relation for schema, reusing a
+// released one of the same arity when there is one.
+func (c *Ctx) table(schema mring.Schema) *mring.Relation {
+	var r *mring.Relation
 	if a := len(schema); a < len(c.spare) && len(c.spare[a]) > 0 {
 		s := c.spare[a]
-		gt, c.spare[a] = s[len(s)-1], s[:len(s)-1]
-		gt.Reset(schema)
+		r, c.spare[a] = s[len(s)-1], s[:len(s)-1]
+		r.Reset(schema)
 	} else {
-		gt = mring.NewGroupTable(schema)
+		r = mring.NewRelation(schema)
 	}
 	if c.groupHash != nil {
-		gt.SetHashFnForTest(c.groupHash)
+		r.SetHashFnForTest(c.groupHash)
 	}
-	return gt
+	return r
 }
 
-// release returns a table its consumer has finished folding; nothing may
-// read it afterwards.
-func (c *Ctx) release(gt *mring.GroupTable) {
-	a := len(gt.Schema())
+// release returns a scratch relation its consumer has finished reading;
+// nothing may read it afterwards.
+func (c *Ctx) release(r *mring.Relation) {
+	a := len(r.Schema())
 	for len(c.spare) <= a {
 		c.spare = append(c.spare, nil)
 	}
-	c.spare[a] = append(c.spare[a], gt)
+	c.spare[a] = append(c.spare[a], r)
 }
 
 // key returns the scratch key of n values at offset off.
@@ -196,22 +199,6 @@ func (c *Ctx) Materialize(e expr.Expr) *mring.Relation {
 	p := c.plan(e)
 	c.begin(p)
 	return p.root.relation(c)
-}
-
-// MaterializeGroups evaluates an aggregate with no outer bindings into a
-// hash-native group table, which the caller owns. Executors fold the
-// table straight into target views (AppendTo/FillRelation), reusing its
-// hashes instead of rebuilding a scratch relation.
-func (c *Ctx) MaterializeGroups(a *expr.Agg) *mring.GroupTable {
-	p := c.plan(a)
-	c.begin(p)
-	return c.rootGroups(p)
-}
-
-func (c *Ctx) rootGroups(p *Plan) *mring.GroupTable {
-	gt := p.root.agg.groups(c)
-	c.Stats.Emits += int64(gt.Len())
-	return gt
 }
 
 // DeltaName returns the environment name under which the update batch of
@@ -229,7 +216,7 @@ func RelEnvName(r *expr.Rel) string {
 // CaptureFolds registers sink as the delta observer of target: every
 // subsequent FoldStmt into target additionally folds the applied change
 // into sink (the changefeed's delta emission hook); a nil sink stops
-// watching target. An OpAdd fold mirrors the folded groups exactly — the
+// watching target. An OpAdd fold mirrors the folded rows exactly — the
 // same float values, in the same order — so captured deltas are bitwise
 // what the target received; an OpSet fold records new-minus-old
 // contents. Sinks accumulate across statements (Relation.Add semantics),
@@ -247,13 +234,10 @@ func (c *Ctx) CaptureFolds(target, sink *mring.Relation) {
 
 // FoldStmt evaluates rhs with no outer bindings and folds it into target
 // under op — the one statement fold shared by the local executor and the
-// cluster workers. A top-level aggregate (every pre-aggregation
-// statement and most maintenance statements) evaluates into a
-// hash-native group table and folds with its stored hashes: OpSet
-// blind-fills the cleared target, OpAdd accumulates group deltas. Any
-// other shape materializes a scratch relation and merges. The RHS is
-// fully materialized before target mutates, so self-references observe a
-// consistent pre-statement state.
+// cluster workers. The RHS evaluates into a scratch relation, fully,
+// before target mutates, so self-references observe a consistent
+// pre-statement state; the fold then merges it with its stored hashes,
+// and OpSet's merge into the cleared target does no lookups.
 func (c *Ctx) FoldStmt(target *mring.Relation, op AssignOp, rhs expr.Expr) {
 	sink := c.foldSinks[target]
 	var old *mring.Relation
@@ -264,28 +248,15 @@ func (c *Ctx) FoldStmt(target *mring.Relation, op AssignOp, rhs expr.Expr) {
 	}
 	p := c.plan(rhs)
 	c.begin(p)
-	if p.root.agg != nil {
-		gt := c.rootGroups(p)
-		if op == OpSet {
-			target.Clear()
-			gt.FillRelation(target)
-		} else {
-			gt.AppendTo(target)
-			if sink != nil {
-				gt.AppendTo(sink)
-			}
-		}
-		c.release(gt)
-	} else {
-		tmp := p.root.relation(c)
-		if op == OpSet {
-			target.Clear()
-		}
-		target.Merge(tmp)
-		if sink != nil && op == OpAdd {
-			sink.Merge(tmp)
-		}
+	tmp := p.root.relation(c)
+	if op == OpSet {
+		target.Clear()
 	}
+	target.Merge(tmp)
+	if sink != nil && op == OpAdd {
+		sink.Merge(tmp)
+	}
+	c.release(tmp)
 	if old != nil {
 		sink.Merge(target)
 		sink.MergeScaled(old, -1)

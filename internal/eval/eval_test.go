@@ -496,7 +496,7 @@ func TestRepeatedColumnIsSelfEquality(t *testing.T) {
 
 // TestSpareTablesBounded runs many distinct prepared plans through one
 // context, each nesting a grouped aggregate under another, and checks
-// what the context keeps: released group tables are reused, and the
+// what the context keeps: released scratch relations are reused, and the
 // spares stay bounded by the aggregates one plan nests, not by how many
 // plans have run.
 func TestSpareTablesBounded(t *testing.T) {

@@ -28,7 +28,7 @@ import (
 // The lowered nodes are wired in continuation-passing style: each node
 // emits into a continuation fixed at lowering, so evaluation allocates no
 // closures, and the state a node keeps while its continuation runs (a
-// product's running multiplicity, an aggregate's group table) lives in a
+// product's running multiplicity, an aggregate's groups) lives in a
 // per-node cell of the Ctx's scratch. TestPreparedMatchesReference holds
 // every compiled TPC-H and TPC-DS statement to the oracle
 // (internal/baseline), and pins its emission order, fold order, float
@@ -395,7 +395,7 @@ func (l *lowerer) lowerAgg(a *expr.Agg, in state, k sink) (*aggNode, state) {
 }
 
 // materializer lowers e, reached with state in, into a node that
-// evaluates it into a relation (or, for an aggregate, a group table).
+// evaluates it into a relation.
 func (l *lowerer) materializer(e expr.Expr, in state) (*matNode, state) {
 	if a, ok := e.(*expr.Agg); ok {
 		agg, out := l.lowerAgg(a, in, nil)
@@ -458,8 +458,7 @@ type sink interface{ emit(c *Ctx, m float64) }
 type cell struct {
 	acc   float64
 	alive bool
-	gt    *mring.GroupTable
-	out   *mring.Relation
+	rel   *mring.Relation
 }
 
 // colSlot writes row position pos to a frame slot.
@@ -716,11 +715,11 @@ func (n *sliceNode) match(c *Ctx, t mring.Tuple, m float64) {
 	n.k.emit(c, m)
 }
 
-// aggNode is Sum_[gb](body): the body folds into a group table, and each
-// live group is emitted in first-insertion order with its group-by
-// columns in their slots. Its cell holds the table while the body runs;
-// the table comes from the context's spares, and whoever folds it
-// releases it.
+// aggNode is Sum_[gb](body): the body folds into a scratch relation,
+// and each live group is emitted in first-insertion order with its
+// group-by columns in their slots. Its cell holds the relation while the
+// body runs; the relation comes from the context's spares, and whoever
+// reads it last releases it.
 type aggNode struct {
 	body   node
 	schema mring.Schema
@@ -731,22 +730,22 @@ type aggNode struct {
 	k      sink
 }
 
-func (n *aggNode) groups(c *Ctx) *mring.GroupTable {
+func (n *aggNode) groups(c *Ctx) *mring.Relation {
 	gt := c.table(n.schema)
-	c.cells[n.cell].gt = gt
+	c.cells[n.cell].rel = gt
 	n.body.run(c)
-	c.cells[n.cell].gt = nil
+	c.cells[n.cell].rel = nil
 	return gt
 }
 
-// emit is the body's continuation: one group-table add per body row,
-// through a reused key.
+// emit is the body's continuation: one add per body row, through a
+// reused key.
 func (n *aggNode) emit(c *Ctx, m float64) {
 	key := c.key(n.key, len(n.gb))
 	for i, s := range n.gb {
 		key[i] = c.frame[s]
 	}
-	c.cells[n.cell].gt.Add(key, m)
+	c.cells[n.cell].rel.Add(key, m)
 }
 
 func (n *aggNode) run(c *Ctx) {
@@ -761,9 +760,10 @@ func (n *aggNode) run(c *Ctx) {
 	c.release(gt)
 }
 
-// matNode evaluates a tree into a fresh relation: an aggregate through
-// its group table, anything else by adding each row, read from the
-// schema columns' slots, to the relation its cell holds.
+// matNode evaluates a tree into a scratch relation from the context's
+// spares: an aggregate through its groups, anything else by adding each
+// row, read from the schema columns' slots, to the relation its cell
+// holds. The caller owns the relation and may hand it back with release.
 type matNode struct {
 	agg    *aggNode
 	body   node
@@ -775,16 +775,14 @@ type matNode struct {
 
 func (n *matNode) relation(c *Ctx) *mring.Relation {
 	if n.agg != nil {
-		gt := n.agg.groups(c)
-		c.Stats.Emits += int64(gt.Len())
-		out := gt.ToRelation()
-		c.release(gt)
+		out := n.agg.groups(c)
+		c.Stats.Emits += int64(out.Len())
 		return out
 	}
-	out := mring.NewRelation(n.schema)
-	c.cells[n.cell].out = out
+	out := c.table(n.schema)
+	c.cells[n.cell].rel = out
 	n.body.run(c)
-	c.cells[n.cell].out = nil
+	c.cells[n.cell].rel = nil
 	return out
 }
 
@@ -793,7 +791,7 @@ func (n *matNode) emit(c *Ctx, m float64) {
 	for i, s := range n.slots {
 		key[i] = c.frame[s]
 	}
-	c.cells[n.cell].out.Add(key, m)
+	c.cells[n.cell].rel.Add(key, m)
 }
 
 // lift binds a lifted variable and emits 1; a variable already bound
@@ -852,14 +850,16 @@ type assignRel struct {
 }
 
 func (n *assignRel) run(c *Ctx) {
-	n.q.relation(c).Foreach(func(t mring.Tuple, m float64) {
+	q := n.q.relation(c)
+	q.Foreach(func(t mring.Tuple, m float64) {
 		n.free.bind(c, t)
 		c.lift(n.slot, n.bound, mring.Float(m), n.k)
 	})
+	c.release(q)
 }
 
 // existsScalar is Exists over a body with an empty schema. Its cell is an
-// inline single-group accumulator with the group table's in-table
+// inline single-group accumulator with Relation.Add's in-table
 // cancellation semantics, bit for bit: zero contributions are skipped, a
 // fresh contribution starts the group (tiny values survive), and
 // accumulating into (-Eps, Eps) cancels it. Scalar Exists thereby agrees
@@ -905,11 +905,13 @@ type existsRel struct {
 }
 
 func (n *existsRel) run(c *Ctx) {
-	n.body.relation(c).Foreach(func(t mring.Tuple, _ float64) {
+	body := n.body.relation(c)
+	body.Foreach(func(t mring.Tuple, _ float64) {
 		n.free.bind(c, t)
 		c.Stats.Emits++
 		n.k.emit(c, 1)
 	})
+	c.release(body)
 }
 
 // vprog is a value term lowered to slot reads. float is val(frame).AsFloat()

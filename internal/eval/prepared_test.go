@@ -270,15 +270,8 @@ func (h *harness) step(label string, rhs expr.Expr, target string, op eval.Assig
 	h.ctx.Stats = eval.Stats{}
 	var rows baseline.Rows
 	collect := func(k mring.Tuple, m float64) { rows = append(rows, baseline.Row{Tuple: k.Clone(), M: m}) }
-	var r *mring.Relation
-	if a, ok := rhs.(*expr.Agg); ok {
-		gt := h.ctx.MaterializeGroups(a)
-		gt.Foreach(collect)
-		r = gt.ToRelation()
-	} else {
-		r = h.ctx.Materialize(rhs)
-		r.Foreach(collect)
-	}
+	r := h.ctx.Materialize(rhs)
+	r.Foreach(collect)
 	if d := baseline.Diff(r, baseline.Eval(rhs, baseline.Of(h.raw))); d != "" {
 		h.t.Fatalf("%s diverges from the oracle: %s\n%v", label, d, rhs)
 	}

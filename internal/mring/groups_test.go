@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// groupRef is the string-keyed model GroupTable must match: canonical-key
-// groups, in-table Eps cancellation, first-insertion iteration order.
+// groupRef is the string-keyed model a relation used as a group table
+// (an aggregate's groups) must match: canonical-key groups, in-table Eps
+// cancellation, first-insertion iteration order.
 type groupRef struct {
 	vals     map[string]float64
 	keys     map[string]Tuple
@@ -45,7 +46,7 @@ func (r *groupRef) add(key Tuple, v float64) {
 	r.vals[k] = cur
 }
 
-func assertGroupsSame(t *testing.T, gt *GroupTable, ref *groupRef, step int) {
+func assertGroupsSame(t *testing.T, gt *Relation, ref *groupRef, step int) {
 	t.Helper()
 	if gt.Len() != len(ref.vals) {
 		t.Fatalf("step %d: Len=%d, reference has %d groups", step, gt.Len(), len(ref.vals))
@@ -65,10 +66,8 @@ func assertGroupsSame(t *testing.T, gt *GroupTable, ref *groupRef, step int) {
 func runGroupTableProperty(t *testing.T, seed int64, hashFn func(Tuple) uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	schema := Schema{"g", "h"}
-	gt := NewGroupTable(schema)
-	if hashFn != nil {
-		gt.SetHashFnForTest(hashFn)
-	}
+	gt := NewRelation(schema)
+	gt.SetHashFnForTest(hashFn)
 	ref := newGroupRef()
 	buf := make(Tuple, 2)
 	for step := 0; step < 4000; step++ {
@@ -90,30 +89,42 @@ func runGroupTableProperty(t *testing.T, seed int64, hashFn func(Tuple) uint64) 
 
 	// Iteration order is first-insertion order: replaying Foreach against
 	// the reference's live insertion sequence must line up key for key.
-	i := 0
-	gt.Foreach(func(key Tuple, _ float64) {
-		for i < len(ref.inserted) && ref.dead[i] {
-			i++
+	var live []string
+	for i, k := range ref.inserted {
+		if !ref.dead[i] {
+			live = append(live, k)
 		}
-		if i >= len(ref.inserted) || ref.inserted[i] != key.Key() {
-			t.Fatalf("iteration order diverges at %v", key)
+	}
+	requireGroupOrder(t, "groups", gt, live)
+
+	// Copies keep the groups and their order: Clone, and Merge into an
+	// empty relation, which inserts without lookups.
+	into := NewRelation(schema)
+	into.SetHashFnForTest(hashFn)
+	into.Merge(gt)
+	for _, c := range []struct {
+		what string
+		rel  *Relation
+	}{{"Clone", gt.Clone()}, {"Merge", into}} {
+		assertGroupsSame(t, c.rel, ref, -2)
+		requireGroupOrder(t, c.what, c.rel, live)
+	}
+}
+
+// requireGroupOrder checks that rel visits exactly the keys of live, in
+// order.
+func requireGroupOrder(t *testing.T, what string, rel *Relation, live []string) {
+	t.Helper()
+	i := 0
+	rel.Foreach(func(key Tuple, _ float64) {
+		if i >= len(live) || live[i] != key.Key() {
+			t.Fatalf("%s: iteration order diverges at %v", what, key)
 		}
 		i++
 	})
-
-	// Folding into relations preserves contents through all three paths.
-	rel := NewRelation(schema)
-	gt.AppendTo(rel)
-	if rel.Len() != gt.Len() {
-		t.Fatalf("AppendTo: %d tuples, want %d", rel.Len(), gt.Len())
+	if i != len(live) {
+		t.Fatalf("%s: %d groups, want %d", what, i, len(live))
 	}
-	filled := gt.ToRelation()
-	if !filled.Equal(rel) {
-		t.Fatalf("ToRelation diverges from AppendTo:\n %v\n %v", filled, rel)
-	}
-	back := NewGroupTable(schema)
-	back.MergeRelation(filled)
-	assertGroupsSame(t, back, ref, -2)
 }
 
 func TestGroupTableMatchesStringKeyedModel(t *testing.T) {
@@ -134,14 +145,14 @@ func TestGroupTableMatchesModelUnderForcedCollisions(t *testing.T) {
 }
 
 // TestGroupTableMergeOrder pins the determinism contract the distributed
-// gather relies on: merging the same per-worker tables in worker-index
-// order twice produces bitwise-identical float sums.
+// gather relies on: merging the same per-worker group relations in
+// worker-index order twice produces bitwise-identical float sums.
 func TestGroupTableMergeOrder(t *testing.T) {
 	schema := Schema{"g"}
-	mk := func() []*GroupTable {
-		ws := make([]*GroupTable, 3)
+	mk := func() []*Relation {
+		ws := make([]*Relation, 3)
 		for i := range ws {
-			ws[i] = NewGroupTable(schema)
+			ws[i] = NewRelation(schema)
 			// Values chosen so addition order changes the rounded sum.
 			ws[i].Add(Tuple{Int(1)}, 0.1*float64(i+1))
 			ws[i].Add(Tuple{Int(2)}, 1e16)
@@ -149,8 +160,8 @@ func TestGroupTableMergeOrder(t *testing.T) {
 		}
 		return ws
 	}
-	merge := func(ws []*GroupTable) *GroupTable {
-		out := NewGroupTable(schema)
+	merge := func(ws []*Relation) *Relation {
+		out := NewRelation(schema)
 		for _, w := range ws {
 			out.Merge(w)
 		}
@@ -165,18 +176,4 @@ func TestGroupTableMergeOrder(t *testing.T) {
 			t.Fatalf("merge not reproducible: %v -> %g vs %g", key, v, got)
 		}
 	})
-}
-
-// TestGroupTableFillRelationRequiresEmpty pins the blind-insert contract.
-func TestGroupTableFillRelationRequiresEmpty(t *testing.T) {
-	gt := NewGroupTable(Schema{"g"})
-	gt.Add(Tuple{Int(1)}, 2)
-	r := NewRelation(Schema{"g"})
-	r.Add(Tuple{Int(9)}, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FillRelation into a non-empty relation must panic")
-		}
-	}()
-	gt.FillRelation(r)
 }

@@ -13,9 +13,11 @@ import "fmt"
 // tuples touch it. Each distinct key hash has a record in a chained
 // power-of-two table laid out like the relation's own, and the record
 // heads a doubly-linked list of the entries under that hash, threaded
-// through a per-entry array indexed by entry id. Nothing holds a pointer,
-// a new key allocates nothing once the tables have grown, and a removal
-// finds its record through the entry instead of re-hashing the tuple.
+// through a per-entry array indexed by entry id, in the relation's
+// insertion order: insert appends, removal unlinks. Nothing holds a
+// pointer, a new key allocates nothing once the tables have grown, and a
+// removal finds its record through the entry instead of re-hashing the
+// tuple.
 type Index struct {
 	r    *Relation
 	pos  []int
@@ -144,33 +146,23 @@ func (ix *Index) insert(id int32) {
 	rec.tail = id
 }
 
-// remove takes entry id out of its key's list by moving the list's tail
-// into its place, the order a swap-removal from a slice leaves, and drops
-// the key's record when the list empties.
+// remove takes entry id out of its key's list and drops the key's record
+// when the list empties.
 func (ix *Index) remove(id int32) {
 	p := ix.at[id]
 	rec := &ix.recs[p.rec]
-	last := rec.tail
-	if last == rec.head {
-		ix.unlink(p.rec)
-		return
-	}
-	rec.tail = ix.at[last].prev
-	ix.at[rec.tail].next = 0
-	if last == id {
-		return
-	}
-	p = ix.at[id] // re-read: id ends the list now if the tail followed it
-	ix.at[last] = p
 	if p.prev != 0 {
-		ix.at[p.prev].next = last
+		ix.at[p.prev].next = p.next
 	} else {
-		rec.head = last
+		rec.head = p.next
 	}
 	if p.next != 0 {
-		ix.at[p.next].prev = last
+		ix.at[p.next].prev = p.prev
 	} else {
-		rec.tail = last
+		rec.tail = p.prev
+	}
+	if rec.head == 0 {
+		ix.unlink(p.rec)
 	}
 }
 
@@ -208,15 +200,17 @@ func (r *Relation) EnsureIndex(pos []int) (*Index, bool) {
 	}
 	ix := &Index{r: r, pos: append([]int(nil), pos...), cols: cols,
 		recs: make([]keyRec, 1), at: make([]keyPos, len(r.ents))}
-	r.each(func(id int32, _ entry) { ix.insert(id) })
+	for id := r.first; id != 0; id = r.ents[id].succ {
+		ix.insert(id)
+	}
 	r.idxs = append(r.idxs, ix)
 	return ix, true
 }
 
 // Probe calls f for every tuple whose projection onto the index columns
 // equals probe (one value per index column, in ascending position order),
-// in the order the key's list holds them. f must not mutate the
-// relation; the tuple it receives aliases storage, as in Foreach.
+// in the relation's insertion order. f must not mutate the relation; the
+// tuple it receives aliases storage, as in Foreach.
 func (ix *Index) Probe(probe Tuple, f func(t Tuple, m float64)) {
 	var h uint64
 	if ix.r.hashFn != nil {

@@ -29,50 +29,47 @@ func domainTuple(b byte) Tuple {
 	}
 }
 
-// probeOrder models the order Probe must return a key's tuples in: per
-// key hash, a list that appends on insert and, on removal, moves its last
-// tuple into the removed one's place. An index registered on a relation
-// that already holds tuples lists them in Foreach order.
-type probeOrder struct {
-	pos  []int
-	hash func(Tuple) uint64
-	keys map[uint64][]string
-}
+// orderModel is the order every walk of a relation must follow: the keys
+// of its live tuples in insertion order. An insertion appends; a removal
+// takes the key out and leaves the others in place.
+type orderModel []string
 
-func newProbeOrder(rel *Relation, pos []int) *probeOrder {
-	o := &probeOrder{pos: pos, hash: Tuple.Hash, keys: map[uint64][]string{}}
-	if rel.hashFn != nil {
-		o.hash = rel.hashFn
-	}
-	rel.Foreach(func(tp Tuple, _ float64) { o.insert(tp) })
-	return o
-}
-
-func (o *probeOrder) insert(tp Tuple) {
-	h := o.hash(tp.Project(o.pos))
-	o.keys[h] = append(o.keys[h], tp.Key())
-}
-
-func (o *probeOrder) remove(tp Tuple) {
-	h, k := o.hash(tp.Project(o.pos)), tp.Key()
-	l := o.keys[h]
-	for i := range l {
-		if l[i] == k {
-			l[i] = l[len(l)-1]
-			o.keys[h] = l[:len(l)-1]
+func (o *orderModel) remove(k string) {
+	for i := range *o {
+		if (*o)[i] == k {
+			*o = append((*o)[:i], (*o)[i+1:]...)
 			return
 		}
 	}
-	panic(fmt.Sprintf("probe order model lacks %v", tp))
+	panic(fmt.Sprintf("order model lacks %q", k))
 }
 
-// checkProbe compares one index probe with the order model and with a
-// scan of the reference model: the same tuples, in the model's order,
-// with the reference's multiplicities.
-func checkProbe(t *testing.T, ix *Index, ord *probeOrder, ref *refModel, probe Tuple, step int) {
+// checkForeach compares a relation's Foreach with the order model and the
+// reference's multiplicities.
+func checkForeach(t *testing.T, what string, rel *Relation, ord orderModel, ref *refModel, step int) {
+	t.Helper()
+	i := 0
+	rel.Foreach(func(tp Tuple, m float64) {
+		if i >= len(ord) || tp.Key() != ord[i] {
+			t.Fatalf("step %d: %s Foreach returned %v at position %d, model order %q", step, what, tp, i, ord)
+		}
+		if m != ref.m[ord[i]] {
+			t.Fatalf("step %d: %s Foreach: tuple %v has %g, model %g", step, what, tp, m, ref.m[ord[i]])
+		}
+		i++
+	})
+	if i != len(ord) {
+		t.Fatalf("step %d: %s Foreach returned %d tuples, model order %q", step, what, i, ord)
+	}
+}
+
+// checkProbe compares one index probe with the order model: the tuples
+// that match probe, in insertion order, with the reference's
+// multiplicities.
+func checkProbe(t *testing.T, ix *Index, ord orderModel, ref *refModel, probe Tuple, step int) {
 	t.Helper()
 	var want []string
-	for _, k := range ord.keys[ord.hash(probe)] {
+	for _, k := range ord {
 		if ref.ts[k].EqualAt(ix.pos, probe) {
 			want = append(want, k)
 		}
@@ -90,24 +87,18 @@ func checkProbe(t *testing.T, ix *Index, ord *probeOrder, ref *refModel, probe T
 	if i != len(want) {
 		t.Fatalf("step %d: probe %v returned %d tuples, model order %q", step, probe, i, want)
 	}
-	n := 0
-	for _, tp := range ref.ts {
-		if tp.EqualAt(ix.pos, probe) {
-			n++
-		}
-	}
-	if n != len(want) {
-		t.Fatalf("step %d: probe %v: order model lists %d tuples, reference %d", step, probe, len(want), n)
-	}
 }
 
 // FuzzRelationOps decodes arbitrary bytes into a sequence of relation
-// and group-table operations — Add, Set, cancelling Add, Clear,
-// EnsureIndex, Probe, GroupTable Add and Reset — under the real hash or
-// a forced-collision one (the first byte's low bit), and checks every
-// result against plain-map models, every probe's order included. Stale
-// entry ids after free-slot reuse, corrupted chains or key lists, and
-// keys left behind by a Reset all show as a divergence.
+// operations — Add, Set, cancelling Add, Clear, EnsureIndex, Probe,
+// Clone, Merge into an empty relation, and Add and Reset on a second
+// relation used as a group table — under the real hash or a
+// forced-collision one (the first byte's low bit), and checks every
+// result against plain-map models: after every op the relation's Foreach
+// follows the insertion-order model, and so does every probe, clone and
+// merge. Stale entry ids after free-slot reuse, corrupted chains, order
+// links or key lists, and keys left behind by a Reset all show as a
+// divergence.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{0, 0, 9, 8, 9, 24, 9, 1, 9, 5, 0, 6, 9})
 	f.Add([]byte{1, 0, 1, 0, 65, 2, 130, 3, 1, 0, 200, 5, 2, 6, 77, 4, 3, 0, 1})
@@ -124,16 +115,15 @@ func FuzzRelationOps(f *testing.F) {
 		rel := NewRelation(schema)
 		rel.hashFn = hashFn
 		ref := newRefModel(schema)
-		gt := NewGroupTable(schema)
-		if hashFn != nil {
-			gt.SetHashFnForTest(hashFn)
-		}
+		var ord orderModel
+		gt := NewRelation(schema)
+		gt.hashFn = hashFn
 		gref := newGroupRef()
-		orders := map[*Index]*probeOrder{}
+		var ixs []*Index
 		ensure := func(pos []int) *Index {
 			ix, built := rel.EnsureIndex(pos)
 			if built {
-				orders[ix] = newProbeOrder(rel, ix.pos)
+				ixs = append(ixs, ix)
 			}
 			return ix
 		}
@@ -142,7 +132,7 @@ func FuzzRelationOps(f *testing.F) {
 			op, b := data[0], data[1]
 			tp, m := domainTuple(b), fuzzMults[op>>3&7]
 			k := tp.Key()
-			old, had := ref.ts[k]
+			_, had := ref.ts[k]
 			switch op & 7 {
 			case 0, 1:
 				rel.Add(tp, m)
@@ -157,38 +147,43 @@ func FuzzRelationOps(f *testing.F) {
 			case 4:
 				rel.Clear()
 				ref.clear()
-				for _, o := range orders {
-					clear(o.keys)
-				}
+				ord = ord[:0]
 			case 5:
 				ensure(fuzzIndexes[b%3])
 			case 6:
 				ix := ensure(fuzzIndexes[b%3])
-				checkProbe(t, ix, orders[ix], ref, tp.Project(ix.pos), step)
+				checkProbe(t, ix, ord, ref, tp.Project(ix.pos), step)
 			default:
-				if b < 32 {
+				switch {
+				case b < 32:
 					gt.Reset(schema)
 					gref = newGroupRef()
-				} else {
+				case op>>6 == 1:
+					checkForeach(t, "Clone", rel.Clone(), ord, ref, step)
+				case op>>6 == 2:
+					into := NewRelation(schema)
+					into.hashFn = hashFn
+					into.Merge(rel)
+					checkForeach(t, "Merge", into, ord, ref, step)
+				default:
 					gt.Add(tp, m)
 					gref.add(tp, m)
 				}
 				assertGroupsSame(t, gt, gref, step)
 			}
 			if _, has := ref.ts[k]; op&7 <= 3 && has != had {
-				for _, o := range orders {
-					if has {
-						o.insert(tp)
-					} else {
-						o.remove(old)
-					}
+				if has {
+					ord = append(ord, k)
+				} else {
+					ord.remove(k)
 				}
 			}
 			assertSame(t, rel, ref, step)
+			checkForeach(t, "relation", rel, ord, ref, step)
 		}
-		for ix, o := range orders {
+		for _, ix := range ixs {
 			for _, tp := range ref.ts {
-				checkProbe(t, ix, o, ref, tp.Project(ix.pos), -1)
+				checkProbe(t, ix, ord, ref, tp.Project(ix.pos), -1)
 			}
 		}
 		live := gref.inserted[:0:0]

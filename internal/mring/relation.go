@@ -80,17 +80,19 @@ func (s Schema) Union(o Schema) Schema {
 	return out
 }
 
-// entry is one slab slot: a unique tuple's multiplicity, its full 64-bit
-// hash (kept for cheap rehashing and as an equality pre-filter), and the
-// id of the next entry in its bucket chain. The tuple's values live in
-// the relation's arena under the same id. Entries hold no pointers, so
-// the collector never scans the slab, and secondary indexes share them
-// by id, so a multiplicity update is visible everywhere without index
-// maintenance.
+// entry is one slab slot: a unique tuple's multiplicity, the low 32 bits
+// of its hash (enough to place it in any table without re-hashing, and
+// an equality pre-filter), the id of the next entry in its bucket chain,
+// and its neighbours in the relation's insertion order. The tuple's
+// values live in the relation's arena under the same id. Entries hold no
+// pointers, so the collector never scans the slab, and secondary indexes
+// share them by id, so a multiplicity update is visible everywhere
+// without index maintenance.
 type entry struct {
-	m    float64
-	h    uint64
-	next int32
+	m          float64
+	h          uint32
+	next       int32
+	prev, succ int32 // insertion order; 0 ends it
 }
 
 // Relation is a generalized multiset relation: a finite map from unique
@@ -100,16 +102,22 @@ type entry struct {
 // slab, with each tuple's values copied into a chunked arena. Lookups
 // and inserts never materialize string keys, never re-hash the key the
 // way a built-in map would, and a stored tuple costs no allocation of its
-// own. The zero
-// value is not ready to use; construct with NewRelation.
+// own. The live entries also form a doubly-linked list in insertion
+// order, and every walk follows it: the order a relation hands out its
+// tuples in depends only on the sequence of live insertions, not on the
+// table's capacity, the hash or what was deleted. Views, update batches
+// and per-statement aggregates are all relations. The zero value is not
+// ready to use; construct with NewRelation.
 type Relation struct {
 	schema Schema
 	ents   []entry // slab; ents[0] is a sentinel, so id 0 ends a chain
 	vals   arena   // entry id -> tuple values
 	free   int32   // removed slots, chained through next; 0 when none
 	tab    []int32 // power-of-two bucket heads, nil until first insert
-	mask   uint64  // len(tab)-1
+	mask   uint32  // len(tab)-1
 	n      int
+	// first and last are the ends of the insertion order; 0 when empty.
+	first, last int32
 	// idxs holds the registered secondary indexes in registration order;
 	// they are maintained incrementally on every mutation.
 	idxs []*Index
@@ -123,26 +131,29 @@ func NewRelation(schema Schema) *Relation {
 	return &Relation{schema: schema.Clone(), vals: arena{arity: len(schema)}}
 }
 
+// SetHashFnForTest overrides tuple hashing, so tests can force collision
+// chains. The relation must be empty.
+func (r *Relation) SetHashFnForTest(fn func(Tuple) uint64) {
+	if r.n != 0 {
+		panic("mring: SetHashFnForTest on a non-empty relation")
+	}
+	r.hashFn = fn
+}
+
 // grow doubles the bucket table (or creates it) and relinks every entry
-// under its stored hash — no per-entry allocation.
+// under its stored hash, along the insertion order — no per-entry
+// allocation.
 func (r *Relation) grow() {
 	size := 8
 	if len(r.tab) > 0 {
 		size = len(r.tab) * 2
 	}
-	ntab := make([]int32, size)
-	nmask := uint64(size - 1)
-	for _, id := range r.tab {
-		for id != 0 {
-			e := &r.ents[id]
-			next := e.next
-			i := e.h & nmask
-			e.next = ntab[i]
-			ntab[i] = id
-			id = next
-		}
+	r.tab, r.mask = make([]int32, size), uint32(size-1)
+	for id := r.first; id != 0; id = r.ents[id].succ {
+		e := &r.ents[id]
+		i := e.h & r.mask
+		e.next, r.tab[i] = r.tab[i], id
 	}
-	r.tab, r.mask = ntab, nmask
 }
 
 // Schema returns the relation's column names. Callers must not mutate it.
@@ -153,20 +164,13 @@ func (r *Relation) Len() int { return r.n }
 
 // TableSize returns the current bucket-table size: 0 before the first
 // insert, otherwise a power of two >= 8 that only ever grows (Clear and
-// deletions keep capacity). Together with the Foreach enumeration order
-// it fully determines the physical layout, so a snapshot recording
-// (TableSize, Foreach sequence) can be restored bitwise via Preseed plus
-// reverse-order re-insertion — see Preseed.
+// deletions keep capacity). It is a capacity hint for Preseed; no order
+// depends on it.
 func (r *Relation) TableSize() int { return len(r.tab) }
 
 // Preseed sets the bucket table of an empty relation to the given size
 // (a power of two >= 8, as produced by TableSize on a non-fresh
-// relation). It exists for exact-layout restore: pre-sizing the table to
-// the snapshot's TableSize means re-inserting the snapshot's rows never
-// triggers grow (n never exceeds the table size the rows previously fit
-// in), and inserting them in REVERSE Foreach order reproduces the
-// original chains exactly — each insert pushes at the chain head, so the
-// last-inserted (first-enumerated) row ends up back at the head.
+// relation), so that restoring rows which fit in it never grows it.
 // Misuse is a programming error and panics; validation of sizes read
 // from disk belongs to the decode layers.
 func (r *Relation) Preseed(buckets int) {
@@ -177,18 +181,20 @@ func (r *Relation) Preseed(buckets int) {
 		panic(fmt.Sprintf("mring: Preseed size %d not a power of two >= 8", buckets))
 	}
 	r.tab = make([]int32, buckets)
-	r.mask = uint64(buckets - 1)
+	r.mask = uint32(buckets - 1)
 }
 
-func (r *Relation) hash(t Tuple) uint64 {
+// hash returns the low 32 bits of t's hash, which is all the relation
+// keeps.
+func (r *Relation) hash(t Tuple) uint32 {
 	if r.hashFn != nil {
-		return r.hashFn(t)
+		return uint32(r.hashFn(t))
 	}
-	return t.Hash()
+	return uint32(t.Hash())
 }
 
 // find returns the id of the entry holding t under hash h, or 0.
-func (r *Relation) find(h uint64, t Tuple) int32 {
+func (r *Relation) find(h uint32, t Tuple) int32 {
 	if r.tab == nil {
 		return 0
 	}
@@ -201,8 +207,9 @@ func (r *Relation) find(h uint64, t Tuple) int32 {
 }
 
 // insertHashed copies t (which must not be present) into a fresh entry
-// under its precomputed hash, reusing a removed slot when there is one.
-func (r *Relation) insertHashed(h uint64, t Tuple, m float64) {
+// under its precomputed hash, reusing a removed slot when there is one,
+// and appends it to the insertion order.
+func (r *Relation) insertHashed(h uint32, t Tuple, m float64) {
 	if r.n >= len(r.tab) { // covers the nil table: 0 >= 0
 		r.grow()
 	}
@@ -219,22 +226,40 @@ func (r *Relation) insertHashed(h uint64, t Tuple, m float64) {
 		r.ents = append(r.ents, entry{})
 	}
 	i := h & r.mask
-	r.ents[id] = entry{m: m, h: h, next: r.tab[i]}
+	r.ents[id] = entry{m: m, h: h, next: r.tab[i], prev: r.last}
 	r.tab[i] = id
+	if r.last != 0 {
+		r.ents[r.last].succ = id
+	} else {
+		r.first = id
+	}
+	r.last = id
 	r.n++
 	for _, ix := range r.idxs {
 		ix.insert(id)
 	}
 }
 
-// remove unlinks entry id from its bucket chain and from all secondary
-// indexes, zeroes its values and puts its slot on the free list.
+// remove unlinks entry id from its bucket chain, the insertion order and
+// all secondary indexes, zeroes its values and puts its slot on the free
+// list.
 func (r *Relation) remove(id int32) {
-	link := &r.tab[r.ents[id].h&r.mask]
+	e := r.ents[id]
+	link := &r.tab[e.h&r.mask]
 	for *link != id {
 		link = &r.ents[*link].next
 	}
-	*link = r.ents[id].next
+	*link = e.next
+	if e.prev != 0 {
+		r.ents[e.prev].succ = e.succ
+	} else {
+		r.first = e.succ
+	}
+	if e.succ != 0 {
+		r.ents[e.succ].prev = e.prev
+	} else {
+		r.last = e.prev
+	}
 	r.n--
 	for _, ix := range r.idxs {
 		ix.remove(id)
@@ -250,9 +275,8 @@ func (r *Relation) Add(t Tuple, m float64) {
 	r.addHashed(r.hash(t), t, m)
 }
 
-// addHashed is Add under a precomputed hash (which must equal r.hash(t));
-// group tables reuse their stored hashes through it.
-func (r *Relation) addHashed(h uint64, t Tuple, m float64) {
+// addHashed is Add under a precomputed hash (which must equal r.hash(t)).
+func (r *Relation) addHashed(h uint32, t Tuple, m float64) {
 	if m == 0 {
 		return
 	}
@@ -268,7 +292,8 @@ func (r *Relation) addHashed(h uint64, t Tuple, m float64) {
 }
 
 // Set forces the multiplicity of t to m (removing the tuple when m is
-// zero). The tuple is copied; callers may reuse t.
+// zero). The tuple is copied; callers may reuse t. A tuple already
+// present keeps its place in the insertion order.
 func (r *Relation) Set(t Tuple, m float64) {
 	h := r.hash(t)
 	id := r.find(h, t)
@@ -298,16 +323,13 @@ func (r *Relation) Get(t Tuple) float64 {
 	return 0
 }
 
-// Foreach calls f for every tuple with non-zero multiplicity: buckets in
-// table order, newest entry first within a bucket. f must not mutate the
-// relation. The tuple f receives aliases the relation's storage and is
-// valid only until the relation's next mutation; f must copy what it
-// keeps.
+// Foreach calls f for every tuple with non-zero multiplicity, in
+// insertion order. f must not mutate the relation. The tuple f receives
+// aliases the relation's storage and is valid only until the relation's
+// next mutation; f must copy what it keeps.
 func (r *Relation) Foreach(f func(t Tuple, m float64)) {
-	for _, id := range r.tab {
-		for ; id != 0; id = r.ents[id].next {
-			f(r.vals.at(id), r.ents[id].m)
-		}
+	for id := r.first; id != 0; id = r.ents[id].succ {
+		f(r.vals.at(id), r.ents[id].m)
 	}
 }
 
@@ -333,49 +355,61 @@ func (r *Relation) ForeachSorted(f func(t Tuple, m float64)) {
 	}
 }
 
-// Clone returns a deep copy of the relation's contents. Secondary indexes
-// are not cloned; they re-register on demand.
+// Clone returns a deep copy of the relation's contents, in its order.
+// Secondary indexes are not cloned; they re-register on demand.
 func (r *Relation) Clone() *Relation {
 	c := NewRelation(r.schema)
 	c.hashFn = r.hashFn
 	c.ents = make([]entry, 1, r.n+1)
-	r.each(func(id int32, e entry) { c.insertHashed(e.h, r.vals.at(id), e.m) })
+	c.Merge(r)
 	return c
 }
 
-// each is Foreach over entry ids, for the storage's own walks.
-func (r *Relation) each(f func(id int32, e entry)) {
-	for _, id := range r.tab {
-		for ; id != 0; id = r.ents[id].next {
-			f(id, r.ents[id])
-		}
-	}
-}
-
 // Clear removes all tuples, keeping the bucket table, the slab and the
-// arena's chunks. Registered secondary indexes stay registered (emptied)
+// arena's chunks, in time proportional to the tuples it held rather than
+// to its capacity. Registered secondary indexes stay registered (emptied)
 // and keep being maintained on subsequent mutations.
 func (r *Relation) Clear() {
-	for id := 1; id < len(r.ents); id++ {
-		r.vals.zero(int32(id))
+	for id := r.first; id != 0; id = r.ents[id].succ {
+		r.tab[r.ents[id].h&r.mask] = 0
+		r.vals.zero(id)
 	}
-	clear(r.tab)
 	r.ents = r.ents[:0]
-	r.free = 0
-	r.n = 0
+	r.free, r.first, r.last, r.n = 0, 0, 0, 0
 	for _, ix := range r.idxs {
 		ix.clear()
 	}
 }
 
-// Merge adds every tuple of o (bag union in place).
-func (r *Relation) Merge(o *Relation) {
-	o.Foreach(func(t Tuple, m float64) { r.Add(t, m) })
+// Reset is Clear for a scratch relation reused under another schema of
+// its arity, which is kept, not copied.
+func (r *Relation) Reset(schema Schema) {
+	if len(schema) != r.vals.arity {
+		panic("mring: Reset to another arity")
+	}
+	r.Clear()
+	r.schema = schema
 }
 
-// MergeScaled adds every tuple of o with multiplicity scaled by c.
+// Merge adds every tuple of o (bag union in place), in o's order.
+func (r *Relation) Merge(o *Relation) { r.MergeScaled(o, 1) }
+
+// MergeScaled adds every tuple of o with multiplicity scaled by c, in o's
+// order. It reuses o's stored hashes, and into an empty relation it
+// inserts without lookups, since o's tuples are distinct.
 func (r *Relation) MergeScaled(o *Relation, c float64) {
-	o.Foreach(func(t Tuple, m float64) { r.Add(t, m*c) })
+	blind := r.n == 0
+	for id := o.first; id != 0; id = o.ents[id].succ {
+		t, h, m := o.vals.at(id), o.ents[id].h, o.ents[id].m*c
+		if r.hashFn != nil || o.hashFn != nil {
+			h = r.hash(t)
+		}
+		if !blind {
+			r.addHashed(h, t, m)
+		} else if m != 0 {
+			r.insertHashed(h, t, m)
+		}
+	}
 }
 
 // Equal reports whether two relations hold the same tuples with

@@ -1,126 +1,93 @@
 package mring
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// snapshotRows captures the Foreach enumeration (the wire order every
-// snapshot encoder uses) plus the bucket-table size.
-func snapshotRows(r *Relation) (rows []Tuple, mults []float64, buckets int) {
-	r.Foreach(func(t Tuple, m float64) {
-		rows = append(rows, t.Clone())
-		mults = append(mults, m)
-	})
-	return rows, mults, r.TableSize()
+// orderSeq renders a relation's Foreach sequence and, through ix, the
+// Probe sequence of every first-column key in turn, rows with their
+// multiplicities.
+func orderSeq(r *Relation, ix *Index) (foreach, probe []string) {
+	render := func(out *[]string) func(Tuple, float64) {
+		return func(t Tuple, m float64) { *out = append(*out, fmt.Sprintf("%v:%g", t, m)) }
+	}
+	r.Foreach(render(&foreach))
+	for k := int64(0); k < 16; k++ {
+		ix.Probe(Tuple{Int(k)}, render(&probe))
+	}
+	return foreach, probe
 }
 
-// restoreExact rebuilds a relation from a (rows-in-Foreach-order,
-// buckets) snapshot the way the durability layer does: preseed to the
-// recorded size, insert in reverse order.
-func restoreExact(schema Schema, rows []Tuple, mults []float64, buckets int) *Relation {
-	r := NewRelation(schema)
-	if buckets > 0 {
-		r.Preseed(buckets)
-	}
-	for i := len(rows) - 1; i >= 0; i-- {
-		r.Add(rows[i], mults[i])
-	}
-	return r
-}
-
-// requireSameLayout asserts two relations have identical physical layout:
-// same bucket-table size and the same Foreach sequence (order AND values).
-func requireSameLayout(t *testing.T, got, want *Relation) {
-	t.Helper()
-	if got.TableSize() != want.TableSize() {
-		t.Fatalf("TableSize: got %d want %d", got.TableSize(), want.TableSize())
-	}
-	var wr []Tuple
-	var wm []float64
-	want.Foreach(func(tp Tuple, m float64) { wr = append(wr, tp); wm = append(wm, m) })
-	i := 0
-	got.Foreach(func(tp Tuple, m float64) {
-		if i >= len(wr) {
-			t.Fatalf("got has more rows than want (%d)", len(wr))
-		}
-		if !tp.Equal(wr[i]) || wm[i] != m {
-			t.Fatalf("row %d: got (%v,%v) want (%v,%v)", i, tp, m, wr[i], wm[i])
-		}
-		i++
-	})
-	if i != len(wr) {
-		t.Fatalf("got %d rows, want %d", i, len(wr))
+// restoreOp applies one operation of a random history to r: a deletion,
+// a cancelling Add, a Set or an Add of key k.
+func restoreOp(r *Relation, k int64, kind, m int) {
+	tp := Tuple{Int(k % 16), Int(k / 16)}
+	switch kind {
+	case 0:
+		r.Set(tp, 0)
+	case 1:
+		r.Add(tp, -r.Get(tp))
+	case 2:
+		r.Set(tp, float64(m))
+	default:
+		r.Add(tp, float64(m))
 	}
 }
 
-// TestRestoreExactLayout is the property the whole durability design
-// rests on: for ANY mutation history — including deletions, which leave
-// the table larger than the row count, and growth, which reverses
-// chains — rebuilding from (TableSize, Foreach order) by preseeding and
-// inserting in reverse reproduces the exact physical layout, so every
-// later Foreach (and therefore every later float fold) enumerates
-// identically on both relations.
-func TestRestoreExactLayout(t *testing.T) {
+// TestRestoreOrderIgnoresCapacity is the property recovery rests on:
+// after any history of inserts, updates, deletions and clears, a relation
+// rebuilt by inserting the source's Foreach rows in order — into no
+// preseeded table, into 8 buckets, or into the source's TableSize — visits
+// the same rows in the same order, in Foreach and in every Probe, and
+// keeps doing so under the same further operations. So capacity is only
+// a hint, and a fold after recovery replays the source's float
+// additions. It holds with the real hash and with a forced-collision one.
+func TestRestoreOrderIgnoresCapacity(t *testing.T) {
 	schema := Schema{"k", "v"}
-	for trial := 0; trial < 200; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		r := NewRelation(schema)
-		live := make(map[int64]bool)
-		nOps := rng.Intn(300)
-		for op := 0; op < nOps; op++ {
-			k := int64(rng.Intn(64))
-			switch {
-			case rng.Intn(3) == 0 && live[k]:
-				// Exact cancellation removes the tuple but keeps capacity.
-				tp := Tuple{Int(k), Str("x")}
-				r.Set(tp, 0)
-				live[k] = false
-			default:
-				tp := Tuple{Int(k), Str("x")}
-				r.Add(tp, float64(rng.Intn(5)+1))
-				live[k] = true
+	for _, hashFn := range []func(Tuple) uint64{nil, func(t Tuple) uint64 { return t.Hash() & 1 }} {
+		for trial := 0; trial < 100; trial++ {
+			rng := rand.New(rand.NewSource(int64(trial)))
+			src := NewRelation(schema)
+			src.hashFn = hashFn
+			srcIx, _ := src.EnsureIndex([]int{0})
+			for i, n := 0, rng.Intn(300); i < n; i++ {
+				if rng.Intn(100) == 0 {
+					src.Clear()
+				}
+				restoreOp(src, int64(rng.Intn(64)), rng.Intn(6), rng.Intn(7)-3)
+			}
+			var rebuilt []*Relation
+			var ixs []*Index
+			for _, buckets := range []int{0, 8, src.TableSize()} {
+				r := NewRelation(schema)
+				r.hashFn = hashFn
+				if buckets > 0 {
+					r.Preseed(buckets)
+				}
+				src.Foreach(r.Add)
+				ix, _ := r.EnsureIndex([]int{0})
+				rebuilt, ixs = append(rebuilt, r), append(ixs, ix)
+			}
+			for step := 0; step <= 60; step++ {
+				if step > 0 {
+					k, kind, m := int64(rng.Intn(64)), rng.Intn(6), rng.Intn(7)-3
+					for _, r := range append(rebuilt, src) {
+						restoreOp(r, k, kind, m)
+					}
+				}
+				wf, wp := orderSeq(src, srcIx)
+				for i, r := range rebuilt {
+					if gf, gp := orderSeq(r, ixs[i]); !slices.Equal(gf, wf) || !slices.Equal(gp, wp) {
+						t.Fatalf("trial %d, rebuild %d, step %d: order diverges\n Foreach got  %q\n Foreach want %q\n Probe got  %q\n Probe want %q",
+							trial, i, step, gf, wf, gp, wp)
+					}
+				}
 			}
 		}
-		rows, mults, buckets := snapshotRows(r)
-		got := restoreExact(schema, rows, mults, buckets)
-		requireSameLayout(t, got, r)
-
-		// The layout must stay aligned under FURTHER mutations: apply the
-		// same suffix to both and re-compare (this is what recovery replay
-		// does with the WAL tail).
-		for op := 0; op < 50; op++ {
-			k := int64(rng.Intn(64))
-			tp := Tuple{Int(k), Str("x")}
-			m := float64(rng.Intn(7) - 3)
-			r.Add(tp, m)
-			got.Add(tp, m)
-		}
-		requireSameLayout(t, got, r)
 	}
-}
-
-// TestRestoreExactForcedCollisions repeats the layout property with a
-// degenerate hash so every tuple chains into few buckets — chain order,
-// not just bucket membership, is what reverse-insertion must reproduce.
-func TestRestoreExactForcedCollisions(t *testing.T) {
-	schema := Schema{"k"}
-	r := NewRelation(schema)
-	r.hashFn = func(t Tuple) uint64 { return uint64(len(t)) % 2 }
-	for i := 0; i < 40; i++ {
-		r.Add(Tuple{Int(int64(i))}, 1)
-	}
-	for i := 0; i < 40; i += 3 {
-		r.Set(Tuple{Int(int64(i))}, 0)
-	}
-	rows, mults, buckets := snapshotRows(r)
-	got := NewRelation(schema)
-	got.hashFn = r.hashFn
-	got.Preseed(buckets)
-	for i := len(rows) - 1; i >= 0; i-- {
-		got.Add(rows[i], mults[i])
-	}
-	requireSameLayout(t, got, r)
 }
 
 func TestPreseedPanics(t *testing.T) {

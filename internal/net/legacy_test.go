@@ -10,8 +10,8 @@ import (
 // legacyRowPayload is a tag-0x01 row-format payload, the form earlier
 // builds wrote for a relation whose columns mix value kinds. These bytes
 // were generated by EncodeRelationPlain at the last build that wrote the
-// row format, over the six rows legacyRows adds in order; the relation's
-// bucket table then held 8 buckets.
+// row format, over a relation of the six rows of legacyOrder whose
+// bucket table held 8 buckets.
 var legacyRowPayload = []byte{
 	0x01, 0x02, 0x01, 0x6b, 0x01, 0x76, 0x06, 0x00, 0x4f, 0x02, 0x02, 0x79,
 	0x7a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x02, 0x00, 0x01,
@@ -26,18 +26,6 @@ var legacyRowPayload = []byte{
 
 const legacyBuckets = 8
 
-// legacyRows builds the relation legacyRowPayload was encoded from.
-func legacyRows() *mring.Relation {
-	r := mring.NewRelation(mring.Schema{"k", "v"})
-	r.Add(mring.Tuple{mring.Int(1), mring.Float(1.5)}, 2)
-	r.Add(mring.Tuple{mring.Str("a"), mring.Int(-2)}, -1)
-	r.Add(mring.Tuple{mring.Int(3), mring.Str("x")}, 0.5)
-	r.Add(mring.Tuple{mring.Float(2.25), mring.Int(7)}, 3)
-	r.Add(mring.Tuple{mring.Str(""), mring.Float(-0.5)}, 1)
-	r.Add(mring.Tuple{mring.Int(-40), mring.Str("yz")}, -2)
-	return r
-}
-
 // legacyOrder is the Foreach order the source relation had when the
 // fixture was written, which the payload holds its rows in.
 var legacyOrder = []struct {
@@ -50,6 +38,16 @@ var legacyOrder = []struct {
 	{mring.Tuple{mring.Int(1), mring.Float(1.5)}, 2},
 	{mring.Tuple{mring.Int(3), mring.Str("x")}, 0.5},
 	{mring.Tuple{mring.Str("a"), mring.Int(-2)}, -1},
+}
+
+// legacyRows builds a relation of the fixture's rows, added in
+// legacyOrder, so that it visits them in that order.
+func legacyRows() *mring.Relation {
+	r := mring.NewRelation(mring.Schema{"k", "v"})
+	for _, row := range legacyOrder {
+		r.Add(row.t, row.m)
+	}
+	return r
 }
 
 // requireLegacyOrder checks that visit enumerates legacyOrder exactly:

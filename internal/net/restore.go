@@ -32,13 +32,13 @@ func validateBuckets(buckets, rows int) error {
 }
 
 // RestoreIntoExact rebuilds dst — which must be empty and fresh (no
-// bucket table yet) — from an EncodeRelationPlain payload so that dst's
-// physical layout is bitwise-identical to the encoder's source relation:
-// same bucket-table size, same chains, same Foreach enumeration order.
-// That order is load-bearing for the engine's float-fold determinism, so
-// recovery restores state through this path rather than a plain rebuild.
-// buckets is the source's TableSize; payload may be nil/empty for an
-// empty source (then only capacity is restored). Corrupt input returns a
+// bucket table yet) — from an EncodeRelationPlain payload so that dst
+// hands out its tuples in the encoder's source order: the payload lists
+// them in that order, and dst inserts them in it. Relation order is the
+// order of insertion, and the engine's float folds follow it, so
+// recovery restores state through this path. buckets is the source's
+// TableSize, a capacity hint; payload may be nil/empty for an empty
+// source (then only capacity is restored). Corrupt input returns a
 // descriptive error and never panics.
 func RestoreIntoExact(dst *mring.Relation, payload []byte, buckets int) error {
 	b, err := decodeSnapshot(payload)
@@ -76,11 +76,9 @@ func decodeSnapshot(payload []byte) (*pool.ColBatch, error) {
 	return DecodePayload(payload)
 }
 
-// restoreExact fills dst from a decoded snapshot (nil when empty). The
-// encoder wrote rows in the source relation's Foreach order, and
-// re-inserting them in reverse into a table preseeded to the source's
-// bucket count reproduces the source's chains exactly (each insert
-// pushes at the chain head).
+// restoreExact fills dst from a decoded snapshot (nil when empty), in the
+// payload's row order, into a table preseeded to the source's bucket
+// count.
 func restoreExact(dst *mring.Relation, b *pool.ColBatch, buckets int) error {
 	rows := 0
 	if b != nil {
@@ -96,7 +94,7 @@ func restoreExact(dst *mring.Relation, b *pool.ColBatch, buckets int) error {
 		dst.Preseed(buckets)
 	}
 	if b != nil {
-		b.ForeachReverse(dst.Add)
+		b.Foreach(dst.Add)
 	}
 	return nil
 }

@@ -51,7 +51,7 @@ func requireExact(t *testing.T, label string, got, want *mring.Relation) {
 	}
 }
 
-// TestRestoreExactBothForms pins the exact-layout restore for kind-pure
+// TestRestoreExactBothForms pins the order-keeping restore for kind-pure
 // relations ("columnar": typed columns) and relations whose columns mix
 // kinds ("rows", the form earlier builds wrote them in; now Mixed
 // columns): the rebuilt relation must have the identical bucket-table
@@ -76,7 +76,7 @@ func TestRestoreExactBothForms(t *testing.T) {
 }
 
 // TestRestoreEmptyKeepsCapacity: an empty relation with a grown table
-// restores its capacity (which shapes future layout) from buckets alone.
+// restores its capacity, a hint, from buckets alone.
 func TestRestoreEmptyKeepsCapacity(t *testing.T) {
 	src := mring.NewRelation(mring.Schema{"a"})
 	for i := 0; i < 100; i++ {

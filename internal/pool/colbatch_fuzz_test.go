@@ -76,9 +76,8 @@ func batchesEqual(a, b *ColBatch) bool {
 
 // FuzzColBatchDecode feeds arbitrary bytes to the in-place reader:
 // Decode must return a batch or an error, never panic or over-allocate.
-// Any batch it accepts is canonical — a Writer writes exactly the same
-// bytes for its rows — and Foreach and ForeachReverse visit the same
-// rows in opposite orders.
+// Any batch it accepts is canonical: a Writer writes exactly the same
+// bytes for its rows.
 func FuzzColBatchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
@@ -94,13 +93,6 @@ func FuzzColBatchDecode(f *testing.F) {
 		var w Writer
 		if enc := w.Append(nil, b.Schema, b); !bytes.Equal(enc, data) {
 			t.Fatalf("accepted batch re-encodes differently:\n input: %x\n again: %x", data, enc)
-		}
-		fwd, rev := collect(b.Foreach), collect(b.ForeachReverse)
-		for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-			rev[i], rev[j] = rev[j], rev[i]
-		}
-		if len(fwd) != b.Len() || !rowsEqual(b, rev) {
-			t.Fatalf("ForeachReverse disagrees with Foreach:\n fwd: %v\n rev: %v", fwd, rev)
 		}
 	})
 }

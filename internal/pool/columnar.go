@@ -191,10 +191,9 @@ func (w *Writer) AppendTo(dst []byte) []byte {
 
 // ColBatch is a columnar batch read in place: the bytes of one encoding,
 // checked whole when the batch is made, with each column's byte range.
-// Foreach and ForeachReverse decode its rows from those bytes when they
-// are visited, so reading a received batch builds no column arrays. The
-// batch aliases the bytes it was read from; they must not change while
-// it is in use.
+// Foreach decodes its rows from those bytes when they are visited, so
+// reading a received batch builds no column arrays. The batch aliases
+// the bytes it was read from; they must not change while it is in use.
 type ColBatch struct {
 	Schema mring.Schema
 	kinds  []mring.Kind
@@ -285,21 +284,6 @@ func (b *ColBatch) Foreach(f func(t mring.Tuple, m float64)) {
 	for i := 0; i < b.n; i++ {
 		b.row(t, at)
 		f(t, b.mult(i))
-	}
-}
-
-// ForeachReverse is Foreach from the last row to the first: the order an
-// exact-layout restore re-inserts a relation's rows in. It decodes the
-// rows forwards into one slab of values, then hands them out backwards.
-func (b *ColBatch) ForeachReverse(f func(t mring.Tuple, m float64)) {
-	nc := len(b.kinds)
-	vals := make(mring.Tuple, b.n*nc)
-	at := slices.Clone(b.starts[:nc])
-	for i := 0; i < b.n; i++ {
-		b.row(vals[i*nc:(i+1)*nc], at)
-	}
-	for i := b.n - 1; i >= 0; i-- {
-		f(vals[i*nc:(i+1)*nc:(i+1)*nc], b.mult(i))
 	}
 }
 

@@ -42,10 +42,12 @@ const (
 const MaxRecord = inet.MaxFrame
 
 // TableFrag is one table's contents inside a record: the batch (or base
-// table, for warm records) encoded with inet.EncodeRelationPlain, plus
-// the relation's bucket-table size so replay can rebuild the exact
-// physical layout (see inet.RestoreIntoExact). An empty relation has a
-// nil Payload; its schema is resolved from the program's base schemas.
+// table, for warm records) encoded with inet.EncodeRelationPlain, whose
+// rows are in the relation's order, so replay rebuilds a batch that
+// visits them in that order (see inet.RestoreIntoExact). Buckets is the
+// relation's bucket-table size, a capacity hint for the rebuild. An
+// empty relation has a nil Payload; its schema is resolved from the
+// program's base schemas.
 type TableFrag struct {
 	Table   string
 	Buckets int

@@ -8,8 +8,9 @@ import (
 )
 
 // allocGate is one allocation gate's workload: a query on a backend, fed
-// the fixed TPC-H stream kept to a sliding window exactly as
-// TestQ3AllocsPerChangedTuple and TestQ1AllocsPerChangedTuple feed it.
+// a fixed TPC-H stream kept to a sliding window: each transaction inserts
+// the next chunk of events and deletes the chunk inserted window
+// transactions before.
 type allocGate struct {
 	query     string
 	opts      []Option
@@ -89,52 +90,47 @@ func allocsPerChangedTuple(t *testing.T, g allocGate) (allocs, bytes float64) {
 	return perRun * float64(g.runs) / float64(tuples), float64(end.TotalAlloc-start.TotalAlloc) / float64(tuples)
 }
 
-// TestStorageAllocGates holds the slab-and-arena storage to its
-// allocation budget: a stored tuple or group costs no allocation of its
-// own, and per-statement group tables are reused, so what is left per
-// changed tuple is transaction and transport overhead. Each gate runs
-// the stream of the matching existing gate (Q3: 100 events per
-// transaction; Q1: 10, with a subscriber).
+// TestStorageAllocGates is the tier-1 gate on evaluation allocations,
+// one row per engine stream, each bounding the allocations and the bytes
+// of Apply per changed tuple. Allocation counts do not depend on the
+// host, so the bounds are exact. A stored tuple or group costs no
+// allocation of its own, scratch relations are reused across statements,
+// and a distributed stage builds no relation of its own (installs refill
+// the fragments a shard owns, an exchange deals rows instead of building
+// a relation per destination, and the simulator sizes a shuffle without
+// encoding it), so what is left per changed tuple is transaction and
+// transport overhead.
 func TestStorageAllocGates(t *testing.T) {
 	q3 := allocGate{query: "Q3", chunk: 100, window: 20, warm: 40, runs: 40}
 	q3dist := q3
 	q3dist.opts = []Option{Distributed(2), KeyRanks(tpch.PrimaryKeyRanks)}
 	for _, c := range []struct {
-		name  string
-		gate  allocGate
-		bound float64
+		name           string
+		gate           allocGate
+		allocs, nbytes float64
 	}{
-		{"Q3 local", q3, 0.02}, // reads 0.005; a slice per index key read 0.048
-		{"Q1 local with a subscriber", allocGate{query: "Q1", subscribe: true, chunk: 10, window: 200, warm: 400, runs: 200}, 1.5},
-		{"Q3 Distributed(2)", q3dist, 4.0},
+		// Reads 0.005 allocations and under 1 byte, as at the parent; a
+		// Go slice per index key read 0.048 allocations.
+		{"Q3 local", q3, 0.02, 8},
+		// Ten changes per transaction: per-transaction and per-statement
+		// costs of serving and evaluation dominate. Reads 0.852
+		// allocations and 90 bytes, as at the parent.
+		{"Q1 local with a subscriber", allocGate{query: "Q1", subscribe: true, chunk: 10, window: 200, warm: 400, runs: 200}, 1.5, 100},
+		// Reads 0.991 allocations and 100 bytes; the parent read 1.023
+		// and 103, and building a relation per deal and piece read 3.03
+		// and 1,187.
+		{"Q3 Distributed(2)", q3dist, 1.25, 150},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			perTuple, _ := allocsPerChangedTuple(t, c.gate)
-			t.Logf("%s: %.3f allocations per changed tuple", c.name, perTuple)
-			if perTuple > c.bound {
-				t.Fatalf("%s allocates %.3f times per changed tuple, want <= %.2f", c.name, perTuple, c.bound)
+			allocs, bytes := allocsPerChangedTuple(t, c.gate)
+			t.Logf("%s: %.3f allocations and %.0f bytes per changed tuple", c.name, allocs, bytes)
+			if allocs > c.allocs {
+				t.Errorf("allocates %.3f times per changed tuple, want <= %.3f", allocs, c.allocs)
+			}
+			if bytes > c.nbytes {
+				t.Errorf("allocates %.0f bytes per changed tuple, want <= %.0f", bytes, c.nbytes)
 			}
 		})
-	}
-}
-
-// TestDistributedStageAllocGate holds a distributed stage to building no
-// relation of its own: installs refill the fragments a shard owns, an
-// exchange deals rows instead of building a relation per destination,
-// and the simulator sizes a shuffle without encoding it. So Q3 on
-// Distributed(2), on TestStorageAllocGates' stream, allocates a bounded
-// number of times and bytes per changed tuple; building a relation per
-// deal and piece read 3.03 allocations and 1,187 bytes.
-func TestDistributedStageAllocGate(t *testing.T) {
-	g := allocGate{query: "Q3", chunk: 100, window: 20, warm: 40, runs: 40,
-		opts: []Option{Distributed(2), KeyRanks(tpch.PrimaryKeyRanks)}}
-	allocs, bytes := allocsPerChangedTuple(t, g)
-	t.Logf("Q3 Distributed(2): %.2f allocations and %.0f bytes per changed tuple", allocs, bytes)
-	if allocs > 2.5 {
-		t.Errorf("allocates %.2f times per changed tuple, want <= 2.5", allocs)
-	}
-	if bytes > 400 {
-		t.Errorf("allocates %.0f bytes per changed tuple, want <= 400", bytes)
 	}
 }
 
