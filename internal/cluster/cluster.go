@@ -1046,18 +1046,22 @@ func (c *Cluster) applyXform(r *run, t *transfer) (int64, int64, error) {
 		r.queue(install{kind: installRepart, name: t.lhs, schema: t.lhsSchema, capture: capture},
 			func(i int) []rows { return from[i] })
 	default: // Gather
-		// The workers' pre-aggregated fragments merge into one scratch
-		// relation strictly in worker-index order, so the driver replays
-		// the same float additions in the same sequence on every run —
-		// the gathered result is deterministic however the workers'
+		// The workers' pre-aggregated fragments merge into the cleared
+		// driver view strictly in worker-index order, so the driver
+		// replays the same float additions in the same sequence on every
+		// run — the gathered result is deterministic however the workers'
 		// fragments were computed, process workers concurrently. The
-		// scratch then fills the cleared driver view with its stored
-		// hashes.
+		// first fragment fills the view with its stored hashes.
 		outs, err := c.read(r, t)
 		if err != nil {
 			return 0, 0, err
 		}
-		gt := mring.NewRelation(t.srcSchema)
+		dst := c.driver.rel(t.lhs, t.lhsSchema)
+		var old *mring.Relation
+		if c.watch[t.lhs] != nil && c.watchDriverSide(t.lhs) {
+			old = dst.Clone()
+		}
+		dst.Clear()
 		for _, o := range outs {
 			f := o[0]
 			if f == nil || f.Len() == 0 {
@@ -1072,20 +1076,13 @@ func (c *Cluster) applyXform(r *run, t *transfer) (int64, int64, error) {
 				maxPer = max(maxPer, sz)
 			}
 			if r, ok := f.(*mring.Relation); ok {
-				gt.Merge(r)
+				dst.Merge(r)
 			} else {
 				// Recomputed hashes equal the stored ones Merge reuses,
 				// so this replays its float additions exactly.
-				f.Foreach(gt.Add)
+				f.Foreach(dst.Add)
 			}
 		}
-		dst := c.driver.rel(t.lhs, t.lhsSchema)
-		var old *mring.Relation
-		if c.watch[t.lhs] != nil && c.watchDriverSide(t.lhs) {
-			old = dst.Clone()
-		}
-		dst.Clear()
-		dst.Merge(gt)
 		if old != nil {
 			c.captureReplace(t.lhs, dst, old)
 		}

@@ -116,7 +116,7 @@ func TestStorageAllocGates(t *testing.T) {
 		// costs of serving and evaluation dominate. Reads 0.852
 		// allocations and 90 bytes, as at the parent.
 		{"Q1 local with a subscriber", allocGate{query: "Q1", subscribe: true, chunk: 10, window: 200, warm: 400, runs: 200}, 1.5, 100},
-		// Reads 0.991 allocations and 100 bytes; the parent read 1.023
+		// Reads 0.922 allocations and 94 bytes; the parent read 1.023
 		// and 103, and building a relation per deal and piece read 3.03
 		// and 1,187.
 		{"Q3 Distributed(2)", q3dist, 1.25, 150},
