@@ -37,53 +37,63 @@ func restoreOp(r *Relation, k int64, kind, m int) {
 	}
 }
 
-// TestRestoreOrderIgnoresCapacity is the property recovery rests on:
-// after any history of inserts, updates, deletions and clears, a relation
-// rebuilt by inserting the source's Foreach rows in order — into no
-// preseeded table, into 8 buckets, or into the source's TableSize — visits
-// the same rows in the same order, in Foreach and in every Probe, and
-// keeps doing so under the same further operations. So capacity is only
-// a hint, and a fold after recovery replays the source's float
-// additions. It holds with the real hash and with a forced-collision one.
-func TestRestoreOrderIgnoresCapacity(t *testing.T) {
+// TestRestoreExactLayout is the property recovery rests on: after any
+// history of inserts, updates, deletions and clears, a relation rebuilt
+// by inserting the source's Foreach rows in order — into no preseeded
+// table, into 8 buckets, or into the source's TableSize — visits the same
+// rows in the same order, in Foreach and in every Probe, and keeps doing
+// so under the same further operations; the rebuild preseeded to the
+// source's TableSize keeps its table size too. So capacity is only a
+// hint, and a fold after recovery replays the source's float additions.
+func TestRestoreExactLayout(t *testing.T) { checkRestoreLayout(t, nil) }
+
+// TestRestoreExactForcedCollisions repeats TestRestoreExactLayout under
+// a hash that chains every tuple into two buckets, so chain order, not
+// just bucket membership, must follow insertion order.
+func TestRestoreExactForcedCollisions(t *testing.T) {
+	checkRestoreLayout(t, func(t Tuple) uint64 { return t.Hash() & 1 })
+}
+
+func checkRestoreLayout(t *testing.T, hashFn func(Tuple) uint64) {
 	schema := Schema{"k", "v"}
-	for _, hashFn := range []func(Tuple) uint64{nil, func(t Tuple) uint64 { return t.Hash() & 1 }} {
-		for trial := 0; trial < 100; trial++ {
-			rng := rand.New(rand.NewSource(int64(trial)))
-			src := NewRelation(schema)
-			src.hashFn = hashFn
-			srcIx, _ := src.EnsureIndex([]int{0})
-			for i, n := 0, rng.Intn(300); i < n; i++ {
-				if rng.Intn(100) == 0 {
-					src.Clear()
-				}
-				restoreOp(src, int64(rng.Intn(64)), rng.Intn(6), rng.Intn(7)-3)
+	for trial := 0; trial < 100; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		src := NewRelation(schema)
+		src.hashFn = hashFn
+		srcIx, _ := src.EnsureIndex([]int{0})
+		for i, n := 0, rng.Intn(300); i < n; i++ {
+			if rng.Intn(100) == 0 {
+				src.Clear()
 			}
-			var rebuilt []*Relation
-			var ixs []*Index
-			for _, buckets := range []int{0, 8, src.TableSize()} {
-				r := NewRelation(schema)
-				r.hashFn = hashFn
-				if buckets > 0 {
-					r.Preseed(buckets)
-				}
-				src.Foreach(r.Add)
-				ix, _ := r.EnsureIndex([]int{0})
-				rebuilt, ixs = append(rebuilt, r), append(ixs, ix)
+			restoreOp(src, int64(rng.Intn(64)), rng.Intn(6), rng.Intn(7)-3)
+		}
+		var rebuilt []*Relation
+		var ixs []*Index
+		for _, buckets := range []int{0, 8, src.TableSize()} {
+			r := NewRelation(schema)
+			r.hashFn = hashFn
+			if buckets > 0 {
+				r.Preseed(buckets)
 			}
-			for step := 0; step <= 60; step++ {
-				if step > 0 {
-					k, kind, m := int64(rng.Intn(64)), rng.Intn(6), rng.Intn(7)-3
-					for _, r := range append(rebuilt, src) {
-						restoreOp(r, k, kind, m)
-					}
+			src.Foreach(r.Add)
+			ix, _ := r.EnsureIndex([]int{0})
+			rebuilt, ixs = append(rebuilt, r), append(ixs, ix)
+		}
+		for step := 0; step <= 60; step++ {
+			if step > 0 {
+				k, kind, m := int64(rng.Intn(64)), rng.Intn(6), rng.Intn(7)-3
+				for _, r := range append(rebuilt, src) {
+					restoreOp(r, k, kind, m)
 				}
-				wf, wp := orderSeq(src, srcIx)
-				for i, r := range rebuilt {
-					if gf, gp := orderSeq(r, ixs[i]); !slices.Equal(gf, wf) || !slices.Equal(gp, wp) {
-						t.Fatalf("trial %d, rebuild %d, step %d: order diverges\n Foreach got  %q\n Foreach want %q\n Probe got  %q\n Probe want %q",
-							trial, i, step, gf, wf, gp, wp)
-					}
+			}
+			if got, want := rebuilt[2].TableSize(), src.TableSize(); got != want {
+				t.Fatalf("trial %d, step %d: TableSize %d, want the source's %d", trial, step, got, want)
+			}
+			wf, wp := orderSeq(src, srcIx)
+			for i, r := range rebuilt {
+				if gf, gp := orderSeq(r, ixs[i]); !slices.Equal(gf, wf) || !slices.Equal(gp, wp) {
+					t.Fatalf("trial %d, rebuild %d, step %d: order diverges\n Foreach got  %q\n Foreach want %q\n Probe got  %q\n Probe want %q",
+						trial, i, step, gf, wf, gp, wp)
 				}
 			}
 		}

@@ -90,49 +90,73 @@ func allocsPerChangedTuple(t *testing.T, g allocGate) (allocs, bytes float64) {
 	return perRun * float64(g.runs) / float64(tuples), float64(end.TotalAlloc-start.TotalAlloc) / float64(tuples)
 }
 
-// TestStorageAllocGates is the tier-1 gate on evaluation allocations,
-// one row per engine stream, each bounding the allocations and the bytes
-// of Apply per changed tuple. Allocation counts do not depend on the
-// host, so the bounds are exact. A stored tuple or group costs no
-// allocation of its own, scratch relations are reused across statements,
-// and a distributed stage builds no relation of its own (installs refill
-// the fragments a shard owns, an exchange deals rows instead of building
-// a relation per destination, and the simulator sizes a shuffle without
-// encoding it), so what is left per changed tuple is transaction and
-// transport overhead.
-func TestStorageAllocGates(t *testing.T) {
-	q3 := allocGate{query: "Q3", chunk: 100, window: 20, warm: 40, runs: 40}
-	q3dist := q3
-	q3dist.opts = []Option{Distributed(2), KeyRanks(tpch.PrimaryKeyRanks)}
-	for _, c := range []struct {
-		name           string
-		gate           allocGate
-		allocs, nbytes float64
-	}{
-		// Reads 0.005 allocations and under 1 byte, as at the parent; a
-		// Go slice per index key read 0.048 allocations.
-		{"Q3 local", q3, 0.02, 8},
-		// Ten changes per transaction: per-transaction and per-statement
-		// costs of serving and evaluation dominate. Reads 0.852
-		// allocations and 90 bytes, as at the parent.
-		{"Q1 local with a subscriber", allocGate{query: "Q1", subscribe: true, chunk: 10, window: 200, warm: 400, runs: 200}, 1.5, 100},
-		// Reads 0.922 allocations and 94 bytes; the parent read 1.023
-		// and 103, and building a relation per deal and piece read 3.03
-		// and 1,187.
-		{"Q3 Distributed(2)", q3dist, 1.25, 150},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			allocs, bytes := allocsPerChangedTuple(t, c.gate)
-			t.Logf("%s: %.3f allocations and %.0f bytes per changed tuple", c.name, allocs, bytes)
-			if allocs > c.allocs {
-				t.Errorf("allocates %.3f times per changed tuple, want <= %.3f", allocs, c.allocs)
-			}
-			if bytes > c.nbytes {
-				t.Errorf("allocates %.0f bytes per changed tuple, want <= %.0f", bytes, c.nbytes)
-			}
-		})
+// allocBound bounds the allocations and the bytes of Apply per changed
+// tuple on one gate's stream. Allocation counts do not depend on the
+// host, so the bounds are exact.
+type allocBound struct {
+	name           string
+	gate           allocGate
+	allocs, nbytes float64
+}
+
+func (b allocBound) check(t *testing.T) {
+	allocs, bytes := allocsPerChangedTuple(t, b.gate)
+	t.Logf("%s: %.3f allocations and %.0f bytes per changed tuple", b.name, allocs, bytes)
+	if allocs > b.allocs {
+		t.Errorf("allocates %.3f times per changed tuple, want <= %.3f", allocs, b.allocs)
+	}
+	if bytes > b.nbytes {
+		t.Errorf("allocates %.0f bytes per changed tuple, want <= %.0f", bytes, b.nbytes)
 	}
 }
+
+var (
+	q3Gate = allocGate{query: "Q3", chunk: 100, window: 20, warm: 40, runs: 40}
+
+	// Reads 0.005 allocations and under 1 byte; a Go slice per index key
+	// read 0.048 allocations.
+	q3LocalBound = allocBound{"Q3 local", q3Gate, 0.02, 8}
+
+	// Ten changes per transaction: per-transaction and per-statement
+	// costs of serving and evaluation dominate. Reads 0.852 allocations
+	// and 90 bytes.
+	q1LocalBound = allocBound{"Q1 local with a subscriber",
+		allocGate{query: "Q1", subscribe: true, chunk: 10, window: 200, warm: 400, runs: 200}, 1.5, 100}
+
+	// A distributed stage builds no relation of its own: installs refill
+	// the fragments a shard owns, an exchange deals rows instead of
+	// building a relation per destination, and the simulator sizes a
+	// shuffle without encoding it. Reads 0.922 allocations and 94 bytes;
+	// building a relation per deal and piece read 3.03 and 1,187.
+	q3DistBound = allocBound{"Q3 Distributed(2)", func() allocGate {
+		g := q3Gate
+		g.opts = []Option{Distributed(2), KeyRanks(tpch.PrimaryKeyRanks)}
+		return g
+	}(), 1.25, 150}
+)
+
+// TestStorageAllocGates is the tier-1 gate on evaluation allocations,
+// one row per engine stream. A stored tuple or group costs no allocation
+// of its own and scratch relations are reused across statements, so
+// what is left per changed tuple is transaction and transport overhead.
+func TestStorageAllocGates(t *testing.T) {
+	for _, b := range []allocBound{q3LocalBound, q1LocalBound, q3DistBound} {
+		t.Run(b.name, b.check)
+	}
+}
+
+// TestQ3AllocsPerChangedTuple runs the Q3 local row of
+// TestStorageAllocGates on its own: a local Q3 engine, 100 stream events
+// per transaction.
+func TestQ3AllocsPerChangedTuple(t *testing.T) { q3LocalBound.check(t) }
+
+// TestQ1AllocsPerChangedTuple runs the Q1 row of TestStorageAllocGates
+// on its own: small transactions on a local engine serving a subscriber.
+func TestQ1AllocsPerChangedTuple(t *testing.T) { q1LocalBound.check(t) }
+
+// TestDistributedStageAllocGate runs the Q3 Distributed(2) row of
+// TestStorageAllocGates on its own.
+func TestDistributedStageAllocGate(t *testing.T) { q3DistBound.check(t) }
 
 // TestPayloadAllocGates holds every relation payload to being written
 // once, straight into the WAL record or request it travels in, and read
