@@ -21,7 +21,7 @@ func TestQ3TxBuildBytesPerChangedTuple(t *testing.T) {
 	const (
 		txs        = 1000
 		perTx      = 100
-		bytesBound = 768.0 // bytes per changed tuple: 698.1 measured, plus 10 %
+		bytesBound = 440.0 // bytes per changed tuple: 399.6 measured, plus 10 %
 		allocBound = 0.60  // allocations per changed tuple: 0.547 measured, plus 10 %
 	)
 	q, err := tpch.QueryByName("Q3")

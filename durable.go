@@ -19,8 +19,8 @@ import (
 // forced through Engine.Checkpoint, automatic with CheckpointEvery, and
 // final on Close — snapshot the full materialized state and truncate
 // the log. Opening an engine (or registry) on an existing directory
-// recovers: the newest valid checkpoint restores every relation's exact
-// physical layout and the WAL tail replays through the normal
+// recovers: the newest valid checkpoint restores every relation's
+// contents and insertion order, and the WAL tail replays through the normal
 // maintenance path, so Result and the subscriber delta stream continue
 // bitwise-identical to an engine that never crashed, on the local and
 // the cluster backends alike (workers re-warm from the recovered

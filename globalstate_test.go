@@ -140,6 +140,26 @@ func TestOneWireCodec(t *testing.T) {
 	}
 }
 
+// TestUnsafeConfined is the guard for memory safety: only
+// internal/mring/value.go, which packs a string into a Value as its data
+// pointer and length, may import unsafe among the non-test Go files
+// outside benchmark/.
+func TestUnsafeConfined(t *testing.T) {
+	fset, files := moduleFiles(t)
+	var bad []string
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			pos := fset.Position(imp.Pos())
+			if imp.Path.Value == `"unsafe"` && filepath.ToSlash(pos.Filename) != "internal/mring/value.go" {
+				bad = append(bad, fmt.Sprintf("%s: imports unsafe", pos))
+			}
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("unsafe outside internal/mring/value.go:\n  %s", strings.Join(bad, "\n  "))
+	}
+}
+
 // TestBenchEvaluatesNothing is the guard for the experiment harness:
 // every maintenance strategy internal/bench measures is a compiled
 // program run by compile.Executor and counted by its eval.Stats, so no

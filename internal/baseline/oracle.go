@@ -302,10 +302,10 @@ func key(t mring.Tuple) string {
 
 func appendKey(b []byte, v mring.Value) []byte {
 	switch f := v.AsFloat(); {
-	case v.K == mring.KString:
-		b = strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10)
-		return append(append(b, ':'), v.S...)
-	case v.K == mring.KInt:
+	case v.Kind() == mring.KString:
+		b = strconv.AppendInt(append(b, 's'), int64(len(v.Text())), 10)
+		return append(append(b, ':'), v.Text()...)
+	case v.Kind() == mring.KInt:
 		b = strconv.AppendInt(append(b, 'n'), v.I, 10)
 	case math.IsNaN(f):
 		b = strconv.AppendUint(append(b, "nan"...), math.Float64bits(f), 16)
@@ -320,10 +320,10 @@ func appendKey(b []byte, v mring.Value) []byte {
 // same reports whether two values have one key.
 func same(a, b mring.Value) bool {
 	switch {
-	case a.K == mring.KInt && b.K == mring.KInt:
+	case a.Kind() == mring.KInt && b.Kind() == mring.KInt:
 		return a.I == b.I
-	case a.K == mring.KString || b.K == mring.KString:
-		return a.K == b.K && a.S == b.S
+	case a.Kind() == mring.KString || b.Kind() == mring.KString:
+		return a.Kind() == b.Kind() && a.Text() == b.Text()
 	}
 	var ka, kb [32]byte
 	return string(appendKey(ka[:0], a)) == string(appendKey(kb[:0], b))

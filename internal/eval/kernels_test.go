@@ -25,12 +25,6 @@ var kernelOperands = []mring.Value{
 	mring.Str("1e400"), mring.Str("NaN"),
 }
 
-// sameValue reports whether two values are identical, float bits
-// included.
-func sameValue(x, y mring.Value) bool {
-	return x == y
-}
-
 type countSink struct{ m float64 }
 
 func (s *countSink) emit(_ *Ctx, m float64) { s.m += m }
@@ -65,7 +59,7 @@ func checkKernels(t *testing.T, a, b mring.Value) {
 				t.Fatalf("%v with a=%v b=%v: float path %v (%#x), want %v (%#x)",
 					c.e, a, b, got, math.Float64bits(got), c.want.AsFloat(), math.Float64bits(c.want.AsFloat()))
 			}
-			if got := v.val(frame); !sameValue(got, c.want) {
+			if got := v.val(frame); !got.Identical(c.want) {
 				t.Fatalf("%v with a=%v b=%v: value path %#v, want %#v", c.e, a, b, got, c.want)
 			}
 		}
@@ -120,8 +114,8 @@ func TestFloorDivRange(t *testing.T) {
 		{math.NaN(), 3, mring.Float(math.NaN())},
 	} {
 		got := expr.ArithV(expr.VFloorDiv, c.l, c.r)
-		if got != c.want {
-			t.Errorf("%g // %g = %#v, want %#v", c.l, c.r, got, c.want)
+		if !got.Identical(c.want) {
+			t.Errorf("%g // %g = %v %v, want %v %v", c.l, c.r, got.Kind(), got, c.want.Kind(), c.want)
 		}
 		if f := arith(expr.VFloorDiv, c.l, c.r); math.Float64bits(f) != math.Float64bits(got.AsFloat()) {
 			t.Errorf("%g // %g: float path %#x, value path %#x", c.l, c.r, math.Float64bits(f), math.Float64bits(got.AsFloat()))

@@ -272,7 +272,7 @@ func (l *lowerer) lower(e expr.Expr, in state, k sink) (node, state) {
 	case *expr.Cmp:
 		lv, rv := l.value(x.L, in), l.value(x.R, in)
 		s, slot := lv.(vslot)
-		if c, ok := rv.(vconst); slot && ok && c.v.K == mring.KInt {
+		if c, ok := rv.(vconst); slot && ok && c.v.Kind() == mring.KInt {
 			return &cmpIntNode{op: x.Op, slot: int(s), lit: c.v.I, k: k}, in
 		}
 		return &cmpNode{op: x.Op, l: lv, r: rv, k: k}, in
@@ -522,7 +522,7 @@ func (n *cmpIntNode) run(c *Ctx) {
 // cmpInt is expr.EvalCmp(op, *v, mring.Int(lit)), comparing the integers
 // directly when v holds one.
 func cmpInt(op expr.CmpOp, v *mring.Value, lit int64) bool {
-	if v.K != mring.KInt {
+	if v.Kind() != mring.KInt {
 		return expr.EvalCmp(op, *v, mring.Int(lit))
 	}
 	switch op {

@@ -44,12 +44,50 @@ func TestTreeCodecRoundTrip(t *testing.T) {
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
+	if !identicalTrees(reflect.ValueOf(in), reflect.ValueOf(out)) {
 		t.Fatalf("round trip gave %s, want %s", out, in)
 	}
 	if again := writeTree(out); string(again) != string(b) {
 		t.Fatal("re-encoding differs")
 	}
+}
+
+// identicalTrees is reflect.DeepEqual on a tree of exported fields,
+// except that it holds each mring.Value to Identical: DeepEqual would
+// compare a string Value's data pointer, and a decoded string has bytes
+// of its own.
+func identicalTrees(a, b reflect.Value) bool {
+	if a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Interface, reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return identicalTrees(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := range a.Len() {
+			if !identicalTrees(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		if v, ok := a.Interface().(mring.Value); ok {
+			return v.Identical(b.Interface().(mring.Value))
+		}
+		for i := range a.NumField() {
+			if !identicalTrees(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.DeepEqual(a.Interface(), b.Interface())
 }
 
 // TestTreeCodecRefusesMalformed pins the decoder's refusals: unknown

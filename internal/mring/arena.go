@@ -11,10 +11,15 @@ import (
 // one chunk and moves nothing, so a tuple handed out by at stays where it
 // is until its own slot is overwritten or zeroed — a contiguous arena
 // that doubled would copy every stored value on each growth instead.
+//
+// Only strings put heap pointers in a Value, so until the arena first
+// stores one (strs), a freed slot holds nothing for the collector to
+// release and zero leaves it as it is.
 type arena struct {
 	arity  int
 	chunks [][]Value
-	slots  int // tuples the chunks hold
+	slots  int  // tuples the chunks hold
+	strs   bool // a string was ever put; never cleared
 }
 
 const (
@@ -55,7 +60,14 @@ func (a *arena) put(s int32, t Tuple) {
 		a.slots += n
 	}
 	copy(a.at(s), t)
+	for i := 0; i < len(t) && !a.strs; i++ {
+		a.strs = t[i].isStr()
+	}
 }
 
 // zero clears slot s, so the strings it held can be collected.
-func (a *arena) zero(s int32) { clear(a.at(s)) }
+func (a *arena) zero(s int32) {
+	if a.strs {
+		clear(a.at(s))
+	}
+}

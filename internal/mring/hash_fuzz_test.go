@@ -46,24 +46,24 @@ func fuzzTuple(data []byte, arity int) (Tuple, []byte, bool) {
 
 // exact is the exact value of a number that is not NaN.
 func exact(v Value) *big.Float {
-	if v.K == KInt {
+	if v.Kind() == KInt {
 		return new(big.Float).SetInt64(v.I)
 	}
 	return new(big.Float).SetFloat64(v.AsFloat())
 }
 
-func isNaN(v Value) bool { return v.K == KFloat && math.IsNaN(v.AsFloat()) }
+func isNaN(v Value) bool { return v.Kind() == KFloat && math.IsNaN(v.AsFloat()) }
 
 // exactKeyEqual spells out the storage identity of two values without
 // numKey: strings by their bytes, NaNs by their bits, and any other two
 // numbers by exact value (so -0 is 0, Float(3) is Int(3), and no two
 // distinct integers are one key).
 func exactKeyEqual(a, b Value) bool {
-	if a.K == KString || b.K == KString {
-		return a.K == b.K && a.S == b.S
+	if a.Kind() == KString || b.Kind() == KString {
+		return a.Kind() == b.Kind() && a.Text() == b.Text()
 	}
 	if isNaN(a) || isNaN(b) {
-		return a == b
+		return a.Identical(b)
 	}
 	return exact(a).Cmp(exact(b)) == 0
 }

@@ -3,8 +3,12 @@ package mring
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
+	"weak"
 )
 
 func tup(vs ...any) Tuple {
@@ -290,6 +294,38 @@ func TestForeachSortedHandsOutCopies(t *testing.T) {
 	for i, tp := range kept {
 		if want := tup(i, fmt.Sprintf("name-%d", i)); !tp.Equal(want) {
 			t.Fatalf("kept tuple %d reads %v, want %v", i, tp, want)
+		}
+	}
+}
+
+// TestClearReleasesStrings checks that a relation lets go of a string's
+// bytes once the tuple holding it is removed or the relation cleared:
+// an arena skips zeroing freed slots only while it has never stored a
+// string. It covers a relation that held strings from the start and one
+// that held only numbers, was cleared, and then stored a string.
+func TestClearReleasesStrings(t *testing.T) {
+	str := func() string { return strings.Repeat("s", 64) } // fresh heap bytes per call
+	for _, numbersFirst := range []bool{false, true} {
+		for _, how := range []string{"remove", "Clear"} {
+			r := NewRelation(Schema{"k", "s"})
+			if numbersFirst {
+				r.Add(Tuple{Int(1), Float(2)}, 1)
+				r.Clear()
+			}
+			s := str()
+			bytes := weak.Make(unsafe.StringData(s))
+			r.Add(Tuple{Int(1), Str(s)}, 1)
+			r.Add(Tuple{Int(2), Float(3)}, 1)
+			if how == "remove" {
+				r.Add(Tuple{Int(1), Str(str())}, -1)
+			} else {
+				r.Clear()
+			}
+			runtime.GC()
+			if bytes.Value() != nil {
+				t.Errorf("numbers first %v, after %s: the relation still holds the string's bytes", numbersFirst, how)
+			}
+			runtime.KeepAlive(r)
 		}
 	}
 }

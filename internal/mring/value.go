@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unsafe"
 )
 
 // Kind enumerates the value types supported in tuples.
@@ -34,39 +35,81 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is a tagged union holding one column value of a tuple, in 32
-// bytes on 64-bit platforms (20 on 32-bit): a KInt keeps its integer in
-// I, a KFloat keeps its float's IEEE bits in I, and a KString keeps its
-// string in S. The zero Value is the integer 0.
+// Value is a tagged union holding one column value of a tuple, in two
+// words: 16 bytes on 64-bit platforms, 12 on 32-bit. A KInt has a nil p
+// and keeps its integer in I, so the zero Value is the integer 0. A
+// KFloat has p at floatTag and keeps its float's IEEE bits in I. A
+// KString has p at its string's bytes (at emptyTag when it is empty) and
+// its length in I. So a number holds no heap pointer, and the collector
+// finds nothing to mark in values that hold no strings.
 //
-// Go's == on Values compares those words: it is reflexive on NaN and
-// tells -0 from +0. Value identity is Equal (predicates) or KeyEqual
-// (storage), never ==.
+// Values are not comparable: == on two strings would compare their
+// addresses. Value identity is Equal (predicates) or KeyEqual (storage);
+// Identical tells kinds and bits apart as well.
 type Value struct {
-	K Kind
+	_ [0]func()
+	p unsafe.Pointer
 	I int64
-	S string
 }
 
+// floatTag and emptyTag are never written: only their addresses are used,
+// as the p of every KFloat and of the empty KString.
+var floatTag, emptyTag byte
+
 // Int returns an integer Value.
-func Int(i int64) Value { return Value{K: KInt, I: i} }
+func Int(i int64) Value { return Value{I: i} }
 
 // Float returns a floating-point Value.
-func Float(f float64) Value { return Value{K: KFloat, I: int64(math.Float64bits(f))} }
+func Float(f float64) Value {
+	return Value{p: unsafe.Pointer(&floatTag), I: int64(math.Float64bits(f))}
+}
 
-// String returns a string Value.
-func Str(s string) Value { return Value{K: KString, S: s} }
+// Str returns a string Value. It shares s's bytes.
+func Str(s string) Value {
+	if len(s) == 0 {
+		return Value{p: unsafe.Pointer(&emptyTag)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(s)), I: int64(len(s))}
+}
+
+// Kind returns the value's kind.
+func (v Value) Kind() Kind {
+	switch v.p {
+	case nil:
+		return KInt
+	case unsafe.Pointer(&floatTag):
+		return KFloat
+	}
+	return KString
+}
+
+func (v Value) isStr() bool { return v.p != nil && v.p != unsafe.Pointer(&floatTag) }
+
+// Text returns a KString's string, and "" for a number.
+func (v Value) Text() string {
+	if !v.isStr() {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.I))
+}
+
+// Identical reports whether two values have the same kind, the same bits
+// and the same string bytes: -0 is not 0, Int(3) is not Float(3), and a
+// NaN is identical to itself when its payload is.
+func (v Value) Identical(o Value) bool {
+	return v.Kind() == o.Kind() && v.I == o.I && v.Text() == o.Text()
+}
 
 // AsFloat converts the value to float64 for arithmetic.
 // Strings convert to their parse result, or 0 if unparsable.
 func (v Value) AsFloat() float64 {
-	switch v.K {
+	switch v.Kind() {
 	case KInt:
 		return float64(v.I)
 	case KFloat:
 		return math.Float64frombits(uint64(v.I))
 	default:
-		f, _ := strconv.ParseFloat(v.S, 64)
+		f, _ := strconv.ParseFloat(v.Text(), 64)
 		return f
 	}
 }
@@ -75,7 +118,7 @@ func (v Value) AsFloat() float64 {
 // past the int64 range saturates, and NaN gives 0. A string parses as a
 // decimal integer, saturating too, and gives 0 when it is none.
 func (v Value) AsInt() int64 {
-	switch v.K {
+	switch v.Kind() {
 	case KInt:
 		return v.I
 	case KFloat:
@@ -90,7 +133,7 @@ func (v Value) AsInt() int64 {
 			return 0
 		}
 	default:
-		i, _ := strconv.ParseInt(v.S, 10, 64)
+		i, _ := strconv.ParseInt(v.Text(), 10, 64)
 		return i
 	}
 }
@@ -101,7 +144,7 @@ func (v Value) AsInt() int64 {
 // Float(3), Int(2^53+1) does not equal Float(2^53)), and strings compare
 // only to strings.
 func (v Value) Equal(o Value) bool {
-	return v.KeyEqual(o) && !(v.K == KFloat && math.IsNaN(v.AsFloat()))
+	return v.KeyEqual(o) && !(v.Kind() == KFloat && math.IsNaN(v.AsFloat()))
 }
 
 // KeyEqual reports whether two values are the same key: the storage
@@ -110,8 +153,8 @@ func (v Value) Equal(o Value) bool {
 // integers never are. It differs from Equal only on NaN, which is one key
 // with itself.
 func (v Value) KeyEqual(o Value) bool {
-	if v.K == KString || o.K == KString {
-		return v.K == KString && o.K == KString && v.S == o.S
+	if v.isStr() || o.isStr() {
+		return v.isStr() && o.isStr() && v.Text() == o.Text()
 	}
 	vt, vw := numKey(v)
 	ot, ow := numKey(o)
@@ -121,23 +164,23 @@ func (v Value) KeyEqual(o Value) bool {
 // Less reports whether v sorts before o. Numbers sort before strings;
 // mixed numeric kinds compare by exact value, and NaN is unordered.
 func (v Value) Less(o Value) bool {
-	if v.K == KString || o.K == KString {
-		if v.K != KString {
+	if v.isStr() || o.isStr() {
+		if !v.isStr() {
 			return true
 		}
-		if o.K != KString {
+		if !o.isStr() {
 			return false
 		}
-		return v.S < o.S
+		return v.Text() < o.Text()
 	}
 	switch {
-	case v.K == KInt && o.K == KInt:
+	case v.Kind() == KInt && o.Kind() == KInt:
 		return v.I < o.I
-	case v.K == KInt:
+	case v.Kind() == KInt:
 		// For an integer x, x < f exactly when x < ceil(f).
 		f := o.AsFloat()
 		return f >= 0x1p63 || f >= -0x1p63 && v.I < int64(math.Ceil(f))
-	case o.K == KInt:
+	case o.Kind() == KInt:
 		// For an integer x, f < x exactly when floor(f) < x.
 		f := v.AsFloat()
 		return f < -0x1p63 || f < 0x1p63 && int64(math.Floor(f)) < o.I
@@ -157,13 +200,13 @@ func (v Value) Compare(o Value) int {
 }
 
 func (v Value) String() string {
-	switch v.K {
+	switch v.Kind() {
 	case KInt:
 		return strconv.FormatInt(v.I, 10)
 	case KFloat:
 		return strconv.FormatFloat(math.Float64frombits(uint64(v.I)), 'g', -1, 64)
 	default:
-		return strconv.Quote(v.S)
+		return strconv.Quote(v.Text())
 	}
 }
 
@@ -222,10 +265,10 @@ func (t Tuple) String() string {
 func (t Tuple) EncodeKey(dst []byte) []byte {
 	var buf [9]byte
 	for _, v := range t {
-		if v.K == KString {
+		if v.isStr() {
 			dst = append(dst, 's')
-			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-			dst = append(dst, v.S...)
+			dst = binary.AppendUvarint(dst, uint64(len(v.Text())))
+			dst = append(dst, v.Text()...)
 			continue
 		}
 		tag, w := numKey(v)
@@ -262,8 +305,8 @@ func mixWord(h, v uint64) uint64 {
 
 // hashValue folds one value into the running state.
 func hashValue(h uint64, v Value) uint64 {
-	if v.K == KString {
-		s := v.S
+	if v.isStr() {
+		s := v.Text()
 		h = mixWord(h, hashTagStr+uint64(len(s)))
 		for len(s) >= 8 {
 			w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
@@ -290,7 +333,7 @@ func hashValue(h uint64, v Value) uint64 {
 // -0 is 0; the range is checked first because Go leaves int64(f) out of
 // range to the CPU. Any other float is its bits, so NaN is reflexive.
 func numKey(v Value) (tag, word uint64) {
-	if v.K == KInt {
+	if v.p == nil { // a KInt
 		return hashTagInt, uint64(v.I)
 	}
 	if f := math.Float64frombits(uint64(v.I)); f >= -0x1p63 && f < 0x1p63 {

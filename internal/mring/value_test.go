@@ -2,6 +2,7 @@ package mring_test
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"testing"
 	"unsafe"
@@ -26,17 +27,67 @@ var edgeFloats = []float64{
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// TestValueLayout pins the Value layout, a kind and two words, and checks
-// that every edge float keeps its bits through Float/AsFloat, the wire
-// encoding and the columnar batch encoding.
+// TestValueLayout pins the Value layout, a pointer word and an int64,
+// and checks that every constructor reports its kind, that strings keep
+// their bytes and compare by them wherever they are stored, that Values
+// cannot be compared with ==, and that every edge float keeps its bits
+// through Float/AsFloat, the wire encoding and the columnar batch
+// encoding.
 func TestValueLayout(t *testing.T) {
-	want := uintptr(32)
-	if strconv.IntSize == 32 {
-		want = 20 // 32-bit platforms align an int64 field to 4 bytes
-	}
-	if got := unsafe.Sizeof(mring.Value{}); got != want {
+	if got, want := unsafe.Sizeof(mring.Value{}), 8+unsafe.Sizeof(uintptr(0)); got != want {
 		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want %d", got, want)
 	}
+	if reflect.TypeOf(mring.Value{}).Comparable() {
+		t.Fatal("Value is comparable; == would compare string addresses")
+	}
+	for _, c := range []struct {
+		v    mring.Value
+		want mring.Kind
+	}{
+		{mring.Value{}, mring.KInt},
+		{mring.Int(-7), mring.KInt},
+		{mring.Float(0), mring.KFloat},
+		{mring.Float(math.NaN()), mring.KFloat},
+		{mring.Str(""), mring.KString},
+		{mring.Str("x"), mring.KString},
+	} {
+		if got := c.v.Kind(); got != c.want {
+			t.Errorf("%v.Kind() = %v, want %v", c.v, got, c.want)
+		}
+	}
+
+	long := strconv.Itoa(1234567890) + "-suffix"
+	var e wire.Enc
+	e.Tuple(mring.Tuple{mring.Str(long)})
+	d := wire.NewDec(e.B)
+	decoded := make(mring.Tuple, 1)
+	d.Tuple(decoded)
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		v    mring.Value
+		want string
+	}{
+		{mring.Str(long[3:9]), "456789"},
+		{mring.Str(""), ""},
+		{mring.Str(long[:0]), ""},
+		{mring.Str("literal"), "literal"},
+		{decoded[0], long},
+		{mring.Int(5), ""},
+		{mring.Float(5), ""},
+	} {
+		if got := c.v.Text(); got != c.want {
+			t.Errorf("%v.Text() = %q, want %q", c.v, got, c.want)
+		}
+	}
+
+	x, y := mring.Str(long), mring.Str(string([]byte(long)))
+	if !x.KeyEqual(y) || !x.Equal(y) || !x.Identical(y) || x.Compare(y) != 0 ||
+		(mring.Tuple{x}).Hash() != (mring.Tuple{y}).Hash() {
+		t.Errorf("equal strings in different backing arrays are not one value")
+	}
+
 	for _, f := range edgeFloats {
 		if got := mring.Float(f).AsFloat(); !sameBits(got, f) {
 			t.Errorf("Float(%#x).AsFloat() = %#x", math.Float64bits(f), math.Float64bits(got))
@@ -47,16 +98,16 @@ func TestValueLayout(t *testing.T) {
 	for i, f := range edgeFloats {
 		in[i] = mring.Float(f)
 	}
-	var e wire.Enc
+	e = wire.Enc{}
 	e.Tuple(in)
-	d := wire.NewDec(e.B)
+	d = wire.NewDec(e.B)
 	out := make(mring.Tuple, len(in))
 	d.Tuple(out)
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
 	for i, f := range edgeFloats {
-		if out[i].K != mring.KFloat || !sameBits(out[i].AsFloat(), f) {
+		if out[i].Kind() != mring.KFloat || !sameBits(out[i].AsFloat(), f) {
 			t.Errorf("wire round trip of %#x gave %v", math.Float64bits(f), out[i])
 		}
 	}
@@ -79,7 +130,7 @@ func TestValueLayout(t *testing.T) {
 	i := 0
 	b.Foreach(func(got mring.Tuple, _ float64) {
 		for j := range got {
-			if got[j] != rows[i][j] {
+			if !got[j].Identical(rows[i][j]) {
 				t.Errorf("columnar round trip of row %d column %d: got %v, want %v", i, j, got[j], rows[i][j])
 			}
 		}

@@ -65,8 +65,8 @@ func requireLegacyOrder(t *testing.T, label string, visit func(func(mring.Tuple,
 		}
 		for j, v := range tp {
 			w := want.t[j]
-			if v.K != w.K || v.I != w.I || v.S != w.S {
-				t.Fatalf("%s: row %d column %d is %#v, want %#v", label, i, j, v, w)
+			if !v.Identical(w) {
+				t.Fatalf("%s: row %d column %d is %v %v, want %v %v", label, i, j, v.Kind(), v, w.Kind(), w)
 			}
 		}
 		i++

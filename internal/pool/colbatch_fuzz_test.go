@@ -29,12 +29,6 @@ func fuzzSeedBatches(t testing.TB) []*ColBatch {
 	return []*ColBatch{empty, ints, mixed, tagged}
 }
 
-// sameValue reports whether two values have the same kind and bits: NaNs
-// compare equal, -0 differs from +0.
-func sameValue(a, b mring.Value) bool {
-	return a == b
-}
-
 // rowsEqual reports whether b holds want's rows in want's order, each
 // value and multiplicity with the same kind and bits.
 func rowsEqual(b Rows, want rowList) bool {
@@ -46,7 +40,7 @@ func rowsEqual(b Rows, want rowList) bool {
 		w := want[i]
 		ok = ok && len(t) == len(w.t) && math.Float64bits(m) == math.Float64bits(w.m)
 		for j := range t {
-			ok = ok && sameValue(t[j], w.t[j])
+			ok = ok && t[j].Identical(w.t[j])
 		}
 		i++
 	})

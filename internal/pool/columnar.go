@@ -106,25 +106,25 @@ func (w *Writer) addRow(t mring.Tuple, m float64) {
 	}
 	if w.n == 0 {
 		for i, v := range t {
-			w.kinds[i] = v.K
+			w.kinds[i] = v.Kind()
 		}
 	}
 	w.n++
 	for i, v := range t {
-		if v.K != w.kinds[i] {
+		if v.Kind() != w.kinds[i] {
 			if w.kinds[i] != Mixed {
 				w.kinds[i], w.cols[i], w.mixed = Mixed, w.cols[i][:0], true
 			}
 			continue
 		}
 		e := wire.Enc{B: w.cols[i]}
-		switch v.K {
+		switch v.Kind() {
 		case mring.KInt:
 			e.Varint(v.I)
 		case mring.KFloat:
 			e.Float(v.AsFloat())
 		default:
-			e.Str(v.S)
+			e.Str(v.Text())
 		}
 		w.cols[i] = e.B
 	}
@@ -331,13 +331,13 @@ func EncodedSize(schema mring.Schema, r Rows) int {
 		size += uvarintLen(uint64(len(name))) + len(name) + 1
 	}
 	kinds := columnKinds(r, len(schema), func(v mring.Value) {
-		switch v.K {
+		switch v.Kind() {
 		case mring.KInt:
 			size += varintLen(v.I)
 		case mring.KFloat:
 			size += 8
 		default:
-			size += uvarintLen(uint64(len(v.S))) + len(v.S)
+			size += uvarintLen(uint64(len(v.Text()))) + len(v.Text())
 		}
 	})
 	for _, k := range kinds {
@@ -356,9 +356,9 @@ func columnKinds(r Rows, arity int, each func(v mring.Value)) []mring.Kind {
 	first := true
 	r.Foreach(func(t mring.Tuple, _ float64) {
 		for i, v := range t {
-			if v.K != kinds[i] {
+			if v.Kind() != kinds[i] {
 				if first {
-					kinds[i] = v.K
+					kinds[i] = v.Kind()
 				} else {
 					kinds[i] = Mixed
 				}

@@ -243,8 +243,8 @@ func TestFromRowsMixedColumns(t *testing.T) {
 	for i, tp := range got {
 		for j, v := range tp {
 			w := src[i][j]
-			if v.K != w.K || v.I != w.I || v.S != w.S {
-				t.Fatalf("row %d column %d: got %#v, want %#v", i, j, v, w)
+			if !v.Identical(w) {
+				t.Fatalf("row %d column %d: got %v %v, want %v %v", i, j, v.Kind(), v, w.Kind(), w)
 			}
 		}
 	}

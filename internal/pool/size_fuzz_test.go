@@ -131,8 +131,8 @@ func FuzzEncodedSize(f *testing.F) {
 		dec.Foreach(func(tp mring.Tuple, m float64) {
 			for j, v := range tp {
 				w := want[i][j]
-				if v.K != w.K || v.I != w.I || v.S != w.S {
-					t.Fatalf("row %d column %d: decoded %#v, relation holds %#v", i, j, v, w)
+				if !v.Identical(w) {
+					t.Fatalf("row %d column %d: decoded %v %v, relation holds %v %v", i, j, v.Kind(), v, w.Kind(), w)
 				}
 			}
 			if math.Float64bits(m) != math.Float64bits(mults[i]) {

@@ -44,8 +44,8 @@ func TestGeneratorArities(t *testing.T) {
 			t.Errorf("%s: kinds arity mismatch", table)
 		}
 		for i, v := range tp {
-			if v.K != kinds[i] {
-				t.Errorf("%s col %s: kind %v != declared %v", table, schema[i], v.K, kinds[i])
+			if v.Kind() != kinds[i] {
+				t.Errorf("%s col %s: kind %v != declared %v", table, schema[i], v.Kind(), kinds[i])
 			}
 		}
 	}

@@ -104,15 +104,15 @@ func (e *Enc) Value(v mring.Value) { e.Tuple(mring.Tuple{v}) }
 func (e *Enc) Tuple(t mring.Tuple) {
 	b := e.B
 	for _, v := range t {
-		b = append(b, byte(v.K))
-		switch v.K {
+		b = append(b, byte(v.Kind()))
+		switch v.Kind() {
 		case mring.KInt:
 			b = binary.AppendVarint(b, v.I)
 		case mring.KFloat:
 			b = binary.LittleEndian.AppendUint64(b, uint64(v.I))
 		default:
-			b = binary.AppendUvarint(b, uint64(len(v.S)))
-			b = append(b, v.S...)
+			b = binary.AppendUvarint(b, uint64(len(v.Text())))
+			b = append(b, v.Text()...)
 		}
 	}
 	e.B = b

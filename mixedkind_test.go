@@ -150,8 +150,8 @@ func TestMixedKindColumnsAcrossBackends(t *testing.T) {
 	}
 	kinds := map[string]bool{}
 	local.Result().Foreach(func(tp Tuple, _ float64) {
-		kinds["k"+tp[0].K.String()] = true
-		kinds["v"+tp[1].K.String()] = true
+		kinds["k"+tp[0].Kind().String()] = true
+		kinds["v"+tp[1].Kind().String()] = true
 	})
 	if len(kinds) != 4 {
 		t.Fatalf("result groups carry kinds %v, want both kinds in both columns", kinds)
