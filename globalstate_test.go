@@ -143,7 +143,8 @@ func TestOneWireCodec(t *testing.T) {
 // TestUnsafeConfined is the guard for memory safety: only
 // internal/mring/value.go, which packs a string into a Value as its data
 // pointer and length, may import unsafe among the non-test Go files
-// outside benchmark/.
+// outside benchmark/. TestValueLayout holds those two words unexported,
+// so no other code can break the length the pointer is read by.
 func TestUnsafeConfined(t *testing.T) {
 	fset, files := moduleFiles(t)
 	var bad []string

@@ -306,7 +306,7 @@ func appendKey(b []byte, v mring.Value) []byte {
 		b = strconv.AppendInt(append(b, 's'), int64(len(v.Text())), 10)
 		return append(append(b, ':'), v.Text()...)
 	case v.Kind() == mring.KInt:
-		b = strconv.AppendInt(append(b, 'n'), v.I, 10)
+		b = strconv.AppendInt(append(b, 'n'), v.AsInt(), 10)
 	case math.IsNaN(f):
 		b = strconv.AppendUint(append(b, "nan"...), math.Float64bits(f), 16)
 	case math.IsInf(f, 0):
@@ -321,7 +321,7 @@ func appendKey(b []byte, v mring.Value) []byte {
 func same(a, b mring.Value) bool {
 	switch {
 	case a.Kind() == mring.KInt && b.Kind() == mring.KInt:
-		return a.I == b.I
+		return a.AsInt() == b.AsInt()
 	case a.Kind() == mring.KString || b.Kind() == mring.KString:
 		return a.Kind() == b.Kind() && a.Text() == b.Text()
 	}

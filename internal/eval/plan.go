@@ -273,7 +273,7 @@ func (l *lowerer) lower(e expr.Expr, in state, k sink) (node, state) {
 		lv, rv := l.value(x.L, in), l.value(x.R, in)
 		s, slot := lv.(vslot)
 		if c, ok := rv.(vconst); slot && ok && c.v.Kind() == mring.KInt {
-			return &cmpIntNode{op: x.Op, slot: int(s), lit: c.v.I, k: k}, in
+			return &cmpIntNode{op: x.Op, slot: int(s), lit: c.v.AsInt(), k: k}, in
 		}
 		return &cmpNode{op: x.Op, l: lv, r: rv, k: k}, in
 	case *expr.Rel:
@@ -525,19 +525,19 @@ func cmpInt(op expr.CmpOp, v *mring.Value, lit int64) bool {
 	if v.Kind() != mring.KInt {
 		return expr.EvalCmp(op, *v, mring.Int(lit))
 	}
-	switch op {
+	switch x := v.AsInt(); op {
 	case expr.CEq:
-		return v.I == lit
+		return x == lit
 	case expr.CNe:
-		return v.I != lit
+		return x != lit
 	case expr.CLt:
-		return v.I < lit
+		return x < lit
 	case expr.CLe:
-		return v.I <= lit
+		return x <= lit
 	case expr.CGt:
-		return v.I > lit
+		return x > lit
 	default:
-		return v.I >= lit
+		return x >= lit
 	}
 }
 

@@ -47,7 +47,7 @@ func fuzzTuple(data []byte, arity int) (Tuple, []byte, bool) {
 // exact is the exact value of a number that is not NaN.
 func exact(v Value) *big.Float {
 	if v.Kind() == KInt {
-		return new(big.Float).SetInt64(v.I)
+		return new(big.Float).SetInt64(v.n)
 	}
 	return new(big.Float).SetFloat64(v.AsFloat())
 }

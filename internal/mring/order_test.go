@@ -20,7 +20,7 @@ func orderPinStream(seed int64, hashFn func(Tuple) uint64) (foreach, probe, grou
 		return func(t Tuple, m float64) {
 			parts := make([]string, len(t))
 			for i, v := range t {
-				parts[i] = fmt.Sprint(v.I)
+				parts[i] = fmt.Sprint(v.n)
 			}
 			*out = append(*out, fmt.Sprintf("%s:%g", strings.Join(parts, "."), m))
 		}

@@ -251,7 +251,7 @@ func TestTupleProjectCloneHash(t *testing.T) {
 	a := tup(1, "x", 2.5)
 	c := a.Clone()
 	c[0] = Int(9)
-	if a[0].I != 1 {
+	if a[0].n != 1 {
 		t.Fatal("Clone shares storage")
 	}
 	p := a.Project([]int{2, 0})

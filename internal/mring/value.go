@@ -37,10 +37,11 @@ func (k Kind) String() string {
 
 // Value is a tagged union holding one column value of a tuple, in two
 // words: 16 bytes on 64-bit platforms, 12 on 32-bit. A KInt has a nil p
-// and keeps its integer in I, so the zero Value is the integer 0. A
-// KFloat has p at floatTag and keeps its float's IEEE bits in I. A
+// and keeps its integer in n, so the zero Value is the integer 0. A
+// KFloat has p at floatTag and keeps its float's IEEE bits in n. A
 // KString has p at its string's bytes (at emptyTag when it is empty) and
-// its length in I. So a number holds no heap pointer, and the collector
+// its length in n; both words are unexported, so only this file sets the
+// length Text reads by. A number holds no heap pointer, so the collector
 // finds nothing to mark in values that hold no strings.
 //
 // Values are not comparable: == on two strings would compare their
@@ -49,7 +50,7 @@ func (k Kind) String() string {
 type Value struct {
 	_ [0]func()
 	p unsafe.Pointer
-	I int64
+	n int64
 }
 
 // floatTag and emptyTag are never written: only their addresses are used,
@@ -57,11 +58,11 @@ type Value struct {
 var floatTag, emptyTag byte
 
 // Int returns an integer Value.
-func Int(i int64) Value { return Value{I: i} }
+func Int(i int64) Value { return Value{n: i} }
 
 // Float returns a floating-point Value.
 func Float(f float64) Value {
-	return Value{p: unsafe.Pointer(&floatTag), I: int64(math.Float64bits(f))}
+	return Value{p: unsafe.Pointer(&floatTag), n: int64(math.Float64bits(f))}
 }
 
 // Str returns a string Value. It shares s's bytes.
@@ -69,7 +70,7 @@ func Str(s string) Value {
 	if len(s) == 0 {
 		return Value{p: unsafe.Pointer(&emptyTag)}
 	}
-	return Value{p: unsafe.Pointer(unsafe.StringData(s)), I: int64(len(s))}
+	return Value{p: unsafe.Pointer(unsafe.StringData(s)), n: int64(len(s))}
 }
 
 // Kind returns the value's kind.
@@ -90,14 +91,14 @@ func (v Value) Text() string {
 	if !v.isStr() {
 		return ""
 	}
-	return unsafe.String((*byte)(v.p), int(v.I))
+	return unsafe.String((*byte)(v.p), int(v.n))
 }
 
 // Identical reports whether two values have the same kind, the same bits
 // and the same string bytes: -0 is not 0, Int(3) is not Float(3), and a
 // NaN is identical to itself when its payload is.
 func (v Value) Identical(o Value) bool {
-	return v.Kind() == o.Kind() && v.I == o.I && v.Text() == o.Text()
+	return v.Kind() == o.Kind() && v.n == o.n && v.Text() == o.Text()
 }
 
 // AsFloat converts the value to float64 for arithmetic.
@@ -105,9 +106,9 @@ func (v Value) Identical(o Value) bool {
 func (v Value) AsFloat() float64 {
 	switch v.Kind() {
 	case KInt:
-		return float64(v.I)
+		return float64(v.n)
 	case KFloat:
-		return math.Float64frombits(uint64(v.I))
+		return math.Float64frombits(uint64(v.n))
 	default:
 		f, _ := strconv.ParseFloat(v.Text(), 64)
 		return f
@@ -118,23 +119,26 @@ func (v Value) AsFloat() float64 {
 // past the int64 range saturates, and NaN gives 0. A string parses as a
 // decimal integer, saturating too, and gives 0 when it is none.
 func (v Value) AsInt() int64 {
-	switch v.Kind() {
-	case KInt:
-		return v.I
-	case KFloat:
-		switch f := math.Float64frombits(uint64(v.I)); {
-		case f >= 0x1p63:
-			return math.MaxInt64
-		case f >= -0x1p63:
-			return int64(f)
-		case f < -0x1p63:
-			return math.MinInt64
-		default: // NaN
-			return 0
-		}
-	default:
+	if v.p == nil {
+		return v.n
+	}
+	return v.convInt()
+}
+
+func (v Value) convInt() int64 {
+	if v.isStr() {
 		i, _ := strconv.ParseInt(v.Text(), 10, 64)
 		return i
+	}
+	switch f := math.Float64frombits(uint64(v.n)); {
+	case f >= 0x1p63:
+		return math.MaxInt64
+	case f >= -0x1p63:
+		return int64(f)
+	case f < -0x1p63:
+		return math.MinInt64
+	default: // NaN
+		return 0
 	}
 }
 
@@ -175,15 +179,15 @@ func (v Value) Less(o Value) bool {
 	}
 	switch {
 	case v.Kind() == KInt && o.Kind() == KInt:
-		return v.I < o.I
+		return v.n < o.n
 	case v.Kind() == KInt:
 		// For an integer x, x < f exactly when x < ceil(f).
 		f := o.AsFloat()
-		return f >= 0x1p63 || f >= -0x1p63 && v.I < int64(math.Ceil(f))
+		return f >= 0x1p63 || f >= -0x1p63 && v.n < int64(math.Ceil(f))
 	case o.Kind() == KInt:
 		// For an integer x, f < x exactly when floor(f) < x.
 		f := v.AsFloat()
-		return f < -0x1p63 || f < 0x1p63 && int64(math.Floor(f)) < o.I
+		return f < -0x1p63 || f < 0x1p63 && int64(math.Floor(f)) < o.n
 	}
 	return v.AsFloat() < o.AsFloat()
 }
@@ -202,9 +206,9 @@ func (v Value) Compare(o Value) int {
 func (v Value) String() string {
 	switch v.Kind() {
 	case KInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KFloat:
-		return strconv.FormatFloat(math.Float64frombits(uint64(v.I)), 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(uint64(v.n)), 'g', -1, 64)
 	default:
 		return strconv.Quote(v.Text())
 	}
@@ -334,14 +338,14 @@ func hashValue(h uint64, v Value) uint64 {
 // range to the CPU. Any other float is its bits, so NaN is reflexive.
 func numKey(v Value) (tag, word uint64) {
 	if v.p == nil { // a KInt
-		return hashTagInt, uint64(v.I)
+		return hashTagInt, uint64(v.n)
 	}
-	if f := math.Float64frombits(uint64(v.I)); f >= -0x1p63 && f < 0x1p63 {
+	if f := math.Float64frombits(uint64(v.n)); f >= -0x1p63 && f < 0x1p63 {
 		if i := int64(f); float64(i) == f {
 			return hashTagInt, uint64(i)
 		}
 	}
-	return hashTagFloat, uint64(v.I)
+	return hashTagFloat, uint64(v.n)
 }
 
 // hashFinish is murmur3's fmix64 avalanche, giving well-mixed bits for

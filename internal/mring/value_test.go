@@ -28,17 +28,24 @@ var edgeFloats = []float64{
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestValueLayout pins the Value layout, a pointer word and an int64,
-// and checks that every constructor reports its kind, that strings keep
-// their bytes and compare by them wherever they are stored, that Values
-// cannot be compared with ==, and that every edge float keeps its bits
-// through Float/AsFloat, the wire encoding and the columnar batch
-// encoding.
+// neither of them exported, and checks that every constructor reports
+// its kind, that strings keep their bytes and compare by them wherever
+// they are stored, that Values cannot be compared with ==, and that every
+// edge float keeps its bits through Float/AsFloat, the wire encoding and
+// the columnar batch encoding.
 func TestValueLayout(t *testing.T) {
 	if got, want := unsafe.Sizeof(mring.Value{}), 8+unsafe.Sizeof(uintptr(0)); got != want {
 		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want %d", got, want)
 	}
 	if reflect.TypeOf(mring.Value{}).Comparable() {
 		t.Fatal("Value is comparable; == would compare string addresses")
+	}
+	// A string's length word bounds what Text reads through its pointer,
+	// so no code outside the package may write either word.
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(mring.Value{})) {
+		if f.IsExported() {
+			t.Errorf("Value has the exported field %s", f.Name)
+		}
 	}
 	for _, c := range []struct {
 		v    mring.Value

@@ -120,7 +120,7 @@ func (w *Writer) addRow(t mring.Tuple, m float64) {
 		e := wire.Enc{B: w.cols[i]}
 		switch v.Kind() {
 		case mring.KInt:
-			e.Varint(v.I)
+			e.Varint(v.AsInt())
 		case mring.KFloat:
 			e.Float(v.AsFloat())
 		default:
@@ -333,7 +333,7 @@ func EncodedSize(schema mring.Schema, r Rows) int {
 	kinds := columnKinds(r, len(schema), func(v mring.Value) {
 		switch v.Kind() {
 		case mring.KInt:
-			size += varintLen(v.I)
+			size += varintLen(v.AsInt())
 		case mring.KFloat:
 			size += 8
 		default:

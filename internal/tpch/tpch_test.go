@@ -57,11 +57,11 @@ func TestForeignKeysInRange(t *testing.T) {
 	maxPart := int64(Cardinality(Part, 0.1))
 	for i := 0; i < 500; i++ {
 		tp := g.Tuple(Lineitem)
-		if tp[0].I < 1 || tp[0].I > maxOrder {
-			t.Fatalf("l_orderkey %d out of range [1,%d]", tp[0].I, maxOrder)
+		if tp[0].AsInt() < 1 || tp[0].AsInt() > maxOrder {
+			t.Fatalf("l_orderkey %d out of range [1,%d]", tp[0].AsInt(), maxOrder)
 		}
-		if tp[1].I < 1 || tp[1].I > maxPart {
-			t.Fatalf("l_partkey %d out of range", tp[1].I)
+		if tp[1].AsInt() < 1 || tp[1].AsInt() > maxPart {
+			t.Fatalf("l_partkey %d out of range", tp[1].AsInt())
 		}
 	}
 }

@@ -107,9 +107,9 @@ func (e *Enc) Tuple(t mring.Tuple) {
 		b = append(b, byte(v.Kind()))
 		switch v.Kind() {
 		case mring.KInt:
-			b = binary.AppendVarint(b, v.I)
+			b = binary.AppendVarint(b, v.AsInt())
 		case mring.KFloat:
-			b = binary.LittleEndian.AppendUint64(b, uint64(v.I))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.AsFloat()))
 		default:
 			b = binary.AppendUvarint(b, uint64(len(v.Text())))
 			b = append(b, v.Text()...)

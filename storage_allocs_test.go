@@ -22,14 +22,15 @@ type allocGate struct {
 	runs      int // measured transactions
 }
 
-// allocsPerChangedTuple warms an engine on the gate's stream and returns
-// the heap allocations of Apply per changed tuple over the following
-// transactions, the bytes they allocate per changed tuple, and then the
-// heap the collector must scan per tuple the engine's state keeps: the
-// scannable heap with the engine built, minus the same reading once it
-// is closed and dropped.
-func allocsPerChangedTuple(t *testing.T, g allocGate) (allocs, bytes, scan float64) {
+// measure warms an engine on the bound's stream and returns the heap
+// allocations of Apply per changed tuple over the following
+// transactions and the bytes they allocate per changed tuple. Where the
+// bound sets scan, it then returns the heap the collector must scan per
+// tuple the engine's state keeps: the scannable heap with the engine
+// built, minus the same reading once it is closed and dropped.
+func (b allocBound) measure(t *testing.T) (allocs, bytes, scan float64) {
 	t.Helper()
+	g := b.gate
 	q, err := tpch.QueryByName(g.query)
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +96,10 @@ func allocsPerChangedTuple(t *testing.T, g allocGate) (allocs, bytes, scan float
 		}
 		next++
 	})
+	allocs, bytes = perRun*float64(g.runs)/float64(tuples), float64(end.TotalAlloc-start.TotalAlloc)/float64(tuples)
+	if b.scan == 0 {
+		return allocs, bytes, 0
+	}
 	state := 0
 	for _, n := range keptTuples(t, eng) {
 		state += n
@@ -102,8 +107,7 @@ func allocsPerChangedTuple(t *testing.T, g allocGate) (allocs, bytes, scan float
 	built := scannableHeap()
 	eng.Close()
 	eng = nil
-	scan = (built - scannableHeap()) / float64(state)
-	return perRun * float64(g.runs) / float64(tuples), float64(end.TotalAlloc-start.TotalAlloc) / float64(tuples), scan
+	return allocs, bytes, (built - scannableHeap()) / float64(state)
 }
 
 // scannableHeap collects garbage and returns the bytes of heap the
@@ -126,17 +130,19 @@ type allocBound struct {
 }
 
 func (b allocBound) check(t *testing.T) {
-	allocs, bytes, scan := allocsPerChangedTuple(t, b.gate)
-	t.Logf("%s: %.3f allocations and %.1f bytes per changed tuple, %.1f scannable bytes per kept state tuple",
-		b.name, allocs, bytes, scan)
+	allocs, bytes, scan := b.measure(t)
+	t.Logf("%s: %.3f allocations and %.1f bytes per changed tuple", b.name, allocs, bytes)
 	if allocs > b.allocs {
 		t.Errorf("allocates %.3f times per changed tuple, want <= %.3f", allocs, b.allocs)
 	}
 	if bytes > b.nbytes {
 		t.Errorf("allocates %.0f bytes per changed tuple, want <= %.0f", bytes, b.nbytes)
 	}
-	if b.scan > 0 && scan > b.scan {
-		t.Errorf("the collector scans %.1f bytes per kept state tuple, want <= %.1f", scan, b.scan)
+	if b.scan > 0 {
+		t.Logf("%s: the collector scans %.1f bytes per kept state tuple", b.name, scan)
+		if scan > b.scan {
+			t.Errorf("the collector scans %.1f bytes per kept state tuple, want <= %.1f", scan, b.scan)
+		}
 	}
 }
 
@@ -203,26 +209,13 @@ func TestDistributedStageAllocGate(t *testing.T) { q3DistBound.check(t) }
 // per changed tuple on Q1, and 9.09 allocations and 1,294 bytes on Q3.
 func TestPayloadAllocGates(t *testing.T) {
 	addrs, _ := startWorkers(t, 2)
-	for _, c := range []struct {
-		name           string
-		gate           allocGate
-		allocs, nbytes float64
-	}{
+	for _, b := range []allocBound{
 		{"Q1 Durable(NoFsync) with a subscriber", allocGate{query: "Q1", subscribe: true, chunk: 10, window: 200, warm: 400, runs: 200,
-			opts: []Option{Durable(t.TempDir(), NoFsync())}}, 1.2, 250},
+			opts: []Option{Durable(t.TempDir(), NoFsync())}}, 1.2, 250, 0},
 		{"Q3 Remote(2)", allocGate{query: "Q3", chunk: 100, window: 20, warm: 40, runs: 40,
-			opts: []Option{Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks)}}, 7.0, 800},
+			opts: []Option{Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks)}}, 7.0, 800, 0},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			allocs, bytes, _ := allocsPerChangedTuple(t, c.gate)
-			t.Logf("%s: %.2f allocations and %.0f bytes per changed tuple", c.name, allocs, bytes)
-			if allocs > c.allocs {
-				t.Errorf("allocates %.2f times per changed tuple, want <= %.1f", allocs, c.allocs)
-			}
-			if bytes > c.nbytes {
-				t.Errorf("allocates %.0f bytes per changed tuple, want <= %.0f", bytes, c.nbytes)
-			}
-		})
+		t.Run(b.name, b.check)
 	}
 }
 
