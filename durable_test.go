@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/dist"
 	"repro/internal/store"
 	"repro/internal/tpch"
@@ -227,14 +228,16 @@ func TestDurableReopenAdoptsRecordedPlacement(t *testing.T) {
 // boundary: a directory whose newest checkpoint has an older body fails
 // to open with an error naming the version; it is never decoded as the
 // current format. Version 1 was gob, written by earlier builds; version 2
-// is the current layout under keys placed by the float-rounded hash.
+// is the current layout under keys placed by the float-rounded hash, and
+// version 3 the current layout with a distributed engine's per-batch
+// scratch in it.
 func TestDurableRefusesVersion1Checkpoint(t *testing.T) {
 	q, err := tpch.QueryByName("Q6")
 	if err != nil {
 		t.Fatal(err)
 	}
 	bases := q.BaseSchemas()
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		dir := t.TempDir()
 		e, err := New(q.Name, q.Def, bases, Durable(dir))
 		if err != nil {
@@ -251,9 +254,9 @@ func TestDurableRefusesVersion1Checkpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := []byte("IVCP\x01 a gob body")
-		if version == 2 {
+		if version > 1 {
 			body = append([]byte(nil), rec.Checkpoint...)
-			body[len("IVCP")] = 2
+			body[len("IVCP")] = version
 		}
 		if err := st.Checkpoint(rec.Seq, body); err != nil {
 			t.Fatal(err)
@@ -684,4 +687,51 @@ func TestDurableOversizedRecordDoesNotPoison(t *testing.T) {
 		t.Fatalf("recovered %d transactions, want %d", got, len(rounds))
 	}
 	requireBitwiseEqual(t, "reopened result", reopened.Result().rel, oracle.Result().rel)
+}
+
+// TestSnapshotHoldsOnlyPersistentViews pins what a checkpoint keeps: the
+// program's persistent views, on the driver and on every worker. A
+// transaction writes every transient pre-aggregate, Δ batch and movement
+// temporary before it reads it, and their arity is the compiler's
+// choice, so a snapshot that kept them (as the distributed one did up to
+// checkpoint version 3) would refuse to restore under a program that
+// folds a value term into a pre-aggregate, though every view it needs is
+// intact.
+func TestSnapshotHoldsOnlyPersistentViews(t *testing.T) {
+	q, err := tpch.QueryByName("Q3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []struct {
+		name string
+		opts []Option
+	}{
+		{"local", nil},
+		{"Distributed(2)", []Option{Distributed(2), KeyRanks(tpch.PrimaryKeyRanks)}},
+	} {
+		e, err := New(q.Name, q.Def, q.BaseSchemas(), backend.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		for _, round := range txRounds(t, q, 0.05, 50)[:4] {
+			applyRound(t, e, round)
+		}
+		cp, err := e.be.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := 0
+		for _, frags := range append([]map[string]cluster.Frag{cp.Driver}, cp.Workers...) {
+			for name := range frags {
+				if v := e.prog.View(name); v == nil || v.Transient {
+					t.Errorf("%s: the checkpoint keeps %q, which is no persistent view", backend.name, name)
+				}
+				kept++
+			}
+		}
+		if kept == 0 {
+			t.Errorf("%s: the checkpoint keeps no view", backend.name)
+		}
+	}
 }

@@ -836,11 +836,22 @@ func (lb *localBackend) WorkerTimings() []cluster.WorkerTiming { return nil }
 func (lb *localBackend) SnapshotState() (*cluster.Checkpoint, error) {
 	views := map[string]*mring.Relation{}
 	lb.ex.ForEachViewAll(func(name string, r *mring.Relation) {
-		if !lb.prog.View(name).Transient {
+		if persistent(lb.prog, name) {
 			views[name] = r
 		}
 	})
 	return &cluster.Checkpoint{Driver: cluster.SnapshotRels(views)}, nil
+}
+
+// persistent reports whether a relation a backend holds is recoverable
+// state: a view of the program that is not transient. Everything else a
+// node holds — transient pre-aggregates, Δ batches, movement temporaries
+// — is per-batch scratch a transaction writes before it reads, and its
+// arity is the compiled program's choice, so a checkpoint that kept it
+// would tie recovery to one compiler's scratch layout.
+func persistent(prog *compile.Program, name string) bool {
+	v := prog.View(name)
+	return v != nil && !v.Transient
 }
 
 // RestoreState rebuilds the executor's views, each in its order, from a
@@ -1043,10 +1054,20 @@ func (db *distBackend) Metrics() (Metrics, Metrics) { return db.total, db.last }
 
 func (db *distBackend) WorkerTimings() []cluster.WorkerTiming { return db.cl.WorkerTimings() }
 
-// SnapshotState captures every node's fragments (driver and workers)
-// with the deployed partitioning, so a restore re-warms the same
-// deployment shape.
-func (db *distBackend) SnapshotState() (*cluster.Checkpoint, error) { return db.cl.Checkpoint() }
+// SnapshotState captures every node's fragments of the persistent views
+// (driver and workers) with the deployed partitioning, so a restore
+// re-warms the same deployment shape. Scratch fragments are dropped as
+// in the local snapshot.
+func (db *distBackend) SnapshotState() (*cluster.Checkpoint, error) {
+	cp, err := db.cl.Checkpoint()
+	if err != nil {
+		return nil, err
+	}
+	for _, frags := range append([]map[string]cluster.Frag{cp.Driver}, cp.Workers...) {
+		maps.DeleteFunc(frags, func(name string, _ cluster.Frag) bool { return !persistent(db.prog, name) })
+	}
+	return cp, nil
+}
 
 // RestoreState installs the checkpoint across the cluster, then adopts
 // its recorded partitioning: if the state was captured under another

@@ -171,15 +171,18 @@ func (c *Cluster) KillWorker(i int) {
 
 // Checkpoint serialization: a magic and a format version, so drift — or
 // a body that is not a checkpoint at all — is detected as a descriptive
-// error, never a garbage decode. Version 3 is the wire codec: the worker
+// error, never a garbage decode. Version 4 is the wire codec: the worker
 // count, each worker's fragments and the driver's in snapshotMsg's
-// encoding, then the placement in view order. Version 2 had the same
-// layout, but its workers held keys placed by a hash that rounded integers
-// past 2^53 to float64, so a fragment may sit on the wrong worker; it is
-// refused, as is version 1 (gob).
+// encoding, then the placement in view order. Version 3 had the same
+// layout, but an engine's distributed snapshot also kept its per-batch
+// scratch (transient pre-aggregates, Δ batches, movement temporaries),
+// whose arity a compiler change moves; it is refused. Version 2 had the
+// same layout too, but its workers held keys placed by a hash that
+// rounded integers past 2^53 to float64, so a fragment may sit on the
+// wrong worker; it is refused, as is version 1 (gob).
 const (
 	ckptMagic   = "IVCP"
-	ckptVersion = 3
+	ckptVersion = 4
 )
 
 // EncodeCheckpoint serializes a checkpoint with the versioned header. The

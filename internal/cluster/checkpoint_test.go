@@ -124,7 +124,7 @@ func TestDecodeCheckpointBadVersion(t *testing.T) {
 		t.Fatalf("want descriptive missing-header error, got %v", err)
 	}
 	// A version-1 checkpoint (gob-encoded, one driver fragment) is
-	// refused by its version, never fed to the version-2 decoder.
+	// refused by its version, never fed to the current decoder.
 	if _, err := DecodeCheckpoint([]byte(ckptV1)); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("want descriptive version-1 error, got %v", err)
 	}

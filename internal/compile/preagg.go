@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/eval"
 	"repro/internal/expr"
@@ -14,12 +15,16 @@ import (
 // trigger actually uses, merging multiplicities. Statements are rewritten
 // to reference the pre-aggregated transient views.
 //
+// A value term every reader multiplies the delta by moves in too
+// (sharedValueTerm), so the batch merges on the remaining columns and
+// the term is evaluated once per batch tuple instead of once per reader.
+//
 // Self-joins and nested subqueries reference ΔR under several column
 // bindings (aliases); each alias gets its own pre-aggregation, since each
 // may use different columns (this is where the paper's Q17/Q18/Q20-class
 // wins come from: the nested-side alias projects onto a tiny key set).
 // An alias is skipped when pre-aggregation cannot shrink it: no absorbed
-// condition and all columns used.
+// condition or value term and all columns used.
 func (c *compiler) preAggregate(prog *Program, t *Trigger) {
 	if len(t.Stmts) == 0 {
 		return
@@ -51,27 +56,28 @@ func (c *compiler) preAggregate(prog *Program, t *Trigger) {
 
 func (c *compiler) preAggregateAlias(prog *Program, t *Trigger, alias mring.Schema, idx int) {
 	rel := t.Relation
-	// Static conditions over this alias's columns shared by every
-	// statement referencing the alias; they move into the
-	// pre-aggregation, so strip them before computing used columns.
-	shared := sharedStaticConditions(t.Stmts, rel, alias)
-	stripped := make([]expr.Expr, len(t.Stmts))
-	used := mring.Schema{}
-	refs := false
-	for i, s := range t.Stmts {
-		stripped[i] = s.RHS
-		if !refsAlias(s.RHS, rel, alias) {
-			continue
-		}
-		refs = true
-		stripped[i] = stripAbsorbed(s.RHS, rel, alias, shared)
-		vars := statementVars(Stmt{LHS: s.LHS, RHS: stripped[i]}, c.views, rel, alias)
-		used = used.Union(alias.Intersect(vars))
-	}
-	if !refs {
+	if !slices.ContainsFunc(t.Stmts, func(s Stmt) bool { return refsAlias(s.RHS, rel, alias) }) {
 		return
 	}
-	if len(shared) == 0 && len(used) == len(alias) {
+	// Static conditions over this alias's columns shared by every
+	// statement referencing the alias, and the value term they all
+	// multiply by; they move into the pre-aggregation, so strip them
+	// before computing used columns.
+	var absorbed []expr.Expr
+	for _, cmp := range sharedStaticConditions(t.Stmts, rel, alias) {
+		absorbed = append(absorbed, cmp)
+	}
+	stripped, used := c.stripReaders(t.Stmts, rel, alias, absorbed)
+	if v := sharedValueTerm(t.Stmts, rel, alias); v != nil {
+		// Fold the term only if a group column remains: a pre-aggregate
+		// with none is read by a lookup per batch even when it is empty,
+		// which costs more than the term's evaluation it saves (Q6).
+		folded := append(slices.Clip(absorbed), v)
+		if fs, fu := c.stripReaders(t.Stmts, rel, alias, folded); len(fu) > 0 {
+			absorbed, stripped, used = folded, fs, fu
+		}
+	}
+	if len(absorbed) == 0 && len(used) == len(alias) {
 		return // nothing to gain
 	}
 
@@ -83,8 +89,8 @@ func (c *compiler) preAggregateAlias(prog *Program, t *Trigger, alias mring.Sche
 		return
 	}
 	parts := []expr.Expr{expr.Delta(rel, alias...)}
-	for _, cmp := range shared {
-		parts = append(parts, cmp.Clone())
+	for _, f := range absorbed {
+		parts = append(parts, f.Clone())
 	}
 	def := expr.Simplify(expr.Sum(used, expr.Join(parts...)))
 	v := c.registerView(name, used, def)
@@ -103,13 +109,29 @@ func (c *compiler) preAggregateAlias(prog *Program, t *Trigger, alias mring.Sche
 	t.Stmts = append([]Stmt{preaggStmt}, t.Stmts...)
 }
 
+// stripReaders strips the absorbed factors from every statement that
+// reads the alias and returns the statements with the alias columns they
+// still use.
+func (c *compiler) stripReaders(stmts []Stmt, rel string, alias mring.Schema, absorbed []expr.Expr) ([]expr.Expr, mring.Schema) {
+	stripped := make([]expr.Expr, len(stmts))
+	used := mring.Schema{}
+	for i, s := range stmts {
+		stripped[i] = s.RHS
+		if !refsAlias(s.RHS, rel, alias) {
+			continue
+		}
+		stripped[i] = stripAbsorbed(s.RHS, rel, alias, absorbed)
+		vars := statementVars(Stmt{LHS: s.LHS, RHS: stripped[i]}, c.views, rel, alias)
+		used = used.Union(alias.Intersect(vars))
+	}
+	return stripped, used
+}
+
 // refsAlias reports whether e references ΔR under the given alias.
 func refsAlias(e expr.Expr, rel string, alias mring.Schema) bool {
 	found := false
 	expr.Walk(e, func(n expr.Expr) bool {
-		if r, ok := n.(*expr.Rel); ok && r.Kind == expr.RDelta && r.Name == rel && r.Cols.Equal(alias) {
-			found = true
-		}
+		found = found || isAliasDelta(n, rel, alias)
 		return !found
 	})
 	return found
@@ -127,7 +149,7 @@ func statementVars(s Stmt, views map[string]*ViewDef, rel string, alias mring.Sc
 	expr.Walk(s.RHS, func(n expr.Expr) bool {
 		switch x := n.(type) {
 		case *expr.Rel:
-			if x.Kind == expr.RDelta && x.Name == rel && x.Cols.Equal(alias) {
+			if isAliasDelta(x, rel, alias) {
 				return true
 			}
 			vars = vars.Union(x.Cols)
@@ -189,7 +211,7 @@ func staticConditions(e expr.Expr, rel string, alias mring.Schema) []*expr.Cmp {
 		}
 		hasDelta := false
 		for _, f := range m.Factors {
-			if r, ok := f.(*expr.Rel); ok && r.Kind == expr.RDelta && r.Name == rel && r.Cols.Equal(alias) {
+			if isAliasDelta(f, rel, alias) {
 				hasDelta = true
 			}
 		}
@@ -209,15 +231,86 @@ func staticConditions(e expr.Expr, rel string, alias mring.Schema) []*expr.Cmp {
 	return out
 }
 
-// stripAbsorbed removes, top-down, the absorbed static conditions from
-// every product that contains the alias's ΔR term at its top level.
-func stripAbsorbed(e expr.Expr, rel string, alias mring.Schema, absorbed []*expr.Cmp) expr.Expr {
+// sharedValueTerm returns the value term that every product holding the
+// alias's ΔR term multiplies by, in every statement that reads the alias,
+// or nil. The term must be one *expr.Val over alias columns, a factor of
+// each such product exactly once, and each product must hold ΔR once and
+// be reached from its statement root through Plus, Agg and Mul only:
+// under Exists or a lift the delta's multiplicity is not summed as Σ m·v.
+// Each reader then sums Σ m·v over a group of the remaining columns, so
+// the term folds into the pre-aggregate exactly.
+func sharedValueTerm(stmts []Stmt, rel string, alias mring.Schema) *expr.Val {
+	var term *expr.Val
+	ok := true
+	var rec func(expr.Expr)
+	rec = func(n expr.Expr) {
+		switch x := n.(type) {
+		case *expr.Plus:
+			for _, t := range x.Terms {
+				rec(t)
+			}
+		case *expr.Agg:
+			rec(x.Body)
+		case *expr.Mul:
+			deltas := 0
+			var vals []*expr.Val
+			var rest []expr.Expr
+			for _, f := range x.Factors {
+				if isAliasDelta(f, rel, alias) {
+					deltas++
+				} else if v, isVal := f.(*expr.Val); isVal && overAlias(v, alias) {
+					vals = append(vals, v)
+				} else {
+					rest = append(rest, f)
+				}
+			}
+			if deltas > 0 {
+				if deltas > 1 || len(vals) != 1 || term != nil && term.String() != vals[0].String() {
+					ok = false
+					return
+				}
+				term = vals[0]
+			}
+			for _, f := range rest {
+				rec(f)
+			}
+		default:
+			if refsAlias(n, rel, alias) {
+				ok = false // ΔR outside a product, or under Exists or a lift
+			}
+		}
+	}
+	for _, s := range stmts {
+		rec(s.RHS)
+	}
+	if !ok {
+		return nil
+	}
+	return term
+}
+
+// isAliasDelta reports whether e is the alias's ΔR term.
+func isAliasDelta(e expr.Expr, rel string, alias mring.Schema) bool {
+	r, ok := e.(*expr.Rel)
+	return ok && r.Kind == expr.RDelta && r.Name == rel && r.Cols.Equal(alias)
+}
+
+// overAlias reports whether v reads alias columns and nothing else.
+func overAlias(v *expr.Val, alias mring.Schema) bool {
+	vars := varsOfVExpr(v.E)
+	return len(vars) > 0 && len(vars.Intersect(alias)) == len(vars)
+}
+
+// stripAbsorbed removes, top-down, the absorbed factors (static
+// conditions and the value term) from every product that contains the
+// alias's ΔR term at its top level.
+func stripAbsorbed(e expr.Expr, rel string, alias mring.Schema, absorbed []expr.Expr) expr.Expr {
 	if len(absorbed) == 0 {
 		return e
 	}
-	isAbsorbed := func(c *expr.Cmp) bool {
+	isAbsorbed := func(f expr.Expr) bool {
 		for _, a := range absorbed {
-			if a.String() == c.String() {
+			if a.String() == f.String() {
 				return true
 			}
 		}
@@ -229,13 +322,13 @@ func stripAbsorbed(e expr.Expr, rel string, alias mring.Schema, absorbed []*expr
 		case *expr.Mul:
 			hasDelta := false
 			for _, f := range x.Factors {
-				if r, ok := f.(*expr.Rel); ok && r.Kind == expr.RDelta && r.Name == rel && r.Cols.Equal(alias) {
+				if isAliasDelta(f, rel, alias) {
 					hasDelta = true
 				}
 			}
 			var fs []expr.Expr
 			for _, f := range x.Factors {
-				if cmp, ok := f.(*expr.Cmp); ok && hasDelta && isAbsorbed(cmp) {
+				if hasDelta && isAbsorbed(f) {
 					continue
 				}
 				fs = append(fs, rec(f))
@@ -267,7 +360,7 @@ func stripAbsorbed(e expr.Expr, rel string, alias mring.Schema, absorbed []*expr
 // pre-aggregated transient view projected onto the used columns.
 func substituteDelta(e expr.Expr, rel string, alias mring.Schema, viewName string, used mring.Schema) expr.Expr {
 	out := expr.Transform(e, func(n expr.Expr) expr.Expr {
-		if r, ok := n.(*expr.Rel); ok && r.Kind == expr.RDelta && r.Name == rel && r.Cols.Equal(alias) {
+		if isAliasDelta(n, rel, alias) {
 			return expr.View(viewName, used...)
 		}
 		return n

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/baseline"
+	"repro/internal/compile"
 	"repro/internal/tpch"
 )
 
@@ -104,6 +106,82 @@ func TestNonFiniteMultiplicityRejected(t *testing.T) {
 			if got := e.Result().String(); got != want {
 				t.Errorf("%s %s: Result changed:\n got %s\nwant %s", backend.name, c.name, got, want)
 			}
+		}
+	}
+}
+
+// TestNonFiniteValueCancelsToNaN pins what a non-finite value does when
+// the rows carrying it cancel by multiplicity inside one pre-aggregate
+// group. Two Q1 lineitems with l_quantity +Inf, in one (l_returnflag,
+// l_linestatus) group, change by +1 and -1 in one batch. Q1's
+// pre-aggregate multiplies l_quantity in, so the group sums
+// Inf·1 + Inf·(-1), which is NaN, as the oracle's sum over the rows
+// and the program without pre-aggregation also compute. Every backend
+// holds NaN in that group, and the other groups as the oracle has them.
+func TestNonFiniteValueCancelsToNaN(t *testing.T) {
+	q, err := tpch.QueryByName("Q1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const table = tpch.Lineitem
+	warm := tpch.NewStream(tpch.NewGenerator(0.01, 2), q.Tables).NextBatches(50)
+	var rows [2]Tuple
+	warm[0].Rel.Foreach(func(tp Tuple, _ float64) {
+		if rows[0] == nil {
+			rows[0], rows[1] = tp.Clone(), tp.Clone()
+		}
+	})
+	for i := range rows {
+		rows[i][0] = Int(1<<40 + int64(i)) // two orders no warm row names
+		rows[i][3] = Float(math.Inf(1))    // l_quantity
+		rows[i][6] = Int(19940101)         // l_shipdate, inside Q1's filter
+	}
+	group := Tuple{rows[0][9], rows[0][10]}
+	accum := baseline.Changes{table: nil}
+	for _, b := range warm {
+		accum.Add(b.Table, b.Rel)
+	}
+	accum.Row(table, rows[0], 1)
+	accum.Row(table, rows[1], -1)
+	want := baseline.Eval(q.Def, baseline.Of(accum))
+	noPreAgg := compile.DefaultOptions()
+	noPreAgg.PreAggregate = false
+	addrs, _ := startWorkers(t, 2)
+	for _, backend := range []struct {
+		name string
+		opts []Option
+	}{
+		{"local", nil},
+		{"local without pre-aggregation", []Option{CompileOptions(noPreAgg)}},
+		{"Distributed(2)", []Option{Distributed(2), KeyRanks(tpch.PrimaryKeyRanks)}},
+		{"Remote(2)", []Option{Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks)}},
+		{"Durable", []Option{Durable(t.TempDir())}},
+	} {
+		e, err := New(q.Name, q.Def, q.BaseSchemas(), backend.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		tx := e.NewTx()
+		for _, b := range warm {
+			if err := tx.Put(b.Table, &Batch{rel: b.Rel.Clone()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Change(table, rows[0], 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Change(table, rows[1], -1); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Apply(tx); err != nil {
+			t.Fatal(err)
+		}
+		if m := e.Result().Get(group); !math.IsNaN(m) {
+			t.Errorf("%s: group %v holds %g, want NaN", backend.name, group, m)
+		}
+		if d := baseline.Diff(e.Result().rel, want); d != "" {
+			t.Errorf("%s diverges from the oracle: %s", backend.name, d)
 		}
 	}
 }

@@ -11,8 +11,11 @@ import (
 
 // oracleShapes are the query shapes FuzzOracleAgreement draws from, over
 // R(a,b) and S(b,c): a join, a repeated column, a correlated scalar lift
-// under a comparison, Exists, a union with a negated term, and a grouped
-// lift.
+// under a comparison, Exists, a union with a negated term, a grouped
+// lift, and two with a value term over one column, which the batch
+// pre-aggregate multiplies in: alone, and in a join. The term is
+// [1 / col], at most 1 in magnitude (0 at col = 0), so sums taken in any
+// order agree within baseline.Diff's tolerance even over wide keys.
 var oracleShapes = []Expr{
 	Sum([]string{"a"}, Join(Table("R", "a", "b"), Table("S", "b", "c"))),
 	Sum([]string{"x", "c"}, Join(Table("R", "x", "x"), Table("S", "x", "c"))),
@@ -23,6 +26,8 @@ var oracleShapes = []Expr{
 	Sum([]string{"b"}, Union(Sum([]string{"b"}, Table("R", "a", "b")),
 		expr.Neg(Sum([]string{"b"}, Table("S", "b", "c"))))),
 	Sum([]string{"n"}, Join(Lift("n", Sum([]string{"b"}, Table("R", "a", "b"))), Table("S", "b", "c"))),
+	Sum([]string{"b"}, Join(Table("R", "a", "b"), Val(Div(ConstI(1), Col("a"))))),
+	Sum([]string{"a"}, Join(Table("R", "a", "b"), Table("S", "b", "c"), Val(Div(ConstI(1), Col("c"))))),
 }
 
 // fuzzKeys are the wide keys an op's value byte of edgeKey or more
@@ -107,6 +112,15 @@ func FuzzOracleAgreement(f *testing.F) {
 		fuzzOp("R", 1, w(4), w(4), false), fuzzOp("S", 1, w(6), 0, false), fuzzOp("S", 1, w(4), 1, true))
 	seed(4, fuzzOp("R", 1, 0, w(1), false), fuzzOp("R", 1, 0, w(2), false), fuzzOp("S", 1, w(6), 0, false),
 		fuzzOp("S", 1, w(3), 0, false), fuzzOp("R", 1, 1, w(4), true))
+	// Value terms: rows of one group whose multiplicities cancel while
+	// their terms do not (R(1,0) +1 and R(2,0) -1 in one batch), a
+	// delete of a row an earlier batch inserted, and a wide key as the
+	// term's column.
+	seed(6, fuzzOp("R", 1, 1, 0, false), fuzzOp("R", -1, 2, 0, false), fuzzOp("R", 2, 2, 1, true),
+		fuzzOp("R", -2, 2, 1, false), fuzzOp("R", 1, 0, 1, false), fuzzOp("R", 1, w(1), 1, true))
+	seed(7, fuzzOp("R", 1, 0, 1, false), fuzzOp("S", 1, 1, 1, false), fuzzOp("S", -1, 1, 2, true),
+		fuzzOp("S", 2, 1, 2, false), fuzzOp("R", 1, 2, 1, true), fuzzOp("S", -1, 1, 1, false),
+		fuzzOp("S", 1, 1, w(3), true))
 	bases := map[string]Schema{"R": {"a", "b"}, "S": {"b", "c"}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
