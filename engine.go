@@ -920,7 +920,7 @@ type distBackend struct {
 // worker, so results are bitwise-equal across both at the same worker
 // count.
 func newDistBackend(prog *compile.Program, cfg *engineConfig) (*distBackend, error) {
-	parts := dist.ChoosePartitioning(prog, cfg.keyRanks)
+	parts, dprogs := dist.Place(prog, cfg.keyRanks)
 	var cl *cluster.Cluster
 	if cfg.remote {
 		var err error
@@ -931,15 +931,15 @@ func newDistBackend(prog *compile.Program, cfg *engineConfig) (*distBackend, err
 		cl = cluster.New(cluster.DefaultConfig(cfg.workers), dist.ViewSchemas(prog), parts)
 	}
 	db := &distBackend{prog: prog, cl: cl}
-	db.compile(parts)
+	db.adopt(parts, dprogs)
 	return db, nil
 }
 
-// compile compiles the trigger programs against a placement and drops
-// every transaction program fused from the old ones.
-func (db *distBackend) compile(parts dist.PartInfo) {
+// adopt installs a placement and the trigger programs compiled against
+// it, and drops every transaction program fused from the old ones.
+func (db *distBackend) adopt(parts dist.PartInfo, dprogs map[string]*dist.DistProgram) {
 	db.parts = parts
-	db.dprogs = dist.CompileProgram(db.prog, parts, dist.O3)
+	db.dprogs = dprogs
 	db.txProgs = make(map[string]*dist.DistProgram)
 }
 
@@ -1082,7 +1082,7 @@ func (db *distBackend) RestoreState(cp *cluster.Checkpoint) error {
 		return err
 	}
 	if cp.Parts != nil && !cp.Parts.Equal(db.parts) {
-		db.compile(cp.Parts)
+		db.adopt(cp.Parts, dist.CompileProgram(db.prog, cp.Parts, dist.O3))
 	}
 	return nil
 }

@@ -32,7 +32,6 @@ const (
 var persistentMoves = map[string]string{
 	"Q2 partsupp GATHER(M3(p_partkey))":                     crossKey,
 	"Q2 partsupp GATHER(M4(s_suppkey))":                     crossKey,
-	"Q3 orders GATHER(M2(c_custkey))":                       crossKey,
 	"Q5 customer GATHER(M27(l_suppkey,c_nationkey))":        crossKey,
 	"Q5 customer GATHER(M9(o_orderkey,c_custkey))":          crossKey,
 	"Q5 lineitem GATHER(M27(l_suppkey,c_nationkey))":        crossKey,
@@ -59,14 +58,12 @@ var persistentMoves = map[string]string{
 	"Q9 lineitem GATHER(M15(p_partkey))":                    crossKey,
 	"Q9 lineitem GATHER(M3(l_orderkey))":                    crossKey,
 	"Q9 partsupp GATHER(M15(p_partkey))":                    crossKey,
-	"Q10 orders GATHER(M3(o_orderkey))":                     crossKey,
 	"Q11 partsupp GATHER(M1(ps_suppkey))":                   crossKey,
 	"Q11 partsupp BROADCAST(M6())":                          scalar,
 	"Q16 part GATHER(M1(p_brand,p_size,ps_suppkey))":        driverStmt,
 	"Q16 part GATHER(M2(p_partkey,ps_suppkey))":             driverStmt,
 	"Q16 part REPART[ps_suppkey](M2(p_partkey,ps_suppkey))": repartKey,
 	"Q16 partsupp GATHER(M3(p_partkey,p_brand,p_size))":     crossKey,
-	"Q18 orders GATHER(M3(c_custkey))":                      crossKey,
 }
 
 // TestPersistentViewMoveCensus lists every transformer of the TPC-H

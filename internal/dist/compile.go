@@ -27,6 +27,9 @@ type moved struct {
 	sig  string // kind | key | source env name
 	src  string // source env name (invalidated when written)
 	temp string // relation holding the moved copy
+	// via names the driver copy a gather-broadcast went through; empty
+	// for every other movement.
+	via string
 }
 
 // trigCompiler lowers one trigger.
@@ -117,12 +120,8 @@ func viewRef(name string, cols mring.Schema) *expr.Rel {
 func (tc *trigCompiler) move(kind XformKind, key mring.Schema, src *expr.Rel, loc Loc) string {
 	env := eval.RelEnvName(src)
 	sig := fmt.Sprintf("%d|%v|%s", kind, key, env)
-	if tc.level >= O2 {
-		for _, m := range tc.cache {
-			if m.sig == sig {
-				return m.temp
-			}
-		}
+	if m := tc.cached(sig); m != nil {
+		return m.temp
 	}
 	t := tc.temp(src.Cols)
 	tc.emit(LLocal, Stmt{LHS: t, Op: eval.OpSet, RHS: &Xform{Kind: kind, Key: key.Clone(), Body: src.Clone()}})
@@ -135,13 +134,9 @@ func (tc *trigCompiler) move(kind XformKind, key mring.Schema, src *expr.Rel, lo
 // (gather to the driver, then broadcast), returning the replica name.
 func (tc *trigCompiler) gatherBroadcast(src *expr.Rel) string {
 	env := eval.RelEnvName(src)
-	sig := fmt.Sprintf("gb|%s", env)
-	if tc.level >= O2 {
-		for _, m := range tc.cache {
-			if m.sig == sig {
-				return m.temp
-			}
-		}
+	sig := "gb|" + env
+	if m := tc.cached(sig); m != nil {
+		return m.temp
 	}
 	g := tc.temp(src.Cols)
 	tc.emit(LLocal, Stmt{LHS: g, Op: eval.OpSet, RHS: &Xform{Kind: XGather, Body: src.Clone()}})
@@ -149,8 +144,22 @@ func (tc *trigCompiler) gatherBroadcast(src *expr.Rel) string {
 	b := tc.temp(src.Cols)
 	tc.emit(LLocal, Stmt{LHS: b, Op: eval.OpSet, RHS: &Xform{Kind: XScatter, Body: viewRef(g, src.Cols)}})
 	tc.cur[b] = Indiff
-	tc.cache = append(tc.cache, moved{sig: sig, src: env, temp: b})
+	tc.cache = append(tc.cache, moved{sig: sig, src: env, temp: b, via: g})
 	return b
+}
+
+// cached returns the movement recorded under sig, or nil; only O2 and
+// above reuse movements.
+func (tc *trigCompiler) cached(sig string) *moved {
+	if tc.level < O2 {
+		return nil
+	}
+	for i := range tc.cache {
+		if tc.cache[i].sig == sig {
+			return &tc.cache[i]
+		}
+	}
+	return nil
 }
 
 // ref is one distinct relation read by a statement.
@@ -208,6 +217,9 @@ func (tc *trigCompiler) compileStmt(s Stmt) {
 	}
 	if tc.level <= O0 || !distributed {
 		tc.compileAtDriver(s, refs)
+		return
+	}
+	if tc.foldReplicas(s, refs) {
 		return
 	}
 	if spec, pl, ok := tc.chooseAnchor(s, refs); ok {
@@ -588,6 +600,34 @@ func (tc *trigCompiler) sameClasses(a, b mring.Schema) bool {
 	return true
 }
 
+// foldReplicas compiles the upkeep of a replicated target that folds
+// only relations the trigger has already gathered and broadcast whole
+// (the O2 movement cache): the driver mirror folds the gathered copies
+// and every worker the broadcast ones, so the replicas ship nothing of
+// their own. It reports false, emitting nothing, for any other
+// statement. One that joins a moved copy with another view is left to
+// the general path, where the join runs once, on the fragments.
+func (tc *trigCompiler) foldReplicas(s Stmt, refs []*ref) bool {
+	if tc.cur[s.LHS].Kind != LIndiff {
+		return false
+	}
+	atDriver, atWorkers := map[string]*expr.Rel{}, map[string]*expr.Rel{}
+	for _, r := range refs {
+		if r.env == s.LHS {
+			continue // each copy reads itself
+		}
+		m := tc.cached("gb|" + r.env)
+		if r.loc.Kind != LDist || m == nil {
+			return false
+		}
+		atDriver[r.env] = viewRef(m.via, r.rel.Cols)
+		atWorkers[r.env] = viewRef(m.temp, r.rel.Cols)
+	}
+	tc.emit(LLocal, Stmt{LHS: s.LHS, Op: s.Op, RHS: rewriteRefs(s.RHS, atDriver)})
+	tc.emit(LDist, Stmt{LHS: s.LHS, Op: s.Op, RHS: rewriteRefs(s.RHS, atWorkers)})
+	return true
+}
+
 // installReplicated folds a driver-resident delta (held in rel `g`) into
 // a replicated target: the driver mirror and every worker copy.
 func (tc *trigCompiler) installReplicated(s Stmt, g string) {
@@ -662,13 +702,9 @@ func (tc *trigCompiler) compileAtDriver(s Stmt, refs []*ref) {
 // at O2+ while the source is unchanged).
 func (tc *trigCompiler) gatherToDriver(src *expr.Rel) string {
 	env := eval.RelEnvName(src)
-	sig := fmt.Sprintf("g|%s", env)
-	if tc.level >= O2 {
-		for _, m := range tc.cache {
-			if m.sig == sig {
-				return m.temp
-			}
-		}
+	sig := "g|" + env
+	if m := tc.cached(sig); m != nil {
+		return m.temp
 	}
 	g := tc.temp(src.Cols)
 	tc.emit(LLocal, Stmt{LHS: g, Op: eval.OpSet, RHS: &Xform{Kind: XGather, Body: src.Clone()}})

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/compile"
@@ -293,4 +294,122 @@ func TestLocAndXformStrings(t *testing.T) {
 			t.Fatalf("rendering: got %q want %q", got, want)
 		}
 	}
+}
+
+// TestPlaceReplicatesBroadcastUpkeep pins Place's replication rule on
+// TPC-H: the views it replicates, with the stages the triggers touching
+// them run under the rank placement and under the final one, and
+// refusals beside them — a writer folding a delta its trigger does not
+// broadcast (rule a), a replica that saves no stage, and one that would
+// add a stage (rule b), the last under ranks that favour c_custkey.
+func TestPlaceReplicatesBroadcastUpkeep(t *testing.T) {
+	custkeyFirst := maps.Clone(tpch.PrimaryKeyRanks)
+	custkeyFirst["c_custkey"] = 9
+	for _, c := range []struct {
+		query, view string
+		ranks       map[string]int
+		moved       bool              // rule (a) holds
+		replicated  bool              // Place replicates the view
+		stages      map[string][2]int // trigger: stages under the ranks, then with the view replicated
+	}{
+		{"Q3", "M2", nil, true, true, map[string][2]int{"orders": {3, 1}, "customer": {2, 2}}},
+		{"Q10", "M2", nil, true, true, map[string][2]int{"orders": {3, 2}, "customer": {2, 2}}},
+		{"Q18", "M3", nil, true, true, map[string][2]int{"orders": {3, 1}, "customer": {2, 2}}},
+		{"Q20", "M3", nil, true, true, map[string][2]int{"partsupp": {3, 2}, "supplier": {3, 3}}},
+		{"Q3", "M3", nil, false, false, nil}, // lineitem's delta stays on the workers
+		{"Q3", "M5", nil, false, false, nil}, // orders' delta is repartitioned, not broadcast
+		{"Q5", "M17", nil, true, false, map[string][2]int{"lineitem": {3, 3}, "orders": {3, 3}, "supplier": {3, 3}}},
+		{"Q5", "M32", custkeyFirst, true, false, map[string][2]int{"supplier": {2, 3}, "customer": {3, 3}, "orders": {3, 3}}},
+	} {
+		name := c.query + " " + c.view
+		ranks := c.ranks
+		if ranks == nil {
+			ranks = tpch.PrimaryKeyRanks
+		}
+		q, err := tpch.QueryByName(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := compile.Compile(q.Name, q.Def, q.BaseSchemas(), compile.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked, _ := rankPlacement(prog, ranks)
+		if !ranked[c.view].Keyed() {
+			t.Fatalf("%s: the ranks place it %v, want partitioned", name, ranked[c.view])
+		}
+		rankProgs := CompileProgram(prog, ranked, O3)
+		if got := upkeepMoved(prog, rankProgs, c.view); got != c.moved {
+			t.Errorf("%s: rule (a) holds = %v, want %v", name, got, c.moved)
+		}
+		parts, progs := Place(prog, ranks)
+		if got := parts[c.view].Kind == LIndiff; got != c.replicated {
+			t.Errorf("%s: located %v, replicated = %v, want %v", name, parts[c.view], got, c.replicated)
+		}
+		trial := ranked.Clone()
+		trial[c.view] = Indiff
+		for table, want := range c.stages {
+			after := compileTrigger(prog, prog.Triggers[table], trial, O3)
+			if c.replicated {
+				after = progs[table]
+			}
+			if got := [2]int{rankProgs[table].Stages(), after.Stages()}; got != want {
+				t.Errorf("%s: %s trigger runs %d then %d stages, want %d then %d\n%s", name, table, got[0], got[1], want[0], want[1], after)
+			}
+		}
+	}
+}
+
+// TestPlaceCompilesWhatCompileProgramDoes holds the programs Place
+// returns, for every TPC-H query, to those CompileProgram compiles for
+// Place's placement: a deployment that takes them compiles once.
+func TestPlaceCompilesWhatCompileProgramDoes(t *testing.T) {
+	for _, q := range tpch.Queries() {
+		prog, err := compile.Compile(q.Name, q.Def, q.BaseSchemas(), compile.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, progs := Place(prog, tpch.PrimaryKeyRanks)
+		want := CompileProgram(prog, parts, O3)
+		if len(progs) != len(want) {
+			t.Fatalf("%s: Place compiled %d triggers, want %d", q.Name, len(progs), len(want))
+		}
+		for table, dp := range want {
+			if got := progs[table]; got.String() != dp.String() || !got.Parts.Equal(dp.Parts) {
+				t.Errorf("%s %s: Place compiled\n%s\nCompileProgram compiles\n%s", q.Name, table, got, dp)
+			}
+		}
+	}
+}
+
+// TestReplicaUpkeepReusesTheBroadcast pins that Q3's customer trigger
+// keeps the replicated M2 from the copies it moves anyway: it gathers
+// one relation, Q3_customer_DELTA, once, and broadcasts it once.
+func TestReplicaUpkeepReusesTheBroadcast(t *testing.T) {
+	prog, _ := compileQ3(t)
+	_, progs := Place(prog, tpch.PrimaryKeyRanks)
+	dp := progs["customer"]
+	moves := map[string]int{}
+	for _, b := range dp.Blocks {
+		for _, s := range b.Stmts {
+			if x, ok := s.RHS.(*Xform); ok {
+				moves[x.Kind.String()+" "+eval.RelEnvName(x.Body.(*expr.Rel))]++
+			}
+		}
+	}
+	if len(moves) != 2 || moves["GATHER Q3_customer_DELTA"] != 1 || moves["SCATTER "+gatheredName(dp, "Q3_customer_DELTA")] != 1 {
+		t.Fatalf("customer trigger moves %v, want one gather of Q3_customer_DELTA and one broadcast of it\n%s", moves, dp)
+	}
+}
+
+// gatheredName returns the driver copy a program gathers src into.
+func gatheredName(dp *DistProgram, src string) string {
+	for _, b := range dp.Blocks {
+		for _, s := range b.Stmts {
+			if x, ok := s.RHS.(*Xform); ok && x.Kind == XGather && eval.RelEnvName(x.Body.(*expr.Rel)) == src {
+				return s.LHS
+			}
+		}
+	}
+	return ""
 }

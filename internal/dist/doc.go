@@ -15,6 +15,9 @@
 //     driver. Update batches, which the workers ingest, are keyed the
 //     same way, so a trigger meets its batch where the views it joins
 //     live; a batch with no ranked column is Random, dealt round-robin.
+//     One static rule then replicates a view the ranks would partition
+//     when its writers fold only what their trigger already broadcasts
+//     and the replicas save a stage (Place).
 //   - Xform models the transformers of Sec. 4.3: scatter (driver to
 //     workers, keyed or broadcast), repartition (worker exchange), and
 //     gather (workers to driver).
@@ -22,7 +25,9 @@
 //     O0 it evaluates every statement at the driver, gathering inputs
 //     naively; O1 inserts transformers locality-aware so statements run
 //     where their data lives; O2 eliminates redundant transformers
-//     (identical movements of unchanged data); O3 runs FuseBlocks.
+//     (identical movements of unchanged data), which also keeps a
+//     replicated view from the copies its trigger moved anyway; O3 runs
+//     FuseBlocks.
 //   - FuseBlocks is the block-fusion algorithm of App. C.3: statements
 //     are reordered within their data dependencies so adjacent blocks of
 //     one execution mode merge, cutting synchronization barriers. FuseTx

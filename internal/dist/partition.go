@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/compile"
 	"repro/internal/eval"
 	"repro/internal/expr"
@@ -46,8 +49,60 @@ func ViewSchemas(prog *compile.Program) map[string]mring.Schema {
 //     models by dealing each batch by its location: by dist.PlaceIndex on
 //     the key, or round-robin when Random. So a trigger whose first step
 //     joins its batch with a view on that key needs no repartition.
+//
+// One static rule then overrides the ranks, reading only the O3
+// programs compiled against them: a persistent view some statement
+// reads is replicated instead of partitioned when its upkeep ships
+// nothing new and the replicas save a stage. See Place.
 func ChoosePartitioning(prog *compile.Program, keyRanks map[string]int) PartInfo {
-	read := make(map[string]bool, len(prog.Views))
+	parts, _ := Place(prog, keyRanks)
+	return parts
+}
+
+// Place returns ChoosePartitioning's placement together with the
+// trigger programs compiled against it at O3, the ones CompileProgram
+// returns for that placement, so a deployment compiles once.
+//
+// The rank heuristic places every view first. Then, in view order, a
+// persistent view V it partitions, and some statement reads, is
+// replicated when both hold:
+//
+//   - (a) every statement writing V reads nothing but V and relations
+//     its own trigger's program already gathers and broadcasts whole,
+//     so the driver mirror and the replicas fold copies already moved
+//     and the upkeep ships nothing new;
+//   - (b) recompiled with V replicated, the triggers reading or writing
+//     V lose at least one stage between them and none gains one.
+//
+// The rule needs no statistics and recompiles only the triggers that
+// touch a view passing (a). Over TPC-H it replicates four views, among
+// them Q3's M2(c_custkey), the customers an order joins: an orders batch
+// then joins it in place, and Q3's orders trigger runs in one stage, not
+// three.
+func Place(prog *compile.Program, keyRanks map[string]int) (PartInfo, map[string]*DistProgram) {
+	parts, read := rankPlacement(prog, keyRanks)
+	progs := CompileProgram(prog, parts, O3)
+	for _, v := range prog.Views {
+		if v.Transient || !read[v.Name] || !parts[v.Name].Keyed() || !upkeepMoved(prog, progs, v.Name) {
+			continue
+		}
+		trial := parts.Clone()
+		trial[v.Name] = Indiff
+		if recompiled := fewerStages(prog, trial, progs, v.Name); recompiled != nil {
+			parts[v.Name] = Indiff
+			for _, dp := range progs {
+				dp.Parts[v.Name] = Indiff
+			}
+			maps.Copy(progs, recompiled)
+		}
+	}
+	return parts, progs
+}
+
+// rankPlacement is the rank heuristic alone. It also reports the views
+// some trigger statement reads.
+func rankPlacement(prog *compile.Program, keyRanks map[string]int) (parts PartInfo, read map[string]bool) {
+	read = make(map[string]bool, len(prog.Views))
 	for _, tr := range prog.Triggers {
 		for _, s := range tr.Stmts {
 			for _, name := range expr.Relations(s.RHS, expr.RView) {
@@ -55,7 +110,7 @@ func ChoosePartitioning(prog *compile.Program, keyRanks map[string]int) PartInfo
 			}
 		}
 	}
-	parts := make(PartInfo, len(prog.Views)+len(prog.Bases))
+	parts = make(PartInfo, len(prog.Views)+len(prog.Bases))
 	for _, v := range prog.Views {
 		loc := chooseViewLoc(v, keyRanks)
 		if loc.Kind == LIndiff && !read[v.Name] {
@@ -72,7 +127,90 @@ func ChoosePartitioning(prog *compile.Program, keyRanks map[string]int) PartInfo
 		}
 		parts[eval.DeltaName(name)] = loc
 	}
-	return parts
+	return parts, read
+}
+
+// upkeepMoved is rule (a): every statement writing view reads only the
+// view and relations its trigger's program gathers and broadcasts whole.
+func upkeepMoved(prog *compile.Program, progs map[string]*DistProgram, view string) bool {
+	for rel, trg := range prog.Triggers {
+		var whole map[string]bool
+		for _, s := range trg.Stmts {
+			if s.LHS != view {
+				continue
+			}
+			if whole == nil {
+				whole = broadcastWhole(progs[rel])
+			}
+			for name := range (Stmt{RHS: s.RHS}).Reads() {
+				if name != view && !whole[name] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// broadcastWhole returns the relations a program gathers at the driver
+// and broadcasts whole from there.
+func broadcastWhole(dp *DistProgram) map[string]bool {
+	gathered := map[string]string{} // driver copy -> source
+	whole := map[string]bool{}
+	for _, b := range dp.Blocks {
+		for _, s := range b.Stmts {
+			x, ok := s.RHS.(*Xform)
+			if !ok {
+				continue
+			}
+			r, ok := x.Body.(*expr.Rel)
+			if !ok {
+				continue
+			}
+			switch src := eval.RelEnvName(r); {
+			case x.Kind == XGather:
+				gathered[s.LHS] = src
+			case x.Kind == XScatter && len(x.Key) == 0 && gathered[src] != "":
+				whole[gathered[src]] = true
+			}
+		}
+	}
+	return whole
+}
+
+// fewerStages is rule (b): it recompiles, under trial, the triggers
+// reading or writing view, and returns their programs when they lose a
+// stage between them and none gains one, nil otherwise.
+func fewerStages(prog *compile.Program, trial PartInfo, progs map[string]*DistProgram, view string) map[string]*DistProgram {
+	out := map[string]*DistProgram{}
+	saved := false
+	for rel, trg := range prog.Triggers {
+		if !touches(trg, view) {
+			continue
+		}
+		dp := compileTrigger(prog, trg, trial, O3)
+		switch was := progs[rel].Stages(); {
+		case dp.Stages() > was:
+			return nil
+		case dp.Stages() < was:
+			saved = true
+		}
+		out[rel] = dp
+	}
+	if !saved {
+		return nil
+	}
+	return out
+}
+
+// touches reports whether a trigger's statements read or write view.
+func touches(trg *compile.Trigger, view string) bool {
+	for _, s := range trg.Stmts {
+		if s.LHS == view || slices.Contains(expr.Relations(s.RHS, expr.RView), view) {
+			return true
+		}
+	}
+	return false
 }
 
 // bestKey returns the schema's highest-ranked column and its rank; the

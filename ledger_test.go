@@ -50,7 +50,9 @@ func ledgerScript(q tpch.Query) [][]tpch.Batch {
 // time or an allocation — with testdata/work.ledger, line for line:
 // evaluation operations per changed tuple, kept tuples per view, stages
 // and shuffled bytes, requests each worker serves per transaction, WAL
-// bytes per transaction, and changefeed rows. A change that moves a line
+// bytes per transaction, and changefeed rows. kept.* counts every copy:
+// a replicated view counts its driver mirror and each worker's replica,
+// so Q3's 1-row M2 reads 3 on two workers. A change that moves a line
 // moves it on purpose; re-pin with
 //
 //	go test -run '^TestWorkLedger$' -update .
