@@ -90,7 +90,8 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	arity := marshal(&stageReq{installs: []install{{kind: installScatter, name: "R", schema: schema[:1], from: []rows{p}}}})
 	resp := marshal(&stageResp{outs: [][]rows{{p}}})
 	var junk wire.Enc
-	junk.Varints(make([]int64, 5)) // stats and compute
+	junk.Varints(make([]int64, 4)) // stats
+	junk.Float(0)                  // compute
 	junk.Int(0)                    // no sinks
 	junk.Int(0)                    // no replacements
 	junk.Int(1)                    // one output of one piece

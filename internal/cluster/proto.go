@@ -224,12 +224,15 @@ func (m *stageReq) get(d *wire.Dec) {
 
 // A stage response is the block's stats and compute time, its sinks by
 // view name, then the installs' replacements (after, before), then each
-// output's pieces.
+// output's pieces. The compute time, in nanoseconds, is a fixed-width
+// float64 (exact below 2^53 ns), so a response's length is a function of
+// its counted work and never of a clock reading.
 func (m *stageResp) put(e *encoder) {
 	s := &m.stats
-	for _, v := range []int64{s.Lookups, s.Scans, s.Emits, s.IndexOps, m.compute.Nanoseconds()} {
+	for _, v := range []int64{s.Lookups, s.Scans, s.Emits, s.IndexOps} {
 		e.Varint(v)
 	}
+	e.Float(float64(m.compute))
 	wire.PutMap(&e.Enc, m.sinks, func(_ *wire.Enc, r rows) { e.rows(r, nil) })
 	e.Int(len(m.replaced))
 	for _, r := range m.replaced {
@@ -247,11 +250,10 @@ func (m *stageResp) put(e *encoder) {
 
 func (m *stageResp) get(d *wire.Dec) {
 	s := &m.stats
-	var ns int64
-	for _, v := range []*int64{&s.Lookups, &s.Scans, &s.Emits, &s.IndexOps, &ns} {
+	for _, v := range []*int64{&s.Lookups, &s.Scans, &s.Emits, &s.IndexOps} {
 		*v = d.Varint()
 	}
-	m.compute = time.Duration(ns)
+	m.compute = time.Duration(d.Float())
 	m.sinks = wire.GetMap(d, 1, getRows)
 	if n := d.Count(2); n > 0 {
 		m.replaced = make([][2]rows, n)

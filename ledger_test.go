@@ -49,7 +49,10 @@ func ledgerScript(q tpch.Query) [][]tpch.Batch {
 // ivm.Engine on every backend and compares the work it counts — never a
 // time or an allocation — with testdata/work.ledger, line for line:
 // evaluation operations per changed tuple, kept tuples per view, stages
-// and shuffled bytes, requests each worker serves per transaction, WAL
+// and shuffled bytes, requests each worker serves per transaction, the
+// payload bytes of those requests and their responses over every worker's
+// transport (wire_b_per_tx: shuffled_b counts the movement transformers
+// only, never the deal of a batch or a deploy), WAL
 // bytes per transaction, and changefeed rows. kept.* counts every copy:
 // a replicated view counts its driver mirror and each worker's replica,
 // so Q3's 1-row M2 reads 3 on two workers. A change that moves a line
@@ -102,14 +105,14 @@ func TestWorkLedger(t *testing.T) {
 func ledgerRun(t *testing.T, q tpch.Query, be string, script [][]tpch.Batch) []string {
 	t.Helper()
 	opts := []Option{KeyRanks(tpch.PrimaryKeyRanks)}
-	var recv []*atomic.Int64
+	var recv, wire []*atomic.Int64
 	switch be {
 	case "dist2":
 		opts = append(opts, Distributed(2))
 	case "remote2":
 		addrs := make([]string, 2)
 		for i := range addrs {
-			tr := countingTCP{recv: new(atomic.Int64), sent: new(atomic.Int64)}
+			tr := countingTCP{recv: new(atomic.Int64), sent: new(atomic.Int64), wire: new(atomic.Int64)}
 			srv, err := cluster.ListenAndServeWorker(tr, "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -117,6 +120,7 @@ func ledgerRun(t *testing.T, q tpch.Query, be string, script [][]tpch.Batch) []s
 			t.Cleanup(func() { srv.Close() })
 			addrs[i] = srv.Addr()
 			recv = append(recv, tr.recv)
+			wire = append(wire, tr.wire)
 		}
 		opts = append(opts, Remote(addrs...))
 	case "durable":
@@ -132,7 +136,7 @@ func ledgerRun(t *testing.T, q tpch.Query, be string, script [][]tpch.Batch) []s
 		t.Fatal(err)
 	}
 	requests := make([]int64, len(recv))
-	var changed int64
+	var changed, wireBytes int64
 	for _, bs := range script {
 		tx := e.NewTx()
 		for _, b := range bs {
@@ -144,12 +148,14 @@ func ledgerRun(t *testing.T, q tpch.Query, be string, script [][]tpch.Batch) []s
 		before := make([]int64, len(recv))
 		for i, r := range recv {
 			before[i] = r.Load()
+			wireBytes -= wire[i].Load()
 		}
 		if err := e.Apply(tx); err != nil {
 			t.Fatal(err)
 		}
 		for i, r := range recv {
 			requests[i] += r.Load() - before[i]
+			wireBytes += wire[i].Load()
 		}
 	}
 	txs := float64(len(script))
@@ -170,6 +176,9 @@ func ledgerRun(t *testing.T, q tpch.Query, be string, script [][]tpch.Batch) []s
 	}
 	for i, n := range requests {
 		lines = append(lines, fmt.Sprintf("requests_per_tx.w%d %.4f", i, float64(n)/txs))
+	}
+	if be == "remote2" {
+		lines = append(lines, fmt.Sprintf("wire_b_per_tx %.1f", float64(wireBytes)/txs))
 	}
 	if be == "durable" {
 		lines = append(lines, fmt.Sprintf("wal_b_per_tx %.1f", float64(st.Durability.Bytes)/txs))

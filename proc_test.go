@@ -246,12 +246,13 @@ func workerKill(t *testing.T) {
 }
 
 // countingTCP is the TCP transport with every frame a listener's
-// connections receive and send counted. With sever set, the connection
+// connections receive and send counted, and, with wire set, the payload
+// bytes of those frames in both directions. With sever set, the connection
 // that receives frame number *sever (counted from 1 across the
 // listener's connections) is closed instead of served.
 type countingTCP struct {
 	inet.TCP
-	recv, sent, sever *atomic.Int64
+	recv, sent, sever, wire *atomic.Int64
 }
 
 func (t countingTCP) Listen(addr string) (inet.Listener, error) {
@@ -276,6 +277,9 @@ type countingConn struct {
 
 func (c countingConn) Send(typ byte, payload []byte) error {
 	c.t.sent.Add(1) // before the write, so the driver cannot see the frame uncounted
+	if c.t.wire != nil {
+		c.t.wire.Add(int64(len(payload)))
+	}
 	return c.Conn.Send(typ, payload)
 }
 
@@ -285,6 +289,9 @@ func (c countingConn) Recv() (byte, []byte, error) {
 		if n := c.t.recv.Add(1); c.t.sever != nil && n == c.t.sever.Load() {
 			c.Conn.Close()
 			return 0, nil, errors.New("connection severed")
+		}
+		if c.t.wire != nil {
+			c.t.wire.Add(int64(len(payload)))
 		}
 	}
 	return typ, payload, err
