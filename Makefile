@@ -69,7 +69,8 @@ fuzz:
 # proc-smoke runs the process-cluster smoke gate: builds the real worker
 # binary, spawns 4 worker processes on localhost, and asserts the
 # cluster driver over them is bitwise-equal to the same driver over
-# in-process workers at the same worker count (same step as the CI job).
+# in-process workers at the same worker count, and to the local engine
+# (same step as the CI job).
 proc-smoke:
 	$(GO) build -o bin/ivmworker ./cmd/ivmworker
 	IVM_WORKER_BIN=$(CURDIR)/bin/ivmworker $(GO) test -race -run '^TestProcessClusterSmoke$$' -v .

@@ -447,14 +447,17 @@ func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relat
 }
 
 // RunPartitionedTx runs a transaction's program (dist.FuseTx) over its
-// batches, batches[i] updating prog.Relations[i]. Each worker ingests its
-// share of the stream as its fragment of each delta (Sec. 6.2): a batch
-// is dealt by its delta's location in prog.Parts — by dist.PlaceIndex on
-// the key when keyed, round-robin from worker 0 when Random — and each
-// worker refills its fragment with the rows in deal order, so the
-// fragment's layout is the same whichever kind of worker holds it. The
-// dealt rows alias the batches' storage, which nothing mutates until the
-// run returns; the batches are left as they were.
+// batches, batches[i] updating prog.Relations[i]. A batch whose delta
+// prog.Parts places at the driver (dist.Local) is read there, as the
+// driver's relation of that name for the length of the run. Each worker
+// ingests its share of every other batch as its fragment of the delta
+// (Sec. 6.2): the batch is dealt by its delta's location — by
+// dist.PlaceIndex on the key when keyed, round-robin from worker 0 when
+// Random or absent from prog.Parts — and each worker refills its fragment with the rows in deal
+// order, so the fragment's layout is the same whichever kind of worker
+// holds it. The driver's relations and the dealt rows alias the batches'
+// storage, which nothing mutates until the run returns; the batches are
+// left as they were.
 func (c *Cluster) RunPartitionedTx(prog *dist.DistProgram, batches []*mring.Relation) (Metrics, error) {
 	if err := c.ready(prog); err != nil {
 		return Metrics{}, err
@@ -465,13 +468,17 @@ func (c *Cluster) RunPartitionedTx(prog *dist.DistProgram, batches []*mring.Rela
 	deals := make([][]rows, len(batches))
 	for k, batch := range batches {
 		delta := eval.DeltaName(prog.Relations[k])
-		if loc := prog.Parts[delta]; loc.Keyed() {
+		switch loc, ok := prog.Parts[delta]; {
+		case ok && loc.Kind == dist.LLocal:
+			c.driver.rels[delta] = batch
+			defer delete(c.driver.rels, delta)
+		case loc.Keyed():
 			keyPos, err := keyPositions(prog.Schemas[delta], loc.Key)
 			if err != nil {
 				return Metrics{}, fmt.Errorf("cluster: deal of %s: %w", delta, err)
 			}
 			deals[k] = split(batch, keyPos, len(c.workers))
-		} else {
+		default:
 			deals[k] = dealRoundRobin(batch, len(c.workers))
 		}
 	}
@@ -510,7 +517,7 @@ func keyPositions(schema mring.Schema, key mring.Schema) ([]int, error) {
 }
 
 // runBlocks runs a program, with deals[k][i] of batches[k] dealt to
-// worker i, as its plan's steps: the deals and the installs of each
+// worker i (no deal when deals[k] is nil), as its plan's steps: the deals and the installs of each
 // stretch of driver statements ride the next step's request, and the
 // worker reads of driver statements ride the previous step's response, so
 // each worker serves one round trip per step.
@@ -525,6 +532,9 @@ func (c *Cluster) runBlocks(prog *dist.DistProgram, batches []*mring.Relation, d
 	r := &run{plan: p, reqs: make([]stageReq, len(c.workers))}
 	for k, rel := range prog.Relations {
 		deal := deals[k]
+		if deal == nil {
+			continue
+		}
 		r.queue(install{kind: installReplace, name: eval.DeltaName(rel), schema: batches[k].Schema()}, func(i int) []rows { return deal[i : i+1] })
 	}
 	for i, b := range p.blocks {

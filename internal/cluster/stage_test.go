@@ -20,7 +20,8 @@ import (
 // views written before they land. Each batch costs every process worker
 // exactly one request per planned step; every view the process cluster
 // holds is bitwise the simulator's, and the simulator's equal the local
-// executor's.
+// executor's. Each plan's steps are the program's RoundTrips, the count
+// dist.Place guards.
 func TestStagePlansAcrossQueries(t *testing.T) {
 	const workers = 3
 	for _, q := range tpch.Queries() {
@@ -53,6 +54,9 @@ func TestStagePlansAcrossQueries(t *testing.T) {
 						t.Fatalf("%s O%d %s on process workers: %v", q.Name, level, b.Table, err)
 					}
 					steps := len(proc.plans[dp].outputs)
+					if rt := dp.RoundTrips(); rt != steps {
+						t.Fatalf("%s O%d %s: the program counts %d round trips, its plan %d steps", q.Name, level, b.Table, rt, steps)
+					}
 					for i := range before {
 						if got := lb.requests[i] - before[i]; got != steps {
 							t.Fatalf("%s O%d %s: worker %d served %d requests for %d steps", q.Name, level, b.Table, i, got, steps)

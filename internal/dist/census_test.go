@@ -58,7 +58,6 @@ var persistentMoves = map[string]string{
 	"Q9 lineitem GATHER(M15(p_partkey))":                    crossKey,
 	"Q9 lineitem GATHER(M3(l_orderkey))":                    crossKey,
 	"Q9 partsupp GATHER(M15(p_partkey))":                    crossKey,
-	"Q11 partsupp GATHER(M1(ps_suppkey))":                   crossKey,
 	"Q11 partsupp BROADCAST(M6())":                          scalar,
 	"Q16 part GATHER(M1(p_brand,p_size,ps_suppkey))":        driverStmt,
 	"Q16 part GATHER(M2(p_partkey,ps_suppkey))":             driverStmt,

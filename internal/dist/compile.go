@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/compile"
 	"repro/internal/eval"
@@ -75,10 +76,39 @@ func compileTrigger(prog *compile.Program, trg *compile.Trigger, parts PartInfo,
 		Parts:     tc.cur,
 		Schemas:   tc.schemas,
 	}
+	if level >= O2 {
+		dp.Blocks = tc.pruneDeadTransfers()
+	}
 	if level >= O3 {
 		dp.Blocks = FuseBlocks(dp.Blocks)
 	}
 	return dp
+}
+
+// pruneDeadTransfers drops every transfer whose target is per-batch
+// scratch — a transient view or a movement temporary — that no later
+// statement reads: with its reads served by a driver copy, such a move
+// ships rows nobody looks at. A block left empty is dropped.
+func (tc *trigCompiler) pruneDeadTransfers() []Block {
+	live := map[string]bool{}
+	out := make([]Block, len(tc.blocks))
+	for i := len(tc.blocks) - 1; i >= 0; i-- {
+		stmts := tc.blocks[i].Stmts
+		kept := make([]Stmt, 0, len(stmts))
+		for j := len(stmts) - 1; j >= 0; j-- {
+			s := stmts[j]
+			if v := tc.prog.View(s.LHS); s.IsXform() && !live[s.LHS] && (v == nil || v.Transient) {
+				continue
+			}
+			kept = append(kept, s)
+			for name := range s.Reads() {
+				live[name] = true
+			}
+		}
+		slices.Reverse(kept)
+		out[i] = Block{Mode: tc.blocks[i].Mode, Stmts: kept}
+	}
+	return slices.DeleteFunc(out, func(b Block) bool { return len(b.Stmts) == 0 })
 }
 
 // emit appends a statement, coalescing with the previous block when the
@@ -132,15 +162,15 @@ func (tc *trigCompiler) move(kind XformKind, key mring.Schema, src *expr.Rel, lo
 
 // gatherBroadcast replicates a distributed relation on every worker
 // (gather to the driver, then broadcast), returning the replica name.
+// The gather is gatherToDriver's, so a driver copy already at hand is
+// broadcast without one.
 func (tc *trigCompiler) gatherBroadcast(src *expr.Rel) string {
 	env := eval.RelEnvName(src)
 	sig := "gb|" + env
 	if m := tc.cached(sig); m != nil {
 		return m.temp
 	}
-	g := tc.temp(src.Cols)
-	tc.emit(LLocal, Stmt{LHS: g, Op: eval.OpSet, RHS: &Xform{Kind: XGather, Body: src.Clone()}})
-	tc.cur[g] = Local
+	g := tc.gatherToDriver(src)
 	b := tc.temp(src.Cols)
 	tc.emit(LLocal, Stmt{LHS: b, Op: eval.OpSet, RHS: &Xform{Kind: XScatter, Body: viewRef(g, src.Cols)}})
 	tc.cur[b] = Indiff
@@ -675,6 +705,8 @@ func (tc *trigCompiler) compileAtDriver(s Stmt, refs []*ref) {
 		if s.Op == eval.OpSet {
 			tc.emit(LLocal, Stmt{LHS: s.LHS, Op: eval.OpSet,
 				RHS: &Xform{Kind: XScatter, Key: tgt.Key.Clone(), Body: viewRef(t, tc.stmtSchema(s))}})
+			// t holds the target whole: a later gather of it reads t.
+			tc.cache = append(tc.cache, moved{sig: "g|" + s.LHS, src: s.LHS, temp: t})
 			return
 		}
 		t2 := tc.temp(tc.stmtSchema(s))

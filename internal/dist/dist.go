@@ -306,6 +306,54 @@ func (p *DistProgram) Jobs() int {
 	return n
 }
 
+// RoundTrips counts the requests each worker serves for one run of the
+// program, as the cluster driver schedules them: one step per
+// distributed block, carrying the installs of the driver statements
+// before it, while the worker reads of driver statements ride the last
+// step's response. A read finds no response to ride before the first
+// step, nor one that could hold a target installed since the last step,
+// unless the driver routed that target's pieces itself (a repartition):
+// it then costs a transfer-only step. Installs queued after the last
+// step cost a closing one.
+func (p *DistProgram) RoundTrips() int {
+	steps := 0
+	open, queued := false, false
+	// installed holds the targets installed since the last step, true
+	// for a repartition's.
+	installed := map[string]bool{}
+	step := func() {
+		steps++
+		open, queued = true, false
+		clear(installed)
+	}
+	for _, b := range p.Blocks {
+		if b.Mode == LDist {
+			step()
+			continue
+		}
+		for _, s := range b.Stmts {
+			x, ok := s.RHS.(*Xform)
+			if !ok {
+				continue
+			}
+			if x.Kind != XScatter {
+				routed, inst := installed[eval.RelEnvName(x.Body.(*expr.Rel))]
+				if !routed && (!open || inst) {
+					step()
+				}
+			}
+			if x.Kind != XGather {
+				installed[s.LHS] = x.Kind == XRepart
+				queued = true
+			}
+		}
+	}
+	if queued {
+		steps++
+	}
+	return steps
+}
+
 // CommStmts counts the transformer statements (communication rounds
 // before fusion batches them).
 func (p *DistProgram) CommStmts() int {

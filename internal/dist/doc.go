@@ -17,7 +17,9 @@
 //     live; a batch with no ranked column is Random, dealt round-robin.
 //     One static rule then replicates a view the ranks would partition
 //     when its writers fold only what their trigger already broadcasts
-//     and the replicas save a stage (Place).
+//     and the replicas save a stage, and another reads a batch at the
+//     driver when its trigger only pre-aggregates it on its deal key: the
+//     driver deals the pre-aggregate instead of the raw rows (Place).
 //   - Xform models the transformers of Sec. 4.3: scatter (driver to
 //     workers, keyed or broadcast), repartition (worker exchange), and
 //     gather (workers to driver).
@@ -25,12 +27,15 @@
 //     O0 it evaluates every statement at the driver, gathering inputs
 //     naively; O1 inserts transformers locality-aware so statements run
 //     where their data lives; O2 eliminates redundant transformers
-//     (identical movements of unchanged data), which also keeps a
-//     replicated view from the copies its trigger moved anyway; O3 runs
-//     FuseBlocks.
+//     (identical movements of unchanged data, a gather of what the
+//     driver just scattered, and a move of scratch no later statement
+//     reads), which also keeps a replicated view from the copies its
+//     trigger moved anyway; O3 runs FuseBlocks.
 //   - FuseBlocks is the block-fusion algorithm of App. C.3: statements
-//     are reordered within their data dependencies so adjacent blocks of
-//     one execution mode merge, cutting synchronization barriers. FuseTx
+//     are reordered within their data dependencies, kept per copy (the
+//     driver's or the workers'), so adjacent blocks of one execution
+//     mode merge, cutting synchronization barriers, and the schedule
+//     with the fewest round trips, then stages, is kept. FuseTx
 //     applies it across a transaction's tables, so a transaction runs as
 //     one program, not one per table.
 //   - DistProgram.Jobs/Stages report the Table 3 complexity measures:

@@ -12,19 +12,39 @@ import (
 // barriers (every distributed block is one scheduling round; every local
 // block with transformers is one communication round).
 //
+// Dependencies are kept per copy: the driver's copy of a relation and
+// the workers' copies are distinct relations, such as a replicated view's
+// driver mirror and its replicas. A compute statement reads and writes
+// the copies of the node its block runs on, a scatter reads the driver's
+// copy and writes the workers', a gather reads the workers' and writes
+// the driver's, and a repartition reads and writes the workers'.
+//
 // The input is not mutated; the fused sequence shares the statement
 // values.
 func FuseBlocks(blocks []Block) []Block {
 	type node struct {
 		mode   LocKind
 		stmt   Stmt
-		reads  map[string]bool
-		writes string
+		reads  map[copyRef]bool
+		writes copyRef
 	}
 	var nodes []*node
 	for _, b := range blocks {
 		for _, s := range b.Stmts {
-			n := &node{mode: b.Mode, stmt: s, reads: s.Reads(), writes: s.LHS}
+			from, to := b.Mode, b.Mode
+			if x, ok := s.RHS.(*Xform); ok {
+				from, to = LDist, LDist
+				switch x.Kind {
+				case XScatter:
+					from = LLocal
+				case XGather:
+					to = LLocal
+				}
+			}
+			n := &node{mode: b.Mode, stmt: s, reads: map[copyRef]bool{}, writes: copyRef{to, s.LHS}}
+			for name := range s.Reads() {
+				n.reads[copyRef{from, name}] = true
+			}
 			nodes = append(nodes, n)
 		}
 	}
@@ -33,7 +53,8 @@ func FuseBlocks(blocks []Block) []Block {
 	}
 
 	// deps[j] holds the indices that must execute before j: any earlier
-	// statement with a read/write, write/read, or write/write conflict.
+	// statement with a read/write, write/read, or write/write conflict on
+	// one copy.
 	deps := make([][]int, len(nodes))
 	for j, nj := range nodes {
 		for i := 0; i < j; i++ {
@@ -48,51 +69,91 @@ func FuseBlocks(blocks []Block) []Block {
 	// mode (in original order, cascading as emissions unblock more), then
 	// switch modes. This merges all mergeable same-mode blocks while
 	// preserving every dependency.
-	scheduled := make([]bool, len(nodes))
-	remaining := len(nodes)
-	ready := func(j int) bool {
-		if scheduled[j] {
-			return false
-		}
-		for _, d := range deps[j] {
-			if !scheduled[d] {
+	//
+	// Three schedules compete, and the one costing the fewest round trips
+	// (RoundTrips), then the fewest stages, wins, the first on a tie: one
+	// opening in the first statement's mode, one opening in the other, and
+	// one opening at the driver that leaves the worker reads (gathers and
+	// repartitions) of its opening block to the next driver block. Such a
+	// read finds no step's response to ride, so it costs a step of its
+	// own. A transaction fusing a trigger that opens at the driver with
+	// one that opens on the workers thus runs both openings in one step.
+	schedule := func(mode LocKind, deferReads bool) []Block {
+		scheduled := make([]bool, len(nodes))
+		remaining := len(nodes)
+		opening := true
+		ready := func(j int) bool {
+			if scheduled[j] || deferReads && opening && readsWorkers(nodes[j].stmt) {
 				return false
 			}
-		}
-		return true
-	}
-	var out []Block
-	mode := nodes[0].mode
-	for remaining > 0 {
-		var cur []Stmt
-		for progress := true; progress; {
-			progress = false
-			for j, n := range nodes {
-				if n.mode == mode && ready(j) {
-					cur = append(cur, n.stmt)
-					scheduled[j] = true
-					remaining--
-					progress = true
+			for _, d := range deps[j] {
+				if !scheduled[d] {
+					return false
 				}
 			}
+			return true
 		}
-		if len(cur) > 0 {
-			out = append(out, Block{Mode: mode, Stmts: cur})
+		var out []Block
+		for ; remaining > 0; opening = false {
+			var cur []Stmt
+			for progress := true; progress; {
+				progress = false
+				for j, n := range nodes {
+					if n.mode == mode && ready(j) {
+						cur = append(cur, n.stmt)
+						scheduled[j] = true
+						remaining--
+						progress = true
+					}
+				}
+			}
+			if len(cur) > 0 {
+				out = append(out, Block{Mode: mode, Stmts: cur})
+			}
+			mode = other(mode)
 		}
-		if mode == LLocal {
-			mode = LDist
-		} else {
-			mode = LLocal
+		return out
+	}
+	var best *DistProgram
+	for _, c := range []struct {
+		mode       LocKind
+		deferReads bool
+	}{{nodes[0].mode, false}, {other(nodes[0].mode), false}, {LLocal, true}} {
+		p := &DistProgram{Blocks: schedule(c.mode, c.deferReads)}
+		if best == nil || p.RoundTrips() < best.RoundTrips() || p.RoundTrips() == best.RoundTrips() && p.Stages() < best.Stages() {
+			best = p
 		}
 	}
-	return out
+	return best.Blocks
+}
+
+// copyRef names one copy of a relation: the driver's (LLocal) or the
+// workers' (LDist).
+type copyRef struct {
+	on   LocKind
+	name string
+}
+
+// readsWorkers reports whether a statement is a worker read: a gather or
+// a repartition.
+func readsWorkers(s Stmt) bool {
+	x, ok := s.RHS.(*Xform)
+	return ok && x.Kind != XScatter
+}
+
+// other returns the block mode that is not mode.
+func other(mode LocKind) LocKind {
+	if mode == LLocal {
+		return LDist
+	}
+	return LLocal
 }
 
 // FuseTx makes one program of a transaction: the programs of its tables,
 // in the order the transaction first touches them, concatenated and — at
 // O3 — fused by FuseBlocks across the tables. Fusion keeps every
-// read/write and write/write order, so every relation sees the same
-// sequence of folds as when the programs run one after another, and the
+// read/write and write/write order on each copy, so every copy of every
+// relation sees the same sequence of folds as when the programs run one after another, and the
 // result is theirs bitwise. A one-table transaction's program is its
 // trigger's.
 func FuseTx(progs []*DistProgram) *DistProgram {

@@ -121,6 +121,11 @@ func FuzzOracleAgreement(f *testing.F) {
 	seed(7, fuzzOp("R", 1, 0, 1, false), fuzzOp("S", 1, 1, 1, false), fuzzOp("S", -1, 1, 2, true),
 		fuzzOp("S", 2, 1, 2, false), fuzzOp("R", 1, 2, 1, true), fuzzOp("S", -1, 1, 1, false),
 		fuzzOp("S", 1, 1, w(3), true))
+	// A batch the keyed engine reads at the driver, pre-aggregating
+	// [1/a] by its deal key b, with two rows of group b=0 that cancel
+	// there (R(1,0) +1 and R(2,0) -2), beside a group that does not.
+	seed(6, fuzzOp("R", 1, 1, 0, false), fuzzOp("R", -2, 2, 0, false), fuzzOp("R", 1, 2, 1, true),
+		fuzzOp("R", 2, 1, 1, false), fuzzOp("R", 1, 1, 0, true))
 	bases := map[string]Schema{"R": {"a", "b"}, "S": {"b", "c"}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

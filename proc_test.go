@@ -11,14 +11,12 @@ package ivm
 
 import (
 	"errors"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/compile"
-	"repro/internal/dist"
 	"repro/internal/mring"
 	inet "repro/internal/net"
 	"repro/internal/tpch"
@@ -394,54 +392,19 @@ func stageFault(t *testing.T, deployed bool) {
 	requireBitwiseEqual(t, "poisoned result", e.Result().rel, pre)
 }
 
-// roundTrips is the number of requests one worker serves for one
-// transaction of a distributed program: one stage per distributed block, plus one before
-// a leading local block that reads worker state (a gather or a
-// repartition), plus one after the last distributed block when a local
-// block there writes worker state (a scatter or a repartition). Every
-// other transfer rides a block's stage.
-func roundTrips(dp *dist.DistProgram) int64 {
-	moves := func(b dist.Block, kinds ...dist.XformKind) bool {
-		for _, s := range b.Stmts {
-			if x, ok := s.RHS.(*dist.Xform); ok && slices.Contains(kinds, x.Kind) {
-				return true
-			}
-		}
-		return false
-	}
-	var n int64
-	last := -1
-	for i, b := range dp.Blocks {
-		if b.Mode == dist.LDist {
-			n++
-			last = i
-		}
-	}
-	if len(dp.Blocks) > 0 && dp.Blocks[0].Mode != dist.LDist && moves(dp.Blocks[0], dist.XGather, dist.XRepart) {
-		n++
-	}
-	for _, b := range dp.Blocks[last+1:] {
-		if moves(b, dist.XScatter, dist.XRepart) {
-			n++
-			break
-		}
-	}
-	return n
-}
-
 // TestRemoteRoundTripsPerTransaction pins the process cluster's wire
 // traffic to the compiled programs: counted on the workers' transport,
 // every Q3 transaction on Remote(2) — changefeed capture included — costs
-// each worker exactly the round trips its fused program implies, so the
-// driver adds none of its own. It also pins what the programs imply: one
-// round trip per distributed block of the Q1, Q3 and Q6 triggers (Q3's
-// orders trigger joins the replicated M2 in place, in one), and 2 for a
-// transaction updating all three Q3 tables, whose triggers alone would
-// cost 4.
+// each worker exactly the round trips its fused program implies
+// (dist.DistProgram.RoundTrips), so the driver adds none of its own. It
+// also pins what the programs imply: one round trip for each Q1, Q3 and
+// Q6 trigger (the driver pre-aggregates every Q3 batch, and Q3's orders
+// trigger joins the replicated M2 in place), and one for a transaction
+// updating all three Q3 tables, whose triggers alone would cost 3.
 func TestRemoteRoundTripsPerTransaction(t *testing.T) {
-	for name, want := range map[string]map[string]int64{
+	for name, want := range map[string]map[string]int{
 		"Q1": {"lineitem": 1},
-		"Q3": {"customer": 2, "orders": 1, "lineitem": 1},
+		"Q3": {"customer": 1, "orders": 1, "lineitem": 1},
 		"Q6": {"lineitem": 1},
 	} {
 		q, err := tpch.QueryByName(name)
@@ -453,7 +416,7 @@ func TestRemoteRoundTripsPerTransaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		for table, n := range want {
-			if got := roundTrips(e.be.(*distBackend).dprogs[table]); got != n {
+			if got := e.be.(*distBackend).dprogs[table].RoundTrips(); got != n {
 				t.Errorf("%s %s trigger: %d round trips per transaction, want %d", name, table, got, n)
 			}
 		}
@@ -502,11 +465,11 @@ func TestRemoteRoundTripsPerTransaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := roundTrips(dp)
+		want := int64(dp.RoundTrips())
 		if len(bs) == 3 {
 			full++
-			if want != 2 {
-				t.Fatalf("tx %d: the program of %v implies %d round trips, want 2", tx, dp.Relations, want)
+			if want != 1 {
+				t.Fatalf("tx %d: the program of %v implies %d round trips, want 1", tx, dp.Relations, want)
 			}
 		}
 		before := make([]int64, workers)

@@ -2,9 +2,11 @@ package ivm
 
 // Process-cluster smoke: real worker processes (cmd/ivmworker) spawned
 // over os/exec, a driver engine connected through ivm.Remote, and a
-// bitwise-parity check against the in-process simulated cluster, over
-// single-table batches and over multi-table transactions in two
-// first-touch orders. Gated on IVM_WORKER_BIN (set by `make proc-smoke`
+// bitwise-parity check against the in-process simulated cluster and
+// against the local engine, over single-table batches and over
+// multi-table transactions in two first-touch orders. Both cluster kinds
+// share the driver and its placement (every Q3 batch pre-aggregated at
+// the driver), so only the local engine catches a fault they share. Gated on IVM_WORKER_BIN (set by `make proc-smoke`
 // and the CI job) so plain `go test` stays hermetic.
 
 import (
@@ -72,16 +74,21 @@ func TestProcessClusterSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote.Close()
+	local, err := New(q.Name, q.Def, bases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []*Engine{oracle, remote, local}
 
 	goldenStream(t, q, func(table string, b *Batch) {
-		if err := oracle.ApplyBatch(table, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := remote.ApplyBatch(table, b); err != nil {
-			t.Fatal(err)
+		for _, e := range engines {
+			if err := e.ApplyBatch(table, b); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	requireBitwiseEqual(t, "cross-process result", remote.Result().rel, oracle.Result().rel)
+	requireBitwiseEqual(t, "cross-process result against local", remote.Result().rel, local.Result().rel)
 
 	// Multi-table transactions in two first-touch orders: each runs as one
 	// fused program, deployed to the worker processes like any other.
@@ -97,12 +104,12 @@ func TestProcessClusterSmoke(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := oracle.Apply(tx); err != nil {
-			t.Fatal(err)
-		}
-		if err := remote.Apply(tx); err != nil {
-			t.Fatal(err)
+		for _, e := range engines {
+			if err := e.Apply(tx); err != nil {
+				t.Fatal(err)
+			}
 		}
 		requireBitwiseEqual(t, "cross-process result after a transaction", remote.Result().rel, oracle.Result().rel)
+		requireBitwiseEqual(t, "cross-process result after a transaction against local", remote.Result().rel, local.Result().rel)
 	}
 }
