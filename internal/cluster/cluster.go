@@ -449,15 +449,16 @@ func (c *Cluster) RunPartitionedBatch(prog *dist.DistProgram, batch *mring.Relat
 // RunPartitionedTx runs a transaction's program (dist.FuseTx) over its
 // batches, batches[i] updating prog.Relations[i]. A batch whose delta
 // prog.Parts places at the driver (dist.Local) is read there, as the
-// driver's relation of that name for the length of the run. Each worker
-// ingests its share of every other batch as its fragment of the delta
-// (Sec. 6.2): the batch is dealt by its delta's location — by
-// dist.PlaceIndex on the key when keyed, round-robin from worker 0 when
-// Random or absent from prog.Parts — and each worker refills its fragment with the rows in deal
-// order, so the fragment's layout is the same whichever kind of worker
-// holds it. The driver's relations and the dealt rows alias the batches'
-// storage, which nothing mutates until the run returns; the batches are
-// left as they were.
+// driver's relation of that name for the length of the run, and is
+// dealt to no worker. Each worker ingests its share of every other batch
+// as its fragment of the delta (Sec. 6.2): the batch is dealt by its
+// delta's location — by dist.PlaceIndex on the key when keyed,
+// round-robin from worker 0 when Random or absent from prog.Parts — and
+// each worker refills its fragment with the rows in deal order, so the
+// fragment's layout is the same whichever kind of worker holds it. The
+// driver's relations and the dealt rows alias the batches' storage,
+// which nothing mutates until the run returns; the batches are left as
+// they were.
 func (c *Cluster) RunPartitionedTx(prog *dist.DistProgram, batches []*mring.Relation) (Metrics, error) {
 	if err := c.ready(prog); err != nil {
 		return Metrics{}, err
@@ -517,10 +518,11 @@ func keyPositions(schema mring.Schema, key mring.Schema) ([]int, error) {
 }
 
 // runBlocks runs a program, with deals[k][i] of batches[k] dealt to
-// worker i (no deal when deals[k] is nil), as its plan's steps: the deals and the installs of each
-// stretch of driver statements ride the next step's request, and the
-// worker reads of driver statements ride the previous step's response, so
-// each worker serves one round trip per step.
+// worker i (none when deals[k] is nil), as its plan's steps: the deals
+// and the installs of each stretch of driver statements ride the next
+// step's request, and the worker reads of driver statements ride the
+// previous step's response, so each worker serves one round trip per
+// step.
 func (c *Cluster) runBlocks(prog *dist.DistProgram, batches []*mring.Relation, deals [][]rows) (Metrics, error) {
 	var m Metrics
 	m.Stages = prog.Stages()

@@ -101,9 +101,7 @@ func (tc *trigCompiler) pruneDeadTransfers() []Block {
 				continue
 			}
 			kept = append(kept, s)
-			for name := range s.Reads() {
-				live[name] = true
-			}
+			s.addReads(live)
 		}
 		slices.Reverse(kept)
 		out[i] = Block{Mode: tc.blocks[i].Mode, Stmts: kept}

@@ -188,6 +188,12 @@ func (s Stmt) String() string {
 // into transformer bodies).
 func (s Stmt) Reads() map[string]bool {
 	reads := map[string]bool{}
+	s.addReads(reads)
+	return reads
+}
+
+// addReads adds the relations the statement reads to reads.
+func (s Stmt) addReads(reads map[string]bool) {
 	body := s.RHS
 	if x, ok := body.(*Xform); ok {
 		body = x.Body
@@ -198,7 +204,6 @@ func (s Stmt) Reads() map[string]bool {
 		}
 		return true
 	})
-	return reads
 }
 
 // IsXform reports whether the statement is a data-movement transformer.

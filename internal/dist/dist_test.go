@@ -316,6 +316,7 @@ func TestPlaceReplicatesBroadcastUpkeep(t *testing.T) {
 		{"Q10", "M2", nil, true, true, map[string][2]int{"orders": {3, 2}, "customer": {2, 1}}},
 		{"Q18", "M3", nil, true, true, map[string][2]int{"orders": {3, 1}, "customer": {2, 1}}},
 		{"Q20", "M3", nil, true, true, map[string][2]int{"partsupp": {3, 2}, "supplier": {3, 2}}},
+		{"Q11", "M1", nil, true, true, map[string][2]int{"partsupp": {3, 2}, "supplier": {2, 1}}},
 		{"Q3", "M3", nil, false, false, nil}, // lineitem's delta stays on the workers
 		{"Q3", "M5", nil, false, false, nil}, // orders' delta is repartitioned, not broadcast
 		{"Q5", "M17", nil, true, false, map[string][2]int{"lineitem": {3, 3}, "orders": {3, 3}, "supplier": {3, 3}}},

@@ -25,7 +25,8 @@ func FuseBlocks(blocks []Block) []Block {
 	type node struct {
 		mode   LocKind
 		stmt   Stmt
-		reads  map[copyRef]bool
+		from   LocKind         // the copies the statement reads
+		reads  map[string]bool // on from
 		writes copyRef
 	}
 	var nodes []*node
@@ -41,11 +42,7 @@ func FuseBlocks(blocks []Block) []Block {
 					to = LLocal
 				}
 			}
-			n := &node{mode: b.Mode, stmt: s, reads: map[copyRef]bool{}, writes: copyRef{to, s.LHS}}
-			for name := range s.Reads() {
-				n.reads[copyRef{from, name}] = true
-			}
-			nodes = append(nodes, n)
+			nodes = append(nodes, &node{mode: b.Mode, stmt: s, from: from, reads: s.Reads(), writes: copyRef{to, s.LHS}})
 		}
 	}
 	if len(nodes) == 0 {
@@ -56,10 +53,11 @@ func FuseBlocks(blocks []Block) []Block {
 	// statement with a read/write, write/read, or write/write conflict on
 	// one copy.
 	deps := make([][]int, len(nodes))
+	reads := func(n *node, c copyRef) bool { return n.from == c.on && n.reads[c.name] }
 	for j, nj := range nodes {
 		for i := 0; i < j; i++ {
 			ni := nodes[i]
-			if ni.writes == nj.writes || nj.reads[ni.writes] || ni.reads[nj.writes] {
+			if ni.writes == nj.writes || reads(nj, ni.writes) || reads(ni, nj.writes) {
 				deps[j] = append(deps[j], i)
 			}
 		}
@@ -115,13 +113,14 @@ func FuseBlocks(blocks []Block) []Block {
 		return out
 	}
 	var best *DistProgram
+	bestTrips := 0
 	for _, c := range []struct {
 		mode       LocKind
 		deferReads bool
 	}{{nodes[0].mode, false}, {other(nodes[0].mode), false}, {LLocal, true}} {
 		p := &DistProgram{Blocks: schedule(c.mode, c.deferReads)}
-		if best == nil || p.RoundTrips() < best.RoundTrips() || p.RoundTrips() == best.RoundTrips() && p.Stages() < best.Stages() {
-			best = p
+		if trips := p.RoundTrips(); best == nil || trips < bestTrips || trips == bestTrips && p.Stages() < best.Stages() {
+			best, bestTrips = p, trips
 		}
 	}
 	return best.Blocks

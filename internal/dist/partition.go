@@ -203,7 +203,8 @@ func preAggregatedOnDealKey(prog *compile.Program, trg *compile.Trigger, loc Loc
 }
 
 // upkeepMoved is rule (a): every statement writing view reads only the
-// view and relations its trigger's program gathers and broadcasts whole.
+// view and relations its trigger's program holds whole at the driver and
+// broadcasts whole.
 func upkeepMoved(prog *compile.Program, progs map[string]*DistProgram, view string) bool {
 	for rel, trg := range prog.Triggers {
 		var whole map[string]bool
@@ -244,7 +245,9 @@ func broadcastWhole(dp *DistProgram) map[string]bool {
 			case x.Kind == XGather:
 				copyOf[s.LHS] = src
 			case x.Kind == XScatter && len(x.Key) > 0:
-				copyOf[src] = s.LHS
+				if copyOf[src] == "" {
+					copyOf[src] = s.LHS
+				}
 			case x.Kind == XScatter && copyOf[src] != "":
 				whole[copyOf[src]] = true
 			}
