@@ -11,8 +11,8 @@ package ivm
 // the per-worker delta sinks share nothing.
 
 import (
-	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/mring"
@@ -29,7 +29,8 @@ type replayer struct {
 
 func subscribeReplay(t *testing.T, e *Engine) *replayer {
 	t.Helper()
-	rp := &replayer{rel: mring.NewRelation(e.Result().rel.Schema())}
+	// A recovered durable engine's feed continues its log's numbering.
+	rp := &replayer{rel: mring.NewRelation(e.Result().rel.Schema()), lastSeq: e.Stats().Durability.Applied}
 	e.Subscribe(func(d Delta) {
 		if d.Seq != rp.lastSeq+1 {
 			t.Fatalf("delta sequence skipped: %d after %d", d.Seq, rp.lastSeq)
@@ -41,13 +42,14 @@ func subscribeReplay(t *testing.T, e *Engine) *replayer {
 	return rp
 }
 
-// intStream feeds every engine an identical deterministic stream of
-// integer-valued transactions over R(a,k), S(k,c) — inserts and
-// deletes — so all aggregate arithmetic is exact and delta streams can
-// be compared bitwise across backends and worker counts.
-func intStream(t *testing.T, engines []*Engine) {
+// intScript is a deterministic stream of integer-valued transactions
+// over R(a,k), S(k,c) — inserts and deletes — so all aggregate
+// arithmetic is exact and delta streams can be compared bitwise across
+// backends and worker counts.
+func intScript(t *testing.T) [][]tpch.Batch {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
+	var rounds [][]tpch.Batch
 	for round := 0; round < 12; round++ {
 		br := NewBatch(Schema{"a", "k"})
 		bs := NewBatch(Schema{"k", "c"})
@@ -60,28 +62,22 @@ func intStream(t *testing.T, engines []*Engine) {
 			}
 		}
 		if round%3 == 2 {
-			// Retract a slice of what round round-2 inserted (same rng
-			// stream for every engine, so retractions line up).
+			// Retract a slice of what round round-2 inserted.
 			if err := br.Delete(Row(rng.Intn(200), rng.Intn(8))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, e := range engines {
-			tx := e.NewTx()
-			tx.Put("R", &Batch{rel: br.rel.Clone()})
-			tx.Put("S", &Batch{rel: bs.rel.Clone()})
-			if err := e.Apply(tx); err != nil {
-				t.Fatal(err)
-			}
-		}
+		rounds = append(rounds, []tpch.Batch{{Table: "R", Rel: br.rel}, {Table: "S", Rel: bs.rel}})
 	}
+	return rounds
 }
 
 // TestChangefeedBitwiseAcrossWorkers drives one query shape per
 // top-view placement (worker-partitioned, driver-local scalar,
 // replicated) through the local backend and 1/8/16 workers: the
-// subscribed delta streams must be bitwise identical everywhere, and
-// replaying any stream must reconstruct that engine's Result exactly.
+// results and the subscribed delta streams must be bitwise identical
+// everywhere, and replaying any stream must reconstruct that engine's
+// Result exactly.
 func TestChangefeedBitwiseAcrossWorkers(t *testing.T) {
 	join := Join(Table("R", "a", "k"), Table("S", "k", "c"))
 	bases := map[string]Schema{"R": {"a", "k"}, "S": {"k", "c"}}
@@ -97,54 +93,18 @@ func TestChangefeedBitwiseAcrossWorkers(t *testing.T) {
 		// Group key unranked: the top view replicates on every worker.
 		{"replicated", Sum([]string{"k"}, join), map[string]int{"a": 3}},
 	}
+	var rows []row
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			local, err := New("Q", tc.query, bases)
-			if err != nil {
-				t.Fatal(err)
-			}
-			engines := []*Engine{local}
-			for _, w := range []int{1, 8, 16} {
-				d, err := New("Q", tc.query, bases, Distributed(w), KeyRanks(tc.ranks))
-				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
+		rows = append(rows, row{name: tc.name, query: "Q", def: tc.query, bases: bases,
+			opts: []Option{KeyRanks(tc.ranks)}, rounds: intScript(t), feed: true,
+			lanes: []lane{localLane(), distLane(1), distLane(8), distLane(16)},
+			check: func(t *testing.T, lanes map[string]*laneRun) {
+				for name, lr := range lanes {
+					requireBitwiseEqual(t, name+": the replayed feed against Result", lr.feed.rel, lr.e.Result().rel)
 				}
-				engines = append(engines, d)
-			}
-			replays := make([]*replayer, len(engines))
-			for i, e := range engines {
-				replays[i] = subscribeReplay(t, e)
-			}
-
-			intStream(t, engines)
-
-			want := replays[0]
-			labels := []string{"local", "w=1", "w=8", "w=16"}
-			for i, rp := range replays {
-				if len(rp.stream) != len(want.stream) {
-					t.Fatalf("%s delivered %d deltas, local delivered %d",
-						labels[i], len(rp.stream), len(want.stream))
-				}
-				for j := range rp.stream {
-					if rp.stream[j] != want.stream[j] {
-						t.Fatalf("%s delta %d not bitwise identical to local\n got %s\nwant %s",
-							labels[i], j, rp.stream[j], want.stream[j])
-					}
-				}
-				// Replay reconstructs this engine's result exactly.
-				res := engines[i].Result().rel
-				if rp.rel.Len() != res.Len() {
-					t.Fatalf("%s: replay has %d groups, result %d\nreplay %v\nresult %v",
-						labels[i], rp.rel.Len(), res.Len(), rp.rel, res)
-				}
-				res.Foreach(func(tp mring.Tuple, m float64) {
-					if got := rp.rel.Get(tp); got != m {
-						t.Fatalf("%s: replayed %v -> %g, result has %g", labels[i], tp, got, m)
-					}
-				})
-			}
-		})
+			}})
 	}
+	runRows(t, rows...)
 }
 
 // TestChangefeedReplayReconstructsTPCH replays the Q1/Q3/Q6 delta
@@ -153,51 +113,33 @@ func TestChangefeedBitwiseAcrossWorkers(t *testing.T) {
 // Result within float tolerance for the Engine and the distributed
 // backend at 1/8/16 workers.
 func TestChangefeedReplayReconstructsTPCH(t *testing.T) {
+	var rows []row
 	for _, name := range []string{"Q1", "Q3", "Q6"} {
-		t.Run(name, func(t *testing.T) {
-			q, err := tpch.QueryByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bases := q.BaseSchemas()
-			engines := []*Engine{}
-			labels := []string{}
-			local, err := New(q.Name, q.Def, bases)
-			if err != nil {
-				t.Fatal(err)
-			}
-			engines, labels = append(engines, local), append(labels, "local")
-			for _, w := range []int{1, 8, 16} {
-				d, err := New(q.Name, q.Def, bases, Distributed(w), KeyRanks(tpch.PrimaryKeyRanks))
-				if err != nil {
-					t.Fatal(err)
+		q, err := tpch.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes := []lane{localLane()}
+		for _, w := range []int{1, 8, 16} {
+			l := distLane(w)
+			l.ref = skip
+			lanes = append(lanes, l)
+		}
+		r := tpchRow(name, q, goldenScript(q), lanes...)
+		r.feed = true
+		r.check = func(t *testing.T, lanes map[string]*laneRun) {
+			for name, lr := range lanes {
+				if lr.feed.lastSeq == 0 {
+					t.Fatalf("%s: no deltas delivered", name)
 				}
-				engines, labels = append(engines, d), append(labels, fmt.Sprintf("w=%d", w))
-			}
-			replays := make([]*replayer, len(engines))
-			for i, e := range engines {
-				replays[i] = subscribeReplay(t, e)
-			}
-
-			goldenStream(t, q, func(table string, b *Batch) {
-				for _, e := range engines {
-					if err := e.ApplyBatch(table, b); err != nil {
-						t.Fatal(err)
-					}
-				}
-			})
-
-			for i, rp := range replays {
-				if rp.lastSeq == 0 {
-					t.Fatalf("%s: no deltas delivered", labels[i])
-				}
-				if !rp.rel.EqualApprox(engines[i].Result().rel, 1e-6) {
-					t.Fatalf("%s: replayed stream does not reconstruct Result\nreplay %v\nresult %v",
-						labels[i], rp.rel, engines[i].Result().rel)
+				if !lr.feed.rel.EqualApprox(lr.e.Result().rel, 1e-6) {
+					t.Fatalf("%s: replayed stream does not reconstruct Result\nreplay %v\nresult %v", name, lr.feed.rel, lr.e.Result().rel)
 				}
 			}
-		})
+		}
+		rows = append(rows, r)
 	}
+	runRows(t, rows...)
 }
 
 // TestChangefeedReEvaluationPolicy exercises delta capture on the
@@ -262,57 +204,23 @@ func TestChangefeedReEvaluationPolicy(t *testing.T) {
 // the initial result contents as the first delta on both backends, and
 // the replay invariant holds across warm start plus streamed updates.
 func TestChangefeedWarmDelta(t *testing.T) {
-	query := Sum([]string{"k"}, Join(Table("R", "a", "k"), Table("S", "k", "c")))
-	bases := map[string]Schema{"R": {"a", "k"}, "S": {"k", "c"}}
-	ranks := map[string]int{"a": 3, "k": 2}
-
 	initR := NewBatch(Schema{"a", "k"})
 	initS := NewBatch(Schema{"k", "c"})
 	for i := 0; i < 60; i++ {
 		initR.Insert(Row(i, i%5))
 		initS.Insert(Row(i%5, i))
 	}
-
-	local, err := New("QW", query, bases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distEng, err := New("QW", query, bases, Distributed(8), KeyRanks(ranks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := []*Engine{local, distEng}
-	replays := []*replayer{subscribeReplay(t, local), subscribeReplay(t, distEng)}
-
-	for _, e := range engines {
-		warm := map[string]*Batch{
-			"R": {rel: initR.rel.Clone()},
-			"S": {rel: initS.rel.Clone()},
-		}
-		if err := e.Warm(warm); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, label := range []string{"local", "distributed"} {
-		if replays[i].lastSeq != 1 {
-			t.Fatalf("%s: warm start delivered %d deltas, want 1", label, replays[i].lastSeq)
-		}
-		if replays[i].rel.Len() == 0 {
-			t.Fatalf("%s: warm delta empty", label)
-		}
-	}
-
-	intStream(t, engines)
-
-	for i, label := range []string{"local", "distributed"} {
-		res := engines[i].Result().rel
-		if !replays[i].rel.Equal(res) {
-			t.Fatalf("%s: warm+stream replay does not reconstruct Result\nreplay %v\nresult %v",
-				label, replays[i].rel, res)
-		}
-	}
-	if !distEng.Result().rel.Equal(local.Result().rel) {
-		t.Fatalf("warm-started distributed result diverged from local\n got %v\nwant %v",
-			distEng.Result().rel, local.Result().rel)
-	}
+	rounds := intScript(t)
+	runRows(t, row{query: "QW", def: Sum([]string{"k"}, Join(Table("R", "a", "k"), Table("S", "k", "c"))),
+		bases: map[string]Schema{"R": {"a", "k"}, "S": {"k", "c"}}, opts: []Option{KeyRanks(map[string]int{"a": 3, "k": 2})},
+		warm: []tpch.Batch{{Table: "R", Rel: initR.rel}, {Table: "S", Rel: initS.rel}}, rounds: rounds, feed: true,
+		lanes: []lane{localLane(), distLane(8)},
+		check: func(t *testing.T, lanes map[string]*laneRun) {
+			for name, lr := range lanes {
+				if s := lr.feed.stream; len(s) != len(rounds)+1 || strings.HasSuffix(s[0], "{}") {
+					t.Fatalf("%s: want the warm start's non-empty delta, then one per transaction; got %d deltas, the first %s", name, len(s), s[0])
+				}
+				requireBitwiseEqual(t, name+": the warm+stream replay against Result", lr.feed.rel, lr.e.Result().rel)
+			}
+		}})
 }

@@ -1,7 +1,6 @@
 package ivm
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -81,18 +80,11 @@ func preAggScript(q tpch.Query, txs int) [][]tpch.Batch {
 // view and so in the result, after every transaction of preAggScript, for
 // Q3, Q5 and Q10, on Distributed(2), Remote(2) over loopback workers, and
 // a Durable Distributed(2) engine reopened halfway from a checkpoint and
-// its log. Q5's result stays empty on this stream; its 35 other views do
-// not. It also pins the placement: every Q3
+// its log. The rows compare views because Q5's result stays empty on this
+// stream; its 35 other views do not. It also pins the placement: every Q3
 // batch is read at the driver, and Q1's and Q6's lineitem batches, whose
 // pre-aggregates drop the deal key, are still dealt on it.
 func TestDriverPreAggregateBitwise(t *testing.T) {
-	newEngine := func(t *testing.T, q tpch.Query, opts ...Option) *Engine {
-		e, err := New(q.Name, q.Def, q.BaseSchemas(), append(opts, KeyRanks(tpch.PrimaryKeyRanks))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
 	for name, want := range map[string]map[string]dist.Loc{
 		"Q1": {tpch.Lineitem: dist.Dist("l_orderkey")},
 		"Q3": {tpch.Customer: dist.Local, tpch.Orders: dist.Local, tpch.Lineitem: dist.Local},
@@ -102,7 +94,10 @@ func TestDriverPreAggregateBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newEngine(t, q, Distributed(2))
+		e, err := New(q.Name, q.Def, q.BaseSchemas(), Distributed(2), KeyRanks(tpch.PrimaryKeyRanks))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for table, loc := range want {
 			if got := e.be.(*distBackend).parts[eval.DeltaName(table)]; !got.Equal(loc) {
 				t.Errorf("%s: %s batches placed %v, want %v", name, table, got, loc)
@@ -110,51 +105,17 @@ func TestDriverPreAggregateBitwise(t *testing.T) {
 		}
 		e.Close()
 	}
+	var rows []row
 	for _, name := range []string{"Q3", "Q5", "Q10"} {
-		t.Run(name, func(t *testing.T) {
-			q, err := tpch.QueryByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			script := preAggScript(q, 16)
-			local := newEngine(t, q)
-			defer local.Close()
-			dist2 := newEngine(t, q, Distributed(2))
-			defer dist2.Close()
-			addrs, _ := startWorkers(t, 2)
-			remote := newEngine(t, q, Remote(addrs...))
-			defer remote.Close()
-			dir := t.TempDir()
-			durable := newEngine(t, q, Durable(dir), Distributed(2))
-			rows := 0
-			for i, round := range script {
-				if i == len(script)/4 {
-					if err := durable.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if i == len(script)/2 {
-					// Reopen without closing, as a crash leaves the directory.
-					durable = newEngine(t, q, Durable(dir), Distributed(2))
-					defer durable.Close()
-				}
-				for _, e := range []*Engine{local, dist2, remote, durable} {
-					applyRound(t, e, round)
-				}
-				for _, v := range local.prog.Views {
-					if v.Transient {
-						continue
-					}
-					want := local.be.ViewContents(v.Name)
-					rows += want.Len()
-					for be, e := range map[string]*Engine{"Distributed(2)": dist2, "Remote(2)": remote, "Durable Distributed(2)": durable} {
-						requireBitwiseEqual(t, fmt.Sprintf("tx %d: %s on %s", i, v.Name, be), e.be.ViewContents(v.Name), want)
-					}
-				}
-			}
-			if rows == 0 {
-				t.Fatal("every view stayed empty: the comparisons proved nothing")
-			}
-		})
+		q, err := tpch.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		script := preAggScript(q, 16)
+		r := tpchRow(name, q, script, localLane(), distLane(2), remoteLane(2),
+			durableLane(distLane(2), len(script)/4, len(script)/2))
+		r.views, r.every = true, true
+		rows = append(rows, r)
 	}
+	runRows(t, rows...)
 }

@@ -35,20 +35,6 @@ func txRounds(t *testing.T, q tpch.Query, sf float64, rows int) [][]tpch.Batch {
 	}
 }
 
-// applyRound folds one round as a single transaction.
-func applyRound(t *testing.T, e *Engine, round []tpch.Batch) {
-	t.Helper()
-	tx := NewTx()
-	for _, b := range round {
-		if err := tx.Put(b.Table, &Batch{rel: b.Rel.Clone()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Apply(tx); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // collectDeltas subscribes a plain feed that renders every delivered
 // delta (Seq included) into the returned slice.
 func collectDeltas(t *testing.T, e *Engine) *[]string {
@@ -60,23 +46,17 @@ func collectDeltas(t *testing.T, e *Engine) *[]string {
 	return &got
 }
 
-// TestDurableRecoveryGolden is the PR's acceptance golden: for Q1, Q3,
+// TestDurableRecoveryGolden is the crash-recovery golden: for Q1, Q3,
 // and Q6 on the local and the 1- and 8-worker simulated cluster
 // backends, kill a durable engine (no Close — the directory is exactly
 // what a crash leaves) two thirds into the stream with a checkpoint
 // forced one third in, reopen it, and require (a) recovery restored the
-// checkpoint and replayed exactly the WAL tail after it, and (b) the
-// recovered engine's Result and its changefeed over the remaining
-// stream are bitwise-equal to a never-crashed engine's.
+// checkpoint and replayed exactly the WAL tail after it, never
+// re-evaluating base tables, and (b) the recovered engine's Result and
+// its changefeed over the remaining stream, sequence numbers included,
+// are bitwise-equal to a never-crashed engine's.
 func TestDurableRecoveryGolden(t *testing.T) {
-	backends := []struct {
-		name string
-		opts []Option
-	}{
-		{"local", nil},
-		{"distributed1", []Option{Distributed(1), KeyRanks(tpch.PrimaryKeyRanks)}},
-		{"distributed8", []Option{Distributed(8), KeyRanks(tpch.PrimaryKeyRanks)}},
-	}
+	var rows []row
 	for _, name := range []string{"Q1", "Q3", "Q6"} {
 		q, err := tpch.QueryByName(name)
 		if err != nil {
@@ -86,79 +66,14 @@ func TestDurableRecoveryGolden(t *testing.T) {
 		if len(rounds) < 6 {
 			t.Fatalf("stream too short for a meaningful crash point: %d rounds", len(rounds))
 		}
-		ckptAt, killAt := len(rounds)/3, 2*len(rounds)/3
-		for _, be := range backends {
-			t.Run(name+"/"+be.name, func(t *testing.T) {
-				bases := q.BaseSchemas()
-
-				// The never-crashed oracle observes the whole stream, with
-				// a changefeed attached from the start.
-				oracle, err := New(q.Name, q.Def, bases, be.opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				oracleDeltas := collectDeltas(t, oracle)
-				for _, round := range rounds {
-					applyRound(t, oracle, round)
-				}
-
-				// The victim logs every transaction, checkpoints at
-				// ckptAt, and is abandoned un-Closed at killAt.
-				dir := t.TempDir()
-				victim, err := New(q.Name, q.Def, bases, append([]Option{Durable(dir)}, be.opts...)...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < killAt; i++ {
-					applyRound(t, victim, rounds[i])
-					if i+1 == ckptAt {
-						if err := victim.Checkpoint(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-
-				// Crash: no Close, no final checkpoint, no WAL flush
-				// beyond the per-commit syncs.
-				recovered, err := New(q.Name, q.Def, bases, append([]Option{Durable(dir)}, be.opts...)...)
-				if err != nil {
-					t.Fatalf("recovery: %v", err)
-				}
-				defer recovered.Close()
-
-				rec := recovered.Stats().Durability.Recovery
-				if !rec.Recovered || !rec.HasCheckpoint {
-					t.Fatalf("recovery did not use the checkpoint: %+v", rec)
-				}
-				if rec.CheckpointSeq != int64(ckptAt) {
-					t.Fatalf("checkpoint covered %d transactions, want %d", rec.CheckpointSeq, ckptAt)
-				}
-				// Tail-only replay: everything up to the checkpoint came
-				// from the snapshot, never from re-evaluating base tables.
-				if rec.ReplayedRecords != killAt-ckptAt {
-					t.Fatalf("replayed %d records, want exactly the WAL tail %d", rec.ReplayedRecords, killAt-ckptAt)
-				}
-
-				// The surviving stream: both engines process the rest;
-				// the recovered feed must continue bitwise-identical,
-				// sequence numbers included.
-				recDeltas := collectDeltas(t, recovered)
-				for i := killAt; i < len(rounds); i++ {
-					applyRound(t, recovered, rounds[i])
-				}
-				requireBitwiseEqual(t, "recovered result", recovered.Result().rel, oracle.Result().rel)
-				tail := (*oracleDeltas)[killAt:]
-				if len(*recDeltas) != len(tail) {
-					t.Fatalf("recovered feed has %d deltas, oracle tail has %d", len(*recDeltas), len(tail))
-				}
-				for i := range tail {
-					if (*recDeltas)[i] != tail[i] {
-						t.Fatalf("delta %d diverged after recovery\n got %s\nwant %s", i, (*recDeltas)[i], tail[i])
-					}
-				}
-			})
+		lanes := []lane{localLane(), distLane(1), distLane(8)}
+		for i, be := range []string{"local", "distributed1", "distributed8"} {
+			r := tpchRow(name+"/"+be, q, rounds, lanes[i], durableLane(lanes[i], len(rounds)/3, 2*len(rounds)/3))
+			r.feed = true
+			rows = append(rows, r)
 		}
 	}
+	runRows(t, rows...)
 }
 
 // TestDurableReopenAdoptsRecordedPlacement pins that a checkpoint's
@@ -324,47 +239,10 @@ func TestDurableWarmRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases := q.BaseSchemas()
 	rounds := txRounds(t, q, 0.1, 100)
-	warm := map[string]*Batch{}
-	for _, b := range rounds[0] {
-		warm[b.Table] = &Batch{rel: b.Rel.Clone()}
-	}
-
-	oracle, err := New(q.Name, q.Def, bases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	victim, err := New(q.Name, q.Def, bases, Durable(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmOracle := map[string]*Batch{}
-	for tbl, b := range warm {
-		warmOracle[tbl] = &Batch{rel: b.rel.Clone()}
-	}
-	if err := oracle.Warm(warmOracle); err != nil {
-		t.Fatal(err)
-	}
-	if err := victim.Warm(warm); err != nil {
-		t.Fatal(err)
-	}
-	for _, round := range rounds[1:4] {
-		applyRound(t, oracle, round)
-		applyRound(t, victim, round)
-	}
-
-	recovered, err := New(q.Name, q.Def, bases, Durable(dir))
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer recovered.Close()
-	rec := recovered.Stats().Durability.Recovery
-	if rec.HasCheckpoint || rec.ReplayedRecords != 4 {
-		t.Fatalf("want checkpoint-less replay of warm+3 txs, got %+v", rec)
-	}
-	requireBitwiseEqual(t, "recovered result", recovered.Result().rel, oracle.Result().rel)
+	r := tpchRow("", q, rounds[1:4], localLane(), durableLane(localLane(), -1, 3))
+	r.warm = rounds[0]
+	runRows(t, r)
 }
 
 // TestDurableRemoteRecovery pins the process-cluster recovery model:
@@ -372,77 +250,20 @@ func TestDurableWarmRecovery(t *testing.T) {
 // AND every worker process dies with their state, reopening the
 // directory against fresh empty workers re-warms them from the
 // recovered checkpoint (opRestore) and replays the tail through them.
+// The never-crashed reference is the simulated cluster at the same
+// worker count, which the process cluster matches bitwise.
 func TestDurableRemoteRecovery(t *testing.T) {
 	q, err := tpch.QueryByName("Q6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases := q.BaseSchemas()
 	rounds := txRounds(t, q, 0.1, 50)
 	if len(rounds) < 4 {
 		t.Fatalf("stream too short: %d rounds", len(rounds))
 	}
-	ckptAt, killAt := len(rounds)/4, len(rounds)/2
-	const workers = 2
-
-	// The never-crashed oracle: the simulated cluster at the same
-	// worker count (process-cluster parity is bitwise, pinned by
-	// TestGoldenProcessClusterParity).
-	oracle, err := New(q.Name, q.Def, bases, Distributed(workers), KeyRanks(tpch.PrimaryKeyRanks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleDeltas := collectDeltas(t, oracle)
-	for _, round := range rounds {
-		applyRound(t, oracle, round)
-	}
-
-	dir := t.TempDir()
-	addrs, srvs := startWorkers(t, workers)
-	victim, err := New(q.Name, q.Def, bases,
-		Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks), Durable(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < killAt; i++ {
-		applyRound(t, victim, rounds[i])
-		if i+1 == ckptAt {
-			if err := victim.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Crash the whole deployment: driver abandoned, workers killed with
-	// all their in-memory fragments.
-	for _, s := range srvs {
-		s.Close()
-	}
-
-	addrs2, _ := startWorkers(t, workers)
-	recovered, err := New(q.Name, q.Def, bases,
-		Remote(addrs2...), KeyRanks(tpch.PrimaryKeyRanks), Durable(dir))
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer recovered.Close()
-	rec := recovered.Stats().Durability.Recovery
-	if !rec.HasCheckpoint || rec.ReplayedRecords != killAt-ckptAt {
-		t.Fatalf("want checkpoint + %d-record tail replay, got %+v", killAt-ckptAt, rec)
-	}
-	recDeltas := collectDeltas(t, recovered)
-	for i := killAt; i < len(rounds); i++ {
-		applyRound(t, recovered, rounds[i])
-	}
-	requireBitwiseEqual(t, "recovered remote result", recovered.Result().rel, oracle.Result().rel)
-	tail := (*oracleDeltas)[killAt:]
-	if len(*recDeltas) != len(tail) {
-		t.Fatalf("recovered feed has %d deltas, oracle tail has %d", len(*recDeltas), len(tail))
-	}
-	for i := range tail {
-		if (*recDeltas)[i] != tail[i] {
-			t.Fatalf("delta %d diverged after remote recovery\n got %s\nwant %s", i, (*recDeltas)[i], tail[i])
-		}
-	}
+	r := tpchRow("", q, rounds, distLane(2), durableLane(remoteLane(2), len(rounds)/4, len(rounds)/2))
+	r.feed = true
+	runRows(t, r)
 }
 
 // TestDurableRegistryRecovery runs the multi-view serving path through

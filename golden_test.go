@@ -15,99 +15,53 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/dist"
 	"repro/internal/mring"
 	"repro/internal/tpch"
 )
 
-// goldenStream drives one query's stream through a set of engines in
-// lockstep and returns every change it fed them, for the oracle.
-func goldenStream(t *testing.T, q tpch.Query, apply func(table string, b *Batch)) baseline.Changes {
-	t.Helper()
-	gen := tpch.NewGenerator(0.03, 5)
-	accum := baseline.Changes{}
-	for _, tbl := range q.Tables {
-		accum[tbl] = nil
-		if tbl == tpch.Nation || tbl == tpch.Region {
-			accum.Add(tbl, gen.Static(tbl))
-		}
-	}
-	stream := tpch.NewStream(gen, q.Tables)
-	for {
-		bs := stream.NextBatches(250)
+// goldenScript is q's stream at SF 0.03 (seed 5), each batch a round.
+func goldenScript(q tpch.Query) [][]tpch.Batch {
+	return batchRounds(tpch.NewStream(tpch.NewGenerator(0.03, 5), q.Tables), 250, -1)
+}
+
+// batchRounds draws a stream calls times (to its end when calls is
+// negative), rows events at a time; each batch is a round of its own.
+func batchRounds(stream *tpch.Stream, rows, calls int) [][]tpch.Batch {
+	var rounds [][]tpch.Batch
+	for ; calls != 0; calls-- {
+		bs := stream.NextBatches(rows)
 		if len(bs) == 0 {
 			break
 		}
 		for _, b := range bs {
-			apply(b.Table, &Batch{rel: b.Rel})
-			accum.Add(b.Table, b.Rel)
+			rounds = append(rounds, []tpch.Batch{b})
 		}
 	}
-	return accum
+	return rounds
 }
 
-// rebuildOracle recomputes the query from scratch over the base tables'
-// changes through the oracle.
-func rebuildOracle(q tpch.Query, accum baseline.Changes) *mring.Relation {
-	out := mring.NewRelation(q.Def.Schema())
-	for _, r := range baseline.Eval(q.Def, baseline.Of(accum)) {
-		out.Add(r.Tuple, r.M)
-	}
-	return out
-}
-
+// TestGoldenAggregatesAcrossEngines holds Q1, Q3 and Q6 on the local
+// engine to the rebuild oracle, and Distributed(1), (8) and (16) to the
+// local engine, both at 1e-6 with equal group counts.
 func TestGoldenAggregatesAcrossEngines(t *testing.T) {
-	workerCounts := []int{1, 8, 16}
+	var rows []row
 	for _, name := range []string{"Q1", "Q3", "Q6"} {
-		t.Run(name, func(t *testing.T) {
-			q, err := tpch.QueryByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bases := q.BaseSchemas()
-
-			// One constructor path for both backends.
-			local, err := New(q.Name, q.Def, bases)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dists := map[int]*Engine{}
-			for _, w := range workerCounts {
-				if dists[w], err = New(q.Name, q.Def, bases,
-					Distributed(w), KeyRanks(tpch.PrimaryKeyRanks)); err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-			}
-
-			// Static dimensions load the same way everywhere; the stream
-			// then feeds every engine the identical batch sequence.
-			accum := goldenStream(t, q, func(table string, b *Batch) {
-				if err := local.ApplyBatch(table, b); err != nil {
-					t.Fatal(err)
-				}
-				for _, w := range workerCounts {
-					if err := dists[w].ApplyBatch(table, b); err != nil {
-						t.Fatalf("workers=%d: %v", w, err)
-					}
-				}
-			})
-
-			oracle := rebuildOracle(q, accum)
-			want := local.Result().rel
-			if !want.EqualApprox(oracle, 1e-6) {
-				t.Fatalf("Engine diverges from rebuild oracle\n got (%d groups) %v\nwant (%d groups) %v",
-					want.Len(), want, oracle.Len(), oracle)
-			}
-			for _, w := range workerCounts {
-				got := dists[w].Result().rel
-				if got.Len() != want.Len() {
-					t.Fatalf("workers=%d: %d groups, Engine has %d", w, got.Len(), want.Len())
-				}
-				if !got.EqualApprox(want, 1e-6) {
-					t.Fatalf("workers=%d diverged from Engine\n got %v\nwant %v", w, got, want)
-				}
-			}
-		})
+		q, err := tpch.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes := []lane{oracleLane(localLane())}
+		for _, w := range []int{1, 8, 16} {
+			l := distLane(w)
+			l.ref = approx
+			lanes = append(lanes, l)
+		}
+		r := tpchRow(name, q, goldenScript(q), lanes...)
+		r.tol = approx
+		rows = append(rows, r)
 	}
+	runRows(t, rows...)
 }
 
 // TestGoldenTxEqualsSequential pins the transaction semantics: folding
@@ -172,7 +126,7 @@ func TestGoldenTxEqualsSequential(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("Apply(tx) diverged from sequential batches\n got %v\nwant %v", got, want)
 			}
-			oracle := rebuildOracle(q, accum)
+			oracle := relationOf(q.Def.Schema(), baseline.Eval(q.Def, baseline.Of(accum)))
 			if !got.EqualApprox(oracle, 1e-6) {
 				t.Fatalf("Apply(tx) diverged from rebuild oracle\n got %v\nwant %v", got, oracle)
 			}
@@ -190,28 +144,9 @@ func TestGoldenDistributedDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases := q.BaseSchemas()
-	run := func() *mring.Relation {
-		d, err := New(q.Name, q.Def, bases, Distributed(8), KeyRanks(tpch.PrimaryKeyRanks))
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldenStream(t, q, func(table string, b *Batch) {
-			if err := d.ApplyBatch(table, b); err != nil {
-				t.Fatal(err)
-			}
-		})
-		return d.Result().rel
-	}
-	a, b := run(), run()
-	if a.Len() != b.Len() {
-		t.Fatalf("runs differ in group count: %d vs %d", a.Len(), b.Len())
-	}
-	a.Foreach(func(tp mring.Tuple, m float64) {
-		if got := b.Get(tp); got != m {
-			t.Fatalf("distributed result not bitwise reproducible: %v -> %g vs %g", tp, m, got)
-		}
-	})
+	again := distLane(8)
+	again.name += " again"
+	runRows(t, tpchRow("", q, goldenScript(q), distLane(8), again))
 }
 
 // TestGoldenQ1GroupDomain is the literal golden check for the Q1-style
@@ -223,25 +158,41 @@ func TestGoldenQ1GroupDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := New(q.Name, q.Def, q.BaseSchemas())
-	if err != nil {
-		t.Fatal(err)
+	r := tpchRow("", q, goldenScript(q), localLane())
+	r.check = func(t *testing.T, lanes map[string]*laneRun) {
+		lanes["local"].e.Result().Foreach(func(tp Tuple, agg float64) {
+			if len(tp) != 2 {
+				t.Fatalf("Q1 group arity %d, want 2 (returnflag, linestatus): %v", len(tp), tp)
+			}
+			if agg <= 0 {
+				t.Errorf("Q1 group %v has non-positive quantity sum %g", tp, agg)
+			}
+		})
 	}
-	goldenStream(t, q, func(table string, b *Batch) {
-		if err := local.ApplyBatch(table, b); err != nil {
-			t.Fatal(err)
+	runRows(t, r)
+}
+
+// TestGatherMergesInWorkerOrder pins the order a gather merges the
+// workers' fragments in: worker index, which is the order the local
+// engine adds a batch's rows in when its i-th row lands on worker i. The
+// three rows' values, 3, 1e16 and -1e16, sum to 4 in that order and to 3
+// in reverse, so no other merge order passes.
+func TestGatherMergesInWorkerOrder(t *testing.T) {
+	bases := map[string]Schema{"R": {"a", "v"}}
+	batch := mring.NewRelation(bases["R"])
+	for w, v := range []float64{3, 1e16, -1e16} {
+		a := 0
+		for dist.PlaceIndex(Row(a, v), []int{0}, 3) != w {
+			a++
 		}
-	})
-	res := local.Result()
-	if res.Len() == 0 {
-		t.Fatal("Q1 produced no groups")
+		batch.Add(Row(a, v), 1)
 	}
-	res.Foreach(func(tp Tuple, agg float64) {
-		if len(tp) != 2 {
-			t.Fatalf("Q1 group arity %d, want 2 (returnflag, linestatus): %v", len(tp), tp)
-		}
-		if agg <= 0 {
-			t.Errorf("Q1 group %v has non-positive quantity sum %g", tp, agg)
-		}
-	})
+	runRows(t, row{query: "QG", def: Sum(nil, Join(Table("R", "a", "v"), Val(Col("v")))), bases: bases,
+		opts: []Option{KeyRanks(map[string]int{"a": 2})}, rounds: [][]tpch.Batch{{{Table: "R", Rel: batch}}},
+		lanes: []lane{localLane(), distLane(3), remoteLane(3)},
+		check: func(t *testing.T, lanes map[string]*laneRun) {
+			if got := lanes["local"].e.Result().Get(Tuple{}); got != 4 {
+				t.Fatalf("the local engine sums the batch to %g, want 4", got)
+			}
+		}})
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/compile"
@@ -16,9 +17,10 @@ import (
 // fixes the canonical location of every view and delta; level selects
 // the optimization pipeline (O0 naive ... O3 fused).
 func CompileProgram(prog *compile.Program, parts PartInfo, level OptLevel) map[string]*DistProgram {
+	schemas := ViewSchemas(prog)
 	out := make(map[string]*DistProgram, len(prog.Triggers))
 	for rel, trg := range prog.Triggers {
-		out[rel] = compileTrigger(prog, trg, parts, level)
+		out[rel] = compileTrigger(prog, schemas, trg, parts, level)
 	}
 	return out
 }
@@ -56,13 +58,16 @@ type trigCompiler struct {
 	cache     []moved
 }
 
-func compileTrigger(prog *compile.Program, trg *compile.Trigger, parts PartInfo, level OptLevel) *DistProgram {
+// compileTrigger lowers one trigger. schemas is the program's
+// ViewSchemas, built once per CompileProgram or Place call; the trigger's
+// compiler adds its temporaries to a copy.
+func compileTrigger(prog *compile.Program, schemas map[string]mring.Schema, trg *compile.Trigger, parts PartInfo, level OptLevel) *DistProgram {
 	tc := &trigCompiler{
 		prog:    prog,
 		parts:   parts,
 		level:   level,
 		rel:     trg.Relation,
-		schemas: ViewSchemas(prog),
+		schemas: maps.Clone(schemas),
 		cur:     parts.Clone(),
 	}
 	for _, s := range trg.Stmts {

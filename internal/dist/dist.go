@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"repro/internal/eval"
@@ -86,18 +87,7 @@ func (l Loc) Equal(o Loc) bool {
 
 // Equal reports whether two placement maps locate every relation
 // identically — the "did repartitioning actually change anything" test.
-func (p PartInfo) Equal(o PartInfo) bool {
-	if len(p) != len(o) {
-		return false
-	}
-	for k, v := range p {
-		ov, ok := o[k]
-		if !ok || !v.Equal(ov) {
-			return false
-		}
-	}
-	return true
-}
+func (p PartInfo) Equal(o PartInfo) bool { return maps.EqualFunc(p, o, Loc.Equal) }
 
 // PartInfo maps relation names (views, transient views, and delta
 // batches under their Δ-names) to their locations.
@@ -106,9 +96,7 @@ type PartInfo map[string]Loc
 // Clone copies the map.
 func (p PartInfo) Clone() PartInfo {
 	c := make(PartInfo, len(p))
-	for k, v := range p {
-		c[k] = v
-	}
+	maps.Copy(c, p)
 	return c
 }
 

@@ -350,7 +350,7 @@ func TestPlaceReplicatesBroadcastUpkeep(t *testing.T) {
 		trial := ranked.Clone()
 		trial[c.view] = Indiff
 		for table, want := range c.stages {
-			after := compileTrigger(prog, prog.Triggers[table], trial, O3)
+			after := compileTrigger(prog, ViewSchemas(prog), prog.Triggers[table], trial, O3)
 			if c.replicated {
 				after = progs[table]
 			}

@@ -98,14 +98,18 @@ func ChoosePartitioning(prog *compile.Program, keyRanks map[string]int) PartInfo
 // batches keep their deal, since their pre-aggregates drop the key.
 func Place(prog *compile.Program, keyRanks map[string]int) (PartInfo, map[string]*DistProgram) {
 	parts, read := rankPlacement(prog, keyRanks)
-	progs := CompileProgram(prog, parts, O3)
+	schemas := ViewSchemas(prog)
+	progs := make(map[string]*DistProgram, len(prog.Triggers))
+	for rel, trg := range prog.Triggers {
+		progs[rel] = compileTrigger(prog, schemas, trg, parts, O3)
+	}
 	for _, v := range prog.Views {
 		if v.Transient || !read[v.Name] || !parts[v.Name].Keyed() || !upkeepMoved(prog, progs, v.Name) {
 			continue
 		}
 		trial := parts.Clone()
 		trial[v.Name] = Indiff
-		if recompiled := fewerStages(prog, trial, progs, v.Name); recompiled != nil {
+		if recompiled := fewerStages(prog, schemas, trial, progs, v.Name); recompiled != nil {
 			parts[v.Name] = Indiff
 			for _, dp := range progs {
 				dp.Parts[v.Name] = Indiff
@@ -120,7 +124,7 @@ func Place(prog *compile.Program, keyRanks map[string]int) (PartInfo, map[string
 		}
 		trial := parts.Clone()
 		trial[delta] = Local
-		dp := compileTrigger(prog, trg, trial, O3)
+		dp := compileTrigger(prog, schemas, trg, trial, O3)
 		if was := progs[rel]; dp.Stages() > was.Stages() || dp.RoundTrips() > was.RoundTrips() {
 			continue
 		}
@@ -259,14 +263,14 @@ func broadcastWhole(dp *DistProgram) map[string]bool {
 // fewerStages is rule (b): it recompiles, under trial, the triggers
 // reading or writing view, and returns their programs when they lose a
 // stage between them and none gains one, nil otherwise.
-func fewerStages(prog *compile.Program, trial PartInfo, progs map[string]*DistProgram, view string) map[string]*DistProgram {
+func fewerStages(prog *compile.Program, schemas map[string]mring.Schema, trial PartInfo, progs map[string]*DistProgram, view string) map[string]*DistProgram {
 	out := map[string]*DistProgram{}
 	saved := false
 	for rel, trg := range prog.Triggers {
 		if !touches(trg, view) {
 			continue
 		}
-		dp := compileTrigger(prog, trg, trial, O3)
+		dp := compileTrigger(prog, schemas, trg, trial, O3)
 		switch was := progs[rel].Stages(); {
 		case dp.Stages() > was:
 			return nil

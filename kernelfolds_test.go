@@ -3,7 +3,6 @@ package ivm
 import (
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/tpch"
 )
 
@@ -21,46 +20,19 @@ func TestKernelFoldsOnEveryBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases := q.BaseSchemas()
-	addrs, _ := startWorkers(t, 2)
-	backends := []struct {
-		name string
-		opts []Option
-	}{
-		{"local", nil},
-		{"distributed2", []Option{Distributed(2), KeyRanks(tpch.PrimaryKeyRanks)}},
-		{"remote2", []Option{Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks)}},
-	}
-	for _, be := range backends {
-		t.Run(be.name, func(t *testing.T) {
-			e, err := New(q.Name, q.Def, bases, be.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			accum := baseline.Changes{}
-			for _, tbl := range q.Tables {
-				accum[tbl] = nil
-			}
-			stream := tpch.NewStream(tpch.NewGenerator(0.01, 5), q.Tables)
-			for i := 0; i < 4; i++ {
-				for _, b := range stream.NextBatches(250) {
-					if err := e.ApplyBatch(b.Table, &Batch{rel: b.Rel}); err != nil {
-						t.Fatal(err)
-					}
-					accum.Add(b.Table, b.Rel)
+	var rows []row
+	lanes := []lane{localLane(), distLane(2), remoteLane(2)}
+	for i, name := range []string{"local", "distributed2", "remote2"} {
+		r := tpchRow(name, q, batchRounds(tpch.NewStream(tpch.NewGenerator(0.01, 5), q.Tables), 250, 4), oracleLane(lanes[i]))
+		r.tol = approx
+		r.check = func(t *testing.T, lanes map[string]*laneRun) {
+			for _, lr := range lanes {
+				if lr.e.Stats().Scans == 0 {
+					t.Fatal("no aggregate fold scanned a tuple")
 				}
 			}
-			if got := e.Stats().Scans; got == 0 {
-				t.Fatal("no aggregate fold scanned a tuple")
-			}
-			got, want := e.Result().rel, rebuildOracle(q, accum)
-			if want.Len() == 0 {
-				t.Fatal("the stream left Q1 empty")
-			}
-			if !got.EqualApprox(want, 1e-6) {
-				t.Fatalf("diverges from the rebuild oracle\n got %v\nwant %v", got, want)
-			}
-		})
+		}
+		rows = append(rows, r)
 	}
+	runRows(t, rows...)
 }

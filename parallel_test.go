@@ -14,55 +14,22 @@ import (
 )
 
 func TestParallelWorkersMatchSingleNode(t *testing.T) {
-	const workers = 8
+	var rows []row
 	for _, name := range []string{"Q3", "Q6", "Q1"} {
-		t.Run(name, func(t *testing.T) {
-			q, err := tpch.QueryByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bases := map[string]Schema{}
-			for tbl, s := range q.BaseSchemas() {
-				bases[tbl] = s
-			}
-			local, err := New(q.Name, q.Def, bases)
-			if err != nil {
-				t.Fatal(err)
-			}
-			distd, err := New(q.Name, q.Def, bases, Distributed(workers), KeyRanks(tpch.PrimaryKeyRanks))
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen := tpch.NewGenerator(0.05, 1)
-			stream := tpch.NewStream(gen, q.Tables)
-			batches := 0
-			for {
-				bs := stream.NextBatches(500)
-				if len(bs) == 0 {
-					break
-				}
-				for _, b := range bs {
-					batch := &Batch{rel: b.Rel}
-					if err := local.ApplyBatch(b.Table, batch); err != nil {
-						t.Fatal(err)
-					}
-					if err := distd.ApplyBatch(b.Table, batch); err != nil {
-						t.Fatal(err)
-					}
-					batches++
-					want := local.Result().rel
-					got := distd.Result().rel
-					if !got.EqualApprox(want, 1e-6) {
-						t.Fatalf("batch %d: distributed result diverged\n got %v\nwant %v",
-							batches, got, want)
-					}
-				}
-			}
-			if batches == 0 {
-				t.Fatal("stream produced no batches")
-			}
-		})
+		q, err := tpch.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distd := distLane(8)
+		distd.ref = approx
+		r := tpchRow(name, q, batchRounds(tpch.NewStream(tpch.NewGenerator(0.05, 1), q.Tables), 500, -1), localLane(), distd)
+		r.every = true
+		if name == "Q3" {
+			r.empty = q3Empty
+		}
+		rows = append(rows, r)
 	}
+	runRows(t, rows...)
 }
 
 // TestParallelWorkerScaling checks equivalence across worker counts,

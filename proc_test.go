@@ -11,6 +11,7 @@ package ivm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -40,82 +41,25 @@ func startWorkers(t *testing.T, n int) ([]string, []*cluster.WorkerServer) {
 	return addrs, srvs
 }
 
-// requireBitwiseEqual fails unless the two relations hold exactly the
-// same tuples with exactly equal (==, bitwise for our merge orders)
-// values.
-func requireBitwiseEqual(t *testing.T, label string, got, want *mring.Relation) {
-	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: %d groups, want %d\n got %v\nwant %v", label, got.Len(), want.Len(), got, want)
-	}
-	want.Foreach(func(tp mring.Tuple, m float64) {
-		if g := got.Get(tp); g != m {
-			t.Fatalf("%s: group %v = %g, want exactly %g", label, tp, g, m)
-		}
-	})
-}
-
+// TestGoldenProcessClusterParity holds Remote(n) over loopback workers
+// bitwise to Distributed(n), n = 1 and 8, on the Q1, Q3 and Q6 golden
+// streams: the result, and the subscribed delta stream, whose
+// deterministic render pins worker-index-ordered merges across real
+// sockets.
 func TestGoldenProcessClusterParity(t *testing.T) {
+	var rows []row
 	for _, name := range []string{"Q1", "Q3", "Q6"} {
+		q, err := tpch.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 8} {
-			t.Run(name+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
-				q, err := tpch.QueryByName(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bases := q.BaseSchemas()
-
-				oracle, err := New(q.Name, q.Def, bases,
-					Distributed(workers), KeyRanks(tpch.PrimaryKeyRanks))
-				if err != nil {
-					t.Fatal(err)
-				}
-				addrs, _ := startWorkers(t, workers)
-				remote, err := New(q.Name, q.Def, bases,
-					Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer remote.Close()
-
-				// Both engines stream their per-transaction deltas; the
-				// deterministic String render pins worker-index-ordered
-				// merges across real sockets.
-				var oracleFeed, remoteFeed []string
-				if _, err := oracle.Subscribe(func(d Delta) {
-					oracleFeed = append(oracleFeed, d.String())
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := remote.Subscribe(func(d Delta) {
-					remoteFeed = append(remoteFeed, d.String())
-				}); err != nil {
-					t.Fatal(err)
-				}
-
-				goldenStream(t, q, func(table string, b *Batch) {
-					if err := oracle.ApplyBatch(table, b); err != nil {
-						t.Fatal(err)
-					}
-					if err := remote.ApplyBatch(table, b); err != nil {
-						t.Fatal(err)
-					}
-				})
-
-				requireBitwiseEqual(t, "process cluster result",
-					remote.Result().rel, oracle.Result().rel)
-				if len(remoteFeed) != len(oracleFeed) {
-					t.Fatalf("feed lengths differ: remote %d, oracle %d", len(remoteFeed), len(oracleFeed))
-				}
-				for i := range oracleFeed {
-					if remoteFeed[i] != oracleFeed[i] {
-						t.Fatalf("delta #%d differs across transports\n got %s\nwant %s",
-							i, remoteFeed[i], oracleFeed[i])
-					}
-				}
-			})
+			r := tpchRow(fmt.Sprintf("%s/workers=%d", name, workers), q, goldenScript(q), distLane(workers), remoteLane(workers))
+			r.feed = true
+			rows = append(rows, r)
 		}
 	}
+	runRows(t, rows...)
 }
 
 // TestProcessClusterWarmParity pins warm loads (reference-installed and
@@ -125,46 +69,11 @@ func TestProcessClusterWarmParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases := q.BaseSchemas()
-	oracle, err := New(q.Name, q.Def, bases, Distributed(4), KeyRanks(tpch.PrimaryKeyRanks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs, _ := startWorkers(t, 4)
-	remote, err := New(q.Name, q.Def, bases, Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	gen := tpch.NewGenerator(0.03, 11)
-	warm := map[string]*Batch{}
-	stream := tpch.NewStream(gen, q.Tables)
-	for _, b := range stream.NextBatches(500) {
-		if warm[b.Table] == nil {
-			warm[b.Table] = &Batch{rel: mring.NewRelation(b.Rel.Schema())}
-		}
-		warm[b.Table].rel.Merge(b.Rel)
-	}
-	warmClone := map[string]*Batch{}
-	for tbl, b := range warm {
-		warmClone[tbl] = &Batch{rel: b.rel.Clone()}
-	}
-	if err := oracle.Warm(warm); err != nil {
-		t.Fatal(err)
-	}
-	if err := remote.Warm(warmClone); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range stream.NextBatches(500) {
-		if err := oracle.ApplyBatch(b.Table, &Batch{rel: b.Rel.Clone()}); err != nil {
-			t.Fatal(err)
-		}
-		if err := remote.ApplyBatch(b.Table, &Batch{rel: b.Rel}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	requireBitwiseEqual(t, "warm-started process cluster", remote.Result().rel, oracle.Result().rel)
+	stream := tpch.NewStream(tpch.NewGenerator(0.03, 11), q.Tables)
+	warm := stream.NextBatches(500)
+	r := tpchRow("", q, batchRounds(stream, 500, 1), distLane(4), remoteLane(4))
+	r.warm, r.empty = warm, q3Empty
+	runRows(t, r)
 }
 
 // TestProcessClusterWorkerKill pins the mid-transaction failure

@@ -2,11 +2,12 @@ package ivm
 
 // Process-cluster smoke: real worker processes (cmd/ivmworker) spawned
 // over os/exec, a driver engine connected through ivm.Remote, and a
-// bitwise-parity check against the in-process simulated cluster and
-// against the local engine, over single-table batches and over
-// multi-table transactions in two first-touch orders. Both cluster kinds
-// share the driver and its placement (every Q3 batch pre-aggregated at
-// the driver), so only the local engine catches a fault they share. Gated on IVM_WORKER_BIN (set by `make proc-smoke`
+// matrix row holding it and the in-process simulated cluster bitwise to
+// the local engine after every transaction, over single-table batches
+// and over multi-table transactions in two first-touch orders. Both
+// cluster kinds share the driver and its placement (every Q3 batch
+// pre-aggregated at the driver), so only the local engine catches a
+// fault they share. Gated on IVM_WORKER_BIN (set by `make proc-smoke`
 // and the CI job) so plain `go test` stays hermetic.
 
 import (
@@ -64,52 +65,23 @@ func TestProcessClusterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases := q.BaseSchemas()
-	oracle, err := New(q.Name, q.Def, bases, Distributed(workers), KeyRanks(tpch.PrimaryKeyRanks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := New(q.Name, q.Def, bases, Remote(addrs...), KeyRanks(tpch.PrimaryKeyRanks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	local, err := New(q.Name, q.Def, bases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := []*Engine{oracle, remote, local}
-
-	goldenStream(t, q, func(table string, b *Batch) {
-		for _, e := range engines {
-			if err := e.ApplyBatch(table, b); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	requireBitwiseEqual(t, "cross-process result", remote.Result().rel, oracle.Result().rel)
-	requireBitwiseEqual(t, "cross-process result against local", remote.Result().rel, local.Result().rel)
-
-	// Multi-table transactions in two first-touch orders: each runs as one
-	// fused program, deployed to the worker processes like any other.
+	// Multi-table transactions in two first-touch orders follow the
+	// golden stream: each runs as one fused program, deployed to the
+	// worker processes like any other.
+	rounds := goldenScript(q)
 	feed := newTableFeed(t, q, 0.2, 13)
 	for i := 0; i < 10; i++ {
 		seq := []string{tpch.Lineitem, tpch.Orders, tpch.Customer}
 		if i%2 == 1 {
 			seq = []string{tpch.Customer, tpch.Orders, tpch.Lineitem}
 		}
-		tx := NewTx()
+		var round []tpch.Batch
 		for _, table := range seq {
-			if err := tx.Put(table, &Batch{rel: feed.next(table, q3TxSize[table])}); err != nil {
-				t.Fatal(err)
-			}
+			round = append(round, tpch.Batch{Table: table, Rel: feed.next(table, q3TxSize[table])})
 		}
-		for _, e := range engines {
-			if err := e.Apply(tx); err != nil {
-				t.Fatal(err)
-			}
-		}
-		requireBitwiseEqual(t, "cross-process result after a transaction", remote.Result().rel, oracle.Result().rel)
-		requireBitwiseEqual(t, "cross-process result after a transaction against local", remote.Result().rel, local.Result().rel)
+		rounds = append(rounds, round)
 	}
+	r := tpchRow("", q, rounds, localLane(), distLane(workers), lane{name: "Remote(4 processes)", addrs: addrs})
+	r.every = true
+	runRows(t, r)
 }

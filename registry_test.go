@@ -13,23 +13,8 @@ import (
 	"testing"
 
 	"repro/internal/compile"
-	"repro/internal/mring"
 	"repro/internal/tpch"
 )
-
-// bitwiseEqual fails the test unless got and want hold exactly the same
-// groups with exactly the same float values.
-func bitwiseEqual(t *testing.T, label string, got, want *mring.Relation) {
-	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("%s: %d groups, want %d\n got %v\nwant %v", label, got.Len(), want.Len(), got, want)
-	}
-	want.Foreach(func(tp mring.Tuple, m float64) {
-		if g := got.Get(tp); g != m {
-			t.Fatalf("%s: group %v = %g, want bitwise %g", label, tp, g, m)
-		}
-	})
-}
 
 // TestRegistryGoldenTPCH is the multi-view golden gate: Q1, Q3, and Q6
 // registered in one Registry over the shared TPC-H base tables must
@@ -110,7 +95,7 @@ func TestRegistryGoldenTPCH(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bitwiseEqual(t, fmt.Sprintf("%s/%s", be.name, n), res.rel, engines[n].Result().rel)
+				requireBitwiseEqual(t, fmt.Sprintf("%s/%s", be.name, n), res.rel, engines[n].Result().rel)
 			}
 		})
 	}
@@ -178,7 +163,7 @@ func TestRegistryAliasSharesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseEqual(t, "alias", rb.rel, ra.rel)
+	requireBitwiseEqual(t, "alias", rb.rel, ra.rel)
 }
 
 // TestRegistrySharedSubPlans pins cross-shape sub-plan dedup: two
@@ -246,7 +231,7 @@ func TestRegistrySharedSubPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bitwiseEqual(t, name, res.rel, e.Result().rel)
+		requireBitwiseEqual(t, name, res.rel, e.Result().rel)
 	}
 }
 
